@@ -167,26 +167,35 @@ func measureDataplane(e *dataplane.Engine, filters int, hitFrac float64, gorouti
 	return float64(total.Load()) / time.Since(start).Seconds()
 }
 
-// classifyAllocsPerOp measures steady-state heap allocations per
-// ClassifyInto call on a warm engine, single-goroutine so the malloc
-// delta is attributable. GC is paused for the measurement: a cycle
-// mid-loop would evict the engine's sync.Pool scratch and charge the
-// refill to the classify path as phantom fractional allocs.
-func classifyAllocsPerOp(e *dataplane.Engine, filters int, hitFrac float64) float64 {
-	rng := rand.New(rand.NewSource(99))
-	batch := dataplane.WorkloadBatch(rng, filters, benchBatchSize, hitFrac)
-	verdicts := make([]dataplane.Verdict, 0, benchBatchSize)
+// allocsPerOp measures steady-state heap allocations per call of op,
+// single-goroutine so the malloc delta is attributable. op runs once
+// untimed first, to warm the engine's scratch pool. GC is paused for
+// the measurement: a cycle mid-loop would evict sync.Pool scratch and
+// charge the refill to op. The result is whole allocations per call,
+// the testing.AllocsPerRun convention: Mallocs is process-wide, so a
+// stray runtime allocation during the loop would otherwise read as a
+// fractional allocs/op on a path that never allocates.
+func allocsPerOp(op func()) float64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.GC()
-	verdicts = e.ClassifyInto(batch, verdicts) // warm the scratch pool post-GC
+	op()
 	const runs = 1000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		verdicts = e.ClassifyInto(batch, verdicts)
+		op()
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs
+	return float64((after.Mallocs - before.Mallocs) / runs)
+}
+
+// classifyAllocsPerOp is allocsPerOp of one ClassifyInto call on a
+// warm engine.
+func classifyAllocsPerOp(e *dataplane.Engine, filters int, hitFrac float64) float64 {
+	rng := rand.New(rand.NewSource(99))
+	batch := dataplane.WorkloadBatch(rng, filters, benchBatchSize, hitFrac)
+	verdicts := make([]dataplane.Verdict, 0, benchBatchSize)
+	return allocsPerOp(func() { verdicts = e.ClassifyInto(batch, verdicts) })
 }
 
 // sweepSpec enumerates the cells measured by -json and -regress.
@@ -373,17 +382,7 @@ func wildcardAllocsPerOp(e *dataplane.Engine, pairs, nonExact int, wildFrac floa
 	rng := rand.New(rand.NewSource(99))
 	batch := dataplane.WildcardWorkloadBatch(rng, pairs, nonExact, benchBatchSize, wildFrac)
 	verdicts := make([]dataplane.Verdict, 0, benchBatchSize)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.GC()
-	verdicts = e.ClassifyInto(batch, verdicts)
-	const runs = 1000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		verdicts = e.ClassifyInto(batch, verdicts)
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs
+	return allocsPerOp(func() { verdicts = e.ClassifyInto(batch, verdicts) })
 }
 
 // measureScanRef measures the pre-change alternative: matching each
@@ -480,21 +479,14 @@ func detectAllocsPerOp(e *detect.Engine, attackers int) float64 {
 	batch := detect.WorkloadBatch(rng, attackers, benchBatchSize)
 	out := make([]detect.Detection, 0, benchBatchSize)
 	now := sim.Time(0)
+	observe := func() {
+		now += 500 * time.Microsecond
+		out = e.Observe(now, batch, out[:0])
+	}
 	for i := 0; i < 100; i++ {
-		now += 500 * time.Microsecond
-		out = e.Observe(now, batch, out[:0])
+		observe()
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.GC()
-	const runs = 1000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		now += 500 * time.Microsecond
-		out = e.Observe(now, batch, out[:0])
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs
+	return allocsPerOp(observe)
 }
 
 func detectSweep(spec detectSweepSpec, dur time.Duration) []detectResult {

@@ -2,8 +2,6 @@ package detect
 
 import (
 	"math/rand"
-	"runtime"
-	"runtime/debug"
 	"testing"
 	"time"
 
@@ -276,17 +274,13 @@ func TestObserveZeroAlloc(t *testing.T) {
 		now += 500 * time.Microsecond
 		out = e.Observe(now, batch, out[:0])
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.GC()
-	const runs = 500
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
+	// Whole allocations per call (testing.AllocsPerRun's integer
+	// average): the malloc count is process-wide, so a stray runtime
+	// allocation must not read as a fractional allocs/op.
+	if got := testing.AllocsPerRun(500, func() {
 		now += 500 * time.Microsecond
 		out = e.Observe(now, batch, out[:0])
-	}
-	runtime.ReadMemStats(&after)
-	if got := float64(after.Mallocs-before.Mallocs) / runs; got != 0 {
+	}); got != 0 {
 		t.Fatalf("steady-state Observe allocates %v/op, want 0", got)
 	}
 }

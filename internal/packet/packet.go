@@ -39,9 +39,10 @@ func (h Header) Tuple() flow.Tuple {
 }
 
 // RREntry is one route-record shim entry: the border router that
-// forwarded the packet plus an authenticator (HMAC over the flow and a
-// router-local secret, truncated to 64 bits). The authenticator lets the
-// router later recognise paths it genuinely forwarded.
+// forwarded the packet plus a 64-bit authenticator (a keyed PRF of the
+// flow under a router-local secret; see traceback.Recorder.Nonce). The
+// authenticator lets the router later recognise paths it genuinely
+// forwarded.
 type RREntry struct {
 	Router flow.Addr
 	Nonce  uint64

@@ -260,7 +260,8 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	})
 	if cfg.Workers > 0 {
 		g.disp = dataplane.NewDispatcher(g.dp,
-			dataplane.DispatcherConfig{Workers: cfg.Workers}, g.finishData)
+			dataplane.DispatcherConfig{Workers: cfg.Workers},
+			func(p *packet.Packet, v dataplane.Verdict) { g.finishData(p, v, nil) })
 	}
 	if cfg.Detect.Enabled() && len(cfg.DetectFor) > 0 {
 		g.protected = make(map[flow.Addr]bool, len(cfg.DetectFor))
@@ -331,9 +332,19 @@ func (g *Gateway) logf(format string, args ...any) {
 	}
 }
 
+// tracing reports whether protocol milestones are recorded at all. Call
+// sites that format an event's detail check it first: with no trace
+// configured the strings would be built, on every control message, for
+// nobody.
+func (g *Gateway) tracing() bool { return g.cfg.Trace != nil }
+
 // event records a protocol milestone: into the trace ring always, and
-// as an Info-level structured log line when enabled.
+// as an Info-level structured log line when enabled. It is a no-op
+// without a trace.
 func (g *Gateway) event(kind string, label flow.Label, detail string) {
+	if !g.tracing() {
+		return
+	}
 	g.cfg.Trace.Info(obs.Event{
 		At:     time.Duration(wallNow()),
 		Node:   g.node.Name(),
@@ -358,7 +369,7 @@ func (g *Gateway) policer(peer flow.Addr) *filter.Policer {
 
 // Handle implements Handler. Control packets take the gateway lock;
 // data packets take the concurrent data-plane fast path, either inline
-// on the receive goroutine or via the worker pool.
+// on the calling goroutine or via the worker pool.
 func (g *Gateway) Handle(n *Node, p *packet.Packet, from flow.Addr) {
 	if p.IsControl() {
 		// Control handling is synchronous and retains at most p.Msg
@@ -385,15 +396,48 @@ func (g *Gateway) Handle(n *Node, p *packet.Packet, from flow.Addr) {
 		}
 		return
 	}
-	g.finishData(p, g.dp.ClassifyTuple(p.Tuple(), int(p.PayloadLen)))
+	g.finishData(p, g.dp.ClassifyTuple(p.Tuple(), int(p.PayloadLen)), nil)
+}
+
+// handleBatch implements batchHandler: Handle over everything one
+// read-loop wakeup took from the socket, in arrival order. Each run of
+// data packets is classified with one ClassifyInto and its forwards
+// leave in one flush, before the control packet behind it is looked
+// at: a filter that packet installs cannot catch up with, and nothing
+// it sends can overtake, the data that arrived ahead of it. In
+// dispatch mode the pool classifies, so every packet goes through
+// Handle.
+//
+// aitf:noalloc
+func (g *Gateway) handleBatch(n *Node, pkts []*packet.Packet, tx *sockBatch) {
+	var verdicts [batchSlots]dataplane.Verdict
+	for len(pkts) > 0 {
+		run := 0
+		for g.disp == nil && run < len(pkts) && !pkts[run].IsControl() {
+			run++
+		}
+		if run == 0 {
+			g.Handle(n, pkts[0], prevHop(pkts[0]))
+			pkts = pkts[1:]
+			continue
+		}
+		for i, v := range g.dp.ClassifyInto(pkts[:run], verdicts[:0]) {
+			g.finishData(pkts[i], v, tx)
+		}
+		g.flushForwards(tx)
+		pkts = pkts[run:]
+	}
 }
 
 // finishData completes the data path for a classified packet. It runs
 // on the receive goroutine or on dispatcher workers and must not take
 // the gateway lock. The gateway owns data packets decoded by its read
 // loop, so every terminal outcome releases the shell back to the
-// packet pool (Forward marshals synchronously; nothing retains p).
-func (g *Gateway) finishData(p *packet.Packet, v dataplane.Verdict) {
+// packet pool (forward marshals synchronously; nothing retains p). With
+// tx non-nil the forward is queued on it for the caller to flush.
+//
+// aitf:noalloc
+func (g *Gateway) finishData(p *packet.Packet, v dataplane.Verdict, tx *sockBatch) {
 	if v.Drop {
 		atomic.AddUint64(&g.FilterDrops, 1)
 		p.Release()
@@ -426,11 +470,24 @@ func (g *Gateway) finishData(p *packet.Packet, v dataplane.Verdict) {
 	if len(p.Path) < packet.MaxPathLen {
 		p.RecordRoute(g.node.Addr(), g.rec.Nonce(flow.Tuple{Src: p.Src, Dst: p.Dst}))
 	}
-	if err := g.node.Forward(p); err != nil {
-		g.logf("forward: %v", err)
+	if err := g.node.forward(p, tx); err != nil {
+		g.logForwardErr(err)
 	}
 	p.Release()
 }
+
+// flushForwards writes the forwards finishData queued on tx.
+//
+// aitf:noalloc
+func (g *Gateway) flushForwards(tx *sockBatch) {
+	if err := g.node.flush(tx); err != nil {
+		g.logForwardErr(err)
+	}
+}
+
+// logForwardErr keeps the data path's only formatting call out of the
+// functions held to aitf:noalloc.
+func (g *Gateway) logForwardErr(err error) { g.logf("forward: %v", err) }
 
 // retxLadder is one in-flight reliable send's cancellation state;
 // mutated under g.mu (timer callbacks retake the lock).
@@ -552,7 +609,9 @@ func (g *Gateway) handleVerifyQuery(p *packet.Packet, m *packet.VerifyQuery) {
 	if _, live := g.dp.ShadowGet(label, wallNow()); !live {
 		return
 	}
-	g.event("handshake-reply", label, "to attacker gw "+p.Src.String())
+	if g.tracing() {
+		g.event("handshake-reply", label, "to attacker gw "+p.Src.String())
+	}
 	gw, querier, mflow, nonce := g.node.Addr(), p.Src, m.Flow, m.Nonce
 	g.reliableSend(g.blindAttempts(), func(uint64) *packet.Packet {
 		// Replies dedup by nonce at the querier; a duplicate is a no-op.
@@ -573,7 +632,9 @@ func (g *Gateway) selfDetect(d detect.Detection, path []packet.RREntry) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.Detections++
-	g.event("attack-detected", label, fmt.Sprintf("est %dB for protected client %v", d.EstBytes, d.Dst))
+	if g.tracing() {
+		g.event("attack-detected", label, fmt.Sprintf("est %dB for protected client %v", d.EstBytes, d.Dst))
+	}
 	if err := g.installWithAggregation(label, now, now+sim.Time(g.cfg.Timers.Ttmp)); err != nil {
 		// The wire-speed table is full even after aggregation: the
 		// temporary filter is lost, but the shadow log and the
@@ -598,7 +659,9 @@ func (g *Gateway) selfDetect(d detect.Detection, path []packet.RREntry) {
 		// exhausted-ladder case.
 		return
 	}
-	g.event("request-sent", label, "gateway-detected relay to attacker gw "+target.String())
+	if g.tracing() {
+		g.event("request-sent", label, "gateway-detected relay to attacker gw "+target.String())
+	}
 	gw, dlabel, dur := g.node.Addr(), d.Label, g.cfg.Timers.T
 	g.reliableSend(g.blindAttempts(), func(txid uint64) *packet.Packet {
 		return packet.NewControl(gw, target, &packet.FilterReq{
@@ -621,7 +684,9 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 	g.ReqReceived++
 	if !g.policer(from).Allow(now) {
 		g.ReqPoliced++
-		g.event("request-policed", m.Flow.Canonical(), "from "+from.String())
+		if g.tracing() {
+			g.event("request-policed", m.Flow.Canonical(), "from "+from.String())
+		}
 		return
 	}
 	label := m.Flow.Canonical()
@@ -644,7 +709,9 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 		if err != nil {
 			return
 		}
-		g.event("temp-filter-installed", label, "relaying to attacker gw "+target.String())
+		if g.tracing() {
+			g.event("temp-filter-installed", label, "relaying to attacker gw "+target.String())
+		}
 		req := *m
 		req.Stage = packet.StageToAttackerGW
 		gw := g.node.Addr()
@@ -674,7 +741,9 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 		pend := &wirePending{req: m, nonce: randNonce(),
 			deadline: time.Now().Add(g.cfg.HandshakeTimeout)}
 		g.pendings[label.Key()] = pend
-		g.event("handshake-query", label, "to victim "+m.Victim.String())
+		if g.tracing() {
+			g.event("handshake-query", label, "to victim "+m.Victim.String())
+		}
 		gw, victim, mflow, nonce := g.node.Addr(), m.Victim, m.Flow, pend.nonce
 		pend.retx = g.reliableSend(g.cfg.Control.MaxAttempts, func(uint64) *packet.Packet {
 			// The nonce is the dedup identity here: a duplicate query just
@@ -735,9 +804,11 @@ func (g *Gateway) installWithAggregation(label flow.Label, now, exp sim.Time) er
 			g.Aggregations++
 			g.CollateralBytes += uint64(pick.LegitBytes)
 			g.clusterRecord(cluster.OpAggregate, pick.Aggregate, pick.MaxExpiry, now)
-			g.event("aggregated", pick.Aggregate,
-				fmt.Sprintf("table full: coalesced %d siblings, covers %d sources, est %dB/window collateral",
-					replaced, pick.CoveredAddrs(), uint64(pick.LegitBytes)))
+			if g.tracing() {
+				g.event("aggregated", pick.Aggregate,
+					fmt.Sprintf("table full: coalesced %d siblings, covers %d sources, est %dB/window collateral",
+						replaced, pick.CoveredAddrs(), uint64(pick.LegitBytes)))
+			}
 		}
 		if !freed {
 			return err
@@ -762,7 +833,9 @@ func (g *Gateway) installWithAggregation(label flow.Label, now, exp sim.Time) er
 	}
 	g.Aggregations++
 	g.clusterRecord(cluster.OpAggregate, best.Aggregate, best.MaxExpiry, now)
-	g.event("aggregated", best.Aggregate, fmt.Sprintf("table full: coalesced %d siblings", replaced))
+	if g.tracing() {
+		g.event("aggregated", best.Aggregate, fmt.Sprintf("table full: coalesced %d siblings", replaced))
+	}
 	if ierr := g.dp.Install(label, now, exp); ierr != nil {
 		return ierr
 	}
@@ -788,10 +861,14 @@ func (g *Gateway) handleVerifyReply(m *packet.VerifyReply) {
 		return
 	}
 	g.clusterRecord(cluster.OpInstall, label, now+sim.Time(g.cfg.Timers.T), now)
-	g.event("handshake-ok", label, "filtering for "+g.cfg.Timers.T.String())
+	if g.tracing() {
+		g.event("handshake-ok", label, "filtering for "+g.cfg.Timers.T.String())
+	}
 	// Tell the attacking client to stop (§II-C ii).
 	g.StopOrders++
-	g.event("stop-order", label, "to attacker "+label.Src.String())
+	if g.tracing() {
+		g.event("stop-order", label, "to attacker "+label.Src.String())
+	}
 	gw, mflow, dur := g.node.Addr(), m.Flow, g.cfg.Timers.T
 	g.reliableSend(g.blindAttempts(), func(txid uint64) *packet.Packet {
 		return packet.NewControl(gw, label.Src, &packet.FilterReq{

@@ -96,9 +96,16 @@ func (h *Host) logf(format string, args ...any) {
 	}
 }
 
+// tracing reports whether protocol milestones are recorded at all; see
+// Gateway.tracing.
+func (h *Host) tracing() bool { return h.cfg.Trace != nil }
+
 // event records a protocol milestone into the trace ring and the
-// structured log.
+// structured log. It is a no-op without a trace.
 func (h *Host) event(kind string, label flow.Label, detail string) {
+	if !h.tracing() {
+		return
+	}
 	h.cfg.Trace.Info(obs.Event{
 		At:     time.Duration(wallNow()),
 		Node:   h.node.Name(),
@@ -148,7 +155,9 @@ func (h *Host) observe(p *packet.Packet) {
 	}
 	if h.rateBytes[p.Src] > h.cfg.DetectBps*h.cfg.DetectWindow.Seconds() {
 		h.flagged[p.Src] = true
-		h.event("attack-detected", label, "undesired flow from "+p.Src.String())
+		if h.tracing() {
+			h.event("attack-detected", label, "undesired flow from "+p.Src.String())
+		}
 		h.request(label, p.Path)
 	}
 }
@@ -156,7 +165,9 @@ func (h *Host) observe(p *packet.Packet) {
 func (h *Host) request(label flow.Label, evidence []packet.RREntry) {
 	h.wanted[label.Key()] = time.Now().Add(h.cfg.Timers.T)
 	h.RequestsSent++
-	h.event("request-sent", label, "to gateway "+h.cfg.Gateway.String())
+	if h.tracing() {
+		h.event("request-sent", label, "to gateway "+h.cfg.Gateway.String())
+	}
 	req := packet.NewControl(h.node.Addr(), h.cfg.Gateway, &packet.FilterReq{
 		Stage:    packet.StageToVictimGW,
 		Flow:     label,
@@ -176,7 +187,9 @@ func (h *Host) handleControl(p *packet.Packet) {
 	case *packet.VerifyQuery:
 		key := m.Flow.Canonical().Key()
 		if exp, ok := h.wanted[key]; ok && time.Now().Before(exp) {
-			h.event("handshake-reply", m.Flow.Canonical(), "to attacker gw "+p.Src.String())
+			if h.tracing() {
+				h.event("handshake-reply", m.Flow.Canonical(), "to attacker gw "+p.Src.String())
+			}
 			reply := packet.NewControl(h.node.Addr(), p.Src,
 				&packet.VerifyReply{Flow: m.Flow, Nonce: m.Nonce})
 			if err := h.node.Originate(reply); err != nil {

@@ -182,16 +182,12 @@ func (h *Host) RegisterMetrics(r *obs.Registry) {
 
 // Counts returns the node's total packets sent and received.
 func (n *Node) Counts() (sent, received uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.Sent, n.Received
+	return n.Sent.Load(), n.Received.Load()
 }
 
 // classCounts snapshots the per-class transport counters.
 func (n *Node) classCounts() (cs, ds, cr, dr uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.CtrlSent, n.DataSent, n.CtrlReceived, n.DataRecv
+	return n.CtrlSent.Load(), n.DataSent.Load(), n.CtrlReceived.Load(), n.DataRecv.Load()
 }
 
 // registerMetrics registers the transport counters, including the
@@ -216,4 +212,7 @@ func (n *Node) registerMetrics(r *obs.Registry) {
 	r.CounterFunc("aitf_node_data_packets_received_total",
 		"Data datagrams received.",
 		func() uint64 { _, _, _, dr := n.classCounts(); return dr })
+	r.CounterFunc("aitf_node_undecodable_total",
+		"Datagrams dropped by the read loop: not decodable as a packet, or longer than any packet.",
+		n.Undecodable.Load)
 }

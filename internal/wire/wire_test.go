@@ -8,6 +8,7 @@ import (
 	"aitf/internal/contract"
 	"aitf/internal/detect"
 	"aitf/internal/flow"
+	"aitf/internal/obs"
 	"aitf/internal/packet"
 )
 
@@ -318,19 +319,51 @@ func TestTimerSetCancel(t *testing.T) {
 
 func TestGarbageDatagramsIgnored(t *testing.T) {
 	r := buildRig(t, true)
-	// Blast raw garbage at the victim gateway's socket: the read loop
-	// must discard it and keep serving.
-	conn := r.attacker.Node()
-	ua := r.vgw.Node().UDPAddr()
-	raw, err := netDial(ua.String())
+	// Blast what is not a packet at the victim gateway's socket: the
+	// read loop must discard it, count it, and keep serving.
+	node := r.vgw.Node()
+	raw, err := netDial(node.UDPAddr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	for i := 0; i < 50; i++ {
-		raw.Write([]byte{0xde, 0xad, byte(i), 0xbe, 0xef})
+	valid, err := packet.Marshal(packet.NewData(flow.MakeAddr(1, 1, 1, 1), node.Addr(), flow.ProtoUDP, 1, 2, 10))
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = conn
+	junk := [][]byte{
+		{0xde, 0xad, 0xbe, 0xef},                 // not the wire format
+		{},                                       // empty
+		valid[:len(valid)-3],                     // a real header cut short
+		append(valid[:len(valid):len(valid)], 0), // a trailing byte
+		make([]byte, slotSize+1),                 // longer than any packet: cut off by the read
+		append(valid[:len(valid):len(valid)], make([]byte, 3*slotSize)...),
+	}
+	const rounds = 10
+	for i := 0; i < rounds; i++ {
+		for _, d := range junk {
+			if _, err := raw.Write(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reg := obs.NewRegistry()
+	r.vgw.RegisterMetrics(reg)
+	waitUntil(t, 5*time.Second, func() bool {
+		return node.Undecodable.Load() == uint64(rounds*len(junk))
+	}, "undecodable datagrams were not all counted")
+	var exported float64
+	for _, m := range reg.Snapshot() {
+		if m.Name == "aitf_node_undecodable_total" {
+			exported = *m.Value
+		}
+	}
+	if exported != float64(rounds*len(junk)) {
+		t.Fatalf("aitf_node_undecodable_total = %v, want %d", exported, rounds*len(junk))
+	}
+	if _, rcvd := node.Counts(); rcvd != 0 {
+		t.Fatalf("%d undecodable datagrams were counted as received", rcvd)
+	}
 
 	// The gateway still works: run a normal round.
 	victimAddr := r.victim.Node().Addr()
