@@ -98,9 +98,9 @@ func (f *Flood) Launch() {
 				gap = 1
 			}
 		}
-		eng.Schedule(gap, tick)
+		eng.Post(now+gap, tick)
 	}
-	eng.ScheduleAt(f.Start, tick)
+	eng.Post(f.Start, tick)
 }
 
 // rng returns the flood's random source, defaulting to the engine's.

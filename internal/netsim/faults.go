@@ -25,7 +25,7 @@ func (net *Network) SeedFaults(seed int64) {
 // ifacePair returns the two directed interfaces of the link between a
 // and b, or nils when no such link exists.
 func (net *Network) ifacePair(a, b flow.Addr) (*Iface, *Iface) {
-	na, nb := net.byAddr[a], net.byAddr[b]
+	na, nb := net.NodeByAddr(a), net.NodeByAddr(b)
 	if na == nil || nb == nil {
 		return nil, nil
 	}
@@ -111,9 +111,10 @@ func (n *Node) Crash() {
 	now := n.net.eng.Now()
 	n.down = true
 	for _, i := range n.ifaces {
-		// Bumping the epoch invalidates the queued-- closures and makes
-		// arrival closures for still-queued packets drop instead of
-		// deliver.
+		// Bumping the epoch turns the pending releases into no-ops and
+		// makes the arrivals of still-queued packets drop instead of
+		// deliver. Both FIFOs keep their entries: each still fires as
+		// one event, at the time it was given.
 		i.epoch++
 		i.crashedAt = now
 		n.CrashDrops += uint64(i.queued)

@@ -68,9 +68,13 @@ type IfaceStats struct {
 
 // Iface is one node's attachment to one link, in one direction. Sending
 // on an Iface transmits toward its neighbor.
+//
+// aitf:packetowner — a link holds its in-flight pooled packets from
+// Send until their arrival fires.
 type Iface struct {
 	owner    *Node
 	neighbor *Node
+	back     *Iface // the neighbor's interface toward owner
 
 	delay     sim.Time
 	bandwidth float64 // bytes/s; 0 = infinite
@@ -78,6 +82,17 @@ type Iface struct {
 
 	busyUntil sim.Time
 	queued    int
+
+	// The link's pending events, in the order they fire: one arrival
+	// per packet in flight, one release per packet waiting its turn to
+	// serialize. Each took its engine seq at Send, but only the head of
+	// each FIFO is in the engine's queue; firing it enters the next one
+	// under the (at, seq) it was given at Send, so the global event
+	// order is the one a per-packet schedule would produce.
+	inflight  ring[flight]
+	releases  ring[release]
+	arriveFn  func() // i.arriveHead, bound once at Build
+	releaseFn func() // i.releaseHead
 
 	// Fault-injection state (faults.go): per-class random loss
 	// probability, administrative link state, and a crash epoch that
@@ -107,6 +122,8 @@ func (i *Iface) QueueLen() int { return i.queued }
 // packet was accepted; on a false return the packet was dropped at the
 // queue and released to the packet pool, so the caller must not retain
 // it.
+//
+// aitf:noalloc
 func (i *Iface) Send(p *packet.Packet) bool {
 	if i.down || i.owner.down {
 		// Downed link (or crashed owner): the packet never reaches the
@@ -141,38 +158,115 @@ func (i *Iface) Send(p *packet.Packet) bool {
 		}
 		start = i.busyUntil
 		i.queued++
-		ep := i.epoch
-		eng.ScheduleAt(start, func() {
-			if i.epoch == ep {
-				i.queued--
-			}
-		})
+		r := release{at: start, seq: eng.ReserveSeq(), epoch: i.epoch}
+		switch {
+		case i.releases.len() == 0:
+			i.releases.push(r)
+			eng.PostReserved(r.at, r.seq, i.releaseFn)
+		case r.at < i.releases.last().at:
+			i.postStrayRelease(r)
+		default:
+			i.releases.push(r)
+		}
 	}
 	i.busyUntil = start + txdur
 	i.stats.TxPackets++
 	i.stats.TxBytes += uint64(size)
 
-	dst := i.neighbor
-	back := dst.IfaceTo(i.owner.Addr())
-	arrive := start + txdur + i.delay
-	ep := i.epoch
-	eng.ScheduleAt(arrive, func() {
-		if i.epoch != ep && start > i.crashedAt {
-			// The owner crashed while this packet was still sitting in
-			// its output queue; it never made it onto the wire. Packets
-			// that had already begun serializing (start <= crash time)
-			// are on the wire and survive.
-			i.owner.CrashDrops++
-			p.Release()
-			return
-		}
-		if back != nil {
-			back.stats.RxPackets++
-			back.stats.RxBytes += uint64(size)
-		}
-		dst.deliver(p, back)
-	})
+	f := flight{p: p, at: start + txdur + i.delay, seq: eng.ReserveSeq(), start: start, size: size, epoch: i.epoch}
+	switch {
+	case i.inflight.len() == 0:
+		i.inflight.push(f)
+		eng.PostReserved(f.at, f.seq, i.arriveFn)
+	case f.at < i.inflight.last().at:
+		i.postStrayFlight(f)
+	default:
+		i.inflight.push(f)
+	}
 	return true
+}
+
+// flight is one packet on its way across a link: when it arrives, the
+// engine seq it took at Send, and what arrive needs to decide whether a
+// crash of the sender caught it still in the output queue.
+//
+// aitf:packetowner — owns its packet from Send to arrival.
+type flight struct {
+	p     *packet.Packet
+	at    sim.Time
+	seq   uint64
+	start sim.Time // when serialization begins
+	size  int
+	epoch uint32
+}
+
+// release is the moment a queued packet starts serializing and frees
+// its output-queue slot.
+type release struct {
+	at    sim.Time
+	seq   uint64
+	epoch uint32
+}
+
+// postStrayFlight posts an arrival on its own, under the seq it took at
+// Send, because it fires before the tail of the in-flight FIFO and so
+// cannot join it. Times on one link never decrease from Send to Send
+// with one exception: Crash resets busyUntil, so a restarted node can
+// send under the arrivals and releases of the queue the crash wiped,
+// which stay pending (they still fire, as drops and no-ops).
+func (i *Iface) postStrayFlight(f flight) {
+	i.owner.net.eng.PostReserved(f.at, f.seq, func() { i.arrive(f) })
+}
+
+// postStrayRelease is postStrayFlight for a queue release.
+func (i *Iface) postStrayRelease(r release) {
+	i.owner.net.eng.PostReserved(r.at, r.seq, func() { i.release(r) })
+}
+
+// arriveHead fires for the link's earliest in-flight packet.
+//
+// aitf:noalloc
+func (i *Iface) arriveHead() {
+	f := i.inflight.pop()
+	if i.inflight.len() > 0 {
+		next := i.inflight.first()
+		i.owner.net.eng.PostReserved(next.at, next.seq, i.arriveFn)
+	}
+	i.arrive(f)
+}
+
+// releaseHead fires when the link's earliest queued packet starts
+// serializing.
+//
+// aitf:noalloc
+func (i *Iface) releaseHead() {
+	r := i.releases.pop()
+	if i.releases.len() > 0 {
+		next := i.releases.first()
+		i.owner.net.eng.PostReserved(next.at, next.seq, i.releaseFn)
+	}
+	i.release(r)
+}
+
+func (i *Iface) release(r release) {
+	if i.epoch == r.epoch {
+		i.queued--
+	}
+}
+
+func (i *Iface) arrive(f flight) {
+	if i.epoch != f.epoch && f.start > i.crashedAt {
+		// The owner crashed while this packet was still sitting in its
+		// output queue; it never made it onto the wire. Packets that had
+		// already begun serializing (start <= crash time) are on the
+		// wire and survive.
+		i.owner.CrashDrops++
+		f.p.Release()
+		return
+	}
+	i.back.stats.RxPackets++
+	i.back.stats.RxBytes += uint64(f.size)
+	i.neighbor.deliver(f.p, i.back)
 }
 
 // Node is a running network element.
@@ -186,7 +280,7 @@ type Node struct {
 
 	ifaces  []*Iface
 	byPeer  map[flow.Addr]*Iface
-	routes  map[flow.Addr]*Iface
+	routes  []*Iface // next hop by destination NodeID; nil = none
 	handler Handler
 
 	// Batch-delivery state (see SetBatchDelivery): arrivals at the same
@@ -195,6 +289,7 @@ type Node struct {
 	pending    []arrival
 	flushing   []arrival // second buffer, swapped with pending per flush
 	flushArmed bool
+	flushFn    func() // n.flushPending, bound once at Build
 	batchBuf   []*packet.Packet
 
 	// RoutingDrops counts packets dropped for TTL expiry or no route.
@@ -247,7 +342,12 @@ func (n *Node) IfaceTo(neighbor flow.Addr) *Iface { return n.byPeer[neighbor] }
 
 // NextHop returns the interface on the shortest path toward dst, or nil
 // if dst is unknown or is the node itself.
-func (n *Node) NextHop(dst flow.Addr) *Iface { return n.routes[dst] }
+func (n *Node) NextHop(dst flow.Addr) *Iface {
+	if id, ok := n.net.ids[dst]; ok {
+		return n.routes[id]
+	}
+	return nil
+}
 
 // SetHandler installs the node's packet handler.
 func (n *Node) SetHandler(h Handler) { n.handler = h }
@@ -278,7 +378,7 @@ func (n *Node) deliver(p *packet.Packet, from *Iface) {
 	n.pending = append(n.pending, arrival{p, from})
 	if !n.flushArmed {
 		n.flushArmed = true
-		n.net.eng.ScheduleAt(n.net.eng.Now(), n.flushPending)
+		n.net.eng.Post(n.net.eng.Now(), n.flushFn)
 	}
 }
 
@@ -351,10 +451,10 @@ func (n *Node) Originate(p *packet.Packet) bool {
 
 // Network is a set of running nodes built from a topology.
 type Network struct {
-	eng    *sim.Engine
-	topo   *topology.Topology
-	nodes  []*Node
-	byAddr map[flow.Addr]*Node
+	eng   *sim.Engine
+	topo  *topology.Topology
+	nodes []*Node
+	ids   map[flow.Addr]topology.NodeID // the one index every NextHop shares
 
 	// faultRng drives all fault randomness (faults.go). Lazily seeded;
 	// fault-free networks never touch it, so their schedules are
@@ -369,18 +469,18 @@ func Build(eng *sim.Engine, topo *topology.Topology) (*Network, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	net := &Network{eng: eng, topo: topo, byAddr: make(map[flow.Addr]*Node)}
-	net.nodes = make([]*Node, len(topo.Nodes))
+	n := len(topo.Nodes)
+	net := &Network{eng: eng, topo: topo, nodes: make([]*Node, n), ids: make(map[flow.Addr]topology.NodeID, n)}
 	for _, tn := range topo.Nodes {
-		n := &Node{
+		node := &Node{
 			net:    net,
 			info:   tn,
 			byPeer: make(map[flow.Addr]*Iface),
-			routes: make(map[flow.Addr]*Iface),
 		}
-		n.handler = HandlerFunc(defaultReceive)
-		net.nodes[tn.ID] = n
-		net.byAddr[tn.Addr] = n
+		node.handler = HandlerFunc(defaultReceive)
+		node.flushFn = node.flushPending
+		net.nodes[tn.ID] = node
+		net.ids[tn.Addr] = tn.ID
 	}
 	for _, ls := range topo.Links {
 		qlen := ls.QueueLen
@@ -390,15 +490,21 @@ func Build(eng *sim.Engine, topo *topology.Topology) (*Network, error) {
 		a, b := net.nodes[ls.A], net.nodes[ls.B]
 		ab := &Iface{owner: a, neighbor: b, delay: ls.Delay, bandwidth: ls.Bandwidth, queueCap: qlen}
 		ba := &Iface{owner: b, neighbor: a, delay: ls.Delay, bandwidth: ls.Bandwidth, queueCap: qlen}
-		a.ifaces = append(a.ifaces, ab)
-		b.ifaces = append(b.ifaces, ba)
-		a.byPeer[b.Addr()] = ab
-		b.byPeer[a.Addr()] = ba
+		ab.back, ba.back = ba, ab
+		for _, i := range [2]*Iface{ab, ba} {
+			i.arriveFn, i.releaseFn = i.arriveHead, i.releaseHead
+			i.owner.ifaces = append(i.owner.ifaces, i)
+			i.owner.byPeer[i.neighbor.Addr()] = i
+		}
 	}
-	for from, hops := range topo.NextHops() {
-		n := net.nodes[from]
-		for dst, via := range hops {
-			n.routes[topo.Nodes[dst].Addr] = n.byPeer[topo.Nodes[via].Addr]
+	routes := topo.Routes()
+	hops := make([]*Iface, n*n) // one allocation, a row per node
+	for _, node := range net.nodes {
+		node.routes = hops[int(node.ID())*n:][:n:n]
+		for dst := range node.routes {
+			if via := routes.Next(node.ID(), topology.NodeID(dst)); via != topology.NoRoute {
+				node.routes[dst] = node.byPeer[topo.Nodes[via].Addr]
+			}
 		}
 	}
 	return net, nil
@@ -423,7 +529,12 @@ func (net *Network) Topology() *topology.Topology { return net.topo }
 func (net *Network) Node(id topology.NodeID) *Node { return net.nodes[id] }
 
 // NodeByAddr returns the node with the given address, or nil.
-func (net *Network) NodeByAddr(a flow.Addr) *Node { return net.byAddr[a] }
+func (net *Network) NodeByAddr(a flow.Addr) *Node {
+	if id, ok := net.ids[a]; ok {
+		return net.nodes[id]
+	}
+	return nil
+}
 
 // Nodes lists all nodes in topology order.
 func (net *Network) Nodes() []*Node { return net.nodes }

@@ -11,12 +11,14 @@ import (
 // priority queue (a slice kept sorted by (at, seq)) through a random
 // interleaving of pushes and pops, demanding pointer-identical results
 // on every pop and peek — the exact order the engine's determinism
-// contract depends on.
+// contract depends on. Popped events are pushed again under fresh keys,
+// as the engine's free list does with handle-less events: the heap must
+// order a recycled event by its new (at, seq) alone.
 func TestEventHeapOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		var h eventHeap
-		var ref []*Event
+		var ref, free []*Event
 		refInsert := func(e *Event) {
 			i := sort.Search(len(ref), func(i int) bool { return eventBefore(e, ref[i]) })
 			ref = append(ref, nil)
@@ -26,7 +28,11 @@ func TestEventHeapOrdering(t *testing.T) {
 		n := rng.Intn(500) + 1
 		seq := uint64(0)
 		for i := 0; i < n; i++ {
-			e := &Event{at: Time(rng.Intn(50)), seq: seq, fn: func() {}}
+			e := &Event{fn: func() {}}
+			if k := len(free); k > 0 && rng.Intn(2) == 0 {
+				e, free = free[k-1], free[:k-1]
+			}
+			e.at, e.seq = Time(rng.Intn(50)), seq
 			seq++
 			h.push(e)
 			refInsert(e)
@@ -41,6 +47,7 @@ func TestEventHeapOrdering(t *testing.T) {
 					t.Fatalf("trial %d: pop = (at=%v seq=%d), want (at=%v seq=%d)",
 						trial, got.at, got.seq, want.at, want.seq)
 				}
+				free = append(free, got)
 			}
 		}
 		for h.len() > 0 {

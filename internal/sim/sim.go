@@ -16,15 +16,25 @@ import (
 // the simulation. The zero Time is the simulation epoch.
 type Time = time.Duration
 
-// Event is a scheduled closure. It is retained by the engine until it
-// fires or is cancelled. Events are never recycled: callers may hold a
-// reference and Cancel it long after it fired, so pooling them would
-// let a stale handle cancel an unrelated future event.
+// Event is a scheduled closure, in one of two forms.
+//
+// Schedule and ScheduleAt return the Event as a handle: the caller may
+// keep it and Cancel it at any time, long after it fired. Such an Event
+// is allocated per call and never reused, because a recycled one would
+// let a stale handle cancel whatever unrelated callback the engine had
+// put in it since.
+//
+// Post and PostReserved hand out no handle, so nothing outside the
+// engine can hold the Event: it comes from the engine's free list and
+// goes back to it the moment it fires, before its callback runs. This
+// is the form for the per-packet and per-tick work (link deliveries,
+// flood ticks, batch flushes) that is never cancelled.
 type Event struct {
 	at        Time
 	seq       uint64
 	fn        func()
 	cancelled bool
+	pooled    bool // handle-less: back to Engine.free when it fires
 }
 
 // At reports the virtual time at which the event fires.
@@ -47,6 +57,7 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	queue   eventHeap
+	free    []*Event // fired handle-less events, reused by post
 	rng     *rand.Rand
 	stopped bool
 
@@ -90,11 +101,99 @@ func (e *Engine) ScheduleAt(at Time, fn func()) *Event {
 	return ev
 }
 
+// Post runs fn at absolute virtual time at, like ScheduleAt, but hands
+// out no handle: the event cannot be cancelled and is recycled when it
+// fires.
+//
+// aitf:noalloc
+func (e *Engine) Post(at Time, fn func()) {
+	if at < e.now {
+		at = e.now
+	}
+	e.post(at, e.ReserveSeq(), fn)
+}
+
+// ReserveSeq takes the tie-break position the next Schedule, ScheduleAt
+// or Post would take, for an event PostReserved enters later. A link
+// reserves one per packet at send time but keeps only its earliest
+// arrival in the queue; the rest enter as the ones ahead of them fire,
+// and still fire in the order of their sends.
+//
+// aitf:noalloc
+func (e *Engine) ReserveSeq() uint64 {
+	seq := e.seq
+	e.seq++
+	return seq
+}
+
+// PostReserved is Post under a seq from ReserveSeq. at must not be in
+// the past: a reserved event is ordered by the (at, seq) fixed when the
+// seq was taken, and clamping would reorder it.
+//
+// aitf:noalloc
+func (e *Engine) PostReserved(at Time, seq uint64, fn func()) {
+	if at < e.now {
+		misuse("sim: PostReserved in the past")
+	}
+	e.post(at, seq, fn)
+}
+
+// post queues a pooled event under the given order key.
+//
+// aitf:noalloc
+func (e *Engine) post(at Time, seq uint64, fn func()) {
+	if fn == nil {
+		misuse("sim: Post with nil callback")
+	}
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = newPooledEvent()
+	}
+	ev.at, ev.seq, ev.fn = at, seq, fn
+	e.queue.push(ev)
+}
+
+// newPooledEvent grows the pool by one; the free list's high-water mark
+// is the most handle-less events ever pending at once. Like misuse it
+// stays out of line, so the allocation gate on the posting functions
+// sees only their steady-state path.
+//
+//go:noinline
+func newPooledEvent() *Event { return &Event{pooled: true} }
+
+//go:noinline
+func misuse(msg string) { panic(msg) }
+
+// fire dispatches one popped event, reporting false for a cancelled
+// one. A pooled event is recycled before its callback runs, so the
+// callback's own Post reuses it.
+//
+// aitf:noalloc
+func (e *Engine) fire(ev *Event) bool {
+	if ev.cancelled {
+		return false
+	}
+	e.now = ev.at
+	e.Processed++
+	fn := ev.fn
+	if ev.pooled {
+		ev.fn = nil
+		e.free = append(e.free, ev)
+	}
+	fn()
+	return true
+}
+
 // Stop makes Run/RunUntil return before dispatching the next event.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of events still queued (including
-// cancelled events that have not yet been popped).
+// cancelled events that have not yet been popped). A netsim link keeps
+// only its earliest in-flight packet queued, so for network traffic
+// this counts busy links, not packets in flight.
 func (e *Engine) Pending() int { return e.queue.len() }
 
 // RunUntil dispatches events in timestamp order until the queue is
@@ -110,12 +209,7 @@ func (e *Engine) RunUntil(deadline Time) {
 			break
 		}
 		e.queue.pop()
-		if next.cancelled {
-			continue
-		}
-		e.now = next.at
-		e.Processed++
-		next.fn()
+		e.fire(next)
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
@@ -127,27 +221,16 @@ func (e *Engine) RunUntil(deadline Time) {
 func (e *Engine) Run() {
 	e.stopped = false
 	for e.queue.len() > 0 && !e.stopped {
-		next := e.queue.pop()
-		if next.cancelled {
-			continue
-		}
-		e.now = next.at
-		e.Processed++
-		next.fn()
+		e.fire(e.queue.pop())
 	}
 }
 
 // Step fires exactly one event, returning false if the queue was empty.
 func (e *Engine) Step() bool {
 	for e.queue.len() > 0 {
-		next := e.queue.pop()
-		if next.cancelled {
-			continue
+		if e.fire(e.queue.pop()) {
+			return true
 		}
-		e.now = next.at
-		e.Processed++
-		next.fn()
-		return true
 	}
 	return false
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -201,6 +202,198 @@ func TestPanicsOnNilCallback(t *testing.T) {
 		}
 	}()
 	NewEngine(1).Schedule(0, nil)
+}
+
+// TestPostFiresInScheduleOrder runs one random script on two engines:
+// the reference schedules every event with ScheduleAt; the other enters
+// the same events through a random mix of ScheduleAt, Post and the
+// reserve-now-post-later form a netsim link uses (a chain of events
+// with non-decreasing times whose seqs are all taken up front, each
+// posted only when the one before it fires). Both must fire the same
+// events in the same order and count them all.
+func TestPostFiresInScheduleOrder(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		run := func(pooled bool) (fired []int, processed uint64) {
+			rng := rand.New(rand.NewSource(seed))
+			e := NewEngine(seed)
+			id := 0
+			var add func(depth int)
+			add = func(depth int) {
+				at := e.Now() + Time(rng.Intn(30))*time.Millisecond
+				me := id
+				id++
+				fn := func() {
+					fired = append(fired, me)
+					if depth < 3 && rng.Intn(3) == 0 {
+						add(depth + 1) // re-entrant, as protocol code does
+					}
+				}
+				switch form := rng.Intn(3); {
+				case !pooled || form == 0:
+					e.ScheduleAt(at, fn)
+				case form == 1:
+					e.Post(at, fn)
+				default:
+					e.PostReserved(at, e.ReserveSeq(), fn)
+				}
+			}
+			// chain enters k events with non-decreasing times.
+			chain := func(k int) {
+				type link struct {
+					at  Time
+					seq uint64
+					id  int
+				}
+				links := make([]link, k)
+				at := e.Now()
+				for i := range links {
+					at += Time(rng.Intn(3)) * time.Millisecond
+					links[i] = link{at: at, id: id}
+					id++
+				}
+				if !pooled {
+					for _, l := range links {
+						l := l
+						e.ScheduleAt(l.at, func() { fired = append(fired, l.id) })
+					}
+					return
+				}
+				for i := range links {
+					links[i].seq = e.ReserveSeq()
+				}
+				var head func()
+				next := 0
+				head = func() {
+					l := links[next]
+					if next++; next < len(links) {
+						e.PostReserved(links[next].at, links[next].seq, head)
+					}
+					fired = append(fired, l.id)
+				}
+				e.PostReserved(links[0].at, links[0].seq, head)
+			}
+			for i := 0; i < 200; i++ {
+				if rng.Intn(8) == 0 {
+					chain(rng.Intn(20) + 1)
+				} else {
+					add(0)
+				}
+			}
+			e.Run()
+			return fired, e.Processed
+		}
+		want, wantN := run(false)
+		got, gotN := run(true)
+		if gotN != wantN || len(got) != len(want) {
+			t.Fatalf("seed %d: pooled forms fired %d events (Processed %d), ScheduleAt %d (%d)", seed, len(got), gotN, len(want), wantN)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: fire %d is event %d, ScheduleAt order has %d", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestPooledEventNeverFiresStaleCallback: a handle-less event goes back
+// to the free list before its callback runs, so the callback's own Post
+// reuses it; the old callback must not run again through the reuse.
+func TestPooledEventNeverFiresStaleCallback(t *testing.T) {
+	e := NewEngine(1)
+	var a, b, c int
+	e.Post(time.Millisecond, func() {
+		a++
+		e.Post(e.Now()+time.Millisecond, func() { b++ }) // takes a's event
+	})
+	e.Run()
+	e.Post(e.Now(), func() { c++ }) // and again
+	e.Run()
+	if a != 1 || b != 1 || c != 1 {
+		t.Fatalf("callbacks fired a=%d b=%d c=%d times, want once each", a, b, c)
+	}
+	if len(e.free) != 1 {
+		t.Fatalf("free list holds %d events, want the one event reused three times", len(e.free))
+	}
+	if e.free[0].fn != nil {
+		t.Fatal("a recycled event still references its callback")
+	}
+}
+
+// TestHandleSurvivesPooledChurn: events from Schedule are never pooled,
+// so a held handle stays valid however many handle-less events fire in
+// between. Cancelling a live one long after stops exactly it, and
+// cancelling one that already fired touches nothing, where a recycled
+// event would have let it cancel whichever callback held it now.
+func TestHandleSurvivesPooledChurn(t *testing.T) {
+	e := NewEngine(1)
+	spentFired, liveFired := false, false
+	spent := e.Schedule(time.Millisecond, func() { spentFired = true })
+	live := e.Schedule(time.Hour, func() { liveFired = true })
+	e.RunUntil(time.Second)
+	if !spentFired || len(e.free) != 0 {
+		t.Fatalf("handle event fired=%v, free list %d: a handle event must fire and never be pooled", spentFired, len(e.free))
+	}
+
+	pooled := 0
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 100; i++ {
+			e.Post(e.Now()+Time(i)*time.Microsecond, func() { pooled++ })
+		}
+		if round == 25 {
+			spent.Cancel() // while pooled events are pending
+		}
+		e.RunUntil(e.Now() + time.Second)
+	}
+	live.Cancel()
+	e.Post(e.Now(), func() { pooled++ })
+	e.Run()
+	if pooled != 5001 {
+		t.Fatalf("%d of 5001 pooled events fired: a stale handle cancelled one", pooled)
+	}
+	if liveFired {
+		t.Fatal("a handle cancelled after 5000 pooled events still fired")
+	}
+	if !live.Cancelled() || !spent.Cancelled() {
+		t.Fatal("handles lost their cancelled flag")
+	}
+	if len(e.free) != 100 {
+		t.Fatalf("free list holds %d events, want the high-water mark of 100", len(e.free))
+	}
+}
+
+// TestPostSteadyStateZeroAlloc: with the free list and the heap at
+// their high-water marks, posting and firing allocate nothing.
+func TestPostSteadyStateZeroAlloc(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			e.Post(e.Now()+Time(i%7), fn)
+			e.PostReserved(e.Now()+Time(i%5), e.ReserveSeq(), fn)
+		}
+		e.Run()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("Post/fire allocates %v per cycle at steady state, want 0", allocs)
+	}
+}
+
+func TestPostPanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("Post(nil)", func() { NewEngine(1).Post(0, nil) })
+	mustPanic("PostReserved in the past", func() {
+		e := NewEngine(1)
+		e.RunUntil(time.Second)
+		e.PostReserved(time.Millisecond, e.ReserveSeq(), func() {})
+	})
 }
 
 func BenchmarkScheduleRun(b *testing.B) {

@@ -67,7 +67,7 @@ func TestRandomASPathMatchesRouting(t *testing.T) {
 	spec := RandomSpec{ASes: 15, Tier1: 2, MaxHostsPerAS: 2, Params: DefaultParams()}
 	rng := rand.New(rand.NewSource(3))
 	topo, nodes := Random(spec, rng)
-	hops := topo.NextHops()
+	hops := topo.Routes()
 
 	// Walking next hops between two borders must visit exactly the
 	// border routers ASPath names (internal routers and hosts are never
@@ -77,8 +77,8 @@ func TestRandomASPathMatchesRouting(t *testing.T) {
 		cur := a
 		for cur != b {
 			path = append(path, cur)
-			next, ok := hops[cur][b]
-			if !ok {
+			next := hops.Next(cur, b)
+			if next == NoRoute {
 				t.Fatalf("no route %v -> %v", a, b)
 			}
 			cur = next

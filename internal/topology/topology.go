@@ -69,7 +69,7 @@ type Topology struct {
 
 	byAddr map[flow.Addr]NodeID
 	byName map[string]NodeID
-	adj    map[NodeID][]NodeID
+	adj    [][]NodeID // indexed by NodeID
 }
 
 // New returns an empty topology.
@@ -77,7 +77,6 @@ func New() *Topology {
 	return &Topology{
 		byAddr: make(map[flow.Addr]NodeID),
 		byName: make(map[string]NodeID),
-		adj:    make(map[NodeID][]NodeID),
 	}
 }
 
@@ -93,6 +92,7 @@ func (t *Topology) AddNode(name string, addr flow.Addr, kind Kind, as int) NodeI
 	}
 	id := NodeID(len(t.Nodes))
 	t.Nodes = append(t.Nodes, Node{ID: id, Addr: addr, Name: name, Kind: kind, AS: as})
+	t.adj = append(t.adj, nil)
 	t.byAddr[addr] = id
 	t.byName[name] = id
 	return id
@@ -131,59 +131,80 @@ func (t *Topology) Neighbors(id NodeID) []NodeID {
 	return t.adj[id]
 }
 
-// NextHops computes, for every node, the next hop toward every other
-// node by hop-count shortest path (BFS from each destination). Ties
-// break toward the lower neighbor ID, deterministically.
-func (t *Topology) NextHops() map[NodeID]map[NodeID]NodeID {
-	out := make(map[NodeID]map[NodeID]NodeID, len(t.Nodes))
-	for _, n := range t.Nodes {
-		out[n.ID] = make(map[NodeID]NodeID)
-	}
-	// BFS from each destination d; parent pointers give next hops.
-	for _, d := range t.Nodes {
-		visited := make([]bool, len(t.Nodes))
-		visited[d.ID] = true
-		frontier := []NodeID{d.ID}
-		parent := make([]NodeID, len(t.Nodes))
-		parent[d.ID] = d.ID
-		for len(frontier) > 0 {
-			var next []NodeID
-			for _, u := range frontier {
-				for _, v := range t.adj[u] {
-					if !visited[v] {
-						visited[v] = true
-						parent[v] = u
-						next = append(next, v)
-					}
-				}
-			}
-			frontier = next
-		}
-		for _, n := range t.Nodes {
-			if n.ID == d.ID || !visited[n.ID] {
-				continue
-			}
-			out[n.ID][d.ID] = parent[n.ID]
-		}
-	}
-	return out
+// NoRoute is the Routes.Next answer for a node toward itself or toward
+// a destination it cannot reach.
+const NoRoute NodeID = -1
+
+// Routes is the static routing of a topology: the next hop from every
+// node toward every other, one flat n×n table.
+type Routes struct {
+	n    int
+	next []int32 // next[from*n+dst]; int32 halves the table, NodeIDs fit
 }
 
-// Validate checks that the graph is connected and every node has at
-// least one link.
+// Next returns the neighbor of from on the shortest path toward dst, or
+// NoRoute.
+func (r *Routes) Next(from, dst NodeID) NodeID {
+	return NodeID(r.next[int(from)*r.n+int(dst)])
+}
+
+// Routes computes the next hop from every node toward every other by
+// hop-count shortest path (BFS from each destination). Among equal
+// paths a node takes the neighbor the BFS reached it from first, which
+// follows the order links were added, deterministically.
+func (t *Topology) Routes() *Routes {
+	n := len(t.Nodes)
+	r := &Routes{n: n, next: make([]int32, n*n)}
+	for i := range r.next {
+		r.next[i] = int32(NoRoute)
+	}
+	parent := make([]NodeID, n)
+	var queue []NodeID
+	for d := range t.Nodes {
+		// parent[v] is v's next hop toward d, for every v the BFS reached.
+		queue = t.bfs(NodeID(d), parent, queue)
+		for _, v := range queue[1:] {
+			r.next[int(v)*n+d] = int32(parent[v])
+		}
+	}
+	return r
+}
+
+// bfs visits every node reachable from root in breadth-first order and
+// returns them in that order, root first, in queue's storage. parent
+// (one entry per node) is overwritten: NoRoute for nodes not reached,
+// else the node each was first reached from (root from itself).
+func (t *Topology) bfs(root NodeID, parent, queue []NodeID) []NodeID {
+	for i := range parent {
+		parent[i] = NoRoute
+	}
+	parent[root] = root
+	queue = append(queue[:0], root)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range t.adj[u] {
+			if parent[v] == NoRoute {
+				parent[v] = u
+				queue = append(queue, v)
+			}
+		}
+	}
+	return queue
+}
+
+// Validate checks that the graph is connected, so every node has at
+// least one link and a route to every other.
 func (t *Topology) Validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("topology: empty")
 	}
-	hops := t.NextHops()
-	for _, n := range t.Nodes {
-		for _, m := range t.Nodes {
-			if n.ID == m.ID {
-				continue
-			}
-			if _, ok := hops[n.ID][m.ID]; !ok {
-				return fmt.Errorf("topology: %s cannot reach %s", n.Name, m.Name)
-			}
+	// The links are undirected: if the first node reaches every node,
+	// every node reaches every other through it.
+	parent := make([]NodeID, len(t.Nodes))
+	t.bfs(0, parent, nil)
+	for id, p := range parent {
+		if p == NoRoute {
+			return fmt.Errorf("topology: %s cannot reach %s", t.Nodes[0].Name, t.Nodes[id].Name)
 		}
 	}
 	return nil

@@ -94,7 +94,7 @@ func TestGatewayWorkerPool(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if sink.ok.Load() >= n/2 && atomic.LoadUint64(&gw.FilterDrops) >= n/2 {
+		if sink.ok.Load() >= n/2 && gw.FilterDrops.Load() >= n/2 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -109,10 +109,10 @@ func TestGatewayWorkerPool(t *testing.T) {
 	}
 	// Let the pool quiesce (no new drops for a settle window) before
 	// comparing the two counters exactly.
-	drops := atomic.LoadUint64(&gw.FilterDrops)
+	drops := gw.FilterDrops.Load()
 	for settle := 0; settle < 100; settle++ {
 		time.Sleep(20 * time.Millisecond)
-		cur := atomic.LoadUint64(&gw.FilterDrops)
+		cur := gw.FilterDrops.Load()
 		if cur == drops {
 			break
 		}

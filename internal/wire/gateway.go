@@ -191,9 +191,11 @@ type Gateway struct {
 	SnapshotSaves, SnapshotRestores  uint64
 	FiltersRestored, ShadowsRestored uint64
 	// Data-plane stats are updated atomically: with dispatch mode on,
-	// drops are counted from multiple workers at once.
-	FilterDrops uint64
-	ShadowHits  uint64
+	// drops are counted from multiple workers at once. Typed atomics
+	// align themselves; a plain uint64 here sits at a 4-byte offset on
+	// 32-bit targets and atomic.AddUint64 on it panics.
+	FilterDrops atomic.Uint64
+	ShadowHits  atomic.Uint64
 }
 
 // ctrlKey identifies one logical control send inside the dedup window.
@@ -439,14 +441,14 @@ func (g *Gateway) handleBatch(n *Node, pkts []*packet.Packet, tx *sockBatch) {
 // aitf:noalloc
 func (g *Gateway) finishData(p *packet.Packet, v dataplane.Verdict, tx *sockBatch) {
 	if v.Drop {
-		atomic.AddUint64(&g.FilterDrops, 1)
+		g.FilterDrops.Add(1)
 		p.Release()
 		return
 	}
 	if v.ShadowHit {
 		// An "on-off" flow reappeared within T of being filtered; count
 		// it (the wire runtime's single round has no escalation ladder).
-		atomic.AddUint64(&g.ShadowHits, 1)
+		g.ShadowHits.Add(1)
 	}
 	// Gateway-side detection: delivered traffic toward a protected
 	// legacy client feeds the sketch engine (internally synchronized,

@@ -1,10 +1,6 @@
 package wire
 
-import (
-	"sync/atomic"
-
-	"aitf/internal/obs"
-)
+import "aitf/internal/obs"
 
 // GatewayStats is a point-in-time snapshot of the wire gateway's
 // protocol counters, safe to take from any goroutine (an admin
@@ -54,8 +50,8 @@ func (g *Gateway) statsLocked() GatewayStats {
 		SnapshotRestores:  g.SnapshotRestores,
 		FiltersRestored:   g.FiltersRestored,
 		ShadowsRestored:   g.ShadowsRestored,
-		FilterDrops:       atomic.LoadUint64(&g.FilterDrops),
-		ShadowHits:        atomic.LoadUint64(&g.ShadowHits),
+		FilterDrops:       g.FilterDrops.Load(),
+		ShadowHits:        g.ShadowHits.Load(),
 	}
 }
 

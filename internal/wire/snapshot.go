@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"aitf/internal/cluster"
@@ -167,8 +166,8 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 	g.CtrlRetransmits = snap.Stats.CtrlRetransmits
 	g.CtrlDupDrops = snap.Stats.CtrlDupDrops
 	g.SnapshotSaves = snap.Stats.SnapshotSaves
-	atomic.StoreUint64(&g.FilterDrops, snap.Stats.FilterDrops)
-	atomic.StoreUint64(&g.ShadowHits, snap.Stats.ShadowHits)
+	g.FilterDrops.Store(snap.Stats.FilterDrops)
+	g.ShadowHits.Store(snap.Stats.ShadowHits)
 	if snap.NextTxid > g.nextTxid {
 		// Continue the txid sequence: post-restore sends must not collide
 		// with pre-crash ones inside a receiver's dedup window.
