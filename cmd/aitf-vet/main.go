@@ -123,12 +123,12 @@ func opErr(err error) int {
 
 // vetConfig is the subset of cmd/go's vet JSON config aitf-vet needs.
 type vetConfig struct {
-	ID         string
-	Dir        string
-	ImportPath string
-	GoFiles    []string
-	VetxOnly   bool
-	VetxOutput string
+	ID                        string
+	Dir                       string
+	ImportPath                string
+	GoFiles                   []string
+	VetxOnly                  bool
+	VetxOutput                string
 	SucceedOnTypecheckFailure bool
 }
 

@@ -10,8 +10,8 @@
 // cluster crash-proof:
 //
 //   - Detection state merges. Each merge round every alive replica
-//     publishes a frozen copy of its summary and the cluster rebuilds a
-//     merged view from scratch (each source contributes exactly once
+//     publishes a frozen copy of its summary and the cluster empties
+//     and refills its merged view (each source contributes exactly once
 //     per round, the discipline the no-FP bound needs). A dead
 //     replica's last published summary keeps contributing until its
 //     window lapses, so the replica that inherits its flows resumes
@@ -140,7 +140,11 @@ type Stats struct {
 type replica struct {
 	id  int
 	eng *detect.Engine // nil when detection is unarmed or the replica is dead
-	sum *detect.Engine // frozen copy published at the last merge round
+	// sum is the frozen copy published at the last merge round, built
+	// together with eng. While the replica lives it is emptied and
+	// refilled every round; once the replica dies nothing empties it
+	// again, and a restart builds a new one.
+	sum *detect.Engine
 	// filters is the replica's applied view of the log: label → expiry.
 	filters     map[flow.Label]sim.Time
 	lastApplied uint64
@@ -169,7 +173,10 @@ type Cluster struct {
 	ops     []Op
 	reps    []*replica
 	pending map[uint64]detect.Detection
-	stats   Stats
+	// view is the merged detection view, emptied at every merge round;
+	// nil when detection is unarmed.
+	view  *detect.Engine
+	stats Stats
 	// winEff is the effective (defaulted) detection window, zero when
 	// detection is unarmed.
 	winEff sim.Time
@@ -194,12 +201,13 @@ func New(cfg Config, det detect.Config) *Cluster {
 	for i := range c.reps {
 		r := &replica{id: i, alive: true, filters: map[flow.Label]sim.Time{}}
 		if c.armed {
-			r.eng = detect.New(det)
+			r.eng, r.sum = detect.New(det), detect.New(det)
 		}
 		c.reps[i] = r
 	}
 	if c.armed {
-		c.winEff = c.reps[0].eng.Config().Window
+		c.view = detect.New(det)
+		c.winEff = c.view.Config().Window
 	}
 	return c
 }
@@ -352,9 +360,10 @@ func lessLabel(a, b flow.Label) bool {
 
 // MergeRound is the cluster's heartbeat: ship the log to every alive
 // replica, expire dead filters, publish each replica's frozen summary,
-// rebuild the merged detection view from scratch and sweep it for
-// threshold crossings no single replica saw. Returns the number of new
-// pending detections.
+// empty and refill the merged detection view and sweep it for threshold
+// crossings no single replica saw. Returns the number of new pending
+// detections. The summaries and the view are reset in place
+// (detect.Engine.Reset), so a round allocates no sketch.
 func (c *Cluster) MergeRound(now sim.Time) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -420,21 +429,21 @@ func (c *Cluster) MergeRound(now sim.Time) int {
 		if !r.alive || r.eng == nil {
 			continue
 		}
-		s := detect.New(c.detCfg)
-		if err := s.Merge(now, r.eng); err != nil {
+		r.sum.Reset()
+		if err := r.sum.Merge(now, r.eng); err != nil {
 			continue // unreachable: identical configs
 		}
-		r.sum = s
 		if live > 1 {
 			c.stats.MergeBytes += uint64(r.eng.MergeSize()) * uint64(live-1)
 		}
 	}
 
-	// 4. Merged view, rebuilt fresh so each source contributes exactly
+	// 4. Merged view, emptied first so each source contributes exactly
 	// once — the discipline that keeps count − err a true lower bound.
 	// Alive replicas contribute their primaries; dead replicas their
 	// last published summaries.
-	view := detect.New(c.detCfg)
+	view := c.view
+	view.Reset()
 	for _, r := range c.reps {
 		src := r.eng
 		if !r.alive {
@@ -683,16 +692,19 @@ func (c *Cluster) ImportState(st *State, now sim.Time) {
 	for i, r := range c.reps {
 		r.filters = map[flow.Label]sim.Time{}
 		r.lastApplied = 0
-		r.sum = nil
 		if i < len(st.Alive) {
 			r.alive = st.Alive[i]
 		}
 		if !r.alive {
-			r.eng = nil
+			r.eng, r.sum = nil, nil
 			continue
 		}
-		if c.armed && r.eng == nil {
-			r.eng = detect.New(c.detCfg)
+		if c.armed {
+			if r.eng == nil {
+				r.eng, r.sum = detect.New(c.detCfg), detect.New(c.detCfg)
+			} else {
+				r.sum.Reset() // what was published before the restore is gone
+			}
 		}
 		if i < len(st.LastApplied) {
 			target := st.LastApplied[i]

@@ -18,7 +18,7 @@ import (
 type fentry struct {
 	label        flow.Label
 	installedAt  filter.Time
-	exp          atomic.Int64 // aitf:atomic expiry deadline (filter.Time)
+	exp          atomic.Int64  // aitf:atomic expiry deadline (filter.Time)
 	drops        atomic.Uint64 // aitf:atomic
 	droppedBytes atomic.Uint64 // aitf:atomic
 }
@@ -194,11 +194,11 @@ type fslot struct {
 // scan is the residue of shapes with no anchor. Every entry appears in
 // its main bucket regardless of shape, so get/each see exactly one copy.
 type filterView struct {
-	buckets []atomic.Pointer[fbucket] // aitf:atomic
-	dst     []atomic.Pointer[fbucket] // aitf:atomic
-	dcount  int // live entries indexed by dst, maintained under the writer lock
+	buckets []atomic.Pointer[fbucket]    // aitf:atomic
+	dst     []atomic.Pointer[fbucket]    // aitf:atomic
+	dcount  int                          // live entries indexed by dst, maintained under the writer lock
 	trie    atomic.Pointer[tnode[fslot]] // aitf:atomic
-	scan    []*fentry // entries matchable only by linear scan; immutable per view
+	scan    []*fentry                    // entries matchable only by linear scan; immutable per view
 }
 
 // get returns the entry stored under the exact canonical label, if any.

@@ -35,6 +35,15 @@ func newBaselines(capacity int, alpha float64, seed uint64) *baselines {
 	}
 }
 
+// reset forgets every destination, keeping the table's arrays.
+func (b *baselines) reset() {
+	clear(b.keys)
+	clear(b.used)
+	clear(b.win)
+	clear(b.ewma)
+	b.count = 0
+}
+
 // slot finds dst's slot, or an insertion slot (preferring a free one,
 // falling back to the probe window's coldest victim).
 func (b *baselines) slot(dst flow.Addr, insert bool) int32 {

@@ -174,6 +174,12 @@ type Engine struct {
 	thresholdB float64  // ThresholdBps × Window seconds, precomputed
 
 	stats Stats
+
+	// Scratch of mergeTopK, kept so that an engine merged into every
+	// round (a cluster's published summaries and merged view) stops
+	// allocating once it has seen its largest union.
+	mergeBuf []hhEntry
+	mergeIdx map[uint64]int
 }
 
 // New builds an engine from cfg (defaults applied). A disabled config
@@ -190,6 +196,25 @@ func New(cfg Config) *Engine {
 		thresholdB: cfg.ThresholdBps * cfg.Window.Seconds(),
 	}
 	return e
+}
+
+// Reset returns the engine to the state New left it in, in place: the
+// sketch empties by an epoch bump (O(1), as at a window boundary), the
+// heavy-hitter summary and the baselines are emptied, the window is
+// unanchored (the next observation or merge anchors it, as on a fresh
+// engine) and the counters are zeroed. Configuration, hash seeds and
+// any Instrument registration are kept. An accumulator that is Reset
+// and refilled behaves exactly like a freshly built one, which is what
+// lets a cluster keep the one-contribution-per-round merge discipline
+// (see merge.go) without building new engines every round.
+func (e *Engine) Reset() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.cms.rotate()
+	e.hh.reset()
+	e.base.reset()
+	e.winStart, e.winStarted = 0, false
+	e.stats = Stats{}
 }
 
 // Config returns the engine's effective (defaulted) configuration.

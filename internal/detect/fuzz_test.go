@@ -2,6 +2,7 @@ package detect
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 	"time"
 
@@ -95,7 +96,8 @@ func FuzzSketch(f *testing.F) {
 // in-window count (so at least either input's share), and every
 // merged summary entry's count − err lower bound never exceeds that
 // truth (so a merged detection can never frame an under-threshold
-// flow).
+// flow). Last, the view is Reset and refilled, and must read as a new
+// one does.
 func FuzzSketchMerge(f *testing.F) {
 	split := make([]byte, 0, 160)
 	for i := 0; i < 20; i++ {
@@ -190,6 +192,28 @@ func FuzzSketchMerge(f *testing.F) {
 		}
 		if got := view.hh.len(); got > cfg.TopK {
 			t.Fatalf("merged top-k grew past its budget: %d", got)
+		}
+
+		// The cluster empties and refills one view every round instead of
+		// building a new one: the used view, Reset and merged into again,
+		// must read exactly as a new view merged into does.
+		var pairs [][2]flow.Addr
+		for k := range combined {
+			pairs = append(pairs, [2]flow.Addr{flow.Addr(k >> 32), flow.Addr(k & 0xffffffff)})
+		}
+		fresh := New(cfg)
+		view.Sweep(now, nil) // leave flags and a detection count behind
+		view.Reset()
+		for s, e := range engines {
+			if err := fresh.Merge(now, e); err != nil {
+				t.Fatalf("shard %d refused to merge: %v", s, err)
+			}
+			if err := view.Merge(now, e); err != nil {
+				t.Fatalf("shard %d refused to merge after Reset: %v", s, err)
+			}
+		}
+		if got, want := observe(view, now, pairs), observe(fresh, now, pairs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reset view reads\n%+v\nnew view\n%+v", got, want)
 		}
 	})
 }

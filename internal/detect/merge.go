@@ -34,11 +34,11 @@ package detect
 // the SAME accumulator twice within one window doubles count faster
 // than err and would break the lower bound. Callers must merge each
 // source engine at most once per accumulator per window — the cluster
-// rebuilds its merged view from scratch every merge round, so each
-// replica contributes exactly once per round. Merge also rotates both
-// engines to now first, so a crashed replica's frozen summary
-// self-erases one window after its death: it contributes exactly its
-// truthful lifetime, then reads zero.
+// resets its merged view (Engine.Reset) every merge round before
+// refilling it, so each replica contributes exactly once per round.
+// Merge also rotates both engines to now first, so a crashed replica's
+// frozen summary self-erases one window after its death: it
+// contributes exactly its truthful lifetime, then reads zero.
 //
 // Per-destination EWMA baselines are intentionally NOT merged: they
 // smooth across windows, so element-wise combination has no sound
@@ -117,9 +117,12 @@ func (e *Engine) Merge(now sim.Time, o *Engine) error {
 func (e *Engine) mergeTopK(o *topk) {
 	t := e.hh
 	k := cap(t.entries)
-	merged := make([]hhEntry, len(t.entries), len(t.entries)+len(o.entries))
-	copy(merged, t.entries)
-	byKey := make(map[uint64]int, len(merged))
+	merged := append(e.mergeBuf[:0], t.entries...)
+	if e.mergeIdx == nil {
+		e.mergeIdx = make(map[uint64]int, len(merged)+len(o.entries))
+	}
+	byKey := e.mergeIdx
+	clear(byKey)
 	for i := range merged {
 		byKey[merged[i].key] = i
 	}
@@ -144,6 +147,7 @@ func (e *Engine) mergeTopK(o *topk) {
 		byKey[oe.key] = len(merged)
 		merged = append(merged, *oe)
 	}
+	e.mergeBuf = merged
 	// Deterministic top-k: count descending, key ascending on ties.
 	sortEntries(merged)
 	if len(merged) > k {

@@ -57,7 +57,8 @@ func splitmix64(x uint64) uint64 {
 }
 
 // rotate starts a new window; every cell written under an older epoch
-// now reads as zero.
+// now reads as zero. Emptying the sketch (Engine.Reset) is the same
+// step: no cell of any earlier epoch is ever read again.
 func (s *sketch) rotate() { s.epoch++ }
 
 // value reads a cell under the current epoch.

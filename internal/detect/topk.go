@@ -57,9 +57,7 @@ func newTopK(k int, seed uint64) *topk {
 		mask:    w - 1,
 		seed:    splitmix64(seed ^ 0xA5A5A5A5A5A5A5A5),
 	}
-	for i := range t.slots {
-		t.slots[i] = -1
-	}
+	t.reset()
 	return t
 }
 
@@ -225,6 +223,17 @@ func (t *topk) rotate() {
 		t.entries[i].err = 0
 	}
 	// All counts equal: any heap order is a valid min-heap already.
+}
+
+// reset empties the summary in place, keeping its slab, heap and index
+// arrays.
+func (t *topk) reset() {
+	t.entries = t.entries[:0]
+	t.heap = t.heap[:0]
+	for i := range t.slots {
+		t.slots[i] = -1
+	}
+	t.evictions = 0
 }
 
 // get returns the entry for key, or nil.

@@ -45,14 +45,14 @@ type Driver func() Result
 // All returns every experiment driver keyed by ID, plus the sorted IDs.
 func All() (map[string]Driver, []string) {
 	m := map[string]Driver{
-		"E1": E1Figure1,
-		"E2": E2EffectiveBandwidth,
-		"E3": E3ProtectedFlows,
-		"E4": E4VictimGatewayResources,
-		"E5": E5AttackerGatewayResources,
-		"E6": E6OnOffAblation,
-		"E7": E7HandshakeSecurity,
-		"E8": E8AITFvsPushback,
+		"E1":  E1Figure1,
+		"E2":  E2EffectiveBandwidth,
+		"E3":  E3ProtectedFlows,
+		"E4":  E4VictimGatewayResources,
+		"E5":  E5AttackerGatewayResources,
+		"E6":  E6OnOffAblation,
+		"E7":  E7HandshakeSecurity,
+		"E8":  E8AITFvsPushback,
 		"E9":  E9ContractPolicing,
 		"E13": E13DetectionLatency,
 		"E15": E15CollateralAllocation,

@@ -42,7 +42,23 @@ func ParseAddr(s string) (Addr, error) {
 
 // String renders the address as a dotted quad.
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	var buf [15]byte
+	return string(a.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the dotted quad that String renders to b and returns
+// the extended slice, as strconv.AppendInt does: it allocates only when
+// b lacks room for the 15 bytes an address can take. It is the form for
+// callers that render many addresses into one buffer (a trace hash, a
+// log line).
+func (a Addr) AppendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(a>>24), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(a>>16)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(a>>8)), 10)
+	b = append(b, '.')
+	return strconv.AppendUint(b, uint64(byte(a)), 10)
 }
 
 // Octets returns the four octets of the address, most significant first.
@@ -73,6 +89,14 @@ const (
 )
 
 func (p Proto) String() string {
+	if s := p.name(); s != "" {
+		return s
+	}
+	return "proto" + strconv.Itoa(int(p))
+}
+
+// name is the protocol's mnemonic, or "" when it renders by number.
+func (p Proto) name() string {
 	switch p {
 	case ProtoAny:
 		return "any"
@@ -84,9 +108,8 @@ func (p Proto) String() string {
 		return "icmp"
 	case ProtoAITF:
 		return "aitf"
-	default:
-		return "proto" + strconv.Itoa(int(p))
 	}
+	return ""
 }
 
 // Wild flags mark which label fields are wildcards. A set bit means
@@ -312,40 +335,48 @@ func (l Label) Key() Label { return l.Canonical() }
 // "10.0.0.2->10.1.0.9 proto=any sport=* dport=80"; prefixed addresses
 // render in CIDR form ("10.0.3.0/24").
 func (l Label) String() string {
-	var b strings.Builder
-	writeEnd := func(wild bool, a Addr, bits uint8) {
-		if wild {
-			b.WriteString("*")
-			return
-		}
-		b.WriteString(a.String())
-		if bits >= 1 && bits <= 31 {
-			b.WriteByte('/')
-			b.WriteString(strconv.Itoa(int(bits)))
-		}
-	}
-	writeEnd(l.Wildcards&WildSrc != 0, l.Src, l.SrcPrefixLen)
-	b.WriteString("->")
-	writeEnd(l.Wildcards&WildDst != 0, l.Dst, l.DstPrefixLen)
-	b.WriteString(" proto=")
+	var buf [80]byte // the longest rendering is 77 bytes
+	return string(l.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the form String renders (and ParseLabel reads) to b
+// and returns the extended slice; it allocates only when b lacks room.
+func (l Label) AppendTo(b []byte) []byte {
+	b = appendEnd(b, l.Wildcards&WildSrc != 0, l.Src, l.SrcPrefixLen)
+	b = append(b, "->"...)
+	b = appendEnd(b, l.Wildcards&WildDst != 0, l.Dst, l.DstPrefixLen)
+	b = append(b, " proto="...)
 	if l.Wildcards&WildProto != 0 {
-		b.WriteString("*")
+		b = append(b, '*')
+	} else if name := l.Proto.name(); name != "" {
+		b = append(b, name...)
 	} else {
-		b.WriteString(l.Proto.String())
+		b = strconv.AppendUint(append(b, "proto"...), uint64(l.Proto), 10)
 	}
-	b.WriteString(" sport=")
-	if l.Wildcards&WildSrcPort != 0 {
-		b.WriteString("*")
-	} else {
-		b.WriteString(strconv.Itoa(int(l.SrcPort)))
+	b = append(b, " sport="...)
+	b = appendPort(b, l.Wildcards&WildSrcPort != 0, l.SrcPort)
+	b = append(b, " dport="...)
+	return appendPort(b, l.Wildcards&WildDstPort != 0, l.DstPort)
+}
+
+// appendEnd renders one label endpoint: "*", "a.b.c.d" or "a.b.c.d/bits".
+func appendEnd(b []byte, wild bool, a Addr, bits uint8) []byte {
+	if wild {
+		return append(b, '*')
 	}
-	b.WriteString(" dport=")
-	if l.Wildcards&WildDstPort != 0 {
-		b.WriteString("*")
-	} else {
-		b.WriteString(strconv.Itoa(int(l.DstPort)))
+	b = a.AppendTo(b)
+	if bits >= 1 && bits <= 31 {
+		b = strconv.AppendUint(append(b, '/'), uint64(bits), 10)
 	}
-	return b.String()
+	return b
+}
+
+// appendPort renders one label port: "*" or its number.
+func appendPort(b []byte, wild bool, port uint16) []byte {
+	if wild {
+		return append(b, '*')
+	}
+	return strconv.AppendUint(b, uint64(port), 10)
 }
 
 // ErrBadLabel reports an unparseable label string.

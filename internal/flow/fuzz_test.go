@@ -4,8 +4,8 @@ import "testing"
 
 // FuzzLabelRoundTrip throws arbitrary strings at ParseLabel and checks
 // the parse/format contract on everything that parses: String must
-// re-parse to the same canonical label, and canonicalization must be
-// idempotent and matching-preserving. Interesting inputs found by the
+// agree with AppendTo and re-parse to the same canonical label, and
+// canonicalization must be idempotent and matching-preserving. Interesting inputs found by the
 // fuzzer are kept under testdata/fuzz/FuzzLabelRoundTrip.
 func FuzzLabelRoundTrip(f *testing.F) {
 	seeds := []string{
@@ -30,6 +30,9 @@ func FuzzLabelRoundTrip(f *testing.F) {
 			t.Fatalf("parse %q produced prefix lengths %d/%d", s, l.SrcPrefixLen, l.DstPrefixLen)
 		}
 		rendered := l.String()
+		if appended := string(l.AppendTo(nil)); appended != rendered {
+			t.Fatalf("AppendTo renders %q, String %q", appended, rendered)
+		}
 		back, err := ParseLabel(rendered)
 		if err != nil {
 			t.Fatalf("String of parsed label does not re-parse: %q -> %q: %v", s, rendered, err)

@@ -99,8 +99,8 @@ const HistogramBuckets = 64
 // uncontended atomic adds and never allocates.
 type Histogram struct {
 	buckets [HistogramBuckets]atomic.Uint64 // aitf:atomic
-	count   atomic.Uint64 // aitf:atomic
-	sum     atomic.Uint64 // aitf:atomic
+	count   atomic.Uint64                   // aitf:atomic
+	sum     atomic.Uint64                   // aitf:atomic
 }
 
 // Observe records one value.

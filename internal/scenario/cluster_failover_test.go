@@ -27,13 +27,16 @@ func clusterSpec(seed int64) Spec {
 	return s
 }
 
+// failoverSeeds is how many seeded kills the failover suite runs.
+const failoverSeeds = 90
+
 // TestScenarioClusterFailover is the acceptance suite for the cluster
 // layer: across the seeds a replica of the first victim's serving
 // gateway is killed mid-attack, and every invariant — including the
 // replication-consistency invariant 7 — must hold, with zero filters
 // lost to the failover.
 func TestScenarioClusterFailover(t *testing.T) {
-	for seed := int64(1); seed <= 30; seed++ {
+	for seed := int64(1); seed <= failoverSeeds; seed++ {
 		seed := seed
 		s := clusterSpec(seed)
 		t.Run(s.name(), func(t *testing.T) {

@@ -28,7 +28,7 @@ var goldenSuites = []struct {
 }{
 	{"property", propertySeeds, GenSpec},
 	{"chaos", propertySeeds, chaosSpec},
-	{"failover", 30, clusterSpec},
+	{"failover", failoverSeeds, clusterSpec},
 }
 
 // TestFingerprintGolden compares each suite seed's Fingerprint and

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"time"
 
 	"aitf"
@@ -556,8 +557,23 @@ func (w *world) fingerprint() uint64 {
 	add := func(format string, args ...any) {
 		fmt.Fprintf(h, format, args...)
 	}
-	for _, e := range w.dep.Log.Events {
-		add("%d|%s|%d|%s|%s\n", e.T, e.Node, e.Kind, e.Flow, e.Detail)
+	// One line per event, "T|Node|Kind|Flow|Detail\n" with T and Kind in
+	// decimal, rendered into one reused buffer: the trace is most of the
+	// hashed bytes, and fmt spent longer on it than the hash did.
+	line := make([]byte, 0, 256)
+	for i := range w.dep.Log.Events {
+		e := &w.dep.Log.Events[i]
+		line = strconv.AppendInt(line[:0], int64(e.T), 10)
+		line = append(line, '|')
+		line = append(line, e.Node...)
+		line = append(line, '|')
+		line = strconv.AppendUint(line, uint64(e.Kind), 10)
+		line = append(line, '|')
+		line = e.Flow.AppendTo(line)
+		line = append(line, '|')
+		line = append(line, e.Detail...)
+		line = append(line, '\n')
+		h.Write(line)
 	}
 
 	hostIDs := make([]int, 0, len(w.dep.Hosts))

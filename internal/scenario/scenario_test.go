@@ -9,9 +9,10 @@ import (
 	"aitf/internal/sim"
 )
 
-// propertySeeds is how many random scenarios the property test runs.
-// The acceptance bar for the harness is ≥ 50 seeds under -race.
-const propertySeeds = 50
+// propertySeeds is how many random scenarios the property and chaos
+// suites run. The acceptance bar for the harness is ≥ 50 seeds under
+// -race; the simulator's speed is spent on three times that.
+const propertySeeds = 150
 
 // TestScenarioProperties generates and runs propertySeeds independent
 // random scenarios and requires all four protocol invariants to hold

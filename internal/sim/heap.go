@@ -9,15 +9,29 @@ package sim
 // concrete element type keeps push/pop free of interface boxing and of
 // allocations at steady state — the backing slice only grows when the
 // pending-event high-water mark does.
-type eventHeap struct{ evs []*Event }
+//
+// Each slot carries its event's order key by value, so a compare reads
+// the heap's own array and never follows the *Event; a sift moves a
+// hole through the tree and writes the displaced entry once, instead of
+// swapping at every level. (at, seq) is a strict total order — seq is
+// unique per engine — so the pop order is the same for any correct
+// heap, whatever its layout.
+type eventHeap struct{ evs []heapEntry }
+
+// heapEntry is one queued event with the (at, seq) it was pushed under.
+type heapEntry struct {
+	at  Time
+	seq uint64
+	ev  *Event
+}
 
 // heapArity is the branching factor. Child c of node i is
 // heapArity*i+1+c; the parent of node i is (i-1)/heapArity.
 const heapArity = 4
 
-// eventBefore is the queue order: earliest fire time first, ties broken
-// by scheduling order so a run is fully reproducible.
-func eventBefore(a, b *Event) bool {
+// before is the queue order: earliest fire time first, ties broken by
+// scheduling order so a run is fully reproducible.
+func (a *heapEntry) before(b *heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -27,46 +41,51 @@ func eventBefore(a, b *Event) bool {
 func (h *eventHeap) len() int { return len(h.evs) }
 
 // peek returns the next event without removing it. Caller checks len.
-func (h *eventHeap) peek() *Event { return h.evs[0] }
+func (h *eventHeap) peek() *Event { return h.evs[0].ev }
 
+// push queues e under its current (at, seq); the caller must not change
+// either while e is queued.
 func (h *eventHeap) push(e *Event) {
-	h.evs = append(h.evs, e)
+	ent := heapEntry{at: e.at, seq: e.seq, ev: e}
+	h.evs = append(h.evs, ent)
 	i := len(h.evs) - 1
 	for i > 0 {
 		p := (i - 1) / heapArity
-		if !eventBefore(h.evs[i], h.evs[p]) {
+		if !ent.before(&h.evs[p]) {
 			break
 		}
-		h.evs[i], h.evs[p] = h.evs[p], h.evs[i]
+		h.evs[i] = h.evs[p]
 		i = p
 	}
+	h.evs[i] = ent
 }
 
 // pop removes and returns the earliest event.
 //
 // aitf:noalloc
 func (h *eventHeap) pop() *Event {
-	n := len(h.evs)
-	root := h.evs[0]
-	last := h.evs[n-1]
-	h.evs[n-1] = nil // release the reference so fired events can be GC'd
-	h.evs = h.evs[:n-1]
-	if n > 1 {
-		h.evs[0] = last
-		h.siftDown(0)
+	n := len(h.evs) - 1
+	root := h.evs[0].ev
+	last := h.evs[n]
+	h.evs[n] = heapEntry{} // release the reference so fired events can be GC'd
+	h.evs = h.evs[:n]
+	if n > 0 {
+		h.siftDown(last)
 	}
 	return root
 }
 
-// siftDown restores heap order below node i.
+// siftDown fills the hole at the root with ent: the smallest child
+// moves up into the hole until ent is no later than every child.
 //
 // aitf:noalloc
-func (h *eventHeap) siftDown(i int) {
-	n := len(h.evs)
+func (h *eventHeap) siftDown(ent heapEntry) {
+	evs := h.evs
+	n, i := len(evs), 0
 	for {
 		first := heapArity*i + 1
 		if first >= n {
-			return
+			break
 		}
 		min := first
 		end := first + heapArity
@@ -74,14 +93,15 @@ func (h *eventHeap) siftDown(i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if eventBefore(h.evs[c], h.evs[min]) {
+			if evs[c].before(&evs[min]) {
 				min = c
 			}
 		}
-		if !eventBefore(h.evs[min], h.evs[i]) {
-			return
+		if !evs[min].before(&ent) {
+			break
 		}
-		h.evs[i], h.evs[min] = h.evs[min], h.evs[i]
+		evs[i] = evs[min]
 		i = min
 	}
+	evs[i] = ent
 }

@@ -8,22 +8,27 @@ import (
 )
 
 // TestEventHeapOrdering drives the 4-ary heap against a reference
-// priority queue (a slice kept sorted by (at, seq)) through a random
-// interleaving of pushes and pops, demanding pointer-identical results
-// on every pop and peek — the exact order the engine's determinism
-// contract depends on. Popped events are pushed again under fresh keys,
-// as the engine's free list does with handle-less events: the heap must
-// order a recycled event by its new (at, seq) alone.
+// priority queue (a slice that sort.Slice keeps ordered by (at, seq),
+// sharing no code with the heap) through 20 seeded interleavings of
+// pushes and pops, demanding pointer-identical results on every pop and
+// peek — the exact order the engine's determinism contract depends on.
+// Fire times are drawn from 50 values, so most are duplicated and seq
+// decides. Popped events are pushed again under fresh keys, as the
+// engine's free list does with handle-less events: the heap must order
+// a recycled event by its new (at, seq) alone.
 func TestEventHeapOrdering(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(int64(11 + trial)))
 		var h eventHeap
 		var ref, free []*Event
 		refInsert := func(e *Event) {
-			i := sort.Search(len(ref), func(i int) bool { return eventBefore(e, ref[i]) })
-			ref = append(ref, nil)
-			copy(ref[i+1:], ref[i:])
-			ref[i] = e
+			ref = append(ref, e)
+			sort.Slice(ref, func(i, j int) bool {
+				if ref[i].at != ref[j].at {
+					return ref[i].at < ref[j].at
+				}
+				return ref[i].seq < ref[j].seq
+			})
 		}
 		n := rng.Intn(500) + 1
 		seq := uint64(0)
@@ -36,7 +41,16 @@ func TestEventHeapOrdering(t *testing.T) {
 			seq++
 			h.push(e)
 			refInsert(e)
-			if rng.Intn(4) == 0 && h.len() > 0 {
+			// Pop in bursts now and then, so the script visits both a
+			// deep heap and a nearly empty one.
+			pops := 0
+			switch rng.Intn(16) {
+			case 0:
+				pops = rng.Intn(h.len() + 1)
+			case 1, 2, 3, 4:
+				pops = 1
+			}
+			for ; pops > 0; pops-- {
 				if got, want := h.peek(), ref[0]; got != want {
 					t.Fatalf("trial %d: peek = (at=%v seq=%d), want (at=%v seq=%d)",
 						trial, got.at, got.seq, want.at, want.seq)
@@ -48,6 +62,9 @@ func TestEventHeapOrdering(t *testing.T) {
 						trial, got.at, got.seq, want.at, want.seq)
 				}
 				free = append(free, got)
+			}
+			if h.len() != len(ref) {
+				t.Fatalf("trial %d: heap holds %d events, reference %d", trial, h.len(), len(ref))
 			}
 		}
 		for h.len() > 0 {
