@@ -321,7 +321,7 @@ type Gateway struct {
 	// off); seenTxids dedups retransmitted control messages by
 	// (src, txid) so a duplicate delivery never re-runs side effects.
 	msgr      *messenger
-	seenTxids map[dedupKey]sim.Time
+	seenTxids filter.Dedup
 	// halted marks a crashed gateway: every scheduled closure becomes a
 	// no-op (see Halt).
 	halted bool
@@ -362,7 +362,6 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		compliance:   make(map[flow.Label]*compliance),
 		aggregates:   make(map[flow.Label]*aggregate),
 		disconnected: make(map[flow.Addr]sim.Time),
-		seenTxids:    make(map[dedupKey]sim.Time),
 	}
 	if cfg.Control.Enabled() {
 		g.msgr = newMessenger(g, cfg.Control)
@@ -895,7 +894,7 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from *n
 	// reliable send must be wholly side-effect-free — it may not eat a
 	// contract-policer token, restart an escalation ladder, or touch any
 	// counter other than the dup counter itself.
-	if g.isDuplicate(p.Src, m.Txid, now) {
+	if g.seenTxids.Seen(p.Src, m.Txid, now, dedupWindow) {
 		atomic.AddUint64(&g.stats.CtrlDupDrops, 1)
 		g.trace(EvCtrlDupDrop, m.Flow, fmt.Sprintf("txid %d from %v", m.Txid, p.Src))
 		return

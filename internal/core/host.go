@@ -97,7 +97,7 @@ type Host struct {
 	// seenTxids dedups retransmitted stop orders by (src, txid) so a
 	// duplicate delivery does not double-count StopOrders or restart a
 	// compliance window.
-	seenTxids map[dedupKey]sim.Time
+	seenTxids filter.Dedup
 
 	// Meter observes all received data traffic (per-second buckets).
 	Meter *metrics.Meter
@@ -118,7 +118,6 @@ func NewHost(cfg HostConfig) *Host {
 		policer:     filter.NewPolicer(cfg.Contract.R1, cfg.Contract.R1Burst),
 		wantedFlows: make(map[flow.Label]*wanted),
 		stopOrders:  make(map[flow.Label]sim.Time),
-		seenTxids:   make(map[dedupKey]sim.Time),
 		Meter:       metrics.NewMeter(time.Second),
 		PerSource:   make(map[flow.Addr]*metrics.Meter),
 	}
@@ -262,20 +261,9 @@ func (h *Host) handleControl(p *packet.Packet) {
 		if p.Src != h.cfg.Gateway {
 			return // only our own provider may order us to stop
 		}
-		if m.Txid != 0 {
-			k := dedupKey{p.Src, m.Txid}
-			if seen, ok := h.seenTxids[k]; ok && now-seen < dedupWindow {
-				h.stats.CtrlDupDrops++
-				return
-			}
-			if len(h.seenTxids) > 1024 {
-				for k2, t := range h.seenTxids {
-					if now-t >= dedupWindow {
-						delete(h.seenTxids, k2)
-					}
-				}
-			}
-			h.seenTxids[k] = now
+		if h.seenTxids.Seen(p.Src, m.Txid, now, dedupWindow) {
+			h.stats.CtrlDupDrops++
+			return
 		}
 		h.stats.StopOrders++
 		h.trace(EvStopOrder, m.Flow, "received")

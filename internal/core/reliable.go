@@ -187,36 +187,7 @@ func (g *Gateway) OutstandingReliable() int {
 // HandshakesStarted == HandshakesOK + HandshakesFailed + pending.
 func (g *Gateway) PendingHandshakes() int { return len(g.pendings) }
 
-// dedupKey identifies one logical control send for duplicate
-// suppression: retransmissions carry the sender's stable txid.
-type dedupKey struct {
-	src  flow.Addr
-	txid uint64
-}
-
-// dedupWindow is how long a (src, txid) stays remembered — comfortably
-// past the longest retransmission ladder, bounded so the map cannot
-// grow without limit.
+// dedupWindow is how long a (src, txid) stays remembered by a
+// receiver's filter.Dedup — comfortably past the longest
+// retransmission ladder.
 const dedupWindow = 3 * time.Second
-
-// isDuplicate records (src, txid) and reports whether it was already
-// seen within the dedup window. Txid 0 (senders without a messenger)
-// always passes: their repeats are genuine re-requests.
-func (g *Gateway) isDuplicate(src flow.Addr, txid uint64, now sim.Time) bool {
-	if txid == 0 {
-		return false
-	}
-	k := dedupKey{src, txid}
-	if seen, ok := g.seenTxids[k]; ok && now-seen < dedupWindow {
-		return true
-	}
-	if len(g.seenTxids) > 4096 {
-		for k2, t := range g.seenTxids {
-			if now-t >= dedupWindow {
-				delete(g.seenTxids, k2)
-			}
-		}
-	}
-	g.seenTxids[k] = now
-	return false
-}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"aitf"
+	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/packet"
 )
@@ -78,7 +79,9 @@ func TestHandshakeLedgerBalances(t *testing.T) {
 // TestDuplicateFilterReqIdempotent: a retransmitted filter request
 // (same source, same txid) is absorbed by the dedup window — it never
 // reaches the policer or the handshake path, so gateway stats move
-// only in MsgProcessed and CtrlDupDrops.
+// only in MsgProcessed and CtrlDupDrops. The window's memory is bounded:
+// filter.DedupCapacity newer pairs push the oldest out, and its replay
+// is then a new request rather than a map entry kept for a flooder.
 func TestDuplicateFilterReqIdempotent(t *testing.T) {
 	opt := aitf.DefaultOptions()
 	opt.Detector = nil
@@ -88,14 +91,15 @@ func TestDuplicateFilterReqIdempotent(t *testing.T) {
 	victim := dep.Victim.Node().Addr()
 	path := stampPath(dep)
 
-	send := func() {
+	sendTxid := func(txid uint64) {
 		req := &packet.FilterReq{
 			Stage: packet.StageToAttackerGW, Flow: flow.PairLabel(attacker, victim),
-			Duration: time.Minute, Round: 1, Victim: victim, Txid: 777,
+			Duration: time.Minute, Round: 1, Victim: victim, Txid: txid,
 			Evidence: append([]packet.RREntry(nil), path...),
 		}
 		dep.Attacker.Node().Originate(packet.NewControl(attacker, agw.Node().Addr(), req))
 	}
+	send := func() { sendTxid(777) }
 	dep.Engine.ScheduleAt(dep.Now(), send)
 	dep.Run(100 * time.Millisecond)
 	before := agw.Stats()
@@ -114,6 +118,25 @@ func TestDuplicateFilterReqIdempotent(t *testing.T) {
 	}
 	if agw.PendingHandshakes() != 1 {
 		t.Fatalf("want exactly one pending handshake, got %d", agw.PendingHandshakes())
+	}
+
+	// Still inside txid 777's window, a full capacity of distinct txids
+	// arrives; the newest stays a duplicate, 777 has been forgotten.
+	dep.Engine.ScheduleAt(dep.Now(), func() {
+		const base = 1000 // clear of 777
+		for i := uint64(1); i <= filter.DedupCapacity; i++ {
+			sendTxid(base + i)
+		}
+		sendTxid(base + filter.DedupCapacity)
+		sendTxid(777)
+	})
+	dep.Run(100 * time.Millisecond)
+	flooded := agw.Stats()
+	if got := flooded.CtrlDupDrops - after.CtrlDupDrops; got != 1 {
+		t.Fatalf("flood + replay of newest and oldest pair: %d dup drops, want 1 (the newest)", got)
+	}
+	if got := flooded.ReqReceived - after.ReqReceived; got != filter.DedupCapacity+1 {
+		t.Fatalf("flood + replay of newest and oldest pair: %d received, want %d", got, filter.DedupCapacity+1)
 	}
 }
 

@@ -3,13 +3,14 @@
 // by the discrete-event simulator (internal/core) and the UDP wire
 // runtime (internal/wire).
 //
-// The engine partitions the bounded wire-speed filter table and the
-// DRAM shadow cache (internal/filter's resource model, paper §II-B /
-// §IV-B) into N hash shards keyed by the (src, dst) pair of the flow
-// label — the pair is what AITF filtering requests name, so a tuple's
-// exact label, its canonical pair label, and every indexable label
-// with a concrete host pair all land in the same shard as the tuple's
-// lookup. Labels that wildcard — or hold only a prefix of — the source
+// The engine is the tree's one implementation of the bounded
+// wire-speed filter bank and the DRAM shadow log (paper §II-B / §IV-B;
+// internal/filter holds the entry and counter types, and its tests are
+// this engine's contract). It partitions both into N hash shards keyed
+// by the (src, dst) pair of the flow label — the pair is what AITF
+// filtering requests name, so a tuple's exact label, its canonical
+// pair label, and every indexable label with a concrete host pair all
+// land in the same shard as the tuple's lookup. Labels that wildcard — or hold only a prefix of — the source
 // or destination address can match tuples hashing anywhere, and live
 // in a dedicated overflow segment consulted only while it is
 // non-empty.
@@ -62,7 +63,7 @@ type Config struct {
 	FilterCapacity int
 	// ShadowCapacity bounds the DRAM shadow cache, likewise global.
 	ShadowCapacity int
-	// Evict selects the full-table policy, as in filter.Table.
+	// Evict selects what Install does when the filter bank is full.
 	Evict filter.EvictPolicy
 	// ShadowLookup makes classification consult the shadow segment on
 	// filter misses, reporting "on-off" flow reappearances (§II-B).
@@ -102,7 +103,8 @@ type Engine struct {
 	wildShadows atomic.Int64 // aitf:atomic
 
 	// Global occupancy and stats. Capacity is enforced on fUsed/sUsed;
-	// the remaining counters mirror filter.Stats / filter.ShadowStats.
+	// the remaining counters are the fields of filter.Stats and
+	// filter.ShadowStats.
 	fUsed, fPeak atomic.Int64 // aitf:atomic
 	sUsed, sPeak atomic.Int64 // aitf:atomic
 
@@ -395,10 +397,12 @@ func atomicMax(a *atomic.Int64, v int64) {
 }
 
 // Install adds a filter for label until deadline exp, refreshing the
-// expiry (and keeping counters) when the label is already present. The
-// global capacity budget and eviction policy match filter.Table:
-// RejectNew returns filter.ErrTableFull, EvictSoonest displaces the
-// engine-wide entry nearest to expiry.
+// expiry (and keeping counters) when the label is already present: a
+// refresh never shortens a deadline, consumes no capacity and always
+// succeeds. A new label first reclaims entries already dead at now;
+// if the global budget is still spent, RejectNew returns
+// filter.ErrTableFull and EvictSoonest displaces the engine-wide entry
+// nearest to expiry. A zero-capacity engine rejects under either policy.
 func (e *Engine) Install(label flow.Label, now, exp filter.Time) error {
 	label = label.Key()
 	seg, isWild := e.segFor(label)
@@ -415,7 +419,7 @@ func (e *Engine) Install(label flow.Label, now, exp filter.Time) error {
 	}
 	seg.mu.Unlock()
 
-	// Reclaim dead entries before judging occupancy, as Table does.
+	// Reclaim dead entries before judging occupancy.
 	e.Expire(now)
 
 	cap64 := int64(e.cfg.FilterCapacity)
@@ -466,9 +470,10 @@ func (e *Engine) Install(label flow.Label, now, exp filter.Time) error {
 
 // AdoptFilter re-installs a previously snapshotted entry, preserving
 // its original install time, deadline, and per-entry drop counters —
-// the restore path after a gateway crash (filter.Table.Adopt's
-// engine-side twin). Capacity and eviction semantics match Install;
-// adopting a label that is already present only raises its deadline.
+// the restore path after a gateway crash. Capacity and eviction
+// semantics match Install, except that nothing is expired first (a
+// restore has no "now" of its own); adopting a label that is already
+// present only raises its deadline.
 func (e *Engine) AdoptFilter(ent filter.Entry) error {
 	label := ent.Label.Key()
 	seg, isWild := e.segFor(label)
@@ -599,15 +604,27 @@ func (e *Engine) Remove(label flow.Label) bool {
 }
 
 // Aggregate replaces the child filters with one covering aggregate
-// filter under filter.Table.Aggregate's budget-conservation contract:
-// occupancy changes by exactly 1 − replaced, the aggregate's deadline
-// is raised to the latest child deadline so no child loses coverage
-// time, and child removals count under Aggregated rather than Removed
-// (no double-count). With replaced ≥ 1 the freed slots guarantee the
-// install cannot be rejected for capacity in the single-writer
-// deployments the simulator runs; in concurrent use a racing installer
-// can still win the freed slot, in which case the error is returned and
-// the children stay removed.
+// filter (typically a source-prefix label over sibling pair filters)
+// under a strict budget-conservation contract:
+//
+//   - Occupancy changes by exactly 1 − replaced, where replaced counts
+//     the children actually present; absent labels and the aggregate's
+//     own key are skipped. With replaced == 0 this is a plain Install,
+//     capacity check included.
+//   - The aggregate's deadline is raised to the latest child deadline
+//     so no child loses coverage time.
+//   - Child removals count under Aggregated rather than Removed, and a
+//     newly installed aggregate under Aggregates rather than Installed
+//     (no double-count); refreshing a live aggregate counts nowhere.
+//     Children's drops stay in the cumulative FilterStats; the
+//     aggregate entry starts counting from zero.
+//
+// With replaced ≥ 1 the freed slots guarantee the install cannot be
+// rejected for capacity in the single-writer deployments the simulator
+// runs; in concurrent use a racing installer can still win the freed
+// slot, in which case the error is returned and the children stay
+// removed. It is the caller's job to pass children the aggregate label
+// actually covers.
 func (e *Engine) Aggregate(agg flow.Label, children []flow.Label, now, exp filter.Time) (replaced int, err error) {
 	agg = agg.Key()
 	for _, c := range children {
@@ -631,8 +648,7 @@ func (e *Engine) Aggregate(agg flow.Label, children []flow.Label, now, exp filte
 	if !existed {
 		// Install charged the new entry to Installed; reattribute it to
 		// Aggregates so the Stats occupancy arithmetic stays
-		// single-entry (a refresh of a live aggregate counts nowhere,
-		// exactly as in filter.Table.Aggregate).
+		// single-entry.
 		e.aggregates.Add(1)
 		e.installed.Add(^uint64(0))
 	}
@@ -724,7 +740,7 @@ func (e *Engine) FilterStats() filter.Stats {
 }
 
 // FilterEntries returns a merged snapshot of installed filters sorted
-// by expiry (soonest first), as filter.Table.Entries does.
+// by expiry (soonest first, ties by label text).
 func (e *Engine) FilterEntries() []filter.Entry {
 	out := make([]filter.Entry, 0, e.Len())
 	e.allSegs(func(s *shard, _ bool) {
@@ -744,8 +760,9 @@ func (e *Engine) FilterEntries() []filter.Entry {
 // ── Shadow-cache control plane ───────────────────────────────────────
 
 // LogShadow records a filtering request for label until exp, refreshing
-// expiry and victim when already present. It returns false when the
-// cache is full (or disabled), mirroring filter.ShadowCache.Log.
+// expiry and victim (and keeping counters) when already present. A new
+// label first reclaims records already dead at now; it returns false,
+// counting a rejection, when the log is still full or has capacity 0.
 func (e *Engine) LogShadow(label flow.Label, victim flow.Addr, now, exp filter.Time) bool {
 	label = label.Key()
 	seg, isWild := e.segFor(label)

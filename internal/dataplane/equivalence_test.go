@@ -406,10 +406,12 @@ func TestSnapshotChurnConservation(t *testing.T) {
 	}
 }
 
-// TestEngineAggregateConservesBudget mirrors the filter.Table contract
-// test against the sharded engine: replacing k children with one
+// TestEngineAggregateConservesBudget checks Aggregate's budget
+// contract with the children spread over four hash shards and the
+// aggregate in the wild segment: replacing k children with one
 // aggregate frees exactly k−1 slots of the global budget, attributes
-// removals to Aggregated (not Removed), and preserves coverage time.
+// removals to Aggregated (not Removed), preserves coverage time, and
+// leaves the freed slots reusable.
 func TestEngineAggregateConservesBudget(t *testing.T) {
 	e, ck := newEngine(t, 4, 8, 8, filter.RejectNew)
 	dst := addr(2000)

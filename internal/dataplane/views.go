@@ -5,9 +5,9 @@ import (
 	"aitf/internal/flow"
 )
 
-// TableView presents the engine's sharded filter bank through the same
-// read surface as a single filter.Table, so experiments, examples, and
-// tests written against Gateway.Filters() keep working unchanged.
+// TableView is the read surface of the engine's filter bank that
+// Gateway.Filters() hands to experiments, examples and tests: one
+// table, however many shards hold it.
 type TableView struct{ e *Engine }
 
 // Table returns the filter-bank view.
@@ -33,7 +33,7 @@ func (v TableView) Lookup(label flow.Label, now filter.Time) (filter.Entry, bool
 	return v.e.Get(label, now)
 }
 
-// ShadowView is the same compatibility surface for the shadow cache.
+// ShadowView is the same read surface for the shadow log.
 type ShadowView struct{ e *Engine }
 
 // Shadow returns the shadow-cache view.

@@ -3,8 +3,8 @@
 // when thousands of (often spoofed) sibling sources each cost one pair
 // filter — the gateway falls back to coarser labels, coalescing sibling
 // filters into one covering source-prefix filter. This file holds the
-// pure grouping policy; Table.Aggregate / dataplane.Engine.Aggregate
-// perform the budget-conserving replacement, and core.Gateway decides
+// pure grouping policy; dataplane.Engine.Aggregate performs the
+// budget-conserving replacement, and core.Gateway decides
 // when pressure warrants it and when relief warrants splitting back.
 package filter
 

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -585,11 +586,13 @@ func (w *world) fingerprint() uint64 {
 		host := w.dep.Hosts[topology.NodeID(id)]
 		st := host.Stats()
 		add("h%d:%+v:%d:%d\n", id, st, host.Meter.Bytes, host.Meter.Packets)
-		srcs := make([]int, 0, len(host.PerSource))
+		// 64-bit, not int: an address above 2^31 wraps negative where int
+		// is 32 bits, changing both the order and the rendered digits.
+		srcs := make([]uint64, 0, len(host.PerSource))
 		for a := range host.PerSource {
-			srcs = append(srcs, int(a))
+			srcs = append(srcs, uint64(a))
 		}
-		sort.Ints(srcs)
+		slices.Sort(srcs)
 		for _, a := range srcs {
 			add("s%d:%d\n", a, host.PerSource[flow.Addr(a)].Bytes)
 		}

@@ -166,7 +166,7 @@ type Gateway struct {
 	// nextTxid numbers logical reliable sends, dedup remembers recently
 	// seen (source, txid) pairs, and rng jitters the backoff ladders.
 	nextTxid uint64
-	dedup    map[ctrlKey]time.Time
+	dedup    filter.Dedup
 	rng      *mrand.Rand
 
 	// Control-plane stats mirror the simulator gateway's counters
@@ -196,12 +196,6 @@ type Gateway struct {
 	// 32-bit targets and atomic.AddUint64 on it panics.
 	FilterDrops atomic.Uint64
 	ShadowHits  atomic.Uint64
-}
-
-// ctrlKey identifies one logical control send inside the dedup window.
-type ctrlKey struct {
-	src  flow.Addr
-	txid uint64
 }
 
 // dedupWindow bounds how long a (source, txid) pair is remembered; it
@@ -247,7 +241,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		policers: make(map[flow.Addr]*filter.Policer),
 		pendings: make(map[flow.Label]*wirePending),
 		timers:   newTimerSet(),
-		dedup:    make(map[ctrlKey]time.Time),
 		// Backoff jitter only — protocol nonces still come from
 		// crypto/rand (randNonce).
 		rng: mrand.New(mrand.NewSource(int64(randNonce()))),
@@ -563,31 +556,6 @@ func (g *Gateway) blindAttempts() int {
 	return 2
 }
 
-// isDup absorbs retransmitted duplicates: a (source, txid) pair seen
-// within the dedup window is dropped before any side effect or counter
-// runs, making every receive path idempotent. Txid 0 (sender without a
-// retransmission engine) bypasses. Called under mu.
-func (g *Gateway) isDup(src flow.Addr, txid uint64) bool {
-	if txid == 0 {
-		return false
-	}
-	now := time.Now()
-	key := ctrlKey{src: src, txid: txid}
-	if exp, ok := g.dedup[key]; ok && now.Before(exp) {
-		g.CtrlDupDrops++
-		return true
-	}
-	if len(g.dedup) > 4096 {
-		for k, exp := range g.dedup {
-			if now.After(exp) {
-				delete(g.dedup, k)
-			}
-		}
-	}
-	g.dedup[key] = now.Add(dedupWindow)
-	return false
-}
-
 func (g *Gateway) handleControl(p *packet.Packet, from flow.Addr) {
 	switch m := p.Msg.(type) {
 	case *packet.FilterReq:
@@ -680,7 +648,11 @@ func (g *Gateway) selfDetect(d detect.Detection, path []packet.RREntry) {
 
 func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from flow.Addr) {
 	now := wallNow()
-	if g.isDup(p.Src, m.Txid) {
+	// Retransmitted duplicates are absorbed first: a (source, txid)
+	// pair seen within the dedup window is dropped before any side
+	// effect or counter runs, making the receive path idempotent.
+	if g.dedup.Seen(p.Src, m.Txid, now, dedupWindow) {
+		g.CtrlDupDrops++
 		return
 	}
 	g.ReqReceived++

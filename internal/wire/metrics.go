@@ -14,8 +14,10 @@ type GatewayStats struct {
 	CollateralBytes                     uint64
 	Detections                          uint64
 	// Reliable control-plane counters: logical sends that carried a
-	// txid, backoff retransmissions, and received duplicates absorbed.
+	// txid, backoff retransmissions, received duplicates absorbed, and
+	// (source, txid) pairs the bounded dedup memory forgot early.
 	CtrlReliableSends, CtrlRetransmits, CtrlDupDrops uint64
+	CtrlDedupEvicted                                 uint64
 	// Snapshot/restore counters.
 	SnapshotSaves, SnapshotRestores  uint64
 	FiltersRestored, ShadowsRestored uint64
@@ -46,6 +48,7 @@ func (g *Gateway) statsLocked() GatewayStats {
 		CtrlReliableSends: g.CtrlReliableSends,
 		CtrlRetransmits:   g.CtrlRetransmits,
 		CtrlDupDrops:      g.CtrlDupDrops,
+		CtrlDedupEvicted:  g.dedup.Evicted,
 		SnapshotSaves:     g.SnapshotSaves,
 		SnapshotRestores:  g.SnapshotRestores,
 		FiltersRestored:   g.FiltersRestored,
@@ -89,6 +92,9 @@ func (g *Gateway) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("aitf_gateway_ctrl_dup_drops_total",
 		"Duplicate control deliveries absorbed by txid dedup.",
 		func() uint64 { return g.Stats().CtrlDupDrops })
+	r.CounterFunc("aitf_gateway_ctrl_dedup_evicted_total",
+		"Control (source, txid) pairs forgotten inside the dedup window to hold its size bound.",
+		func() uint64 { return g.Stats().CtrlDedupEvicted })
 	r.CounterFunc("aitf_gateway_snapshot_saves_total",
 		"Drain snapshots written to disk.",
 		func() uint64 { return g.Stats().SnapshotSaves })

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aitf/internal/contract"
+	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/packet"
 	"aitf/internal/sim"
@@ -249,6 +250,55 @@ func TestWireDuplicateFilterReqDropped(t *testing.T) {
 	g.Handle(g.node, mk0(), from)
 	if st := g.Stats(); st.ReqReceived != 3 {
 		t.Fatalf("txid-0 requests deduped: ReqReceived = %d, want 3", st.ReqReceived)
+	}
+}
+
+// TestDedupBoundedUnderFlood: the dedup memory is keyed on the
+// spoofable packet source and consulted before the policer, so a flood
+// of distinct (source, txid) pairs must neither grow it past its cap
+// nor make each insert cost more than the last. The whole flood has to
+// fit inside one dedup window — which a per-insert rescan of the memory
+// does not — so every forgotten pair is an eviction and is counted.
+func TestDedupBoundedUnderFlood(t *testing.T) {
+	g := snapGateway(t, t.TempDir())
+	defer g.Close()
+	from := flow.MakeAddr(10, 0, 0, 5)
+	req := func(src flow.Addr, txid uint64) *packet.Packet {
+		return packet.NewControl(src, g.node.Addr(), &packet.FilterReq{
+			Stage:  packet.StageToVictimGW,
+			Flow:   flow.PairLabel(flow.MakeAddr(30, 0, 0, 1), src),
+			Victim: src,
+			Txid:   txid,
+		})
+	}
+	const flood = 100_000
+	start := time.Now()
+	for i := 0; i < flood; i++ {
+		g.Handle(g.node, req(flow.Addr(0x0b000000+i), uint64(i+1)), from)
+	}
+	if took := time.Since(start); took >= dedupWindow {
+		t.Fatalf("flood of %d took %v, longer than the %v dedup window", flood, took, dedupWindow)
+	}
+	g.mu.Lock()
+	resident := g.dedup.Len()
+	g.mu.Unlock()
+	if resident > filter.DedupCapacity {
+		t.Fatalf("%d pairs resident, cap %d", resident, filter.DedupCapacity)
+	}
+	st := g.Stats()
+	if st.ReqReceived != flood || st.CtrlDupDrops != 0 {
+		t.Fatalf("distinct pairs deduped: %+v", st)
+	}
+	if want := uint64(flood - filter.DedupCapacity); st.CtrlDedupEvicted != want {
+		t.Fatalf("CtrlDedupEvicted = %d, want %d", st.CtrlDedupEvicted, want)
+	}
+	// A pair still resident is still absorbed; the oldest one is not.
+	g.Handle(g.node, req(flow.Addr(0x0b000000+flood-1), flood), from)
+	g.Handle(g.node, req(flow.Addr(0x0b000000), 1), from)
+	st = g.Stats()
+	if st.CtrlDupDrops != 1 || st.ReqReceived != flood+1 {
+		t.Fatalf("after replaying a recent and an evicted pair: dup drops %d, received %d; want 1, %d",
+			st.CtrlDupDrops, st.ReqReceived, flood+1)
 	}
 }
 

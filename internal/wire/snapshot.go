@@ -165,6 +165,7 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 	g.CtrlReliableSends = snap.Stats.CtrlReliableSends
 	g.CtrlRetransmits = snap.Stats.CtrlRetransmits
 	g.CtrlDupDrops = snap.Stats.CtrlDupDrops
+	g.dedup.Evicted = snap.Stats.CtrlDedupEvicted
 	g.SnapshotSaves = snap.Stats.SnapshotSaves
 	g.FilterDrops.Store(snap.Stats.FilterDrops)
 	g.ShadowHits.Store(snap.Stats.ShadowHits)
