@@ -155,24 +155,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughputBatched is BenchmarkSimulatorThroughput
-// with netsim batch delivery on: same-instant arrivals at gateways are
-// classified through the data plane's batch API (one lock round per
-// batch) instead of per packet.
-func BenchmarkSimulatorThroughputBatched(b *testing.B) {
-	opt := aitf.DefaultOptions()
-	opt.Detector = nil // pure forwarding
-	opt.BatchDelivery = true
-	dep := aitf.DeployFigure1(opt)
-	fl := dep.Flood(dep.Attacker, dep.Victim, 1.25e6)
-	fl.Launch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dep.Run(10 * time.Millisecond)
-	}
-}
-
 // BenchmarkArmyScale measures a many-to-one deployment under a zombie
 // army, by army size.
 func BenchmarkArmyScale(b *testing.B) {

@@ -7,7 +7,8 @@
 //
 //	aitfd -config node.json [-log-level info]
 //
-// Configuration example (a victim's gateway):
+// Configuration example (a victim's gateway; an unknown key is an
+// error):
 //
 //	{
 //	  "role":   "gateway",

@@ -43,8 +43,7 @@ func TestStartGatewayFromJSON(t *testing.T) {
 	    "secret":  "s",
 	    "t_ms":    5000,
 	    "ttmp_ms": 500,
-	    "dataplane_shards": 4,
-	    "workers": 2
+	    "dataplane_shards": 4
 	  }
 	}`)
 	node, err := start(path, discardLogger())

@@ -5,12 +5,11 @@ import (
 	"time"
 )
 
-// runFigure1 replays the cooperative Figure-1 round under the given
-// data-plane options and returns the deployment for inspection.
-func runFigure1(t *testing.T, batch bool, shards int) *Figure1Deployment {
+// runFigure1 replays the cooperative Figure-1 round with the given
+// data-plane shard count and returns the deployment for inspection.
+func runFigure1(t *testing.T, shards int) *Figure1Deployment {
 	t.Helper()
 	opt := DefaultOptions()
-	opt.BatchDelivery = batch
 	opt.DataplaneShards = shards
 	dep := DeployFigure1(opt)
 	fl := dep.Flood(dep.Attacker, dep.Victim, attackRate)
@@ -19,49 +18,37 @@ func runFigure1(t *testing.T, batch bool, shards int) *Figure1Deployment {
 	return dep
 }
 
-// TestDataplaneModesAgree runs the same Figure-1 scenario through the
-// per-packet single-shard path, the batched path, and a multi-shard
-// engine, and requires identical protocol outcomes: the data plane is a
-// performance layer, not a semantics change.
+// TestDataplaneModesAgree runs the same Figure-1 scenario through a
+// single-shard and a multi-shard engine and requires identical protocol
+// outcomes: sharding is a performance layer, not a semantics change.
 func TestDataplaneModesAgree(t *testing.T) {
-	base := runFigure1(t, false, 1)
-	for _, tc := range []struct {
-		name   string
-		batch  bool
-		shards int
-	}{
-		{"batched", true, 1},
-		{"sharded", false, 8},
-		{"batched-sharded", true, 8},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dep := runFigure1(t, tc.batch, tc.shards)
-			for _, kind := range []EventKind{
-				EvAttackDetected, EvTempFilterInstalled, EvHandshakeOK,
-				EvFilterInstalled, EvEscalated, EvTakeoverOK, EvDisconnected,
-			} {
-				if got, want := dep.Log.Count(kind), base.Log.Count(kind); got != want {
-					t.Errorf("%v count = %d, want %d", kind, got, want)
-				}
+	base := runFigure1(t, 1)
+	t.Run("sharded", func(t *testing.T) {
+		dep := runFigure1(t, 8)
+		for _, kind := range []EventKind{
+			EvAttackDetected, EvTempFilterInstalled, EvHandshakeOK,
+			EvFilterInstalled, EvEscalated, EvTakeoverOK, EvDisconnected,
+		} {
+			if got, want := dep.Log.Count(kind), base.Log.Count(kind); got != want {
+				t.Errorf("%v count = %d, want %d", kind, got, want)
 			}
-			if got, want := dep.Victim.Meter.Bytes, base.Victim.Meter.Bytes; got != want {
-				t.Errorf("victim bytes = %d, want %d", got, want)
-			}
-			gotDrops := dep.VictimGWs[0].Stats().FilterDrops + dep.AttackGWs[0].Stats().FilterDrops
-			wantDrops := base.VictimGWs[0].Stats().FilterDrops + base.AttackGWs[0].Stats().FilterDrops
-			if gotDrops != wantDrops {
-				t.Errorf("filter drops = %d, want %d", gotDrops, wantDrops)
-			}
-		})
-	}
+		}
+		if got, want := dep.Victim.Meter.Bytes, base.Victim.Meter.Bytes; got != want {
+			t.Errorf("victim bytes = %d, want %d", got, want)
+		}
+		gotDrops := dep.VictimGWs[0].Stats().FilterDrops + dep.AttackGWs[0].Stats().FilterDrops
+		wantDrops := base.VictimGWs[0].Stats().FilterDrops + base.AttackGWs[0].Stats().FilterDrops
+		if gotDrops != wantDrops {
+			t.Errorf("filter drops = %d, want %d", gotDrops, wantDrops)
+		}
+	})
 }
 
-// TestDataplaneBatchShadowMode checks the batched path under the
-// gateway-auto reappearance mode, which takes the exact per-packet
-// fallback inside ReceiveBatch.
+// TestDataplaneBatchShadowMode checks the gateway-auto reappearance
+// mode past a non-cooperating gateway: an on-off flood's reappearances
+// hit the shadow cache and the gateway re-blocks them itself.
 func TestDataplaneBatchShadowMode(t *testing.T) {
 	opt := DefaultOptions()
-	opt.BatchDelivery = true
 	opt.ShadowMode = GatewayAuto
 	dep := DeployChain(ChainOptions{
 		Options:        opt,
@@ -74,7 +61,7 @@ func TestDataplaneBatchShadowMode(t *testing.T) {
 	fl.Launch()
 	dep.Run(10 * time.Second)
 	if dep.Log.Count(EvShadowHit) == 0 {
-		t.Fatal("no shadow reappearances caught under batch delivery")
+		t.Fatal("no shadow reappearances caught")
 	}
 	if dep.Log.Count(EvTempFilterInstalled) == 0 {
 		t.Fatal("no temporary filters installed")

@@ -52,10 +52,6 @@ type Options struct {
 	ReRequestGap time.Duration
 	// CollectTrace retains the protocol event log on the deployment.
 	CollectTrace bool
-	// BatchDelivery enables netsim arrival coalescing on gateway nodes:
-	// same-instant arrivals are classified through the data plane's
-	// batch API instead of one at a time.
-	BatchDelivery bool
 	// DataplaneShards partitions each gateway's classification engine;
 	// 0 keeps one shard (ideal for the single-threaded simulator).
 	DataplaneShards int
@@ -195,9 +191,6 @@ func (d *Deployment) addGateway(id topology.NodeID, cfg core.GatewayConfig) *Gat
 	}
 	g := core.NewGateway(cfg)
 	g.Attach(d.Net.Node(id), d.tracer())
-	if d.opt.BatchDelivery {
-		d.Net.Node(id).SetBatchDelivery(true)
-	}
 	d.Gateways[id] = g
 	return g
 }
@@ -238,9 +231,6 @@ func (d *Deployment) RestoreGateway(id topology.NodeID, snap *core.GatewaySnapsh
 	n.Restart()
 	g := core.NewGateway(old.Config())
 	g.Attach(n, d.tracer())
-	if d.opt.BatchDelivery {
-		n.SetBatchDelivery(true)
-	}
 	if snap != nil {
 		g.Restore(snap)
 	}

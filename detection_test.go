@@ -25,49 +25,42 @@ func gatewayDetectOptions() Options {
 // full protocol round still lands the T-filter on the attacker's
 // gateway — the new deployment scenario gateway-side detection opens.
 func TestGatewayDefendsLegacyVictim(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		name := "per-packet"
-		if batch {
-			name = "batch"
-		}
-		t.Run(name, func(t *testing.T) {
-			opt := gatewayDetectOptions()
-			opt.BatchDelivery = batch
-			dep := DeployChain(ChainOptions{Options: opt, Depth: 3, GatewayDefendsVictim: true})
-			fl := dep.Flood(dep.Attacker, dep.Victim, attackRate)
-			fl.Launch()
-			dep.Run(5 * time.Second)
+	t.Run("per-packet", func(t *testing.T) {
+		opt := gatewayDetectOptions()
+		dep := DeployChain(ChainOptions{Options: opt, Depth: 3, GatewayDefendsVictim: true})
+		fl := dep.Flood(dep.Attacker, dep.Victim, attackRate)
+		fl.Launch()
+		dep.Run(5 * time.Second)
 
-			vgw := dep.VictimGWs[0]
-			if vgw.Detector() == nil {
-				t.Fatal("victim gateway has no detection engine")
-			}
-			if st := vgw.Stats(); st.Detections == 0 {
-				t.Fatalf("gateway never detected the flood: %+v", st)
-			}
-			if st := dep.Victim.Stats(); st.RequestsSent != 0 {
-				t.Fatalf("legacy victim filed %d requests itself", st.RequestsSent)
-			}
-			// Detection events come from the gateway node, not the host.
-			dets := dep.Log.OfKind(EvAttackDetected)
-			if len(dets) == 0 || dets[0].Node != "v_gw1" {
-				t.Fatalf("detection events = %v, want from v_gw1", dets)
-			}
-			if dep.Log.Count(EvHandshakeOK) == 0 {
-				t.Fatalf("handshake never completed (the gateway must answer as victim):\n%s", dep.Log)
-			}
-			installed := dep.Log.OfKind(EvFilterInstalled)
-			if len(installed) == 0 || installed[0].Node != "a_gw1" {
-				t.Fatalf("T-filter did not land on a_gw1: %v", installed)
-			}
-			// The legacy victim is actually protected: only the
-			// pre-detection leak gets through.
-			eff := dep.Victim.Meter.BandwidthOver(dep.Now())
-			if ratio := eff / attackRate; ratio > 0.08 {
-				t.Fatalf("legacy victim still receives %.2f%% of the flood", 100*ratio)
-			}
-		})
-	}
+		vgw := dep.VictimGWs[0]
+		if vgw.Detector() == nil {
+			t.Fatal("victim gateway has no detection engine")
+		}
+		if st := vgw.Stats(); st.Detections == 0 {
+			t.Fatalf("gateway never detected the flood: %+v", st)
+		}
+		if st := dep.Victim.Stats(); st.RequestsSent != 0 {
+			t.Fatalf("legacy victim filed %d requests itself", st.RequestsSent)
+		}
+		// Detection events come from the gateway node, not the host.
+		dets := dep.Log.OfKind(EvAttackDetected)
+		if len(dets) == 0 || dets[0].Node != "v_gw1" {
+			t.Fatalf("detection events = %v, want from v_gw1", dets)
+		}
+		if dep.Log.Count(EvHandshakeOK) == 0 {
+			t.Fatalf("handshake never completed (the gateway must answer as victim):\n%s", dep.Log)
+		}
+		installed := dep.Log.OfKind(EvFilterInstalled)
+		if len(installed) == 0 || installed[0].Node != "a_gw1" {
+			t.Fatalf("T-filter did not land on a_gw1: %v", installed)
+		}
+		// The legacy victim is actually protected: only the
+		// pre-detection leak gets through.
+		eff := dep.Victim.Meter.BandwidthOver(dep.Now())
+		if ratio := eff / attackRate; ratio > 0.08 {
+			t.Fatalf("legacy victim still receives %.2f%% of the flood", 100*ratio)
+		}
+	})
 }
 
 // TestGatewayDetectionEscalates: with non-cooperative attacker-side

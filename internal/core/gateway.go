@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -276,9 +275,6 @@ type compliance struct {
 // Gateway is an AITF border router: it records routes on transit data
 // packets, polices and serves filtering requests, runs handshakes, and
 // escalates or disconnects when the attacker side does not cooperate.
-//
-// aitf:packetowner — the gateway's detRun scratch buffer holds
-// borrowed packets for the duration of one detection batch.
 type Gateway struct {
 	cfg GatewayConfig
 
@@ -305,13 +301,10 @@ type Gateway struct {
 
 	// det is the gateway-side sketch detection engine (nil when the
 	// gateway defends no legacy clients); protected gates which
-	// destinations feed it. detRun/detOut are reusable batch-path
-	// scratch buffers. With a cluster, detection engines live inside
-	// clu (one per logical replica) and det stays nil.
+	// destinations feed it. With a cluster, detection engines live
+	// inside clu (one per logical replica) and det stays nil.
 	det       *detect.Engine
 	protected map[flow.Addr]bool
-	detRun    []*packet.Packet
-	detOut    []detect.Detection
 
 	// clu is the gateway-cluster overlay: sharded detection, the
 	// replicated filter log, and replica failover (nil when disabled).
@@ -333,19 +326,6 @@ type Gateway struct {
 	tracer Tracer
 	node   *netsim.Node
 }
-
-// batchScratch is the reusable run/verdict buffer pair ReceiveBatch
-// uses. It lives in a package-level pool rather than per gateway: a
-// large scenario runs hundreds of gateways but only one of them is
-// inside a batch flush at any event-loop instant, so a shared pool
-// keeps the steady-state footprint at one buffer pair instead of one
-// per router.
-type batchScratch struct {
-	run      []*packet.Packet
-	verdicts []dataplane.Verdict
-}
-
-var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // NewGateway builds a gateway handler; call Attach (or Node.SetHandler
 // via Attach) to bind it to a netsim node.
@@ -382,7 +362,6 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		for _, a := range d.Protected {
 			g.protected[a] = true
 		}
-		g.detOut = make([]detect.Detection, 0, 16)
 		if !cfg.Cluster.Enabled() {
 			g.det = detect.New(d.Config)
 		}
@@ -429,10 +408,9 @@ func (g *Gateway) Shadows() dataplane.ShadowView { return g.dp.Shadow() }
 
 // Stats returns a snapshot of the gateway counters. Every counter is
 // mutated with atomic adds and read here with atomic loads, so Stats
-// is safe to call from any goroutine (an admin scraper, the wire
-// runtime's dispatcher workers) while the gateway is classifying — the
-// snapshot is per-field coherent, not a cross-field transaction, which
-// is all monitoring needs.
+// is safe to call from any goroutine (an admin scraper) while the
+// gateway is classifying — the snapshot is per-field coherent, not a
+// cross-field transaction, which is all monitoring needs.
 func (g *Gateway) Stats() GatewayStats {
 	return GatewayStats{
 		DataForwarded:   atomic.LoadUint64(&g.stats.DataForwarded),
@@ -611,21 +589,16 @@ func (g *Gateway) dropSpoofed(p *packet.Packet, from *netsim.Iface) bool {
 	return true
 }
 
+// handleData is the per-packet data path: ingress filtering,
+// classification, protocol liveness bookkeeping, the drop, shadow
+// reappearance handling, gateway-side detection, and forwarding with
+// route record.
 func (g *Gateway) handleData(p *packet.Packet, from *netsim.Iface) {
 	if g.dropSpoofed(p, from) {
 		p.Release()
 		return
 	}
-	g.applyData(p, from, g.dp.ClassifyTuple(p.Tuple(), int(p.PayloadLen)), false)
-}
-
-// applyData finishes data-path handling for a packet whose verdict the
-// data plane has already computed (either one at a time or as part of a
-// batch): protocol liveness bookkeeping, the drop, shadow reappearance
-// handling, gateway-side detection, and forwarding with route record.
-// observed marks packets the batch path already ran through the
-// detection engine.
-func (g *Gateway) applyData(p *packet.Packet, from *netsim.Iface, v dataplane.Verdict, observed bool) {
+	v := g.dp.ClassifyTuple(p.Tuple(), int(p.PayloadLen))
 	now := g.now()
 	key := flow.PairLabel(p.Src, p.Dst).Key()
 
@@ -671,7 +644,7 @@ func (g *Gateway) applyData(p *packet.Packet, from *netsim.Iface, v dataplane.Ve
 	// makes this gateway file the filtering request itself. Filtered
 	// packets never get here — a blocked flow cannot retrigger
 	// detection; its reappearances are the shadow cache's business.
-	if !observed && g.detectionArmed() && g.protected[p.Dst] {
+	if g.detectionArmed() && g.protected[p.Dst] {
 		if d, ok := g.observeTuple(now, p.Tuple(), int(p.PayloadLen)); ok {
 			g.selfDetect(d, p.Path)
 		}
@@ -689,128 +662,6 @@ func (g *Gateway) applyData(p *packet.Packet, from *netsim.Iface, v dataplane.Ve
 	if g.node.Forward(p) {
 		atomic.AddUint64(&g.stats.DataForwarded, 1)
 	}
-}
-
-// ReceiveBatch implements netsim.BatchHandler: data packets between
-// control packets are classified through the data plane's batch API,
-// then finished per packet in arrival order. Control packets flush the
-// pending run first, since serving one can install filters that must
-// apply to the data packets behind it.
-func (g *Gateway) ReceiveBatch(n *netsim.Node, ps []*packet.Packet, from *netsim.Iface) {
-	// GatewayAuto can install a filter from the data path itself (a
-	// shadow reappearance re-blocks instantly), which would stale the
-	// precomputed verdicts of later packets in the same run; take the
-	// exact per-packet path there.
-	if g.cfg.ShadowMode == GatewayAuto {
-		for _, p := range ps {
-			g.Receive(n, p, from)
-		}
-		return
-	}
-	now := g.now()
-	if from != nil {
-		peer := from.Neighbor().Addr()
-		if g.disconnected[peer] > now {
-			atomic.AddUint64(&g.stats.DisconnectDrops, uint64(len(ps)))
-			for _, p := range ps {
-				p.Release()
-			}
-			return
-		}
-	}
-	sc := batchPool.Get().(*batchScratch)
-	run := sc.run[:0]
-	flush := func() {
-		if len(run) == 0 {
-			return
-		}
-		sc.verdicts = g.dp.ClassifyInto(run, sc.verdicts)
-		observed := g.observeRun(run, sc.verdicts)
-		for i, p := range run {
-			g.applyData(p, from, sc.verdicts[i], observed)
-		}
-		run = run[:0]
-	}
-	for _, p := range ps {
-		if p.IsControl() {
-			flush()
-			if p.Dst == n.Addr() {
-				g.handleControl(p, from)
-			} else {
-				n.Forward(p)
-			}
-			continue
-		}
-		if g.dropSpoofed(p, from) {
-			p.Release()
-			continue
-		}
-		run = append(run, p)
-	}
-	flush()
-	sc.run = run[:0]
-	batchPool.Put(sc)
-}
-
-// observeRun feeds a classified batch run through the gateway-side
-// detection engine using the batch Observe API, before any verdicts
-// are applied (so packets are still alive and carry their route
-// records). Only packets that will be delivered toward a protected
-// destination are observed; each resulting detection is acted on with
-// the evidence of a matching packet from the run. It reports whether
-// the run was observed, so the per-packet path does not observe twice.
-func (g *Gateway) observeRun(run []*packet.Packet, verdicts []dataplane.Verdict) bool {
-	if !g.detectionArmed() {
-		return false
-	}
-	sub := g.detRun[:0]
-	for i, p := range run {
-		if !verdicts[i].Drop && g.protected[p.Dst] {
-			sub = append(sub, p)
-		}
-	}
-	if len(sub) > 0 {
-		if g.clu != nil {
-			// Cluster path: route each packet to its owning replica; the
-			// batch API cannot be used because ownership differs per flow.
-			now := g.now()
-			g.detOut = g.detOut[:0]
-			for _, p := range sub {
-				if d, ok := g.clu.Observe(now, p.Tuple(), int(p.PayloadLen)); ok {
-					g.detOut = append(g.detOut, d)
-				}
-			}
-		} else {
-			g.detOut = g.det.Observe(g.now(), sub, g.detOut[:0])
-		}
-		for _, d := range g.detOut {
-			for _, p := range sub {
-				if p.Src == d.Src && p.Dst == d.Dst {
-					g.selfDetect(d, p.Path)
-					break
-				}
-			}
-		}
-		// A detection installs a temporary filter mid-run, but the
-		// run's verdicts were computed before the install — the same
-		// stale-verdict hazard GatewayAuto sidesteps by taking the
-		// per-packet path. Re-classify just the flagged flows' packets
-		// so the new filter applies within its own batch; their first
-		// pass was a miss, so the drop is charged exactly once. The
-		// verdict is only replaced when the fresh pass drops (a failed
-		// install must not smuggle in new shadow-hit side effects).
-		for _, d := range g.detOut {
-			for i, p := range run {
-				if !verdicts[i].Drop && p.Src == d.Src && p.Dst == d.Dst {
-					if nv := g.dp.ClassifyTuple(p.Tuple(), int(p.PayloadLen)); nv.Drop {
-						verdicts[i] = nv
-					}
-				}
-			}
-		}
-	}
-	g.detRun = sub[:0]
-	return true
 }
 
 // selfDetect is the gateway-side counterpart of a victim's filtering

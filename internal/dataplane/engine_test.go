@@ -431,42 +431,6 @@ func TestConcurrentInstallExpireClassify(t *testing.T) {
 	}
 }
 
-func TestDispatcher(t *testing.T) {
-	e, _ := newEngine(t, 4, 256, 256, filter.RejectNew)
-	for i := 0; i < 32; i += 2 {
-		e.Install(flow.PairLabel(addr(i), addr(i+500)), 0, time.Hour)
-	}
-	var drops, passes atomic.Uint64
-	d := NewDispatcher(e, DispatcherConfig{Workers: 4, Queue: 4096}, func(p *packet.Packet, v Verdict) {
-		if v.Drop {
-			drops.Add(1)
-		} else {
-			passes.Add(1)
-		}
-	})
-	const per = 64
-	for i := 0; i < 32; i++ {
-		for j := 0; j < per; j++ {
-			if !d.Submit(pkt(addr(i), addr(i+500), 100)) {
-				t.Fatal("queue overflowed under capacity")
-			}
-		}
-	}
-	d.Close()
-	if got := drops.Load(); got != 16*per {
-		t.Fatalf("drops = %d, want %d", got, 16*per)
-	}
-	if got := passes.Load(); got != 16*per {
-		t.Fatalf("passes = %d, want %d", got, 16*per)
-	}
-	if d.Submitted() != 32*per || d.Dropped() != 0 {
-		t.Fatalf("submitted %d dropped %d", d.Submitted(), d.Dropped())
-	}
-	if d.Submit(pkt(addr(0), addr(500), 1)) {
-		t.Fatal("Submit accepted after Close")
-	}
-}
-
 func TestShadowCapacityRejects(t *testing.T) {
 	e, _ := newEngine(t, 2, 16, 4, filter.RejectNew)
 	ok := 0

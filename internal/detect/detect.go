@@ -157,9 +157,9 @@ type Stats struct {
 }
 
 // Engine is the streaming detector. All methods are safe for
-// concurrent use (one internal lock; the wire runtime observes from
-// several dispatcher workers). Observation is allocation-free at
-// steady state.
+// concurrent use (one internal lock; the wire runtime observes from its
+// receive goroutine while the control path reads it under the gateway
+// lock). Observation is allocation-free at steady state.
 type Engine struct {
 	mu  sync.Mutex
 	cfg Config

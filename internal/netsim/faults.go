@@ -101,10 +101,9 @@ func (i *Iface) dropFault(p *packet.Packet) {
 
 // Crash takes the node down mid-run. Packets still sitting in its
 // output queues are dropped (in-flight packets that already started
-// serializing survive — they are on the wire), buffered same-instant
-// arrivals are dropped, and the handler reverts to the default plain
-// handler: volatile protocol state is gone, exactly as a process crash
-// would lose it. Protocol layers with their own timers must stop them
+// serializing survive — they are on the wire), and the handler reverts
+// to the default plain handler: volatile protocol state is gone,
+// exactly as a process crash would lose it. Protocol layers with their own timers must stop them
 // separately (e.g. core.Gateway.Halt); a crashed node drops everything
 // that arrives until Restart.
 func (n *Node) Crash() {
@@ -121,11 +120,6 @@ func (n *Node) Crash() {
 		i.queued = 0
 		i.busyUntil = now
 	}
-	for _, a := range n.pending {
-		n.CrashDrops++
-		a.p.Release()
-	}
-	n.pending = n.pending[:0]
 	n.handler = HandlerFunc(defaultReceive)
 }
 

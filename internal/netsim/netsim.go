@@ -34,16 +34,6 @@ type HandlerFunc func(n *Node, p *packet.Packet, from *Iface)
 // Receive implements Handler.
 func (f HandlerFunc) Receive(n *Node, p *packet.Packet, from *Iface) { f(n, p, from) }
 
-// BatchHandler is an optional Handler extension. When a node has batch
-// delivery enabled (SetBatchDelivery) and its handler implements
-// BatchHandler, packets arriving at the same virtual instant from the
-// same interface are delivered together, letting the handler amortize
-// per-packet costs (e.g. dataplane.Engine's batch classification).
-type BatchHandler interface {
-	Handler
-	ReceiveBatch(n *Node, ps []*packet.Packet, from *Iface)
-}
-
 // IfaceStats counts per-direction link activity.
 type IfaceStats struct {
 	TxPackets uint64
@@ -270,10 +260,6 @@ func (i *Iface) arrive(f flight) {
 }
 
 // Node is a running network element.
-//
-// aitf:packetowner — a node holds in-flight pooled packets in its
-// batch-delivery buffers (pending/flushing/batchBuf) between the
-// enqueue instant and the flush that hands them to the handler.
 type Node struct {
 	net  *Network
 	info topology.Node
@@ -283,34 +269,16 @@ type Node struct {
 	routes  []*Iface // next hop by destination NodeID; nil = none
 	handler Handler
 
-	// Batch-delivery state (see SetBatchDelivery): arrivals at the same
-	// virtual instant are buffered and flushed together.
-	coalesce   bool
-	pending    []arrival
-	flushing   []arrival // second buffer, swapped with pending per flush
-	flushArmed bool
-	flushFn    func() // n.flushPending, bound once at Build
-	batchBuf   []*packet.Packet
-
 	// RoutingDrops counts packets dropped for TTL expiry or no route.
 	RoutingDrops uint64
 	// CrashDrops counts packets lost to a node crash: queued
-	// transmissions and buffered arrivals wiped by Crash, plus packets
-	// arriving while the node is down.
+	// transmissions wiped by Crash, plus packets arriving while the node
+	// is down.
 	CrashDrops uint64
 
 	// down marks a crashed node (see faults.go); a down node neither
 	// sends nor receives.
 	down bool
-}
-
-// arrival is one buffered packet delivery.
-//
-// aitf:packetowner — an arrival briefly owns its packet between
-// enqueue and flush; Node's batch-delivery buffers hold arrivals.
-type arrival struct {
-	p    *packet.Packet
-	from *Iface
 }
 
 // ID returns the node's topology ID.
@@ -355,61 +323,14 @@ func (n *Node) SetHandler(h Handler) { n.handler = h }
 // Handler returns the node's current handler.
 func (n *Node) Handler() Handler { return n.handler }
 
-// SetBatchDelivery toggles arrival coalescing: packets arriving at the
-// same virtual instant are buffered and handed to the handler together
-// (via BatchHandler when implemented, in arrival order otherwise one by
-// one). Delivery still happens at the same virtual time; only the
-// position within same-instant event ties shifts, which is why the
-// feature is opt-in per node.
-func (n *Node) SetBatchDelivery(on bool) { n.coalesce = on }
-
-// deliver hands an arriving packet to the handler, possibly buffering
-// it for a same-instant batch flush.
+// deliver hands an arriving packet to the handler.
 func (n *Node) deliver(p *packet.Packet, from *Iface) {
 	if n.down {
 		n.CrashDrops++
 		p.Release()
 		return
 	}
-	if !n.coalesce {
-		n.handler.Receive(n, p, from)
-		return
-	}
-	n.pending = append(n.pending, arrival{p, from})
-	if !n.flushArmed {
-		n.flushArmed = true
-		n.net.eng.Post(n.net.eng.Now(), n.flushFn)
-	}
-}
-
-// flushPending delivers everything buffered for this instant, grouping
-// contiguous same-interface runs into batches. Arrivals triggered while
-// flushing land in the (swapped) pending buffer and arm a new flush.
-func (n *Node) flushPending() {
-	n.flushArmed = false
-	pend := n.pending
-	n.pending = n.flushing[:0]
-	n.flushing = pend
-	bh, batched := n.handler.(BatchHandler)
-	for i := 0; i < len(pend); {
-		j := i + 1
-		for j < len(pend) && pend[j].from == pend[i].from {
-			j++
-		}
-		if batched && j-i > 1 {
-			buf := n.batchBuf[:0]
-			for k := i; k < j; k++ {
-				buf = append(buf, pend[k].p)
-			}
-			bh.ReceiveBatch(n, buf, pend[i].from)
-			n.batchBuf = buf[:0]
-		} else {
-			for k := i; k < j; k++ {
-				n.handler.Receive(n, pend[k].p, pend[k].from)
-			}
-		}
-		i = j
-	}
+	n.handler.Receive(n, p, from)
 }
 
 // Forward routes p toward its destination: decrements TTL, looks up the
@@ -478,7 +399,6 @@ func Build(eng *sim.Engine, topo *topology.Topology) (*Network, error) {
 			byPeer: make(map[flow.Addr]*Iface),
 		}
 		node.handler = HandlerFunc(defaultReceive)
-		node.flushFn = node.flushPending
 		net.nodes[tn.ID] = node
 		net.ids[tn.Addr] = tn.ID
 	}

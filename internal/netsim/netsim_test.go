@@ -385,83 +385,3 @@ func TestBandwidthCeiling(t *testing.T) {
 		t.Fatalf("delivered %v B/s through a 100 KB/s link", rate)
 	}
 }
-
-// batchSink records deliveries and which arrived batched.
-type batchSink struct {
-	sink
-	batches [][]*packet.Packet
-}
-
-func (s *batchSink) ReceiveBatch(n *Node, ps []*packet.Packet, from *Iface) {
-	s.batches = append(s.batches, append([]*packet.Packet(nil), ps...))
-	for _, p := range ps {
-		s.Receive(n, p, from)
-	}
-}
-
-func TestBatchDeliveryCoalesces(t *testing.T) {
-	eng := sim.NewEngine(1)
-	params := topology.Params{AccessDelay: 10 * time.Millisecond}
-	topo, ids := lineTopo(params)
-	net := MustBuild(eng, topo)
-	dst := net.Node(ids[2])
-	s := &batchSink{}
-	dst.SetHandler(s)
-	dst.SetBatchDelivery(true)
-
-	src := net.Node(ids[0])
-	const n = 8
-	for i := 0; i < n; i++ {
-		// Same instant, infinite bandwidth: all arrive together.
-		p := packet.NewData(src.Addr(), dst.Addr(), flow.ProtoUDP, uint16(1000+i), 80, 100)
-		if !src.Originate(p) {
-			t.Fatal("Originate failed")
-		}
-	}
-	eng.Run()
-	if len(s.got) != n {
-		t.Fatalf("delivered %d packets, want %d", len(s.got), n)
-	}
-	if len(s.batches) != 1 || len(s.batches[0]) != n {
-		t.Fatalf("batches = %d (first len %d), want one batch of %d",
-			len(s.batches), len(s.batches[0]), n)
-	}
-	for _, at := range s.times {
-		if at != 20*time.Millisecond {
-			t.Fatalf("arrival at %v, want 20ms", at)
-		}
-	}
-	// In-order within the batch.
-	for i, p := range s.batches[0] {
-		if p.SrcPort != uint16(1000+i) {
-			t.Fatalf("batch order: packet %d has sport %d", i, p.SrcPort)
-		}
-	}
-}
-
-// TestBatchDeliveryPlainHandler checks coalescing degrades to ordered
-// per-packet delivery when the handler lacks ReceiveBatch.
-func TestBatchDeliveryPlainHandler(t *testing.T) {
-	eng := sim.NewEngine(1)
-	params := topology.Params{AccessDelay: time.Millisecond}
-	topo, ids := lineTopo(params)
-	net := MustBuild(eng, topo)
-	dst := net.Node(ids[2])
-	s := &sink{}
-	dst.SetHandler(s)
-	dst.SetBatchDelivery(true)
-
-	src := net.Node(ids[0])
-	for i := 0; i < 4; i++ {
-		src.Originate(packet.NewData(src.Addr(), dst.Addr(), flow.ProtoUDP, uint16(i), 80, 100))
-	}
-	eng.Run()
-	if len(s.got) != 4 {
-		t.Fatalf("delivered %d packets, want 4", len(s.got))
-	}
-	for i, p := range s.got {
-		if p.SrcPort != uint16(i) {
-			t.Fatalf("order: packet %d has sport %d", i, p.SrcPort)
-		}
-	}
-}

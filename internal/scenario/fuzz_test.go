@@ -29,10 +29,11 @@ func fuzzSpec(seed int64, ases, army, flags uint8) Spec {
 
 		IngressFiltering: flags&8 != 0,
 		GatewayAuto:      flags&16 != 0,
-		BatchDelivery:    flags&32 != 0,
-		Shards:           1 + int(flags%4),
-		Detector:         int(ases>>6) % 3,
-		CollateralAlloc:  ases&8 != 0,
+		// flags&32 is unused (it was batch delivery); the other bits keep
+		// their meaning so the checked-in corpus does too.
+		Shards:          1 + int(flags%4),
+		Detector:        int(ases>>6) % 3,
+		CollateralAlloc: ases&8 != 0,
 	}
 	if flags&64 != 0 {
 		s.Overload = true

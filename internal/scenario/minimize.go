@@ -73,7 +73,6 @@ func shrinkCandidates(s Spec) []Spec {
 	}
 	add(func(c *Spec) { c.IngressFiltering = false })
 	add(func(c *Spec) { c.GatewayAuto = false })
-	add(func(c *Spec) { c.BatchDelivery = false })
 	add(func(c *Spec) { c.Detector = DetectorOracle })
 	add(func(c *Spec) { c.Shards = 1 })
 	add(func(c *Spec) { c.DeployPct = 100 })

@@ -188,7 +188,6 @@ type Spec struct {
 
 	IngressFiltering bool `json:"ingress_filtering"`
 	GatewayAuto      bool `json:"gateway_auto"`
-	BatchDelivery    bool `json:"batch_delivery"`
 	Shards           int  `json:"shards"`
 	// Detector selects the detection machinery: DetectorOracle (exact
 	// per-source rate oracle on victim hosts), DetectorSketch
@@ -243,12 +242,14 @@ func GenSpec(seed int64) Spec {
 
 		IngressFiltering: rng.Float64() < 0.4,
 		GatewayAuto:      rng.Float64() < 0.25,
-		BatchDelivery:    rng.Float64() < 0.5,
-		Shards:           1 << rng.Intn(3),
-		// 40% oracle, 40% host-side sketch, 20% gateway-side sketch.
-		Detector: []int{DetectorOracle, DetectorOracle, DetectorSketch,
-			DetectorSketch, DetectorGateway}[rng.Intn(5)],
 	}
+	// The draw of the removed batch-delivery switch, discarded so every
+	// later field of every seed keeps its value.
+	rng.Float64()
+	s.Shards = 1 << rng.Intn(3)
+	// 40% oracle, 40% host-side sketch, 20% gateway-side sketch.
+	s.Detector = []int{DetectorOracle, DetectorOracle, DetectorSketch,
+		DetectorSketch, DetectorGateway}[rng.Intn(5)]
 	if rng.Float64() < 0.12 {
 		s.Overload = true
 		s.AttackRate *= 6
@@ -749,7 +750,6 @@ func build(s Spec) *world {
 	if s.GatewayAuto {
 		opt.ShadowMode = aitf.GatewayAuto
 	}
-	opt.BatchDelivery = s.BatchDelivery
 	opt.DataplaneShards = s.Shards
 	opt.HandshakeTimeout = time.Second
 	opt.CollectTrace = true

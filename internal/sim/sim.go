@@ -28,7 +28,7 @@ type Time = time.Duration
 // engine can hold the Event: it comes from the engine's free list and
 // goes back to it the moment it fires, before its callback runs. This
 // is the form for the per-packet and per-tick work (link deliveries,
-// flood ticks, batch flushes) that is never cancelled.
+// flood ticks) that is never cancelled.
 type Event struct {
 	at        Time
 	seq       uint64

@@ -3,6 +3,7 @@ package wire
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,11 +69,22 @@ func expectQuiet(t *testing.T, conn *net.UDPConn) {
 	}
 }
 
+// countingSink counts data packets addressed to it.
+type countingSink struct{ ok atomic.Uint64 }
+
+func (s *countingSink) Handle(n *Node, p *packet.Packet, from flow.Addr) {
+	if !p.IsControl() && p.Dst == n.Addr() {
+		s.ok.Add(1)
+	}
+}
+
 // TestBatchRespectsArrivalOrder hands the gateway one read batch of
 // data, control, data, where the control packet is a request to filter
 // that very flow. The filter must catch the datagram that arrived
 // after the request and not the one that arrived before it, and the
-// forwards must leave in arrival order.
+// forwards must leave in arrival order. Then the same inline path runs
+// from the socket: datagrams of a blocked pair, interleaved with clean
+// ones, never reach the sink.
 func TestBatchRespectsArrivalOrder(t *testing.T) {
 	attackerA, victimA := flow.MakeAddr(30, 0, 0, 1), flow.MakeAddr(10, 0, 0, 2)
 	otherA := flow.MakeAddr(20, 0, 0, 1)
@@ -116,6 +128,42 @@ func TestBatchRespectsArrivalOrder(t *testing.T) {
 	}
 	if sent, _ := g.node.Counts(); sent != 3 || tx.txN != 0 {
 		t.Fatalf("node counted %d sent with %d still queued, want 3 and 0", sent, tx.txN)
+	}
+
+	blockedA := flow.MakeAddr(30, 0, 0, 2)
+	if err := g.DataPlane().Install(flow.PairLabel(blockedA, victimA), 0, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	g.Run()
+	raw, err := netDial(g.node.UDPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	const n = 20
+	for i := 0; i < n; i++ {
+		for _, src := range []flow.Addr{otherA, blockedA} {
+			b, err := packet.Marshal(packet.NewData(src, victimA, flow.ProtoUDP, uint16(i), 80, 100))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := raw.Write(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waitUntil(t, 5*time.Second, func() bool {
+		sent, rcvd := g.node.Counts()
+		return rcvd == 2*n && rcvd == g.FilterDrops.Load()-1+sent-3
+	}, "the read loop did not drop or forward every datagram")
+	for i, p := range readPackets(t, sink, n) {
+		if p.Src != otherA {
+			t.Fatalf("forward %d is from %v, want only %v", i, p.Src, otherA)
+		}
+	}
+	expectQuiet(t, sink)
+	if drops, st := g.FilterDrops.Load(), g.DataPlane().FilterStats(); drops != 1+n || st.Drops != drops {
+		t.Fatalf("gateway FilterDrops %d, engine drops %d, want both %d", drops, st.Drops, 1+n)
 	}
 }
 

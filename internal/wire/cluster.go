@@ -24,8 +24,8 @@ func (g *Gateway) Cluster() *cluster.Cluster { return g.clu }
 
 // observeTuple routes one delivered packet to the detection plane: the
 // owning cluster replica when clustering is on, the single engine
-// otherwise. Both planes are internally synchronized, so dispatcher
-// workers land here without g.mu.
+// otherwise. Both planes are internally synchronized, so the receive
+// goroutine lands here without g.mu.
 func (g *Gateway) observeTuple(now sim.Time, tup flow.Tuple, payload int) (detect.Detection, bool) {
 	if g.clu != nil {
 		return g.clu.Observe(now, tup, payload)

@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"aitf/internal/alloc"
@@ -54,9 +56,6 @@ type GatewayFileConfig struct {
 	// Shards partitions the data-plane classification engine
 	// (0 = GOMAXPROCS).
 	Shards int `json:"dataplane_shards"`
-	// Workers enables the data plane's worker-pool dispatch mode
-	// (0 = classify inline on the receive goroutine).
-	Workers int `json:"workers"`
 	// AggregationPrefixLen enables coalescing sibling filters into a
 	// covering source-/N prefix filter under table pressure; valid
 	// values are 0 (disabled) or 1..31.
@@ -133,11 +132,17 @@ type HostFileConfig struct {
 // ErrBadConfig reports an invalid daemon configuration.
 var ErrBadConfig = errors.New("wire: bad config")
 
-// ParseFileConfig parses and validates a JSON node configuration.
+// ParseFileConfig parses and validates a JSON node configuration. An
+// unknown (or misspelled) key is an error, not a knob left at default.
 func ParseFileConfig(raw []byte) (*FileConfig, error) {
 	var cfg FileConfig
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after the config object", ErrBadConfig)
 	}
 	switch cfg.Role {
 	case "gateway":
@@ -165,9 +170,6 @@ func ParseFileConfig(raw []byte) (*FileConfig, error) {
 
 // validate rejects gateway knobs outside their meaningful ranges.
 func (g *GatewayFileConfig) validate() error {
-	if g.Workers < 0 {
-		return fmt.Errorf("%w: workers %d is negative", ErrBadConfig, g.Workers)
-	}
 	if g.Shards < 0 {
 		return fmt.Errorf("%w: dataplane_shards %d is negative", ErrBadConfig, g.Shards)
 	}
@@ -317,7 +319,6 @@ func (c *FileConfig) GatewayConfig(trace *obs.Trace) (GatewayConfig, error) {
 		Secret:               []byte(c.Gateway.Secret),
 		Trace:                trace,
 		DataplaneShards:      c.Gateway.Shards,
-		Workers:              c.Gateway.Workers,
 		AggregationPrefixLen: c.Gateway.AggregationPrefixLen,
 		SnapshotPath:         c.Gateway.SnapshotPath,
 	}

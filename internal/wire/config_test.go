@@ -218,6 +218,8 @@ func TestParseConfigErrors(t *testing.T) {
 		"host no body":     `{"role":"host","addr":"1.1.1.1"}`,
 		"bad addr":         `{"role":"host","addr":"zzz","host":{"gateway":"1.1.1.1"}}`,
 		"negative workers": `{"role":"gateway","addr":"1.1.1.1","gateway":{"workers":-1}}`,
+		"misspelled key":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"filter_capacty":10}}`,
+		"trailing data":    `{"role":"host","addr":"1.1.1.1","host":{"gateway":"1.1.1.2"}}}`,
 		"negative shards":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"dataplane_shards":-4}}`,
 		"negative cap":     `{"role":"gateway","addr":"1.1.1.1","gateway":{"filter_capacity":-10}}`,
 		"negative timer":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"t_ms":-5}}`,

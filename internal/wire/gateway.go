@@ -66,10 +66,6 @@ type GatewayConfig struct {
 	// DataplaneShards partitions the classification engine; 0 picks
 	// GOMAXPROCS (rounded up to a power of two by the engine).
 	DataplaneShards int
-	// Workers > 0 enables the data plane's worker-pool dispatch mode:
-	// data packets are classified and forwarded by a pool instead of
-	// the socket's receive goroutine. 0 classifies inline.
-	Workers int
 	// AggregationPrefixLen enables the §IV filter-table-pressure
 	// fallback: when a victim-side temporary filter is rejected for
 	// capacity, sibling filters sharing a destination and a source /N
@@ -140,9 +136,8 @@ type Gateway struct {
 	rec  *traceback.Recorder
 
 	// dp is the sharded classification engine (wire-speed filter bank +
-	// shadow cache); disp, when non-nil, is its worker-pool front end.
-	dp   *dataplane.Engine
-	disp *dataplane.Dispatcher
+	// shadow cache).
+	dp *dataplane.Engine
 
 	policers map[flow.Addr]*filter.Policer
 	pendings map[flow.Label]*wirePending
@@ -150,7 +145,7 @@ type Gateway struct {
 
 	// det observes traffic toward protected legacy clients; nil when
 	// gateway-side detection is off. The engine is internally
-	// synchronized, so dispatcher workers feed it without g.mu.
+	// synchronized, so the receive goroutine feeds it without g.mu.
 	det       *detect.Engine
 	protected map[flow.Addr]bool
 
@@ -190,13 +185,24 @@ type Gateway struct {
 	// Snapshot/restore counters (under mu).
 	SnapshotSaves, SnapshotRestores  uint64
 	FiltersRestored, ShadowsRestored uint64
-	// Data-plane stats are updated atomically: with dispatch mode on,
-	// drops are counted from multiple workers at once. Typed atomics
-	// align themselves; a plain uint64 here sits at a 4-byte offset on
-	// 32-bit targets and atomic.AddUint64 on it panics.
+	// PolicerEvicted counts request policers dropped to hold the
+	// maxPolicers bound (under mu).
+	PolicerEvicted uint64
+	// Data-plane stats are updated atomically: the receive goroutine
+	// counts them without g.mu while an admin scraper reads them.
+	// Typed atomics align themselves; a plain uint64 here sits at a
+	// 4-byte offset on 32-bit targets and atomic.AddUint64 on it
+	// panics.
 	FilterDrops atomic.Uint64
 	ShadowHits  atomic.Uint64
 }
+
+// maxPolicers bounds the per-neighbor request policers. Their key is
+// the packet's previous hop, which a spoofer chooses, so at the bound
+// one arbitrary policer is dropped before each new one. A dropped key
+// comes back with a full bucket, which a spoofer already gets for every
+// forged key: the bound hands an attacker nothing new.
+const maxPolicers = 4096
 
 // dedupWindow bounds how long a (source, txid) pair is remembered; it
 // comfortably outlives any retransmission ladder the RetryConfig can
@@ -253,11 +259,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		ShadowLookup:   true,
 		Clock:          dataplane.WallClock(epoch),
 	})
-	if cfg.Workers > 0 {
-		g.disp = dataplane.NewDispatcher(g.dp,
-			dataplane.DispatcherConfig{Workers: cfg.Workers},
-			func(p *packet.Packet, v dataplane.Verdict) { g.finishData(p, v, nil) })
-	}
 	if cfg.Detect.Enabled() && len(cfg.DetectFor) > 0 {
 		g.protected = make(map[flow.Addr]bool, len(cfg.DetectFor))
 		for _, a := range cfg.DetectFor {
@@ -291,16 +292,13 @@ func (g *Gateway) Node() *Node { return g.node }
 // Run starts the gateway.
 func (g *Gateway) Run() { g.node.Run() }
 
-// Close stops timers, the worker pool, and the socket; with a
-// SnapshotPath configured it then writes the drain snapshot, so the
-// state the next boot restores is the quiescent post-drain state.
+// Close stops timers and the socket; with a SnapshotPath configured it
+// then writes the drain snapshot, so the state the next boot restores
+// is the quiescent post-drain state.
 func (g *Gateway) Close() error {
 	g.closed.Store(true)
 	g.timers.stopAll()
 	err := g.node.Close()
-	if g.disp != nil {
-		g.disp.Close()
-	}
 	if g.cfg.SnapshotPath != "" {
 		if serr := g.SaveToDisk(); err == nil {
 			err = serr
@@ -357,14 +355,21 @@ func (g *Gateway) policer(peer flow.Addr) *filter.Policer {
 			c = g.cfg.Default
 		}
 		p = filter.NewPolicer(c.R1, c.R1Burst)
+		if len(g.policers) >= maxPolicers {
+			for k := range g.policers {
+				delete(g.policers, k)
+				g.PolicerEvicted++
+				break
+			}
+		}
 		g.policers[peer] = p
 	}
 	return p
 }
 
 // Handle implements Handler. Control packets take the gateway lock;
-// data packets take the concurrent data-plane fast path, either inline
-// on the calling goroutine or via the worker pool.
+// data packets take the concurrent data-plane fast path inline on the
+// calling goroutine.
 func (g *Gateway) Handle(n *Node, p *packet.Packet, from flow.Addr) {
 	if p.IsControl() {
 		// Control handling is synchronous and retains at most p.Msg
@@ -383,14 +388,6 @@ func (g *Gateway) Handle(n *Node, p *packet.Packet, from flow.Addr) {
 		}
 		return
 	}
-	if g.disp != nil {
-		if !g.disp.Submit(p) {
-			// Queue overflow sheds load, as hardware would; the
-			// dispatcher did not retain the packet, so recycle it.
-			p.Release()
-		}
-		return
-	}
 	g.finishData(p, g.dp.ClassifyTuple(p.Tuple(), int(p.PayloadLen)), nil)
 }
 
@@ -399,16 +396,14 @@ func (g *Gateway) Handle(n *Node, p *packet.Packet, from flow.Addr) {
 // data packets is classified with one ClassifyInto and its forwards
 // leave in one flush, before the control packet behind it is looked
 // at: a filter that packet installs cannot catch up with, and nothing
-// it sends can overtake, the data that arrived ahead of it. In
-// dispatch mode the pool classifies, so every packet goes through
-// Handle.
+// it sends can overtake, the data that arrived ahead of it.
 //
 // aitf:noalloc
 func (g *Gateway) handleBatch(n *Node, pkts []*packet.Packet, tx *sockBatch) {
 	var verdicts [batchSlots]dataplane.Verdict
 	for len(pkts) > 0 {
 		run := 0
-		for g.disp == nil && run < len(pkts) && !pkts[run].IsControl() {
+		for run < len(pkts) && !pkts[run].IsControl() {
 			run++
 		}
 		if run == 0 {
@@ -425,11 +420,11 @@ func (g *Gateway) handleBatch(n *Node, pkts []*packet.Packet, tx *sockBatch) {
 }
 
 // finishData completes the data path for a classified packet. It runs
-// on the receive goroutine or on dispatcher workers and must not take
-// the gateway lock. The gateway owns data packets decoded by its read
-// loop, so every terminal outcome releases the shell back to the
-// packet pool (forward marshals synchronously; nothing retains p). With
-// tx non-nil the forward is queued on it for the caller to flush.
+// on the receive goroutine and must not take the gateway lock. The
+// gateway owns data packets decoded by its read loop, so every terminal
+// outcome releases the shell back to the packet pool (forward marshals
+// synchronously; nothing retains p). With tx non-nil the forward is
+// queued on it for the caller to flush.
 //
 // aitf:noalloc
 func (g *Gateway) finishData(p *packet.Packet, v dataplane.Verdict, tx *sockBatch) {
@@ -445,14 +440,9 @@ func (g *Gateway) finishData(p *packet.Packet, v dataplane.Verdict, tx *sockBatc
 	}
 	// Gateway-side detection: delivered traffic toward a protected
 	// legacy client feeds the sketch engine (internally synchronized,
-	// so dispatcher workers land here safely); a crossing makes this
-	// gateway file the filtering request itself. Taking g.mu on the
-	// rare detection-fired path is safe — finishData is never invoked
-	// with the lock held. In dispatch mode, protected-destination
-	// packets serialize on the engine's lock; at UDP socket rates the
-	// syscall path dominates and this is not the bottleneck, but a
-	// deployment defending a line-rate destination should batch
-	// observations per worker before reaching for more workers.
+	// so it needs no g.mu); a crossing makes this gateway file the
+	// filtering request itself. Taking g.mu on the rare detection-fired
+	// path is safe — finishData is never invoked with the lock held.
 	if (g.det != nil || g.clu != nil) && g.protected[p.Dst] {
 		if d, ok := g.observeTuple(wallNow(), p.Tuple(), int(p.PayloadLen)); ok {
 			g.selfDetect(d, p.Path)

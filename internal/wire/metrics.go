@@ -21,7 +21,10 @@ type GatewayStats struct {
 	// Snapshot/restore counters.
 	SnapshotSaves, SnapshotRestores  uint64
 	FiltersRestored, ShadowsRestored uint64
-	FilterDrops, ShadowHits          uint64
+	// PolicerEvicted counts request policers dropped to hold their
+	// size bound against spoofed previous hops.
+	PolicerEvicted          uint64
+	FilterDrops, ShadowHits uint64
 }
 
 // Stats snapshots the control-plane counters under the gateway lock
@@ -53,6 +56,7 @@ func (g *Gateway) statsLocked() GatewayStats {
 		SnapshotRestores:  g.SnapshotRestores,
 		FiltersRestored:   g.FiltersRestored,
 		ShadowsRestored:   g.ShadowsRestored,
+		PolicerEvicted:    g.PolicerEvicted,
 		FilterDrops:       g.FilterDrops.Load(),
 		ShadowHits:        g.ShadowHits.Load(),
 	}
@@ -95,6 +99,9 @@ func (g *Gateway) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("aitf_gateway_ctrl_dedup_evicted_total",
 		"Control (source, txid) pairs forgotten inside the dedup window to hold its size bound.",
 		func() uint64 { return g.Stats().CtrlDedupEvicted })
+	r.CounterFunc("aitf_gateway_req_policer_evicted_total",
+		"Request policers dropped to hold their size bound against spoofed previous hops.",
+		func() uint64 { return g.Stats().PolicerEvicted })
 	r.CounterFunc("aitf_gateway_snapshot_saves_total",
 		"Drain snapshots written to disk.",
 		func() uint64 { return g.Stats().SnapshotSaves })

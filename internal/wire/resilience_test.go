@@ -302,6 +302,58 @@ func TestDedupBoundedUnderFlood(t *testing.T) {
 	}
 }
 
+// TestPolicersBoundedUnderFlood: the request policers are keyed on the
+// previous hop, which a spoofer forges, so a flood of requests from
+// distinct forged sources must not grow them past maxPolicers — each
+// key past the bound evicts one — and a configured client is still held
+// to its contract afterwards.
+func TestPolicersBoundedUnderFlood(t *testing.T) {
+	client := flow.MakeAddr(10, 0, 0, 2)
+	// A slow refill, so no token comes back during the client's burst.
+	c := contract.Contract{R1: 1, R1Burst: 10, R2: 1, R2Burst: 5}
+	g, err := NewGateway(GatewayConfig{
+		Node:    NodeConfig{Addr: flow.MakeAddr(10, 0, 0, 1), Name: "gw"},
+		Clients: map[flow.Addr]contract.Contract{client: c},
+		Default: contract.DefaultPeer(),
+		Secret:  []byte("secret"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	request := func(src flow.Addr) {
+		p := packet.NewControl(src, g.node.Addr(), &packet.FilterReq{
+			Stage:  packet.StageToVictimGW,
+			Flow:   flow.PairLabel(flow.MakeAddr(30, 0, 0, 1), src),
+			Victim: src,
+		})
+		g.Handle(g.node, p, prevHop(p))
+	}
+	const flood = 100_000
+	for i := 0; i < flood; i++ {
+		request(flow.Addr(0x0b000000 + i))
+	}
+	g.mu.Lock()
+	resident := len(g.policers)
+	g.mu.Unlock()
+	if resident > maxPolicers {
+		t.Fatalf("%d policers resident, cap %d", resident, maxPolicers)
+	}
+	st := g.Stats()
+	if want := uint64(flood - maxPolicers); st.PolicerEvicted != want {
+		t.Fatalf("PolicerEvicted = %d, want %d", st.PolicerEvicted, want)
+	}
+	if st.ReqReceived != flood || st.ReqPoliced != 0 {
+		t.Fatalf("every forged source has a full bucket, yet: %+v", st)
+	}
+	for i := 0; i <= int(c.R1Burst); i++ {
+		request(client)
+	}
+	if got := g.Stats().ReqPoliced; got != 1 {
+		t.Fatalf("%d back-to-back requests from the client: %d policed, want 1", int(c.R1Burst)+1, got)
+	}
+}
+
 // TestWireHandshakeRetransmitsUntilTimeout: with the victim silent,
 // the verification query rides the backoff ladder (retransmits
 // counted) and the handshake still terminates as failed at its

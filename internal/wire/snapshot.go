@@ -166,6 +166,7 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 	g.CtrlRetransmits = snap.Stats.CtrlRetransmits
 	g.CtrlDupDrops = snap.Stats.CtrlDupDrops
 	g.dedup.Evicted = snap.Stats.CtrlDedupEvicted
+	g.PolicerEvicted = snap.Stats.PolicerEvicted
 	g.SnapshotSaves = snap.Stats.SnapshotSaves
 	g.FilterDrops.Store(snap.Stats.FilterDrops)
 	g.ShadowHits.Store(snap.Stats.ShadowHits)

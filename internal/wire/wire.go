@@ -19,9 +19,8 @@
 // dataplane.ClassifyInto; and their forwards leave in one sendmmsg,
 // each message carrying its own destination. Arrival order on a socket
 // is kept: a control packet in a batch is handled only after the data
-// ahead of it has been written out. Handlers without a batch form
-// (Host) and dispatch mode (GatewayConfig.Workers) get the same
-// datagrams one Handle at a time. recvmmsg/sendmmsg are Linux system
+// ahead of it has been written out. A handler without a batch form
+// (Host) gets the same datagrams one Handle at a time. recvmmsg/sendmmsg are Linux system
 // calls (sockbatch_mmsg.go, linux on amd64 and arm64); everywhere else
 // sockbatch_portable.go reads one datagram per wakeup and writes the
 // queue in a loop, behind the same two operations, so the read loop and
