@@ -600,21 +600,27 @@ func (g *Gateway) handleData(p *packet.Packet, from *netsim.Iface) {
 	}
 	v := g.dp.ClassifyTuple(p.Tuple(), int(p.PayloadLen))
 	now := g.now()
-	key := flow.PairLabel(p.Src, p.Dst).Key()
 
 	// Track liveness for takeover and compliance decisions before any
 	// filtering: a blocked flow must still prove its sender is active.
-	if w, ok := g.watches[key]; ok {
-		w.lastSeen = now
-		w.haveSeen = true
-		if from != nil {
-			w.ingress = from.Neighbor().Addr()
+	// Both maps are keyed by canonical labels, and a pair label is
+	// canonical as built.
+	pair := flow.PairLabel(p.Src, p.Dst)
+	if len(g.watches) > 0 {
+		if w, ok := g.watches[pair]; ok {
+			w.lastSeen = now
+			w.haveSeen = true
+			if from != nil {
+				w.ingress = from.Neighbor().Addr()
+			}
 		}
 	}
-	if c, ok := g.compliance[key]; ok {
-		if from != nil && from.Neighbor().Addr() == c.client {
-			c.lastSeen = now
-			c.haveSeen = true
+	if len(g.compliance) > 0 {
+		if c, ok := g.compliance[pair]; ok {
+			if from != nil && from.Neighbor().Addr() == c.client {
+				c.lastSeen = now
+				c.haveSeen = true
+			}
 		}
 	}
 

@@ -93,7 +93,7 @@ type Host struct {
 	policer *filter.Policer
 
 	wantedFlows map[flow.Label]*wanted
-	stopOrders  map[flow.Label]sim.Time
+	stopOrders  filter.StopOrders
 	// seenTxids dedups retransmitted stop orders by (src, txid) so a
 	// duplicate delivery does not double-count StopOrders or restart a
 	// compliance window.
@@ -117,7 +117,6 @@ func NewHost(cfg HostConfig) *Host {
 		cfg:         cfg,
 		policer:     filter.NewPolicer(cfg.Contract.R1, cfg.Contract.R1Burst),
 		wantedFlows: make(map[flow.Label]*wanted),
-		stopOrders:  make(map[flow.Label]sim.Time),
 		Meter:       metrics.NewMeter(time.Second),
 		PerSource:   make(map[flow.Addr]*metrics.Meter),
 	}
@@ -179,13 +178,15 @@ func (h *Host) handleData(p *packet.Packet) {
 
 	// Instant re-detection (§IV-A.1 footnote 8): a packet matching a
 	// flow we already asked to have blocked triggers an immediate
-	// re-request, subject to the contract rate.
-	key := flow.PairLabel(p.Src, p.Dst).Key()
-	if w, ok := h.wantedFlows[key]; ok && w.until > now {
-		if now-w.lastReq >= sim.Time(h.cfg.ReRequestGap) {
-			h.sendRequest(w.label, p.Path, w, true)
+	// re-request, subject to the contract rate. A pair label is
+	// canonical as built.
+	if len(h.wantedFlows) > 0 {
+		if w, ok := h.wantedFlows[flow.PairLabel(p.Src, p.Dst)]; ok && w.until > now {
+			if now-w.lastReq >= sim.Time(h.cfg.ReRequestGap) {
+				h.sendRequest(w.label, p.Path, w, true)
+			}
+			return
 		}
-		return
 	}
 
 	if h.cfg.Detector == nil {
@@ -268,7 +269,7 @@ func (h *Host) handleControl(p *packet.Packet) {
 		h.stats.StopOrders++
 		h.trace(EvStopOrder, m.Flow, "received")
 		if h.cfg.Compliant {
-			h.stopOrders[m.Flow.Canonical().Key()] = now + sim.Time(m.Duration)
+			h.stopOrders.Add(m.Flow, now+sim.Time(m.Duration))
 			h.trace(EvFlowStopped, m.Flow, "complying")
 		}
 	case *packet.Disconnect:
@@ -290,33 +291,12 @@ func (h *Host) SendData(p *packet.Packet) bool {
 }
 
 func (h *Host) blockedByStopOrder(tup flow.Tuple) bool {
-	now := h.now()
-	if until, ok := h.stopOrders[tup.ExactLabel().Key()]; ok && until > now {
-		return true
-	}
-	if until, ok := h.stopOrders[flow.PairLabel(tup.Src, tup.Dst).Key()]; ok && until > now {
-		return true
-	}
-	for l, until := range h.stopOrders {
-		if until > now && l.Matches(tup) {
-			return true
-		}
-	}
-	return false
+	return h.stopOrders.Blocks(tup, h.now())
 }
 
 // ActiveStopOrders counts live stop orders — the filters the *client*
 // must hold per §IV-D (na = R2·T).
-func (h *Host) ActiveStopOrders() int {
-	now := h.now()
-	n := 0
-	for _, until := range h.stopOrders {
-		if until > now {
-			n++
-		}
-	}
-	return n
-}
+func (h *Host) ActiveStopOrders() int { return h.stopOrders.Active(h.now()) }
 
 // Wants reports whether the host currently wants label blocked.
 func (h *Host) Wants(label flow.Label) bool {

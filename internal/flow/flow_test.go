@@ -36,6 +36,20 @@ func TestMakeAddrOctets(t *testing.T) {
 	}
 }
 
+// TestPairLabelIsCanonical: PairLabel builds a label Canonical leaves
+// alone, as does a tuple's ExactLabel, so hot paths key canonical maps
+// by either without calling Key.
+func TestPairLabelIsCanonical(t *testing.T) {
+	f := func(a, b uint32, proto uint8, sport, dport uint16) bool {
+		pair := PairLabel(Addr(a), Addr(b))
+		exact := TupleOf(Addr(a), Addr(b), Proto(proto), sport, dport).ExactLabel()
+		return pair.Canonical() == pair && exact.Canonical() == exact
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestExactMatch(t *testing.T) {
 	l := Exact(MakeAddr(1, 0, 0, 1), MakeAddr(2, 0, 0, 2), ProtoUDP, 1000, 80)
 	hit := TupleOf(MakeAddr(1, 0, 0, 1), MakeAddr(2, 0, 0, 2), ProtoUDP, 1000, 80)

@@ -53,6 +53,15 @@ func (e *Event) Cancelled() bool { return e.cancelled }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use; all protocol code runs inside event callbacks.
+//
+// Events fire in (at, seq) order, and the queue is monotone: no event
+// may enter it below the last one fired. Schedule, ScheduleAt and Post
+// keep that by construction — they take a fresh seq, above every seq
+// handed out, at a time no earlier than now. PostReserved enters an
+// event under a seq taken earlier, so at the instant now it could fall
+// below the last fired event; that is a misuse and panics, like a
+// PostReserved in the past. A cancelled event leaves the queue without
+// counting as fired.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -127,13 +136,18 @@ func (e *Engine) ReserveSeq() uint64 {
 }
 
 // PostReserved is Post under a seq from ReserveSeq. at must not be in
-// the past: a reserved event is ordered by the (at, seq) fixed when the
-// seq was taken, and clamping would reorder it.
+// the past, and at the instant now seq must not be below that of the
+// last event fired: a reserved event is ordered by the (at, seq) fixed
+// when the seq was taken, clamping would reorder it, and the queue
+// takes no key below the last one fired. Either misuse panics.
 //
 // aitf:noalloc
 func (e *Engine) PostReserved(at Time, seq uint64, fn func()) {
 	if at < e.now {
 		misuse("sim: PostReserved in the past")
+	}
+	if e.queue.below(at, seq) {
+		misuse("sim: PostReserved below the last fired event")
 	}
 	e.post(at, seq, fn)
 }
@@ -167,15 +181,19 @@ func newPooledEvent() *Event { return &Event{pooled: true} }
 //go:noinline
 func misuse(msg string) { panic(msg) }
 
-// fire dispatches one popped event, reporting false for a cancelled
-// one. A pooled event is recycled before its callback runs, so the
-// callback's own Post reuses it.
+// step fires the earliest queued event, reporting false for a
+// cancelled one, which leaves the queue without counting as fired. A
+// pooled event is recycled before its callback runs, so the callback's
+// own Post reuses it. Caller checks the queue is non-empty.
 //
 // aitf:noalloc
-func (e *Engine) fire(ev *Event) bool {
+func (e *Engine) step() bool {
+	ev := e.queue.peek()
 	if ev.cancelled {
+		e.queue.discard()
 		return false
 	}
+	e.queue.pop()
 	e.now = ev.at
 	e.Processed++
 	fn := ev.fn
@@ -204,12 +222,10 @@ func (e *Engine) Pending() int { return e.queue.len() }
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for e.queue.len() > 0 && !e.stopped {
-		next := e.queue.peek()
-		if next.at > deadline {
+		if e.queue.peek().at > deadline {
 			break
 		}
-		e.queue.pop()
-		e.fire(next)
+		e.step()
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
@@ -221,14 +237,14 @@ func (e *Engine) RunUntil(deadline Time) {
 func (e *Engine) Run() {
 	e.stopped = false
 	for e.queue.len() > 0 && !e.stopped {
-		e.fire(e.queue.pop())
+		e.step()
 	}
 }
 
 // Step fires exactly one event, returning false if the queue was empty.
 func (e *Engine) Step() bool {
 	for e.queue.len() > 0 {
-		if e.fire(e.queue.pop()) {
+		if e.step() {
 			return true
 		}
 	}

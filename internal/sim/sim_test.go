@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -394,6 +395,74 @@ func TestPostPanics(t *testing.T) {
 		e.RunUntil(time.Second)
 		e.PostReserved(time.Millisecond, e.ReserveSeq(), func() {})
 	})
+}
+
+// TestQueueRejectsKeyBelowLastFired: the queue is monotone, so an event
+// reserved before the last fired one may not enter at that same
+// instant; PostReserved panics rather than let it fire out of order.
+// The same seq at a later instant is fine.
+func TestQueueRejectsKeyBelowLastFired(t *testing.T) {
+	e := NewEngine(1)
+	stale := e.ReserveSeq()
+	e.Post(time.Millisecond, func() {})
+	e.Post(2*time.Millisecond, func() {})
+	if !e.Step() || e.Now() != time.Millisecond {
+		t.Fatalf("first Step left the clock at %v, want 1ms", e.Now())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("PostReserved(now, stale seq) did not panic")
+			}
+		}()
+		e.PostReserved(e.Now(), stale, func() {})
+	}()
+	fired := false
+	e.PostReserved(e.Now()+time.Nanosecond, stale, func() { fired = true })
+	e.Run()
+	if !fired || e.Pending() != 0 {
+		t.Fatalf("stale seq at a later instant fired=%v, %d pending", fired, e.Pending())
+	}
+}
+
+// TestRunUntilDeadlineKeepsBase: RunUntil peeks at the event past its
+// deadline without making it the queue's base, so an event the caller
+// then schedules at now, below it, still fires first.
+func TestRunUntilDeadlineKeepsBase(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	e.Schedule(time.Millisecond, func() { got = append(got, "early") })
+	e.Schedule(time.Second, func() { got = append(got, "late") })
+	e.RunUntil(500 * time.Millisecond)
+	if e.Pending() != 1 || e.Now() != 500*time.Millisecond {
+		t.Fatalf("RunUntil left %d pending at %v, want 1 at 500ms", e.Pending(), e.Now())
+	}
+	e.ScheduleAt(e.Now(), func() { got = append(got, "now") })
+	e.PostReserved(e.Now(), e.ReserveSeq(), func() { got = append(got, "reserved") })
+	e.Run()
+	if want := "early now reserved late"; fmt.Sprint(got) != "["+want+"]" {
+		t.Fatalf("fire order %v, want [%s]", got, want)
+	}
+}
+
+// TestCancelledEventIsNotLastFired: a cancelled event leaves the queue
+// without becoming the base, so after Run drains one past the clock, an
+// event scheduled between the two still enters and fires.
+func TestCancelledEventIsNotLastFired(t *testing.T) {
+	e := NewEngine(1)
+	e.Schedule(time.Millisecond, func() {})
+	e.Schedule(time.Second, func() {}).Cancel()
+	e.Run()
+	if e.Now() != time.Millisecond {
+		t.Fatalf("Now = %v after a cancelled tail, want the last fired 1ms", e.Now())
+	}
+	fired := 0
+	e.PostReserved(e.Now()+time.Millisecond, e.ReserveSeq(), func() { fired++ })
+	e.Post(e.Now(), func() { fired++ })
+	e.Run()
+	if fired != 2 {
+		t.Fatalf("%d of 2 events fired after a cancelled tail", fired)
+	}
 }
 
 func BenchmarkScheduleRun(b *testing.B) {

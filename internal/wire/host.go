@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"aitf/internal/contract"
+	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
 	"aitf/internal/packet"
@@ -46,7 +47,7 @@ type Host struct {
 	flagged         map[flow.Addr]bool
 
 	wanted     map[flow.Label]time.Time // label -> expiry
-	stopOrders map[flow.Label]time.Time
+	stopOrders filter.StopOrders        // deadlines on the wallNow clock
 
 	// BytesReceived counts payload bytes of delivered data packets.
 	BytesReceived uint64
@@ -74,7 +75,6 @@ func NewHost(cfg HostConfig) (*Host, error) {
 		rateBytes:       make(map[flow.Addr]float64),
 		flagged:         make(map[flow.Addr]bool),
 		wanted:          make(map[flow.Label]time.Time),
-		stopOrders:      make(map[flow.Label]time.Time),
 	}
 	n.SetHandler(h)
 	return h, nil
@@ -203,7 +203,7 @@ func (h *Host) handleControl(p *packet.Packet) {
 		}
 		h.StopOrdersReceived++
 		if h.cfg.Compliant {
-			h.stopOrders[m.Flow.Canonical().Key()] = time.Now().Add(m.Duration)
+			h.stopOrders.Add(m.Flow, wallNow()+m.Duration)
 			h.event("stop-order", m.Flow.Canonical(), "complying")
 		} else {
 			h.event("stop-order", m.Flow.Canonical(), "ignoring")
@@ -217,12 +217,10 @@ func (h *Host) SendData(dst flow.Addr, proto flow.Proto, sport, dport uint16, pa
 	h.mu.Lock()
 	if h.cfg.Compliant {
 		tup := flow.TupleOf(h.node.Addr(), dst, proto, sport, dport)
-		for l, until := range h.stopOrders {
-			if time.Now().Before(until) && l.Matches(tup) {
-				h.SuppressedSends++
-				h.mu.Unlock()
-				return false
-			}
+		if h.stopOrders.Blocks(tup, wallNow()) {
+			h.SuppressedSends++
+			h.mu.Unlock()
+			return false
 		}
 	}
 	h.mu.Unlock()

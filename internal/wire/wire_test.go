@@ -215,6 +215,40 @@ func TestLiveRoundOverUDP(t *testing.T) {
 	}
 }
 
+// TestHostStopOrderShapes: a compliant wire host matches stop orders by
+// the same rule as the simulator's host. An order on its source /24
+// toward one victim and a pair order toward another each suppress the
+// host's sends to that victim; a send no live order covers is not
+// suppressed, whatever its route, and neither is one under an order
+// that has expired.
+func TestHostStopOrderShapes(t *testing.T) {
+	hostA, gwA := flow.MakeAddr(10, 2, 0, 2), flow.MakeAddr(10, 2, 0, 1)
+	h, err := NewHost(HostConfig{Node: NodeConfig{Addr: hostA, Name: "h"}, Gateway: gwA, Compliant: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	order := func(label flow.Label, d time.Duration) {
+		h.Handle(h.Node(), packet.NewControl(gwA, hostA, &packet.FilterReq{
+			Stage: packet.StageToAttacker, Flow: label, Duration: d}), gwA)
+	}
+	prefixVictim, pairVictim, expiredVictim := flow.MakeAddr(10, 1, 0, 2), flow.MakeAddr(10, 1, 0, 3), flow.MakeAddr(10, 1, 0, 4)
+	order(flow.SrcPrefixLabel(hostA, 24, prefixVictim), time.Minute)
+	order(flow.PairLabel(hostA, pairVictim), time.Minute)
+	order(flow.PairLabel(hostA, expiredVictim), time.Nanosecond)
+
+	for _, c := range []struct {
+		dst        flow.Addr
+		suppressed bool
+	}{{prefixVictim, true}, {pairVictim, true}, {expiredVictim, false}, {flow.MakeAddr(10, 1, 0, 5), false}} {
+		before := h.SuppressedSends
+		sent := h.SendData(c.dst, flow.ProtoUDP, 4000, 80, 100)
+		if got := h.SuppressedSends > before; got != c.suppressed || sent && got {
+			t.Errorf("send to %v: suppressed=%v sent=%v, want suppressed=%v", c.dst, got, sent, c.suppressed)
+		}
+	}
+}
+
 func TestLiveForgedRequestDiesOverUDP(t *testing.T) {
 	r := buildRig(t, true)
 
