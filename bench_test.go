@@ -6,7 +6,8 @@
 //	go test -bench=. -benchmem
 //
 // regenerates every experiment; `go run ./cmd/aitf-bench` prints the
-// full tables instead.
+// full tables instead. End-to-end throughput and latency are measured
+// by `go run ./benchmark`, not here.
 package aitf_test
 
 import (

@@ -1,556 +1,29 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
-
-	"aitf/internal/dataplane"
-	"aitf/internal/experiments"
-	"aitf/internal/obs"
 )
 
-// TestBenchJSONSchemaMatchesCheckedInFile: the committed
-// BENCH_dataplane.json must decode strictly into the current output
-// schema — if a field is renamed or removed, the trend file (and any
-// tooling reading it) silently breaks; this test makes the drift loud.
-func TestBenchJSONSchemaMatchesCheckedInFile(t *testing.T) {
-	raw, err := os.ReadFile("../../BENCH_dataplane.json")
-	if err != nil {
-		t.Skipf("no checked-in trend file: %v", err)
+// TestRunRendersAndRejects: a known ID renders its table, and an
+// unknown one — including anything shaped like a flag, since the
+// command takes none — exits 2 with a message on stderr.
+func TestRunRendersAndRejects(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"E1"}, &out, &errOut); code != 0 {
+		t.Fatalf("E1 exited %d: %s", code, errOut.String())
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var out benchOutput
-	if err := dec.Decode(&out); err != nil {
-		t.Fatalf("BENCH_dataplane.json no longer matches the -json schema: %v", err)
+	if !strings.Contains(out.String(), "E1") {
+		t.Fatalf("E1 rendered nothing recognisable:\n%s", out.String())
 	}
-	if out.GeneratedAt == "" || out.GoMaxProcs < 1 {
-		t.Fatalf("header fields missing: %+v", out)
-	}
-	if len(out.Dataplane) == 0 {
-		t.Fatal("trend file has no dataplane sweep cells")
-	}
-	goroutineCounts := map[int]bool{}
-	for i, c := range out.Dataplane {
-		if c.Shards < 1 || c.Filters < 1 || c.PPS <= 0 || c.Mix == "" || c.Goroutines < 1 {
-			t.Fatalf("cell %d malformed: %+v", i, c)
+	for _, bad := range []string{"E99", "-json"} {
+		out.Reset()
+		errOut.Reset()
+		if code := run([]string{bad}, &out, &errOut); code != 2 {
+			t.Fatalf("%q exited %d, want 2", bad, code)
 		}
-		if c.AllocsPerOp != 0 {
-			t.Fatalf("cell %d: committed baseline has a non-zero steady-state allocs/op: %+v", i, c)
+		if out.Len() != 0 || !strings.Contains(errOut.String(), "unknown experiment") {
+			t.Fatalf("%q: stdout %q, stderr %q", bad, out.String(), errOut.String())
 		}
-		goroutineCounts[c.Goroutines] = true
-	}
-	if len(goroutineCounts) < 2 {
-		t.Fatalf("trend file lacks a goroutine sweep: counts %v", goroutineCounts)
-	}
-	if len(out.Experiments) == 0 {
-		t.Fatal("trend file has no experiment results")
-	}
-	// The wildcard/prefix sweep must be present, reach the million-entry
-	// regime, keep the steady state allocation-free, and include the
-	// linear-scan reference the speedup claims are made against.
-	if len(out.DataplaneWildcard) == 0 {
-		t.Fatal("trend file has no wildcard sweep cells")
-	}
-	maxNonExact, scanRefs := 0, 0
-	for i, c := range out.DataplaneWildcard {
-		if c.Shards < 1 || c.Pairs < 1 || c.NonExact < 1 || c.PPS <= 0 ||
-			c.WildFrac <= 0 || c.WildFrac > 1 {
-			t.Fatalf("wildcard cell %d malformed: %+v", i, c)
-		}
-		if c.AllocsPerOp != 0 {
-			t.Fatalf("wildcard cell %d allocates at steady state: %+v", i, c)
-		}
-		if c.NonExact > maxNonExact {
-			maxNonExact = c.NonExact
-		}
-		if c.ScanPPS > 0 {
-			scanRefs++
-			if c.NonExact >= 4096 && c.PPS < 10*c.ScanPPS {
-				t.Fatalf("wildcard cell %d: indexed match only %.1fx the scan baseline (want >= 10x): %+v",
-					i, c.PPS/c.ScanPPS, c)
-			}
-		}
-	}
-	if maxNonExact < 1<<20 {
-		t.Fatalf("wildcard sweep stops at %d non-exact filters, want >= 1M", maxNonExact)
-	}
-	if scanRefs == 0 {
-		t.Fatal("no wildcard cell carries a scan-baseline reference")
-	}
-	// The detection sweep must be present, span several sketch
-	// geometries and attacker counts, and keep observation
-	// allocation-free (detection runs inside the classification loop).
-	if len(out.Detect) == 0 {
-		t.Fatal("trend file has no detection sweep cells")
-	}
-	geoms, atts := map[[2]int]bool{}, map[int]bool{}
-	for i, c := range out.Detect {
-		if c.Width < 1 || c.Depth < 1 || c.TopK < 1 || c.Attackers < 1 || c.PPS <= 0 {
-			t.Fatalf("detect cell %d malformed: %+v", i, c)
-		}
-		if c.AllocsPerOp != 0 {
-			t.Fatalf("detect cell %d allocates at steady state: %+v", i, c)
-		}
-		geoms[[2]int{c.Width, c.Depth}] = true
-		atts[c.Attackers] = true
-	}
-	if len(geoms) < 2 || len(atts) < 2 {
-		t.Fatalf("detect sweep lacks geometry×attackers coverage: %v × %v", geoms, atts)
-	}
-	// The instrumentation-overhead sweep must be present, carry both
-	// legs of every cell, and keep the instrumented steady state
-	// allocation-free. The committed overhead ratio is advisory (the
-	// hard <5% gate runs in-machine via -regress), but a committed
-	// baseline showing instrumentation at half speed would mean the
-	// zero-cost design failed — make that loud.
-	if len(out.DataplaneInstrumented) == 0 {
-		t.Fatal("trend file has no instrumented sweep cells")
-	}
-	for i, c := range out.DataplaneInstrumented {
-		if c.Shards < 1 || c.Filters < 1 || c.Mix == "" || c.Goroutines < 1 ||
-			c.PPS <= 0 || c.BasePPS <= 0 {
-			t.Fatalf("instrumented cell %d malformed: %+v", i, c)
-		}
-		if c.AllocsPerOp != 0 {
-			t.Fatalf("instrumented cell %d allocates at steady state: %+v", i, c)
-		}
-		if c.PPS < 0.5*c.BasePPS {
-			t.Fatalf("instrumented cell %d runs at %.0f%% of uninstrumented: %+v",
-				i, 100*c.PPS/c.BasePPS, c)
-		}
-	}
-	// The collateral-allocation contrast must be present with both
-	// policy cells, and the committed cells must still show the win the
-	// allocator exists for: strictly more legit bytes delivered at
-	// equal-or-better attack suppression, with lower covered-address
-	// collateral.
-	if len(out.Alloc) != 2 {
-		t.Fatalf("trend file has %d alloc cells, want 2", len(out.Alloc))
-	}
-	apol := map[string]int{}
-	for i, c := range out.Alloc {
-		if c.Attackers < 1 || c.FilterCapacity < 1 || c.Aggregations == 0 ||
-			c.AttackBytes == 0 || c.LegitBytes == 0 {
-			t.Fatalf("alloc cell %d malformed: %+v", i, c)
-		}
-		apol[c.Policy] = i
-	}
-	fixedI, okF := apol["fixed24"]
-	allocI, okA := apol["alloc"]
-	if !okF || !okA {
-		t.Fatalf("alloc section lacks a policy cell: %+v", out.Alloc)
-	}
-	fixed, alloced := out.Alloc[fixedI], out.Alloc[allocI]
-	if alloced.LegitBytes <= fixed.LegitBytes || alloced.AttackBytes > fixed.AttackBytes ||
-		alloced.CollateralAddrs >= fixed.CollateralAddrs {
-		t.Fatalf("committed alloc cells lost the collateral win: fixed=%+v alloc=%+v",
-			fixed, alloced)
-	}
-}
-
-// TestMeasureDataplaneProducesCells: a tiny sweep cell measures a
-// positive throughput and serializes with the exact key set the trend
-// file uses.
-func TestMeasureDataplaneProducesCells(t *testing.T) {
-	e := dataplane.WorkloadEngine(1, 1024)
-	pps := measureDataplane(e, 1024, 0.5, 1, 5*time.Millisecond)
-	if pps <= 0 {
-		t.Fatalf("measured %v pps", pps)
-	}
-	if allocs := classifyAllocsPerOp(e, 1024, 0.5); allocs != 0 {
-		t.Fatalf("steady-state classify allocates %v/op, want 0", allocs)
-	}
-	cell := dataplaneResult{Shards: 1, Filters: 1024, Mix: "mixed", Goroutines: 1, PPS: pps}
-	buf, err := json.Marshal(cell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys map[string]any
-	if err := json.Unmarshal(buf, &keys); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"shards", "filters", "mix", "goroutines", "pps", "allocs_per_op"} {
-		if _, ok := keys[k]; !ok {
-			t.Fatalf("cell JSON lacks %q: %s", k, buf)
-		}
-	}
-}
-
-// TestWildcardRegressionFailures exercises the wildcard gate: uniform
-// collapses fail, the machine-speed normalizer excuses a slow runner,
-// and new steady-state allocations fail regardless of throughput.
-func TestWildcardRegressionFailures(t *testing.T) {
-	mk := func(nonExact int, pps, allocs float64) wildcardResult {
-		return wildcardResult{Shards: 4, Pairs: 4096, NonExact: nonExact,
-			WildFrac: 0.5, PPS: pps, AllocsPerOp: allocs}
-	}
-	baseline := []wildcardResult{mk(4096, 5e6, 0), mk(1<<20, 3e6, 0)}
-
-	if fails, n := wildcardRegressionFailures(baseline,
-		[]wildcardResult{mk(4096, 4.6e6, 0), mk(1<<20, 2.8e6, 0)}, 0.30, 1); len(fails) != 0 || n != 2 {
-		t.Fatalf("small wobble failed (%d matched): %v", n, fails)
-	}
-	if fails, _ := wildcardRegressionFailures(baseline,
-		[]wildcardResult{mk(4096, 2e6, 0), mk(1<<20, 1e6, 0)}, 0.30, 1); len(fails) != 1 {
-		t.Fatalf("uniform collapse not caught: %v", fails)
-	}
-	// The same collapse passes when the main sweep says the whole
-	// machine is 2.5x slower...
-	if fails, _ := wildcardRegressionFailures(baseline,
-		[]wildcardResult{mk(4096, 2e6, 0), mk(1<<20, 1.2e6, 0)}, 0.30, 0.4); len(fails) != 0 {
-		t.Fatalf("normalizer not applied: %v", fails)
-	}
-	// ...but an allocation regression always fails.
-	if fails, _ := wildcardRegressionFailures(baseline,
-		[]wildcardResult{mk(4096, 5e6, 2), mk(1<<20, 3e6, 0)}, 0.30, 1); len(fails) != 1 {
-		t.Fatalf("alloc regression not caught: %v", fails)
-	}
-	// A disjoint sweep fails loudly instead of passing vacuously.
-	if fails, n := wildcardRegressionFailures(baseline,
-		[]wildcardResult{mk(512, 1e6, 0)}, 0.30, 1); len(fails) != 1 || n != 0 {
-		t.Fatalf("disjoint sweep not rejected: %v", fails)
-	}
-}
-
-// TestWildcardSweepProducesCells runs one tiny wildcard cell end to end.
-func TestWildcardSweepProducesCells(t *testing.T) {
-	spec := wildcardSweepSpec{
-		shards: 1, pairs: 256, nonExact: []int{256},
-		wildFracs: []float64{0.5}, scanRefMax: 256,
-	}
-	cells := wildcardSweep(spec, 5*time.Millisecond)
-	if len(cells) != 1 {
-		t.Fatalf("got %d cells", len(cells))
-	}
-	c := cells[0]
-	if c.PPS <= 0 || c.ScanPPS <= 0 {
-		t.Fatalf("cell not measured: %+v", c)
-	}
-	if c.AllocsPerOp != 0 {
-		t.Fatalf("steady-state wildcard classify allocates %v/op", c.AllocsPerOp)
-	}
-	buf, err := json.Marshal(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys map[string]any
-	if err := json.Unmarshal(buf, &keys); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"shards", "pairs", "non_exact", "wild_frac", "pps", "scan_pps", "allocs_per_op"} {
-		if _, ok := keys[k]; !ok {
-			t.Fatalf("wildcard cell JSON lacks %q: %s", k, buf)
-		}
-	}
-}
-
-func TestParseGoroutines(t *testing.T) {
-	got, err := parseGoroutines("1, 2,8")
-	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 8 {
-		t.Fatalf("parseGoroutines = %v, %v", got, err)
-	}
-	for _, bad := range []string{"", "0", "x", "1,,2"} {
-		if _, err := parseGoroutines(bad); err == nil {
-			t.Fatalf("parseGoroutines(%q) accepted", bad)
-		}
-	}
-}
-
-// TestRegressionFailures exercises the gate logic on synthetic sweeps:
-// uniform slowdowns beyond tolerance fail at the affected goroutine
-// count, single-cell noise passes, and new steady-state allocations
-// fail regardless of throughput.
-func TestRegressionFailures(t *testing.T) {
-	mk := func(g int, pps, allocs float64) dataplaneResult {
-		return dataplaneResult{Shards: 4, Filters: 4096, Mix: "mixed", Goroutines: g, PPS: pps, AllocsPerOp: allocs}
-	}
-	baseline := []dataplaneResult{mk(1, 10e6, 0), mk(8, 30e6, 0)}
-
-	if fails, n, _ := regressionFailures(baseline, []dataplaneResult{mk(1, 9e6, 0), mk(8, 28e6, 0)}, 0.30, false); len(fails) != 0 || n != 2 {
-		t.Fatalf("small wobble failed (%d matched): %v", n, fails)
-	}
-	fails, _, _ := regressionFailures(baseline, []dataplaneResult{mk(1, 10e6, 0), mk(8, 12e6, 0)}, 0.30, false)
-	if len(fails) != 1 {
-		t.Fatalf("multi-goroutine collapse not caught: %v", fails)
-	}
-	fails, _, _ = regressionFailures(baseline, []dataplaneResult{mk(1, 5e6, 0), mk(8, 30e6, 0)}, 0.30, false)
-	if len(fails) != 1 {
-		t.Fatalf("single-goroutine collapse not caught: %v", fails)
-	}
-	fails, _, _ = regressionFailures(baseline, []dataplaneResult{mk(1, 10e6, 2), mk(8, 30e6, 0)}, 0.30, false)
-	if len(fails) != 1 {
-		t.Fatalf("alloc regression not caught: %v", fails)
-	}
-
-	// A sweep disjoint from the baseline must fail loudly, not pass
-	// vacuously.
-	disjoint := []dataplaneResult{{Shards: 2, Filters: 512, Mix: "hit", Goroutines: 3, PPS: 1e6}}
-	if fails, n, _ := regressionFailures(baseline, disjoint, 0.30, false); len(fails) != 1 || n != 0 {
-		t.Fatalf("disjoint sweep not rejected (%d matched): %v", n, fails)
-	}
-
-	// One alloc regression shared by several goroutine rows of the same
-	// (shards,filters,mix) cell reports once, not per row.
-	allocBase := []dataplaneResult{mk(1, 10e6, 0), mk(2, 20e6, 0), mk(8, 30e6, 0)}
-	allocMeas := []dataplaneResult{mk(1, 10e6, 2), mk(2, 20e6, 2), mk(8, 30e6, 2)}
-	if fails, _, _ := regressionFailures(allocBase, allocMeas, 0.30, false); len(fails) != 1 {
-		t.Fatalf("alloc regression not deduped across goroutine rows: %v", fails)
-	}
-
-	// Normalized mode: a uniformly slower machine passes, but a
-	// goroutine-count-relative collapse (the reintroduced-lock shape)
-	// still fails, and so does an alloc regression.
-	uniformSlow := []dataplaneResult{mk(1, 4e6, 0), mk(8, 12e6, 0)} // 2.5x slower runner
-	if fails, _, norm := regressionFailures(baseline, uniformSlow, 0.30, true); len(fails) != 0 {
-		t.Fatalf("uniformly slower machine failed normalized gate: %v", fails)
-	} else if norm < 0.39 || norm > 0.41 {
-		// The returned normalizer feeds the wildcard gate; 2.5x slower
-		// machine => geomean ratio 0.4.
-		t.Fatalf("norm = %v, want ~0.4", norm)
-	}
-	if _, _, norm := regressionFailures(baseline, uniformSlow, 0.30, false); norm != 1 {
-		t.Fatalf("unnormalized gate must return norm 1, got %v", norm)
-	}
-	if fails, _, _ := regressionFailures(baseline, uniformSlow, 0.30, false); len(fails) == 0 {
-		t.Fatal("absolute gate should fail on a 2.5x slower machine")
-	}
-	// A multi-core runner scaling well against a flat single-core
-	// baseline must NOT fail at goroutines=1: normalization never
-	// divides by a geomean above 1.
-	multicore := []dataplaneResult{mk(1, 10e6, 0), mk(8, 100e6, 0)} // flat baseline, 3.3x scaling
-	if fails, _, _ := regressionFailures(baseline, multicore, 0.30, true); len(fails) != 0 {
-		t.Fatalf("healthy multi-core scaling failed normalized gate: %v", fails)
-	}
-	collapsed := []dataplaneResult{mk(1, 5e6, 0), mk(8, 3e6, 0)} // 8-gor collapsed to 0.2x while 1-gor is 0.5x
-	if fails, _, _ := regressionFailures(baseline, collapsed, 0.30, true); len(fails) != 1 {
-		t.Fatalf("normalized gate missed scaling collapse: %v", fails)
-	}
-	if fails, _, _ := regressionFailures(baseline, []dataplaneResult{mk(1, 10e6, 3), mk(8, 30e6, 0)}, 0.30, true); len(fails) != 1 {
-		t.Fatalf("normalized gate missed alloc regression: %v", fails)
-	}
-	// Noise resistance: with several cells per goroutine count, one bad
-	// cell must not fail the geomean gate.
-	base := []dataplaneResult{}
-	meas := []dataplaneResult{}
-	for i, f := range []int{1024, 4096, 65536} {
-		c := mk(1, 10e6, 0)
-		c.Filters = f
-		base = append(base, c)
-		m := c
-		if i == 0 {
-			m.PPS = 6e6 // one noisy cell, 40% down
-		}
-		meas = append(meas, m)
-	}
-	if fails, _, _ := regressionFailures(base, meas, 0.30, false); len(fails) != 0 {
-		t.Fatalf("one noisy cell failed the gate: %v", fails)
-	}
-}
-
-// TestDetectSweepProducesCells runs one tiny detection cell end to end.
-func TestDetectSweepProducesCells(t *testing.T) {
-	spec := detectSweepSpec{
-		geoms:     []struct{ width, depth int }{{256, 2}},
-		topk:      32,
-		attackers: []int{8},
-	}
-	cells := detectSweep(spec, 5*time.Millisecond)
-	if len(cells) != 1 {
-		t.Fatalf("got %d cells", len(cells))
-	}
-	c := cells[0]
-	if c.PPS <= 0 {
-		t.Fatalf("cell not measured: %+v", c)
-	}
-	if c.AllocsPerOp != 0 {
-		t.Fatalf("steady-state Observe allocates %v/op", c.AllocsPerOp)
-	}
-	buf, err := json.Marshal(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys map[string]any
-	if err := json.Unmarshal(buf, &keys); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"width", "depth", "topk", "attackers", "pps", "allocs_per_op"} {
-		if _, ok := keys[k]; !ok {
-			t.Fatalf("detect cell JSON lacks %q: %s", k, buf)
-		}
-	}
-}
-
-// TestDetectRegressionFailures exercises the detection gate: uniform
-// collapses fail, the machine-speed normalizer excuses a slow runner,
-// allocation regressions always fail, and a disjoint sweep fails
-// loudly instead of passing vacuously.
-func TestDetectRegressionFailures(t *testing.T) {
-	mk := func(width, att int, pps, allocs float64) detectResult {
-		return detectResult{Width: width, Depth: 4, TopK: 128, Attackers: att, PPS: pps, AllocsPerOp: allocs}
-	}
-	baseline := []detectResult{mk(1024, 4, 20e6, 0), mk(4096, 64, 15e6, 0)}
-
-	if fails, n := detectRegressionFailures(baseline,
-		[]detectResult{mk(1024, 4, 18e6, 0), mk(4096, 64, 14e6, 0)}, 0.30, 1); len(fails) != 0 || n != 2 {
-		t.Fatalf("small wobble failed (%d matched): %v", n, fails)
-	}
-	if fails, _ := detectRegressionFailures(baseline,
-		[]detectResult{mk(1024, 4, 8e6, 0), mk(4096, 64, 6e6, 0)}, 0.30, 1); len(fails) != 1 {
-		t.Fatalf("uniform collapse not caught: %v", fails)
-	}
-	// A uniformly slower machine passes via the carried normalizer...
-	if fails, _ := detectRegressionFailures(baseline,
-		[]detectResult{mk(1024, 4, 8e6, 0), mk(4096, 64, 6e6, 0)}, 0.30, 0.4); len(fails) != 0 {
-		t.Fatalf("normalizer not applied: %v", fails)
-	}
-	// ...but allocations always fail.
-	if fails, _ := detectRegressionFailures(baseline,
-		[]detectResult{mk(1024, 4, 20e6, 3), mk(4096, 64, 15e6, 0)}, 0.30, 1); len(fails) != 1 {
-		t.Fatalf("alloc regression not caught: %v", fails)
-	}
-	if fails, n := detectRegressionFailures(baseline,
-		[]detectResult{mk(512, 2, 1e6, 0)}, 0.30, 1); len(fails) != 1 || n != 0 {
-		t.Fatalf("disjoint sweep not rejected: %v", fails)
-	}
-}
-
-// TestInstrumentedSweepProducesCells: the overhead sweep measures both
-// legs of each cell, keeps the instrumented steady state at 0
-// allocs/op, and leaves a live registry behind for -metrics-json.
-func TestInstrumentedSweepProducesCells(t *testing.T) {
-	spec := sweepSpec{shards: []int{1}, filters: []int{1024},
-		mixes: []string{"mixed"}, goroutines: []int{1}}
-	cells, reg := instrumentedSweep(spec, 5*time.Millisecond)
-	if len(cells) != 1 {
-		t.Fatalf("got %d cells, want 1", len(cells))
-	}
-	c := cells[0]
-	if c.PPS <= 0 || c.BasePPS <= 0 {
-		t.Fatalf("cell missing a leg: %+v", c)
-	}
-	if c.AllocsPerOp != 0 {
-		t.Fatalf("instrumented steady state allocates %v/op, want 0", c.AllocsPerOp)
-	}
-	if reg == nil {
-		t.Fatal("no registry returned")
-	}
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	expo := buf.String()
-	if err := obs.CheckExposition(expo); err != nil {
-		t.Fatalf("registry exposition invalid: %v", err)
-	}
-	for _, want := range []string{"aitf_dataplane_classified_total", "aitf_dataplane_batch_size_count"} {
-		if !strings.Contains(expo, want) {
-			t.Fatalf("registry lacks %s after the sweep:\n%s", want, expo)
-		}
-	}
-}
-
-// TestInstrumentedOverheadFailures exercises the in-run gate: within
-// tolerance passes, a collapse fails, and instrumented allocations
-// fail regardless of throughput.
-func TestInstrumentedOverheadFailures(t *testing.T) {
-	mk := func(pps, base, allocs float64) instrumentedResult {
-		return instrumentedResult{Shards: 4, Filters: 4096, Mix: "mixed",
-			Goroutines: 1, PPS: pps, BasePPS: base, AllocsPerOp: allocs}
-	}
-	if fails := instrumentedOverheadFailures(
-		[]instrumentedResult{mk(0.97e6, 1e6, 0), mk(0.99e6, 1e6, 0)}, 0.05); len(fails) != 0 {
-		t.Fatalf("2%% overhead failed the 5%% gate: %v", fails)
-	}
-	if fails := instrumentedOverheadFailures(
-		[]instrumentedResult{mk(0.80e6, 1e6, 0)}, 0.05); len(fails) != 1 {
-		t.Fatalf("20%% overhead passed the 5%% gate: %v", fails)
-	}
-	if fails := instrumentedOverheadFailures(
-		[]instrumentedResult{mk(1e6, 1e6, 2)}, 0.05); len(fails) != 1 {
-		t.Fatalf("instrumented allocations passed: %v", fails)
-	}
-	if fails := instrumentedOverheadFailures(nil, 0.05); len(fails) != 1 {
-		t.Fatalf("empty sweep passed: %v", fails)
-	}
-}
-
-// TestWriteMetricsJSON: the snapshot file is the /metrics.json shape.
-func TestWriteMetricsJSON(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("aitf_test_total", "test").Add(7)
-	path := filepath.Join(t.TempDir(), "m.json")
-	if err := writeMetricsJSON(path, reg); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snaps []map[string]any
-	if err := json.Unmarshal(raw, &snaps); err != nil {
-		t.Fatalf("snapshot not JSON: %v\n%s", err, raw)
-	}
-	if len(snaps) != 1 || snaps[0]["name"] != "aitf_test_total" || snaps[0]["value"] != 7.0 {
-		t.Fatalf("snapshot wrong: %s", raw)
-	}
-	if err := writeMetricsJSON(path, nil); err == nil {
-		t.Fatal("nil registry accepted")
-	}
-}
-
-// TestAllocRegressionFailures exercises the collateral-allocation gate:
-// identical deterministic cells pass, any byte drift from the baseline
-// fails, and losing the allocator's collateral win fails even when the
-// baseline agrees.
-func TestAllocRegressionFailures(t *testing.T) {
-	fixed := experiments.AllocCell{Policy: "fixed24", Attackers: 12, FilterCapacity: 4,
-		AttackBytes: 100, LegitBytes: 50, Aggregations: 2, CollateralAddrs: 500, CollateralBytes: 40}
-	alloced := experiments.AllocCell{Policy: "alloc", Attackers: 12, FilterCapacity: 4,
-		AttackBytes: 100, LegitBytes: 80, Aggregations: 2, CollateralAddrs: 20, CollateralBytes: 10}
-	base := []experiments.AllocCell{fixed, alloced}
-
-	if fails, matched := allocRegressionFailures(base, base); len(fails) != 0 || matched != 2 {
-		t.Fatalf("identical cells failed: %v (matched %d)", fails, matched)
-	}
-	// The simulator is deterministic: any drift from the committed
-	// baseline is a behavior change and must fail.
-	drift := []experiments.AllocCell{fixed, alloced}
-	drift[1].LegitBytes++
-	if fails, _ := allocRegressionFailures(base, drift); len(fails) == 0 {
-		t.Fatal("baseline drift passed")
-	}
-	// Losing the collateral win fails even with a matching baseline.
-	tied := alloced
-	tied.LegitBytes = fixed.LegitBytes
-	tiedSet := []experiments.AllocCell{fixed, tied}
-	if fails, _ := allocRegressionFailures(tiedSet, tiedSet); len(fails) == 0 {
-		t.Fatal("lost collateral win passed")
-	}
-	// So does regressed attack suppression or covered-addr collateral.
-	worse := alloced
-	worse.AttackBytes = fixed.AttackBytes + 1
-	worseSet := []experiments.AllocCell{fixed, worse}
-	if fails, _ := allocRegressionFailures(worseSet, worseSet); len(fails) == 0 {
-		t.Fatal("attack-suppression regression passed")
-	}
-	cover := alloced
-	cover.CollateralAddrs = fixed.CollateralAddrs
-	coverSet := []experiments.AllocCell{fixed, cover}
-	if fails, _ := allocRegressionFailures(coverSet, coverSet); len(fails) == 0 {
-		t.Fatal("covered-addr regression passed")
-	}
-	// A sweep missing a policy cell fails loudly.
-	if fails, matched := allocRegressionFailures(base, base[:1]); len(fails) == 0 || matched != 0 {
-		t.Fatalf("missing cell: fails=%v matched=%d", fails, matched)
-	}
-	// So does a baseline that matches nothing (stale trend file).
-	if fails, matched := allocRegressionFailures(nil, base); len(fails) == 0 || matched != 0 {
-		t.Fatalf("empty baseline: fails=%v matched=%d", fails, matched)
 	}
 }

@@ -273,42 +273,7 @@ func candLess(a, b Candidate) bool {
 	if a.Aggregate.SrcPrefixLen != b.Aggregate.SrcPrefixLen {
 		return a.Aggregate.SrcPrefixLen > b.Aggregate.SrcPrefixLen
 	}
-	return labelLess(a.Aggregate, b.Aggregate)
-}
-
-// overlaps reports whether two aggregate labels cover overlapping flow
-// space (same destination, nested source prefixes) — installing both
-// would double-spend slots on the same offenders.
-func overlaps(a, b flow.Label) bool {
-	return a.Dst == b.Dst && (a.Covers(b) || b.Covers(a))
-}
-
-// labelLess is a deterministic, allocation-free total order over
-// labels (alloc's copy of filter.labelLess; both run on the
-// table-pressure path where formatting per comparison is too dear).
-func labelLess(a, b flow.Label) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	if a.SrcPrefixLen != b.SrcPrefixLen {
-		return a.SrcPrefixLen < b.SrcPrefixLen
-	}
-	if a.DstPrefixLen != b.DstPrefixLen {
-		return a.DstPrefixLen < b.DstPrefixLen
-	}
-	if a.Proto != b.Proto {
-		return a.Proto < b.Proto
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Wildcards < b.Wildcards
+	return filter.LabelLess(a.Aggregate, b.Aggregate)
 }
 
 // DetectTraffic adapts a detect.Engine into the allocator's Traffic

@@ -141,6 +141,13 @@ func TestChooseSpansLengths(t *testing.T) {
 	}
 }
 
+// overlaps reports whether two aggregate labels cover overlapping flow
+// space (same destination, nested source prefixes) — installing both
+// would double-spend slots on the same offenders.
+func overlaps(a, b flow.Label) bool {
+	return a.Dst == b.Dst && (a.Covers(b) || b.Covers(a))
+}
+
 // TestChooseOverlapIsAbsorption: picks may nest only in apply order —
 // a later, wider pick must list the earlier aggregate among its
 // children (the table folds it like any entry, refunding its slot), so

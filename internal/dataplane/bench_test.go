@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"aitf/internal/flow"
+	"aitf/internal/obs"
 )
 
 const benchBatchSize = 64
@@ -21,18 +22,14 @@ const benchBatchSize = 64
 // metric is the aggregate across that worker count (clamped in speedup
 // only by GOMAXPROCS, not by the engine).
 func BenchmarkDataplaneThroughput(b *testing.B) {
-	mixes := []struct {
-		name string
-		frac float64
-	}{{"hit", 1}, {"miss", 0}, {"mixed", 0.5}}
 	for _, shards := range []int{1, 4, 8} {
 		for _, filters := range []int{1024, 4096, 65536} {
-			for _, mix := range mixes {
+			for _, mix := range workloadMixes {
 				for _, goroutines := range []int{1, 2, 4, 8} {
 					name := fmt.Sprintf("shards=%d/filters=%d/mix=%s/goroutines=%d",
 						shards, filters, mix.name, goroutines)
 					b.Run(name, func(b *testing.B) {
-						e := WorkloadEngine(shards, filters)
+						e := workloadEngine(shards, filters)
 						b.ReportAllocs()
 						b.ResetTimer()
 						var wg sync.WaitGroup
@@ -47,7 +44,7 @@ func BenchmarkDataplaneThroughput(b *testing.B) {
 							go func(seed int64, n int) {
 								defer wg.Done()
 								rng := rand.New(rand.NewSource(seed + 42))
-								batch := WorkloadBatch(rng, filters, benchBatchSize, mix.frac)
+								batch := workloadBatch(rng, filters, benchBatchSize, mix.frac)
 								verdicts := make([]Verdict, 0, benchBatchSize)
 								for i := 0; i < n; i++ {
 									verdicts = e.ClassifyInto(batch, verdicts)
@@ -66,6 +63,41 @@ func BenchmarkDataplaneThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkDataplaneInstrumented prices live metrics on the hot path:
+// the same mixed workload classified by an uninstrumented engine and by
+// one carrying the full obs registry (classified counter and batch-size
+// histogram). Compare the two sub-benchmarks' pps from one run; the
+// instrumented leg must also report 0 allocs/op.
+func BenchmarkDataplaneInstrumented(b *testing.B) {
+	for _, instrumented := range []bool{false, true} {
+		leg := "bare"
+		if instrumented {
+			leg = "instrumented"
+		}
+		for _, filters := range []int{4096, 65536} {
+			b.Run(fmt.Sprintf("%s/filters=%d", leg, filters), func(b *testing.B) {
+				e := workloadEngine(4, filters)
+				if instrumented {
+					e.Instrument(obs.NewRegistry())
+				}
+				rng := rand.New(rand.NewSource(42))
+				batch := workloadBatch(rng, filters, benchBatchSize, 0.5)
+				verdicts := make([]Verdict, 0, benchBatchSize)
+				verdicts = e.ClassifyInto(batch, verdicts) // warm the scratch pool
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					verdicts = e.ClassifyInto(batch, verdicts)
+				}
+				b.StopTimer()
+				if s := b.Elapsed().Seconds(); s > 0 {
+					b.ReportMetric(float64(b.N)*benchBatchSize/s, "pps")
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkDataplaneWildcardThroughput is the indexed-match acceptance
 // family: batch classification over tables whose non-exact population
 // (source-/24 prefixes in the LPM trie plus dst-anchored wildcards in
@@ -79,9 +111,9 @@ func BenchmarkDataplaneWildcardThroughput(b *testing.B) {
 		for _, wildFrac := range []float64{0.5, 0.9} {
 			name := fmt.Sprintf("pairs=%d/nonexact=%d/wildfrac=%.1f", pairs, nonExact, wildFrac)
 			b.Run(name, func(b *testing.B) {
-				e := WildcardWorkloadEngine(4, pairs, nonExact)
+				e := wildcardWorkloadEngine(4, pairs, nonExact)
 				rng := rand.New(rand.NewSource(21))
-				batch := WildcardWorkloadBatch(rng, pairs, nonExact, benchBatchSize, wildFrac)
+				batch := wildcardWorkloadBatch(rng, pairs, nonExact, benchBatchSize, wildFrac)
 				verdicts := make([]Verdict, 0, benchBatchSize)
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -104,9 +136,9 @@ func BenchmarkDataplaneWildcardThroughput(b *testing.B) {
 // buys (the acceptance bar is ≥10x at 4k+ non-exact filters).
 func BenchmarkScanListBaseline(b *testing.B) {
 	const pairs, nonExact = 4096, 4096
-	labels := WildcardWorkloadLabels(nonExact)
+	labels := wildcardWorkloadLabels(nonExact)
 	rng := rand.New(rand.NewSource(21))
-	batch := WildcardWorkloadBatch(rng, pairs, nonExact, benchBatchSize, 0.5)
+	batch := wildcardWorkloadBatch(rng, pairs, nonExact, benchBatchSize, 0.5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	matched := 0
@@ -133,14 +165,14 @@ func BenchmarkScanListBaseline(b *testing.B) {
 func BenchmarkDataplaneSinglePacket(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			e := WorkloadEngine(shards, 4096)
+			e := workloadEngine(shards, 4096)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var worker int64
 			b.RunParallel(func(pb *testing.PB) {
 				rng := rand.New(rand.NewSource(worker + 7))
 				worker++
-				batch := WorkloadBatch(rng, 4096, 256, 0.5)
+				batch := workloadBatch(rng, 4096, 256, 0.5)
 				i := 0
 				for pb.Next() {
 					p := batch[i%len(batch)]
@@ -159,7 +191,7 @@ func BenchmarkDataplaneSinglePacket(b *testing.B) {
 // BenchmarkDataplaneInstallChurn measures the control plane: installs
 // and expiry racing classification.
 func BenchmarkDataplaneInstallChurn(b *testing.B) {
-	e := WorkloadEngine(4, 1024)
+	e := workloadEngine(4, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := flow.MakeAddr(10, 99, byte(i>>8), byte(i))

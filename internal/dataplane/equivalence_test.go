@@ -622,31 +622,35 @@ func TestClassifySteadyStateZeroAlloc(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.GC()
 
-	measure := func(name string, e *Engine, batch []*packet.Packet) {
-		verdicts := make([]Verdict, 0, len(batch))
-		verdicts = e.ClassifyInto(batch, verdicts) // warm the scratch pool
+	// measure runs one table shape as a subtest of t, so each shape
+	// passes or fails under its own name.
+	measure := func(t *testing.T, name string, e *Engine, batch []*packet.Packet) {
+		t.Run(name, func(t *testing.T) {
+			verdicts := make([]Verdict, 0, len(batch))
+			verdicts = e.ClassifyInto(batch, verdicts) // warm the scratch pool
 
-		if allocs := testing.AllocsPerRun(200, func() {
-			verdicts = e.ClassifyInto(batch, verdicts)
-		}); allocs != 0 {
-			t.Fatalf("%s: ClassifyInto allocates %v/op at steady state, want 0", name, allocs)
-		}
-		tup := batch[0].Tuple()
-		if allocs := testing.AllocsPerRun(200, func() {
-			e.ClassifyTuple(tup, 512)
-		}); allocs != 0 {
-			t.Fatalf("%s: ClassifyTuple allocates %v/op at steady state, want 0", name, allocs)
-		}
+			if allocs := testing.AllocsPerRun(200, func() {
+				verdicts = e.ClassifyInto(batch, verdicts)
+			}); allocs != 0 {
+				t.Fatalf("ClassifyInto allocates %v/op at steady state, want 0", allocs)
+			}
+			tup := batch[0].Tuple()
+			if allocs := testing.AllocsPerRun(200, func() {
+				e.ClassifyTuple(tup, 512)
+			}); allocs != 0 {
+				t.Fatalf("ClassifyTuple allocates %v/op at steady state, want 0", allocs)
+			}
+		})
 	}
 
 	rng := rand.New(rand.NewSource(7))
-	e := WorkloadEngine(4, 4096)
-	measure("pairs", e, WorkloadBatch(rng, 4096, 64, 0.5))
+	e := workloadEngine(4, 4096)
+	measure(t, "pairs", e, workloadBatch(rng, 4096, 64, 0.5))
 
 	// Wildcard/prefix-heavy: as many coarse filters as pairs, half the
 	// traffic matching them, so every packet runs the full hierarchy.
-	we := WildcardWorkloadEngine(4, 2048, 4096)
-	measure("wildcard", we, WildcardWorkloadBatch(rng, 2048, 4096, 64, 0.5))
+	we := wildcardWorkloadEngine(4, 2048, 4096)
+	measure(t, "wildcard", we, wildcardWorkloadBatch(rng, 2048, 4096, 64, 0.5))
 
 	// A prefix filter drop specifically (trie-matched verdict).
 	psrc, pdst := workloadPrefixLabel(0)
@@ -689,11 +693,11 @@ func TestClassifySteadyStateZeroAlloc(t *testing.T) {
 	// counter + batch-size histogram live), the hot paths must still
 	// allocate nothing — instrumentation that costs allocations would
 	// be turned off in production, defeating its purpose.
-	ie := WorkloadEngine(4, 4096)
+	ie := workloadEngine(4, 4096)
 	reg := obs.NewRegistry()
 	ie.Instrument(reg)
 	before := ie.Classified()
-	measure("instrumented", ie, WorkloadBatch(rng, 4096, 64, 0.5))
+	measure(t, "instrumented", ie, workloadBatch(rng, 4096, 64, 0.5))
 	if ie.Classified() <= before {
 		t.Fatal("instrumented engine did not advance aitf_dataplane_classified_total")
 	}
@@ -704,5 +708,28 @@ func TestClassifySteadyStateZeroAlloc(t *testing.T) {
 	if !strings.Contains(sb.String(), "aitf_dataplane_classified_total") ||
 		!strings.Contains(sb.String(), "aitf_dataplane_batch_size_count") {
 		t.Fatalf("instrumented exposition missing dataplane metrics:\n%s", sb.String())
+	}
+
+	// Every table shape the throughput benchmarks measure: pair tables
+	// by shard count, size and traffic mix, and the large wildcard
+	// tables by coarse-traffic fraction. GC is paused, so collect the
+	// previous shape's engine before building the next.
+	for _, shards := range []int{1, 4, 8} {
+		for _, filters := range []int{1024, 4096, 65536} {
+			runtime.GC()
+			pe := workloadEngine(shards, filters)
+			for _, mix := range workloadMixes {
+				measure(t, fmt.Sprintf("shards=%d/filters=%d/mix=%s", shards, filters, mix.name),
+					pe, workloadBatch(rng, filters, 64, mix.frac))
+			}
+		}
+	}
+	for _, nonExact := range []int{4096, 65536} {
+		runtime.GC()
+		wide := wildcardWorkloadEngine(4, 4096, nonExact)
+		for _, wildFrac := range []float64{0.5, 0.9} {
+			measure(t, fmt.Sprintf("pairs=4096/nonexact=%d/wildfrac=%.1f", nonExact, wildFrac),
+				wide, wildcardWorkloadBatch(rng, 4096, nonExact, 64, wildFrac))
+		}
 	}
 }

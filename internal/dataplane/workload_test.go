@@ -9,10 +9,9 @@ import (
 	"aitf/internal/packet"
 )
 
-// This file defines the shared throughput workload used by both the
-// BenchmarkDataplaneThroughput family and cmd/aitf-bench's -json
-// sweep, so the JSON trend file always measures exactly the cells the
-// benchmark family reports.
+// This file defines the throughput workload shared by the
+// BenchmarkDataplane* families and the steady-state zero-alloc gate,
+// so the gate probes exactly the cells the benchmarks report.
 
 // steadyClock is a constant clock: workload measurements isolate
 // classification cost, not time arithmetic.
@@ -21,26 +20,23 @@ type steadyClock struct{}
 // Now implements Clock.
 func (steadyClock) Now() filter.Time { return time.Second }
 
-// SteadyClock returns a constant clock for workload measurements.
-func SteadyClock() Clock { return steadyClock{} }
-
 // workloadHitPair is the i-th installed (and thus hit) flow pair.
 func workloadHitPair(i int) (flow.Addr, flow.Addr) {
 	return flow.MakeAddr(10, byte(i>>16), byte(i>>8), byte(i)),
 		flow.MakeAddr(172, 16, byte(i>>8), byte(i))
 }
 
-// WorkloadEngine builds an engine preloaded with n pair filters over
+// workloadEngine builds an engine preloaded with n pair filters over
 // the canonical workload population, with a little capacity slack so
 // installs never reject.
-func WorkloadEngine(shards, filters int) *Engine {
+func workloadEngine(shards, filters int) *Engine {
 	e := New(Config{
 		Shards:         shards,
 		FilterCapacity: filters + 16,
 		ShadowCapacity: 1024,
 		Evict:          filter.RejectNew,
 		ShadowLookup:   true,
-		Clock:          SteadyClock(),
+		Clock:          steadyClock{},
 	})
 	for i := 0; i < filters; i++ {
 		src, dst := workloadHitPair(i)
@@ -51,10 +47,17 @@ func WorkloadEngine(shards, filters int) *Engine {
 	return e
 }
 
-// WorkloadBatch builds a classification batch drawing hitFrac of its
+// workloadMixes are the pair workload's traffic mixes, each the
+// fraction of a batch that hits an installed filter.
+var workloadMixes = []struct {
+	name string
+	frac float64
+}{{"hit", 1}, {"miss", 0}, {"mixed", 0.5}}
+
+// workloadBatch builds a classification batch drawing hitFrac of its
 // packets from the installed filter population and the rest from a
 // disjoint (always-miss) address range.
-func WorkloadBatch(rng *rand.Rand, filters, size int, hitFrac float64) []*packet.Packet {
+func workloadBatch(rng *rand.Rand, filters, size int, hitFrac float64) []*packet.Packet {
 	batch := make([]*packet.Packet, size)
 	for j := range batch {
 		if rng.Float64() < hitFrac {
@@ -84,12 +87,12 @@ func workloadWildDst(i int) flow.Addr {
 	return flow.MakeAddr(198, 48+byte(i>>16)&7, byte(i>>8), byte(i))
 }
 
-// WildcardWorkloadLabels returns the nonExact coarse labels the
+// wildcardWorkloadLabels returns the nonExact coarse labels the
 // wildcard workload installs, split evenly between source-/24 prefixes
 // (LPM trie shapes) and dst-anchored wildcards (secondary index
-// shapes). Exposed so scan-reference measurements can run the same
-// population through a naive matcher.
-func WildcardWorkloadLabels(nonExact int) []flow.Label {
+// shapes). The scan-list baseline runs the same population through a
+// naive matcher.
+func wildcardWorkloadLabels(nonExact int) []flow.Label {
 	out := make([]flow.Label, 0, nonExact)
 	for i := 0; i < nonExact; i++ {
 		if i%2 == 0 {
@@ -102,18 +105,18 @@ func WildcardWorkloadLabels(nonExact int) []flow.Label {
 	return out
 }
 
-// WildcardWorkloadEngine builds an engine preloaded with exact pair
-// filters plus the WildcardWorkloadLabels coarse population — the §IV
+// wildcardWorkloadEngine builds an engine preloaded with exact pair
+// filters plus the wildcardWorkloadLabels coarse population — the §IV
 // fallback shapes whose match cost the indexed path must keep
 // independent of nonExact.
-func WildcardWorkloadEngine(shards, pairs, nonExact int) *Engine {
+func wildcardWorkloadEngine(shards, pairs, nonExact int) *Engine {
 	e := New(Config{
 		Shards:         shards,
 		FilterCapacity: pairs + nonExact + 16,
 		ShadowCapacity: 1024,
 		Evict:          filter.RejectNew,
 		ShadowLookup:   true,
-		Clock:          SteadyClock(),
+		Clock:          steadyClock{},
 	})
 	for i := 0; i < pairs; i++ {
 		src, dst := workloadHitPair(i)
@@ -121,7 +124,7 @@ func WildcardWorkloadEngine(shards, pairs, nonExact int) *Engine {
 			panic(err)
 		}
 	}
-	for _, label := range WildcardWorkloadLabels(nonExact) {
+	for _, label := range wildcardWorkloadLabels(nonExact) {
 		if err := e.Install(label, 0, time.Hour); err != nil {
 			panic(err)
 		}
@@ -129,10 +132,10 @@ func WildcardWorkloadEngine(shards, pairs, nonExact int) *Engine {
 	return e
 }
 
-// WildcardWorkloadBatch builds a batch in which wildFrac of the packets
+// wildcardWorkloadBatch builds a batch in which wildFrac of the packets
 // hit the coarse (prefix/wildcard) filter population, and the rest
-// split between exact-pair hits and misses as WorkloadBatch does.
-func WildcardWorkloadBatch(rng *rand.Rand, pairs, nonExact, size int, wildFrac float64) []*packet.Packet {
+// split between exact-pair hits and misses as workloadBatch does.
+func wildcardWorkloadBatch(rng *rand.Rand, pairs, nonExact, size int, wildFrac float64) []*packet.Packet {
 	batch := make([]*packet.Packet, size)
 	for j := range batch {
 		if nonExact > 0 && rng.Float64() < wildFrac {

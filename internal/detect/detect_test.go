@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -259,29 +260,42 @@ func TestDeterminism(t *testing.T) {
 
 // TestObserveZeroAlloc: the steady-state batch observation path
 // performs zero heap allocations per call — the engine can run inside
-// the gateway's classification loop without feeding the GC.
+// the gateway's classification loop without feeding the GC. Besides
+// its own cell it probes every BenchmarkObserve cell (geometry ×
+// attacker count), since attacker count shapes the summary churn.
 func TestObserveZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocs/op is not meaningful under the race detector")
 	}
-	e := WorkloadEngine(1024, 4, 128)
-	rng := rand.New(rand.NewSource(5))
-	batch := WorkloadBatch(rng, 32, 64)
-	out := make([]Detection, 0, 64)
-	now := sim.Time(0)
-	// Warm: flag everything that will flag, populate every slab.
-	for i := 0; i < 200; i++ {
-		now += 500 * time.Microsecond
-		out = e.Observe(now, batch, out[:0])
+	type cell struct{ width, depth, attackers int }
+	cells := []cell{{1024, 4, 32}}
+	for _, g := range []struct{ width, depth int }{{1024, 2}, {1024, 4}, {4096, 4}} {
+		for _, attackers := range []int{4, 64, 1024} {
+			cells = append(cells, cell{g.width, g.depth, attackers})
+		}
 	}
-	// Whole allocations per call (testing.AllocsPerRun's integer
-	// average): the malloc count is process-wide, so a stray runtime
-	// allocation must not read as a fractional allocs/op.
-	if got := testing.AllocsPerRun(500, func() {
-		now += 500 * time.Microsecond
-		out = e.Observe(now, batch, out[:0])
-	}); got != 0 {
-		t.Fatalf("steady-state Observe allocates %v/op, want 0", got)
+	for _, c := range cells {
+		t.Run(fmt.Sprintf("%dx%d/attackers=%d", c.width, c.depth, c.attackers), func(t *testing.T) {
+			e := workloadEngine(c.width, c.depth, 128)
+			rng := rand.New(rand.NewSource(5))
+			batch := workloadBatch(rng, c.attackers, 64)
+			out := make([]Detection, 0, 64)
+			now := sim.Time(0)
+			// Warm: flag everything that will flag, populate every slab.
+			for i := 0; i < 200; i++ {
+				now += 500 * time.Microsecond
+				out = e.Observe(now, batch, out[:0])
+			}
+			// Whole allocations per call (testing.AllocsPerRun's integer
+			// average): the malloc count is process-wide, so a stray runtime
+			// allocation must not read as a fractional allocs/op.
+			if got := testing.AllocsPerRun(500, func() {
+				now += 500 * time.Microsecond
+				out = e.Observe(now, batch, out[:0])
+			}); got != 0 {
+				t.Fatalf("steady-state Observe allocates %v/op, want 0", got)
+			}
+		})
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 	"aitf/internal/packet"
 )
 
-// WorkloadEngine builds an engine sized for benchmarking: the given
+// workloadEngine builds an engine sized for benchmarking: the given
 // sketch geometry and heavy-hitter budget, a 50 kB/s threshold, and a
 // fixed seed so every measurement run sees identical hash layouts.
-func WorkloadEngine(width, depth, topk int) *Engine {
+func workloadEngine(width, depth, topk int) *Engine {
 	return New(Config{
 		Width:        width,
 		Depth:        depth,
@@ -20,13 +20,13 @@ func WorkloadEngine(width, depth, topk int) *Engine {
 	})
 }
 
-// WorkloadBatch builds one classification batch of the detection
+// workloadBatch builds one classification batch of the detection
 // benchmark's traffic model: attackers hot sources flooding a single
 // victim, interleaved with light background senders, all at 1 kB
 // payloads. Reusing the same batch across iterations measures the
-// steady-state observation path, exactly as dataplane.WorkloadBatch
-// does for classification.
-func WorkloadBatch(rng *rand.Rand, attackers, batchSize int) []*packet.Packet {
+// steady-state observation path, as the dataplane workload does for
+// classification.
+func workloadBatch(rng *rand.Rand, attackers, batchSize int) []*packet.Packet {
 	victim := flow.MakeAddr(10, 0, 0, 1)
 	out := make([]*packet.Packet, batchSize)
 	for i := range out {

@@ -97,9 +97,8 @@ func runAllocCell(policy *aitf.AllocationPolicy) AllocCell {
 }
 
 // AllocSweep runs the collateral contrast under both policies and
-// returns the two cells, fixed /24 first. cmd/aitf-bench embeds the
-// cells in BENCH_dataplane.json and gates them under -regress; the
-// simulator's determinism makes the gate byte-exact.
+// returns the two cells, fixed /24 first. The simulator runs in virtual
+// time, so TestE15AllocSweep pins both cells byte for byte.
 func AllocSweep() []AllocCell {
 	return []AllocCell{
 		runAllocCell(nil),

@@ -1,8 +1,9 @@
 // Package experiments regenerates every quantity in the paper's
 // evaluation (Section IV and the Figure-1 walk-through), one driver per
 // experiment. Each driver builds its workload on the simulator, runs
-// it, and renders paper-vs-measured tables. The drivers are invoked by
-// cmd/aitf-bench, by the top-level benchmark suite, and by tests.
+// it, and renders paper-vs-measured tables. cmd/aitf-bench renders
+// them; the top-level Go benchmarks (bench_test.go) and the tests run
+// them too.
 package experiments
 
 import (

@@ -297,32 +297,52 @@ func TestE13DetectionLatency(t *testing.T) {
 // TestE15AllocSweep pins the collateral-contrast cells: both policies
 // aggregate under pressure, and the allocator delivers strictly more
 // legit bytes at equal-or-better attack suppression with strictly
-// lower covered-address collateral.
+// lower covered-address collateral; and each cell is exactly the value
+// the deterministic simulator has always produced.
 func TestE15AllocSweep(t *testing.T) {
 	cells := AllocSweep()
 	if len(cells) != 2 || cells[0].Policy != "fixed24" || cells[1].Policy != "alloc" {
 		t.Fatalf("sweep shape: %+v", cells)
 	}
 	fixed, alloc := cells[0], cells[1]
-	if fixed.Aggregations == 0 || alloc.Aggregations == 0 {
-		t.Fatalf("pressure did not force aggregation: %+v", cells)
-	}
-	if alloc.LegitBytes <= fixed.LegitBytes {
-		t.Fatalf("allocator delivered %d legit B vs fixed %d — no collateral win",
-			alloc.LegitBytes, fixed.LegitBytes)
-	}
-	if alloc.AttackBytes > fixed.AttackBytes {
-		t.Fatalf("allocator let through %d attack B vs fixed %d",
-			alloc.AttackBytes, fixed.AttackBytes)
-	}
-	if alloc.CollateralAddrs >= fixed.CollateralAddrs {
-		t.Fatalf("allocator covered-addr collateral %d not below fixed %d",
-			alloc.CollateralAddrs, fixed.CollateralAddrs)
-	}
-	if alloc.CollateralBytes >= fixed.CollateralBytes {
-		t.Fatalf("allocator estimated collateral %d B not below fixed %d B",
-			alloc.CollateralBytes, fixed.CollateralBytes)
-	}
+	t.Run("collateral-win", func(t *testing.T) {
+		if fixed.Aggregations == 0 || alloc.Aggregations == 0 {
+			t.Fatalf("pressure did not force aggregation: %+v", cells)
+		}
+		if alloc.LegitBytes <= fixed.LegitBytes {
+			t.Fatalf("allocator delivered %d legit B vs fixed %d — no collateral win",
+				alloc.LegitBytes, fixed.LegitBytes)
+		}
+		if alloc.AttackBytes > fixed.AttackBytes {
+			t.Fatalf("allocator let through %d attack B vs fixed %d",
+				alloc.AttackBytes, fixed.AttackBytes)
+		}
+		if alloc.CollateralAddrs >= fixed.CollateralAddrs {
+			t.Fatalf("allocator covered-addr collateral %d not below fixed %d",
+				alloc.CollateralAddrs, fixed.CollateralAddrs)
+		}
+		if alloc.CollateralBytes >= fixed.CollateralBytes {
+			t.Fatalf("allocator estimated collateral %d B not below fixed %d B",
+				alloc.CollateralBytes, fixed.CollateralBytes)
+		}
+	})
+	// The simulator is deterministic, so both cells are pinned whole: any
+	// drift anywhere in the detect→alloc→dataplane chain moves a byte.
+	// An intended behaviour change updates these values and explains
+	// each one that moved.
+	t.Run("pinned", func(t *testing.T) {
+		want := []AllocCell{
+			{Policy: "fixed24", Attackers: 12, FilterCapacity: 4, AttackBytes: 142000, LegitBytes: 131000,
+				Aggregations: 2, CollateralAddrs: 504, CollateralBytes: 55000},
+			{Policy: "alloc", Attackers: 12, FilterCapacity: 4, AttackBytes: 142000, LegitBytes: 149000,
+				Aggregations: 2, CollateralAddrs: 24, CollateralBytes: 54000},
+		}
+		for i := range want {
+			if cells[i] != want[i] {
+				t.Errorf("cell %q drifted:\n got  %+v\n want %+v", want[i].Policy, cells[i], want[i])
+			}
+		}
+	})
 }
 
 // TestE16ResilienceHoldsInvariants: every operating point in the

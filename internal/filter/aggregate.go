@@ -101,7 +101,7 @@ func SiblingGroups(entries []Entry, prefixLen uint8, minChildren int) []SiblingG
 			if members[i].ExpiresAt != members[j].ExpiresAt {
 				return members[i].ExpiresAt < members[j].ExpiresAt
 			}
-			return labelLess(members[i].Label, members[j].Label)
+			return LabelLess(members[i].Label, members[j].Label)
 		})
 		g := SiblingGroup{
 			Aggregate: flow.SrcPrefixLabel(k.src, prefixLen, k.dst),
@@ -114,16 +114,17 @@ func SiblingGroups(entries []Entry, prefixLen uint8, minChildren int) []SiblingG
 		if len(out[i].Children) != len(out[j].Children) {
 			return len(out[i].Children) > len(out[j].Children)
 		}
-		return labelLess(out[i].Aggregate, out[j].Aggregate)
+		return LabelLess(out[i].Aggregate, out[j].Aggregate)
 	})
 	return out
 }
 
-// labelLess is a total order over labels for deterministic tie-breaks.
-// Both SiblingGroups sorts run exactly when the gateway is out of
-// wire-speed filters, so the comparison must not format strings (or
-// allocate at all) per call the way Label.String() ordering did.
-func labelLess(a, b flow.Label) bool {
+// LabelLess is a total order over labels for deterministic tie-breaks.
+// The SiblingGroups sorts and alloc's candidate ranking run exactly
+// when the gateway is out of wire-speed filters, so the comparison must
+// not format strings (or allocate at all) per call the way
+// Label.String() ordering did.
+func LabelLess(a, b flow.Label) bool {
 	if a.Src != b.Src {
 		return a.Src < b.Src
 	}

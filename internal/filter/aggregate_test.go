@@ -132,7 +132,7 @@ func TestLabelLessTotalOrder(t *testing.T) {
 	}
 	for i, a := range labels {
 		for j, b := range labels {
-			lt, gt := labelLess(a, b), labelLess(b, a)
+			lt, gt := LabelLess(a, b), LabelLess(b, a)
 			if lt && gt {
 				t.Fatalf("labels %d,%d ordered both ways", i, j)
 			}
@@ -146,10 +146,10 @@ func TestLabelLessTotalOrder(t *testing.T) {
 	}
 	a, b := labels[0], labels[3]
 	if allocs := testing.AllocsPerRun(1000, func() {
-		_ = labelLess(a, b)
-		_ = labelLess(b, a)
+		_ = LabelLess(a, b)
+		_ = LabelLess(b, a)
 	}); allocs != 0 {
-		t.Fatalf("labelLess allocates %v per run, want 0", allocs)
+		t.Fatalf("LabelLess allocates %v per run, want 0", allocs)
 	}
 }
 

@@ -110,7 +110,7 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 }
 
 // WriteJSON writes the snapshot as indented JSON (the /metrics.json and
-// -metrics-json representation).
+// aitf-scenario -metrics-json representation).
 func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

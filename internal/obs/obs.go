@@ -10,8 +10,8 @@
 // built for hot-path use: recording into a Counter or Histogram is one
 // to three uncontended atomic adds and never allocates, so the
 // data-plane classification loop can stay at 0 allocs/op with
-// instrumentation enabled (pinned by TestClassifySteadyStateZeroAlloc
-// and the aitf-bench -regress instrumented-overhead gate).
+// instrumentation enabled (pinned by TestClassifySteadyStateZeroAlloc;
+// BenchmarkDataplaneInstrumented measures the throughput cost).
 //
 // Two registration styles coexist:
 //

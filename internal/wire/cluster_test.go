@@ -16,7 +16,7 @@ import (
 )
 
 // clusterMetricNames is the aitf_cluster_* schema the admin endpoint
-// and the bench -metrics-json snapshot expose; renaming one breaks
+// and its /metrics.json snapshot expose; renaming one breaks
 // dashboards, so this list is the lock.
 var clusterMetricNames = []string{
 	"aitf_cluster_log_length",
@@ -229,7 +229,7 @@ func TestWireClusterMetricsSchema(t *testing.T) {
 		}
 	}
 	// The same names must survive the JSON snapshot (the /metrics.json
-	// and bench -metrics-json representation).
+	// representation).
 	buf.Reset()
 	if err := reg.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
