@@ -8,16 +8,21 @@ import (
 	"aitf/internal/flow"
 )
 
+// fixed24 is the one-rung /24 aggregation policy: with no traffic view
+// to price candidates, a full table coalesces the largest /24 group.
+var fixed24 = &AllocationPolicy{PrefixLens: []uint8{24}}
+
 // runFilterPressure floods a victim whose gateway holds only four
 // wire-speed filters with a dozen concurrent attacks (the §IV-B
 // starvation setup of TestConcurrentEscalationFilterPressure), with
-// aggregation enabled or disabled, and returns the deployment.
-func runFilterPressure(t *testing.T, aggregationPrefixLen int) *ManyToOneDeployment {
+// aggregation under policy (nil disables it), and returns the
+// deployment.
+func runFilterPressure(t *testing.T, policy *AllocationPolicy) *ManyToOneDeployment {
 	t.Helper()
 	const attackers = 12
 	opt := DefaultOptions()
 	opt.FilterCapacity = 4
-	opt.AggregationPrefixLen = aggregationPrefixLen
+	opt.Allocation = policy
 	dep := DeployManyToOne(ManyToOneOptions{
 		Options:   opt,
 		Attackers: attackers,
@@ -38,8 +43,8 @@ func runFilterPressure(t *testing.T, aggregationPrefixLen int) *ManyToOneDeploym
 // while the budget invariant still holds and the victim measurably
 // receives less attack traffic than under reject-only starvation.
 func TestAggregationBoundsFilterTablePressure(t *testing.T) {
-	baseline := runFilterPressure(t, 0)
-	aggregated := runFilterPressure(t, 24)
+	baseline := runFilterPressure(t, nil)
+	aggregated := runFilterPressure(t, fixed24)
 
 	st := aggregated.VictimGW.Stats()
 	if st.Aggregations == 0 || st.AggregatedChildren < 2 {
@@ -106,7 +111,7 @@ func TestSplitBackRespectsCapacityAndDeadlines(t *testing.T) {
 	const capacity = 3
 	opt := DefaultOptions()
 	opt.FilterCapacity = capacity
-	opt.AggregationPrefixLen = 24
+	opt.Allocation = fixed24
 	dep := DeployManyToOne(ManyToOneOptions{Options: opt, Attackers: 28})
 	for i, a := range dep.Attackers {
 		fl := dep.Flood(a, dep.Victim, 3e5)
@@ -172,11 +177,7 @@ func runCollateralContrast(t *testing.T, policy *AllocationPolicy) (legitBytes, 
 	t.Helper()
 	opt := DefaultOptions()
 	opt.FilterCapacity = 4
-	if policy != nil {
-		opt.Allocation = policy
-	} else {
-		opt.AggregationPrefixLen = 24
-	}
+	opt.Allocation = policy
 	dep = DeployManyToOne(ManyToOneOptions{Options: opt, Attackers: 16})
 	for i := 0; i < 12; i++ {
 		fl := dep.Flood(dep.Attackers[i], dep.Victim, 3e5)
@@ -207,7 +208,7 @@ func runCollateralContrast(t *testing.T, policy *AllocationPolicy) (legitBytes, 
 // suppression, because it covers the twelve /28 siblings without
 // touching the legit sender sharing their /24.
 func TestAllocatorSparesLegitSibling(t *testing.T) {
-	legitFixed, attackFixed, fixed := runCollateralContrast(t, nil)
+	legitFixed, attackFixed, fixed := runCollateralContrast(t, fixed24)
 	legitAlloc, attackAlloc, alloced := runCollateralContrast(t,
 		&AllocationPolicy{PrefixLens: []uint8{28, 26, 24}})
 

@@ -82,6 +82,7 @@ func TestStartRejectsBadConfigs(t *testing.T) {
 		"not json":         `{`,
 		"unknown role":     `{"role":"wizard","addr":"1.1.1.1"}`,
 		"negative workers": `{"role":"gateway","addr":"1.1.1.1","gateway":{"workers":-3}}`,
+		"fixed aggpfx":     `{"role":"gateway","addr":"1.1.1.1","gateway":{"aggregation_prefix_len":24}}`,
 		"negative shards":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"dataplane_shards":-1}}`,
 		"ttmp >= t":        `{"role":"gateway","addr":"1.1.1.1","gateway":{"t_ms":100,"ttmp_ms":200}}`,
 		"one peer":         `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_peers":1}}`,

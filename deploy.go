@@ -55,16 +55,14 @@ type Options struct {
 	// DataplaneShards partitions each gateway's classification engine;
 	// 0 keeps one shard (ideal for the single-threaded simulator).
 	DataplaneShards int
-	// AggregationPrefixLen enables the §IV fallback to coarser filters
-	// at every gateway: under filter-table pressure, sibling filters
-	// sharing a destination and a source /N coalesce into one covering
-	// prefix filter (split back on relief). 0 disables aggregation.
-	AggregationPrefixLen int
-	// Allocation, when non-nil, replaces the fixed AggregationPrefixLen
-	// trigger at every gateway with the collateral-aware allocator
-	// (internal/alloc): candidate prefixes at multiple lengths, priced
-	// in estimated collateral legit bytes, chosen by greedy weighted
-	// set-cover and refined each review tick.
+	// Allocation enables the §IV fallback to coarser filters at every
+	// gateway: under filter-table pressure, sibling filters coalesce
+	// into covering source-prefix filters chosen by the collateral-aware
+	// allocator (internal/alloc) — candidate prefixes at the policy's
+	// lengths, priced in estimated collateral legit bytes, chosen by
+	// greedy weighted set-cover, refined each review tick and split back
+	// on relief. A fixed /24 fallback is &AllocationPolicy{PrefixLens:
+	// []uint8{24}}. nil disables aggregation.
 	Allocation *alloc.Policy
 	// Control configures the reliable control-plane messenger at every
 	// gateway: bounded retransmission with exponential backoff around
@@ -133,7 +131,6 @@ func (o Options) gatewayConfig() core.GatewayConfig {
 	cfg.ShadowMode = o.ShadowMode
 	cfg.HandshakeTimeout = o.HandshakeTimeout
 	cfg.Default = o.PeerContract
-	cfg.AggregationPrefixLen = o.AggregationPrefixLen
 	cfg.Allocation = o.Allocation
 	cfg.Control = o.Control
 	cfg.Cluster = o.Cluster

@@ -1,20 +1,22 @@
 // Package alloc chooses which covering prefix filters a gateway should
-// install when its wire-speed filter table is full — the collateral-
-// aware refinement of the §IV coarse-filter fallback. Where the fixed
-// policy (filter.SiblingGroups at one configured length) is blind to
-// how much legitimate traffic an aggregate blocks, this allocator
-// scores candidate prefixes at multiple lengths by *estimated
-// collateral legit bytes* — per-pair byte estimates and per-destination
-// EWMA baselines from internal/detect, with covered-address count as
-// the fallback when nothing is measured — and picks, by greedy weighted
-// set-cover, the candidate set that frees the required slots at minimum
-// collateral. This is the "Optimal Filtering for DDoS Attacks"
-// objective (min legit bytes filtered given N slots) applied to AITF's
-// aggregation endgame; re-running Choose each detection window gives
-// the adaptive re-allocation of "Adaptive Distributed Filtering".
+// install when its wire-speed filter table is full — the §IV
+// coarse-filter fallback, and the only aggregation policy the gateways
+// run. It scores candidate prefixes (filter.SiblingGroups at every
+// policy length) by *estimated collateral legit bytes* — per-pair byte
+// estimates and per-destination EWMA baselines from internal/detect,
+// with covered-address count as the fallback when nothing is measured —
+// and picks, by greedy weighted set-cover, the candidate set that frees
+// the required slots at minimum collateral. This is the "Optimal
+// Filtering for DDoS Attacks" objective (min legit bytes filtered given
+// N slots) applied to AITF's aggregation endgame; re-running Choose
+// each detection window gives the adaptive re-allocation of "Adaptive
+// Distributed Filtering". A fixed /N fallback is the same objective
+// with one candidate length: Policy{PrefixLens: []uint8{N}} with no
+// traffic view picks the largest sibling group at /N.
 package alloc
 
 import (
+	"math"
 	"sort"
 
 	"aitf/internal/detect"
@@ -122,9 +124,8 @@ type Candidate struct {
 }
 
 // Assess prices one sibling group against the traffic view. It is the
-// single scoring rule: Choose ranks with it, and the gateway reuses it
-// to account estimated-collateral-bytes for fixed-policy aggregates so
-// both policies report comparable stats.
+// single scoring rule Choose ranks with, and the LegitBytes it reports
+// is what the gateways account as estimated collateral bytes.
 func Assess(g filter.SiblingGroup, cfg Config) Candidate {
 	c := Candidate{SiblingGroup: g}
 	covered := float64(g.CoveredAddrs())
@@ -173,7 +174,9 @@ type Plan struct {
 	// CollateralBytes is the summed estimated legit bytes the plan
 	// blocks per detection window.
 	CollateralBytes float64
-	// CoveredAddrs is the summed source addresses the plan covers.
+	// CoveredAddrs is the summed source addresses the plan covers,
+	// clamped to math.MaxInt like filter.SiblingGroup.CoveredAddrs, so
+	// a plan of wide prefixes cannot wrap where int is 32 bits.
 	CoveredAddrs int
 }
 
@@ -207,7 +210,7 @@ func Choose(entries []filter.Entry, need int, cfg Config) Plan {
 		plan.Picks = append(plan.Picks, pick)
 		plan.Freed += pick.Freed()
 		plan.CollateralBytes += pick.LegitBytes
-		plan.CoveredAddrs += pick.CoveredAddrs()
+		plan.CoveredAddrs = satAdd(plan.CoveredAddrs, pick.CoveredAddrs())
 		if plan.Freed >= need {
 			break
 		}
@@ -256,6 +259,14 @@ func Choose(entries []filter.Entry, need int, cfg Config) Plan {
 		cands = next
 	}
 	return plan
+}
+
+// satAdd adds two non-negative counts, saturating at math.MaxInt.
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }
 
 // candLess ranks candidates for the greedy pick: lowest collateral per

@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -252,5 +254,89 @@ func TestChooseEdgeCases(t *testing.T) {
 	// A lone entry cannot aggregate: empty plan, caller handles it.
 	if p := Choose(entries, 3, Config{}); p.Freed != 0 {
 		t.Fatalf("singleton aggregated: %+v", p)
+	}
+}
+
+// TestChooseCoveredAddrsSaturates: two /2 picks cover 2^31 sources,
+// one past the int range where int is 32 bits. The plan's sum clamps
+// at math.MaxInt there, as SiblingGroup.CoveredAddrs does, instead of
+// wrapping negative and reading as "covers almost nothing".
+func TestChooseCoveredAddrsSaturates(t *testing.T) {
+	dst := flow.MakeAddr(10, 0, 0, 2)
+	entries := []filter.Entry{
+		entry(flow.MakeAddr(1, 0, 0, 1), dst, time.Minute),
+		entry(flow.MakeAddr(1, 0, 0, 2), dst, time.Minute),
+		entry(flow.MakeAddr(65, 0, 0, 1), dst, time.Minute),
+		entry(flow.MakeAddr(65, 0, 0, 2), dst, time.Minute),
+	}
+	plan := Choose(entries, 2, Config{Policy: Policy{PrefixLens: []uint8{2}}})
+	if len(plan.Picks) != 2 {
+		t.Fatalf("want two /2 picks, got %+v", plan.Picks)
+	}
+	want := uint64(1) << 31
+	if want > uint64(math.MaxInt) {
+		want = uint64(math.MaxInt)
+	}
+	if plan.CoveredAddrs < 0 || uint64(plan.CoveredAddrs) != want {
+		t.Fatalf("plan covers %d sources, want %d", plan.CoveredAddrs, want)
+	}
+}
+
+// TestOneRungChooseIsLargestSiblingGroup is the equivalence that makes
+// a fixed /N fallback just a one-rung Policy: with no traffic view
+// every candidate at one length prices alike, so over random tables
+// Choose(entries, 1, ·) must pick exactly filter.SiblingGroups(entries,
+// p, m)[0] — the same aggregate, the same children in the same order,
+// the same deadline — and nothing when there is no group.
+func TestOneRungChooseIsLargestSiblingGroup(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	dsts := []flow.Addr{flow.MakeAddr(10, 0, 0, 2), flow.MakeAddr(10, 0, 0, 3)}
+	const iters = 500
+	grouped := 0
+	for iter := 0; iter < iters; iter++ {
+		var entries []filter.Entry
+		for n := rng.Intn(48); len(entries) < n; {
+			src := flow.MakeAddr(20, byte(rng.Intn(2)), byte(rng.Intn(4)), byte(rng.Intn(256)))
+			dst := dsts[rng.Intn(len(dsts))]
+			exp := filter.Time(1+rng.Intn(5)) * time.Second
+			var l flow.Label
+			switch rng.Intn(6) {
+			case 0: // port-distinct exact filter
+				l = flow.Exact(src, dst, flow.ProtoUDP, uint16(rng.Intn(3)), 80)
+			case 1: // already coarse: never a sibling
+				l = flow.SrcPrefixLabel(src.Mask(24), 24, dst)
+			default:
+				l = flow.PairLabel(src, dst)
+			}
+			entries = append(entries, filter.Entry{Label: l, ExpiresAt: exp})
+		}
+		p := uint8(1 + rng.Intn(31))
+		m := rng.Intn(5)
+		groups := filter.SiblingGroups(entries, p, m)
+		plan := Choose(entries, 1, Config{Policy: Policy{PrefixLens: []uint8{p}, MinChildren: m}})
+		if len(groups) == 0 {
+			if len(plan.Picks) != 0 {
+				t.Fatalf("iter %d (/%d, min %d): no sibling group, but Choose picked %+v", iter, p, m, plan.Picks)
+			}
+			continue
+		}
+		grouped++
+		if len(plan.Picks) != 1 {
+			t.Fatalf("iter %d (/%d, min %d): %d picks, want 1", iter, p, m, len(plan.Picks))
+		}
+		got, want := plan.Picks[0].SiblingGroup, groups[0]
+		if got.Aggregate != want.Aggregate || got.MaxExpiry != want.MaxExpiry || len(got.Children) != len(want.Children) {
+			t.Fatalf("iter %d (/%d, min %d): picked %v (%d children, until %v), want %v (%d children, until %v)",
+				iter, p, m, got.Aggregate, len(got.Children), got.MaxExpiry,
+				want.Aggregate, len(want.Children), want.MaxExpiry)
+		}
+		for i := range want.Children {
+			if got.Children[i] != want.Children[i] {
+				t.Fatalf("iter %d (/%d, min %d): child %d is %+v, want %+v", iter, p, m, i, got.Children[i], want.Children[i])
+			}
+		}
+	}
+	if grouped < iters/4 {
+		t.Fatalf("only %d of %d random tables had a sibling group: the generator tests too little", grouped, iters)
 	}
 }

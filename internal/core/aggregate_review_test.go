@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"aitf/internal/alloc"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/netsim"
@@ -32,7 +33,7 @@ func newReviewHarness(t *testing.T, capacity int) *reviewHarness {
 	h := &reviewHarness{eng: eng}
 	cfg := DefaultGatewayConfig()
 	cfg.FilterCapacity = capacity
-	cfg.AggregationPrefixLen = 24
+	cfg.Allocation = &alloc.Policy{PrefixLens: []uint8{24}}
 	h.g = NewGateway(cfg)
 	h.g.Attach(net.Node(ids.GGw1), func(e Event) { h.events = append(h.events, e) })
 	return h

@@ -95,27 +95,17 @@ type GatewayConfig struct {
 	// (0 or 1 keeps a single shard, which is ideal for the
 	// single-threaded simulator; the wire runtime uses more).
 	DataplaneShards int
-	// AggregationPrefixLen enables the §IV fallback to coarser filters:
-	// when the wire-speed table cannot hold a victim-side filter,
-	// sibling filters sharing a destination and a source /N are
-	// coalesced into one covering prefix filter, and split back apart
-	// when the pressure subsides. 0 disables aggregation (the
-	// hardware-faithful reject-only behaviour); 24 is a typical value.
-	AggregationPrefixLen int
-	// AggregationMinChildren is the smallest sibling group worth
-	// coalescing; values below 2 are treated as 2 (replacing a single
-	// filter frees nothing and only adds collateral).
-	AggregationMinChildren int
-	// Allocation, when non-nil, replaces the fixed-length aggregation
-	// trigger with the collateral-aware allocator (internal/alloc):
-	// on table pressure candidate prefixes are scored at every
-	// configured length by estimated collateral legit bytes — using
-	// the gateway's detection engine as the traffic view when armed —
-	// and the cheapest set freeing the needed slots is installed.
-	// Outstanding aggregates are also re-evaluated each review tick
-	// and refined to deeper prefixes as the table relaxes. When set,
-	// AggregationPrefixLen is ignored (kept as the fixed-policy
-	// baseline for comparison runs).
+	// Allocation enables the §IV fallback to coarser filters: when the
+	// wire-speed table cannot hold a victim-side filter, the allocator
+	// (internal/alloc) scores candidate source prefixes at every policy
+	// length by estimated collateral legit bytes — using the gateway's
+	// detection engine as the traffic view when armed — and coalesces
+	// the cheapest sibling set freeing a slot into covering prefix
+	// filters. Outstanding aggregates are split back when the pressure
+	// subsides, or refined to deeper policy lengths as the table
+	// relaxes. A fixed /24 fallback is the one-rung policy
+	// {PrefixLens: [24]}. nil disables aggregation (the
+	// hardware-faithful reject-only behaviour).
 	Allocation *alloc.Policy
 	// Detection, when non-nil and armed, runs a sketch-based
 	// heavy-hitter engine (internal/detect) on the gateway's own data
@@ -209,9 +199,8 @@ type GatewayStats struct {
 	// AggregateCollateralBytes accumulates, per aggregation, the
 	// estimated legitimate bytes per detection window the installed
 	// aggregate blocks (alloc.Assess pricing: measured unflagged pair
-	// estimates under the prefix, baseline fallback otherwise). Both
-	// the fixed policy and the allocator account it, so the two are
-	// directly comparable.
+	// estimates under the prefix, baseline fallback otherwise), so
+	// runs under different policies are directly comparable.
 	AggregateCollateralBytes uint64
 	// AggregateRefinements counts review-tick re-allocations that
 	// replaced a live aggregate with deeper, cheaper prefixes.
@@ -896,10 +885,10 @@ func (g *Gateway) installTemp(w *vwatch) {
 // installVictimFilter installs a victim-side filter, falling back to
 // the §IV aggregation policy when the wire-speed table is full: if a
 // live aggregate already covers the label it is refreshed instead of
-// spending a slot, and on ErrTableFull the gateway coalesces the
-// largest sibling group into a covering prefix filter and retries once.
+// spending a slot, and on ErrTableFull the gateway installs the
+// allocator's cheapest covering prefix filters and retries once.
 func (g *Gateway) installVictimFilter(label flow.Label, now, exp sim.Time) error {
-	if g.aggregationEnabled() {
+	if g.cfg.Allocation != nil {
 		if a := g.coveringAggregate(label); a != nil {
 			// Extend the aggregate so it covers the requested window;
 			// the flow is already being dropped. Record the would-be
@@ -936,16 +925,7 @@ func (g *Gateway) installVictimFilter(label flow.Label, now, exp sim.Time) error
 		g.clusterRecord(cluster.OpInstall, label, exp)
 		return nil
 	}
-	if !errors.Is(err, filter.ErrTableFull) || !g.aggregationEnabled() {
-		return err
-	}
-	freed := false
-	if g.cfg.Allocation != nil {
-		freed = g.allocateUnderPressure(now)
-	} else {
-		freed = g.aggregateUnderPressure(now)
-	}
-	if !freed {
+	if !errors.Is(err, filter.ErrTableFull) || g.cfg.Allocation == nil || !g.allocateUnderPressure(now) {
 		return err
 	}
 	if err := g.dp.Install(label, now, exp); err != nil {
@@ -955,20 +935,11 @@ func (g *Gateway) installVictimFilter(label flow.Label, now, exp sim.Time) error
 	return nil
 }
 
-// aggregationEnabled reports whether either coarse-filter fallback —
-// the fixed prefix length or the collateral-aware allocator — is on.
-func (g *Gateway) aggregationEnabled() bool {
-	return g.cfg.Allocation != nil || g.cfg.AggregationPrefixLen > 0
-}
-
 // allocConfig materialises the allocator configuration for this
 // gateway: the deployable policy plus the live traffic view (the
 // gateway-side detection engine, when armed).
 func (g *Gateway) allocConfig(policy alloc.Policy) alloc.Config {
 	cfg := alloc.Config{Policy: policy}
-	if g.cfg.AggregationMinChildren > cfg.MinChildren {
-		cfg.MinChildren = g.cfg.AggregationMinChildren
-	}
 	if g.clu != nil && g.protected != nil {
 		// The cluster is the traffic view: the union of the alive
 		// replicas' disjoint shards.
@@ -992,54 +963,11 @@ func (g *Gateway) coveringAggregate(label flow.Label) *aggregate {
 	return nil
 }
 
-// aggregateUnderPressure coalesces the sibling group that frees the
-// most wire-speed slots into one covering source-prefix filter,
-// reporting whether any slot was freed. The collateral cost (covered
-// address space minus actual offenders) is accounted per aggregation.
-func (g *Gateway) aggregateUnderPressure(now sim.Time) bool {
-	pfx := uint8(g.cfg.AggregationPrefixLen)
-	groups := filter.SiblingGroups(g.dp.FilterEntries(), pfx, g.cfg.AggregationMinChildren)
-	if len(groups) == 0 {
-		return false
-	}
-	best := groups[0]
-	replaced, err := g.dp.Aggregate(best.Aggregate, best.ChildLabels(), now, best.MaxExpiry)
-	if err != nil || replaced < 2 {
-		return false
-	}
-	key := best.Aggregate.Key()
-	a, ok := g.aggregates[key]
-	if !ok {
-		a = &aggregate{label: key}
-		g.aggregates[key] = a
-	}
-	a.children = append(a.children, best.Children...)
-	if best.MaxExpiry > a.exp {
-		a.exp = best.MaxExpiry
-	}
-	atomic.AddUint64(&g.stats.Aggregations, 1)
-	atomic.AddUint64(&g.stats.AggregatedChildren, uint64(replaced))
-	// Port-distinct exact children can outnumber the covered sources;
-	// collateral exposure never goes below zero.
-	if c := best.CoveredAddrs() - replaced; c > 0 {
-		atomic.AddUint64(&g.stats.AggregateCollateral, uint64(c))
-	}
-	// Price the fixed-policy choice with the same rule the allocator
-	// uses, so fixed and collateral-aware runs report comparable
-	// estimated-collateral-bytes.
-	priced := alloc.Assess(best, g.allocConfig(alloc.Policy{PrefixLens: []uint8{pfx}}))
-	atomic.AddUint64(&g.stats.AggregateCollateralBytes, uint64(priced.LegitBytes))
-	g.trace(EvAggregated, best.Aggregate,
-		fmt.Sprintf("%d children, covers %d sources", replaced, best.CoveredAddrs()))
-	g.clusterRecord(cluster.OpAggregate, best.Aggregate, best.MaxExpiry)
-	g.armAggregateReview()
-	return true
-}
-
-// allocateUnderPressure is the collateral-aware counterpart of
-// aggregateUnderPressure: it asks the allocator for the aggregate set
-// that frees a slot at minimum estimated collateral legit bytes and
-// installs it, reporting whether any slot was freed.
+// allocateUnderPressure asks the allocator for the aggregate set that
+// frees a slot at minimum estimated collateral legit bytes and installs
+// it, reporting whether any slot was freed. Under a one-rung policy
+// with no traffic view every candidate prices alike, so the pick is the
+// largest sibling group at that length.
 func (g *Gateway) allocateUnderPressure(now sim.Time) bool {
 	cfg := g.allocConfig(*g.cfg.Allocation)
 	plan := alloc.Choose(g.dp.FilterEntries(), 1, cfg)
@@ -1067,6 +995,8 @@ func (g *Gateway) applyPick(pick alloc.Candidate, now sim.Time) bool {
 	g.recordAggregate(pick)
 	atomic.AddUint64(&g.stats.Aggregations, 1)
 	atomic.AddUint64(&g.stats.AggregatedChildren, uint64(replaced))
+	// Port-distinct exact children can outnumber the covered sources;
+	// collateral exposure never goes below zero.
 	if c := pick.CoveredAddrs() - replaced; c > 0 {
 		atomic.AddUint64(&g.stats.AggregateCollateral, uint64(c))
 	}
@@ -1176,11 +1106,11 @@ func (g *Gateway) aggregateReview() {
 			g.trace(EvDeaggregated, a.label, fmt.Sprintf("split back %d children", len(live)))
 			continue
 		}
-		// Full precision does not fit. Under the allocator, adapt to
-		// the shifting attack mix instead of waiting: re-plan this
-		// aggregate's children at strictly deeper prefixes, spending
-		// the spare room on precision (at most one aggregate per tick
-		// to bound review work).
+		// Full precision does not fit. Adapt to the shifting attack mix
+		// instead of waiting: re-plan this aggregate's children at
+		// strictly deeper policy rungs, spending the spare room on
+		// precision (at most one aggregate per tick to bound review
+		// work). A one-rung policy has no deeper rung and just waits.
 		if g.cfg.Allocation != nil && !refined {
 			refined = g.refineAggregate(k, a, live, now, room)
 		}
@@ -1225,7 +1155,9 @@ func (g *Gateway) refineAggregate(k flow.Label, a *aggregate, live []filter.Entr
 	}
 	current := filter.SiblingGroup{Aggregate: a.label}
 	uncovered := len(live) - (plan.Freed + len(plan.Picks))
-	if plan.CoveredAddrs+uncovered >= current.CoveredAddrs() {
+	// Subtract rather than add: plan.CoveredAddrs may sit at the
+	// math.MaxInt clamp, where adding would wrap on 32-bit platforms.
+	if plan.CoveredAddrs >= current.CoveredAddrs()-uncovered {
 		return false // no precision gained
 	}
 	g.dp.Remove(a.label)

@@ -199,11 +199,11 @@ type Spec struct {
 	// bandwidth-bound and liveness checks are skipped (congestion
 	// losses are not protocol failures), the others still apply.
 	Overload bool `json:"overload"`
-	// CollateralAlloc replaces the fixed /24 aggregation fallback with
-	// the collateral-aware allocator (internal/alloc): under table
-	// pressure the gateway prices candidate prefixes at /28–/24 by
-	// estimated collateral and picks the cheapest cover. All invariants
-	// — including the invariant-2 collateral budget — must hold either
+	// CollateralAlloc widens the allocator's policy from the one-rung
+	// /24 fallback to the /28–/24 ladder: under table pressure the
+	// gateway prices candidate prefixes at every rung by estimated
+	// collateral and picks the cheapest cover. All invariants —
+	// including the invariant-2 collateral budget — must hold either
 	// way.
 	CollateralAlloc bool `json:"collateral_alloc"`
 	// Faults configures the hostile-network conditions (control-plane
@@ -756,12 +756,13 @@ func build(s Spec) *world {
 	// Aggregation is always armed: it only engages under filter-table
 	// pressure (which the exhauster army reliably creates), and the
 	// invariants below must hold with aggregated prefix filters exactly
-	// as they do with precise ones. CollateralAlloc swaps the fixed /24
-	// trigger for the collateral-aware allocator on the same shallowest
-	// rung, so the invariant-2 budget bound applies identically.
-	opt.AggregationPrefixLen = aggShallowest
+	// as they do with precise ones. The default is the one-rung /24
+	// policy; CollateralAlloc adds deeper rungs above the same
+	// shallowest one, so the invariant-2 budget bound applies
+	// identically.
+	opt.Allocation = &alloc.Policy{PrefixLens: []uint8{aggShallowest}}
 	if s.CollateralAlloc {
-		opt.Allocation = &alloc.Policy{PrefixLens: []uint8{28, 26, aggShallowest}}
+		opt.Allocation.PrefixLens = []uint8{28, 26, aggShallowest}
 	}
 	if s.Faults.Retransmit {
 		opt.Control = core.ControlConfig{MaxAttempts: ctrlAttempts, RTO: ctrlRTO, Jitter: ctrlJitter}

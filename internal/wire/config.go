@@ -56,19 +56,17 @@ type GatewayFileConfig struct {
 	// Shards partitions the data-plane classification engine
 	// (0 = GOMAXPROCS).
 	Shards int `json:"dataplane_shards"`
-	// AggregationPrefixLen enables coalescing sibling filters into a
-	// covering source-/N prefix filter under table pressure; valid
-	// values are 0 (disabled) or 1..31.
-	AggregationPrefixLen int `json:"aggregation_prefix_len"`
-	// CollateralAlloc replaces the fixed aggregation_prefix_len trigger
-	// with the collateral-aware allocator (internal/alloc): under table
-	// pressure, candidate prefixes at several lengths are priced in
-	// estimated collateral legit bytes (using the gateway's detection
-	// sketch when armed) and the cheapest cover is installed.
+	// CollateralAlloc enables coalescing sibling filters into covering
+	// source-prefix filters under table pressure, chosen by the
+	// collateral-aware allocator (internal/alloc): candidate prefixes
+	// are priced in estimated collateral legit bytes (using the
+	// gateway's detection sketch when armed) and the cheapest cover is
+	// installed.
 	CollateralAlloc bool `json:"collateral_alloc"`
 	// AllocPrefixLens optionally names the allocator's candidate source
 	// prefix lengths (each 1..31); empty uses the built-in /28…/16
-	// ladder. Only meaningful with collateral_alloc.
+	// ladder, and [24] is a fixed /24 fallback. Only meaningful with
+	// collateral_alloc.
 	AllocPrefixLens []int `json:"alloc_prefix_lens"`
 	// DetectBps arms gateway-side sketch detection: traffic toward the
 	// DetectFor clients above this rate (bytes/second) is flagged and
@@ -175,9 +173,6 @@ func (g *GatewayFileConfig) validate() error {
 	}
 	if g.Capacity < 0 {
 		return fmt.Errorf("%w: filter_capacity %d is negative", ErrBadConfig, g.Capacity)
-	}
-	if g.AggregationPrefixLen < 0 || g.AggregationPrefixLen > 31 {
-		return fmt.Errorf("%w: aggregation_prefix_len %d outside 0..31", ErrBadConfig, g.AggregationPrefixLen)
 	}
 	if len(g.AllocPrefixLens) > 0 && !g.CollateralAlloc {
 		return fmt.Errorf("%w: alloc_prefix_lens set without collateral_alloc", ErrBadConfig)
@@ -311,16 +306,15 @@ func (c *FileConfig) GatewayConfig(trace *obs.Trace) (GatewayConfig, error) {
 		clients[ca] = contract.DefaultEndHost()
 	}
 	cfg := GatewayConfig{
-		Node:                 node,
-		Timers:               tm,
-		FilterCapacity:       c.Gateway.Capacity,
-		Clients:              clients,
-		Default:              contract.DefaultPeer(),
-		Secret:               []byte(c.Gateway.Secret),
-		Trace:                trace,
-		DataplaneShards:      c.Gateway.Shards,
-		AggregationPrefixLen: c.Gateway.AggregationPrefixLen,
-		SnapshotPath:         c.Gateway.SnapshotPath,
+		Node:            node,
+		Timers:          tm,
+		FilterCapacity:  c.Gateway.Capacity,
+		Clients:         clients,
+		Default:         contract.DefaultPeer(),
+		Secret:          []byte(c.Gateway.Secret),
+		Trace:           trace,
+		DataplaneShards: c.Gateway.Shards,
+		SnapshotPath:    c.Gateway.SnapshotPath,
 	}
 	if c.Gateway.CtrlMaxAttempts > 1 {
 		rto := time.Duration(c.Gateway.CtrlRtoMs) * time.Millisecond

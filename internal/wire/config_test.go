@@ -58,9 +58,12 @@ func TestParseGatewayConfig(t *testing.T) {
 	if gcfg.Node.NextHop[flow.MakeAddr(10, 9, 0, 2)] != flow.MakeAddr(10, 9, 0, 1) {
 		t.Fatal("multi-hop route not parsed")
 	}
-	// A valid aggregation knob round-trips into the gateway config.
+	if gcfg.Allocation != nil {
+		t.Fatal("config without collateral_alloc grew an allocation policy")
+	}
+	// A fixed /24 fallback is the one-rung allocation policy.
 	withAgg, err := ParseFileConfig([]byte(
-		`{"role":"gateway","addr":"1.1.1.1","gateway":{"aggregation_prefix_len":24}}`))
+		`{"role":"gateway","addr":"1.1.1.1","gateway":{"collateral_alloc":true,"alloc_prefix_lens":[24]}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +71,11 @@ func TestParseGatewayConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agcfg.AggregationPrefixLen != 24 {
-		t.Fatalf("aggregation_prefix_len not propagated: %+v", agcfg.AggregationPrefixLen)
+	if agcfg.Allocation == nil {
+		t.Fatal("collateral_alloc did not materialise an allocation policy")
 	}
-	if agcfg.Allocation != nil {
-		t.Fatal("fixed-policy config grew an allocation policy")
+	if lens := agcfg.Allocation.Lens(); len(lens) != 1 || lens[0] != 24 {
+		t.Fatalf("one-rung alloc_prefix_lens not propagated: %v", lens)
 	}
 	// The collateral-aware allocator knobs round-trip too: bare
 	// collateral_alloc yields the default ladder, alloc_prefix_lens
@@ -218,6 +221,7 @@ func TestParseConfigErrors(t *testing.T) {
 		"host no body":     `{"role":"host","addr":"1.1.1.1"}`,
 		"bad addr":         `{"role":"host","addr":"zzz","host":{"gateway":"1.1.1.1"}}`,
 		"negative workers": `{"role":"gateway","addr":"1.1.1.1","gateway":{"workers":-1}}`,
+		"fixed aggpfx":     `{"role":"gateway","addr":"1.1.1.1","gateway":{"aggregation_prefix_len":24}}`,
 		"misspelled key":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"filter_capacty":10}}`,
 		"trailing data":    `{"role":"host","addr":"1.1.1.1","host":{"gateway":"1.1.1.2"}}}`,
 		"negative shards":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"dataplane_shards":-4}}`,
@@ -227,8 +231,6 @@ func TestParseConfigErrors(t *testing.T) {
 		"ttmp vs default":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"ttmp_ms":70000}}`,
 		"t vs default":     `{"role":"gateway","addr":"1.1.1.1","gateway":{"t_ms":500}}`,
 		"negative detect":  `{"role":"host","addr":"1.1.1.1","host":{"gateway":"1.1.1.2","detect_bps":-1}}`,
-		"negative aggpfx":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"aggregation_prefix_len":-1}}`,
-		"aggpfx too long":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"aggregation_prefix_len":32}}`,
 		"lens no alloc":    `{"role":"gateway","addr":"1.1.1.1","gateway":{"alloc_prefix_lens":[28]}}`,
 		"alloc len zero":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"collateral_alloc":true,"alloc_prefix_lens":[0]}}`,
 		"alloc len 32":     `{"role":"gateway","addr":"1.1.1.1","gateway":{"collateral_alloc":true,"alloc_prefix_lens":[28,32]}}`,

@@ -66,18 +66,14 @@ type GatewayConfig struct {
 	// DataplaneShards partitions the classification engine; 0 picks
 	// GOMAXPROCS (rounded up to a power of two by the engine).
 	DataplaneShards int
-	// AggregationPrefixLen enables the §IV filter-table-pressure
-	// fallback: when a victim-side temporary filter is rejected for
-	// capacity, sibling filters sharing a destination and a source /N
-	// are coalesced into one covering prefix filter and the install is
-	// retried. 0 disables aggregation.
-	AggregationPrefixLen int
-	// Allocation, when non-nil, replaces the fixed AggregationPrefixLen
-	// trigger with the collateral-aware allocator (internal/alloc):
-	// candidate prefixes at the policy's lengths are priced in
-	// estimated collateral legit bytes — using the gateway's detection
-	// sketch as the traffic view when armed — and the cheapest cover is
-	// installed.
+	// Allocation enables the §IV filter-table-pressure fallback: when a
+	// victim-side temporary filter is rejected for capacity, the
+	// allocator (internal/alloc) prices candidate prefixes at the
+	// policy's lengths in estimated collateral legit bytes — using the
+	// gateway's detection sketch as the traffic view when armed —
+	// installs the cheapest cover, and retries the install. A fixed /24
+	// fallback is the one-rung policy {PrefixLens: [24]}. nil disables
+	// aggregation.
 	Allocation *alloc.Policy
 	// Detect configures the gateway-side sketch detection engine
 	// (internal/detect); armed only when ThresholdBps > 0 and
@@ -172,8 +168,7 @@ type Gateway struct {
 	StopOrders                          uint64
 	Aggregations                        uint64
 	// CollateralBytes accumulates the allocator's estimated collateral
-	// legit bytes per installed aggregate (0 under the fixed policy,
-	// which does not price candidates); mutated under mu.
+	// legit bytes per installed aggregate; mutated under mu.
 	CollateralBytes uint64
 	// Detections counts gateway-side sketch detections (attacks
 	// flagged on behalf of protected legacy clients); mutated under mu.
@@ -664,9 +659,12 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 			g.event("request-invalid", label, "bad evidence")
 			return
 		}
-		if err := g.installWithAggregation(label, now, now+sim.Time(g.cfg.Timers.Ttmp)); err != nil {
-			g.logf("temp filter: %v", err)
-			return
+		// A full table loses only the temporary filter: the shadow and
+		// the relay still go out, as in selfDetect and the simulator
+		// gateway, so the attacker's gateway can take over the block.
+		ierr := g.installWithAggregation(label, now, now+sim.Time(g.cfg.Timers.Ttmp))
+		if ierr != nil {
+			g.logf("temp filter: %v", ierr)
 		}
 		g.dp.LogShadow(label, m.Victim, now, now+sim.Time(g.cfg.Timers.T))
 		target, err := evidence.AttackerGateway()
@@ -674,7 +672,11 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 			return
 		}
 		if g.tracing() {
-			g.event("temp-filter-installed", label, "relaying to attacker gw "+target.String())
+			if ierr == nil {
+				g.event("temp-filter-installed", label, "relaying to attacker gw "+target.String())
+			} else {
+				g.event("request-sent", label, "relay to attacker gw "+target.String()+" without a temporary filter")
+			}
 		}
 		req := *m
 		req.Stage = packet.StageToAttackerGW
@@ -731,74 +733,47 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 }
 
 // installWithAggregation is the victim-side install path with the §IV
-// fallback: on ErrTableFull (and with aggregation enabled), coalesce
-// sibling filters into covering prefix filters and retry once. With a
-// fixed policy the largest sibling group at the configured length is
-// taken; with the collateral-aware allocator, candidates at every
-// policy length are priced in estimated collateral legit bytes (via
-// the detection sketch when armed) and the cheapest cover freeing a
-// slot is installed. Called under mu.
+// fallback: on ErrTableFull (and with an allocation policy), candidates
+// at every policy length are priced in estimated collateral legit bytes
+// (via the detection sketch when armed), the cheapest cover freeing a
+// slot is installed, and the install is retried once. Called under mu.
 func (g *Gateway) installWithAggregation(label flow.Label, now, exp sim.Time) error {
 	err := g.dp.Install(label, now, exp)
 	if err == nil {
 		g.clusterRecord(cluster.OpInstall, label, exp, now)
 		return nil
 	}
-	if !errors.Is(err, filter.ErrTableFull) {
+	if !errors.Is(err, filter.ErrTableFull) || g.cfg.Allocation == nil {
 		return err
 	}
-	if g.cfg.Allocation != nil {
-		cfg := alloc.Config{Policy: *g.cfg.Allocation}
-		if g.clu != nil && g.protected != nil {
-			// The cluster's merged detection view prices candidates —
-			// including traffic only a dead replica's frozen summary saw.
-			cfg.Traffic = g.clu
-			cfg.WindowSeconds = g.clu.DetectionWindow().Seconds()
-		} else if g.det != nil {
-			cfg.Traffic = alloc.DetectTraffic{Eng: g.det}
-			cfg.WindowSeconds = g.det.Config().Window.Seconds()
-		}
-		freed := false
-		for _, pick := range alloc.Choose(g.dp.FilterEntries(), 1, cfg).Picks {
-			replaced, aerr := g.dp.Aggregate(pick.Aggregate, pick.ChildLabels(), now, pick.MaxExpiry)
-			if aerr != nil || replaced < 2 {
-				continue
-			}
-			freed = true
-			g.Aggregations++
-			g.CollateralBytes += uint64(pick.LegitBytes)
-			g.clusterRecord(cluster.OpAggregate, pick.Aggregate, pick.MaxExpiry, now)
-			if g.tracing() {
-				g.event("aggregated", pick.Aggregate,
-					fmt.Sprintf("table full: coalesced %d siblings, covers %d sources, est %dB/window collateral",
-						replaced, pick.CoveredAddrs(), uint64(pick.LegitBytes)))
-			}
-		}
-		if !freed {
-			return err
-		}
-		if ierr := g.dp.Install(label, now, exp); ierr != nil {
-			return ierr
-		}
-		g.clusterRecord(cluster.OpInstall, label, exp, now)
-		return nil
+	cfg := alloc.Config{Policy: *g.cfg.Allocation}
+	if g.clu != nil && g.protected != nil {
+		// The cluster's merged detection view prices candidates —
+		// including traffic only a dead replica's frozen summary saw.
+		cfg.Traffic = g.clu
+		cfg.WindowSeconds = g.clu.DetectionWindow().Seconds()
+	} else if g.det != nil {
+		cfg.Traffic = alloc.DetectTraffic{Eng: g.det}
+		cfg.WindowSeconds = g.det.Config().Window.Seconds()
 	}
-	if g.cfg.AggregationPrefixLen <= 0 {
+	freed := false
+	for _, pick := range alloc.Choose(g.dp.FilterEntries(), 1, cfg).Picks {
+		replaced, aerr := g.dp.Aggregate(pick.Aggregate, pick.ChildLabels(), now, pick.MaxExpiry)
+		if aerr != nil || replaced < 2 {
+			continue
+		}
+		freed = true
+		g.Aggregations++
+		g.CollateralBytes += uint64(pick.LegitBytes)
+		g.clusterRecord(cluster.OpAggregate, pick.Aggregate, pick.MaxExpiry, now)
+		if g.tracing() {
+			g.event("aggregated", pick.Aggregate,
+				fmt.Sprintf("table full: coalesced %d siblings, covers %d sources, est %dB/window collateral",
+					replaced, pick.CoveredAddrs(), uint64(pick.LegitBytes)))
+		}
+	}
+	if !freed {
 		return err
-	}
-	groups := filter.SiblingGroups(g.dp.FilterEntries(), uint8(g.cfg.AggregationPrefixLen), 2)
-	if len(groups) == 0 {
-		return err
-	}
-	best := groups[0]
-	replaced, aerr := g.dp.Aggregate(best.Aggregate, best.ChildLabels(), now, best.MaxExpiry)
-	if aerr != nil || replaced < 2 {
-		return err
-	}
-	g.Aggregations++
-	g.clusterRecord(cluster.OpAggregate, best.Aggregate, best.MaxExpiry, now)
-	if g.tracing() {
-		g.event("aggregated", best.Aggregate, fmt.Sprintf("table full: coalesced %d siblings", replaced))
 	}
 	if ierr := g.dp.Install(label, now, exp); ierr != nil {
 		return ierr

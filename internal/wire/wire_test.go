@@ -565,59 +565,145 @@ func TestLiveGatewayDetectionOverUDP(t *testing.T) {
 
 // TestInstallWithAggregationAllocator drives the wire gateway's
 // table-full install path with the collateral-aware allocator: three
-// /28 siblings fill a three-slot table, a fourth unrelated install
-// triggers the allocator, and the siblings must be coalesced under a
-// /28 cover (the deepest, least-collateral rung) — not the /24 the
-// fixed policy would have taken — freeing the slot for the new filter.
+// /28 siblings fill a three-slot table, a measured legit sender shares
+// their /24 but not their /28, and a fourth unrelated install triggers
+// the allocator. The /28../24 ladder must coalesce the siblings under a
+// /28 cover that spares the legit sender (zero priced collateral). The
+// one-rung [24] policy — the fixed /24 fallback — must take the /24
+// cover and price the legit sender's bytes as its collateral.
 func TestInstallWithAggregationAllocator(t *testing.T) {
-	fc, err := ParseFileConfig([]byte(`{
-		"role":"gateway","addr":"10.0.0.1","listen":"127.0.0.1:0",
-		"gateway":{"filter_capacity":3,"collateral_alloc":true,"alloc_prefix_lens":[28,24]}}`))
+	for _, c := range []struct {
+		name       string
+		lens       string
+		wantLen    uint8
+		collateral bool
+	}{
+		{"ladder", "[28,24]", 28, false},
+		{"one-rung", "[24]", 24, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fc, err := ParseFileConfig([]byte(`{
+				"role":"gateway","addr":"10.0.0.1","listen":"127.0.0.1:0",
+				"gateway":{"filter_capacity":3,"collateral_alloc":true,"alloc_prefix_lens":` + c.lens + `,
+					"detect_bps":1e12,"detect_for":["9.0.0.2"]}}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gcfg, err := fc.GatewayConfig(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := NewGateway(gcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+
+			now := wallNow()
+			exp := now + 10*time.Second
+			victim := flow.MakeAddr(9, 0, 0, 2)
+			for i := byte(1); i <= 3; i++ {
+				if err := g.dp.Install(flow.PairLabel(flow.MakeAddr(20, 0, 0, i), victim), now, exp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			legit := flow.MakeAddr(20, 0, 0, 200)
+			g.det.ObserveTuple(now, flow.Tuple{Src: legit, Dst: victim, Proto: flow.ProtoUDP, SrcPort: 4000, DstPort: 80}, 1000)
+			fresh := flow.PairLabel(flow.MakeAddr(30, 0, 0, 1), victim)
+			g.mu.Lock()
+			err = g.installWithAggregation(fresh, now, exp)
+			g.mu.Unlock()
+			if err != nil {
+				t.Fatalf("allocator did not free a slot: %v", err)
+			}
+			st := g.Stats()
+			if st.Aggregations != 1 {
+				t.Fatalf("Aggregations = %d, want 1", st.Aggregations)
+			}
+			covers := 0
+			for _, fe := range g.dp.FilterEntries() {
+				if fe.Label.SrcPrefixLen == 0 {
+					continue
+				}
+				if fe.Label.SrcPrefixLen != c.wantLen {
+					t.Fatalf("cover %v, want a /%d", fe.Label, c.wantLen)
+				}
+				if fe.Label.CoversSrc(legit) != c.collateral {
+					t.Fatalf("cover %v: covers the legit sender = %v, want %v", fe.Label, !c.collateral, c.collateral)
+				}
+				covers++
+			}
+			if covers != 1 {
+				t.Fatalf("%d covers installed over the siblings, want 1", covers)
+			}
+			if (st.CollateralBytes > 0) != c.collateral {
+				t.Fatalf("CollateralBytes = %d, want non-zero = %v", st.CollateralBytes, c.collateral)
+			}
+			if _, ok := g.dp.Table().Lookup(fresh, now); !ok {
+				t.Fatal("triggering filter not installed after aggregation")
+			}
+		})
+	}
+}
+
+// TestFullTableStillRelaysRequest: a victim's gateway whose wire-speed
+// table is full, with no aggregation policy to make room, loses only
+// the temporary filter on a valid request. The shadow is still logged
+// and the request still goes on to the attacker's gateway, as in the
+// simulator gateway and in selfDetect, so the block moves to the
+// attacker's side instead of being dropped on the floor.
+func TestFullTableStillRelaysRequest(t *testing.T) {
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gcfg, err := fc.GatewayConfig(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGateway(gcfg)
+	defer sink.Close()
+	vgwA, victimA := flow.MakeAddr(10, 0, 0, 1), flow.MakeAddr(10, 0, 0, 2)
+	agwA, attackerA := flow.MakeAddr(10, 9, 0, 1), flow.MakeAddr(10, 9, 0, 2)
+	g, err := NewGateway(GatewayConfig{
+		Node: NodeConfig{Addr: vgwA, Name: "v_gw", NextHop: map[flow.Addr]flow.Addr{agwA: agwA},
+			Book: Book{agwA: sink.LocalAddr().String()}},
+		Timers:         testTimers(),
+		FilterCapacity: 1,
+		Clients:        map[flow.Addr]contract.Contract{victimA: contract.DefaultEndHost()},
+		Default:        contract.DefaultPeer(),
+		Secret:         []byte("vgw-secret"),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
-
 	now := wallNow()
-	exp := now + 10*time.Second
-	victim := flow.MakeAddr(9, 0, 0, 2)
-	for i := byte(1); i <= 3; i++ {
-		if err := g.dp.Install(flow.PairLabel(flow.MakeAddr(20, 0, 0, i), victim), now, exp); err != nil {
-			t.Fatal(err)
-		}
+	if err := g.dp.Install(flow.PairLabel(flow.MakeAddr(20, 0, 0, 1), victimA), now, now+time.Minute); err != nil {
+		t.Fatal(err)
 	}
-	fresh := flow.PairLabel(flow.MakeAddr(30, 0, 0, 1), victim)
-	g.mu.Lock()
-	err = g.installWithAggregation(fresh, now, exp)
-	g.mu.Unlock()
-	if err != nil {
-		t.Fatalf("allocator did not free a slot: %v", err)
+
+	label := flow.PairLabel(attackerA, victimA)
+	g.Handle(g.Node(), packet.NewControl(victimA, vgwA, &packet.FilterReq{
+		Stage:    packet.StageToVictimGW,
+		Flow:     label,
+		Duration: time.Minute,
+		Round:    1,
+		Victim:   victimA,
+		Evidence: []packet.RREntry{
+			{Router: agwA, Nonce: 1},
+			{Router: vgwA, Nonce: g.rec.Nonce(flow.Tuple{Src: attackerA, Dst: victimA})},
+		},
+	}), victimA)
+
+	if st := g.Stats(); st.ReqReceived != 1 || st.ReqInvalid != 0 {
+		t.Fatalf("requests=%d invalid=%d, want 1, 0", st.ReqReceived, st.ReqInvalid)
 	}
-	st := g.Stats()
-	if st.Aggregations != 1 {
-		t.Fatalf("Aggregations = %d, want 1", st.Aggregations)
+	if _, ok := g.dp.Table().Lookup(label, now); ok {
+		t.Fatal("a temporary filter fit into the full table")
 	}
-	var agg28 bool
-	for _, fe := range g.dp.FilterEntries() {
-		if fe.Label.SrcPrefixLen == 24 {
-			t.Fatalf("allocator fell back to a /24 cover: %v", fe.Label)
-		}
-		if fe.Label.SrcPrefixLen == 28 {
-			agg28 = true
-		}
+	if _, live := g.dp.ShadowGet(label, wallNow()); !live {
+		t.Fatal("shadow not logged when the temporary filter did not fit")
 	}
-	if !agg28 {
-		t.Fatal("no /28 aggregate installed over the siblings")
+	relay := readPackets(t, sink, 1)[0]
+	m, ok := relay.Msg.(*packet.FilterReq)
+	if !ok || m.Stage != packet.StageToAttackerGW || relay.Dst != agwA || m.Flow.Canonical() != label {
+		t.Fatalf("sent %+v (msg %+v), want a StageToAttackerGW request for %v to %v", relay, relay.Msg, label, agwA)
 	}
-	if _, ok := g.dp.Table().Lookup(fresh, now); !ok {
-		t.Fatal("triggering filter not installed after aggregation")
-	}
+	expectQuiet(t, sink)
 }
