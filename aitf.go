@@ -45,6 +45,7 @@ import (
 	"aitf/internal/core"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
+	"aitf/internal/obs"
 	"aitf/internal/topology"
 )
 
@@ -62,12 +63,13 @@ type (
 	Gateway = core.Gateway
 	// Host is an AITF end-host.
 	Host = core.Host
-	// Event is a protocol trace record.
-	Event = core.Event
+	// Event is a protocol trace record (the same record the wire
+	// runtime writes into its trace ring).
+	Event = obs.Record
 	// EventKind labels protocol trace events.
-	EventKind = core.EventKind
-	// Log retains protocol events for inspection.
-	Log = core.Log
+	EventKind = obs.EventKind
+	// Log retains protocol events for inspection and replay.
+	Log = obs.Log
 	// ShadowMode selects on-off reappearance handling at gateways.
 	ShadowMode = core.ShadowMode
 	// Params tunes link delays/bandwidths of the standard topologies.
@@ -95,34 +97,34 @@ const (
 
 // Event kinds re-exported for assertions on deployment logs.
 const (
-	EvAttackDetected      = core.EvAttackDetected
-	EvRequestSent         = core.EvRequestSent
-	EvRequestReceived     = core.EvRequestReceived
-	EvRequestPoliced      = core.EvRequestPoliced
-	EvRequestInvalid      = core.EvRequestInvalid
-	EvTempFilterInstalled = core.EvTempFilterInstalled
-	EvFilterInstalled     = core.EvFilterInstalled
-	EvFilterRejected      = core.EvFilterRejected
-	EvShadowLogged        = core.EvShadowLogged
-	EvShadowHit           = core.EvShadowHit
-	EvHandshakeQuery      = core.EvHandshakeQuery
-	EvHandshakeReply      = core.EvHandshakeReply
-	EvHandshakeOK         = core.EvHandshakeOK
-	EvHandshakeFailed     = core.EvHandshakeFailed
-	EvStopOrder           = core.EvStopOrder
-	EvFlowStopped         = core.EvFlowStopped
-	EvTakeoverOK          = core.EvTakeoverOK
-	EvEscalated           = core.EvEscalated
-	EvDisconnected        = core.EvDisconnected
-	EvLongBlock           = core.EvLongBlock
-	EvAggregated          = core.EvAggregated
-	EvDeaggregated        = core.EvDeaggregated
-	EvCtrlRetransmit      = core.EvCtrlRetransmit
-	EvCtrlDupDrop         = core.EvCtrlDupDrop
-	EvGatewayCrashed      = core.EvGatewayCrashed
-	EvGatewayRestored     = core.EvGatewayRestored
-	EvClusterMerge        = core.EvClusterMerge
-	EvReplicaKilled       = core.EvReplicaKilled
+	EvAttackDetected      = obs.EvAttackDetected
+	EvRequestSent         = obs.EvRequestSent
+	EvRequestReceived     = obs.EvRequestReceived
+	EvRequestPoliced      = obs.EvRequestPoliced
+	EvRequestInvalid      = obs.EvRequestInvalid
+	EvTempFilterInstalled = obs.EvTempFilterInstalled
+	EvFilterInstalled     = obs.EvFilterInstalled
+	EvFilterRejected      = obs.EvFilterRejected
+	EvShadowLogged        = obs.EvShadowLogged
+	EvShadowHit           = obs.EvShadowHit
+	EvHandshakeQuery      = obs.EvHandshakeQuery
+	EvHandshakeReply      = obs.EvHandshakeReply
+	EvHandshakeOK         = obs.EvHandshakeOK
+	EvHandshakeFailed     = obs.EvHandshakeFailed
+	EvStopOrder           = obs.EvStopOrder
+	EvFlowStopped         = obs.EvFlowStopped
+	EvTakeoverOK          = obs.EvTakeoverOK
+	EvEscalated           = obs.EvEscalated
+	EvDisconnected        = obs.EvDisconnected
+	EvLongBlock           = obs.EvLongBlock
+	EvAggregated          = obs.EvAggregated
+	EvDeaggregated        = obs.EvDeaggregated
+	EvCtrlRetransmit      = obs.EvCtrlRetransmit
+	EvCtrlDupDrop         = obs.EvCtrlDupDrop
+	EvGatewayCrashed      = obs.EvGatewayCrashed
+	EvGatewayRestored     = obs.EvGatewayRestored
+	EvClusterMerge        = obs.EvClusterMerge
+	EvReplicaKilled       = obs.EvReplicaKilled
 )
 
 // MakeAddr assembles an address from four octets.

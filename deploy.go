@@ -208,8 +208,8 @@ func (d *Deployment) CrashGateway(id topology.NodeID) *core.GatewaySnapshot {
 	g.Halt()
 	d.Net.Node(id).Crash()
 	if d.Log != nil {
-		d.Log.Record(Event{T: d.Engine.Now(), Node: d.Net.Node(id).Name(),
-			Kind: core.EvGatewayCrashed, Detail: "gateway crashed"})
+		d.Log.Record(Event{At: d.Engine.Now(), Node: d.Net.Node(id).Name(),
+			Kind: EvGatewayCrashed, Detail: "gateway crashed"})
 	}
 	return snap
 }

@@ -38,10 +38,10 @@ func main() {
 	fmt.Println("\n== outcome ==")
 	fmt.Printf("rounds used: %d\n", 1+dep.Log.Count(aitf.EvEscalated))
 	if e, ok := dep.Log.First(aitf.EvFilterInstalled); ok {
-		fmt.Printf("flow finally blocked at %s (t=%v)\n", e.Node, e.T.Truncate(time.Millisecond))
+		fmt.Printf("flow finally blocked at %s (t=%v)\n", e.Node, e.At.Truncate(time.Millisecond))
 	} else if e, ok := dep.Log.First(aitf.EvDisconnected); ok {
 		fmt.Printf("no cooperative gateway found: %s cut the peering link (t=%v)\n",
-			e.Node, e.T.Truncate(time.Millisecond))
+			e.Node, e.At.Truncate(time.Millisecond))
 	}
 	fmt.Printf("victim leak: %.1f KB of a %.1f MB offered flood\n",
 		float64(dep.Victim.Meter.Bytes)/1e3, 1.25*dep.Now().Seconds())

@@ -31,7 +31,7 @@ func main() {
 
 		blocked := "never"
 		if e, ok := dep.Log.First(aitf.EvFilterInstalled); ok {
-			blocked = fmt.Sprintf("%s @%v", e.Node, e.T.Truncate(time.Millisecond))
+			blocked = fmt.Sprintf("%s @%v", e.Node, e.At.Truncate(time.Millisecond))
 		}
 		fmt.Printf("%-15s %12.1f %12d %14s\n",
 			mode, float64(dep.Victim.Meter.Bytes)/1e3,

@@ -34,7 +34,7 @@ func main() {
 	fmt.Printf("effective bandwidth:   %.2f KB/s (reduction factor %.2e)\n", eff/1e3, eff/1.25e6)
 	if e, ok := dep.Log.First(aitf.EvFilterInstalled); ok {
 		fmt.Printf("filter installed at:   %s, t=%v (the AITF node closest to the attacker)\n",
-			e.Node, e.T.Truncate(time.Millisecond))
+			e.Node, e.At.Truncate(time.Millisecond))
 	}
 	fmt.Printf("attacker disconnected: %v\n", dep.Log.Count(aitf.EvDisconnected) > 0)
 }

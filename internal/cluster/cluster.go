@@ -557,19 +557,6 @@ func (c *Cluster) Alive(id int) bool {
 	return id >= 0 && id < len(c.reps) && c.reps[id].alive
 }
 
-// AliveCount counts alive replicas.
-func (c *Cluster) AliveCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, r := range c.reps {
-		if r.alive {
-			n++
-		}
-	}
-	return n
-}
-
 // Replicas is the configured replica count.
 func (c *Cluster) Replicas() int { return len(c.reps) }
 

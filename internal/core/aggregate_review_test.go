@@ -13,6 +13,7 @@ import (
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/netsim"
+	"aitf/internal/obs"
 	"aitf/internal/sim"
 	"aitf/internal/topology"
 )
@@ -22,7 +23,7 @@ import (
 type reviewHarness struct {
 	eng    *sim.Engine
 	g      *Gateway
-	events []Event
+	events []obs.Record
 }
 
 func newReviewHarness(t *testing.T, capacity int) *reviewHarness {
@@ -35,14 +36,14 @@ func newReviewHarness(t *testing.T, capacity int) *reviewHarness {
 	cfg.FilterCapacity = capacity
 	cfg.Allocation = &alloc.Policy{PrefixLens: []uint8{24}}
 	h.g = NewGateway(cfg)
-	h.g.Attach(net.Node(ids.GGw1), func(e Event) { h.events = append(h.events, e) })
+	h.g.Attach(net.Node(ids.GGw1), func(e obs.Record) { h.events = append(h.events, e) })
 	return h
 }
 
-func (h *reviewHarness) rejections() []Event {
-	var out []Event
+func (h *reviewHarness) rejections() []obs.Record {
+	var out []obs.Record
 	for _, e := range h.events {
-		if e.Kind == EvFilterRejected && strings.HasPrefix(e.Detail, "split-back:") {
+		if e.Kind == obs.EvFilterRejected && strings.HasPrefix(e.Detail, "split-back:") {
 			out = append(out, e)
 		}
 	}

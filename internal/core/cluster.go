@@ -15,6 +15,7 @@ import (
 	"aitf/internal/cluster"
 	"aitf/internal/detect"
 	"aitf/internal/flow"
+	"aitf/internal/obs"
 	"aitf/internal/sim"
 )
 
@@ -60,7 +61,7 @@ func (g *Gateway) armClusterMerge() {
 			return
 		}
 		if fresh := g.clu.MergeRound(g.now()); fresh > 0 {
-			g.trace(EvClusterMerge, flow.Label{}, fmt.Sprintf("%d merged detections pending", fresh))
+			g.trace(obs.EvClusterMerge, flow.Label{}, fmt.Sprintf("%d merged detections pending", fresh))
 		}
 		g.armClusterMerge()
 	})
@@ -76,7 +77,7 @@ func (g *Gateway) KillReplica(id int) (inherited, lost int, ok bool) {
 	}
 	inherited, lost, ok = g.clu.KillReplica(id, g.now())
 	if ok {
-		g.trace(EvReplicaKilled, flow.Label{},
+		g.trace(obs.EvReplicaKilled, flow.Label{},
 			fmt.Sprintf("replica %d: %d filters inherited, %d lost", id, inherited, lost))
 	}
 	return inherited, lost, ok

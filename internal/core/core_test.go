@@ -342,30 +342,30 @@ func TestHostMeterPerSource(t *testing.T) {
 }
 
 func TestEventLogHelpers(t *testing.T) {
-	var l core.Log
-	l.Record(core.Event{Node: "a", Kind: core.EvRequestSent})
-	l.Record(core.Event{Node: "b", Kind: core.EvRequestSent, Detail: "x"})
-	l.Record(core.Event{Node: "c", Kind: core.EvDisconnected})
-	if l.Count(core.EvRequestSent) != 2 {
+	var l aitf.Log
+	l.Record(aitf.Event{Node: "a", Kind: aitf.EvRequestSent})
+	l.Record(aitf.Event{Node: "b", Kind: aitf.EvRequestSent, Detail: "x"})
+	l.Record(aitf.Event{Node: "c", Kind: aitf.EvDisconnected})
+	if l.Count(aitf.EvRequestSent) != 2 {
 		t.Fatal("Count wrong")
 	}
-	if e, ok := l.First(core.EvRequestSent); !ok || e.Node != "a" {
+	if e, ok := l.First(aitf.EvRequestSent); !ok || e.Node != "a" {
 		t.Fatal("First wrong")
 	}
-	if _, ok := l.First(core.EvHandshakeOK); ok {
+	if _, ok := l.First(aitf.EvHandshakeOK); ok {
 		t.Fatal("First found a missing kind")
 	}
-	if len(l.OfKind(core.EvDisconnected)) != 1 {
+	if len(l.OfKind(aitf.EvDisconnected)) != 1 {
 		t.Fatal("OfKind wrong")
 	}
 	s := l.String()
 	if !strings.Contains(s, "request-sent") || !strings.Contains(s, "(x)") {
 		t.Fatalf("String rendering: %q", s)
 	}
-	if core.EvShadowHit.String() != "shadow-hit" {
+	if aitf.EvShadowHit.String() != "shadow-hit" {
 		t.Fatal("event kind name wrong")
 	}
-	if core.EventKind(200).String() == "" {
+	if aitf.EventKind(200).String() == "" {
 		t.Fatal("unknown kind must render")
 	}
 	for _, m := range []core.ShadowMode{core.VictimDriven, core.GatewayAuto, core.ShadowOff} {

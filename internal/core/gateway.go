@@ -15,6 +15,7 @@ import (
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/netsim"
+	"aitf/internal/obs"
 	"aitf/internal/packet"
 	"aitf/internal/sim"
 	"aitf/internal/traceback"
@@ -492,9 +493,9 @@ func (g *Gateway) Disconnected(neighbor flow.Addr) bool {
 
 func (g *Gateway) now() sim.Time { return g.node.Engine().Now() }
 
-func (g *Gateway) trace(k EventKind, f flow.Label, detail string) {
+func (g *Gateway) trace(k obs.EventKind, f flow.Label, detail string) {
 	if g.tracer != nil {
-		g.tracer(Event{T: g.now(), Node: g.node.Name(), Kind: k, Flow: f, Detail: detail})
+		g.tracer(obs.Record{At: g.now(), Node: g.node.Name(), Kind: k, Flow: f, Detail: detail})
 	}
 }
 
@@ -623,7 +624,7 @@ func (g *Gateway) handleData(p *packet.Packet, from *netsim.Iface) {
 	// blocked within the last T but no filter is currently installed.
 	// The engine recorded the hit; react to it here.
 	if v.ShadowHit {
-		g.trace(EvShadowHit, v.Shadow.Label, fmt.Sprintf("reappearance %d", v.Shadow.Reappearances))
+		g.trace(obs.EvShadowHit, v.Shadow.Label, fmt.Sprintf("reappearance %d", v.Shadow.Reappearances))
 		if g.cfg.ShadowMode == GatewayAuto {
 			if w, ok := g.watches[v.Shadow.Label.Key()]; ok {
 				atomic.AddUint64(&g.stats.ShadowReblocks, 1)
@@ -685,14 +686,14 @@ func (g *Gateway) selfDetect(d detect.Detection, path []packet.RREntry) {
 			// path performs on a re-request).
 			g.dp.ShadowHit(label)
 			atomic.AddUint64(&g.stats.ShadowReblocks, 1)
-			g.trace(EvShadowHit, label, "gateway re-detection")
+			g.trace(obs.EvShadowHit, label, "gateway re-detection")
 			g.reblockAndEscalate(w)
 			return
 		}
 		delete(g.watches, label.Key())
 	}
 	atomic.AddUint64(&g.stats.Detections, 1)
-	g.trace(EvAttackDetected, label, fmt.Sprintf("gateway sketch, est %dB for %v", d.EstBytes, d.Dst))
+	g.trace(obs.EvAttackDetected, label, fmt.Sprintf("gateway sketch, est %dB for %v", d.EstBytes, d.Dst))
 
 	evidence := make(traceback.AttackPath, 0, len(path)+1)
 	evidence = append(evidence, path...)
@@ -710,7 +711,7 @@ func (g *Gateway) selfDetect(d detect.Detection, path []packet.RREntry) {
 	g.installTemp(w)
 	if g.cfg.ShadowMode != ShadowOff {
 		if g.dp.LogShadow(label, g.node.Addr(), now, now+sim.Time(g.cfg.Timers.T)) {
-			g.trace(EvShadowLogged, label, "")
+			g.trace(obs.EvShadowLogged, label, "")
 		}
 	}
 	g.sendToAttackerGateway(w)
@@ -742,16 +743,16 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from *n
 	// counter other than the dup counter itself.
 	if g.seenTxids.Seen(p.Src, m.Txid, now, dedupWindow) {
 		atomic.AddUint64(&g.stats.CtrlDupDrops, 1)
-		g.trace(EvCtrlDupDrop, m.Flow, fmt.Sprintf("txid %d from %v", m.Txid, p.Src))
+		g.trace(obs.EvCtrlDupDrop, m.Flow, fmt.Sprintf("txid %d from %v", m.Txid, p.Src))
 		return
 	}
 	atomic.AddUint64(&g.stats.ReqReceived, 1)
-	g.trace(EvRequestReceived, m.Flow, fmt.Sprintf("stage %v round %d from %v", m.Stage, m.Round, p.Src))
+	g.trace(obs.EvRequestReceived, m.Flow, fmt.Sprintf("stage %v round %d from %v", m.Stage, m.Round, p.Src))
 
 	// Contract policing per ingress neighbor (§II-B).
 	if from == nil || !g.inPolicer(from.Neighbor().Addr()).Allow(now) {
 		atomic.AddUint64(&g.stats.ReqPoliced, 1)
-		g.trace(EvRequestPoliced, m.Flow, "over contract rate")
+		g.trace(obs.EvRequestPoliced, m.Flow, "over contract rate")
 		return
 	}
 
@@ -780,12 +781,12 @@ func (g *Gateway) handleVictimSideRequest(p *packet.Packet, m *packet.FilterReq,
 	hop := g.node.NextHop(label.Dst)
 	if hop == nil || from == nil || hop.Neighbor() != from.Neighbor() {
 		atomic.AddUint64(&g.stats.ReqInvalid, 1)
-		g.trace(EvRequestInvalid, label, "requester not on path to flow destination")
+		g.trace(obs.EvRequestInvalid, label, "requester not on path to flow destination")
 		return
 	}
 	if _, isClient := g.cfg.Clients[from.Neighbor().Addr()]; !isClient {
 		atomic.AddUint64(&g.stats.ReqInvalid, 1)
-		g.trace(EvRequestInvalid, label, "requester is not a client")
+		g.trace(obs.EvRequestInvalid, label, "requester is not a client")
 		return
 	}
 
@@ -803,7 +804,7 @@ func (g *Gateway) handleVictimSideRequest(p *packet.Packet, m *packet.FilterReq,
 			// Reappearance reported by the victim (VictimDriven mode).
 			g.dp.ShadowHit(label)
 			atomic.AddUint64(&g.stats.ShadowReblocks, 1)
-			g.trace(EvShadowHit, label, "victim re-request")
+			g.trace(obs.EvShadowHit, label, "victim re-request")
 			if len(m.Evidence) > 0 {
 				w.evidence = traceback.AttackPath(m.Evidence)
 			}
@@ -819,7 +820,7 @@ func (g *Gateway) handleVictimSideRequest(p *packet.Packet, m *packet.FilterReq,
 	evidence := traceback.AttackPath(m.Evidence)
 	if !g.rec.Verify(evidence, rrTuple(label.Src, label.Dst)) {
 		atomic.AddUint64(&g.stats.ReqInvalid, 1)
-		g.trace(EvRequestInvalid, label, "evidence lacks our route-record stamp")
+		g.trace(obs.EvRequestInvalid, label, "evidence lacks our route-record stamp")
 		return
 	}
 	atomic.AddUint64(&g.stats.ReqAccepted, 1)
@@ -834,7 +835,7 @@ func (g *Gateway) handleVictimSideRequest(p *packet.Packet, m *packet.FilterReq,
 	g.installTemp(w)
 	if g.cfg.ShadowMode != ShadowOff {
 		if g.dp.LogShadow(label, m.Victim, now, now+sim.Time(g.cfg.Timers.T)) {
-			g.trace(EvShadowLogged, label, "")
+			g.trace(obs.EvShadowLogged, label, "")
 		}
 	}
 	g.sendToAttackerGateway(w)
@@ -874,12 +875,12 @@ func (g *Gateway) installTemp(w *vwatch) {
 	now := g.now()
 	exp := now + sim.Time(g.cfg.Timers.Ttmp)
 	if err := g.installVictimFilter(w.label, now, exp); err != nil {
-		g.trace(EvFilterRejected, w.label, err.Error())
+		g.trace(obs.EvFilterRejected, w.label, err.Error())
 		return
 	}
 	w.tempUntil = exp
 	w.installedAt = now
-	g.trace(EvTempFilterInstalled, w.label, fmt.Sprintf("until %v", exp))
+	g.trace(obs.EvTempFilterInstalled, w.label, fmt.Sprintf("until %v", exp))
 }
 
 // installVictimFilter installs a victim-side filter, falling back to
@@ -1001,7 +1002,7 @@ func (g *Gateway) applyPick(pick alloc.Candidate, now sim.Time) bool {
 		atomic.AddUint64(&g.stats.AggregateCollateral, uint64(c))
 	}
 	atomic.AddUint64(&g.stats.AggregateCollateralBytes, uint64(pick.LegitBytes))
-	g.trace(EvAggregated, pick.Aggregate,
+	g.trace(obs.EvAggregated, pick.Aggregate,
 		fmt.Sprintf("%d children, covers %d sources, est %dB/window collateral",
 			replaced, pick.CoveredAddrs(), uint64(pick.LegitBytes)))
 	g.clusterRecord(cluster.OpAggregate, pick.Aggregate, pick.MaxExpiry)
@@ -1070,7 +1071,7 @@ func (g *Gateway) aggregateReview() {
 		}
 		if a.exp <= now {
 			delete(g.aggregates, k)
-			g.trace(EvDeaggregated, a.label, "expired with its last child")
+			g.trace(obs.EvDeaggregated, a.label, "expired with its last child")
 			continue
 		}
 		live := a.children[:0]
@@ -1096,14 +1097,14 @@ func (g *Gateway) aggregateReview() {
 			g.clusterRecord(cluster.OpRemove, a.label, 0)
 			for _, c := range live {
 				if err := g.dp.Install(c.Label, now, c.ExpiresAt); err != nil {
-					g.trace(EvFilterRejected, c.Label, "split-back: "+err.Error())
+					g.trace(obs.EvFilterRejected, c.Label, "split-back: "+err.Error())
 					continue
 				}
 				g.clusterRecord(cluster.OpInstall, c.Label, c.ExpiresAt)
 			}
 			delete(g.aggregates, k)
 			atomic.AddUint64(&g.stats.AggregateSplits, 1)
-			g.trace(EvDeaggregated, a.label, fmt.Sprintf("split back %d children", len(live)))
+			g.trace(obs.EvDeaggregated, a.label, fmt.Sprintf("split back %d children", len(live)))
 			continue
 		}
 		// Full precision does not fit. Adapt to the shifting attack mix
@@ -1166,7 +1167,7 @@ func (g *Gateway) refineAggregate(k flow.Label, a *aggregate, live []filter.Entr
 	covered := make(map[flow.Label]bool)
 	for _, pick := range plan.Picks {
 		if _, err := g.dp.Aggregate(pick.Aggregate, pick.ChildLabels(), now, pick.MaxExpiry); err != nil {
-			g.trace(EvFilterRejected, pick.Aggregate, "refine: "+err.Error())
+			g.trace(obs.EvFilterRejected, pick.Aggregate, "refine: "+err.Error())
 			continue
 		}
 		g.recordAggregate(pick)
@@ -1175,7 +1176,7 @@ func (g *Gateway) refineAggregate(k flow.Label, a *aggregate, live []filter.Entr
 			covered[c.Label.Key()] = true
 		}
 		atomic.AddUint64(&g.stats.AggregateCollateralBytes, uint64(pick.LegitBytes))
-		g.trace(EvAggregated, pick.Aggregate,
+		g.trace(obs.EvAggregated, pick.Aggregate,
 			fmt.Sprintf("refined: %d children, covers %d sources, est %dB/window collateral",
 				len(pick.Children), pick.CoveredAddrs(), uint64(pick.LegitBytes)))
 	}
@@ -1186,13 +1187,13 @@ func (g *Gateway) refineAggregate(k flow.Label, a *aggregate, live []filter.Entr
 			continue
 		}
 		if err := g.dp.Install(c.Label, now, c.ExpiresAt); err != nil {
-			g.trace(EvFilterRejected, c.Label, "refine split: "+err.Error())
+			g.trace(obs.EvFilterRejected, c.Label, "refine split: "+err.Error())
 			continue
 		}
 		g.clusterRecord(cluster.OpInstall, c.Label, c.ExpiresAt)
 	}
 	atomic.AddUint64(&g.stats.AggregateRefinements, 1)
-	g.trace(EvDeaggregated, a.label,
+	g.trace(obs.EvDeaggregated, a.label,
 		fmt.Sprintf("refined into %d deeper aggregates", len(plan.Picks)))
 	return true
 }
@@ -1210,7 +1211,7 @@ func (g *Gateway) sendToAttackerGateway(w *vwatch) {
 	// A new round supersedes any ladder still running for the old one.
 	g.cancelReliable(w.reqTok)
 	round := uint8(min(w.round, 255))
-	g.trace(EvRequestSent, w.label, fmt.Sprintf("to attacker-gw %v round %d", target, w.round))
+	g.trace(obs.EvRequestSent, w.label, fmt.Sprintf("to attacker-gw %v round %d", target, w.round))
 	w.reqTok = g.reliableSend(w.label, func(txid uint64) *packet.Packet {
 		return packet.NewControl(g.node.Addr(), target, &packet.FilterReq{
 			Stage:    packet.StageToAttackerGW,
@@ -1269,7 +1270,7 @@ func (g *Gateway) takeoverCheck(w *vwatch, installedAt sim.Time) {
 		g.cancelReliable(w.reqTok)
 		g.cancelReliable(w.escTok)
 		w.reqTok, w.escTok = 0, 0
-		g.trace(EvTakeoverOK, w.label, "flow stopped before Ttmp")
+		g.trace(obs.EvTakeoverOK, w.label, "flow stopped before Ttmp")
 		return
 	}
 	// Still flowing through us: this round failed.
@@ -1282,7 +1283,7 @@ func (g *Gateway) takeoverCheck(w *vwatch, installedAt sim.Time) {
 func (g *Gateway) reblockAndEscalate(w *vwatch) {
 	w.round++
 	atomic.AddUint64(&g.stats.Escalations, 1)
-	g.trace(EvEscalated, w.label, fmt.Sprintf("round %d", w.round))
+	g.trace(obs.EvEscalated, w.label, fmt.Sprintf("round %d", w.round))
 	g.installTemp(w)
 	g.scheduleTakeoverCheck(w)
 	// Refresh the shadow for another T from now.
@@ -1293,7 +1294,7 @@ func (g *Gateway) reblockAndEscalate(w *vwatch) {
 	if g.cfg.Provider != 0 {
 		g.cancelReliable(w.escTok)
 		round := uint8(min(w.round, 255))
-		g.trace(EvRequestSent, w.label, fmt.Sprintf("escalate to provider %v round %d", g.cfg.Provider, w.round))
+		g.trace(obs.EvRequestSent, w.label, fmt.Sprintf("escalate to provider %v round %d", g.cfg.Provider, w.round))
 		w.escTok = g.reliableSend(w.label, func(txid uint64) *packet.Packet {
 			return packet.NewControl(g.node.Addr(), g.cfg.Provider, &packet.FilterReq{
 				Stage:    packet.StageToVictimGW,
@@ -1329,20 +1330,20 @@ func (g *Gateway) resolveExhausted(w *vwatch) {
 	}
 	exp := now + sim.Time(g.cfg.Timers.T)
 	if err := g.installVictimFilter(w.label, now, exp); err != nil {
-		g.trace(EvFilterRejected, w.label, err.Error())
+		g.trace(obs.EvFilterRejected, w.label, err.Error())
 		return
 	}
 	w.tempUntil = exp
 	w.installedAt = now
 	atomic.AddUint64(&g.stats.LongBlocks, 1)
-	g.trace(EvLongBlock, w.label, "no cooperative attacker-side gateway; filtering locally for T")
+	g.trace(obs.EvLongBlock, w.label, "no cooperative attacker-side gateway; filtering locally for T")
 }
 
 func (g *Gateway) disconnect(neighbor flow.Addr, label flow.Label) {
 	now := g.now()
 	g.disconnected[neighbor] = now + sim.Time(g.cfg.Timers.Penalty)
 	atomic.AddUint64(&g.stats.Disconnects, 1)
-	g.trace(EvDisconnected, label, fmt.Sprintf("neighbor %v for %v", neighbor, g.cfg.Timers.Penalty))
+	g.trace(obs.EvDisconnected, label, fmt.Sprintf("neighbor %v for %v", neighbor, g.cfg.Timers.Penalty))
 	g.node.Originate(packet.NewControl(g.node.Addr(), neighbor, &packet.Disconnect{
 		Client:  neighbor,
 		Flow:    label,
@@ -1365,7 +1366,7 @@ func (g *Gateway) handleAttackerSideRequest(p *packet.Packet, m *packet.FilterRe
 	// traceback substitution).
 	if !g.rec.Verify(m.Evidence, rrTuple(label.Src, label.Dst)) {
 		atomic.AddUint64(&g.stats.ReqInvalid, 1)
-		g.trace(EvRequestInvalid, label, "no valid route-record stamp for this router")
+		g.trace(obs.EvRequestInvalid, label, "no valid route-record stamp for this router")
 		return
 	}
 	if prev, ok := g.pendings[label.Key()]; ok {
@@ -1378,14 +1379,14 @@ func (g *Gateway) handleAttackerSideRequest(p *packet.Packet, m *packet.FilterRe
 		g.cancelReliable(prev.tok)
 		delete(g.pendings, label.Key())
 		atomic.AddUint64(&g.stats.HandshakesFailed, 1)
-		g.trace(EvHandshakeFailed, label, "superseded by a newer request")
+		g.trace(obs.EvHandshakeFailed, label, "superseded by a newer request")
 	}
 	now := g.now()
 	nonce := g.node.Engine().Rand().Uint64()
 	pend := &pending{req: m, nonce: nonce, deadline: now + sim.Time(g.cfg.HandshakeTimeout)}
 	g.pendings[label.Key()] = pend
 	atomic.AddUint64(&g.stats.HandshakesStarted, 1)
-	g.trace(EvHandshakeQuery, label, fmt.Sprintf("to victim %v", m.Victim))
+	g.trace(obs.EvHandshakeQuery, label, fmt.Sprintf("to victim %v", m.Victim))
 	victim := m.Victim
 	mflow := m.Flow
 	pend.tok = g.reliableSend(label, func(uint64) *packet.Packet {
@@ -1399,7 +1400,7 @@ func (g *Gateway) handleAttackerSideRequest(p *packet.Packet, m *packet.FilterRe
 			delete(g.pendings, label.Key())
 			g.cancelReliable(pend.tok)
 			atomic.AddUint64(&g.stats.HandshakesFailed, 1)
-			g.trace(EvHandshakeFailed, label, "verification query timed out")
+			g.trace(obs.EvHandshakeFailed, label, "verification query timed out")
 		}
 	})
 }
@@ -1420,7 +1421,7 @@ func (g *Gateway) handleVerifyQuery(p *packet.Packet, m *packet.VerifyQuery) {
 		g.cancelReliable(w.reqTok)
 		w.reqTok = 0
 	}
-	g.trace(EvHandshakeReply, label, fmt.Sprintf("to %v", p.Src))
+	g.trace(obs.EvHandshakeReply, label, fmt.Sprintf("to %v", p.Src))
 	src, mflow, nonce := p.Src, m.Flow, m.Nonce
 	g.reliableReply(label, func() *packet.Packet {
 		return packet.NewControl(g.node.Addr(), src,
@@ -1442,14 +1443,14 @@ func (g *Gateway) handleVerifyReply(m *packet.VerifyReply) {
 	delete(g.pendings, label.Key())
 	atomic.AddUint64(&g.stats.HandshakesOK, 1)
 	atomic.AddUint64(&g.stats.ReqAccepted, 1)
-	g.trace(EvHandshakeOK, label, "")
+	g.trace(obs.EvHandshakeOK, label, "")
 
 	exp := now + sim.Time(g.cfg.Timers.T)
 	if err := g.dp.Install(label, now, exp); err != nil {
-		g.trace(EvFilterRejected, label, err.Error())
+		g.trace(obs.EvFilterRejected, label, err.Error())
 		return
 	}
-	g.trace(EvFilterInstalled, label, fmt.Sprintf("for %v", g.cfg.Timers.T))
+	g.trace(obs.EvFilterInstalled, label, fmt.Sprintf("for %v", g.cfg.Timers.T))
 	g.clusterRecord(cluster.OpInstall, label, exp)
 	g.node.Engine().Schedule(sim.Time(g.cfg.Timers.T), func() { g.dp.Expire(g.now()) })
 
@@ -1472,7 +1473,7 @@ func (g *Gateway) orderClientToStop(label flow.Label) {
 		return
 	}
 	atomic.AddUint64(&g.stats.StopOrders, 1)
-	g.trace(EvStopOrder, label, fmt.Sprintf("to %v", client))
+	g.trace(obs.EvStopOrder, label, fmt.Sprintf("to %v", client))
 
 	comp := &compliance{
 		label:    label,
@@ -1507,7 +1508,7 @@ func (g *Gateway) complianceCheck(c *compliance) {
 		g.disconnect(c.client, c.label)
 		return
 	}
-	g.trace(EvFlowStopped, c.label, fmt.Sprintf("client %v complied", c.client))
+	g.trace(obs.EvFlowStopped, c.label, fmt.Sprintf("client %v complied", c.client))
 }
 
 // handleStopOrder handles a provider's order to stop a flow sourced in
@@ -1519,17 +1520,17 @@ func (g *Gateway) handleStopOrder(p *packet.Packet, m *packet.FilterReq) {
 	// Only our own provider may order us around.
 	if g.cfg.Provider == 0 || p.Src != g.cfg.Provider {
 		atomic.AddUint64(&g.stats.ReqInvalid, 1)
-		g.trace(EvRequestInvalid, m.Flow, "stop order not from provider")
+		g.trace(obs.EvRequestInvalid, m.Flow, "stop order not from provider")
 		return
 	}
 	now := g.now()
 	label := m.Flow.Canonical()
 	exp := now + sim.Time(g.cfg.Timers.T)
 	if err := g.dp.Install(label, now, exp); err != nil {
-		g.trace(EvFilterRejected, label, err.Error())
+		g.trace(obs.EvFilterRejected, label, err.Error())
 		return
 	}
-	g.trace(EvFilterInstalled, label, "stop order from provider")
+	g.trace(obs.EvFilterInstalled, label, "stop order from provider")
 	g.clusterRecord(cluster.OpInstall, label, exp)
 	g.orderClientToStop(label)
 }

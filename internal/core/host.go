@@ -2,13 +2,14 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"aitf/internal/contract"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
-	"aitf/internal/metrics"
 	"aitf/internal/netsim"
+	"aitf/internal/obs"
 	"aitf/internal/packet"
 	"aitf/internal/sim"
 )
@@ -100,10 +101,10 @@ type Host struct {
 	seenTxids filter.Dedup
 
 	// Meter observes all received data traffic (per-second buckets).
-	Meter *metrics.Meter
+	Meter *Meter
 	// PerSource tracks received bytes per source address, used by the
 	// experiments to measure each flow's effective bandwidth.
-	PerSource map[flow.Addr]*metrics.Meter
+	PerSource map[flow.Addr]*Meter
 
 	stats HostStats
 }
@@ -117,8 +118,8 @@ func NewHost(cfg HostConfig) *Host {
 		cfg:         cfg,
 		policer:     filter.NewPolicer(cfg.Contract.R1, cfg.Contract.R1Burst),
 		wantedFlows: make(map[flow.Label]*wanted),
-		Meter:       metrics.NewMeter(time.Second),
-		PerSource:   make(map[flow.Addr]*metrics.Meter),
+		Meter:       NewMeter(time.Second),
+		PerSource:   make(map[flow.Addr]*Meter),
 	}
 }
 
@@ -140,9 +141,9 @@ func (h *Host) Config() HostConfig { return h.cfg }
 
 func (h *Host) now() sim.Time { return h.node.Engine().Now() }
 
-func (h *Host) trace(k EventKind, f flow.Label, detail string) {
+func (h *Host) trace(k obs.EventKind, f flow.Label, detail string) {
 	if h.tracer != nil {
-		h.tracer(Event{T: h.now(), Node: h.node.Name(), Kind: k, Flow: f, Detail: detail})
+		h.tracer(obs.Record{At: h.now(), Node: h.node.Name(), Kind: k, Flow: f, Detail: detail})
 	}
 }
 
@@ -171,7 +172,7 @@ func (h *Host) handleData(p *packet.Packet) {
 	h.Meter.Add(now, int(p.PayloadLen))
 	src := h.PerSource[p.Src]
 	if src == nil {
-		src = metrics.NewMeter(time.Second)
+		src = NewMeter(time.Second)
 		h.PerSource[p.Src] = src
 	}
 	src.Add(now, int(p.PayloadLen))
@@ -193,7 +194,7 @@ func (h *Host) handleData(p *packet.Packet) {
 		return
 	}
 	if label, bad := h.cfg.Detector.Observe(now, p); bad {
-		h.trace(EvAttackDetected, label, fmt.Sprintf("from %v", p.Src))
+		h.trace(obs.EvAttackDetected, label, fmt.Sprintf("from %v", p.Src))
 		h.requestBlock(label, p.Path)
 	}
 }
@@ -231,7 +232,7 @@ func (h *Host) sendRequest(label flow.Label, evidence []packet.RREntry, w *wante
 	} else {
 		h.stats.RequestsSent++
 	}
-	h.trace(EvRequestSent, label, fmt.Sprintf("to gateway %v", h.cfg.Gateway))
+	h.trace(obs.EvRequestSent, label, fmt.Sprintf("to gateway %v", h.cfg.Gateway))
 	h.node.Originate(packet.NewControl(h.node.Addr(), h.cfg.Gateway, &packet.FilterReq{
 		Stage:    packet.StageToVictimGW,
 		Flow:     label,
@@ -251,7 +252,7 @@ func (h *Host) handleControl(p *packet.Packet) {
 		key := m.Flow.Canonical().Key()
 		if w, ok := h.wantedFlows[key]; ok && w.until > now {
 			h.stats.QueriesAnswered++
-			h.trace(EvHandshakeReply, m.Flow, fmt.Sprintf("to %v", p.Src))
+			h.trace(obs.EvHandshakeReply, m.Flow, fmt.Sprintf("to %v", p.Src))
 			h.node.Originate(packet.NewControl(h.node.Addr(), p.Src,
 				&packet.VerifyReply{Flow: m.Flow, Nonce: m.Nonce}))
 		}
@@ -267,14 +268,14 @@ func (h *Host) handleControl(p *packet.Packet) {
 			return
 		}
 		h.stats.StopOrders++
-		h.trace(EvStopOrder, m.Flow, "received")
+		h.trace(obs.EvStopOrder, m.Flow, "received")
 		if h.cfg.Compliant {
 			h.stopOrders.Add(m.Flow, now+sim.Time(m.Duration))
-			h.trace(EvFlowStopped, m.Flow, "complying")
+			h.trace(obs.EvFlowStopped, m.Flow, "complying")
 		}
 	case *packet.Disconnect:
 		h.stats.Disconnected++
-		h.trace(EvDisconnected, m.Flow, fmt.Sprintf("by provider for %v", m.Penalty))
+		h.trace(obs.EvDisconnected, m.Flow, fmt.Sprintf("by provider for %v", m.Penalty))
 	}
 }
 
@@ -302,4 +303,81 @@ func (h *Host) ActiveStopOrders() int { return h.stopOrders.Active(h.now()) }
 func (h *Host) Wants(label flow.Label) bool {
 	w, ok := h.wantedFlows[label.Canonical().Key()]
 	return ok && w.until > h.now()
+}
+
+// Meter accumulates a host's received byte count on the virtual clock
+// and exposes average bandwidth over the interval it was observed. It
+// also keeps per-window buckets so tests can examine the time profile
+// of a flow (e.g. on-off bursts).
+type Meter struct {
+	start   sim.Time
+	end     sim.Time
+	started bool
+
+	Bytes   uint64
+	Packets uint64
+
+	window  sim.Time
+	buckets map[int64]uint64
+}
+
+// NewMeter creates a meter that additionally tracks per-window byte
+// buckets of the given width; width 0 disables bucketing.
+func NewMeter(window sim.Time) *Meter {
+	return &Meter{window: window, buckets: make(map[int64]uint64)}
+}
+
+// Add records n payload bytes observed at time now.
+func (m *Meter) Add(now sim.Time, n int) {
+	if !m.started {
+		m.start = now
+		m.started = true
+	}
+	if now > m.end {
+		m.end = now
+	}
+	m.Bytes += uint64(n)
+	m.Packets++
+	if m.window > 0 {
+		m.buckets[int64(now/m.window)] += uint64(n)
+	}
+}
+
+// First returns the time of the first observation.
+func (m *Meter) First() sim.Time { return m.start }
+
+// Last returns the time of the last observation.
+func (m *Meter) Last() sim.Time { return m.end }
+
+// Idle reports whether the meter never saw traffic.
+func (m *Meter) Idle() bool { return !m.started }
+
+// BandwidthOver returns average bytes/second across an externally
+// chosen horizon (e.g. the whole experiment), which is the "effective
+// bandwidth ... actually experienced by the victim" of §IV-A.1.
+func (m *Meter) BandwidthOver(horizon sim.Time) float64 {
+	if horizon <= 0 {
+		return 0
+	}
+	return float64(m.Bytes) / horizon.Seconds()
+}
+
+// Buckets returns (windowIndex, bytes) pairs sorted by window.
+func (m *Meter) Buckets() []Bucket {
+	out := make([]Bucket, 0, len(m.buckets))
+	for k, v := range m.buckets {
+		out = append(out, Bucket{Index: k, Bytes: v})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
+	return out
+}
+
+// ActiveWindows counts windows with any traffic; for an on-off flow it
+// approximates the number of "on" bursts × burst length / window.
+func (m *Meter) ActiveWindows() int { return len(m.buckets) }
+
+// Bucket is one fixed-width measurement window.
+type Bucket struct {
+	Index int64
+	Bytes uint64
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aitf/internal/flow"
+	"aitf/internal/obs"
 	"aitf/internal/packet"
 	"aitf/internal/sim"
 )
@@ -83,7 +84,7 @@ func (m *messenger) transmit(s *relSend) {
 	s.attempts++
 	if s.attempts > 1 {
 		atomic.AddUint64(&m.g.stats.CtrlRetransmits, 1)
-		m.g.trace(EvCtrlRetransmit, s.label, fmt.Sprintf("attempt %d/%d", s.attempts, s.maxAttempts))
+		m.g.trace(obs.EvCtrlRetransmit, s.label, fmt.Sprintf("attempt %d/%d", s.attempts, s.maxAttempts))
 	}
 	m.g.node.Originate(s.build(s.id))
 	if s.attempts >= s.maxAttempts {

@@ -16,6 +16,7 @@ import (
 	"aitf/internal/cluster"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
+	"aitf/internal/obs"
 	"aitf/internal/packet"
 	"aitf/internal/sim"
 	"aitf/internal/traceback"
@@ -164,7 +165,7 @@ func (g *Gateway) Snapshot() *GatewaySnapshot {
 // closures that cannot be cancelled become no-ops. It models the
 // protocol half of a crash — take Snapshot first if the state should
 // survive, then crash the node (netsim.Node.Crash) to kill the data
-// plane. wire uses it for graceful drains too.
+// plane.
 func (g *Gateway) Halt() {
 	g.halted = true
 	for _, w := range g.watches {
@@ -210,7 +211,7 @@ func (g *Gateway) Restore(snap *GatewaySnapshot) {
 			continue // lapsed during the outage: stays gone
 		}
 		if err := g.dp.AdoptFilter(ent); err != nil {
-			g.trace(EvFilterRejected, ent.Label, "restore: "+err.Error())
+			g.trace(obs.EvFilterRejected, ent.Label, "restore: "+err.Error())
 			continue
 		}
 		exp := ent.ExpiresAt
@@ -252,7 +253,7 @@ func (g *Gateway) Restore(snap *GatewaySnapshot) {
 		if ps.Deadline <= now {
 			// The handshake window closed while we were down.
 			atomic.AddUint64(&g.stats.HandshakesFailed, 1)
-			g.trace(EvHandshakeFailed, label, "handshake window lapsed during outage")
+			g.trace(obs.EvHandshakeFailed, label, "handshake window lapsed during outage")
 			continue
 		}
 		req := ps.Req
@@ -271,7 +272,7 @@ func (g *Gateway) Restore(snap *GatewaySnapshot) {
 				delete(g.pendings, label.Key())
 				g.cancelReliable(pend.tok)
 				atomic.AddUint64(&g.stats.HandshakesFailed, 1)
-				g.trace(EvHandshakeFailed, label, "verification query timed out")
+				g.trace(obs.EvHandshakeFailed, label, "verification query timed out")
 			}
 		})
 	}
@@ -307,5 +308,5 @@ func (g *Gateway) Restore(snap *GatewaySnapshot) {
 			g.disconnected[ds.Neighbor] = ds.Until
 		}
 	}
-	g.trace(EvGatewayRestored, flow.Label{}, "state restored from snapshot")
+	g.trace(obs.EvGatewayRestored, flow.Label{}, "state restored from snapshot")
 }

@@ -5,7 +5,6 @@ import (
 
 	"aitf"
 	"aitf/internal/detect"
-	"aitf/internal/metrics"
 	"aitf/internal/sim"
 )
 
@@ -109,7 +108,7 @@ func E15CollateralAllocation() Result {
 	res := Result{ID: "E15", Title: "collateral-aware filter allocation under table pressure"}
 	cells := AllocSweep()
 
-	tbl := metrics.NewTable("§IV-B pressure + one legit /24 sibling (12 attackers, 4 slots, 10 s)",
+	tbl := NewTable("§IV-B pressure + one legit /24 sibling (12 attackers, 4 slots, 10 s)",
 		"policy", "attack B delivered", "legit B delivered", "aggregations", "collateral addrs", "est collateral B")
 	for _, c := range cells {
 		tbl.AddRow(c.Policy, c.AttackBytes, c.LegitBytes, c.Aggregations, c.CollateralAddrs, c.CollateralBytes)

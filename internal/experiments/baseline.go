@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"aitf"
+	"aitf/internal/core"
 	"aitf/internal/flow"
-	"aitf/internal/metrics"
 	"aitf/internal/netsim"
 	"aitf/internal/packet"
 	"aitf/internal/pushback"
@@ -16,7 +16,7 @@ import (
 
 // reliefSecond returns the first whole second after which the victim's
 // received rate stays below frac of offered, or -1 if never.
-func reliefSecond(buckets []metrics.Bucket, horizon time.Duration, offeredBps float64, frac float64) int {
+func reliefSecond(buckets []core.Bucket, horizon time.Duration, offeredBps float64, frac float64) int {
 	perSecond := make(map[int64]uint64, len(buckets))
 	for _, b := range buckets {
 		perSecond[b.Index] = b.Bytes
@@ -40,7 +40,7 @@ func reliefSecond(buckets []metrics.Bucket, horizon time.Duration, offeredBps fl
 
 // pbVictim meters a pushback run's victim.
 type pbVictim struct {
-	meter *metrics.Meter
+	meter *core.Meter
 }
 
 func (v *pbVictim) Receive(n *netsim.Node, p *packet.Packet, _ *netsim.Iface) {
@@ -85,7 +85,7 @@ func runPushbackChain(depth int, horizon time.Duration) (int, int, uint64, float
 		r.Attach(net.Node(id))
 		routers = append(routers, r)
 	}
-	v := &pbVictim{meter: metrics.NewMeter(time.Second)}
+	v := &pbVictim{meter: core.NewMeter(time.Second)}
 	net.Node(ids.Victim).SetHandler(v)
 
 	from := net.Node(ids.Attacker)
@@ -123,7 +123,7 @@ func E8AITFvsPushback() Result {
 	res := Result{ID: "E8", Title: "§V AITF vs hop-by-hop pushback [MBF+01]"}
 	horizon := 30 * time.Second
 
-	tbl := metrics.NewTable("40 Mbit/s flood into a 10 Mbit/s tail circuit, depth-d chain, 30 s horizon",
+	tbl := NewTable("40 Mbit/s flood into a 10 Mbit/s tail circuit, depth-d chain, 30 s horizon",
 		"depth", "system", "relief (s)", "routers holding state", "control msgs", "victim leak (KB)")
 	for _, depth := range []int{2, 3, 5} {
 		ar, as, am, al := runAITFChain(depth, horizon)

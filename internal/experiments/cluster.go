@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"time"
 
-	"aitf/internal/metrics"
 	"aitf/internal/scenario"
 )
 
@@ -83,7 +82,7 @@ func E17ClusterFailover() Result {
 		return scenario.ClusterSpec{Replicas: 3, MergeMs: 250,
 			Replicate: replicate, KillReplica: kill}
 	}
-	failTable := metrics.NewTable("Replica kill mid-attack vs. filtering outcome (5 seeds per cell)",
+	failTable := NewTable("Replica kill mid-attack vs. filtering outcome (5 seeds per cell)",
 		"deployment", "victim bytes", "suppressed sends", "failovers",
 		"filters inherited", "filters lost", "violations")
 	cells := map[string]ClusterCell{}
@@ -103,7 +102,7 @@ func E17ClusterFailover() Result {
 	}
 	failTable.AddNote("the kill removes one logical replica's detection slice and log view; installed dataplane filters never vanish")
 
-	mergeTable := metrics.NewTable("Replication overhead per merge interval (replicated cluster + kill, 5 seeds per cell)",
+	mergeTable := NewTable("Replication overhead per merge interval (replicated cluster + kill, 5 seeds per cell)",
 		"merge interval ms", "merge rounds", "merge bytes", "bytes/round", "filters lost")
 	for _, ms := range []int{250, 500, 1000} {
 		clu := three(true, true)
@@ -135,7 +134,7 @@ func E17ClusterFailover() Result {
 	return Result{
 		ID:     "E17",
 		Title:  "gateway cluster: failover without losing a filter",
-		Tables: []*metrics.Table{failTable, mergeTable},
+		Tables: []*Table{failTable, mergeTable},
 		Notes:  notes,
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"aitf/internal/core"
 	"aitf/internal/detect"
 	"aitf/internal/flow"
-	"aitf/internal/metrics"
 	"aitf/internal/sim"
 )
 
@@ -69,7 +68,7 @@ func E13DetectionLatency() Result {
 		}},
 	}
 
-	table := metrics.NewTable("E13 — detection latency and its price (Figure-1 chain, 200 kB/s flood)",
+	table := NewTable("E13 — detection latency and its price (Figure-1 chain, 200 kB/s flood)",
 		"detector", "measured Td", "attack KB delivered", "victim bw after relief")
 	notes := []string{}
 
@@ -92,7 +91,7 @@ func E13DetectionLatency() Result {
 		label := flow.PairLabel(dep.Attacker.Node().Addr(), dep.Victim.Node().Addr()).Key()
 		for _, e := range dep.Log.OfKind(aitf.EvAttackDetected) {
 			if e.Flow.Key() == label {
-				td = e.T - sim.Time(start)
+				td = e.At - sim.Time(start)
 				break
 			}
 		}
@@ -110,7 +109,7 @@ func E13DetectionLatency() Result {
 		}
 		table.AddRow(k.name, tdCell,
 			float64(dep.Victim.Meter.Bytes)/1e3,
-			metrics.FormatBps(float64(tailBytes)/2))
+			FormatBps(float64(tailBytes)/2))
 	}
 
 	notes = append(notes,
@@ -121,7 +120,7 @@ func E13DetectionLatency() Result {
 	return Result{
 		ID:     "E13",
 		Title:  "detection latency: oracle vs sketch measurement engine (beyond the paper)",
-		Tables: []*metrics.Table{table},
+		Tables: []*Table{table},
 		Notes:  notes,
 	}
 }

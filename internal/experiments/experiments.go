@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"aitf/internal/metrics"
 )
 
 // Result is one experiment's output.
@@ -22,7 +20,7 @@ type Result struct {
 	// Title names the experiment after its paper location.
 	Title string
 	// Tables are the regenerated rows.
-	Tables []*metrics.Table
+	Tables []*Table
 	// Notes summarise the comparison against the paper's claims.
 	Notes []string
 }

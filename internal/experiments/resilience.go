@@ -11,7 +11,6 @@ package experiments
 import (
 	"fmt"
 
-	"aitf/internal/metrics"
 	"aitf/internal/scenario"
 )
 
@@ -64,7 +63,7 @@ func runResilienceCell(faults scenario.FaultSpec) ResilienceCell {
 // and restores it from its snapshot, checking every protocol invariant
 // at each operating point.
 func E16Resilience() Result {
-	lossTable := metrics.NewTable("Control-plane loss vs. filtering outcome (5 seeds per cell)",
+	lossTable := NewTable("Control-plane loss vs. filtering outcome (5 seeds per cell)",
 		"ctrl loss %", "retransmit", "victim bytes", "suppressed sends", "retransmits", "losses injected", "violations")
 	var base, worst ResilienceCell
 	for _, loss := range []float64{0, 5, 10, 20} {
@@ -86,7 +85,7 @@ func E16Resilience() Result {
 	}
 	lossTable.AddNote("loss is injected on backbone links only and only on control packets")
 
-	crashTable := metrics.NewTable("Victim-gateway crash/restore mid-attack (5 seeds)",
+	crashTable := NewTable("Victim-gateway crash/restore mid-attack (5 seeds)",
 		"fault mix", "gateway crashes", "victim bytes", "suppressed sends", "violations")
 	for _, faults := range []scenario.FaultSpec{
 		{CrashVictimGW: true},
@@ -118,7 +117,7 @@ func E16Resilience() Result {
 	return Result{
 		ID:     "E16",
 		Title:  "resilience: control-plane loss, retransmission, and gateway crash/restore",
-		Tables: []*metrics.Table{lossTable, crashTable},
+		Tables: []*Table{lossTable, crashTable},
 		Notes:  notes,
 	}
 }

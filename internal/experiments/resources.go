@@ -7,7 +7,6 @@ import (
 	"aitf/internal/attack"
 	"aitf/internal/contract"
 	"aitf/internal/core"
-	"aitf/internal/metrics"
 	"aitf/internal/packet"
 	"aitf/internal/sim"
 )
@@ -39,7 +38,7 @@ func E3ProtectedFlows() Result {
 	T := 10 * time.Second
 	nv := contract.ProtectedFlows(r1, T) // 100
 
-	tbl := metrics.NewTable("offered undesired flows vs protection (scaled: R1=10/s, T=10s, Nv=100)",
+	tbl := NewTable("offered undesired flows vs protection (scaled: R1=10/s, T=10s, Nv=100)",
 		"offered flows", "offered/Nv", "flows silenced", "still active", "silenced %")
 	for _, offered := range []int{50, 100, 150, 200} {
 		opt := scaledOptions(r1, T, 600*time.Millisecond)
@@ -86,7 +85,7 @@ func E3ProtectedFlows() Result {
 	tbl.AddNote("paper example at full scale: R1=100/s, T=1min protects against Nv=6000 simultaneous flows")
 	res.Tables = append(res.Tables, tbl)
 
-	paper := metrics.NewTable("paper-scale analytic values (formula Nv = R1·T)",
+	paper := NewTable("paper-scale analytic values (formula Nv = R1·T)",
 		"R1 (req/s)", "T", "Nv")
 	paper.AddRow(100.0, time.Minute, contract.ProtectedFlows(100, time.Minute))
 	paper.AddRow(10.0, time.Minute, contract.ProtectedFlows(10, time.Minute))
@@ -107,7 +106,7 @@ func E4VictimGatewayResources() Result {
 	r1 := 20.0
 	T := 10 * time.Second
 
-	tbl := metrics.NewTable("measured peaks at the victim's gateway (scaled: R1=20/s, T=10s)",
+	tbl := NewTable("measured peaks at the victim's gateway (scaled: R1=20/s, T=10s)",
 		"Ttmp", "analytic nv", "peak filters", "analytic mv", "peak shadows")
 	for _, ttmp := range []time.Duration{300 * time.Millisecond, 600 * time.Millisecond, 1200 * time.Millisecond} {
 		opt := scaledOptions(r1, T, ttmp)
@@ -140,7 +139,7 @@ func E4VictimGatewayResources() Result {
 	tbl.AddNote("a Ttmp below the handshake+grace time (first row) misfires the takeover check and falls back to long-lived local filters — the misprovisioning ablation in EXPERIMENTS.md")
 	res.Tables = append(res.Tables, tbl)
 
-	paper := metrics.NewTable("paper-scale analytic values (§IV-B example)",
+	paper := NewTable("paper-scale analytic values (§IV-B example)",
 		"R1 (req/s)", "Ttmp", "T", "nv filters", "mv shadows")
 	paper.AddRow(100.0, 600*time.Millisecond, time.Minute,
 		contract.VictimGatewayFilters(100, 600*time.Millisecond),
@@ -160,7 +159,7 @@ func E5AttackerGatewayResources() Result {
 
 	T := 20 * time.Second
 	victims := 16
-	tbl := metrics.NewTable("one misbehaving client, 16 flows to distinct victims (scaled: T=20s)",
+	tbl := NewTable("one misbehaving client, 16 flows to distinct victims (scaled: T=20s)",
 		"R2 (req/s)", "analytic na = R2*T", "stop orders at client", "gw filters (arrival*T)")
 	for _, r2 := range []float64{0.25, 0.5, 2} {
 		opt := aitf.DefaultOptions()
@@ -195,7 +194,7 @@ func E5AttackerGatewayResources() Result {
 	tbl.AddNote("stop orders at the client are capped by the R2 contract (na = R2*T + burst); the provider filters every verified flow regardless, so the client cap never weakens protection")
 	res.Tables = append(res.Tables, tbl)
 
-	paper := metrics.NewTable("paper-scale analytic values (§IV-C example)",
+	paper := NewTable("paper-scale analytic values (§IV-C example)",
 		"R2 (req/s)", "T", "na filters")
 	paper.AddRow(1.0, time.Minute, contract.AttackerGatewayFilters(1, time.Minute))
 	res.Tables = append(res.Tables, paper)
@@ -213,7 +212,7 @@ func E9ContractPolicing() Result {
 
 	r1 := 20.0
 	horizon := 10 * time.Second
-	tbl := metrics.NewTable("request flood from one client (scaled: R1=20/s, burst 4, 10 s horizon)",
+	tbl := NewTable("request flood from one client (scaled: R1=20/s, burst 4, 10 s horizon)",
 		"offered rate (req/s)", "received", "policer-dropped", "fully processed", "bound R1*t+burst", "filters created")
 	for _, mult := range []float64{1, 2, 10} {
 		opt := scaledOptions(r1, 10*time.Second, 600*time.Millisecond)

@@ -5,7 +5,6 @@ import (
 
 	"aitf"
 	"aitf/internal/attack"
-	"aitf/internal/metrics"
 	"aitf/internal/packet"
 )
 
@@ -91,7 +90,7 @@ func E7HandshakeSecurity() Result {
 		}},
 	}
 
-	tbl := metrics.NewTable("attack vectors against a legitimate 50 KB/s flow",
+	tbl := NewTable("attack vectors against a legitimate 50 KB/s flow",
 		"vector", "filters created", "requests rejected", "handshakes failed", "legit flow blocked")
 	for _, v := range vectors {
 		filters, invalid, hsFailed, blocked := v.run()

@@ -8,7 +8,6 @@ import (
 	"aitf/internal/attack"
 	"aitf/internal/contract"
 	"aitf/internal/core"
-	"aitf/internal/metrics"
 	"aitf/internal/sim"
 )
 
@@ -35,7 +34,7 @@ func E1Figure1() Result {
 		{"whole B-side refuses (disconnection)", map[int]bool{0: true, 1: true, 2: true}, false},
 	}
 
-	tbl := metrics.NewTable("Figure-1 scenarios",
+	tbl := NewTable("Figure-1 scenarios",
 		"scenario", "rounds", "filter lands on", "disconnects", "victim leak (KB)", "relief time")
 	for _, sc := range scenarios {
 		dep := aitf.DeployChain(aitf.ChainOptions{
@@ -69,15 +68,15 @@ func E1Figure1() Result {
 	fl := dep.Flood(dep.Attacker, dep.Victim, attackBps)
 	fl.Launch()
 	dep.Run(5 * time.Second)
-	tl := metrics.NewTable("cooperative-round timeline (first occurrence of each protocol step)",
+	tl := NewTable("cooperative-round timeline (first occurrence of each protocol step)",
 		"t", "node", "event")
-	seen := map[core.EventKind]bool{}
+	seen := map[aitf.EventKind]bool{}
 	for _, e := range dep.Log.Events {
 		if seen[e.Kind] {
 			continue
 		}
 		seen[e.Kind] = true
-		tl.AddRow(e.T.Truncate(time.Millisecond), e.Node, e.Kind.String())
+		tl.AddRow(e.At.Truncate(time.Millisecond), e.Node, e.Kind.String())
 	}
 	res.Tables = append(res.Tables, tl)
 	return res
@@ -119,7 +118,7 @@ func E2EffectiveBandwidth() Result {
 	td := 50 * time.Millisecond
 	tr := 50 * time.Millisecond
 
-	sweepN := metrics.NewTable("sweep n (T = 60s, Td = 50ms, Tr = 50ms)",
+	sweepN := NewTable("sweep n (T = 60s, Td = 50ms, Tr = 50ms)",
 		"n non-coop", "analytic r", "measured r", "measured/analytic")
 	for n := 1; n <= 4; n++ {
 		analytic := contract.BandwidthReduction(n, td, tr, time.Minute)
@@ -130,7 +129,7 @@ func E2EffectiveBandwidth() Result {
 	sweepN.AddNote("paper example: n=1, Td+Tr=50ms, T=60s gives r ≈ 0.00083")
 	res.Tables = append(res.Tables, sweepN)
 
-	sweepT := metrics.NewTable("sweep T (n = 2)",
+	sweepT := NewTable("sweep T (n = 2)",
 		"T", "analytic r", "measured r", "measured/analytic")
 	for _, T := range []time.Duration{30 * time.Second, time.Minute, 2 * time.Minute} {
 		analytic := contract.BandwidthReduction(2, td, tr, T)
@@ -150,7 +149,7 @@ func E2EffectiveBandwidth() Result {
 // attacker against the three reappearance-handling modes.
 func E6OnOffAblation() Result {
 	res := Result{ID: "E6", Title: "§II-B on-off attacker vs the DRAM shadow cache (ablation)"}
-	tbl := metrics.NewTable("pulsing flood, a_gw1 non-cooperative, 30 s horizon",
+	tbl := NewTable("pulsing flood, a_gw1 non-cooperative, 30 s horizon",
 		"shadow mode", "victim leak (KB)", "bursts that leaked", "escalations", "final block at")
 	for _, mode := range []aitf.ShadowMode{aitf.VictimDriven, aitf.GatewayAuto, aitf.ShadowOff} {
 		opt := aitf.DefaultOptions()

@@ -6,7 +6,8 @@ package filter
 // in excess of the agreed rate."
 //
 // Tokens accrue continuously at Rate per second up to Burst; each
-// admitted request consumes one token.
+// admitted request consumes one token (AllowN charges an arbitrary
+// cost, e.g. a packet's bytes for a byte-rate limiter).
 type Policer struct {
 	rate   float64 // tokens per second
 	burst  float64
@@ -48,7 +49,11 @@ func (p *Policer) Rate() float64 { return p.rate }
 // catastrophically, so the refill drifts (under-admitting a conforming
 // sender) and disagrees with Tokens, which has always used the delta
 // form. TestPolicerLargeTimestampPrecision pins this down.
-func (p *Policer) Allow(now Time) bool {
+func (p *Policer) Allow(now Time) bool { return p.AllowN(now, 1) }
+
+// AllowN is Allow for a request costing n tokens; a denial consumes
+// nothing.
+func (p *Policer) AllowN(now Time, n float64) bool {
 	if now > p.last {
 		p.tokens += p.rate * (now - p.last).Seconds()
 		if p.tokens > p.burst {
@@ -59,11 +64,11 @@ func (p *Policer) Allow(now Time) bool {
 	// A zero-rate policer holds its initial burst but may never spend
 	// it: no contracted rate means nothing is admitted, and the denial
 	// still counts as a policing decision (see the Dropped doc).
-	if p.rate <= 0 || p.tokens < 1 {
+	if p.rate <= 0 || p.tokens < n {
 		p.Dropped++
 		return false
 	}
-	p.tokens--
+	p.tokens -= n
 	p.Admitted++
 	return true
 }

@@ -49,6 +49,31 @@ func TestPolicerRefill(t *testing.T) {
 	}
 }
 
+// TestPolicerAllowN charges a cost above one token, as a byte-rate
+// limiter does per packet: a denial must leave the bucket untouched so
+// a smaller request behind it still fits.
+func TestPolicerAllowN(t *testing.T) {
+	p := NewPolicer(1000, 1500) // 1000 B/s, 1500 B burst
+	if !p.AllowN(0, 1000) {
+		t.Fatal("1000 B denied from a full 1500 B bucket")
+	}
+	if p.AllowN(0, 600) {
+		t.Fatal("600 B admitted with 500 B left")
+	}
+	if got := p.Tokens(0); got != 500 {
+		t.Fatalf("Tokens after a denial = %v, want 500 (denials consume nothing)", got)
+	}
+	if !p.AllowN(0, 500) {
+		t.Fatal("500 B denied with 500 B left")
+	}
+	if p.AllowN(100*time.Millisecond, 101) || !p.AllowN(100*time.Millisecond, 100) {
+		t.Fatal("100 ms at 1000 B/s must refill exactly 100 B")
+	}
+	if p.Admitted != 3 || p.Dropped != 2 {
+		t.Fatalf("Admitted = %d, Dropped = %d; want 3, 2", p.Admitted, p.Dropped)
+	}
+}
+
 func TestPolicerZeroRate(t *testing.T) {
 	p := NewPolicer(0, 10)
 	// Initial burst tokens exist but rate 0 admits nothing.

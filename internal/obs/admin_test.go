@@ -14,7 +14,7 @@ func bootAdmin(t *testing.T, health func() Health) (*AdminServer, string) {
 	reg := NewRegistry()
 	reg.Counter("admin_test_total", "scrape me").Add(5)
 	ring := NewRing(16)
-	ring.Record(Event{Node: "gw", Kind: "filter-installed", At: time.Second})
+	ring.Record(Record{Node: "gw", Kind: EvFilterInstalled, At: time.Second})
 	a := NewAdminServer(reg, ring, health)
 	if err := a.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
 // Package obs is the production observability plane: a dependency-free
-// metrics registry, Prometheus-text and JSON exposition, a bounded
-// lock-free ring buffer of protocol trace events, and the admin HTTP
-// server that serves them next to net/http/pprof.
+// metrics registry, Prometheus-text and JSON exposition, the protocol
+// event vocabulary both runtimes trace in, a bounded lock-free ring of
+// trace records next to the simulator's unbounded Log, and the admin
+// HTTP server that serves them next to net/http/pprof.
 //
 // The paper's whole argument is quantitative — AITF wins because Td,
 // Tr, filter-table occupancy, and collateral damage stay bounded under

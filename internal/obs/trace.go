@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// Event is one structured protocol trace record, shaped after
-// core.Event (kind, flow label, timestamp, node) but expressed in
-// stdlib types so obs stays a leaf package every layer can import.
+// Event is a trace record rendered for readers: what Ring.Snapshot
+// returns and /trace serves. Records are formatted into Events only at
+// read time, so writers pay no string building.
 type Event struct {
 	// At is the event time (wall clock for the wire runtime, virtual
 	// time rendered to a duration-since-epoch for the simulator).
@@ -24,12 +24,12 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Ring is a bounded lock-free ring buffer of trace events. Writers
+// Ring is a bounded lock-free ring buffer of trace records. Writers
 // claim a slot with one atomic add and publish the record with one
 // atomic pointer store; when the ring wraps, the oldest records are
 // overwritten. Readers snapshot without blocking writers.
 type Ring struct {
-	slots []atomic.Pointer[Event] // aitf:atomic
+	slots []atomic.Pointer[Record] // aitf:atomic
 	mask  uint64
 	next  atomic.Uint64 // aitf:atomic
 }
@@ -41,7 +41,7 @@ func NewRing(n int) *Ring {
 	for size < n {
 		size <<= 1
 	}
-	return &Ring{slots: make([]atomic.Pointer[Event], size), mask: uint64(size - 1)}
+	return &Ring{slots: make([]atomic.Pointer[Record], size), mask: uint64(size - 1)}
 }
 
 // Cap returns the ring capacity.
@@ -56,18 +56,18 @@ func (r *Ring) Len() int {
 	return int(n)
 }
 
-// Record appends an event, overwriting the oldest once full. The Event
-// is heap-allocated per record — tracing marks protocol milestones
+// Record appends a record, overwriting the oldest once full. The Record
+// is heap-allocated per call — tracing marks protocol milestones
 // (handshakes, installs, escalations), not per-packet work, so this is
 // off the classification hot path by construction.
-func (r *Ring) Record(e Event) {
+func (r *Ring) Record(e Record) {
 	i := r.next.Add(1) - 1
 	r.slots[i&r.mask].Store(&e)
 }
 
-// Snapshot returns the retained events, oldest first. Records being
+// Snapshot renders the retained records, oldest first. Records being
 // overwritten mid-snapshot may be skipped; the result is always a
-// consistent set of fully published events.
+// consistent set of fully published records.
 func (r *Ring) Snapshot() []Event {
 	end := r.next.Load()
 	start := uint64(0)
@@ -77,7 +77,7 @@ func (r *Ring) Snapshot() []Event {
 	out := make([]Event, 0, end-start)
 	for i := start; i < end; i++ {
 		if e := r.slots[i&r.mask].Load(); e != nil {
-			out = append(out, *e)
+			out = append(out, e.Event())
 		}
 	}
 	return out
@@ -122,15 +122,17 @@ func (t *Trace) Logger() *slog.Logger {
 	return t.log
 }
 
-// Event records a protocol event at the given level.
-func (t *Trace) Event(level slog.Level, e Event) {
+// Event records a protocol event at the given level. The slog line,
+// flow label included, is formatted only when the level is enabled.
+func (t *Trace) Event(level slog.Level, r Record) {
 	if t == nil {
 		return
 	}
-	t.ring.Record(e)
+	t.ring.Record(r)
 	if !t.log.Enabled(context.Background(), level) {
 		return
 	}
+	e := r.Event()
 	attrs := make([]any, 0, 8)
 	attrs = append(attrs, "node", e.Node, "at", e.At)
 	if e.Flow != "" {
@@ -143,10 +145,10 @@ func (t *Trace) Event(level slog.Level, e Event) {
 }
 
 // Info records at slog.LevelInfo.
-func (t *Trace) Info(e Event) { t.Event(slog.LevelInfo, e) }
+func (t *Trace) Info(r Record) { t.Event(slog.LevelInfo, r) }
 
 // Debug records at slog.LevelDebug.
-func (t *Trace) Debug(e Event) { t.Event(slog.LevelDebug, e) }
+func (t *Trace) Debug(r Record) { t.Event(slog.LevelDebug, r) }
 
 // Warn records at slog.LevelWarn.
-func (t *Trace) Warn(e Event) { t.Event(slog.LevelWarn, e) }
+func (t *Trace) Warn(r Record) { t.Event(slog.LevelWarn, r) }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"aitf/internal/flow"
 )
 
 func TestRingBasics(t *testing.T) {
@@ -18,7 +20,7 @@ func TestRingBasics(t *testing.T) {
 		t.Fatalf("empty ring snapshot = %v", got)
 	}
 	for i := 0; i < 3; i++ {
-		r.Record(Event{Node: "gw", Kind: "k", At: time.Duration(i)})
+		r.Record(Record{Node: "gw", Kind: EvFilterInstalled, At: time.Duration(i)})
 	}
 	got := r.Snapshot()
 	if len(got) != 3 || r.Len() != 3 {
@@ -34,7 +36,7 @@ func TestRingBasics(t *testing.T) {
 func TestRingWrap(t *testing.T) {
 	r := NewRing(16)
 	for i := 0; i < 40; i++ {
-		r.Record(Event{At: time.Duration(i)})
+		r.Record(Record{At: time.Duration(i)})
 	}
 	got := r.Snapshot()
 	if len(got) != 16 || r.Len() != 16 {
@@ -54,7 +56,7 @@ func TestRingConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Record(Event{Node: "n", At: time.Duration(w*1000 + i)})
+				r.Record(Record{Node: "n", At: time.Duration(w*1000 + i)})
 			}
 		}(w)
 	}
@@ -76,25 +78,61 @@ func TestTraceLogsAndRecords(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo}))
 	tr := NewTrace(NewRing(16), logger)
 
-	tr.Info(Event{Node: "gwA", Kind: "filter-installed", Flow: "1.2.3.4->5.6.7.8", At: time.Second})
-	tr.Debug(Event{Node: "gwA", Kind: "packet-seen"}) // below level: ring only
+	label := flow.PairLabel(flow.MakeAddr(1, 2, 3, 4), flow.MakeAddr(5, 6, 7, 8))
+	tr.Info(Record{Node: "gwA", Kind: EvFilterInstalled, Flow: label, At: time.Second})
+	tr.Debug(Record{Node: "gwA", Kind: EvShadowHit}) // below level: ring only
 
 	out := buf.String()
 	if !strings.Contains(out, "filter-installed") || !strings.Contains(out, "node=gwA") ||
-		!strings.Contains(out, "flow=1.2.3.4->5.6.7.8") {
+		!strings.Contains(out, `flow="`+label.String()+`"`) {
 		t.Errorf("slog line missing fields: %q", out)
 	}
-	if strings.Contains(out, "packet-seen") {
+	if strings.Contains(out, "shadow-hit") {
 		t.Errorf("debug event logged at info level: %q", out)
 	}
-	if got := tr.Ring().Snapshot(); len(got) != 2 {
+	got := tr.Ring().Snapshot()
+	if len(got) != 2 {
 		t.Fatalf("ring has %d events, want 2 (both levels recorded)", len(got))
+	}
+	// Snapshot renders at read time: kind names, the label's text form,
+	// and no flow at all for a zero label.
+	want := []Event{
+		{At: time.Second, Node: "gwA", Kind: "filter-installed", Flow: label.String()},
+		{Node: "gwA", Kind: "shadow-hit"},
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("snapshot[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestEventKindContract pins what the scenario trace fingerprint hashes:
+// each kind's number (written as a decimal) and a distinct name per
+// kind. Renumbering a kind changes every golden fingerprint.
+func TestEventKindContract(t *testing.T) {
+	if EvAttackDetected != 1 || EvReplicaKilled != 28 {
+		t.Fatalf("EvAttackDetected = %d, EvReplicaKilled = %d; want 1, 28", EvAttackDetected, EvReplicaKilled)
+	}
+	seen := map[string]EventKind{}
+	for k := EvAttackDetected; k <= EvReplicaKilled; k++ {
+		name := k.String()
+		if name == "" || strings.HasPrefix(name, "event-") {
+			t.Errorf("kind %d has no name", k)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", prev, k, name)
+		}
+		seen[name] = k
+	}
+	if EventKind(200).String() != "event-200" {
+		t.Errorf("unknown kind renders %q", EventKind(200).String())
 	}
 }
 
 func TestNilTraceIsNoop(t *testing.T) {
 	var tr *Trace
-	tr.Info(Event{Kind: "x"}) // must not panic
+	tr.Info(Record{Kind: EvRequestSent}) // must not panic
 	if tr.Ring() != nil {
 		t.Fatal("nil trace ring should be nil")
 	}

@@ -13,6 +13,7 @@ package pushback
 import (
 	"time"
 
+	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/netsim"
 	"aitf/internal/packet"
@@ -80,12 +81,11 @@ type aggState struct {
 	// perIngress tracks contribution per upstream neighbor this window.
 	perIngress map[flow.Addr]float64
 
-	// limiter state: allow LimitBps with a one-window burst.
+	// limiter is a byte token bucket: the limit rate with a one-window
+	// burst.
 	limited    bool
 	limitUntil sim.Time
-	limitBps   float64
-	tokens     float64
-	lastRefill sim.Time
+	limiter    *filter.Policer
 	// depth is the recursion depth the limit was installed at (0 =
 	// local detection); further propagation continues from here, so
 	// MaxDepth bounds the total chain even though every recruited
@@ -177,7 +177,7 @@ func (r *Router) handleData(p *packet.Packet, from *netsim.Iface) {
 	if a.limited {
 		if a.limitUntil <= now {
 			a.limited = false
-		} else if !r.allow(a, now, float64(p.PayloadLen)) {
+		} else if !a.limiter.AllowN(now, float64(p.PayloadLen)) {
 			a.windowLimitDrops++
 			r.stats.LimitDrops++
 			p.Release() // rate-limited: the packet is dead, recycle it
@@ -199,21 +199,6 @@ func (r *Router) agg(dst flow.Addr) *aggState {
 		r.aggs[dst] = a
 	}
 	return a
-}
-
-// allow is the aggregate's token bucket (bytes).
-func (r *Router) allow(a *aggState, now sim.Time, bytes float64) bool {
-	burst := a.limitBps * sim.Time(r.cfg.Window).Seconds()
-	a.tokens += a.limitBps * (now - a.lastRefill).Seconds()
-	if a.tokens > burst {
-		a.tokens = burst
-	}
-	a.lastRefill = now
-	if a.tokens < bytes {
-		return false
-	}
-	a.tokens -= bytes
-	return true
 }
 
 // evaluate runs at window boundaries: declare aggregates hot when a
@@ -249,10 +234,8 @@ func (r *Router) evaluate(a *aggState) {
 func (r *Router) installLimit(a *aggState, limitBps float64, depth int) {
 	now := r.now()
 	a.limited = true
-	a.limitBps = limitBps
 	a.limitUntil = now + sim.Time(r.cfg.Duration)
-	a.tokens = limitBps * sim.Time(r.cfg.Window).Seconds()
-	a.lastRefill = now
+	a.limiter = filter.NewPolicer(limitBps, limitBps*sim.Time(r.cfg.Window).Seconds())
 	a.depth = depth
 	r.stats.LimitsInstalled++
 	if r.OnInstall != nil {

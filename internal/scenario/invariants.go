@@ -131,7 +131,7 @@ func (w *world) checkLegitNeverFiltered(r *Result) {
 		}
 		if src, bad := covered(e.Flow); bad {
 			w.violate(r, "legit-filtered", e.Node,
-				"%s names protected source %v (flow %s at %v)", e.Kind, src, e.Flow, e.T)
+				"%s names protected source %v (flow %s at %v)", e.Kind, src, e.Flow, e.At)
 		}
 	}
 	// Nothing protected may be left in any filter table either.
@@ -297,10 +297,10 @@ func (w *world) checkEscalationTerminates(r *Result) {
 
 	rounds := map[string]int{}
 	for _, e := range w.dep.Log.OfKind(aitf.EvEscalated) {
-		if e.T > quiesceBy {
+		if e.At > quiesceBy {
 			w.violate(r, "escalation-terminates", e.Node,
 				"escalation of %s at %v, after quiesce deadline %v (attack stopped %v)",
-				e.Flow, e.T, quiesceBy, w.attackStop)
+				e.Flow, e.At, quiesceBy, w.attackStop)
 		}
 		key := e.Node + "|" + e.Flow.String()
 		rounds[key]++
@@ -412,7 +412,7 @@ func (w *world) checkDetectionAccuracy(r *Result) {
 			r.FalsePositives++
 			w.violate(r, "detector-fp", e.Node,
 				"legit source %v (≤ %.0f B/s, threshold %d B/s) detected as attack (flow %s at %v)",
-				e.Flow.Src, 0.5*detectThreshold, int(detectThreshold), e.Flow, e.T)
+				e.Flow.Src, 0.5*detectThreshold, int(detectThreshold), e.Flow, e.At)
 		}
 	}
 	for _, a := range w.attackers {
@@ -564,7 +564,7 @@ func (w *world) fingerprint() uint64 {
 	line := make([]byte, 0, 256)
 	for i := range w.dep.Log.Events {
 		e := &w.dep.Log.Events[i]
-		line = strconv.AppendInt(line[:0], int64(e.T), 10)
+		line = strconv.AppendInt(line[:0], int64(e.At), 10)
 		line = append(line, '|')
 		line = append(line, e.Node...)
 		line = append(line, '|')

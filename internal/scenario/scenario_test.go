@@ -273,7 +273,7 @@ func TestScenarioSketchEmergentTd(t *testing.T) {
 	var detAt sim.Time
 	for _, e := range w.dep.Log.OfKind(aitf.EvAttackDetected) {
 		if e.Flow.Key() == label {
-			detAt = e.T
+			detAt = e.At
 			break
 		}
 	}

@@ -154,7 +154,7 @@ func TestBatchRespectsArrivalOrder(t *testing.T) {
 	}
 	waitUntil(t, 5*time.Second, func() bool {
 		sent, rcvd := g.node.Counts()
-		return rcvd == 2*n && rcvd == g.FilterDrops.Load()-1+sent-3
+		return rcvd == 2*n && rcvd == g.filterDrops.Load()-1+sent-3
 	}, "the read loop did not drop or forward every datagram")
 	for i, p := range readPackets(t, sink, n) {
 		if p.Src != otherA {
@@ -162,7 +162,7 @@ func TestBatchRespectsArrivalOrder(t *testing.T) {
 		}
 	}
 	expectQuiet(t, sink)
-	if drops, st := g.FilterDrops.Load(), g.DataPlane().FilterStats(); drops != 1+n || st.Drops != drops {
+	if drops, st := g.filterDrops.Load(), g.DataPlane().FilterStats(); drops != 1+n || st.Drops != drops {
 		t.Fatalf("gateway FilterDrops %d, engine drops %d, want both %d", drops, st.Drops, 1+n)
 	}
 }

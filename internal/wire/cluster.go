@@ -16,6 +16,7 @@ import (
 	"aitf/internal/cluster"
 	"aitf/internal/detect"
 	"aitf/internal/flow"
+	"aitf/internal/obs"
 	"aitf/internal/sim"
 )
 
@@ -59,7 +60,7 @@ func (g *Gateway) armClusterMerge() {
 			return
 		}
 		if fresh := g.clu.MergeRound(wallNow()); fresh > 0 {
-			g.event("cluster-merge", flow.Label{},
+			g.event(obs.EvClusterMerge, flow.Label{},
 				fmt.Sprintf("%d merged detections pending", fresh))
 		}
 		g.armClusterMerge()
@@ -76,7 +77,7 @@ func (g *Gateway) KillReplica(id int) (inherited, lost int, ok bool) {
 	}
 	inherited, lost, ok = g.clu.KillReplica(id, wallNow())
 	if ok {
-		g.event("replica-killed", flow.Label{},
+		g.event(obs.EvReplicaKilled, flow.Label{},
 			fmt.Sprintf("replica %d: %d filters inherited, %d lost", id, inherited, lost))
 	}
 	return inherited, lost, ok

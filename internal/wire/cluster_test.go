@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -150,14 +151,10 @@ func TestWireClusterRoundOverUDP(t *testing.T) {
 	}()
 
 	waitUntil(t, 5*time.Second, func() bool {
-		vgw.mu.Lock()
-		defer vgw.mu.Unlock()
-		return vgw.Detections > 0
+		return vgw.Stats().Detections > 0
 	}, "clustered gateway never detected the flood")
 	waitUntil(t, 5*time.Second, func() bool {
-		agw.mu.Lock()
-		defer agw.mu.Unlock()
-		return agw.HandshakesOK > 0
+		return agw.Stats().HandshakesOK > 0
 	}, "handshake never completed against the clustered victim gateway")
 	waitUntil(t, 5*time.Second, func() bool {
 		return vgw.Cluster().Stats().MergeRounds > 0
@@ -337,6 +334,38 @@ func TestWireClusterSnapshotRestore(t *testing.T) {
 	inherited, lost, ok := g2.KillReplica(0)
 	if !ok || lost != 0 || inherited < len(labels) {
 		t.Fatalf("post-restore failover: inherited %d, lost %d, ok %v", inherited, lost, ok)
+	}
+}
+
+// TestWireClusterKillTraced: a replica kill lands on /trace as a typed
+// replica-killed event. It concerns no flow, so the rendering omits the
+// "flow" key rather than printing a zero label.
+func TestWireClusterKillTraced(t *testing.T) {
+	ring := obs.NewRing(16)
+	g, err := NewGateway(GatewayConfig{
+		Node:    NodeConfig{Addr: flow.MakeAddr(10, 0, 0, 1), Name: "g"},
+		Secret:  []byte("s"),
+		Cluster: cluster.Config{Replicas: 3},
+		Trace:   obs.NewTrace(ring, slog.New(slog.DiscardHandler)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if _, _, ok := g.KillReplica(1); !ok {
+		t.Fatal("KillReplica(1) refused")
+	}
+	var killed []map[string]any
+	for _, e := range traceJSON(t, ring) {
+		if e["kind"] == "replica-killed" {
+			killed = append(killed, e)
+		}
+	}
+	if len(killed) != 1 || killed[0]["node"] != "g" || !strings.HasPrefix(killed[0]["detail"].(string), "replica 1:") {
+		t.Fatalf("/trace replica-killed events = %v, want one for replica 1", killed)
+	}
+	if _, ok := killed[0]["flow"]; ok {
+		t.Fatalf("replica-killed renders a flow: %v", killed[0])
 	}
 }
 

@@ -160,36 +160,13 @@ type Gateway struct {
 	dedup    filter.Dedup
 	rng      *mrand.Rand
 
-	// Control-plane stats mirror the simulator gateway's counters
-	// (subset); they are mutated under mu.
-	ReqReceived, ReqPoliced, ReqInvalid uint64
-	HandshakesStarted                   uint64
-	HandshakesOK, HandshakesFailed      uint64
-	StopOrders                          uint64
-	Aggregations                        uint64
-	// CollateralBytes accumulates the allocator's estimated collateral
-	// legit bytes per installed aggregate; mutated under mu.
-	CollateralBytes uint64
-	// Detections counts gateway-side sketch detections (attacks
-	// flagged on behalf of protected legacy clients); mutated under mu.
-	Detections uint64
-	// Reliable-messenger counters (under mu): logical sends that got a
-	// txid, retransmitted attempts, and received duplicates dropped by
-	// the dedup window.
-	CtrlReliableSends, CtrlRetransmits, CtrlDupDrops uint64
-	// Snapshot/restore counters (under mu).
-	SnapshotSaves, SnapshotRestores  uint64
-	FiltersRestored, ShadowsRestored uint64
-	// PolicerEvicted counts request policers dropped to hold the
-	// maxPolicers bound (under mu).
-	PolicerEvicted uint64
-	// Data-plane stats are updated atomically: the receive goroutine
-	// counts them without g.mu while an admin scraper reads them.
-	// Typed atomics align themselves; a plain uint64 here sits at a
-	// 4-byte offset on 32-bit targets and atomic.AddUint64 on it
-	// panics.
-	FilterDrops atomic.Uint64
-	ShadowHits  atomic.Uint64
+	// stats holds the control-plane counters, mutated under mu. Its
+	// data-plane fields are the two atomics below: the receive goroutine
+	// counts those without g.mu while an admin scraper reads them. Typed
+	// atomics align themselves; a plain uint64 at a 4-byte offset on a
+	// 32-bit target makes atomic.AddUint64 panic.
+	stats                   GatewayStats
+	filterDrops, shadowHits atomic.Uint64 // aitf:atomic
 }
 
 // maxPolicers bounds the per-neighbor request policers. Their key is
@@ -329,17 +306,10 @@ func (g *Gateway) tracing() bool { return g.cfg.Trace != nil }
 // event records a protocol milestone: into the trace ring always, and
 // as an Info-level structured log line when enabled. It is a no-op
 // without a trace.
-func (g *Gateway) event(kind string, label flow.Label, detail string) {
-	if !g.tracing() {
-		return
+func (g *Gateway) event(kind obs.EventKind, label flow.Label, detail string) {
+	if g.tracing() {
+		g.cfg.Trace.Info(obs.Record{At: wallNow(), Node: g.node.Name(), Kind: kind, Flow: label, Detail: detail})
 	}
-	g.cfg.Trace.Info(obs.Event{
-		At:     time.Duration(wallNow()),
-		Node:   g.node.Name(),
-		Kind:   kind,
-		Flow:   label.String(),
-		Detail: detail,
-	})
 }
 
 func (g *Gateway) policer(peer flow.Addr) *filter.Policer {
@@ -353,7 +323,7 @@ func (g *Gateway) policer(peer flow.Addr) *filter.Policer {
 		if len(g.policers) >= maxPolicers {
 			for k := range g.policers {
 				delete(g.policers, k)
-				g.PolicerEvicted++
+				g.stats.PolicerEvicted++
 				break
 			}
 		}
@@ -424,14 +394,14 @@ func (g *Gateway) handleBatch(n *Node, pkts []*packet.Packet, tx *sockBatch) {
 // aitf:noalloc
 func (g *Gateway) finishData(p *packet.Packet, v dataplane.Verdict, tx *sockBatch) {
 	if v.Drop {
-		g.FilterDrops.Add(1)
+		g.filterDrops.Add(1)
 		p.Release()
 		return
 	}
 	if v.ShadowHit {
 		// An "on-off" flow reappeared within T of being filtered; count
 		// it (the wire runtime's single round has no escalation ladder).
-		g.ShadowHits.Add(1)
+		g.shadowHits.Add(1)
 	}
 	// Gateway-side detection: delivered traffic toward a protected
 	// legacy client feeds the sketch engine (internally synchronized,
@@ -489,7 +459,7 @@ func (g *Gateway) reliableSend(attempts int, build func(txid uint64) *packet.Pac
 	if g.cfg.Control.Enabled() && attempts > 1 {
 		g.nextTxid++
 		txid = g.nextTxid
-		g.CtrlReliableSends++
+		g.stats.CtrlReliableSends++
 	} else {
 		attempts = 1
 	}
@@ -514,7 +484,7 @@ func (g *Gateway) reliableSend(attempts int, build func(txid uint64) *packet.Pac
 			if ladder.cancelled {
 				return
 			}
-			g.CtrlRetransmits++
+			g.stats.CtrlRetransmits++
 			send()
 			if attempt+1 < attempts {
 				arm(attempt+1, rto*2)
@@ -565,7 +535,7 @@ func (g *Gateway) handleVerifyQuery(p *packet.Packet, m *packet.VerifyQuery) {
 		return
 	}
 	if g.tracing() {
-		g.event("handshake-reply", label, "to attacker gw "+p.Src.String())
+		g.event(obs.EvHandshakeReply, label, "to attacker gw "+p.Src.String())
 	}
 	gw, querier, mflow, nonce := g.node.Addr(), p.Src, m.Flow, m.Nonce
 	g.reliableSend(g.blindAttempts(), func(uint64) *packet.Packet {
@@ -586,9 +556,9 @@ func (g *Gateway) selfDetect(d detect.Detection, path []packet.RREntry) {
 	label := d.Label.Canonical()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.Detections++
+	g.stats.Detections++
 	if g.tracing() {
-		g.event("attack-detected", label, fmt.Sprintf("est %dB for protected client %v", d.EstBytes, d.Dst))
+		g.event(obs.EvAttackDetected, label, fmt.Sprintf("est %dB for protected client %v", d.EstBytes, d.Dst))
 	}
 	if err := g.installWithAggregation(label, now, now+sim.Time(g.cfg.Timers.Ttmp)); err != nil {
 		// The wire-speed table is full even after aggregation: the
@@ -615,7 +585,7 @@ func (g *Gateway) selfDetect(d detect.Detection, path []packet.RREntry) {
 		return
 	}
 	if g.tracing() {
-		g.event("request-sent", label, "gateway-detected relay to attacker gw "+target.String())
+		g.event(obs.EvRequestSent, label, "gateway-detected relay to attacker gw "+target.String())
 	}
 	gw, dlabel, dur := g.node.Addr(), d.Label, g.cfg.Timers.T
 	g.reliableSend(g.blindAttempts(), func(txid uint64) *packet.Packet {
@@ -637,14 +607,14 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 	// pair seen within the dedup window is dropped before any side
 	// effect or counter runs, making the receive path idempotent.
 	if g.dedup.Seen(p.Src, m.Txid, now, dedupWindow) {
-		g.CtrlDupDrops++
+		g.stats.CtrlDupDrops++
 		return
 	}
-	g.ReqReceived++
+	g.stats.ReqReceived++
 	if !g.policer(from).Allow(now) {
-		g.ReqPoliced++
+		g.stats.ReqPoliced++
 		if g.tracing() {
-			g.event("request-policed", m.Flow.Canonical(), "from "+from.String())
+			g.event(obs.EvRequestPoliced, m.Flow.Canonical(), "from "+from.String())
 		}
 		return
 	}
@@ -655,8 +625,8 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 		// the shadow, and relay to the attacker's gateway.
 		evidence := traceback.AttackPath(m.Evidence)
 		if !g.rec.Verify(evidence, flow.Tuple{Src: label.Src, Dst: label.Dst}) {
-			g.ReqInvalid++
-			g.event("request-invalid", label, "bad evidence")
+			g.stats.ReqInvalid++
+			g.event(obs.EvRequestInvalid, label, "bad evidence")
 			return
 		}
 		// A full table loses only the temporary filter: the shadow and
@@ -673,9 +643,9 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 		}
 		if g.tracing() {
 			if ierr == nil {
-				g.event("temp-filter-installed", label, "relaying to attacker gw "+target.String())
+				g.event(obs.EvTempFilterInstalled, label, "relaying to attacker gw "+target.String())
 			} else {
-				g.event("request-sent", label, "relay to attacker gw "+target.String()+" without a temporary filter")
+				g.event(obs.EvRequestSent, label, "relay to attacker gw "+target.String()+" without a temporary filter")
 			}
 		}
 		req := *m
@@ -689,8 +659,8 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 	case packet.StageToAttackerGW:
 		// Attacker-side: verify our stamp then handshake the victim.
 		if !g.rec.Verify(traceback.AttackPath(m.Evidence), flow.Tuple{Src: label.Src, Dst: label.Dst}) {
-			g.ReqInvalid++
-			g.event("request-invalid", label, "bad evidence")
+			g.stats.ReqInvalid++
+			g.event(obs.EvRequestInvalid, label, "bad evidence")
 			return
 		}
 		if prev, ok := g.pendings[label.Key()]; ok {
@@ -700,15 +670,15 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 			if prev.retx != nil {
 				prev.retx()
 			}
-			g.HandshakesFailed++
-			g.event("handshake-failed", label, "superseded by a fresh request")
+			g.stats.HandshakesFailed++
+			g.event(obs.EvHandshakeFailed, label, "superseded by a fresh request")
 		}
-		g.HandshakesStarted++
+		g.stats.HandshakesStarted++
 		pend := &wirePending{req: m, nonce: randNonce(),
 			deadline: time.Now().Add(g.cfg.HandshakeTimeout)}
 		g.pendings[label.Key()] = pend
 		if g.tracing() {
-			g.event("handshake-query", label, "to victim "+m.Victim.String())
+			g.event(obs.EvHandshakeQuery, label, "to victim "+m.Victim.String())
 		}
 		gw, victim, mflow, nonce := g.node.Addr(), m.Victim, m.Flow, pend.nonce
 		pend.retx = g.reliableSend(g.cfg.Control.MaxAttempts, func(uint64) *packet.Packet {
@@ -725,8 +695,8 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 				if pend.retx != nil {
 					pend.retx()
 				}
-				g.HandshakesFailed++
-				g.event("handshake-failed", label, "timeout")
+				g.stats.HandshakesFailed++
+				g.event(obs.EvHandshakeFailed, label, "timeout")
 			}
 		})
 	}
@@ -763,11 +733,11 @@ func (g *Gateway) installWithAggregation(label flow.Label, now, exp sim.Time) er
 			continue
 		}
 		freed = true
-		g.Aggregations++
-		g.CollateralBytes += uint64(pick.LegitBytes)
+		g.stats.Aggregations++
+		g.stats.CollateralBytes += uint64(pick.LegitBytes)
 		g.clusterRecord(cluster.OpAggregate, pick.Aggregate, pick.MaxExpiry, now)
 		if g.tracing() {
-			g.event("aggregated", pick.Aggregate,
+			g.event(obs.EvAggregated, pick.Aggregate,
 				fmt.Sprintf("table full: coalesced %d siblings, covers %d sources, est %dB/window collateral",
 					replaced, pick.CoveredAddrs(), uint64(pick.LegitBytes)))
 		}
@@ -794,19 +764,19 @@ func (g *Gateway) handleVerifyReply(m *packet.VerifyReply) {
 		pend.retx()
 	}
 	delete(g.pendings, label.Key())
-	g.HandshakesOK++
+	g.stats.HandshakesOK++
 	if err := g.dp.Install(label, now, now+sim.Time(g.cfg.Timers.T)); err != nil {
 		g.logf("filter: %v", err)
 		return
 	}
 	g.clusterRecord(cluster.OpInstall, label, now+sim.Time(g.cfg.Timers.T), now)
 	if g.tracing() {
-		g.event("handshake-ok", label, "filtering for "+g.cfg.Timers.T.String())
+		g.event(obs.EvHandshakeOK, label, "filtering for "+g.cfg.Timers.T.String())
 	}
 	// Tell the attacking client to stop (§II-C ii).
-	g.StopOrders++
+	g.stats.StopOrders++
 	if g.tracing() {
-		g.event("stop-order", label, "to attacker "+label.Src.String())
+		g.event(obs.EvStopOrder, label, "to attacker "+label.Src.String())
 	}
 	gw, mflow, dur := g.node.Addr(), m.Flow, g.cfg.Timers.T
 	g.reliableSend(g.blindAttempts(), func(txid uint64) *packet.Packet {

@@ -12,7 +12,6 @@ import (
 	"aitf/internal/flow"
 	"aitf/internal/obs"
 	"aitf/internal/packet"
-	"aitf/internal/sim"
 )
 
 // HostConfig configures a wire-mode AITF end-host.
@@ -49,14 +48,7 @@ type Host struct {
 	wanted     map[flow.Label]time.Time // label -> expiry
 	stopOrders filter.StopOrders        // deadlines on the wallNow clock
 
-	// BytesReceived counts payload bytes of delivered data packets.
-	BytesReceived uint64
-	// RequestsSent counts filtering requests issued.
-	RequestsSent uint64
-	// StopOrdersReceived counts provider stop orders.
-	StopOrdersReceived uint64
-	// SuppressedSends counts packets withheld for compliance.
-	SuppressedSends uint64
+	stats HostStats // under mu
 }
 
 // NewHost binds the host's socket.
@@ -102,17 +94,10 @@ func (h *Host) tracing() bool { return h.cfg.Trace != nil }
 
 // event records a protocol milestone into the trace ring and the
 // structured log. It is a no-op without a trace.
-func (h *Host) event(kind string, label flow.Label, detail string) {
-	if !h.tracing() {
-		return
+func (h *Host) event(kind obs.EventKind, label flow.Label, detail string) {
+	if h.tracing() {
+		h.cfg.Trace.Info(obs.Record{At: wallNow(), Node: h.node.Name(), Kind: kind, Flow: label, Detail: detail})
 	}
-	h.cfg.Trace.Info(obs.Event{
-		At:     time.Duration(wallNow()),
-		Node:   h.node.Name(),
-		Kind:   kind,
-		Flow:   label.String(),
-		Detail: detail,
-	})
 }
 
 // Handle implements Handler. Hosts never forward, so every path is
@@ -130,7 +115,7 @@ func (h *Host) Handle(n *Node, p *packet.Packet, _ flow.Addr) {
 		h.handleControl(p)
 		return
 	}
-	h.BytesReceived += uint64(p.PayloadLen)
+	h.stats.BytesReceived += uint64(p.PayloadLen)
 	h.observe(p)
 }
 
@@ -156,7 +141,7 @@ func (h *Host) observe(p *packet.Packet) {
 	if h.rateBytes[p.Src] > h.cfg.DetectBps*h.cfg.DetectWindow.Seconds() {
 		h.flagged[p.Src] = true
 		if h.tracing() {
-			h.event("attack-detected", label, "undesired flow from "+p.Src.String())
+			h.event(obs.EvAttackDetected, label, "undesired flow from "+p.Src.String())
 		}
 		h.request(label, p.Path)
 	}
@@ -164,9 +149,9 @@ func (h *Host) observe(p *packet.Packet) {
 
 func (h *Host) request(label flow.Label, evidence []packet.RREntry) {
 	h.wanted[label.Key()] = time.Now().Add(h.cfg.Timers.T)
-	h.RequestsSent++
+	h.stats.RequestsSent++
 	if h.tracing() {
-		h.event("request-sent", label, "to gateway "+h.cfg.Gateway.String())
+		h.event(obs.EvRequestSent, label, "to gateway "+h.cfg.Gateway.String())
 	}
 	req := packet.NewControl(h.node.Addr(), h.cfg.Gateway, &packet.FilterReq{
 		Stage:    packet.StageToVictimGW,
@@ -188,7 +173,7 @@ func (h *Host) handleControl(p *packet.Packet) {
 		key := m.Flow.Canonical().Key()
 		if exp, ok := h.wanted[key]; ok && time.Now().Before(exp) {
 			if h.tracing() {
-				h.event("handshake-reply", m.Flow.Canonical(), "to attacker gw "+p.Src.String())
+				h.event(obs.EvHandshakeReply, m.Flow.Canonical(), "to attacker gw "+p.Src.String())
 			}
 			reply := packet.NewControl(h.node.Addr(), p.Src,
 				&packet.VerifyReply{Flow: m.Flow, Nonce: m.Nonce})
@@ -201,12 +186,12 @@ func (h *Host) handleControl(p *packet.Packet) {
 		if m.Stage != packet.StageToAttacker || p.Src != h.cfg.Gateway {
 			return
 		}
-		h.StopOrdersReceived++
+		h.stats.StopOrdersReceived++
 		if h.cfg.Compliant {
 			h.stopOrders.Add(m.Flow, wallNow()+m.Duration)
-			h.event("stop-order", m.Flow.Canonical(), "complying")
+			h.event(obs.EvStopOrder, m.Flow.Canonical(), "complying")
 		} else {
-			h.event("stop-order", m.Flow.Canonical(), "ignoring")
+			h.event(obs.EvStopOrder, m.Flow.Canonical(), "ignoring")
 		}
 	}
 }
@@ -218,7 +203,7 @@ func (h *Host) SendData(dst flow.Addr, proto flow.Proto, sport, dport uint16, pa
 	if h.cfg.Compliant {
 		tup := flow.TupleOf(h.node.Addr(), dst, proto, sport, dport)
 		if h.stopOrders.Blocks(tup, wallNow()) {
-			h.SuppressedSends++
+			h.stats.SuppressedSends++
 			h.mu.Unlock()
 			return false
 		}
@@ -231,4 +216,3 @@ func (h *Host) SendData(dst flow.Addr, proto flow.Proto, sport, dport uint16, pa
 }
 
 var _ Handler = (*Host)(nil)
-var _ = sim.Time(0)

@@ -11,14 +11,18 @@ type GatewayStats struct {
 	HandshakesOK, HandshakesFailed      uint64
 	StopOrders                          uint64
 	Aggregations                        uint64
-	CollateralBytes                     uint64
-	Detections                          uint64
+	// CollateralBytes sums the allocator's estimated collateral legit
+	// bytes over installed aggregates; Detections counts sketch
+	// detections made on behalf of protected legacy clients.
+	CollateralBytes uint64
+	Detections      uint64
 	// Reliable control-plane counters: logical sends that carried a
 	// txid, backoff retransmissions, received duplicates absorbed, and
 	// (source, txid) pairs the bounded dedup memory forgot early.
 	CtrlReliableSends, CtrlRetransmits, CtrlDupDrops uint64
 	CtrlDedupEvicted                                 uint64
-	// Snapshot/restore counters.
+	// Snapshot/restore counters; like every counter here they carry
+	// across a restart, so SnapshotRestores counts restoring boots.
 	SnapshotSaves, SnapshotRestores  uint64
 	FiltersRestored, ShadowsRestored uint64
 	// PolicerEvicted counts request policers dropped to hold their
@@ -37,29 +41,11 @@ func (g *Gateway) Stats() GatewayStats {
 
 // statsLocked is Stats for callers already holding g.mu.
 func (g *Gateway) statsLocked() GatewayStats {
-	return GatewayStats{
-		ReqReceived:       g.ReqReceived,
-		ReqPoliced:        g.ReqPoliced,
-		ReqInvalid:        g.ReqInvalid,
-		HandshakesStarted: g.HandshakesStarted,
-		HandshakesOK:      g.HandshakesOK,
-		HandshakesFailed:  g.HandshakesFailed,
-		StopOrders:        g.StopOrders,
-		Aggregations:      g.Aggregations,
-		CollateralBytes:   g.CollateralBytes,
-		Detections:        g.Detections,
-		CtrlReliableSends: g.CtrlReliableSends,
-		CtrlRetransmits:   g.CtrlRetransmits,
-		CtrlDupDrops:      g.CtrlDupDrops,
-		CtrlDedupEvicted:  g.dedup.Evicted,
-		SnapshotSaves:     g.SnapshotSaves,
-		SnapshotRestores:  g.SnapshotRestores,
-		FiltersRestored:   g.FiltersRestored,
-		ShadowsRestored:   g.ShadowsRestored,
-		PolicerEvicted:    g.PolicerEvicted,
-		FilterDrops:       g.FilterDrops.Load(),
-		ShadowHits:        g.ShadowHits.Load(),
-	}
+	st := g.stats
+	st.CtrlDedupEvicted = g.dedup.Evicted
+	st.FilterDrops = g.filterDrops.Load()
+	st.ShadowHits = g.shadowHits.Load()
+	return st
 }
 
 // RegisterMetrics registers the gateway's full observability surface
@@ -162,12 +148,7 @@ type HostStats struct {
 func (h *Host) Stats() HostStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return HostStats{
-		BytesReceived:      h.BytesReceived,
-		RequestsSent:       h.RequestsSent,
-		StopOrdersReceived: h.StopOrdersReceived,
-		SuppressedSends:    h.SuppressedSends,
-	}
+	return h.stats
 }
 
 // RegisterMetrics registers the host's counters into r under the

@@ -1,13 +1,18 @@
 package wire
 
 import (
+	"encoding/json"
+	"log/slog"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"aitf/internal/contract"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
+	"aitf/internal/obs"
 	"aitf/internal/packet"
 	"aitf/internal/sim"
 )
@@ -124,8 +129,8 @@ func TestSnapshotRestoreHonorsDeadlines(t *testing.T) {
 	// The original absolute deadline, in wall terms.
 	longDeadline := time.Now().Add(5 * time.Second)
 	g.mu.Lock()
-	g.HandshakesOK = 7
-	g.StopOrders = 3
+	g.stats.HandshakesOK = 7
+	g.stats.StopOrders = 3
 	g.mu.Unlock()
 
 	if err := g.Close(); err != nil { // snapshot-on-drain
@@ -174,6 +179,60 @@ func TestSnapshotRestoreHonorsDeadlines(t *testing.T) {
 	}
 }
 
+// traceJSON serves ring through the admin server's /trace and decodes
+// the rendered events as raw JSON objects, so a test can tell an
+// omitted key from an empty one.
+func traceJSON(t *testing.T, ring *obs.Ring) []map[string]any {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	obs.NewAdminServer(obs.NewRegistry(), ring, nil).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/trace", nil))
+	var events []map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &events); err != nil {
+		t.Fatalf("/trace: %v in %s", err, rec.Body)
+	}
+	return events
+}
+
+// TestSnapshotRestoreCountsEveryBoot: every counter carries across a
+// restart, the restore counters included, so two drain/restore cycles
+// read SnapshotRestores == 2 and FiltersRestored == 2. Each restore is
+// a gateway-restored event reporting its own counts, with no flow.
+func TestSnapshotRestoreCountsEveryBoot(t *testing.T) {
+	dir := t.TempDir()
+	g := snapGateway(t, dir)
+	now := wallNow()
+	label := flow.PairLabel(flow.MakeAddr(20, 0, 0, 1), flow.MakeAddr(10, 0, 0, 2))
+	if err := g.dp.Install(label, now, now+sim.Time(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for boot := uint64(1); boot <= 2; boot++ {
+		g = snapGateway(t, dir)
+		ring := obs.NewRing(16)
+		g.cfg.Trace = obs.NewTrace(ring, slog.New(slog.DiscardHandler))
+		if _, err := g.RestoreFromDisk(); err != nil {
+			t.Fatal(err)
+		}
+		if st := g.Stats(); st.SnapshotRestores != boot || st.FiltersRestored != boot {
+			t.Fatalf("boot %d: SnapshotRestores = %d, FiltersRestored = %d; want %d each",
+				boot, st.SnapshotRestores, st.FiltersRestored, boot)
+		}
+		events := traceJSON(t, ring)
+		if len(events) != 1 || events[0]["kind"] != "gateway-restored" ||
+			!strings.HasPrefix(events[0]["detail"].(string), "1 filters, 0 shadows, 0 pendings") {
+			t.Fatalf("boot %d: /trace = %v, want one gateway-restored event for this restore's counts", boot, events)
+		}
+		if _, ok := events[0]["flow"]; ok {
+			t.Fatalf("boot %d: restore event renders a flow: %v", boot, events[0])
+		}
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSnapshotRestoreFailsLapsedPendings: an in-flight handshake whose
 // window closed during the outage resolves as failed on restore, so
 // started = ok + failed + pending balances across the crash.
@@ -182,7 +241,7 @@ func TestSnapshotRestoreFailsLapsedPendings(t *testing.T) {
 	g := snapGateway(t, dir)
 	label := flow.PairLabel(flow.MakeAddr(20, 0, 0, 9), flow.MakeAddr(10, 0, 0, 2))
 	g.mu.Lock()
-	g.HandshakesStarted = 1
+	g.stats.HandshakesStarted = 1
 	g.pendings[label.Key()] = &wirePending{
 		req: &packet.FilterReq{
 			Stage:  packet.StageToAttackerGW,
@@ -442,9 +501,7 @@ func TestWireReliableRoundCompletes(t *testing.T) {
 		return r.agw.Stats().HandshakesOK > 0
 	}, "handshake never completed with retransmission armed")
 	waitUntil(t, 5*time.Second, func() bool {
-		r.attacker.mu.Lock()
-		defer r.attacker.mu.Unlock()
-		return r.attacker.SuppressedSends > 0
+		return r.attacker.Stats().SuppressedSends > 0
 	}, "stop order never landed with retransmission armed")
 
 	// The redundant relay copy arrives ~RTO later and must be absorbed.

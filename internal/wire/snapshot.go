@@ -18,6 +18,7 @@ import (
 	"aitf/internal/cluster"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
+	"aitf/internal/obs"
 	"aitf/internal/packet"
 	"aitf/internal/sim"
 )
@@ -152,30 +153,19 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 	defer g.mu.Unlock()
 	now := wallNow()
 
-	g.ReqReceived = snap.Stats.ReqReceived
-	g.ReqPoliced = snap.Stats.ReqPoliced
-	g.ReqInvalid = snap.Stats.ReqInvalid
-	g.HandshakesStarted = snap.Stats.HandshakesStarted
-	g.HandshakesOK = snap.Stats.HandshakesOK
-	g.HandshakesFailed = snap.Stats.HandshakesFailed
-	g.StopOrders = snap.Stats.StopOrders
-	g.Aggregations = snap.Stats.Aggregations
-	g.CollateralBytes = snap.Stats.CollateralBytes
-	g.Detections = snap.Stats.Detections
-	g.CtrlReliableSends = snap.Stats.CtrlReliableSends
-	g.CtrlRetransmits = snap.Stats.CtrlRetransmits
-	g.CtrlDupDrops = snap.Stats.CtrlDupDrops
+	// Every counter carries across the restart, the restore counters
+	// included; the event below reports this restore's own counts.
+	g.stats = snap.Stats
 	g.dedup.Evicted = snap.Stats.CtrlDedupEvicted
-	g.PolicerEvicted = snap.Stats.PolicerEvicted
-	g.SnapshotSaves = snap.Stats.SnapshotSaves
-	g.FilterDrops.Store(snap.Stats.FilterDrops)
-	g.ShadowHits.Store(snap.Stats.ShadowHits)
+	g.filterDrops.Store(snap.Stats.FilterDrops)
+	g.shadowHits.Store(snap.Stats.ShadowHits)
 	if snap.NextTxid > g.nextTxid {
 		// Continue the txid sequence: post-restore sends must not collide
 		// with pre-crash ones inside a receiver's dedup window.
 		g.nextTxid = snap.NextTxid
 	}
 
+	filters, shadows := 0, 0
 	for _, df := range snap.Filters {
 		remaining := df.Remaining - downtime
 		if remaining <= 0 {
@@ -190,7 +180,7 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 			g.logf("restore filter %v: %v", df.Label, err)
 			continue
 		}
-		g.FiltersRestored++
+		filters++
 	}
 	for _, ds := range snap.Shadows {
 		remaining := ds.Remaining - downtime
@@ -205,7 +195,7 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 			Reappearances: ds.Reappearances,
 			Round:         ds.Round,
 		}) {
-			g.ShadowsRestored++
+			shadows++
 		}
 	}
 	for _, dp := range snap.Pendings {
@@ -213,8 +203,8 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 		label := dp.Req.Flow.Canonical()
 		if remaining <= 0 {
 			// The handshake window closed while we were down.
-			g.HandshakesFailed++
-			g.event("handshake-failed", label, "window lapsed during outage")
+			g.stats.HandshakesFailed++
+			g.event(obs.EvHandshakeFailed, label, "window lapsed during outage")
 			continue
 		}
 		req := dp.Req
@@ -237,8 +227,8 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 				if pend.retx != nil {
 					pend.retx()
 				}
-				g.HandshakesFailed++
-				g.event("handshake-failed", label, "timeout")
+				g.stats.HandshakesFailed++
+				g.event(obs.EvHandshakeFailed, label, "timeout")
 			}
 		})
 	}
@@ -256,10 +246,11 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 		}
 		g.clu.ImportState(&st, now)
 	}
-	g.SnapshotRestores++
-	g.event("snapshot-restored", flow.Label{},
-		fmt.Sprintf("%d filters, %d shadows, %d pendings after %v down",
-			g.FiltersRestored, g.ShadowsRestored, len(snap.Pendings), downtime.Round(time.Millisecond)))
+	g.stats.SnapshotRestores++
+	g.stats.FiltersRestored += uint64(filters)
+	g.stats.ShadowsRestored += uint64(shadows)
+	g.event(obs.EvGatewayRestored, flow.Label{}, fmt.Sprintf("%d filters, %d shadows, %d pendings after %v down",
+		filters, shadows, len(snap.Pendings), downtime.Round(time.Millisecond)))
 	return nil
 }
 
@@ -284,7 +275,7 @@ func (g *Gateway) SaveToDisk() error {
 		return fmt.Errorf("wire: write snapshot: %w", err)
 	}
 	g.mu.Lock()
-	g.SnapshotSaves++
+	g.stats.SnapshotSaves++
 	g.mu.Unlock()
 	return nil
 }

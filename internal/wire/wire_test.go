@@ -186,28 +186,19 @@ func TestLiveRoundOverUDP(t *testing.T) {
 	// The full AITF round must complete: detection, temp filter at
 	// v_gw, handshake, T filter at a_gw, stop order, compliance.
 	waitUntil(t, 5*time.Second, func() bool {
-		r.victim.mu.Lock()
-		requests := r.victim.RequestsSent
-		r.victim.mu.Unlock()
-		return requests > 0
+		return r.victim.Stats().RequestsSent > 0
 	}, "victim never sent a filtering request")
 
 	waitUntil(t, 5*time.Second, func() bool {
-		r.agw.mu.Lock()
-		defer r.agw.mu.Unlock()
-		return r.agw.HandshakesOK > 0
+		return r.agw.Stats().HandshakesOK > 0
 	}, "handshake never completed at the attacker's gateway")
 
 	waitUntil(t, 5*time.Second, func() bool {
-		r.attacker.mu.Lock()
-		defer r.attacker.mu.Unlock()
-		return r.attacker.StopOrdersReceived > 0
+		return r.attacker.Stats().StopOrdersReceived > 0
 	}, "attacker never received a stop order")
 
 	waitUntil(t, 5*time.Second, func() bool {
-		r.attacker.mu.Lock()
-		defer r.attacker.mu.Unlock()
-		return r.attacker.SuppressedSends > 0
+		return r.attacker.Stats().SuppressedSends > 0
 	}, "compliant attacker never suppressed sends")
 
 	if got := r.agw.Filters().Len(); got == 0 {
@@ -241,9 +232,9 @@ func TestHostStopOrderShapes(t *testing.T) {
 		dst        flow.Addr
 		suppressed bool
 	}{{prefixVictim, true}, {pairVictim, true}, {expiredVictim, false}, {flow.MakeAddr(10, 1, 0, 5), false}} {
-		before := h.SuppressedSends
+		before := h.Stats().SuppressedSends
 		sent := h.SendData(c.dst, flow.ProtoUDP, 4000, 80, 100)
-		if got := h.SuppressedSends > before; got != c.suppressed || sent && got {
+		if got := h.Stats().SuppressedSends > before; got != c.suppressed || sent && got {
 			t.Errorf("send to %v: suppressed=%v sent=%v, want suppressed=%v", c.dst, got, sent, c.suppressed)
 		}
 	}
@@ -271,9 +262,7 @@ func TestLiveForgedRequestDiesOverUDP(t *testing.T) {
 	}
 
 	waitUntil(t, 3*time.Second, func() bool {
-		r.agw.mu.Lock()
-		defer r.agw.mu.Unlock()
-		return r.agw.ReqInvalid > 0
+		return r.agw.Stats().ReqInvalid > 0
 	}, "forged request was not rejected")
 	if r.agw.Filters().Len() != 0 {
 		t.Fatal("forged request produced a filter")
@@ -299,9 +288,7 @@ func TestLivePolicing(t *testing.T) {
 		}
 	}
 	waitUntil(t, 3*time.Second, func() bool {
-		r.vgw.mu.Lock()
-		defer r.vgw.mu.Unlock()
-		return r.vgw.ReqPoliced > 0
+		return r.vgw.Stats().ReqPoliced > 0
 	}, "request flood was never policed")
 }
 
@@ -416,9 +403,7 @@ func TestGarbageDatagramsIgnored(t *testing.T) {
 		}
 	}()
 	waitUntil(t, 5*time.Second, func() bool {
-		r.agw.mu.Lock()
-		defer r.agw.mu.Unlock()
-		return r.agw.HandshakesOK > 0
+		return r.agw.Stats().HandshakesOK > 0
 	}, "gateway wedged by garbage datagrams")
 }
 
@@ -535,29 +520,21 @@ func TestLiveGatewayDetectionOverUDP(t *testing.T) {
 	}()
 
 	waitUntil(t, 5*time.Second, func() bool {
-		vgw.mu.Lock()
-		defer vgw.mu.Unlock()
-		return vgw.Detections > 0
+		return vgw.Stats().Detections > 0
 	}, "victim gateway never detected the flood")
 
 	waitUntil(t, 5*time.Second, func() bool {
-		agw.mu.Lock()
-		defer agw.mu.Unlock()
-		return agw.HandshakesOK > 0
+		return agw.Stats().HandshakesOK > 0
 	}, "handshake never completed (v_gw must answer as the victim)")
 
 	waitUntil(t, 5*time.Second, func() bool {
-		attacker.mu.Lock()
-		defer attacker.mu.Unlock()
-		return attacker.StopOrdersReceived > 0
+		return attacker.Stats().StopOrdersReceived > 0
 	}, "attacker never received a stop order")
 
 	if got := agw.Filters().Len(); got == 0 {
 		t.Fatal("attacker gateway holds no filter after the gateway-detected round")
 	}
-	victim.mu.Lock()
-	requests := victim.RequestsSent
-	victim.mu.Unlock()
+	requests := victim.Stats().RequestsSent
 	if requests != 0 {
 		t.Fatalf("legacy victim sent %d requests itself", requests)
 	}
