@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -96,16 +94,16 @@ type GatewayConfig struct {
 	// (0 or 1 keeps a single shard, which is ideal for the
 	// single-threaded simulator; the wire runtime uses more).
 	DataplaneShards int
-	// Allocation enables the §IV fallback to coarser filters: when the
-	// wire-speed table cannot hold a victim-side filter, the allocator
-	// (internal/alloc) scores candidate source prefixes at every policy
-	// length by estimated collateral legit bytes — using the gateway's
-	// detection engine as the traffic view when armed — and coalesces
-	// the cheapest sibling set freeing a slot into covering prefix
-	// filters. Outstanding aggregates are split back when the pressure
-	// subsides, or refined to deeper policy lengths as the table
-	// relaxes. A fixed /24 fallback is the one-rung policy
-	// {PrefixLens: [24]}. nil disables aggregation (the
+	// Allocation enables the §IV fallback to coarser filters, the wire
+	// daemon's alloc.Aggregator: when the wire-speed table cannot hold a
+	// victim-side filter, the allocator scores candidate source prefixes
+	// at every policy length by estimated collateral legit bytes — the
+	// detection engine or cluster is the traffic view when armed — and
+	// coalesces the cheapest sibling set freeing a slot into covering
+	// prefix filters. Every Ttmp the outstanding aggregates are split
+	// back when the pressure subsides, or refined to deeper policy
+	// lengths as the table relaxes. A fixed /24 fallback is the one-rung
+	// policy {PrefixLens: [24]}. nil disables aggregation (the
 	// hardware-faithful reject-only behaviour).
 	Allocation *alloc.Policy
 	// Detection, when non-nil and armed, runs a sketch-based
@@ -187,25 +185,16 @@ type GatewayStats struct {
 	// gateway flagged on behalf of a protected legacy client.
 	Detections uint64
 
-	// Aggregation under filter-table pressure (§IV fallback).
-	Aggregations       uint64 // sibling groups coalesced into a prefix filter
-	AggregatedChildren uint64 // child filters folded across all aggregations
-	AggregateSplits    uint64 // aggregates split back after pressure relief
-	AggregateCovered   uint64 // installs satisfied by a live covering aggregate
-	// AggregateCollateral accumulates, per aggregation, the covered
-	// source-address count minus the actual offenders — the worst-case
-	// collateral-damage exposure the coarser filters accept in exchange
-	// for fitting the table.
-	AggregateCollateral uint64
-	// AggregateCollateralBytes accumulates, per aggregation, the
-	// estimated legitimate bytes per detection window the installed
-	// aggregate blocks (alloc.Assess pricing: measured unflagged pair
-	// estimates under the prefix, baseline fallback otherwise), so
-	// runs under different policies are directly comparable.
+	// Aggregation under filter-table pressure (§IV fallback): the
+	// alloc.AggregateStats counters, field for field, kept flat so the
+	// scenario fingerprint's rendering of Stats does not move.
+	Aggregations             uint64
+	AggregatedChildren       uint64
+	AggregateSplits          uint64
+	AggregateCovered         uint64
+	AggregateCollateral      uint64
 	AggregateCollateralBytes uint64
-	// AggregateRefinements counts review-tick re-allocations that
-	// replaced a live aggregate with deeper, cheaper prefixes.
-	AggregateRefinements uint64
+	AggregateRefinements     uint64
 
 	// Reliable control-plane messenger (fault tolerance).
 	CtrlReliableSends uint64 // logical sends handed to the messenger
@@ -241,15 +230,6 @@ type pending struct {
 	tok      uint64 // reliable-send ladder of the verification query
 }
 
-// aggregate records one covering prefix filter installed in place of
-// its children under table pressure, with the child snapshots needed to
-// split them back out.
-type aggregate struct {
-	label    flow.Label
-	children []filter.Entry // labels + deadlines at coalesce time
-	exp      sim.Time       // the aggregate filter's deadline
-}
-
 // compliance tracks a stop order sent to a client, pending verification
 // that the client actually stopped.
 type compliance struct {
@@ -280,11 +260,9 @@ type Gateway struct {
 	pendings   map[flow.Label]*pending
 	compliance map[flow.Label]*compliance
 
-	// aggregates tracks the covering prefix filters this gateway has
-	// coalesced sibling filters into, so installs covered by a live
-	// aggregate are recognised and the children can be split back out
-	// when table pressure subsides.
-	aggregates  map[flow.Label]*aggregate
+	// agg runs the §IV fallback on victim-side installs: covering
+	// aggregates, allocation under pressure, split-back and refinement.
+	agg         *alloc.Aggregator
 	reviewArmed bool // an aggregate-review event is scheduled
 
 	disconnected map[flow.Addr]sim.Time // neighbor -> blocked until
@@ -330,7 +308,6 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		watches:      make(map[flow.Label]*vwatch),
 		pendings:     make(map[flow.Label]*pending),
 		compliance:   make(map[flow.Label]*compliance),
-		aggregates:   make(map[flow.Label]*aggregate),
 		disconnected: make(map[flow.Addr]sim.Time),
 	}
 	if cfg.Control.Enabled() {
@@ -367,6 +344,7 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		}
 		g.clu = cluster.New(cfg.Cluster, det)
 	}
+	g.agg = alloc.NewAggregator(g.dp, cfg.Allocation, g.det, g.clu, g.trace)
 	return g
 }
 
@@ -402,6 +380,7 @@ func (g *Gateway) Shadows() dataplane.ShadowView { return g.dp.Shadow() }
 // gateway is classifying — the snapshot is per-field coherent, not a
 // cross-field transaction, which is all monitoring needs.
 func (g *Gateway) Stats() GatewayStats {
+	a := g.agg.Stats()
 	return GatewayStats{
 		DataForwarded:   atomic.LoadUint64(&g.stats.DataForwarded),
 		FilterDrops:     atomic.LoadUint64(&g.stats.FilterDrops),
@@ -426,13 +405,13 @@ func (g *Gateway) Stats() GatewayStats {
 
 		Detections: atomic.LoadUint64(&g.stats.Detections),
 
-		Aggregations:             atomic.LoadUint64(&g.stats.Aggregations),
-		AggregatedChildren:       atomic.LoadUint64(&g.stats.AggregatedChildren),
-		AggregateSplits:          atomic.LoadUint64(&g.stats.AggregateSplits),
-		AggregateCovered:         atomic.LoadUint64(&g.stats.AggregateCovered),
-		AggregateCollateral:      atomic.LoadUint64(&g.stats.AggregateCollateral),
-		AggregateCollateralBytes: atomic.LoadUint64(&g.stats.AggregateCollateralBytes),
-		AggregateRefinements:     atomic.LoadUint64(&g.stats.AggregateRefinements),
+		Aggregations:             a.Aggregations,
+		AggregatedChildren:       a.AggregatedChildren,
+		AggregateSplits:          a.Splits,
+		AggregateCovered:         a.Covered,
+		AggregateCollateral:      a.Collateral,
+		AggregateCollateralBytes: a.CollateralBytes,
+		AggregateRefinements:     a.Refinements,
 
 		CtrlReliableSends: atomic.LoadUint64(&g.stats.CtrlReliableSends),
 		CtrlRetransmits:   atomic.LoadUint64(&g.stats.CtrlRetransmits),
@@ -469,13 +448,15 @@ func (g *Gateway) restoreStats(s GatewayStats) {
 
 	atomic.StoreUint64(&g.stats.Detections, s.Detections)
 
-	atomic.StoreUint64(&g.stats.Aggregations, s.Aggregations)
-	atomic.StoreUint64(&g.stats.AggregatedChildren, s.AggregatedChildren)
-	atomic.StoreUint64(&g.stats.AggregateSplits, s.AggregateSplits)
-	atomic.StoreUint64(&g.stats.AggregateCovered, s.AggregateCovered)
-	atomic.StoreUint64(&g.stats.AggregateCollateral, s.AggregateCollateral)
-	atomic.StoreUint64(&g.stats.AggregateCollateralBytes, s.AggregateCollateralBytes)
-	atomic.StoreUint64(&g.stats.AggregateRefinements, s.AggregateRefinements)
+	g.agg.RestoreStats(alloc.AggregateStats{
+		Aggregations:       s.Aggregations,
+		AggregatedChildren: s.AggregatedChildren,
+		Splits:             s.AggregateSplits,
+		Covered:            s.AggregateCovered,
+		Collateral:         s.AggregateCollateral,
+		CollateralBytes:    s.AggregateCollateralBytes,
+		Refinements:        s.AggregateRefinements,
+	})
 
 	atomic.StoreUint64(&g.stats.CtrlReliableSends, s.CtrlReliableSends)
 	atomic.StoreUint64(&g.stats.CtrlRetransmits, s.CtrlRetransmits)
@@ -701,16 +682,24 @@ func (g *Gateway) selfDetect(d detect.Detection, path []packet.RREntry) {
 		Router: g.node.Addr(),
 		Nonce:  g.rec.Nonce(rrTuple(label.Src, label.Dst)),
 	})
+	g.openWatch(label, g.node.Addr(), evidence)
+}
+
+// openWatch starts round 1 against a freshly accepted undesired flow
+// (§II-C): the temporary filter, the shadow log, the request to the
+// attacker's gateway, and the takeover and reclamation timers.
+func (g *Gateway) openWatch(label flow.Label, victim flow.Addr, evidence traceback.AttackPath) {
+	now := g.now()
 	w := &vwatch{
 		label:    label,
-		victim:   g.node.Addr(),
+		victim:   victim,
 		evidence: evidence,
 		round:    1,
 	}
 	g.watches[label.Key()] = w
 	g.installTemp(w)
 	if g.cfg.ShadowMode != ShadowOff {
-		if g.dp.LogShadow(label, g.node.Addr(), now, now+sim.Time(g.cfg.Timers.T)) {
+		if g.dp.LogShadow(label, victim, now, now+sim.Time(g.cfg.Timers.T)) {
 			g.trace(obs.EvShadowLogged, label, "")
 		}
 	}
@@ -824,23 +813,7 @@ func (g *Gateway) handleVictimSideRequest(p *packet.Packet, m *packet.FilterReq,
 		return
 	}
 	atomic.AddUint64(&g.stats.ReqAccepted, 1)
-
-	w := &vwatch{
-		label:    label,
-		victim:   m.Victim,
-		evidence: evidence,
-		round:    1,
-	}
-	g.watches[label.Key()] = w
-	g.installTemp(w)
-	if g.cfg.ShadowMode != ShadowOff {
-		if g.dp.LogShadow(label, m.Victim, now, now+sim.Time(g.cfg.Timers.T)) {
-			g.trace(obs.EvShadowLogged, label, "")
-		}
-	}
-	g.sendToAttackerGateway(w)
-	g.scheduleTakeoverCheck(w)
-	g.scheduleWatchGC(w)
+	g.openWatch(label, m.Victim, evidence)
 }
 
 // scheduleWatchGC arms the periodic reclamation of a watch once both
@@ -883,159 +856,15 @@ func (g *Gateway) installTemp(w *vwatch) {
 	g.trace(obs.EvTempFilterInstalled, w.label, fmt.Sprintf("until %v", exp))
 }
 
-// installVictimFilter installs a victim-side filter, falling back to
-// the §IV aggregation policy when the wire-speed table is full: if a
-// live aggregate already covers the label it is refreshed instead of
-// spending a slot, and on ErrTableFull the gateway installs the
-// allocator's cheapest covering prefix filters and retries once.
+// installVictimFilter installs a victim-side filter through the §IV
+// aggregator and keeps the aggregate review armed while any aggregate
+// is outstanding.
 func (g *Gateway) installVictimFilter(label flow.Label, now, exp sim.Time) error {
-	if g.cfg.Allocation != nil {
-		if a := g.coveringAggregate(label); a != nil {
-			// Extend the aggregate so it covers the requested window;
-			// the flow is already being dropped. Record the would-be
-			// filter as a child so a later split-back reinstalls it —
-			// otherwise deaggregation would silently unblock this flow
-			// before its requested window ends.
-			if err := g.dp.Install(a.label, now, exp); err == nil {
-				if exp > a.exp {
-					a.exp = exp
-				}
-				key := label.Key()
-				seen := false
-				for i := range a.children {
-					if a.children[i].Label == key {
-						if exp > a.children[i].ExpiresAt {
-							a.children[i].ExpiresAt = exp
-						}
-						seen = true
-						break
-					}
-				}
-				if !seen {
-					a.children = append(a.children,
-						filter.Entry{Label: key, InstalledAt: now, ExpiresAt: exp})
-				}
-				atomic.AddUint64(&g.stats.AggregateCovered, 1)
-				g.clusterRecord(cluster.OpInstall, label, exp)
-				return nil
-			}
-		}
-	}
-	err := g.dp.Install(label, now, exp)
-	if err == nil {
-		g.clusterRecord(cluster.OpInstall, label, exp)
-		return nil
-	}
-	if !errors.Is(err, filter.ErrTableFull) || g.cfg.Allocation == nil || !g.allocateUnderPressure(now) {
-		return err
-	}
-	if err := g.dp.Install(label, now, exp); err != nil {
-		return err
-	}
-	g.clusterRecord(cluster.OpInstall, label, exp)
-	return nil
-}
-
-// allocConfig materialises the allocator configuration for this
-// gateway: the deployable policy plus the live traffic view (the
-// gateway-side detection engine, when armed).
-func (g *Gateway) allocConfig(policy alloc.Policy) alloc.Config {
-	cfg := alloc.Config{Policy: policy}
-	if g.clu != nil && g.protected != nil {
-		// The cluster is the traffic view: the union of the alive
-		// replicas' disjoint shards.
-		cfg.Traffic = g.clu
-		cfg.WindowSeconds = g.clu.DetectionWindow().Seconds()
-	} else if g.det != nil {
-		cfg.Traffic = alloc.DetectTraffic{Eng: g.det}
-		cfg.WindowSeconds = g.det.Config().Window.Seconds()
-	}
-	return cfg
-}
-
-// coveringAggregate returns the live aggregate covering label, if any.
-func (g *Gateway) coveringAggregate(label flow.Label) *aggregate {
-	now := g.now()
-	for _, a := range g.aggregates {
-		if a.exp > now && a.label.Covers(label) {
-			return a
-		}
-	}
-	return nil
-}
-
-// allocateUnderPressure asks the allocator for the aggregate set that
-// frees a slot at minimum estimated collateral legit bytes and installs
-// it, reporting whether any slot was freed. Under a one-rung policy
-// with no traffic view every candidate prices alike, so the pick is the
-// largest sibling group at that length.
-func (g *Gateway) allocateUnderPressure(now sim.Time) bool {
-	cfg := g.allocConfig(*g.cfg.Allocation)
-	plan := alloc.Choose(g.dp.FilterEntries(), 1, cfg)
-	freed := false
-	for _, pick := range plan.Picks {
-		if g.applyPick(pick, now) {
-			freed = true
-		}
-	}
-	if freed {
+	err := g.agg.Install(label, now, exp)
+	if g.agg.Len() > 0 {
 		g.armAggregateReview()
 	}
-	return freed
-}
-
-// applyPick installs one allocator pick: the covering filter replaces
-// its children in the data plane, the gateway's aggregate records are
-// merged (absorbing any nested aggregate the pick folds), and the
-// collateral accounting is updated.
-func (g *Gateway) applyPick(pick alloc.Candidate, now sim.Time) bool {
-	replaced, err := g.dp.Aggregate(pick.Aggregate, pick.ChildLabels(), now, pick.MaxExpiry)
-	if err != nil || replaced < 2 {
-		return false
-	}
-	g.recordAggregate(pick)
-	atomic.AddUint64(&g.stats.Aggregations, 1)
-	atomic.AddUint64(&g.stats.AggregatedChildren, uint64(replaced))
-	// Port-distinct exact children can outnumber the covered sources;
-	// collateral exposure never goes below zero.
-	if c := pick.CoveredAddrs() - replaced; c > 0 {
-		atomic.AddUint64(&g.stats.AggregateCollateral, uint64(c))
-	}
-	atomic.AddUint64(&g.stats.AggregateCollateralBytes, uint64(pick.LegitBytes))
-	g.trace(obs.EvAggregated, pick.Aggregate,
-		fmt.Sprintf("%d children, covers %d sources, est %dB/window collateral",
-			replaced, pick.CoveredAddrs(), uint64(pick.LegitBytes)))
-	g.clusterRecord(cluster.OpAggregate, pick.Aggregate, pick.MaxExpiry)
-	return true
-}
-
-// recordAggregate merges one installed pick into the gateway's
-// aggregate records. A pick that folded a nested aggregate absorbs its
-// recorded children, so a later split-back still restores every
-// original pair filter.
-func (g *Gateway) recordAggregate(pick alloc.Candidate) *aggregate {
-	key := pick.Aggregate.Key()
-	a, ok := g.aggregates[key]
-	if !ok {
-		a = &aggregate{label: key}
-		g.aggregates[key] = a
-	}
-	for _, c := range pick.Children {
-		ck := c.Label.Key()
-		if inner, ok := g.aggregates[ck]; ok && ck != key {
-			a.children = append(a.children, inner.children...)
-			if inner.exp > a.exp {
-				a.exp = inner.exp
-			}
-			delete(g.aggregates, ck)
-			continue
-		}
-		a.children = append(a.children, c)
-	}
-	if pick.MaxExpiry > a.exp {
-		a.exp = pick.MaxExpiry
-	}
-	return a
+	return err
 }
 
 // armAggregateReview schedules the periodic split-back check while any
@@ -1048,154 +877,16 @@ func (g *Gateway) armAggregateReview() {
 	g.node.Engine().Schedule(sim.Time(g.cfg.Timers.Ttmp), func() { g.aggregateReview() })
 }
 
-// aggregateReview reclaims expired aggregates and — when the table has
-// room again — splits an aggregate back into its still-live children,
-// restoring filter precision (and with it, zero collateral damage).
+// aggregateReview runs one aggregator review and re-arms while
+// aggregates remain.
 func (g *Gateway) aggregateReview() {
 	if g.halted {
 		return
 	}
 	g.reviewArmed = false
-	now := g.now()
-	// Deterministic order: the simulator's fingerprints hash the trace.
-	keys := make([]flow.Label, 0, len(g.aggregates))
-	for k := range g.aggregates {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	refined := false
-	for _, k := range keys {
-		a, ok := g.aggregates[k]
-		if !ok {
-			continue // consumed by an earlier refinement this tick
-		}
-		if a.exp <= now {
-			delete(g.aggregates, k)
-			g.trace(obs.EvDeaggregated, a.label, "expired with its last child")
-			continue
-		}
-		live := a.children[:0]
-		for _, c := range a.children {
-			if c.ExpiresAt > now {
-				live = append(live, c)
-			}
-		}
-		a.children = live
-		// Split back only when the freed precision fits comfortably:
-		// the children need len(live)−1 net slots, and we keep a
-		// quarter of the table as headroom for fresh requests.
-		need := len(live) - 1
-		room := g.cfg.FilterCapacity - g.cfg.FilterCapacity/4 - g.dp.Len()
-		if need >= 0 && need <= room {
-			// Remove the aggregate before reinstalling the children.
-			// The review runs atomically within one simulator event, so
-			// nothing slips through the gap — whereas install-first
-			// transiently needed len(live)+1 slots, which overflows a
-			// small table (capacity < 4 keeps no headroom quarter) and
-			// silently rejected a child before its deadline.
-			g.dp.Remove(a.label)
-			g.clusterRecord(cluster.OpRemove, a.label, 0)
-			for _, c := range live {
-				if err := g.dp.Install(c.Label, now, c.ExpiresAt); err != nil {
-					g.trace(obs.EvFilterRejected, c.Label, "split-back: "+err.Error())
-					continue
-				}
-				g.clusterRecord(cluster.OpInstall, c.Label, c.ExpiresAt)
-			}
-			delete(g.aggregates, k)
-			atomic.AddUint64(&g.stats.AggregateSplits, 1)
-			g.trace(obs.EvDeaggregated, a.label, fmt.Sprintf("split back %d children", len(live)))
-			continue
-		}
-		// Full precision does not fit. Adapt to the shifting attack mix
-		// instead of waiting: re-plan this aggregate's children at
-		// strictly deeper policy rungs, spending the spare room on
-		// precision (at most one aggregate per tick to bound review
-		// work). A one-rung policy has no deeper rung and just waits.
-		if g.cfg.Allocation != nil && !refined {
-			refined = g.refineAggregate(k, a, live, now, room)
-		}
-	}
-	if len(g.aggregates) > 0 {
+	if g.agg.Review(g.now()) {
 		g.armAggregateReview()
 	}
-}
-
-// refineAggregate replaces one live aggregate with a deeper, cheaper
-// cover chosen by the allocator over its recorded children, plus exact
-// filters for the children the deeper cover leaves out. It fires only
-// when the re-plan fits the spare room and strictly shrinks the
-// covered address space, so each refinement monotonically reduces
-// collateral exposure.
-func (g *Gateway) refineAggregate(k flow.Label, a *aggregate, live []filter.Entry, now sim.Time, room int) bool {
-	if len(live) < 2 || room < 1 {
-		return false
-	}
-	var lens []uint8
-	for _, l := range g.cfg.Allocation.Lens() {
-		if l > a.label.SrcPrefixLen {
-			lens = append(lens, l)
-		}
-	}
-	if len(lens) == 0 {
-		return false
-	}
-	cfg := g.allocConfig(alloc.Policy{
-		PrefixLens:  lens,
-		MinChildren: g.cfg.Allocation.MinChildren,
-	})
-	// The replacement set may occupy this aggregate's slot plus the
-	// spare room: len(live) − freed ≤ 1 + room.
-	requiredFreed := len(live) - 1 - room
-	if requiredFreed < 1 {
-		requiredFreed = 1
-	}
-	plan := alloc.Choose(live, requiredFreed, cfg)
-	if plan.Freed < requiredFreed || len(plan.Picks) == 0 {
-		return false
-	}
-	current := filter.SiblingGroup{Aggregate: a.label}
-	uncovered := len(live) - (plan.Freed + len(plan.Picks))
-	// Subtract rather than add: plan.CoveredAddrs may sit at the
-	// math.MaxInt clamp, where adding would wrap on 32-bit platforms.
-	if plan.CoveredAddrs >= current.CoveredAddrs()-uncovered {
-		return false // no precision gained
-	}
-	g.dp.Remove(a.label)
-	g.clusterRecord(cluster.OpRemove, a.label, 0)
-	delete(g.aggregates, k)
-	covered := make(map[flow.Label]bool)
-	for _, pick := range plan.Picks {
-		if _, err := g.dp.Aggregate(pick.Aggregate, pick.ChildLabels(), now, pick.MaxExpiry); err != nil {
-			g.trace(obs.EvFilterRejected, pick.Aggregate, "refine: "+err.Error())
-			continue
-		}
-		g.recordAggregate(pick)
-		g.clusterRecord(cluster.OpAggregate, pick.Aggregate, pick.MaxExpiry)
-		for _, c := range pick.Children {
-			covered[c.Label.Key()] = true
-		}
-		atomic.AddUint64(&g.stats.AggregateCollateralBytes, uint64(pick.LegitBytes))
-		g.trace(obs.EvAggregated, pick.Aggregate,
-			fmt.Sprintf("refined: %d children, covers %d sources, est %dB/window collateral",
-				len(pick.Children), pick.CoveredAddrs(), uint64(pick.LegitBytes)))
-	}
-	// Children the deeper cover leaves out go back to exact filters at
-	// their original deadlines — never past them.
-	for _, c := range live {
-		if covered[c.Label.Key()] {
-			continue
-		}
-		if err := g.dp.Install(c.Label, now, c.ExpiresAt); err != nil {
-			g.trace(obs.EvFilterRejected, c.Label, "refine split: "+err.Error())
-			continue
-		}
-		g.clusterRecord(cluster.OpInstall, c.Label, c.ExpiresAt)
-	}
-	atomic.AddUint64(&g.stats.AggregateRefinements, 1)
-	g.trace(obs.EvDeaggregated, a.label,
-		fmt.Sprintf("refined into %d deeper aggregates", len(plan.Picks)))
-	return true
 }
 
 // sendToAttackerGateway propagates the request to the attack-path node
@@ -1381,21 +1072,25 @@ func (g *Gateway) handleAttackerSideRequest(p *packet.Packet, m *packet.FilterRe
 		atomic.AddUint64(&g.stats.HandshakesFailed, 1)
 		g.trace(obs.EvHandshakeFailed, label, "superseded by a newer request")
 	}
-	now := g.now()
 	nonce := g.node.Engine().Rand().Uint64()
-	pend := &pending{req: m, nonce: nonce, deadline: now + sim.Time(g.cfg.HandshakeTimeout)}
-	g.pendings[label.Key()] = pend
 	atomic.AddUint64(&g.stats.HandshakesStarted, 1)
 	g.trace(obs.EvHandshakeQuery, label, fmt.Sprintf("to victim %v", m.Victim))
-	victim := m.Victim
-	mflow := m.Flow
+	g.startHandshake(label, m, nonce, g.now()+sim.Time(g.cfg.HandshakeTimeout))
+}
+
+// startHandshake registers the attacker-side handshake for req and
+// sends its verification query; unanswered by deadline, it fails.
+func (g *Gateway) startHandshake(label flow.Label, req *packet.FilterReq, nonce uint64, deadline sim.Time) {
+	pend := &pending{req: req, nonce: nonce, deadline: deadline}
+	g.pendings[label.Key()] = pend
+	victim, mflow := req.Victim, req.Flow
 	pend.tok = g.reliableSend(label, func(uint64) *packet.Packet {
 		// The nonce itself is the dedup key here: duplicate queries get
 		// duplicate (idempotent) replies, so no txid is needed.
 		return packet.NewControl(g.node.Addr(), victim,
 			&packet.VerifyQuery{Flow: mflow, Nonce: nonce})
 	})
-	pend.timer = g.node.Engine().Schedule(sim.Time(g.cfg.HandshakeTimeout), func() {
+	pend.timer = g.node.Engine().ScheduleAt(deadline, func() {
 		if g.pendings[label.Key()] == pend {
 			delete(g.pendings, label.Key())
 			g.cancelReliable(pend.tok)
@@ -1533,11 +1228,4 @@ func (g *Gateway) handleStopOrder(p *packet.Packet, m *packet.FilterReq) {
 	g.trace(obs.EvFilterInstalled, label, "stop order from provider")
 	g.clusterRecord(cluster.OpInstall, label, exp)
 	g.orderClientToStop(label)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

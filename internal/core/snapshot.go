@@ -13,6 +13,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"aitf/internal/alloc"
 	"aitf/internal/cluster"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
@@ -53,14 +54,6 @@ type ComplianceSnapshot struct {
 	CheckAt  sim.Time // absolute time of the compliance check
 }
 
-// AggregateSnapshot is one covering prefix filter with the child
-// snapshots needed to split it back out.
-type AggregateSnapshot struct {
-	Label    flow.Label
-	Children []filter.Entry
-	Exp      sim.Time
-}
-
 // DisconnectSnapshot records one neighbor serving a penalty.
 type DisconnectSnapshot struct {
 	Neighbor flow.Addr
@@ -79,7 +72,7 @@ type GatewaySnapshot struct {
 	Watches      []WatchSnapshot
 	Pendings     []PendingSnapshot
 	Compliance   []ComplianceSnapshot
-	Aggregates   []AggregateSnapshot
+	Aggregates   []alloc.Aggregate
 	Disconnected []DisconnectSnapshot
 	// NextTxid continues the messenger's txid sequence so post-restore
 	// sends cannot collide with pre-crash ones inside a receiver's
@@ -145,14 +138,7 @@ func (g *Gateway) Snapshot() *GatewaySnapshot {
 		})
 	}
 	sort.Slice(snap.Compliance, func(i, j int) bool { return labelLess(snap.Compliance[i].Label, snap.Compliance[j].Label) })
-	for _, a := range g.aggregates {
-		snap.Aggregates = append(snap.Aggregates, AggregateSnapshot{
-			Label:    a.label,
-			Children: append([]filter.Entry(nil), a.children...),
-			Exp:      a.exp,
-		})
-	}
-	sort.Slice(snap.Aggregates, func(i, j int) bool { return labelLess(snap.Aggregates[i].Label, snap.Aggregates[j].Label) })
+	snap.Aggregates = g.agg.Export()
 	for n, until := range g.disconnected {
 		snap.Disconnected = append(snap.Disconnected, DisconnectSnapshot{Neighbor: n, Until: until})
 	}
@@ -256,25 +242,11 @@ func (g *Gateway) Restore(snap *GatewaySnapshot) {
 			g.trace(obs.EvHandshakeFailed, label, "handshake window lapsed during outage")
 			continue
 		}
-		req := ps.Req
-		pend := &pending{req: &req, nonce: ps.Nonce, deadline: ps.Deadline}
-		g.pendings[label.Key()] = pend
 		// Re-issue the verification query with the original nonce: the
 		// reply may have been lost (or dropped at our dead queues)
 		// while we were down, and a duplicate reply is harmless.
-		victim, mflow, nonce := req.Victim, req.Flow, ps.Nonce
-		pend.tok = g.reliableSend(label, func(uint64) *packet.Packet {
-			return packet.NewControl(g.node.Addr(), victim,
-				&packet.VerifyQuery{Flow: mflow, Nonce: nonce})
-		})
-		pend.timer = eng.ScheduleAt(ps.Deadline, func() {
-			if g.pendings[label.Key()] == pend {
-				delete(g.pendings, label.Key())
-				g.cancelReliable(pend.tok)
-				atomic.AddUint64(&g.stats.HandshakesFailed, 1)
-				g.trace(obs.EvHandshakeFailed, label, "verification query timed out")
-			}
-		})
+		req := ps.Req
+		g.startHandshake(label, &req, ps.Nonce, ps.Deadline)
 	}
 
 	for _, cs := range snap.Compliance {
@@ -289,17 +261,8 @@ func (g *Gateway) Restore(snap *GatewaySnapshot) {
 		comp.check = eng.ScheduleAt(cs.CheckAt, func() { g.complianceCheck(comp) })
 	}
 
-	for _, as := range snap.Aggregates {
-		if as.Exp <= now {
-			continue
-		}
-		g.aggregates[as.Label.Key()] = &aggregate{
-			label:    as.Label,
-			children: append([]filter.Entry(nil), as.Children...),
-			exp:      as.Exp,
-		}
-	}
-	if len(g.aggregates) > 0 {
+	g.agg.Adopt(snap.Aggregates, now)
+	if g.agg.Len() > 0 {
 		g.armAggregateReview()
 	}
 

@@ -292,7 +292,7 @@ func TestWireClusterSnapshotRestore(t *testing.T) {
 	}
 	g.mu.Lock()
 	for _, l := range labels {
-		if err := g.installWithAggregation(l, now, now+5*time.Second); err != nil {
+		if err := g.installVictimFilter(l, now, now+5*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"runtime"
@@ -66,14 +65,13 @@ type GatewayConfig struct {
 	// DataplaneShards partitions the classification engine; 0 picks
 	// GOMAXPROCS (rounded up to a power of two by the engine).
 	DataplaneShards int
-	// Allocation enables the §IV filter-table-pressure fallback: when a
-	// victim-side temporary filter is rejected for capacity, the
-	// allocator (internal/alloc) prices candidate prefixes at the
-	// policy's lengths in estimated collateral legit bytes — using the
-	// gateway's detection sketch as the traffic view when armed —
-	// installs the cheapest cover, and retries the install. A fixed /24
-	// fallback is the one-rung policy {PrefixLens: [24]}. nil disables
-	// aggregation.
+	// Allocation enables the §IV filter-table-pressure fallback, the
+	// simulator's alloc.Aggregator: a victim-side install a live
+	// aggregate covers refreshes it; one rejected for capacity installs
+	// the cheapest cover (priced by the detection sketch or cluster when
+	// armed) and retries; every Ttmp aggregates split back or refine as
+	// the pressure eases. A fixed /24 fallback is the one-rung policy
+	// {PrefixLens: [24]}. nil disables aggregation.
 	Allocation *alloc.Policy
 	// Detect configures the gateway-side sketch detection engine
 	// (internal/detect); armed only when ThresholdBps > 0 and
@@ -152,6 +150,12 @@ type Gateway struct {
 	// re-arm after stopAll.
 	clu    *cluster.Cluster
 	closed atomic.Bool // aitf:atomic
+
+	// agg runs the §IV fallback on victim-side installs, the same
+	// lifecycle as the simulator's; reviewArmed marks its review timer
+	// as pending. Both under mu.
+	agg         *alloc.Aggregator
+	reviewArmed bool
 
 	// Control-plane retransmission and idempotency state, all under mu:
 	// nextTxid numbers logical reliable sends, dedup remembers recently
@@ -250,6 +254,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		}
 		g.clu = cluster.New(cfg.Cluster, det)
 	}
+	g.agg = alloc.NewAggregator(g.dp, cfg.Allocation, g.det, g.clu, g.event)
 	n.SetHandler(g)
 	g.armClusterMerge()
 	return g, nil
@@ -560,7 +565,7 @@ func (g *Gateway) selfDetect(d detect.Detection, path []packet.RREntry) {
 	if g.tracing() {
 		g.event(obs.EvAttackDetected, label, fmt.Sprintf("est %dB for protected client %v", d.EstBytes, d.Dst))
 	}
-	if err := g.installWithAggregation(label, now, now+sim.Time(g.cfg.Timers.Ttmp)); err != nil {
+	if err := g.installVictimFilter(label, now, now+sim.Time(g.cfg.Timers.Ttmp)); err != nil {
 		// The wire-speed table is full even after aggregation: the
 		// temporary filter is lost, but the shadow log and the
 		// attacker-side request below must still go out (as in the
@@ -632,7 +637,7 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 		// A full table loses only the temporary filter: the shadow and
 		// the relay still go out, as in selfDetect and the simulator
 		// gateway, so the attacker's gateway can take over the block.
-		ierr := g.installWithAggregation(label, now, now+sim.Time(g.cfg.Timers.Ttmp))
+		ierr := g.installVictimFilter(label, now, now+sim.Time(g.cfg.Timers.Ttmp))
 		if ierr != nil {
 			g.logf("temp filter: %v", ierr)
 		}
@@ -674,82 +679,69 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 			g.event(obs.EvHandshakeFailed, label, "superseded by a fresh request")
 		}
 		g.stats.HandshakesStarted++
-		pend := &wirePending{req: m, nonce: randNonce(),
-			deadline: time.Now().Add(g.cfg.HandshakeTimeout)}
-		g.pendings[label.Key()] = pend
 		if g.tracing() {
 			g.event(obs.EvHandshakeQuery, label, "to victim "+m.Victim.String())
 		}
-		gw, victim, mflow, nonce := g.node.Addr(), m.Victim, m.Flow, pend.nonce
-		pend.retx = g.reliableSend(g.cfg.Control.MaxAttempts, func(uint64) *packet.Packet {
-			// The nonce is the dedup identity here: a duplicate query just
-			// elicits another (idempotent) reply.
-			return packet.NewControl(gw, victim,
-				&packet.VerifyQuery{Flow: mflow, Nonce: nonce})
-		})
-		pend.cancel = g.timers.after(g.cfg.HandshakeTimeout, func() {
-			g.mu.Lock()
-			defer g.mu.Unlock()
-			if g.pendings[label.Key()] == pend {
-				delete(g.pendings, label.Key())
-				if pend.retx != nil {
-					pend.retx()
-				}
-				g.stats.HandshakesFailed++
-				g.event(obs.EvHandshakeFailed, label, "timeout")
-			}
-		})
+		g.startHandshake(label, m, randNonce(), g.cfg.HandshakeTimeout)
 	}
 }
 
-// installWithAggregation is the victim-side install path with the §IV
-// fallback: on ErrTableFull (and with an allocation policy), candidates
-// at every policy length are priced in estimated collateral legit bytes
-// (via the detection sketch when armed), the cheapest cover freeing a
-// slot is installed, and the install is retried once. Called under mu.
-func (g *Gateway) installWithAggregation(label flow.Label, now, exp sim.Time) error {
-	err := g.dp.Install(label, now, exp)
-	if err == nil {
-		g.clusterRecord(cluster.OpInstall, label, exp, now)
-		return nil
-	}
-	if !errors.Is(err, filter.ErrTableFull) || g.cfg.Allocation == nil {
-		return err
-	}
-	cfg := alloc.Config{Policy: *g.cfg.Allocation}
-	if g.clu != nil && g.protected != nil {
-		// The cluster's merged detection view prices candidates —
-		// including traffic only a dead replica's frozen summary saw.
-		cfg.Traffic = g.clu
-		cfg.WindowSeconds = g.clu.DetectionWindow().Seconds()
-	} else if g.det != nil {
-		cfg.Traffic = alloc.DetectTraffic{Eng: g.det}
-		cfg.WindowSeconds = g.det.Config().Window.Seconds()
-	}
-	freed := false
-	for _, pick := range alloc.Choose(g.dp.FilterEntries(), 1, cfg).Picks {
-		replaced, aerr := g.dp.Aggregate(pick.Aggregate, pick.ChildLabels(), now, pick.MaxExpiry)
-		if aerr != nil || replaced < 2 {
-			continue
+// startHandshake registers the attacker-side handshake for req and
+// sends its verification query; unanswered within window, it fails.
+// Called under mu.
+func (g *Gateway) startHandshake(label flow.Label, req *packet.FilterReq, nonce uint64, window time.Duration) {
+	pend := &wirePending{req: req, nonce: nonce, deadline: time.Now().Add(window)}
+	g.pendings[label.Key()] = pend
+	gw, victim, mflow := g.node.Addr(), req.Victim, req.Flow
+	pend.retx = g.reliableSend(g.cfg.Control.MaxAttempts, func(uint64) *packet.Packet {
+		// The nonce is the dedup identity here: a duplicate query just
+		// elicits another (idempotent) reply.
+		return packet.NewControl(gw, victim,
+			&packet.VerifyQuery{Flow: mflow, Nonce: nonce})
+	})
+	pend.cancel = g.timers.after(window, func() {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		if g.pendings[label.Key()] == pend {
+			delete(g.pendings, label.Key())
+			if pend.retx != nil {
+				pend.retx()
+			}
+			g.stats.HandshakesFailed++
+			g.event(obs.EvHandshakeFailed, label, "timeout")
 		}
-		freed = true
-		g.stats.Aggregations++
-		g.stats.CollateralBytes += uint64(pick.LegitBytes)
-		g.clusterRecord(cluster.OpAggregate, pick.Aggregate, pick.MaxExpiry, now)
-		if g.tracing() {
-			g.event(obs.EvAggregated, pick.Aggregate,
-				fmt.Sprintf("table full: coalesced %d siblings, covers %d sources, est %dB/window collateral",
-					replaced, pick.CoveredAddrs(), uint64(pick.LegitBytes)))
+	})
+}
+
+// installVictimFilter installs a victim-side filter through the §IV
+// aggregator and keeps the aggregate review armed while any aggregate
+// is outstanding. Called under mu.
+func (g *Gateway) installVictimFilter(label flow.Label, now, exp sim.Time) error {
+	err := g.agg.Install(label, now, exp)
+	g.armAggregateReview()
+	return err
+}
+
+// armAggregateReview arms the aggregator's review while an aggregate is
+// outstanding: every Ttmp it splits aggregates back or refines them,
+// re-arming while any remain. Like the cluster merge ticker, a firing
+// that races Close does nothing. Called under mu.
+func (g *Gateway) armAggregateReview() {
+	if g.reviewArmed || g.agg.Len() == 0 {
+		return
+	}
+	g.reviewArmed = true
+	g.timers.after(g.cfg.Timers.Ttmp, func() {
+		if g.closed.Load() {
+			return
 		}
-	}
-	if !freed {
-		return err
-	}
-	if ierr := g.dp.Install(label, now, exp); ierr != nil {
-		return ierr
-	}
-	g.clusterRecord(cluster.OpInstall, label, exp, now)
-	return nil
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		g.reviewArmed = false
+		if g.agg.Review(wallNow()) {
+			g.armAggregateReview()
+		}
+	})
 }
 
 func (g *Gateway) handleVerifyReply(m *packet.VerifyReply) {

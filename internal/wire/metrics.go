@@ -42,6 +42,8 @@ func (g *Gateway) Stats() GatewayStats {
 // statsLocked is Stats for callers already holding g.mu.
 func (g *Gateway) statsLocked() GatewayStats {
 	st := g.stats
+	a := g.agg.Stats()
+	st.Aggregations, st.CollateralBytes = a.Aggregations, a.CollateralBytes
 	st.CtrlDedupEvicted = g.dedup.Evicted
 	st.FilterDrops = g.filterDrops.Load()
 	st.ShadowHits = g.shadowHits.Load()

@@ -136,11 +136,8 @@ func TestSnapshotRestoreHonorsDeadlines(t *testing.T) {
 	if err := g.Close(); err != nil { // snapshot-on-drain
 		t.Fatal(err)
 	}
-	if g.Stats().SnapshotSaves != 0 {
-		// SnapshotSaves is itself part of the snapshot taken before the
-		// increment; the restored gateway sees the save through its own
-		// restore counter instead.
-		t.Log("note: save counted post-snapshot by design")
+	if n := g.Stats().SnapshotSaves; n != 1 {
+		t.Fatalf("SnapshotSaves = %d after the drain save, want 1", n)
 	}
 
 	time.Sleep(120 * time.Millisecond) // downtime: the 50 ms filter lapses
@@ -158,7 +155,7 @@ func TestSnapshotRestoreHonorsDeadlines(t *testing.T) {
 	if st.SnapshotRestores != 1 || st.FiltersRestored != 1 || st.ShadowsRestored != 1 {
 		t.Fatalf("restore counters = %+v", st)
 	}
-	if st.HandshakesOK != 7 || st.StopOrders != 3 {
+	if st.HandshakesOK != 7 || st.StopOrders != 3 || st.SnapshotSaves != 1 {
 		t.Fatalf("counters did not survive the restart: %+v", st)
 	}
 
@@ -195,8 +192,10 @@ func traceJSON(t *testing.T, ring *obs.Ring) []map[string]any {
 
 // TestSnapshotRestoreCountsEveryBoot: every counter carries across a
 // restart, the restore counters included, so two drain/restore cycles
-// read SnapshotRestores == 2 and FiltersRestored == 2. Each restore is
-// a gateway-restored event reporting its own counts, with no flow.
+// read SnapshotRestores == 2 and FiltersRestored == 2. Every drain
+// snapshot counts the save that wrote it, so boot k restores
+// SnapshotSaves == k. Each restore is a gateway-restored event
+// reporting its own counts, with no flow.
 func TestSnapshotRestoreCountsEveryBoot(t *testing.T) {
 	dir := t.TempDir()
 	g := snapGateway(t, dir)
@@ -215,9 +214,9 @@ func TestSnapshotRestoreCountsEveryBoot(t *testing.T) {
 		if _, err := g.RestoreFromDisk(); err != nil {
 			t.Fatal(err)
 		}
-		if st := g.Stats(); st.SnapshotRestores != boot || st.FiltersRestored != boot {
-			t.Fatalf("boot %d: SnapshotRestores = %d, FiltersRestored = %d; want %d each",
-				boot, st.SnapshotRestores, st.FiltersRestored, boot)
+		if st := g.Stats(); st.SnapshotRestores != boot || st.FiltersRestored != boot || st.SnapshotSaves != boot {
+			t.Fatalf("boot %d: SnapshotRestores = %d, FiltersRestored = %d, SnapshotSaves = %d; want %d each",
+				boot, st.SnapshotRestores, st.FiltersRestored, st.SnapshotSaves, boot)
 		}
 		events := traceJSON(t, ring)
 		if len(events) != 1 || events[0]["kind"] != "gateway-restored" ||

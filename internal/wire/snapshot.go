@@ -15,6 +15,7 @@ import (
 	"sort"
 	"time"
 
+	"aitf/internal/alloc"
 	"aitf/internal/cluster"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
@@ -156,6 +157,10 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 	// Every counter carries across the restart, the restore counters
 	// included; the event below reports this restore's own counts.
 	g.stats = snap.Stats
+	g.agg.RestoreStats(alloc.AggregateStats{
+		Aggregations:    snap.Stats.Aggregations,
+		CollateralBytes: snap.Stats.CollateralBytes,
+	})
 	g.dedup.Evicted = snap.Stats.CtrlDedupEvicted
 	g.filterDrops.Store(snap.Stats.FilterDrops)
 	g.shadowHits.Store(snap.Stats.ShadowHits)
@@ -207,30 +212,11 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 			g.event(obs.EvHandshakeFailed, label, "window lapsed during outage")
 			continue
 		}
-		req := dp.Req
-		pend := &wirePending{req: &req, nonce: dp.Nonce,
-			deadline: time.Now().Add(remaining)}
-		g.pendings[label.Key()] = pend
 		// Re-issue the verification query with the original nonce: the
 		// reply may have been lost while we were down, and a duplicate
 		// reply is harmless.
-		gw, victim, mflow, nonce := g.node.Addr(), req.Victim, req.Flow, dp.Nonce
-		pend.retx = g.reliableSend(g.cfg.Control.MaxAttempts, func(uint64) *packet.Packet {
-			return packet.NewControl(gw, victim,
-				&packet.VerifyQuery{Flow: mflow, Nonce: nonce})
-		})
-		pend.cancel = g.timers.after(remaining, func() {
-			g.mu.Lock()
-			defer g.mu.Unlock()
-			if g.pendings[label.Key()] == pend {
-				delete(g.pendings, label.Key())
-				if pend.retx != nil {
-					pend.retx()
-				}
-				g.stats.HandshakesFailed++
-				g.event(obs.EvHandshakeFailed, label, "timeout")
-			}
-		})
+		req := dp.Req
+		g.startHandshake(label, &req, dp.Nonce, remaining)
 	}
 	if g.clu != nil && snap.Cluster != nil {
 		// The cluster log stores absolute instants on the writer's
@@ -263,6 +249,9 @@ func (g *Gateway) SaveToDisk() error {
 		return nil
 	}
 	snap := g.Snapshot()
+	// The snapshot counts the save that writes it; the live counter
+	// follows once the write has succeeded.
+	snap.Stats.SnapshotSaves++
 	buf, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		return fmt.Errorf("wire: marshal snapshot: %w", err)

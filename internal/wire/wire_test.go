@@ -5,11 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"aitf/internal/alloc"
 	"aitf/internal/contract"
 	"aitf/internal/detect"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
 	"aitf/internal/packet"
+	"aitf/internal/sim"
 )
 
 // netDial opens a plain UDP socket toward addr (for garbage injection).
@@ -588,7 +590,7 @@ func TestInstallWithAggregationAllocator(t *testing.T) {
 			g.det.ObserveTuple(now, flow.Tuple{Src: legit, Dst: victim, Proto: flow.ProtoUDP, SrcPort: 4000, DstPort: 80}, 1000)
 			fresh := flow.PairLabel(flow.MakeAddr(30, 0, 0, 1), victim)
 			g.mu.Lock()
-			err = g.installWithAggregation(fresh, now, exp)
+			err = g.installVictimFilter(fresh, now, exp)
 			g.mu.Unlock()
 			if err != nil {
 				t.Fatalf("allocator did not free a slot: %v", err)
@@ -620,6 +622,116 @@ func TestInstallWithAggregationAllocator(t *testing.T) {
 				t.Fatal("triggering filter not installed after aggregation")
 			}
 		})
+	}
+}
+
+// aggregatedGateway boots an unstarted gateway with an eight-slot table
+// and the one-rung /24 policy, fills the table with three /24 siblings
+// and five unrelated filters, and installs one more, which coalesces the
+// siblings under their /24. It returns the gateway, the siblings and
+// the unrelated filters.
+func aggregatedGateway(t *testing.T, victim flow.Addr, exp sim.Time) (*Gateway, []flow.Label, []flow.Label) {
+	t.Helper()
+	g, err := NewGateway(GatewayConfig{
+		Node:           NodeConfig{Addr: flow.MakeAddr(10, 0, 0, 1), Name: "gw", NextHop: map[flow.Addr]flow.Addr{}},
+		Timers:         testTimers(),
+		Default:        contract.DefaultPeer(),
+		Secret:         []byte("secret"),
+		FilterCapacity: 8,
+		Allocation:     &alloc.Policy{PrefixLens: []uint8{24}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	var siblings, others []flow.Label
+	for i := byte(1); i <= 3; i++ {
+		siblings = append(siblings, flow.PairLabel(flow.MakeAddr(20, 0, 0, i), victim))
+	}
+	for i := byte(1); i <= 5; i++ {
+		others = append(others, flow.PairLabel(flow.MakeAddr(30, 0, i, 1), victim))
+	}
+	now := wallNow()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, l := range append(append([]flow.Label{}, siblings...), others...) {
+		if err := g.installVictimFilter(l, now, exp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.installVictimFilter(flow.PairLabel(flow.MakeAddr(40, 0, 0, 1), victim), now, exp); err != nil {
+		t.Fatalf("allocator did not free a slot: %v", err)
+	}
+	if st := g.statsLocked(); st.Aggregations != 1 {
+		t.Fatalf("Aggregations = %d, want 1", st.Aggregations)
+	}
+	for _, l := range siblings {
+		if _, ok := g.dp.Get(l, now); ok {
+			t.Fatalf("sibling %v still exact after aggregation", l)
+		}
+	}
+	return g, siblings, others
+}
+
+// TestWireAggregateSplitsBack: once the pressure that forced an
+// aggregate subsides, the daemon's review splits it back into its
+// exact children within about one Ttmp, as the simulator does.
+func TestWireAggregateSplitsBack(t *testing.T) {
+	victim := flow.MakeAddr(9, 0, 0, 2)
+	g, siblings, others := aggregatedGateway(t, victim, wallNow()+10*time.Second)
+	g.mu.Lock()
+	for _, l := range others {
+		g.dp.Remove(l)
+	}
+	g.mu.Unlock()
+
+	cover := flow.SrcPrefixLabel(flow.MakeAddr(20, 0, 0, 0), 24, victim)
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		g.mu.Lock()
+		now := wallNow()
+		_, aggregated := g.dp.Get(cover, now)
+		back := 0
+		for _, l := range siblings {
+			if _, ok := g.dp.Get(l, now); ok {
+				back++
+			}
+		}
+		g.mu.Unlock()
+		if !aggregated && back == len(siblings) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after 2s: cover installed = %v, %d of %d children exact again", aggregated, back, len(siblings))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestWireCoveredInstallRefreshesAggregate: an install a live aggregate
+// already covers extends the aggregate instead of taking a slot.
+func TestWireCoveredInstallRefreshesAggregate(t *testing.T) {
+	victim := flow.MakeAddr(9, 0, 0, 2)
+	exp := wallNow() + 10*time.Second
+	g, _, _ := aggregatedGateway(t, victim, exp)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	before := g.dp.Len()
+	now := wallNow()
+	later := exp + 5*time.Second
+	fourth := flow.PairLabel(flow.MakeAddr(20, 0, 0, 4), victim)
+	if err := g.installVictimFilter(fourth, now, later); err != nil {
+		t.Fatal(err)
+	}
+	if n := g.dp.Len(); n != before {
+		t.Fatalf("covered install took a slot: %d filters, want %d", n, before)
+	}
+	if _, ok := g.dp.Get(fourth, now); ok {
+		t.Fatalf("covered install %v got its own exact filter", fourth)
+	}
+	cover := flow.SrcPrefixLabel(flow.MakeAddr(20, 0, 0, 0), 24, victim)
+	if e, ok := g.dp.Get(cover, now); !ok || e.ExpiresAt != later {
+		t.Fatalf("cover %v = %+v (live %v), want refreshed until %v", cover, e, ok, later)
 	}
 }
 
