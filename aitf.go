@@ -43,6 +43,7 @@ import (
 	"aitf/internal/cluster"
 	"aitf/internal/contract"
 	"aitf/internal/core"
+	"aitf/internal/ctrl"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
@@ -77,9 +78,9 @@ type (
 	// AllocationPolicy configures the collateral-aware filter
 	// allocator (internal/alloc) on gateways.
 	AllocationPolicy = alloc.Policy
-	// ControlConfig tunes the reliable control-plane messenger
-	// (bounded retransmission with backoff) on gateways.
-	ControlConfig = core.ControlConfig
+	// ControlConfig tunes the reliable control plane (bounded
+	// retransmission with backoff, internal/ctrl) on gateways.
+	ControlConfig = ctrl.Config
 	// ClusterConfig runs gateways as clusters of sketch-merging
 	// logical replicas with a replicated filter log (internal/cluster).
 	ClusterConfig = cluster.Config

@@ -8,6 +8,7 @@ import (
 	"aitf/internal/cluster"
 	"aitf/internal/contract"
 	"aitf/internal/core"
+	"aitf/internal/ctrl"
 	"aitf/internal/detect"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
@@ -64,11 +65,11 @@ type Options struct {
 	// on relief. A fixed /24 fallback is &AllocationPolicy{PrefixLens:
 	// []uint8{24}}. nil disables aggregation.
 	Allocation *alloc.Policy
-	// Control configures the reliable control-plane messenger at every
-	// gateway: bounded retransmission with exponential backoff around
-	// protocol sends. The zero value keeps single-shot sends (the
+	// Control configures the reliable control plane (internal/ctrl) at
+	// every gateway: bounded retransmission with exponential backoff
+	// around protocol sends. The zero value keeps single-shot sends (the
 	// historical behaviour, and the right choice on loss-free links).
-	Control core.ControlConfig
+	Control ctrl.Config
 	// Cluster, when enabled (Replicas >= 2), runs every deployed
 	// gateway as a cluster of k logical replicas: detection
 	// observations shard to each flow's owning replica by rendezvous

@@ -8,6 +8,7 @@ import (
 	"aitf/internal/alloc"
 	"aitf/internal/cluster"
 	"aitf/internal/contract"
+	"aitf/internal/ctrl"
 	"aitf/internal/dataplane"
 	"aitf/internal/detect"
 	"aitf/internal/filter"
@@ -115,12 +116,13 @@ type GatewayConfig struct {
 	// gateway with the route-record evidence it observed, handshake
 	// answered from its own watch state.
 	Detection *GatewayDetection
-	// Control configures the reliable control-plane messenger: bounded
-	// retransmission with exponential backoff wrapped around this
-	// gateway's protocol sends (filtering requests, handshake legs,
-	// stop orders, escalations). The zero value disables retransmission
-	// — every send is single-shot, the pre-messenger behaviour.
-	Control ControlConfig
+	// Control configures the shared reliable control plane (ctrl.Config):
+	// bounded retransmission with exponential backoff, jittered from the
+	// engine's seeded source, wrapped around this gateway's protocol
+	// sends (filtering requests, handshake legs, stop orders,
+	// escalations). The zero value disables retransmission — every send
+	// is single-shot.
+	Control ctrl.Config
 	// Cluster, when enabled (Replicas >= 2), runs this gateway as k
 	// logical replicas: detection shards by rendezvous hash over the
 	// flow pair, filter mutations replicate through a sequence-numbered
@@ -196,8 +198,9 @@ type GatewayStats struct {
 	AggregateCollateralBytes uint64
 	AggregateRefinements     uint64
 
-	// Reliable control-plane messenger (fault tolerance).
-	CtrlReliableSends uint64 // logical sends handed to the messenger
+	// Reliable control plane (fault tolerance): the ctrl.Ladder counters
+	// and the receive path's txid dedup drops.
+	CtrlReliableSends uint64 // logical sends handed to the ladder
 	CtrlRetransmits   uint64 // extra attempts beyond each first transmission
 	CtrlDupDrops      uint64 // duplicate deliveries suppressed by txid dedup
 }
@@ -219,15 +222,6 @@ type vwatch struct {
 	// outstanding attacker-gateway request and provider escalation.
 	reqTok uint64
 	escTok uint64
-}
-
-// pending is an attacker-gateway handshake awaiting its reply.
-type pending struct {
-	req      *packet.FilterReq
-	nonce    uint64
-	deadline sim.Time // absolute handshake timeout, kept for snapshots
-	timer    *sim.Event
-	tok      uint64 // reliable-send ladder of the verification query
 }
 
 // compliance tracks a stop order sent to a client, pending verification
@@ -257,7 +251,6 @@ type Gateway struct {
 	outPolicers map[flow.Addr]*filter.Policer // keyed by client (R2)
 
 	watches    map[flow.Label]*vwatch
-	pendings   map[flow.Label]*pending
 	compliance map[flow.Label]*compliance
 
 	// agg runs the §IV fallback on victim-side installs: covering
@@ -278,10 +271,12 @@ type Gateway struct {
 	// replicated filter log, and replica failover (nil when disabled).
 	clu *cluster.Cluster
 
-	// msgr is the reliable control messenger (nil = retransmission
-	// off); seenTxids dedups retransmitted control messages by
-	// (src, txid) so a duplicate delivery never re-runs side effects.
-	msgr      *messenger
+	// ladder retransmits protocol sends (single-shot when Control is
+	// off); hs holds the attacker-side handshakes; seenTxids dedups
+	// retransmitted control messages by (src, txid) so a duplicate
+	// delivery never re-runs side effects.
+	ladder    *ctrl.Ladder
+	hs        *ctrl.Ledger
 	seenTxids filter.Dedup
 	// halted marks a crashed gateway: every scheduled closure becomes a
 	// no-op (see Halt).
@@ -306,13 +301,17 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		inPolicers:   make(map[flow.Addr]*filter.Policer),
 		outPolicers:  make(map[flow.Addr]*filter.Policer),
 		watches:      make(map[flow.Label]*vwatch),
-		pendings:     make(map[flow.Label]*pending),
 		compliance:   make(map[flow.Label]*compliance),
 		disconnected: make(map[flow.Addr]sim.Time),
 	}
-	if cfg.Control.Enabled() {
-		g.msgr = newMessenger(g, cfg.Control)
-	}
+	// The control plane runs on the engine's clock and draws its jitter
+	// from the engine's seeded source, so fault schedules replay
+	// exactly; both close over the gateway, which is attached first.
+	clk := simClock{g}
+	g.ladder = ctrl.NewLadder(cfg.Control, clk,
+		func() float64 { return g.node.Engine().Rand().Float64() },
+		func(p *packet.Packet) { g.node.Originate(p) }, g.trace)
+	g.hs = ctrl.NewLedger(g.ladder, clk, cfg.HandshakeTimeout, g.trace)
 	// The clock closes over the gateway so the engine reads virtual
 	// time once the node is attached; classification never happens
 	// before Attach.
@@ -348,6 +347,16 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 	return g
 }
 
+// simClock is the control plane's clock: the simulator's virtual time
+// and event queue.
+type simClock struct{ g *Gateway }
+
+func (c simClock) Now() time.Duration { return c.g.now() }
+
+func (c simClock) After(d time.Duration, fn func()) func() {
+	return c.g.node.Engine().Schedule(d, fn).Cancel
+}
+
 // Detector exposes the gateway-side detection engine (nil when the
 // gateway defends no legacy clients).
 func (g *Gateway) Detector() *detect.Engine { return g.det }
@@ -380,7 +389,7 @@ func (g *Gateway) Shadows() dataplane.ShadowView { return g.dp.Shadow() }
 // gateway is classifying — the snapshot is per-field coherent, not a
 // cross-field transaction, which is all monitoring needs.
 func (g *Gateway) Stats() GatewayStats {
-	a := g.agg.Stats()
+	a, l, h := g.agg.Stats(), g.ladder.Stats(), g.hs.Stats()
 	return GatewayStats{
 		DataForwarded:   atomic.LoadUint64(&g.stats.DataForwarded),
 		FilterDrops:     atomic.LoadUint64(&g.stats.FilterDrops),
@@ -393,9 +402,9 @@ func (g *Gateway) Stats() GatewayStats {
 		ReqAccepted:  atomic.LoadUint64(&g.stats.ReqAccepted),
 		MsgProcessed: atomic.LoadUint64(&g.stats.MsgProcessed),
 
-		HandshakesStarted: atomic.LoadUint64(&g.stats.HandshakesStarted),
-		HandshakesOK:      atomic.LoadUint64(&g.stats.HandshakesOK),
-		HandshakesFailed:  atomic.LoadUint64(&g.stats.HandshakesFailed),
+		HandshakesStarted: h.Started,
+		HandshakesOK:      h.OK,
+		HandshakesFailed:  h.Failed,
 
 		StopOrders:     atomic.LoadUint64(&g.stats.StopOrders),
 		Escalations:    atomic.LoadUint64(&g.stats.Escalations),
@@ -413,8 +422,8 @@ func (g *Gateway) Stats() GatewayStats {
 		AggregateCollateralBytes: a.CollateralBytes,
 		AggregateRefinements:     a.Refinements,
 
-		CtrlReliableSends: atomic.LoadUint64(&g.stats.CtrlReliableSends),
-		CtrlRetransmits:   atomic.LoadUint64(&g.stats.CtrlRetransmits),
+		CtrlReliableSends: l.ReliableSends,
+		CtrlRetransmits:   l.Retransmits,
 		CtrlDupDrops:      atomic.LoadUint64(&g.stats.CtrlDupDrops),
 	}
 }
@@ -436,9 +445,7 @@ func (g *Gateway) restoreStats(s GatewayStats) {
 	atomic.StoreUint64(&g.stats.ReqAccepted, s.ReqAccepted)
 	atomic.StoreUint64(&g.stats.MsgProcessed, s.MsgProcessed)
 
-	atomic.StoreUint64(&g.stats.HandshakesStarted, s.HandshakesStarted)
-	atomic.StoreUint64(&g.stats.HandshakesOK, s.HandshakesOK)
-	atomic.StoreUint64(&g.stats.HandshakesFailed, s.HandshakesFailed)
+	g.hs.RestoreStats(ctrl.LedgerStats{Started: s.HandshakesStarted, OK: s.HandshakesOK, Failed: s.HandshakesFailed})
 
 	atomic.StoreUint64(&g.stats.StopOrders, s.StopOrders)
 	atomic.StoreUint64(&g.stats.Escalations, s.Escalations)
@@ -458,10 +465,19 @@ func (g *Gateway) restoreStats(s GatewayStats) {
 		Refinements:        s.AggregateRefinements,
 	})
 
-	atomic.StoreUint64(&g.stats.CtrlReliableSends, s.CtrlReliableSends)
-	atomic.StoreUint64(&g.stats.CtrlRetransmits, s.CtrlRetransmits)
+	g.ladder.RestoreStats(ctrl.Stats{ReliableSends: s.CtrlReliableSends, Retransmits: s.CtrlRetransmits})
 	atomic.StoreUint64(&g.stats.CtrlDupDrops, s.CtrlDupDrops)
 }
+
+// OutstandingReliable returns how many reliable sends are still
+// awaiting an ack or their final attempt. The chaos invariants assert
+// this drains to zero: every ladder terminates.
+func (g *Gateway) OutstandingReliable() int { return g.ladder.Outstanding() }
+
+// PendingHandshakes returns the attacker-side handshakes awaiting
+// their verification reply, for the accounting balance
+// HandshakesStarted == HandshakesOK + HandshakesFailed + pending.
+func (g *Gateway) PendingHandshakes() int { return g.hs.Pending() }
 
 // Config returns the gateway's configuration.
 func (g *Gateway) Config() GatewayConfig { return g.cfg }
@@ -730,7 +746,7 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from *n
 	// reliable send must be wholly side-effect-free — it may not eat a
 	// contract-policer token, restart an escalation ladder, or touch any
 	// counter other than the dup counter itself.
-	if g.seenTxids.Seen(p.Src, m.Txid, now, dedupWindow) {
+	if g.seenTxids.Seen(p.Src, m.Txid, now, filter.DedupWindow) {
 		atomic.AddUint64(&g.stats.CtrlDupDrops, 1)
 		g.trace(obs.EvCtrlDupDrop, m.Flow, fmt.Sprintf("txid %d from %v", m.Txid, p.Src))
 		return
@@ -900,10 +916,10 @@ func (g *Gateway) sendToAttackerGateway(w *vwatch) {
 		return
 	}
 	// A new round supersedes any ladder still running for the old one.
-	g.cancelReliable(w.reqTok)
+	g.ladder.Cancel(w.reqTok)
 	round := uint8(min(w.round, 255))
 	g.trace(obs.EvRequestSent, w.label, fmt.Sprintf("to attacker-gw %v round %d", target, w.round))
-	w.reqTok = g.reliableSend(w.label, func(txid uint64) *packet.Packet {
+	w.reqTok = g.ladder.Send(w.label, func(txid uint64) *packet.Packet {
 		return packet.NewControl(g.node.Addr(), target, &packet.FilterReq{
 			Stage:    packet.StageToAttackerGW,
 			Flow:     w.label,
@@ -958,8 +974,8 @@ func (g *Gateway) takeoverCheck(w *vwatch, installedAt sim.Time) {
 		// The temporary filter lapses; the shadow keeps watching — and
 		// any request ladders still retransmitting have served their
 		// purpose.
-		g.cancelReliable(w.reqTok)
-		g.cancelReliable(w.escTok)
+		g.ladder.Cancel(w.reqTok)
+		g.ladder.Cancel(w.escTok)
 		w.reqTok, w.escTok = 0, 0
 		g.trace(obs.EvTakeoverOK, w.label, "flow stopped before Ttmp")
 		return
@@ -983,10 +999,10 @@ func (g *Gateway) reblockAndEscalate(w *vwatch) {
 		g.dp.LogShadow(w.label, w.victim, now, now+sim.Time(g.cfg.Timers.T))
 	}
 	if g.cfg.Provider != 0 {
-		g.cancelReliable(w.escTok)
+		g.ladder.Cancel(w.escTok)
 		round := uint8(min(w.round, 255))
 		g.trace(obs.EvRequestSent, w.label, fmt.Sprintf("escalate to provider %v round %d", g.cfg.Provider, w.round))
-		w.escTok = g.reliableSend(w.label, func(txid uint64) *packet.Packet {
+		w.escTok = g.ladder.Send(w.label, func(txid uint64) *packet.Packet {
 			return packet.NewControl(g.node.Addr(), g.cfg.Provider, &packet.FilterReq{
 				Stage:    packet.StageToVictimGW,
 				Flow:     w.label,
@@ -1060,44 +1076,7 @@ func (g *Gateway) handleAttackerSideRequest(p *packet.Packet, m *packet.FilterRe
 		g.trace(obs.EvRequestInvalid, label, "no valid route-record stamp for this router")
 		return
 	}
-	if prev, ok := g.pendings[label.Key()]; ok {
-		// A newer request supersedes the in-flight handshake; the old
-		// one can never succeed now (its nonce is about to be replaced),
-		// so close its books as a failure. Without this, every
-		// supersession leaked one started-but-never-resolved handshake
-		// and HandshakesStarted drifted away from OK+Failed.
-		prev.timer.Cancel()
-		g.cancelReliable(prev.tok)
-		delete(g.pendings, label.Key())
-		atomic.AddUint64(&g.stats.HandshakesFailed, 1)
-		g.trace(obs.EvHandshakeFailed, label, "superseded by a newer request")
-	}
-	nonce := g.node.Engine().Rand().Uint64()
-	atomic.AddUint64(&g.stats.HandshakesStarted, 1)
-	g.trace(obs.EvHandshakeQuery, label, fmt.Sprintf("to victim %v", m.Victim))
-	g.startHandshake(label, m, nonce, g.now()+sim.Time(g.cfg.HandshakeTimeout))
-}
-
-// startHandshake registers the attacker-side handshake for req and
-// sends its verification query; unanswered by deadline, it fails.
-func (g *Gateway) startHandshake(label flow.Label, req *packet.FilterReq, nonce uint64, deadline sim.Time) {
-	pend := &pending{req: req, nonce: nonce, deadline: deadline}
-	g.pendings[label.Key()] = pend
-	victim, mflow := req.Victim, req.Flow
-	pend.tok = g.reliableSend(label, func(uint64) *packet.Packet {
-		// The nonce itself is the dedup key here: duplicate queries get
-		// duplicate (idempotent) replies, so no txid is needed.
-		return packet.NewControl(g.node.Addr(), victim,
-			&packet.VerifyQuery{Flow: mflow, Nonce: nonce})
-	})
-	pend.timer = g.node.Engine().ScheduleAt(deadline, func() {
-		if g.pendings[label.Key()] == pend {
-			delete(g.pendings, label.Key())
-			g.cancelReliable(pend.tok)
-			atomic.AddUint64(&g.stats.HandshakesFailed, 1)
-			g.trace(obs.EvHandshakeFailed, label, "verification query timed out")
-		}
-	})
+	g.hs.Start(label, m, g.node.Engine().Rand().Uint64())
 }
 
 // handleVerifyQuery answers handshakes addressed to this gateway when
@@ -1113,12 +1092,12 @@ func (g *Gateway) handleVerifyQuery(p *packet.Packet, m *packet.VerifyQuery) {
 	if w != nil {
 		// The query is implicit proof our request reached the attacker
 		// side: stop retransmitting it.
-		g.cancelReliable(w.reqTok)
+		g.ladder.Cancel(w.reqTok)
 		w.reqTok = 0
 	}
 	g.trace(obs.EvHandshakeReply, label, fmt.Sprintf("to %v", p.Src))
 	src, mflow, nonce := p.Src, m.Flow, m.Nonce
-	g.reliableReply(label, func() *packet.Packet {
+	g.ladder.SendBlind(label, func(uint64) *packet.Packet {
 		return packet.NewControl(g.node.Addr(), src,
 			&packet.VerifyReply{Flow: mflow, Nonce: nonce})
 	})
@@ -1129,14 +1108,9 @@ func (g *Gateway) handleVerifyQuery(p *packet.Packet, m *packet.VerifyQuery) {
 func (g *Gateway) handleVerifyReply(m *packet.VerifyReply) {
 	now := g.now()
 	label := m.Flow.Canonical()
-	pend, ok := g.pendings[label.Key()]
-	if !ok || pend.nonce != m.Nonce {
+	if !g.hs.Reply(label, m.Nonce) {
 		return // stale, duplicate, unsolicited, or forged reply
 	}
-	pend.timer.Cancel()
-	g.cancelReliable(pend.tok)
-	delete(g.pendings, label.Key())
-	atomic.AddUint64(&g.stats.HandshakesOK, 1)
 	atomic.AddUint64(&g.stats.ReqAccepted, 1)
 	g.trace(obs.EvHandshakeOK, label, "")
 
@@ -1176,7 +1150,7 @@ func (g *Gateway) orderClientToStop(label flow.Label) {
 		deadline: now + sim.Time(g.cfg.Timers.Grace),
 	}
 	g.compliance[label.Key()] = comp
-	comp.tok = g.reliableSend(label, func(txid uint64) *packet.Packet {
+	comp.tok = g.ladder.Send(label, func(txid uint64) *packet.Packet {
 		return packet.NewControl(g.node.Addr(), client, &packet.FilterReq{
 			Stage:    packet.StageToAttacker,
 			Flow:     label,
@@ -1196,7 +1170,7 @@ func (g *Gateway) complianceCheck(c *compliance) {
 	if g.compliance[c.label.Key()] != c {
 		return
 	}
-	g.cancelReliable(c.tok)
+	g.ladder.Cancel(c.tok)
 	delete(g.compliance, c.label.Key())
 	if c.haveSeen && c.lastSeen > c.deadline {
 		// Client kept sending past the grace period: disconnect (§II-C).

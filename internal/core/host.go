@@ -263,7 +263,7 @@ func (h *Host) handleControl(p *packet.Packet) {
 		if p.Src != h.cfg.Gateway {
 			return // only our own provider may order us to stop
 		}
-		if h.seenTxids.Seen(p.Src, m.Txid, now, dedupWindow) {
+		if h.seenTxids.Seen(p.Src, m.Txid, now, filter.DedupWindow) {
 			h.stats.CtrlDupDrops++
 			return
 		}

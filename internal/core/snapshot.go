@@ -11,10 +11,10 @@ package core
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"aitf/internal/alloc"
 	"aitf/internal/cluster"
+	"aitf/internal/ctrl"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
@@ -34,14 +34,6 @@ type WatchSnapshot struct {
 	HaveSeen    bool
 	TempUntil   sim.Time
 	InstalledAt sim.Time
-}
-
-// PendingSnapshot is one attacker-side handshake awaiting its reply,
-// with the absolute deadline its timeout must still fire at.
-type PendingSnapshot struct {
-	Req      packet.FilterReq
-	Nonce    uint64
-	Deadline sim.Time
 }
 
 // ComplianceSnapshot is one stop order awaiting its compliance check.
@@ -70,11 +62,11 @@ type GatewaySnapshot struct {
 	Filters      []filter.Entry
 	Shadows      []filter.ShadowEntry
 	Watches      []WatchSnapshot
-	Pendings     []PendingSnapshot
+	Pendings     []ctrl.Pending // attacker-side handshakes in flight
 	Compliance   []ComplianceSnapshot
 	Aggregates   []alloc.Aggregate
 	Disconnected []DisconnectSnapshot
-	// NextTxid continues the messenger's txid sequence so post-restore
+	// NextTxid continues the ladder's txid sequence so post-restore
 	// sends cannot collide with pre-crash ones inside a receiver's
 	// dedup window.
 	NextTxid uint64
@@ -92,13 +84,12 @@ func labelLess(a, b flow.Label) bool { return a.String() < b.String() }
 // simulation does not perturb replay fingerprints.
 func (g *Gateway) Snapshot() *GatewaySnapshot {
 	snap := &GatewaySnapshot{
-		TakenAt: g.now(),
-		Stats:   g.Stats(),
-		Filters: g.dp.FilterEntries(),
-		Shadows: g.dp.ShadowEntries(),
-	}
-	if g.msgr != nil {
-		snap.NextTxid = g.msgr.nextID
+		TakenAt:  g.now(),
+		Stats:    g.Stats(),
+		Filters:  g.dp.FilterEntries(),
+		Shadows:  g.dp.ShadowEntries(),
+		Pendings: g.hs.Export(),
+		NextTxid: g.ladder.NextTxid(),
 	}
 	if g.clu != nil {
 		snap.Cluster = g.clu.ExportState()
@@ -119,14 +110,6 @@ func (g *Gateway) Snapshot() *GatewaySnapshot {
 		})
 	}
 	sort.Slice(snap.Watches, func(i, j int) bool { return labelLess(snap.Watches[i].Label, snap.Watches[j].Label) })
-	for _, pe := range g.pendings {
-		snap.Pendings = append(snap.Pendings, PendingSnapshot{
-			Req:      *pe.req,
-			Nonce:    pe.nonce,
-			Deadline: pe.deadline,
-		})
-	}
-	sort.Slice(snap.Pendings, func(i, j int) bool { return labelLess(snap.Pendings[i].Req.Flow, snap.Pendings[j].Req.Flow) })
 	for _, c := range g.compliance {
 		snap.Compliance = append(snap.Compliance, ComplianceSnapshot{
 			Label:    c.label,
@@ -159,19 +142,13 @@ func (g *Gateway) Halt() {
 			w.check.Cancel()
 		}
 	}
-	for _, pe := range g.pendings {
-		if pe.timer != nil {
-			pe.timer.Cancel()
-		}
-	}
+	g.hs.StopAll()
 	for _, c := range g.compliance {
 		if c.check != nil {
 			c.check.Cancel()
 		}
 	}
-	if g.msgr != nil {
-		g.msgr.stopAll()
-	}
+	g.ladder.StopAll()
 }
 
 // Restore rebuilds snapshotted state into this gateway, which must be
@@ -185,9 +162,7 @@ func (g *Gateway) Restore(snap *GatewaySnapshot) {
 	now := g.now()
 	eng := g.node.Engine()
 	g.restoreStats(snap.Stats)
-	if g.msgr != nil && snap.NextTxid > g.msgr.nextID {
-		g.msgr.nextID = snap.NextTxid
-	}
+	g.ladder.RestoreTxid(snap.NextTxid)
 	if g.clu != nil && snap.Cluster != nil {
 		g.clu.ImportState(snap.Cluster, now)
 	}
@@ -234,20 +209,9 @@ func (g *Gateway) Restore(snap *GatewaySnapshot) {
 		g.scheduleWatchGC(w)
 	}
 
-	for _, ps := range snap.Pendings {
-		label := ps.Req.Flow.Canonical()
-		if ps.Deadline <= now {
-			// The handshake window closed while we were down.
-			atomic.AddUint64(&g.stats.HandshakesFailed, 1)
-			g.trace(obs.EvHandshakeFailed, label, "handshake window lapsed during outage")
-			continue
-		}
-		// Re-issue the verification query with the original nonce: the
-		// reply may have been lost (or dropped at our dead queues)
-		// while we were down, and a duplicate reply is harmless.
-		req := ps.Req
-		g.startHandshake(label, &req, ps.Nonce, ps.Deadline)
-	}
+	// Pending handshakes re-issue their queries with the original
+	// nonces; those whose window closed while we were down fail.
+	g.hs.Adopt(snap.Pendings)
 
 	for _, cs := range snap.Compliance {
 		comp := &compliance{

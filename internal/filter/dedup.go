@@ -1,6 +1,14 @@
 package filter
 
-import "aitf/internal/flow"
+import (
+	"time"
+
+	"aitf/internal/flow"
+)
+
+// DedupWindow is how long every control receiver remembers a
+// (source, txid) pair, far past any configured retransmission ladder.
+const DedupWindow = 10 * time.Second
 
 // DedupCapacity bounds how many (source, txid) pairs a Dedup remembers.
 // It is far above what honest retransmission keeps live inside a

@@ -36,6 +36,7 @@ import (
 	"aitf/internal/cluster"
 	"aitf/internal/contract"
 	"aitf/internal/core"
+	"aitf/internal/ctrl"
 	"aitf/internal/detect"
 	"aitf/internal/flow"
 	"aitf/internal/sim"
@@ -765,7 +766,7 @@ func build(s Spec) *world {
 		opt.Allocation.PrefixLens = []uint8{28, 26, aggShallowest}
 	}
 	if s.Faults.Retransmit {
-		opt.Control = core.ControlConfig{MaxAttempts: ctrlAttempts, RTO: ctrlRTO, Jitter: ctrlJitter}
+		opt.Control = ctrl.Config{MaxAttempts: ctrlAttempts, RTO: ctrlRTO, Jitter: ctrlJitter}
 	}
 	if s.Cluster.Enabled() {
 		opt.Cluster = cluster.Config{

@@ -11,6 +11,7 @@ import (
 	"aitf/internal/alloc"
 	"aitf/internal/cluster"
 	"aitf/internal/contract"
+	"aitf/internal/ctrl"
 	"aitf/internal/detect"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
@@ -90,8 +91,8 @@ type GatewayFileConfig struct {
 	// CtrlRtoMs is the first retransmission timeout in milliseconds,
 	// doubling per attempt (0 = default 250 when retransmission is on).
 	CtrlRtoMs int `json:"ctrl_rto_ms"`
-	// CtrlJitter spreads each retransmission timer by a uniform factor
-	// in [0, CtrlJitter); must be in [0, 1).
+	// CtrlJitter scales each retransmission timer by a uniform factor
+	// in 1 ± CtrlJitter; must be in [0, 1).
 	CtrlJitter float64 `json:"ctrl_jitter"`
 	// SnapshotPath, when set, makes the gateway write its durable state
 	// (filters, shadows, pendings, counters) there on graceful drain and
@@ -321,7 +322,7 @@ func (c *FileConfig) GatewayConfig(trace *obs.Trace) (GatewayConfig, error) {
 		if rto <= 0 {
 			rto = 250 * time.Millisecond
 		}
-		cfg.Control = RetryConfig{
+		cfg.Control = ctrl.Config{
 			MaxAttempts: c.Gateway.CtrlMaxAttempts,
 			RTO:         rto,
 			Jitter:      c.Gateway.CtrlJitter,

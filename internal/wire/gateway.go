@@ -12,6 +12,7 @@ import (
 	"aitf/internal/alloc"
 	"aitf/internal/cluster"
 	"aitf/internal/contract"
+	"aitf/internal/ctrl"
 	"aitf/internal/dataplane"
 	"aitf/internal/detect"
 	"aitf/internal/filter"
@@ -91,34 +92,20 @@ type GatewayConfig struct {
 	// packet-verdict fast path; the zero value keeps the classic
 	// single-engine gateway.
 	Cluster cluster.Config
-	// Control configures bounded control-plane retransmission. The zero
-	// value sends every control message exactly once (the pre-resilience
-	// behavior); with MaxAttempts > 1 each logical send carries a txid,
-	// is retransmitted on an exponential-backoff ladder until cancelled
-	// (a handshake reply) or the attempts run out, and receivers drop
-	// txid duplicates without re-running side effects.
-	Control RetryConfig
+	// Control configures the shared reliable control plane (ctrl.Config),
+	// the simulator's rules on real timers. The zero value sends every
+	// control message exactly once; with MaxAttempts > 1 each logical
+	// send carries a txid and is retransmitted on an exponential-backoff
+	// ladder, jittered by ±Jitter, until cancelled (a handshake reply) or
+	// the attempts run out, and receivers drop txid duplicates without
+	// re-running side effects.
+	Control ctrl.Config
 	// SnapshotPath, when non-empty, names the file the gateway writes
 	// its durable state to on Close (snapshot-on-drain) and restores
 	// from on boot via RestoreFromDisk (restore-on-boot), so a daemon
 	// restart mid-attack keeps filtering.
 	SnapshotPath string
 }
-
-// RetryConfig tunes the wire gateway's control-plane retransmission.
-type RetryConfig struct {
-	// MaxAttempts bounds total transmissions per logical message;
-	// 0 or 1 disables retransmission.
-	MaxAttempts int
-	// RTO is the first retransmission timeout; it doubles per attempt.
-	RTO time.Duration
-	// Jitter spreads each timeout by a uniform factor in [0, Jitter)
-	// so synchronized losses don't resynchronize the retries.
-	Jitter float64
-}
-
-// Enabled reports whether the config arms retransmission.
-func (c RetryConfig) Enabled() bool { return c.MaxAttempts > 1 && c.RTO > 0 }
 
 // Gateway is the wire-mode border router: it stamps route records on
 // transit data, polices filtering requests, verifies them with the
@@ -134,7 +121,6 @@ type Gateway struct {
 	dp *dataplane.Engine
 
 	policers map[flow.Addr]*filter.Policer
-	pendings map[flow.Label]*wirePending
 	timers   *timerSet
 
 	// det observes traffic toward protected legacy clients; nil when
@@ -157,12 +143,12 @@ type Gateway struct {
 	agg         *alloc.Aggregator
 	reviewArmed bool
 
-	// Control-plane retransmission and idempotency state, all under mu:
-	// nextTxid numbers logical reliable sends, dedup remembers recently
-	// seen (source, txid) pairs, and rng jitters the backoff ladders.
-	nextTxid uint64
-	dedup    filter.Dedup
-	rng      *mrand.Rand
+	// The reliable control plane, all under mu: ladder retransmits
+	// protocol sends, hs holds the attacker-side handshakes, and dedup
+	// remembers recently seen (source, txid) pairs.
+	ladder *ctrl.Ladder
+	hs     *ctrl.Ledger
+	dedup  filter.Dedup
 
 	// stats holds the control-plane counters, mutated under mu. Its
 	// data-plane fields are the two atomics below: the receive goroutine
@@ -179,24 +165,6 @@ type Gateway struct {
 // comes back with a full bucket, which a spoofer already gets for every
 // forged key: the bound hands an attacker nothing new.
 const maxPolicers = 4096
-
-// dedupWindow bounds how long a (source, txid) pair is remembered; it
-// comfortably outlives any retransmission ladder the RetryConfig can
-// produce at wire-demo timer scales.
-const dedupWindow = 10 * time.Second
-
-type wirePending struct {
-	req    *packet.FilterReq
-	nonce  uint64
-	cancel func()
-	// retx stops the verification query's retransmission ladder; the
-	// reply and the timeout both cancel it. Nil when retransmission is
-	// off.
-	retx func()
-	// deadline is when the handshake times out; the drain snapshot
-	// stores the remaining window so crash loops cannot extend it.
-	deadline time.Time
-}
 
 // NewGateway binds the gateway's socket.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
@@ -221,12 +189,13 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		node:     n,
 		rec:      traceback.NewRecorder(cfg.Node.Addr, cfg.Secret),
 		policers: make(map[flow.Addr]*filter.Policer),
-		pendings: make(map[flow.Label]*wirePending),
 		timers:   newTimerSet(),
-		// Backoff jitter only — protocol nonces still come from
-		// crypto/rand (randNonce).
-		rng: mrand.New(mrand.NewSource(int64(randNonce()))),
 	}
+	// A private seeded source jitters the backoff only; protocol nonces
+	// still come from crypto/rand (randNonce).
+	clk := wallClock{g}
+	g.ladder = ctrl.NewLadder(cfg.Control, clk, mrand.New(mrand.NewSource(int64(randNonce()))).Float64, g.transmit, g.event)
+	g.hs = ctrl.NewLedger(g.ladder, clk, cfg.HandshakeTimeout, g.event)
 	g.dp = dataplane.New(dataplane.Config{
 		Shards:         cfg.DataplaneShards,
 		FilterCapacity: cfg.FilterCapacity,
@@ -258,6 +227,37 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	n.SetHandler(g)
 	g.armClusterMerge()
 	return g, nil
+}
+
+// wallClock is the control plane's clock: the runtime's monotonic clock
+// and the gateway's timers.
+type wallClock struct{ g *Gateway }
+
+func (c wallClock) Now() time.Duration { return wallNow() }
+
+func (c wallClock) After(d time.Duration, fn func()) func() { return c.g.after(d, fn) }
+
+// after runs fn under mu, d from now. Close flips closed before it
+// stops the timers, so a firing that races Close does nothing and
+// cannot re-arm a timer behind stopAll.
+func (g *Gateway) after(d time.Duration, fn func()) (cancel func()) {
+	return g.timers.after(d, func() {
+		if g.closed.Load() {
+			return
+		}
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		fn()
+	})
+}
+
+// transmit originates one control packet; Originate marshals
+// synchronously, so the shell is recycled on return.
+func (g *Gateway) transmit(p *packet.Packet) {
+	if err := g.node.Originate(p); err != nil {
+		g.logf("control send: %v", err)
+	}
+	p.Release()
 }
 
 // Detector exposes the gateway-side detection engine (nil when off).
@@ -444,78 +444,6 @@ func (g *Gateway) flushForwards(tx *sockBatch) {
 // functions held to aitf:noalloc.
 func (g *Gateway) logForwardErr(err error) { g.logf("forward: %v", err) }
 
-// retxLadder is one in-flight reliable send's cancellation state;
-// mutated under g.mu (timer callbacks retake the lock).
-type retxLadder struct {
-	cancelled bool
-	stop      func()
-}
-
-// reliableSend originates one logical control message with up to
-// `attempts` transmissions on an exponential-backoff ladder. build
-// constructs a fresh packet per attempt — every attempt must carry the
-// same identifying state (txid, nonce) so receivers can dedup. The
-// returned cancel stops outstanding retransmissions; it must be called
-// under g.mu (every call site already holds it). With retransmission
-// disabled this degenerates to exactly one send and a no-op cancel, so
-// the fault-free hot path pays nothing. Called under mu.
-func (g *Gateway) reliableSend(attempts int, build func(txid uint64) *packet.Packet) func() {
-	var txid uint64
-	if g.cfg.Control.Enabled() && attempts > 1 {
-		g.nextTxid++
-		txid = g.nextTxid
-		g.stats.CtrlReliableSends++
-	} else {
-		attempts = 1
-	}
-	send := func() {
-		p := build(txid)
-		if err := g.node.Originate(p); err != nil {
-			g.logf("reliable send: %v", err)
-		}
-		p.Release() // Originate marshals synchronously
-	}
-	send()
-	if attempts <= 1 {
-		return func() {}
-	}
-	ladder := &retxLadder{}
-	var arm func(attempt int, rto time.Duration)
-	arm = func(attempt int, rto time.Duration) {
-		delay := rto + time.Duration(g.cfg.Control.Jitter*g.rng.Float64()*float64(rto))
-		ladder.stop = g.timers.after(delay, func() {
-			g.mu.Lock()
-			defer g.mu.Unlock()
-			if ladder.cancelled {
-				return
-			}
-			g.stats.CtrlRetransmits++
-			send()
-			if attempt+1 < attempts {
-				arm(attempt+1, rto*2)
-			}
-		})
-	}
-	arm(1, g.cfg.Control.RTO)
-	return func() {
-		ladder.cancelled = true
-		if ladder.stop != nil {
-			ladder.stop()
-		}
-	}
-}
-
-// blindAttempts is the transmission count for sends that have no ack
-// to cancel on (relays, stop orders, handshake replies): one redundant
-// copy rides the backoff ladder and receiver-side dedup absorbs it
-// when the first made it through.
-func (g *Gateway) blindAttempts() int {
-	if !g.cfg.Control.Enabled() {
-		return 1
-	}
-	return 2
-}
-
 func (g *Gateway) handleControl(p *packet.Packet, from flow.Addr) {
 	switch m := p.Msg.(type) {
 	case *packet.FilterReq:
@@ -543,7 +471,7 @@ func (g *Gateway) handleVerifyQuery(p *packet.Packet, m *packet.VerifyQuery) {
 		g.event(obs.EvHandshakeReply, label, "to attacker gw "+p.Src.String())
 	}
 	gw, querier, mflow, nonce := g.node.Addr(), p.Src, m.Flow, m.Nonce
-	g.reliableSend(g.blindAttempts(), func(uint64) *packet.Packet {
+	g.ladder.SendBlind(label, func(uint64) *packet.Packet {
 		// Replies dedup by nonce at the querier; a duplicate is a no-op.
 		return packet.NewControl(gw, querier,
 			&packet.VerifyReply{Flow: mflow, Nonce: nonce})
@@ -593,7 +521,7 @@ func (g *Gateway) selfDetect(d detect.Detection, path []packet.RREntry) {
 		g.event(obs.EvRequestSent, label, "gateway-detected relay to attacker gw "+target.String())
 	}
 	gw, dlabel, dur := g.node.Addr(), d.Label, g.cfg.Timers.T
-	g.reliableSend(g.blindAttempts(), func(txid uint64) *packet.Packet {
+	g.ladder.SendBlind(label, func(txid uint64) *packet.Packet {
 		return packet.NewControl(gw, target, &packet.FilterReq{
 			Stage:    packet.StageToAttackerGW,
 			Flow:     dlabel,
@@ -611,8 +539,11 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 	// Retransmitted duplicates are absorbed first: a (source, txid)
 	// pair seen within the dedup window is dropped before any side
 	// effect or counter runs, making the receive path idempotent.
-	if g.dedup.Seen(p.Src, m.Txid, now, dedupWindow) {
+	if g.dedup.Seen(p.Src, m.Txid, now, filter.DedupWindow) {
 		g.stats.CtrlDupDrops++
+		if g.tracing() {
+			g.event(obs.EvCtrlDupDrop, m.Flow, fmt.Sprintf("txid %d from %v", m.Txid, p.Src))
+		}
 		return
 	}
 	g.stats.ReqReceived++
@@ -656,7 +587,7 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 		req := *m
 		req.Stage = packet.StageToAttackerGW
 		gw := g.node.Addr()
-		g.reliableSend(g.blindAttempts(), func(txid uint64) *packet.Packet {
+		g.ladder.SendBlind(label, func(txid uint64) *packet.Packet {
 			r := req
 			r.Txid = txid
 			return packet.NewControl(gw, target, &r)
@@ -668,49 +599,8 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 			g.event(obs.EvRequestInvalid, label, "bad evidence")
 			return
 		}
-		if prev, ok := g.pendings[label.Key()]; ok {
-			// The superseded handshake resolves as failed, keeping the
-			// started = ok + failed + pending ledger balanced.
-			prev.cancel()
-			if prev.retx != nil {
-				prev.retx()
-			}
-			g.stats.HandshakesFailed++
-			g.event(obs.EvHandshakeFailed, label, "superseded by a fresh request")
-		}
-		g.stats.HandshakesStarted++
-		if g.tracing() {
-			g.event(obs.EvHandshakeQuery, label, "to victim "+m.Victim.String())
-		}
-		g.startHandshake(label, m, randNonce(), g.cfg.HandshakeTimeout)
+		g.hs.Start(label, m, randNonce())
 	}
-}
-
-// startHandshake registers the attacker-side handshake for req and
-// sends its verification query; unanswered within window, it fails.
-// Called under mu.
-func (g *Gateway) startHandshake(label flow.Label, req *packet.FilterReq, nonce uint64, window time.Duration) {
-	pend := &wirePending{req: req, nonce: nonce, deadline: time.Now().Add(window)}
-	g.pendings[label.Key()] = pend
-	gw, victim, mflow := g.node.Addr(), req.Victim, req.Flow
-	pend.retx = g.reliableSend(g.cfg.Control.MaxAttempts, func(uint64) *packet.Packet {
-		// The nonce is the dedup identity here: a duplicate query just
-		// elicits another (idempotent) reply.
-		return packet.NewControl(gw, victim,
-			&packet.VerifyQuery{Flow: mflow, Nonce: nonce})
-	})
-	pend.cancel = g.timers.after(window, func() {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		if g.pendings[label.Key()] == pend {
-			delete(g.pendings, label.Key())
-			if pend.retx != nil {
-				pend.retx()
-			}
-			g.stats.HandshakesFailed++
-			g.event(obs.EvHandshakeFailed, label, "timeout")
-		}
-	})
 }
 
 // installVictimFilter installs a victim-side filter through the §IV
@@ -731,12 +621,7 @@ func (g *Gateway) armAggregateReview() {
 		return
 	}
 	g.reviewArmed = true
-	g.timers.after(g.cfg.Timers.Ttmp, func() {
-		if g.closed.Load() {
-			return
-		}
-		g.mu.Lock()
-		defer g.mu.Unlock()
+	g.after(g.cfg.Timers.Ttmp, func() {
 		g.reviewArmed = false
 		if g.agg.Review(wallNow()) {
 			g.armAggregateReview()
@@ -747,16 +632,9 @@ func (g *Gateway) armAggregateReview() {
 func (g *Gateway) handleVerifyReply(m *packet.VerifyReply) {
 	now := wallNow()
 	label := m.Flow.Canonical()
-	pend, ok := g.pendings[label.Key()]
-	if !ok || pend.nonce != m.Nonce {
+	if !g.hs.Reply(label, m.Nonce) {
 		return // completed, superseded, or forged: duplicates land here
 	}
-	pend.cancel()
-	if pend.retx != nil {
-		pend.retx()
-	}
-	delete(g.pendings, label.Key())
-	g.stats.HandshakesOK++
 	if err := g.dp.Install(label, now, now+sim.Time(g.cfg.Timers.T)); err != nil {
 		g.logf("filter: %v", err)
 		return
@@ -771,7 +649,7 @@ func (g *Gateway) handleVerifyReply(m *packet.VerifyReply) {
 		g.event(obs.EvStopOrder, label, "to attacker "+label.Src.String())
 	}
 	gw, mflow, dur := g.node.Addr(), m.Flow, g.cfg.Timers.T
-	g.reliableSend(g.blindAttempts(), func(txid uint64) *packet.Packet {
+	g.ladder.SendBlind(label, func(txid uint64) *packet.Packet {
 		return packet.NewControl(gw, label.Src, &packet.FilterReq{
 			Stage:    packet.StageToAttacker,
 			Flow:     mflow,

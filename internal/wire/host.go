@@ -47,6 +47,7 @@ type Host struct {
 
 	wanted     map[flow.Label]time.Time // label -> expiry
 	stopOrders filter.StopOrders        // deadlines on the wallNow clock
+	dedup      filter.Dedup             // absorbs retransmitted stop orders
 
 	stats HostStats // under mu
 }
@@ -184,6 +185,10 @@ func (h *Host) handleControl(p *packet.Packet) {
 		}
 	case *packet.FilterReq:
 		if m.Stage != packet.StageToAttacker || p.Src != h.cfg.Gateway {
+			return
+		}
+		if h.dedup.Seen(p.Src, m.Txid, wallNow(), filter.DedupWindow) {
+			h.stats.CtrlDupDrops++
 			return
 		}
 		h.stats.StopOrdersReceived++

@@ -42,8 +42,10 @@ func (g *Gateway) Stats() GatewayStats {
 // statsLocked is Stats for callers already holding g.mu.
 func (g *Gateway) statsLocked() GatewayStats {
 	st := g.stats
-	a := g.agg.Stats()
+	a, l, h := g.agg.Stats(), g.ladder.Stats(), g.hs.Stats()
 	st.Aggregations, st.CollateralBytes = a.Aggregations, a.CollateralBytes
+	st.CtrlReliableSends, st.CtrlRetransmits = l.ReliableSends, l.Retransmits
+	st.HandshakesStarted, st.HandshakesOK, st.HandshakesFailed = h.Started, h.OK, h.Failed
 	st.CtrlDedupEvicted = g.dedup.Evicted
 	st.FilterDrops = g.filterDrops.Load()
 	st.ShadowHits = g.shadowHits.Load()
@@ -144,6 +146,7 @@ type HostStats struct {
 	RequestsSent       uint64
 	StopOrdersReceived uint64
 	SuppressedSends    uint64
+	CtrlDupDrops       uint64 // redundant stop-order copies absorbed by txid dedup
 }
 
 // Stats snapshots the host counters under the host lock.
@@ -169,6 +172,9 @@ func (h *Host) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("aitf_host_suppressed_sends_total",
 		"Packets withheld for stop-order compliance.",
 		func() uint64 { return h.Stats().SuppressedSends })
+	r.CounterFunc("aitf_host_ctrl_dup_drops_total",
+		"Duplicate stop-order deliveries absorbed by txid dedup.",
+		func() uint64 { return h.Stats().CtrlDupDrops })
 	h.node.registerMetrics(r)
 }
 

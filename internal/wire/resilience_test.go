@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"aitf/internal/contract"
+	"aitf/internal/ctrl"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
@@ -18,8 +19,8 @@ import (
 )
 
 // testRetry arms a fast retransmission ladder for wire tests.
-func testRetry() RetryConfig {
-	return RetryConfig{MaxAttempts: 4, RTO: 40 * time.Millisecond, Jitter: 0.2}
+func testRetry() ctrl.Config {
+	return ctrl.Config{MaxAttempts: 4, RTO: 40 * time.Millisecond, Jitter: 0.2}
 }
 
 func TestParseResilienceConfig(t *testing.T) {
@@ -34,7 +35,7 @@ func TestParseResilienceConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := RetryConfig{MaxAttempts: 4, RTO: 120 * time.Millisecond, Jitter: 0.25}
+	want := ctrl.Config{MaxAttempts: 4, RTO: 120 * time.Millisecond, Jitter: 0.25}
 	if gcfg.Control != want {
 		t.Fatalf("Control = %+v, want %+v", gcfg.Control, want)
 	}
@@ -129,7 +130,7 @@ func TestSnapshotRestoreHonorsDeadlines(t *testing.T) {
 	// The original absolute deadline, in wall terms.
 	longDeadline := time.Now().Add(5 * time.Second)
 	g.mu.Lock()
-	g.stats.HandshakesOK = 7
+	g.hs.RestoreStats(ctrl.LedgerStats{Started: 7, OK: 7})
 	g.stats.StopOrders = 3
 	g.mu.Unlock()
 
@@ -240,17 +241,16 @@ func TestSnapshotRestoreFailsLapsedPendings(t *testing.T) {
 	g := snapGateway(t, dir)
 	label := flow.PairLabel(flow.MakeAddr(20, 0, 0, 9), flow.MakeAddr(10, 0, 0, 2))
 	g.mu.Lock()
-	g.stats.HandshakesStarted = 1
-	g.pendings[label.Key()] = &wirePending{
-		req: &packet.FilterReq{
+	g.hs.RestoreStats(ctrl.LedgerStats{Started: 1})
+	g.hs.Adopt([]ctrl.Pending{{
+		Req: packet.FilterReq{
 			Stage:  packet.StageToAttackerGW,
 			Flow:   label,
 			Victim: flow.MakeAddr(10, 0, 0, 2),
 		},
-		nonce:    42,
-		cancel:   func() {},
-		deadline: time.Now().Add(30 * time.Millisecond),
-	}
+		Nonce:    42,
+		Deadline: wallNow() + sim.Time(30*time.Millisecond),
+	}})
 	g.mu.Unlock()
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
@@ -334,8 +334,8 @@ func TestDedupBoundedUnderFlood(t *testing.T) {
 	for i := 0; i < flood; i++ {
 		g.Handle(g.node, req(flow.Addr(0x0b000000+i), uint64(i+1)), from)
 	}
-	if took := time.Since(start); took >= dedupWindow {
-		t.Fatalf("flood of %d took %v, longer than the %v dedup window", flood, took, dedupWindow)
+	if took := time.Since(start); took >= filter.DedupWindow {
+		t.Fatalf("flood of %d took %v, longer than the %v dedup window", flood, took, filter.DedupWindow)
 	}
 	g.mu.Lock()
 	resident := g.dedup.Len()
@@ -435,7 +435,7 @@ func TestWireHandshakeRetransmitsUntilTimeout(t *testing.T) {
 		Timers:           testTimers(),
 		Default:          contract.DefaultPeer(),
 		Secret:           []byte("agw-secret"),
-		Control:          RetryConfig{MaxAttempts: 3, RTO: 30 * time.Millisecond},
+		Control:          ctrl.Config{MaxAttempts: 3, RTO: 30 * time.Millisecond},
 		HandshakeTimeout: 300 * time.Millisecond,
 	})
 	if err != nil {
@@ -472,14 +472,20 @@ func TestWireHandshakeRetransmitsUntilTimeout(t *testing.T) {
 	if st.HandshakesStarted != 1 || g.PendingHandshakes() != 0 {
 		t.Fatalf("ledger off after timeout: %+v, %d pending", st, g.PendingHandshakes())
 	}
+	if n := g.OutstandingReliable(); n != 0 {
+		t.Fatalf("%d retransmission ladders outstanding after the handshake failed", n)
+	}
 }
 
 // TestWireReliableRoundCompletes: with retransmission armed on both
 // gateways, the full AITF round still completes exactly once — the
 // blind redundant relay is absorbed by txid dedup instead of
-// double-driving the handshake.
+// double-driving the handshake, and the attacker counts the redundant
+// stop order once. /trace shows both halves: the redundant copies as
+// ctrl-retransmit records, the absorbed ones as ctrl-dup-drop.
 func TestWireReliableRoundCompletes(t *testing.T) {
-	r := buildRigCtrl(t, true, testRetry())
+	ring := obs.NewRing(256)
+	r := buildRigCtrl(t, true, testRetry(), obs.NewTrace(ring, slog.New(slog.DiscardHandler)))
 	victimAddr := r.victim.Node().Addr()
 	stop := make(chan struct{})
 	defer close(stop)
@@ -516,5 +522,23 @@ func TestWireReliableRoundCompletes(t *testing.T) {
 	}
 	if st.CtrlReliableSends == 0 {
 		t.Fatal("no send went through the reliable messenger")
+	}
+
+	// The stop order's redundant copy arrives ~RTO after the first; a
+	// compliant attacker must neither count it again nor restart its
+	// compliance window.
+	waitUntil(t, 2*time.Second, func() bool {
+		return r.attacker.Stats().CtrlDupDrops >= 1
+	}, "redundant stop order was never deduped at the attacker")
+	if hs := r.attacker.Stats(); hs.StopOrdersReceived != 1 || hs.CtrlDupDrops != 1 {
+		t.Fatalf("attacker: StopOrdersReceived = %d, CtrlDupDrops = %d; want 1, 1", hs.StopOrdersReceived, hs.CtrlDupDrops)
+	}
+
+	kinds := map[any]int{}
+	for _, ev := range traceJSON(t, ring) {
+		kinds[ev["kind"]]++
+	}
+	if kinds["ctrl-retransmit"] == 0 || kinds["ctrl-dup-drop"] == 0 {
+		t.Fatalf("/trace kinds %v, want ctrl-retransmit and ctrl-dup-drop records", kinds)
 	}
 }

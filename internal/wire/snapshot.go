@@ -17,6 +17,7 @@ import (
 
 	"aitf/internal/alloc"
 	"aitf/internal/cluster"
+	"aitf/internal/ctrl"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
@@ -90,7 +91,7 @@ func (g *Gateway) Snapshot() *DiskSnapshot {
 		TakenAtUnixNs: time.Now().UnixNano(),
 		TakenAtMono:   time.Duration(now),
 		Stats:         g.statsLocked(),
-		NextTxid:      g.nextTxid,
+		NextTxid:      g.ladder.NextTxid(),
 	}
 	if g.clu != nil {
 		snap.Cluster = g.clu.ExportState()
@@ -124,16 +125,13 @@ func (g *Gateway) Snapshot() *DiskSnapshot {
 	sort.Slice(snap.Shadows, func(i, j int) bool {
 		return snap.Shadows[i].Label.String() < snap.Shadows[j].Label.String()
 	})
-	for _, pend := range g.pendings {
+	for _, p := range g.hs.Export() {
 		snap.Pendings = append(snap.Pendings, DiskPending{
-			Req:       *pend.req,
-			Nonce:     pend.nonce,
-			Remaining: time.Until(pend.deadline),
+			Req:       p.Req,
+			Nonce:     p.Nonce,
+			Remaining: time.Duration(p.Deadline - now),
 		})
 	}
-	sort.Slice(snap.Pendings, func(i, j int) bool {
-		return snap.Pendings[i].Req.Flow.String() < snap.Pendings[j].Req.Flow.String()
-	})
 	return snap
 }
 
@@ -156,19 +154,15 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 
 	// Every counter carries across the restart, the restore counters
 	// included; the event below reports this restore's own counts.
-	g.stats = snap.Stats
-	g.agg.RestoreStats(alloc.AggregateStats{
-		Aggregations:    snap.Stats.Aggregations,
-		CollateralBytes: snap.Stats.CollateralBytes,
-	})
-	g.dedup.Evicted = snap.Stats.CtrlDedupEvicted
-	g.filterDrops.Store(snap.Stats.FilterDrops)
-	g.shadowHits.Store(snap.Stats.ShadowHits)
-	if snap.NextTxid > g.nextTxid {
-		// Continue the txid sequence: post-restore sends must not collide
-		// with pre-crash ones inside a receiver's dedup window.
-		g.nextTxid = snap.NextTxid
-	}
+	st := snap.Stats
+	g.stats = st
+	g.agg.RestoreStats(alloc.AggregateStats{Aggregations: st.Aggregations, CollateralBytes: st.CollateralBytes})
+	g.ladder.RestoreStats(ctrl.Stats{ReliableSends: st.CtrlReliableSends, Retransmits: st.CtrlRetransmits})
+	g.hs.RestoreStats(ctrl.LedgerStats{Started: st.HandshakesStarted, OK: st.HandshakesOK, Failed: st.HandshakesFailed})
+	g.dedup.Evicted = st.CtrlDedupEvicted
+	g.filterDrops.Store(st.FilterDrops)
+	g.shadowHits.Store(st.ShadowHits)
+	g.ladder.RestoreTxid(snap.NextTxid)
 
 	filters, shadows := 0, 0
 	for _, df := range snap.Filters {
@@ -203,21 +197,13 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 			shadows++
 		}
 	}
+	// Pending handshakes re-issue their queries with the original
+	// nonces; those whose window closed while we were down fail.
+	pendings := make([]ctrl.Pending, 0, len(snap.Pendings))
 	for _, dp := range snap.Pendings {
-		remaining := dp.Remaining - downtime
-		label := dp.Req.Flow.Canonical()
-		if remaining <= 0 {
-			// The handshake window closed while we were down.
-			g.stats.HandshakesFailed++
-			g.event(obs.EvHandshakeFailed, label, "window lapsed during outage")
-			continue
-		}
-		// Re-issue the verification query with the original nonce: the
-		// reply may have been lost while we were down, and a duplicate
-		// reply is harmless.
-		req := dp.Req
-		g.startHandshake(label, &req, dp.Nonce, remaining)
+		pendings = append(pendings, ctrl.Pending{Req: dp.Req, Nonce: dp.Nonce, Deadline: now + sim.Time(dp.Remaining-downtime)})
 	}
+	g.hs.Adopt(pendings)
 	if g.clu != nil && snap.Cluster != nil {
 		// The cluster log stores absolute instants on the writer's
 		// monotonic clock; rebase each op onto this process's epoch and
@@ -299,5 +285,13 @@ func (g *Gateway) RestoreFromDisk() (*DiskSnapshot, error) {
 func (g *Gateway) PendingHandshakes() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.pendings)
+	return g.hs.Pending()
+}
+
+// OutstandingReliable returns how many reliable sends still await an
+// ack or their final attempt; every ladder drains to zero.
+func (g *Gateway) OutstandingReliable() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.ladder.Outstanding()
 }

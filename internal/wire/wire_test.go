@@ -7,6 +7,7 @@ import (
 
 	"aitf/internal/alloc"
 	"aitf/internal/contract"
+	"aitf/internal/ctrl"
 	"aitf/internal/detect"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
@@ -50,12 +51,13 @@ func (r *rig) close() {
 
 func buildRig(t *testing.T, attackerCompliant bool) *rig {
 	t.Helper()
-	return buildRigCtrl(t, attackerCompliant, RetryConfig{})
+	return buildRigCtrl(t, attackerCompliant, ctrl.Config{}, nil)
 }
 
 // buildRigCtrl is buildRig with the gateways' control-plane
-// retransmission engine configured.
-func buildRigCtrl(t *testing.T, attackerCompliant bool, ctrl RetryConfig) *rig {
+// retransmission configured and their events recorded into tr (nil
+// records nothing).
+func buildRigCtrl(t *testing.T, attackerCompliant bool, cc ctrl.Config, tr *obs.Trace) *rig {
 	t.Helper()
 	var (
 		victimA   = flow.MakeAddr(10, 0, 0, 2)
@@ -95,7 +97,8 @@ func buildRigCtrl(t *testing.T, attackerCompliant bool, ctrl RetryConfig) *rig {
 		Clients: map[flow.Addr]contract.Contract{victimA: client},
 		Default: contract.DefaultPeer(),
 		Secret:  []byte("vgw-secret"),
-		Control: ctrl,
+		Control: cc,
+		Trace:   tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +109,8 @@ func buildRigCtrl(t *testing.T, attackerCompliant bool, ctrl RetryConfig) *rig {
 		Clients: map[flow.Addr]contract.Contract{attackerA: client},
 		Default: contract.DefaultPeer(),
 		Secret:  []byte("agw-secret"),
-		Control: ctrl,
+		Control: cc,
+		Trace:   tr,
 	})
 	if err != nil {
 		t.Fatal(err)
