@@ -317,6 +317,8 @@ func TestStartClusteredGateway(t *testing.T) {
 		"aitf_cluster_failovers_total",
 		"aitf_cluster_catchup_ops_total",
 		"aitf_cluster_catchup_ns_total",
+		"aitf_cluster_detections_total",
+		"aitf_cluster_merge_detections_total",
 	} {
 		if metricValue(t, expo, want) < 0 {
 			t.Errorf("metric %s negative", want)

@@ -8,7 +8,6 @@ import (
 
 	"aitf/internal/cluster"
 	"aitf/internal/dataplane"
-	"aitf/internal/detect"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
@@ -50,7 +49,7 @@ type Aggregator struct {
 	policy  *Policy // nil: reject-only
 	traffic Traffic
 	window  float64 // traffic's detection window, seconds
-	clu     *cluster.Cluster
+	plane   *cluster.Plane
 	trace   func(obs.EventKind, flow.Label, string)
 
 	aggregates map[flow.Label]*Aggregate // by covering label's Key()
@@ -61,17 +60,14 @@ type Aggregator struct {
 
 // NewAggregator builds the lifecycle over dp; a nil policy makes
 // Install a plain, reject-only install. Candidates are priced against
-// the cluster's merged detection view when clu has detection armed,
-// else against det (either may be nil). clu, when non-nil, receives the
-// filter ops; trace receives the aggregation events.
-func NewAggregator(dp *dataplane.Engine, policy *Policy, det *detect.Engine, clu *cluster.Cluster,
+// the detection plane when it has detection armed (a cluster's view
+// includes traffic only a dead replica's frozen summary saw); the plane
+// also receives the filter ops. trace receives the aggregation events.
+func NewAggregator(dp *dataplane.Engine, policy *Policy, plane *cluster.Plane,
 	trace func(obs.EventKind, flow.Label, string)) *Aggregator {
-	a := &Aggregator{dp: dp, policy: policy, clu: clu, trace: trace, aggregates: make(map[flow.Label]*Aggregate)}
-	if clu != nil && clu.DetectionWindow() > 0 {
-		// Includes traffic only a dead replica's frozen summary saw.
-		a.traffic, a.window = clu, clu.DetectionWindow().Seconds()
-	} else if det != nil {
-		a.traffic, a.window = DetectTraffic{Eng: det}, det.Config().Window.Seconds()
+	a := &Aggregator{dp: dp, policy: policy, plane: plane, trace: trace, aggregates: make(map[flow.Label]*Aggregate)}
+	if plane.Window() > 0 {
+		a.traffic, a.window = plane, plane.Window().Seconds()
 	}
 	return a
 }
@@ -96,7 +92,7 @@ func (a *Aggregator) Install(label flow.Label, now, exp filter.Time) error {
 			return err
 		}
 	}
-	a.record(cluster.OpInstall, label, exp, now)
+	a.plane.Record(cluster.OpInstall, label, exp, now)
 	return nil
 }
 
@@ -138,7 +134,7 @@ func (a *Aggregator) refreshCovered(agg *Aggregate, label flow.Label, now, exp f
 		agg.Children[i].ExpiresAt = max(agg.Children[i].ExpiresAt, childExp)
 	}
 	a.covered.Add(1)
-	a.record(cluster.OpInstall, label, exp, now)
+	a.plane.Record(cluster.OpInstall, label, exp, now)
 }
 
 // config is the allocator configuration for one Choose call.
@@ -170,7 +166,7 @@ func (a *Aggregator) allocate(now filter.Time) bool {
 		a.trace(obs.EvAggregated, pick.Aggregate,
 			fmt.Sprintf("%d children, covers %d sources, est %dB/window collateral",
 				replaced, pick.CoveredAddrs(), uint64(pick.LegitBytes)))
-		a.record(cluster.OpAggregate, pick.Aggregate, pick.MaxExpiry, now)
+		a.plane.Record(cluster.OpAggregate, pick.Aggregate, pick.MaxExpiry, now)
 	}
 	return freed
 }
@@ -239,7 +235,7 @@ func (a *Aggregator) Review(now filter.Time) (again bool) {
 			// review is one event, so nothing slips through the gap; the
 			// daemon's lock-free classifier can pass a packet inside it.
 			a.dp.Remove(agg.Label)
-			a.record(cluster.OpRemove, agg.Label, 0, now)
+			a.plane.Record(cluster.OpRemove, agg.Label, 0, now)
 			a.reinstall(live, nil, now, "split-back: ")
 			delete(a.aggregates, k)
 			a.splits.Add(1)
@@ -289,7 +285,7 @@ func (a *Aggregator) refine(k flow.Label, agg *Aggregate, live []filter.Entry, n
 		return false // no precision gained
 	}
 	a.dp.Remove(agg.Label)
-	a.record(cluster.OpRemove, agg.Label, 0, now)
+	a.plane.Record(cluster.OpRemove, agg.Label, 0, now)
 	delete(a.aggregates, k)
 	covered := make(map[flow.Label]bool)
 	for _, pick := range plan.Picks {
@@ -298,7 +294,7 @@ func (a *Aggregator) refine(k flow.Label, agg *Aggregate, live []filter.Entry, n
 			continue
 		}
 		a.merge(pick)
-		a.record(cluster.OpAggregate, pick.Aggregate, pick.MaxExpiry, now)
+		a.plane.Record(cluster.OpAggregate, pick.Aggregate, pick.MaxExpiry, now)
 		for _, c := range pick.Children {
 			covered[c.Label.Key()] = true
 		}
@@ -324,14 +320,7 @@ func (a *Aggregator) reinstall(children []filter.Entry, skip map[flow.Label]bool
 			a.trace(obs.EvFilterRejected, c.Label, why+err.Error())
 			continue
 		}
-		a.record(cluster.OpInstall, c.Label, c.ExpiresAt, now)
-	}
-}
-
-// record appends one filter op to the cluster's replicated log, if any.
-func (a *Aggregator) record(kind cluster.OpKind, label flow.Label, exp, now filter.Time) {
-	if a.clu != nil {
-		a.clu.Record(kind, label, exp, now)
+		a.plane.Record(cluster.OpInstall, c.Label, c.ExpiresAt, now)
 	}
 }
 

@@ -6,14 +6,16 @@ import (
 	"testing"
 	"time"
 
+	"aitf/internal/cluster"
 	"aitf/internal/dataplane"
+	"aitf/internal/detect"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
 )
 
 // aggHarness is an aggregator over a bare engine whose clock the test
-// sets, with its trace captured.
+// sets and an unarmed detection plane, with its trace captured.
 type aggHarness struct {
 	now    filter.Time
 	dp     *dataplane.Engine
@@ -28,7 +30,8 @@ func newAggHarness(capacity int, policy *Policy) *aggHarness {
 		Evict:          filter.RejectNew,
 		Clock:          dataplane.ClockFunc(func() filter.Time { return h.now }),
 	})
-	h.agg = NewAggregator(h.dp, policy, nil, nil, func(k obs.EventKind, l flow.Label, detail string) {
+	plane := cluster.NewPlane(detect.Config{}, nil, cluster.Config{}, nil)
+	h.agg = NewAggregator(h.dp, policy, plane, func(k obs.EventKind, l flow.Label, detail string) {
 		h.events = append(h.events, obs.Record{At: h.now, Kind: k, Flow: l, Detail: detail})
 	})
 	return h

@@ -19,7 +19,6 @@ import (
 	"math"
 	"sort"
 
-	"aitf/internal/detect"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 )
@@ -285,22 +284,4 @@ func candLess(a, b Candidate) bool {
 		return a.Aggregate.SrcPrefixLen > b.Aggregate.SrcPrefixLen
 	}
 	return filter.LabelLess(a.Aggregate, b.Aggregate)
-}
-
-// DetectTraffic adapts a detect.Engine into the allocator's Traffic
-// view: heavy-hitter pair estimates plus per-destination baselines.
-type DetectTraffic struct {
-	Eng *detect.Engine
-}
-
-// Pairs visits the engine's current heavy-hitter snapshot.
-func (t DetectTraffic) Pairs(visit func(src, dst flow.Addr, bytes uint64, flagged bool)) {
-	for _, h := range t.Eng.TopK() {
-		visit(h.Src, h.Dst, h.Bytes, h.Flagged)
-	}
-}
-
-// BaselineBps returns the destination's EWMA bandwidth.
-func (t DetectTraffic) BaselineBps(dst flow.Addr) float64 {
-	return t.Eng.Baseline(dst)
 }

@@ -124,11 +124,8 @@ type GatewayConfig struct {
 	// is single-shot.
 	Control ctrl.Config
 	// Cluster, when enabled (Replicas >= 2), runs this gateway as k
-	// logical replicas: detection shards by rendezvous hash over the
-	// flow pair, filter mutations replicate through a sequence-numbered
-	// log, and a recurring merge round exchanges detection state so a
-	// replica crash is a failover, not a re-detection from zero
-	// (internal/cluster).
+	// logical replicas behind its detection plane (cluster.Plane), so a
+	// replica crash is a failover, not a re-detection from zero.
 	Cluster cluster.Config
 }
 
@@ -260,16 +257,7 @@ type Gateway struct {
 
 	disconnected map[flow.Addr]sim.Time // neighbor -> blocked until
 
-	// det is the gateway-side sketch detection engine (nil when the
-	// gateway defends no legacy clients); protected gates which
-	// destinations feed it. With a cluster, detection engines live
-	// inside clu (one per logical replica) and det stays nil.
-	det       *detect.Engine
-	protected map[flow.Addr]bool
-
-	// clu is the gateway-cluster overlay: sharded detection, the
-	// replicated filter log, and replica failover (nil when disabled).
-	clu *cluster.Cluster
+	plane *cluster.Plane // the detection plane: engine or cluster
 
 	// ladder retransmits protocol sends (single-shot when Control is
 	// off); hs holds the attacker-side handshakes; seenTxids dedups
@@ -323,27 +311,12 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		ShadowLookup:   cfg.ShadowMode != ShadowOff,
 		Clock:          dataplane.ClockFunc(func() filter.Time { return g.now() }),
 	})
-	if d := cfg.Detection; d != nil && d.Enabled() && len(d.Protected) > 0 {
-		g.protected = make(map[flow.Addr]bool, len(d.Protected))
-		for _, a := range d.Protected {
-			g.protected[a] = true
-		}
-		if !cfg.Cluster.Enabled() {
-			g.det = detect.New(d.Config)
-		}
+	d := cfg.Detection
+	if d == nil {
+		d = &GatewayDetection{}
 	}
-	if cfg.Cluster.Enabled() {
-		// The cluster owns the detection engines (one per logical
-		// replica, sharing the same config so their summaries merge)
-		// and the replicated filter log. With detection unconfigured it
-		// still replicates filters and survives replica death.
-		det := detect.Config{}
-		if d := cfg.Detection; d != nil && len(d.Protected) > 0 {
-			det = d.Config
-		}
-		g.clu = cluster.New(cfg.Cluster, det)
-	}
-	g.agg = alloc.NewAggregator(g.dp, cfg.Allocation, g.det, g.clu, g.trace)
+	g.plane = cluster.NewPlane(d.Config, d.Protected, cfg.Cluster, g.trace)
+	g.agg = alloc.NewAggregator(g.dp, cfg.Allocation, g.plane, g.trace)
 	return g
 }
 
@@ -358,8 +331,8 @@ func (c simClock) After(d time.Duration, fn func()) func() {
 }
 
 // Detector exposes the gateway-side detection engine (nil when the
-// gateway defends no legacy clients).
-func (g *Gateway) Detector() *detect.Engine { return g.det }
+// gateway defends no legacy clients or runs clustered).
+func (g *Gateway) Detector() *detect.Engine { return g.plane.Engine() }
 
 // Attach binds the gateway to a node and installs it as the node's
 // packet handler.
@@ -637,8 +610,8 @@ func (g *Gateway) handleData(p *packet.Packet, from *netsim.Iface) {
 	// makes this gateway file the filtering request itself. Filtered
 	// packets never get here — a blocked flow cannot retrigger
 	// detection; its reappearances are the shadow cache's business.
-	if g.detectionArmed() && g.protected[p.Dst] {
-		if d, ok := g.observeTuple(now, p.Tuple(), int(p.PayloadLen)); ok {
+	if g.plane.Protects(p.Dst) {
+		if d, ok := g.plane.Observe(now, p.Tuple(), int(p.PayloadLen)); ok {
 			g.selfDetect(d, p.Path)
 		}
 	}
@@ -1120,7 +1093,7 @@ func (g *Gateway) handleVerifyReply(m *packet.VerifyReply) {
 		return
 	}
 	g.trace(obs.EvFilterInstalled, label, fmt.Sprintf("for %v", g.cfg.Timers.T))
-	g.clusterRecord(cluster.OpInstall, label, exp)
+	g.plane.Record(cluster.OpInstall, label, exp, now)
 	g.node.Engine().Schedule(sim.Time(g.cfg.Timers.T), func() { g.dp.Expire(g.now()) })
 
 	g.orderClientToStop(label)
@@ -1200,6 +1173,6 @@ func (g *Gateway) handleStopOrder(p *packet.Packet, m *packet.FilterReq) {
 		return
 	}
 	g.trace(obs.EvFilterInstalled, label, "stop order from provider")
-	g.clusterRecord(cluster.OpInstall, label, exp)
+	g.plane.Record(cluster.OpInstall, label, exp, now)
 	g.orderClientToStop(label)
 }

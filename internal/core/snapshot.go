@@ -90,9 +90,7 @@ func (g *Gateway) Snapshot() *GatewaySnapshot {
 		Shadows:  g.dp.ShadowEntries(),
 		Pendings: g.hs.Export(),
 		NextTxid: g.ladder.NextTxid(),
-	}
-	if g.clu != nil {
-		snap.Cluster = g.clu.ExportState()
+		Cluster:  g.plane.ExportState(),
 	}
 	sort.Slice(snap.Filters, func(i, j int) bool { return labelLess(snap.Filters[i].Label, snap.Filters[j].Label) })
 	sort.Slice(snap.Shadows, func(i, j int) bool { return labelLess(snap.Shadows[i].Label, snap.Shadows[j].Label) })
@@ -163,9 +161,7 @@ func (g *Gateway) Restore(snap *GatewaySnapshot) {
 	eng := g.node.Engine()
 	g.restoreStats(snap.Stats)
 	g.ladder.RestoreTxid(snap.NextTxid)
-	if g.clu != nil && snap.Cluster != nil {
-		g.clu.ImportState(snap.Cluster, now)
-	}
+	g.plane.ImportState(snap.Cluster, now)
 
 	for _, ent := range snap.Filters {
 		if ent.ExpiresAt <= now {

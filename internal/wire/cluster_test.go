@@ -26,6 +26,8 @@ var clusterMetricNames = []string{
 	"aitf_cluster_failovers_total",
 	"aitf_cluster_catchup_ops_total",
 	"aitf_cluster_catchup_ns_total",
+	"aitf_cluster_detections_total",
+	"aitf_cluster_merge_detections_total",
 }
 
 // TestWireClusterRoundOverUDP is TestLiveGatewayDetectionOverUDP with

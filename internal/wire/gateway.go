@@ -83,14 +83,10 @@ type GatewayConfig struct {
 	// detection the gateway files the filtering request itself, naming
 	// itself as the victim so it can answer the §II-E handshake.
 	DetectFor []flow.Addr
-	// Cluster, when enabled (Replicas >= 2), runs this gateway as a
-	// cluster of k logical replicas (internal/cluster): observations
-	// route to each flow's owning replica, merge rounds exchange
-	// detection state, and filter mutations feed a replicated log so
-	// any replica — including one standing in for a dead peer — can
-	// answer for the whole cluster. The dataplane stays the single
-	// packet-verdict fast path; the zero value keeps the classic
-	// single-engine gateway.
+	// Cluster, when enabled (Replicas >= 2), runs this gateway as k
+	// logical replicas behind its detection plane (cluster.Plane):
+	// sharded detection, merge rounds and a replicated filter log. The
+	// zero value keeps the single-engine gateway.
 	Cluster cluster.Config
 	// Control configures the shared reliable control plane (ctrl.Config),
 	// the simulator's rules on real timers. The zero value sends every
@@ -123,18 +119,10 @@ type Gateway struct {
 	policers map[flow.Addr]*filter.Policer
 	timers   *timerSet
 
-	// det observes traffic toward protected legacy clients; nil when
-	// gateway-side detection is off. The engine is internally
-	// synchronized, so the receive goroutine feeds it without g.mu.
-	det       *detect.Engine
-	protected map[flow.Addr]bool
-
-	// clu is the gateway-cluster overlay; nil when clustering is off.
-	// Like det it is internally synchronized, and when present it owns
-	// the sharded detection engines (det stays nil). closed gates the
-	// self-re-arming merge ticker so a firing that races Close cannot
-	// re-arm after stopAll.
-	clu    *cluster.Cluster
+	// plane is the detection plane; it locks itself, so the receive
+	// goroutine feeds it without g.mu. closed gates the self-re-arming
+	// timers so a firing that races Close cannot re-arm after stopAll.
+	plane  *cluster.Plane
 	closed atomic.Bool // aitf:atomic
 
 	// agg runs the §IV fallback on victim-side installs, the same
@@ -204,26 +192,8 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		ShadowLookup:   true,
 		Clock:          dataplane.WallClock(epoch),
 	})
-	if cfg.Detect.Enabled() && len(cfg.DetectFor) > 0 {
-		g.protected = make(map[flow.Addr]bool, len(cfg.DetectFor))
-		for _, a := range cfg.DetectFor {
-			g.protected[a] = true
-		}
-		if !cfg.Cluster.Enabled() {
-			g.det = detect.New(cfg.Detect)
-		}
-	}
-	if cfg.Cluster.Enabled() {
-		// The cluster shards the detection config across its replicas;
-		// with detection unarmed the replicas still run the replicated
-		// filter log.
-		det := detect.Config{}
-		if g.protected != nil {
-			det = cfg.Detect
-		}
-		g.clu = cluster.New(cfg.Cluster, det)
-	}
-	g.agg = alloc.NewAggregator(g.dp, cfg.Allocation, g.det, g.clu, g.event)
+	g.plane = cluster.NewPlane(cfg.Detect, cfg.DetectFor, cfg.Cluster, g.event)
+	g.agg = alloc.NewAggregator(g.dp, cfg.Allocation, g.plane, g.event)
 	n.SetHandler(g)
 	g.armClusterMerge()
 	return g, nil
@@ -260,8 +230,9 @@ func (g *Gateway) transmit(p *packet.Packet) {
 	p.Release()
 }
 
-// Detector exposes the gateway-side detection engine (nil when off).
-func (g *Gateway) Detector() *detect.Engine { return g.det }
+// Detector exposes the gateway-side detection engine (nil when off or
+// clustered).
+func (g *Gateway) Detector() *detect.Engine { return g.plane.Engine() }
 
 // Node exposes the transport (for books and addresses).
 func (g *Gateway) Node() *Node { return g.node }
@@ -409,12 +380,12 @@ func (g *Gateway) finishData(p *packet.Packet, v dataplane.Verdict, tx *sockBatc
 		g.shadowHits.Add(1)
 	}
 	// Gateway-side detection: delivered traffic toward a protected
-	// legacy client feeds the sketch engine (internally synchronized,
+	// legacy client feeds the detection plane (internally synchronized,
 	// so it needs no g.mu); a crossing makes this gateway file the
 	// filtering request itself. Taking g.mu on the rare detection-fired
 	// path is safe — finishData is never invoked with the lock held.
-	if (g.det != nil || g.clu != nil) && g.protected[p.Dst] {
-		if d, ok := g.observeTuple(wallNow(), p.Tuple(), int(p.PayloadLen)); ok {
+	if g.plane.Protects(p.Dst) {
+		if d, ok := g.plane.Observe(wallNow(), p.Tuple(), int(p.PayloadLen)); ok {
 			g.selfDetect(d, p.Path)
 		}
 	}
@@ -460,7 +431,7 @@ func (g *Gateway) handleControl(p *packet.Packet, from flow.Addr) {
 // the shadow log is the gateway's "I really requested this" memory,
 // exactly as a victim host's wanted-set is. Called under mu.
 func (g *Gateway) handleVerifyQuery(p *packet.Packet, m *packet.VerifyQuery) {
-	if g.protected == nil {
+	if !g.plane.Defends() {
 		return // never a self-requesting victim: stay silent
 	}
 	label := m.Flow.Canonical()
@@ -639,7 +610,7 @@ func (g *Gateway) handleVerifyReply(m *packet.VerifyReply) {
 		g.logf("filter: %v", err)
 		return
 	}
-	g.clusterRecord(cluster.OpInstall, label, now+sim.Time(g.cfg.Timers.T), now)
+	g.plane.Record(cluster.OpInstall, label, now+sim.Time(g.cfg.Timers.T), now)
 	if g.tracing() {
 		g.event(obs.EvHandshakeOK, label, "filtering for "+g.cfg.Timers.T.String())
 	}

@@ -8,10 +8,12 @@ import (
 	"time"
 
 	"aitf/internal/contract"
+	"aitf/internal/detect"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
 	"aitf/internal/packet"
+	"aitf/internal/sim"
 )
 
 // HostConfig configures a wire-mode AITF end-host.
@@ -22,9 +24,10 @@ type HostConfig struct {
 	// Timers must match the gateways'.
 	Timers contract.Timers
 	// DetectBps flags any source delivering more than this many payload
-	// bytes/second (measured over DetectWindow); 0 disables detection.
+	// bytes/second within one DetectWindow, through the same sketch
+	// engine (internal/detect) the gateways run; 0 disables detection.
 	DetectBps float64
-	// DetectWindow is the detection measurement window.
+	// DetectWindow is the detection measurement window (default 200ms).
 	DetectWindow time.Duration
 	// Compliant hosts honour stop orders.
 	Compliant bool
@@ -40,14 +43,13 @@ type Host struct {
 	mu   sync.Mutex
 	cfg  HostConfig
 	node *Node
+	det  *detect.Engine // nil when DetectBps is 0
 
-	rateWindowStart time.Time
-	rateBytes       map[flow.Addr]float64
-	flagged         map[flow.Addr]bool
-
-	wanted     map[flow.Label]time.Time // label -> expiry
-	stopOrders filter.StopOrders        // deadlines on the wallNow clock
-	dedup      filter.Dedup             // absorbs retransmitted stop orders
+	// wanted maps each requested label to its request's expiry. A live
+	// entry answers the §II-E handshake; an expired one re-requests.
+	wanted     map[flow.Label]sim.Time
+	stopOrders filter.StopOrders // deadlines on the wallNow clock
+	dedup      filter.Dedup      // absorbs retransmitted stop orders
 
 	stats HostStats // under mu
 }
@@ -61,13 +63,9 @@ func NewHost(cfg HostConfig) (*Host, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &Host{
-		cfg:             cfg,
-		node:            n,
-		rateWindowStart: time.Now(),
-		rateBytes:       make(map[flow.Addr]float64),
-		flagged:         make(map[flow.Addr]bool),
-		wanted:          make(map[flow.Label]time.Time),
+	h := &Host{cfg: cfg, node: n, wanted: make(map[flow.Label]sim.Time)}
+	if cfg.DetectBps > 0 {
+		h.det = detect.New(detect.Config{ThresholdBps: cfg.DetectBps, Window: cfg.DetectWindow})
 	}
 	n.SetHandler(h)
 	return h, nil
@@ -121,35 +119,28 @@ func (h *Host) Handle(n *Node, p *packet.Packet, _ flow.Addr) {
 }
 
 func (h *Host) observe(p *packet.Packet) {
-	if h.cfg.DetectBps <= 0 {
+	if h.det == nil {
 		return
 	}
-	now := time.Now()
-	if now.Sub(h.rateWindowStart) >= h.cfg.DetectWindow {
-		h.rateWindowStart = now
-		h.rateBytes = make(map[flow.Addr]float64)
-	}
-	h.rateBytes[p.Src] += float64(p.PayloadLen)
-
+	now := wallNow()
+	_, detected := h.det.ObserveTuple(now, p.Tuple(), int(p.PayloadLen))
 	label := flow.PairLabel(p.Src, p.Dst).Canonical()
-	if exp, ok := h.wanted[label.Key()]; ok && time.Now().Before(exp) {
-		return // already requested; gateway's shadow handles recurrences
-	}
-	if h.flagged[p.Src] {
-		h.request(label, p.Path) // re-request after expiry
-		return
-	}
-	if h.rateBytes[p.Src] > h.cfg.DetectBps*h.cfg.DetectWindow.Seconds() {
-		h.flagged[p.Src] = true
+	exp, asked := h.wanted[label.Key()]
+	switch {
+	case asked && now < exp:
+		// Already requested; the gateway's shadow handles recurrences.
+	case asked:
+		h.request(label, p.Path, now) // re-request after expiry
+	case detected:
 		if h.tracing() {
 			h.event(obs.EvAttackDetected, label, "undesired flow from "+p.Src.String())
 		}
-		h.request(label, p.Path)
+		h.request(label, p.Path, now)
 	}
 }
 
-func (h *Host) request(label flow.Label, evidence []packet.RREntry) {
-	h.wanted[label.Key()] = time.Now().Add(h.cfg.Timers.T)
+func (h *Host) request(label flow.Label, evidence []packet.RREntry, now sim.Time) {
+	h.wanted[label.Key()] = now + h.cfg.Timers.T
 	h.stats.RequestsSent++
 	if h.tracing() {
 		h.event(obs.EvRequestSent, label, "to gateway "+h.cfg.Gateway.String())
@@ -172,7 +163,7 @@ func (h *Host) handleControl(p *packet.Packet) {
 	switch m := p.Msg.(type) {
 	case *packet.VerifyQuery:
 		key := m.Flow.Canonical().Key()
-		if exp, ok := h.wanted[key]; ok && time.Now().Before(exp) {
+		if exp, ok := h.wanted[key]; ok && wallNow() < exp {
 			if h.tracing() {
 				h.event(obs.EvHandshakeReply, m.Flow.Canonical(), "to attacker gw "+p.Src.String())
 			}

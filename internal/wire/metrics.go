@@ -54,10 +54,10 @@ func (g *Gateway) statsLocked() GatewayStats {
 
 // RegisterMetrics registers the gateway's full observability surface
 // into r: control-plane counters under aitf_gateway_*, transport
-// counters under aitf_node_*, and the data-plane and detection engines
-// under their own namespaces. All instruments are read at scrape time;
-// nothing is added to the packet paths beyond the engines' own
-// instrumentation. Call at most once per registry.
+// counters under aitf_node_*, and the data plane and the detection
+// plane (engine or cluster) under their own namespaces. All instruments
+// are read at scrape time; nothing is added to the packet paths beyond
+// the engines' own instrumentation. Call at most once per registry.
 func (g *Gateway) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("aitf_gateway_requests_received_total",
 		"Filtering requests received.",
@@ -113,31 +113,9 @@ func (g *Gateway) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("aitf_gateway_detections_total",
 		"Attacks detected on behalf of protected legacy clients.",
 		func() uint64 { return g.Stats().Detections })
-	if clu := g.clu; clu != nil {
-		r.GaugeFunc("aitf_cluster_log_length",
-			"Replicated filter-log length (ops retained).",
-			func() float64 { return float64(clu.LogLen()) })
-		r.CounterFunc("aitf_cluster_merge_rounds_total",
-			"Cluster merge rounds run (sketch exchange + log shipping).",
-			func() uint64 { return clu.Stats().MergeRounds })
-		r.CounterFunc("aitf_cluster_merge_bytes_total",
-			"Estimated replication traffic exchanged by merge rounds.",
-			func() uint64 { return clu.Stats().MergeBytes })
-		r.CounterFunc("aitf_cluster_failovers_total",
-			"Replica deaths absorbed by consistent-hash reassignment.",
-			func() uint64 { return clu.Stats().Failovers })
-		r.CounterFunc("aitf_cluster_catchup_ops_total",
-			"Log ops replayed into survivors during failover catch-up.",
-			func() uint64 { return clu.Stats().CatchupOps })
-		r.CounterFunc("aitf_cluster_catchup_ns_total",
-			"Wall-clock nanoseconds spent in failover catch-up.",
-			func() uint64 { return clu.Stats().CatchupNanos })
-	}
 	g.node.registerMetrics(r)
 	g.dp.Instrument(r)
-	if g.det != nil {
-		g.det.Instrument(r)
-	}
+	g.plane.Instrument(r)
 }
 
 // HostStats is a point-in-time snapshot of a wire host's counters.

@@ -35,6 +35,27 @@ type DiskFilter struct {
 	Remaining time.Duration `json:"remaining_ns"`
 }
 
+// diskFilter is ent with its lifetimes relative to now.
+func diskFilter(ent filter.Entry, now sim.Time) DiskFilter {
+	return DiskFilter{Label: ent.Label, Age: time.Duration(now - ent.InstalledAt), Remaining: time.Duration(ent.ExpiresAt - now)}
+}
+
+// entry rebuilds the entry at now with the downtime charged against its
+// lifetimes; ok is false when it lapsed during the outage.
+func (df DiskFilter) entry(now sim.Time, downtime time.Duration) (ent filter.Entry, ok bool) {
+	exp := now + sim.Time(df.Remaining-downtime)
+	return filter.Entry{Label: df.Label, InstalledAt: now - sim.Time(df.Age+downtime), ExpiresAt: exp}, exp > now
+}
+
+// DiskAggregate is one §IV aggregate record: the covering label and its
+// remaining lifetime (the covering filter itself is among Filters), and
+// the exact children a split-back or refinement reinstalls.
+type DiskAggregate struct {
+	Label     flow.Label    `json:"label"`
+	Remaining time.Duration `json:"remaining_ns"`
+	Children  []DiskFilter  `json:"children"`
+}
+
 // DiskShadow is one shadow-cache entry with its remaining lifetime.
 type DiskShadow struct {
 	Label         flow.Label    `json:"label"`
@@ -71,6 +92,9 @@ type DiskSnapshot struct {
 	Filters     []DiskFilter  `json:"filters"`
 	Shadows     []DiskShadow  `json:"shadows"`
 	Pendings    []DiskPending `json:"pendings"`
+	// Aggregates keep a restored cover splitting back; a snapshot without
+	// them restores its covers as plain filters.
+	Aggregates []DiskAggregate `json:"aggregates,omitempty"`
 	// Cluster carries the replicated filter log and per-replica
 	// liveness/log positions when the gateway runs clustered; detection
 	// engines are volatile and re-acquire from live traffic.
@@ -92,39 +116,38 @@ func (g *Gateway) Snapshot() *DiskSnapshot {
 		TakenAtMono:   time.Duration(now),
 		Stats:         g.statsLocked(),
 		NextTxid:      g.ladder.NextTxid(),
-	}
-	if g.clu != nil {
-		snap.Cluster = g.clu.ExportState()
+		Cluster:       g.plane.ExportState(),
 	}
 	for _, ent := range g.dp.FilterEntries() {
-		if ent.ExpiresAt <= now {
-			continue
+		if ent.ExpiresAt > now {
+			snap.Filters = append(snap.Filters, diskFilter(ent, now))
 		}
-		snap.Filters = append(snap.Filters, DiskFilter{
-			Label:     ent.Label,
-			Age:       time.Duration(now - ent.InstalledAt),
-			Remaining: time.Duration(ent.ExpiresAt - now),
-		})
 	}
 	sort.Slice(snap.Filters, func(i, j int) bool {
 		return snap.Filters[i].Label.String() < snap.Filters[j].Label.String()
 	})
 	for _, ent := range g.dp.ShadowEntries() {
-		if ent.ExpiresAt <= now {
-			continue
+		if ent.ExpiresAt > now {
+			snap.Shadows = append(snap.Shadows, DiskShadow{
+				Label:         ent.Label,
+				Victim:        ent.Victim,
+				Age:           time.Duration(now - ent.LoggedAt),
+				Remaining:     time.Duration(ent.ExpiresAt - now),
+				Reappearances: ent.Reappearances,
+				Round:         ent.Round,
+			})
 		}
-		snap.Shadows = append(snap.Shadows, DiskShadow{
-			Label:         ent.Label,
-			Victim:        ent.Victim,
-			Age:           time.Duration(now - ent.LoggedAt),
-			Remaining:     time.Duration(ent.ExpiresAt - now),
-			Reappearances: ent.Reappearances,
-			Round:         ent.Round,
-		})
 	}
 	sort.Slice(snap.Shadows, func(i, j int) bool {
 		return snap.Shadows[i].Label.String() < snap.Shadows[j].Label.String()
 	})
+	for _, agg := range g.agg.Export() {
+		da := DiskAggregate{Label: agg.Label, Remaining: time.Duration(agg.Exp - now)}
+		for _, c := range agg.Children {
+			da.Children = append(da.Children, diskFilter(c, now))
+		}
+		snap.Aggregates = append(snap.Aggregates, da)
+	}
 	for _, p := range g.hs.Export() {
 		snap.Pendings = append(snap.Pendings, DiskPending{
 			Req:       p.Req,
@@ -166,14 +189,9 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 
 	filters, shadows := 0, 0
 	for _, df := range snap.Filters {
-		remaining := df.Remaining - downtime
-		if remaining <= 0 {
+		ent, ok := df.entry(now, downtime)
+		if !ok {
 			continue // lapsed during the outage: stays gone
-		}
-		ent := filter.Entry{
-			Label:       df.Label,
-			InstalledAt: now - sim.Time(df.Age+downtime),
-			ExpiresAt:   now + sim.Time(remaining),
 		}
 		if err := g.dp.AdoptFilter(ent); err != nil {
 			g.logf("restore filter %v: %v", df.Label, err)
@@ -204,7 +222,19 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 		pendings = append(pendings, ctrl.Pending{Req: dp.Req, Nonce: dp.Nonce, Deadline: now + sim.Time(dp.Remaining-downtime)})
 	}
 	g.hs.Adopt(pendings)
-	if g.clu != nil && snap.Cluster != nil {
+	// Aggregate records come back beside their covering filters, and the
+	// review re-arms so they still split back or refine.
+	for _, da := range snap.Aggregates {
+		agg := alloc.Aggregate{Label: da.Label, Exp: now + sim.Time(da.Remaining-downtime)}
+		for _, dc := range da.Children {
+			if ent, ok := dc.entry(now, downtime); ok {
+				agg.Children = append(agg.Children, ent)
+			}
+		}
+		g.agg.Adopt([]alloc.Aggregate{agg}, now)
+	}
+	g.armAggregateReview()
+	if snap.Cluster != nil {
 		// The cluster log stores absolute instants on the writer's
 		// monotonic clock; rebase each op onto this process's epoch and
 		// charge the downtime, mirroring the filter-table treatment: an
@@ -216,7 +246,7 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 			st.Ops[i].Expires += shift
 			st.Ops[i].At += shift
 		}
-		g.clu.ImportState(&st, now)
+		g.plane.ImportState(&st, now)
 	}
 	g.stats.SnapshotRestores++
 	g.stats.FiltersRestored += uint64(filters)

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"log/slog"
 	"net"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -244,6 +246,61 @@ func TestHostStopOrderShapes(t *testing.T) {
 			t.Errorf("send to %v: suppressed=%v sent=%v, want suppressed=%v", c.dst, got, sent, c.suppressed)
 		}
 	}
+}
+
+// TestHostDetectorContract pins the victim host's detector, driven
+// through Handle with no gateway behind it: a source under the
+// threshold files nothing, one over it files exactly one request and
+// one attack-detected event, a packet after that request's T lapses
+// files a re-request, and a thousand distinct sources each under the
+// threshold file nothing.
+func TestHostDetectorContract(t *testing.T) {
+	hostA, gwA := flow.MakeAddr(10, 3, 0, 2), flow.MakeAddr(10, 3, 0, 1)
+	ring := obs.NewRing(64)
+	tm := testTimers()
+	tm.T = 150 * time.Millisecond
+	h, err := NewHost(HostConfig{
+		Node:         NodeConfig{Addr: hostA, Name: "h"},
+		Gateway:      gwA,
+		Timers:       tm,
+		DetectBps:    10_000, // 10 kB per one-second window
+		DetectWindow: time.Second,
+		Trace:        obs.NewTrace(ring, slog.New(slog.DiscardHandler)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	send := func(src flow.Addr, n, payload int) {
+		for i := 0; i < n; i++ {
+			h.Handle(h.Node(), packet.NewData(src, hostA, flow.ProtoUDP, 4000, 80, payload), src)
+		}
+	}
+	check := func(step string, requests, detections int) {
+		t.Helper()
+		got := 0
+		for _, e := range ring.Snapshot() {
+			if e.Kind == obs.EvAttackDetected.String() {
+				got++
+			}
+		}
+		if n := h.Stats().RequestsSent; n != uint64(requests) || got != detections {
+			t.Fatalf("%s: %d requests and %d attack-detected events, want %d and %d", step, n, got, requests, detections)
+		}
+	}
+
+	send(flow.MakeAddr(20, 0, 0, 1), 5, 1000)
+	check("under threshold", 0, 0)
+	attacker := flow.MakeAddr(20, 0, 0, 2)
+	send(attacker, 20, 1000)
+	check("over threshold", 1, 1)
+	time.Sleep(tm.T + 50*time.Millisecond)
+	send(attacker, 1, 100)
+	check("after the request lapsed", 2, 1)
+	for i := 0; i < 1000; i++ {
+		send(flow.MakeAddr(30, 0, byte(i>>8), byte(i)), 1, 1000)
+	}
+	check("1000 sources under threshold", 2, 1)
 }
 
 func TestLiveForgedRequestDiesOverUDP(t *testing.T) {
@@ -591,7 +648,7 @@ func TestInstallWithAggregationAllocator(t *testing.T) {
 				}
 			}
 			legit := flow.MakeAddr(20, 0, 0, 200)
-			g.det.ObserveTuple(now, flow.Tuple{Src: legit, Dst: victim, Proto: flow.ProtoUDP, SrcPort: 4000, DstPort: 80}, 1000)
+			g.Detector().ObserveTuple(now, flow.Tuple{Src: legit, Dst: victim, Proto: flow.ProtoUDP, SrcPort: 4000, DstPort: 80}, 1000)
 			fresh := flow.PairLabel(flow.MakeAddr(30, 0, 0, 1), victim)
 			g.mu.Lock()
 			err = g.installVictimFilter(fresh, now, exp)
@@ -629,21 +686,27 @@ func TestInstallWithAggregationAllocator(t *testing.T) {
 	}
 }
 
-// aggregatedGateway boots an unstarted gateway with an eight-slot table
-// and the one-rung /24 policy, fills the table with three /24 siblings
-// and five unrelated filters, and installs one more, which coalesces the
-// siblings under their /24. It returns the gateway, the siblings and
-// the unrelated filters.
-func aggregatedGateway(t *testing.T, victim flow.Addr, exp sim.Time) (*Gateway, []flow.Label, []flow.Label) {
-	t.Helper()
-	g, err := NewGateway(GatewayConfig{
+// aggregateGatewayConfig is an eight-slot gateway under the one-rung
+// /24 policy, snapshotting to snapshotPath when it is non-empty.
+func aggregateGatewayConfig(snapshotPath string) GatewayConfig {
+	return GatewayConfig{
 		Node:           NodeConfig{Addr: flow.MakeAddr(10, 0, 0, 1), Name: "gw", NextHop: map[flow.Addr]flow.Addr{}},
 		Timers:         testTimers(),
 		Default:        contract.DefaultPeer(),
 		Secret:         []byte("secret"),
 		FilterCapacity: 8,
 		Allocation:     &alloc.Policy{PrefixLens: []uint8{24}},
-	})
+		SnapshotPath:   snapshotPath,
+	}
+}
+
+// aggregatedGateway boots an unstarted aggregateGatewayConfig gateway,
+// fills its table with three /24 siblings and five unrelated filters,
+// and installs one more, which coalesces the siblings under their /24.
+// It returns the gateway, the siblings and the unrelated filters.
+func aggregatedGateway(t *testing.T, victim flow.Addr, exp sim.Time, snapshotPath string) (*Gateway, []flow.Label, []flow.Label) {
+	t.Helper()
+	g, err := NewGateway(aggregateGatewayConfig(snapshotPath))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,7 +745,37 @@ func aggregatedGateway(t *testing.T, victim flow.Addr, exp sim.Time) (*Gateway, 
 // exact children within about one Ttmp, as the simulator does.
 func TestWireAggregateSplitsBack(t *testing.T) {
 	victim := flow.MakeAddr(9, 0, 0, 2)
-	g, siblings, others := aggregatedGateway(t, victim, wallNow()+10*time.Second)
+	g, siblings, others := aggregatedGateway(t, victim, wallNow()+10*time.Second, "")
+	awaitSplitBack(t, g, victim, siblings, others, 2*time.Second)
+}
+
+// TestWireAggregateSurvivesRestart: an aggregate outstanding at a drain
+// comes back as an aggregate on the restored daemon, so relief still
+// splits it back into its exact children instead of leaving the cover,
+// and its collateral, up until its deadline.
+func TestWireAggregateSurvivesRestart(t *testing.T) {
+	victim := flow.MakeAddr(9, 0, 0, 2)
+	path := filepath.Join(t.TempDir(), "gw.snapshot.json")
+	g, siblings, others := aggregatedGateway(t, victim, wallNow()+10*time.Second, path)
+	if err := g.Close(); err != nil { // snapshot-on-drain
+		t.Fatal(err)
+	}
+	g2, err := NewGateway(aggregateGatewayConfig(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g2.Close()
+	if _, err := g2.RestoreFromDisk(); err != nil {
+		t.Fatal(err)
+	}
+	awaitSplitBack(t, g2, victim, siblings, others, time.Second)
+}
+
+// awaitSplitBack removes the unrelated filters that kept g's table
+// under pressure, then waits up to within for the siblings' /24 cover
+// to be split back into the exact sibling filters.
+func awaitSplitBack(t *testing.T, g *Gateway, victim flow.Addr, siblings, others []flow.Label, within time.Duration) {
+	t.Helper()
 	g.mu.Lock()
 	for _, l := range others {
 		g.dp.Remove(l)
@@ -690,7 +783,7 @@ func TestWireAggregateSplitsBack(t *testing.T) {
 	g.mu.Unlock()
 
 	cover := flow.SrcPrefixLabel(flow.MakeAddr(20, 0, 0, 0), 24, victim)
-	deadline := time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(within)
 	for {
 		g.mu.Lock()
 		now := wallNow()
@@ -706,7 +799,7 @@ func TestWireAggregateSplitsBack(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("after 2s: cover installed = %v, %d of %d children exact again", aggregated, back, len(siblings))
+			t.Fatalf("after %v: cover installed = %v, %d of %d children exact again", within, aggregated, back, len(siblings))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -717,7 +810,7 @@ func TestWireAggregateSplitsBack(t *testing.T) {
 func TestWireCoveredInstallRefreshesAggregate(t *testing.T) {
 	victim := flow.MakeAddr(9, 0, 0, 2)
 	exp := wallNow() + 10*time.Second
-	g, _, _ := aggregatedGateway(t, victim, exp)
+	g, _, _ := aggregatedGateway(t, victim, exp, "")
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	before := g.dp.Len()
