@@ -14,8 +14,9 @@ import (
 // the classification, the route-record stamp and the encode, to the
 // socket write, the gateway's data path allocates nothing — one packet
 // at a time through Handle, and a full read batch through handleBatch
-// and one flush. (The race detector makes sync.Pool drop items at
-// random, so this file is built without it.)
+// and one flush, which coalesces the batch into one kernel message
+// where the socket segments. (The race detector makes sync.Pool drop
+// items at random, so this file is built without it.)
 func TestDatagramPathZeroAlloc(t *testing.T) {
 	dst := flow.MakeAddr(10, 0, 0, 2)
 	g, _ := fwdGateway(t, dst)
@@ -54,6 +55,7 @@ func TestDatagramPathZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pkts [batchSlots]*packet.Packet
+	msgs0 := g.node.SendMsgs.Load()
 	if n := testing.AllocsPerRun(200, func() {
 		for i := range pkts {
 			pkts[i] = decode(i)
@@ -64,5 +66,10 @@ func TestDatagramPathZeroAlloc(t *testing.T) {
 	}
 	if sent, _ := g.node.Counts(); sent != 201*(1+batchSlots) {
 		t.Fatalf("gateway counted %d datagrams sent, want %d", sent, 201*(1+batchSlots))
+	}
+	// The batch is one destination at one size: where the socket
+	// segments, each flush is one kernel message.
+	if msgs := g.node.SendMsgs.Load() - msgs0; tx.sys.gso && msgs != 201 {
+		t.Fatalf("201 batches of %d same-size datagrams to one sink took %d kernel messages, want 201", batchSlots, msgs)
 	}
 }

@@ -6,11 +6,39 @@ import (
 	"runtime"
 	"syscall"
 	"unsafe"
+
+	"aitf/internal/packet"
 )
 
 // sysSendmmsg is SYS_SENDMMSG, which the frozen syscall package does
 // not define for every target (SYS_RECVMMSG it does).
 var sysSendmmsg = map[string]uintptr{"amd64": 307, "arm64": 269}[runtime.GOARCH]
+
+// UDP segmentation offload (Linux 4.18 on), which the syscall package
+// predates: a message carrying a UDP_SEGMENT control message is one
+// payload that the kernel cuts into datagrams of the given size below
+// the socket, after one pass down the UDP/IP output path.
+const (
+	solUDP         = 17  // SOL_UDP
+	udpSegment     = 103 // UDP_SEGMENT
+	udpMaxSegments = 64  // UDP_MAX_SEGMENTS, the most one message may carry
+
+	// maxDataBytes is the longest data packet: a header and
+	// packet.MaxPathLen route-record entries. Only data packets are
+	// queued (see Node.sendTo).
+	maxDataBytes = 3 + packet.HeaderBytes + 1 + packet.MaxPathLen*packet.RREntryBytes + 1
+)
+
+// A coalesced run is at most batchSlots segments, within the kernel's
+// UDP_MAX_SEGMENTS, of at most maxDataBytes each: far inside the 64 KB
+// that one GSO payload may hold, and each segment with its IPv4 and UDP
+// headers under any Ethernet MTU. A change to either side that breaks
+// this fails to compile here.
+const (
+	_ = uint(udpMaxSegments - batchSlots)
+	_ = uint(0xffff - 20 - 8 - batchSlots*maxDataBytes)
+	_ = uint(1500 - 20 - 8 - maxDataBytes)
+)
 
 // mmsghdr is struct mmsghdr of <sys/socket.h>, the element recvmmsg
 // and sendmmsg take a vector of. Both targets the build tag admits lay
@@ -21,22 +49,40 @@ type mmsghdr struct {
 	_   [4]byte
 }
 
-// sockBatchSys is the kernel's view of a sockBatch: one message header
-// and one iovec per slot in each direction, pointing into the slots,
-// wired up once. The sockBatch must not be copied afterwards.
+// gsoCmsg is a UDP_SEGMENT control message: the cmsghdr and the segment
+// size, padded to CMSG_SPACE of the size.
+type gsoCmsg struct {
+	hdr  syscall.Cmsghdr
+	size uint16
+	_    [6]byte
+}
+
+// sockBatchSys is the kernel's view of a sockBatch: one iovec per slot
+// in each direction, pointing into the slots, wired up once; one
+// recvmmsg header per slot; and one sendmmsg header per message, each
+// gathering a run of consecutive tx iovecs (see flush). The sockBatch
+// must not be copied afterwards.
 type sockBatchSys struct {
 	rc    syscall.RawConn
 	inet6 bool // the socket's family, which destination sockaddrs must match
+	// gso is whether the socket takes UDP_SEGMENT: probed once, and
+	// switched off for good the first time a segmented message fails.
+	gso bool
 
 	rxHdr, txHdr [batchSlots]mmsghdr
 	rxIov, txIov [batchSlots]syscall.Iovec
 	txName       [batchSlots]syscall.RawSockaddrInet6 // room for either family
+	txCmsg       [batchSlots]gsoCmsg                  // txHdr[m]'s segment size, when it carries a run
+	txSegs       [batchSlots]int                      // datagrams txHdr[m] carries
 
 	// The RawConn callbacks, bound once (a closure built per call would
 	// allocate), and what they exchange with read and flush.
 	recvFn, sendFn func(fd uintptr) bool
-	got            int           // datagrams the last recvmmsg returned
-	off, end, sent int           // flush progress over txHdr[off:end]
+	got            int // datagrams the last recvmmsg returned
+	// flush progress: the queue laid out as messages txHdr[:end], of
+	// which txHdr[off] is the next to send and starts at datagram next.
+	off, end, next int
+	sent, msgs     int           // datagrams and messages the socket took
 	errno          syscall.Errno // first failure of the call in progress
 }
 
@@ -52,6 +98,11 @@ func (b *sockBatch) sysInit() error {
 		var sa syscall.Sockaddr
 		sa, nameErr = syscall.Getsockname(int(fd))
 		_, s.inet6 = sa.(*syscall.SockaddrInet6)
+		// A kernel without UDP_SEGMENT fails the probe (ENOPROTOOPT)
+		// but ignores the control message, and would send a gathered
+		// run as one concatenated datagram.
+		_, probeErr := syscall.GetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpSegment)
+		s.gso = probeErr == nil
 	}); err != nil {
 		return err
 	}
@@ -65,9 +116,9 @@ func (b *sockBatch) sysInit() error {
 		s.rxHdr[i].hdr.Iov = &s.rxIov[i]
 		s.rxHdr[i].hdr.Iovlen = 1
 		s.txIov[i].Base = base
-		s.txHdr[i].hdr.Iov = &s.txIov[i]
-		s.txHdr[i].hdr.Iovlen = 1
 		s.txHdr[i].hdr.Name = (*byte)(unsafe.Pointer(&s.txName[i]))
+		s.txCmsg[i].hdr = syscall.Cmsghdr{Level: solUDP, Type: udpSegment}
+		s.txCmsg[i].hdr.SetLen(syscall.SizeofCmsghdr + 2)
 	}
 	s.recvFn, s.sendFn = b.recvmmsg, b.sendmmsg
 	return nil
@@ -113,25 +164,56 @@ func (b *sockBatch) recvmmsg(fd uintptr) bool {
 }
 
 // flush writes the queued datagrams, each to its own destination, in
-// as few sendmmsg calls as the kernel allows. It returns how many the
-// socket took and the first error.
+// as few sendmmsg calls as the kernel allows: one message per
+// same-destination, same-size run, segmented by the kernel where it
+// supports UDP_SEGMENT. It returns how many datagrams and how many
+// messages the socket took, and the first error.
 //
 // aitf:noalloc
-func (b *sockBatch) flush() (int, error) {
+func (b *sockBatch) flush() (sent, msgs int, err error) {
 	s := &b.sys
 	for i := 0; i < b.txN; i++ {
 		s.txIov[i].SetLen(b.txLen[i])
-		s.txHdr[i].hdr.Namelen = s.putSockaddr(i, b.txTo[i].Addr().As16(), b.txTo[i].Port())
 	}
-	s.off, s.end, s.sent, s.errno = 0, b.txN, 0, 0
+	s.off, s.next, s.sent, s.msgs, s.errno = 0, 0, 0, 0, 0
+	s.end = b.group(0, 0)
+	err = s.rc.Write(s.sendFn)
 	b.txN = 0
-	if err := s.rc.Write(s.sendFn); err != nil {
-		return s.sent, err
+	if err == nil && s.errno != 0 {
+		err = errnoErr(s.errno)
 	}
-	if s.errno != 0 {
-		return s.sent, errnoErr(s.errno)
+	return s.sent, s.msgs, err
+}
+
+// group lays the queued datagrams from the i-th on out as messages from
+// txHdr[m] on, and returns the index past the last one. A message is a
+// maximal run of consecutive datagrams with the same destination and
+// the same length, or a single datagram while gso is off. The run's
+// datagrams sit in consecutive slots, so its message gathers the
+// consecutive iovecs txIov[i:i+k].
+//
+// aitf:noalloc
+func (b *sockBatch) group(m, i int) int {
+	s := &b.sys
+	for ; i < b.txN; m++ {
+		to, size := b.txTo[i], b.txLen[i]
+		k := 1
+		for s.gso && i+k < b.txN && b.txTo[i+k] == to && b.txLen[i+k] == size {
+			k++
+		}
+		h := &s.txHdr[m].hdr
+		h.Iov, h.Iovlen = &s.txIov[i], uint64(k)
+		h.Namelen = s.putSockaddr(m, to.Addr().As16(), to.Port())
+		h.Control, h.Controllen = nil, 0
+		if k > 1 {
+			s.txCmsg[m].size = uint16(size)
+			h.Control = (*byte)(unsafe.Pointer(&s.txCmsg[m]))
+			h.SetControllen(int(unsafe.Sizeof(s.txCmsg[m])))
+		}
+		s.txSegs[m] = k
+		i += k
 	}
-	return s.sent, nil
+	return m
 }
 
 // errnoErr boxes e out of line, so that the conversion does not count
@@ -140,25 +222,29 @@ func (b *sockBatch) flush() (int, error) {
 //go:noinline
 func errnoErr(e syscall.Errno) error { return e }
 
-// putSockaddr writes the i-th destination, an IPv4 address in its
-// v4-mapped form (all the queue admits, see Node.sendTo), in the
+// putSockaddr writes the m-th message's destination, an IPv4 address in
+// its v4-mapped form (all the queue admits, see Node.sendTo), in the
 // socket's own family, and returns the sockaddr's length.
-func (s *sockBatchSys) putSockaddr(i int, mapped [16]byte, port uint16) uint32 {
+func (s *sockBatchSys) putSockaddr(m int, mapped [16]byte, port uint16) uint32 {
 	port = port<<8 | port>>8 // network byte order; both targets are little-endian
 	if s.inet6 {
-		s.txName[i] = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Port: port, Addr: mapped}
+		s.txName[m] = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Port: port, Addr: mapped}
 		return syscall.SizeofSockaddrInet6
 	}
-	*(*syscall.RawSockaddrInet4)(unsafe.Pointer(&s.txName[i])) =
+	*(*syscall.RawSockaddrInet4)(unsafe.Pointer(&s.txName[m])) =
 		syscall.RawSockaddrInet4{Family: syscall.AF_INET, Port: port, Addr: [4]byte(mapped[12:])}
 	return syscall.SizeofSockaddrInet4
 }
 
 // sendmmsg is flush's RawConn callback. sendmmsg stops at the first
 // message it cannot send: after some were sent it reports their count,
-// otherwise the error, and then that message is skipped so that one
-// bad destination cannot hold up the rest. Returning false on EAGAIN
-// waits for the socket to be writable and resumes at s.off.
+// otherwise the error, and then that message is skipped whole so that
+// one bad destination cannot hold up the rest. A segmented message
+// that fails with EIO (the device has no checksum offload) or EINVAL
+// (a segment above the path MTU) instead switches gso off for the
+// socket and lays the rest of the flush out again, one datagram a
+// message. Returning false on EAGAIN waits for the socket to be
+// writable and resumes at s.off.
 func (b *sockBatch) sendmmsg(fd uintptr) bool {
 	s := &b.sys
 	for s.off < s.end {
@@ -166,15 +252,25 @@ func (b *sockBatch) sendmmsg(fd uintptr) bool {
 			uintptr(unsafe.Pointer(&s.txHdr[s.off])), uintptr(s.end-s.off), syscall.MSG_DONTWAIT, 0, 0)
 		switch e {
 		case 0:
+			for _, k := range s.txSegs[s.off : s.off+int(r)] {
+				s.sent += k
+				s.next += k
+			}
 			s.off += int(r)
-			s.sent += int(r)
+			s.msgs += int(r)
 		case syscall.EINTR:
 		case syscall.EAGAIN:
 			return false
 		default:
+			if s.txSegs[s.off] > 1 && (e == syscall.EIO || e == syscall.EINVAL) {
+				s.gso = false
+				s.end = b.group(s.off, s.next)
+				continue
+			}
 			if s.errno == 0 {
 				s.errno = e
 			}
+			s.next += s.txSegs[s.off]
 			s.off++
 		}
 	}

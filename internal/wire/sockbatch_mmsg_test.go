@@ -1,0 +1,193 @@
+//go:build linux && (amd64 || arm64)
+
+package wire
+
+import (
+	"bytes"
+	"math/rand"
+	"net"
+	"net/netip"
+	"syscall"
+	"testing"
+	"time"
+
+	"aitf/internal/flow"
+	"aitf/internal/packet"
+)
+
+// queued is one datagram of a test mix: the sink it goes to and its
+// size class (route-record entries).
+type queued struct{ sink, size int }
+
+// flushRig is a node with its own sockBatch and two IPv4 sinks.
+type flushRig struct {
+	n     *Node
+	tx    *sockBatch
+	sinks [2]*net.UDPConn
+	to    [2]netip.AddrPort
+	seq   uint16
+}
+
+func newFlushRig(t *testing.T, listen string) *flushRig {
+	t.Helper()
+	n, err := NewNode(NodeConfig{Addr: flow.MakeAddr(10, 0, 1, 1), Name: "tx", Listen: listen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	tx, err := newSockBatch(n.conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &flushRig{n: n, tx: tx}
+	for i := range r.sinks {
+		sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sink.Close() })
+		ap := sink.LocalAddr().(*net.UDPAddr).AddrPort()
+		r.sinks[i], r.to[i] = sink, netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+	}
+	return r
+}
+
+// send queues mix, flushes it through the node, and checks that each
+// sink reads its datagrams byte-identical and in queue order. It
+// returns how many kernel messages the flush took.
+func (r *flushRig) send(t *testing.T, mix []queued) int {
+	t.Helper()
+	var want [2][][]byte
+	msgs0 := r.n.SendMsgs.Load()
+	for _, q := range mix {
+		r.seq++
+		p := packet.NewData(flow.MakeAddr(20, 0, 0, 1), flow.MakeAddr(10, 0, 0, 2), flow.ProtoUDP, r.seq, 80, 100)
+		for j := 0; j < q.size; j++ {
+			p.RecordRoute(flow.MakeAddr(10, 0, 0, byte(3+j)), uint64(r.seq))
+		}
+		b, err := packet.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[q.sink] = append(want[q.sink], b)
+		if err := r.tx.queue(p, r.to[q.sink]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.n.flush(r.tx); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if r.tx.txN != 0 {
+		t.Fatalf("%d datagrams still queued after the flush", r.tx.txN)
+	}
+	buf := make([]byte, slotSize)
+	for s, dgrams := range want {
+		for i, w := range dgrams {
+			r.sinks[s].SetReadDeadline(time.Now().Add(2 * time.Second))
+			k, err := r.sinks[s].Read(buf)
+			if err != nil {
+				t.Fatalf("sink %d, datagram %d of %d: %v", s, i+1, len(dgrams), err)
+			}
+			if !bytes.Equal(buf[:k], w) {
+				t.Fatalf("sink %d, datagram %d: read % x, queued % x", s, i+1, buf[:k], w)
+			}
+		}
+	}
+	return int(r.n.SendMsgs.Load() - msgs0)
+}
+
+// runs is how many same-sink, same-size runs mix has.
+func runs(mix []queued) int {
+	k := 0
+	for i, q := range mix {
+		if i == 0 || q != mix[i-1] {
+			k++
+		}
+	}
+	return k
+}
+
+// TestFlushCoalescesRuns checks that a flush sends each maximal run of
+// same-destination, same-size datagrams as one kernel message where the
+// socket segments (and one message per datagram where it does not), and
+// that either way every sink reads exactly what was queued for it, in
+// queue order. It covers an AF_INET socket and a dual-stack one that
+// writes v4-mapped destinations, and the switch to one datagram a
+// message when the kernel turns a segmented message down.
+func TestFlushCoalescesRuns(t *testing.T) {
+	fixed := []queued{
+		{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, // 5 equal to sink A
+		{0, 2}, {0, 2}, // 2 of another size to A
+		{1, 1}, {1, 1}, {1, 1}, // 3 to sink B
+		{0, 1}, // 1 to A
+	}
+	for _, listen := range []string{"127.0.0.1:0", ":0"} {
+		t.Run(listen, func(t *testing.T) {
+			r := newFlushRig(t, listen)
+			if listen == ":0" && !r.tx.sys.inet6 {
+				t.Skip("no IPv6: the wildcard socket is AF_INET")
+			}
+			probed := r.tx.sys.gso
+			if !probed {
+				t.Log("the kernel lacks UDP_SEGMENT: every run is a run of 1")
+			}
+			wantFixed := len(fixed)
+			if probed {
+				wantFixed = 4
+			}
+			if got := r.send(t, fixed); got != wantFixed {
+				t.Fatalf("the fixed mix took %d kernel messages, want %d", got, wantFixed)
+			}
+			if sent, data := r.n.Sent.Load(), r.n.DataSent.Load(); sent != 11 || data != 11 {
+				t.Fatalf("Sent %d, DataSent %d, want 11 and 11", sent, data)
+			}
+
+			r.tx.sys.gso = false
+			if got := r.send(t, fixed); got != len(fixed) {
+				t.Fatalf("without gso the fixed mix took %d kernel messages, want %d", got, len(fixed))
+			}
+
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < 200; i++ {
+				mix := make([]queued, 1+rng.Intn(batchSlots))
+				for j := range mix {
+					mix[j] = queued{rng.Intn(2), rng.Intn(3)}
+				}
+				for _, gso := range []bool{probed, false} {
+					r.tx.sys.gso = gso
+					want := len(mix)
+					if gso {
+						want = runs(mix)
+					}
+					if got := r.send(t, mix); got != want {
+						t.Fatalf("mix %d (gso %v): %d kernel messages, want %d", i, gso, got, want)
+					}
+				}
+			}
+
+			if probed {
+				// With SO_NO_CHECK the kernel refuses to segment (EINVAL):
+				// the flush must switch gso off and still deliver and
+				// count every datagram exactly once.
+				r.tx.sys.gso = true
+				var serr error
+				if err := r.tx.sys.rc.Control(func(fd uintptr) {
+					serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_NO_CHECK, 1)
+				}); err != nil || serr != nil {
+					t.Fatalf("SO_NO_CHECK: %v %v", err, serr)
+				}
+				sent0 := r.n.Sent.Load()
+				if got := r.send(t, fixed); got != len(fixed) || r.tx.sys.gso {
+					t.Fatalf("after a refused segmented message: %d kernel messages with gso %v, want %d and false",
+						got, r.tx.sys.gso, len(fixed))
+				}
+				if sent := r.n.Sent.Load() - sent0; sent != uint64(len(fixed)) {
+					t.Fatalf("the fallback flush counted %d datagrams sent, want %d", sent, len(fixed))
+				}
+			}
+			for _, sink := range r.sinks {
+				expectQuiet(t, sink)
+			}
+		})
+	}
+}

@@ -2,9 +2,10 @@
 
 package wire
 
-// sockBatchSys is empty where the net package's one-datagram calls are
-// the only socket interface: a read fills one slot, a flush is a loop.
-type sockBatchSys struct{}
+// sockBatchSys holds nothing where the net package's one-datagram calls
+// are the only socket interface: a read fills one slot, a flush is a
+// loop, and gso stays false, every datagram a message of its own.
+type sockBatchSys struct{ gso bool }
 
 func (b *sockBatch) sysInit() error { return nil }
 
@@ -21,8 +22,8 @@ func (b *sockBatch) read() (int, error) {
 }
 
 // flush writes the queued datagrams one call each. It returns how many
-// the socket took and the first error.
-func (b *sockBatch) flush() (int, error) {
+// datagrams, and as many messages, the socket took, and the first error.
+func (b *sockBatch) flush() (int, int, error) {
 	var sent int
 	var first error
 	for i := 0; i < b.txN; i++ {
@@ -35,5 +36,5 @@ func (b *sockBatch) flush() (int, error) {
 		sent++
 	}
 	b.txN = 0
-	return sent, first
+	return sent, sent, first
 }

@@ -17,11 +17,13 @@
 // wakeup takes every datagram waiting on the socket, up to 32, with one
 // recvmmsg; the gateway classifies each run of data packets with one
 // dataplane.ClassifyInto; and their forwards leave in one sendmmsg,
-// each message carrying its own destination. Arrival order on a socket
-// is kept: a control packet in a batch is handled only after the data
+// one message per same-destination, same-size run, segmented by the
+// kernel where it supports UDP_SEGMENT. Arrival order on a socket is
+// kept: a control packet in a batch is handled only after the data
 // ahead of it has been written out. A handler without a batch form
-// (Host) gets the same datagrams one Handle at a time. recvmmsg/sendmmsg are Linux system
-// calls (sockbatch_mmsg.go, linux on amd64 and arm64); everywhere else
+// (Host) gets the same datagrams one Handle at a time.
+// recvmmsg/sendmmsg and UDP segmentation offload are Linux
+// (sockbatch_mmsg.go, linux on amd64 and arm64); everywhere else
 // sockbatch_portable.go reads one datagram per wakeup and writes the
 // queue in a loop, behind the same two operations, so the read loop and
 // the gateway are the same code on every platform.
@@ -156,6 +158,10 @@ type Node struct {
 	Sent, Received         atomic.Uint64 // aitf:atomic
 	CtrlSent, DataSent     atomic.Uint64 // aitf:atomic
 	CtrlReceived, DataRecv atomic.Uint64 // aitf:atomic
+	// SendMsgs counts the messages the kernel took: one per direct
+	// send, and one per run a flush coalesced (see sockBatch.flush), so
+	// Sent/SendMsgs is the datagrams per kernel send.
+	SendMsgs atomic.Uint64 // aitf:atomic
 	// Undecodable counts datagrams the read loop dropped before any
 	// handler saw them: not a packet of this wire format, or longer
 	// than any packet of it can be.
@@ -297,7 +303,9 @@ const (
 // same slots carry the forwards queued for one write. How both reach
 // the kernel is the platform's half (newSockBatch's sys, read, flush):
 // recvmmsg and sendmmsg where they exist, one datagram per call
-// elsewhere. It belongs to the read-loop goroutine.
+// elsewhere. sendmmsg sends one message per same-destination, same-size
+// run, segmented by the kernel where it supports UDP_SEGMENT. It
+// belongs to the read-loop goroutine.
 type sockBatch struct {
 	conn *net.UDPConn
 	buf  []byte // batchSlots slots of slotSize bytes
@@ -342,16 +350,17 @@ func (b *sockBatch) queue(p *packet.Packet, to netip.AddrPort) error {
 }
 
 // flush writes what tx has queued, all of it data packets (see sendTo),
-// and counts what the socket took.
+// and counts the datagrams and the kernel messages the socket took.
 //
 // aitf:noalloc
 func (n *Node) flush(tx *sockBatch) error {
 	if tx.txN == 0 {
 		return nil
 	}
-	sent, err := tx.flush()
+	sent, msgs, err := tx.flush()
 	n.Sent.Add(uint64(sent))
 	n.DataSent.Add(uint64(sent))
+	n.SendMsgs.Add(uint64(msgs))
 	return err
 }
 
@@ -400,6 +409,7 @@ func (n *Node) sendTo(addr flow.Addr, p *packet.Packet, tx *sockBatch) error {
 		return err
 	}
 	n.Sent.Add(1)
+	n.SendMsgs.Add(1)
 	if p.IsControl() {
 		n.CtrlSent.Add(1)
 	} else {

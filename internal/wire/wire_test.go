@@ -470,6 +470,49 @@ func TestGarbageDatagramsIgnored(t *testing.T) {
 	}, "gateway wedged by garbage datagrams")
 }
 
+// TestSendMessagesExported checks aitf_node_send_messages_total next to
+// aitf_node_packets_sent_total: a direct send is one kernel message, and
+// a flushed batch of one destination and one size is one message where
+// the socket segments runs, one per datagram where it does not.
+func TestSendMessagesExported(t *testing.T) {
+	dst := flow.MakeAddr(10, 0, 0, 2)
+	g, sink := fwdGateway(t, dst)
+	tx, err := newSockBatch(g.node.conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 8
+	pkts := make([]*packet.Packet, k)
+	for i := range pkts {
+		pkts[i] = packet.NewData(flow.MakeAddr(20, 0, 0, 1), dst, flow.ProtoUDP, uint16(i), 80, 100)
+	}
+	g.handleBatch(g.node, pkts, tx)
+	if err := g.node.Forward(packet.NewData(flow.MakeAddr(20, 0, 0, 1), dst, flow.ProtoUDP, k, 80, 100)); err != nil {
+		t.Fatal(err)
+	}
+	readPackets(t, sink, k+1)
+
+	wantMsgs := 1.0 + k
+	if tx.sys.gso {
+		wantMsgs = 2
+	}
+	reg := obs.NewRegistry()
+	g.RegisterMetrics(reg)
+	var msgs, sent float64
+	for _, m := range reg.Snapshot() {
+		switch m.Name {
+		case "aitf_node_send_messages_total":
+			msgs = *m.Value
+		case "aitf_node_packets_sent_total":
+			sent = *m.Value
+		}
+	}
+	if msgs != wantMsgs || sent != k+1 {
+		t.Fatalf("aitf_node_send_messages_total = %v, aitf_node_packets_sent_total = %v, want %v and %d",
+			msgs, sent, wantMsgs, k+1)
+	}
+}
+
 // TestLiveGatewayDetectionOverUDP runs the gateway-defends-legacy-host
 // scenario over real sockets: the victim host has NO detector of its
 // own (detect_bps 0 — a legacy, non-AITF receiver), its gateway runs
