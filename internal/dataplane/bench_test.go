@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
 )
@@ -100,8 +101,9 @@ func BenchmarkDataplaneInstrumented(b *testing.B) {
 
 // BenchmarkDataplaneWildcardThroughput is the indexed-match acceptance
 // family: batch classification over tables whose non-exact population
-// (source-/24 prefixes in the LPM trie plus dst-anchored wildcards in
-// the secondary index) scales from thousands to a million entries. The
+// (source-/24 prefixes in the prefix directory plus dst-anchored
+// wildcards in the destination directory) scales from thousands to a
+// million entries. The
 // pre-change design walked a linear scan list per packet for these
 // shapes, so its cost grew with nonexact; the indexed hierarchy must
 // stay within a small constant of the pure-pair engine at every size.
@@ -199,6 +201,31 @@ func BenchmarkDataplaneInstallChurn(b *testing.B) {
 		label := flow.PairLabel(src, dst)
 		if err := e.Install(label, 0, time.Hour); err == nil {
 			e.Remove(label)
+		}
+	}
+}
+
+// BenchmarkDataplaneInstall prices the control plane's install path on
+// the fwd_attack table (60k pairs + 4k source /24s, 2 shards). One op
+// is one Install of a new label, so ns/op, B/op and allocs/op are per
+// install, directory resizes amortized in; a fresh engine is built
+// (off the clock) each time the table is full.
+func BenchmarkDataplaneInstall(b *testing.B) {
+	labels := fwdAttackLabels()
+	fresh := func() *Engine {
+		return New(Config{Shards: 2, FilterCapacity: len(labels), Evict: filter.RejectNew, Clock: steadyClock{}})
+	}
+	e := fresh()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%len(labels) == 0 {
+			b.StopTimer()
+			e = fresh()
+			b.StartTimer()
+		}
+		if err := e.Install(labels[i%len(labels)], 0, time.Hour); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -20,21 +20,25 @@
 // against whatever state is current, bumping only atomic counters —
 // they never block, never write shared cache lines beyond their
 // verdict accounting, and never allocate. A snapshot is a four-level
-// match hierarchy, each level immutable per generation: a bucketized
-// label map probed at the exact and pair labels, a destination-keyed
-// secondary hash index for dst-anchored wildcard shapes, a persistent
-// compressed binary trie over source prefixes (at most 32 nodes walked
-// per lookup), and a residual scan list for the rare anchor-less
-// shapes. The control plane (install / remove / expire / log) is
-// RCU-style: writers take a per-shard writer mutex and publish either
-// a replacement for the one bucket they touched (single-entry writes;
-// the slot pointer is the swap), a path-copied trie root (prefix
-// writes), or a whole new view (resizes, expiry sweeps, scan-shape
-// changes); expiry refreshes mutate the shared entry's atomic deadline
-// without any republish. Readers therefore observe individual writes
-// with per-lookup atomicity, not per-batch isolation — equivalent to
-// the writes landing between packets. Capacity is a single global
-// budget across shards,
+// match hierarchy: a label-keyed hash directory probed at the exact and
+// pair labels (each probe skipped while the view holds no label of its
+// shape), a destination-keyed directory for dst-anchored wildcard
+// shapes, a source-prefix directory keyed by (prefix, length) and
+// probed once per prefix length present — shortest first, so the
+// coarsest covering prefix is charged — and a residual scan list for
+// the rare anchor-less shapes. A directory slot is 16 bytes: the
+// entry's full 32-bit key hash, compared before the entry is touched,
+// and the entry pointer. The control plane (install / remove / expire /
+// log) is RCU-style: writers take a per-shard writer mutex and either
+// append in place to the buckets they touch (the slot is written before
+// the bucket's atomic length publishes it), swap in a replacement
+// bucket (a full bucket doubles; a removal copies what is left), or
+// publish a whole new view (directory resizes, expiry sweeps,
+// scan-shape changes); expiry refreshes mutate the shared entry's
+// atomic deadline without any republish. Readers therefore observe
+// individual writes with per-lookup atomicity, not per-batch isolation
+// — equivalent to the writes landing between packets. Capacity is a
+// single global budget across shards,
 // mirroring the hardware argument that the filter bank is one scarce
 // resource: an engine with N shards accepts exactly as many filters,
 // and returns the same verdicts, as an engine with one.
@@ -221,12 +225,12 @@ func (e *Engine) classifyAt(tup flow.Tuple, payloadBytes int, now filter.Time) V
 	pair := flow.PairLabel(tup.Src, tup.Dst)
 	s := e.shards[e.shardIdx(tup.Src, tup.Dst)]
 
-	if fe := s.fview.Load().match(exact, pair, tup, now); fe != nil {
+	if fe := match(s.fview.Load(), exact, pair, tup, now); fe != nil {
 		chargeDrop(s, fe, payloadBytes)
 		return Verdict{Drop: true}
 	}
 	if e.wildFilters.Load() > 0 {
-		if fe := e.wild.fview.Load().match(exact, pair, tup, now); fe != nil {
+		if fe := match(e.wild.fview.Load(), exact, pair, tup, now); fe != nil {
 			chargeDrop(e.wild, fe, payloadBytes)
 			return Verdict{Drop: true}
 		}
@@ -234,11 +238,11 @@ func (e *Engine) classifyAt(tup flow.Tuple, payloadBytes int, now filter.Time) V
 	if !e.cfg.ShadowLookup {
 		return Verdict{}
 	}
-	if se := s.sview.Load().lookup(exact, pair, tup, now); se != nil {
+	if se := lookup(s.sview.Load(), exact, pair, tup, now); se != nil {
 		return recordShadowHit(s, se)
 	}
 	if e.wildShadows.Load() > 0 {
-		if se := e.wild.sview.Load().lookup(exact, pair, tup, now); se != nil {
+		if se := lookup(e.wild.sview.Load(), exact, pair, tup, now); se != nil {
 			return recordShadowHit(e.wild, se)
 		}
 	}
@@ -319,8 +323,8 @@ func (e *Engine) ClassifyInto(batch []*packet.Packet, out []Verdict) []Verdict {
 	wantShadow := e.cfg.ShadowLookup
 	// The wild segment (wildcard- and prefix-shaped labels) applies to
 	// every packet regardless of home shard; load its snapshots once per
-	// batch. Its indexes (dst hash + source-prefix trie) keep the probe
-	// cheap even when the segment holds most of the table. Skipped
+	// batch. Its indexes (dst and source-prefix directories) keep the
+	// probe cheap even when the segment holds most of the table. Skipped
 	// entirely while empty.
 	var wfv *filterView
 	if e.wildFilters.Load() > 0 {
@@ -352,25 +356,25 @@ func (e *Engine) ClassifyInto(batch []*packet.Packet, out []Verdict) []Verdict {
 			tup := p.Tuple()
 			exact := tup.ExactLabel()
 			pair := flow.PairLabel(tup.Src, tup.Dst)
-			if fe := fv.match(exact, pair, tup, now); fe != nil {
+			if fe := match(fv, exact, pair, tup, now); fe != nil {
 				chargeDrop(s, fe, int(p.PayloadLen))
 				out[pi] = Verdict{Drop: true}
 				continue
 			}
 			if wfv != nil {
-				if fe := wfv.match(exact, pair, tup, now); fe != nil {
+				if fe := match(wfv, exact, pair, tup, now); fe != nil {
 					chargeDrop(e.wild, fe, int(p.PayloadLen))
 					out[pi] = Verdict{Drop: true}
 					continue
 				}
 			}
 			if wantShadow {
-				if se := sv.lookup(exact, pair, tup, now); se != nil {
+				if se := lookup(sv, exact, pair, tup, now); se != nil {
 					out[pi] = recordShadowHit(s, se)
 					continue
 				}
 				if wsv != nil {
-					if se := wsv.lookup(exact, pair, tup, now); se != nil {
+					if se := lookup(wsv, exact, pair, tup, now); se != nil {
 						out[pi] = recordShadowHit(e.wild, se)
 						continue
 					}
@@ -452,7 +456,7 @@ func (e *Engine) Install(label flow.Label, now, exp filter.Time) error {
 		e.fUsed.Add(-1)
 		return nil
 	}
-	fe := &fentry{label: label, installedAt: now}
+	fe := &fentry{label: pack(label), installedAt: now}
 	fe.exp.Store(int64(exp))
 	seg.fcount++
 	seg.fview.Store(seg.fview.Load().withInsert(seg.fcount, fe))
@@ -516,7 +520,7 @@ func (e *Engine) AdoptFilter(ent filter.Entry) error {
 		e.fUsed.Add(-1)
 		return nil
 	}
-	fe := &fentry{label: label, installedAt: ent.InstalledAt}
+	fe := &fentry{label: pack(label), installedAt: ent.InstalledAt}
 	fe.exp.Store(int64(ent.ExpiresAt))
 	fe.drops.Store(ent.Drops)
 	fe.droppedBytes.Store(ent.DroppedBytes)
@@ -547,7 +551,7 @@ func (e *Engine) evictSoonest() bool {
 	e.allSegs(func(s *shard, wild bool) {
 		s.fview.Load().each(func(fe *fentry) {
 			if exp := fe.expires(); !found || exp < vexp {
-				vseg, vwild, vlabel, vexp, found = s, wild, fe.label, exp, true
+				vseg, vwild, vlabel, vexp, found = s, wild, fe.key(), exp, true
 			}
 		})
 	})
@@ -802,7 +806,7 @@ func (e *Engine) LogShadow(label flow.Label, victim flow.Addr, now, exp filter.T
 		e.sUsed.Add(-1)
 		return true
 	}
-	se := &sentry{label: label, loggedAt: now}
+	se := &sentry{label: pack(label), loggedAt: now}
 	se.exp.Store(int64(exp))
 	se.victim.Store(uint32(victim))
 	seg.scount++
@@ -861,7 +865,7 @@ func (e *Engine) AdoptShadow(ent filter.ShadowEntry) bool {
 		e.sUsed.Add(-1)
 		return true
 	}
-	se := &sentry{label: label, loggedAt: ent.LoggedAt}
+	se := &sentry{label: pack(label), loggedAt: ent.LoggedAt}
 	se.exp.Store(int64(ent.ExpiresAt))
 	se.victim.Store(uint32(ent.Victim))
 	se.reapp.Store(uint64(ent.Reappearances))

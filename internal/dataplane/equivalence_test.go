@@ -23,7 +23,7 @@ import (
 // flow.Label.Matches. The equivalence tests drive the indexed lock-free
 // engine and this scan-everything oracle with the same operation stream
 // and demand identical verdicts and conserved drop accounting — neither
-// the snapshot swap discipline nor the dst-index/trie match hierarchy
+// the snapshot swap discipline nor the dst/prefix-directory match hierarchy
 // may lose, duplicate, or reorder a decision the naive design would
 // have made.
 type lockedOracle struct {
@@ -159,7 +159,7 @@ func (o *lockedOracle) totals() (drops, bytes, hits uint64) {
 // randomLabel draws labels of every shape the engine's match hierarchy
 // segments by: exact and canonical pair (hash probes), dst-anchored
 // wildcards (secondary dst index), source prefixes at several lengths
-// (LPM trie, overlapping by construction), destination prefixes and
+// (prefix directory, overlapping by construction), destination prefixes and
 // wild-src/dst labels (scan residue / overflow segment).
 func randomLabel(rng *rand.Rand, universe int) flow.Label {
 	src := addr(rng.Intn(universe))
@@ -446,7 +446,7 @@ func TestEngineAggregateConservesBudget(t *testing.T) {
 		t.Fatalf("stats arithmetic %d != occupancy %d (%+v)", live, e.Len(), st)
 	}
 	// Coverage time conserved (latest child deadline) and every child
-	// flow still drops, now via the trie.
+	// flow still drops, now via the prefix directory.
 	if en, ok := e.Get(g.Aggregate, 0); !ok || en.ExpiresAt != 8*time.Second {
 		t.Fatalf("aggregate deadline: %+v ok=%v", en, ok)
 	}
@@ -472,9 +472,9 @@ func TestEngineAggregateConservesBudget(t *testing.T) {
 // TestPrefixChurnConservation is the -race workout for the new index
 // structures: concurrent prefix-filter installs, aggregations of
 // sibling pair filters, removals, and expiry sweeps race batch and
-// single-packet classification over traffic that matches via the trie
-// and the dst index, and at the end the engine's cumulative counters
-// must equal exactly what the readers observed — a root swap or bucket
+// single-packet classification over traffic that matches via the prefix
+// and dst directories, and at the end the engine's cumulative counters
+// must equal exactly what the readers observed — a bucket append or
 // swap that dropped or double-counted a verdict would break equality.
 func TestPrefixChurnConservation(t *testing.T) {
 	e, ck := newEngine(t, 4, 4096, 512, filter.RejectNew)
@@ -506,7 +506,7 @@ func TestPrefixChurnConservation(t *testing.T) {
 				switch i % 6 {
 				case 0, 1: // sibling pair filters (aggregation fodder)
 					e.Install(childLabel(grp, rng.Intn(8)), now, now+2*time.Millisecond)
-				case 2: // direct prefix install (trie swap)
+				case 2: // direct prefix install (prefix-directory append)
 					e.Install(aggLabel(grp), now, now+2*time.Millisecond)
 				case 3: // coalesce whatever siblings are live
 					var children []flow.Label
@@ -549,7 +549,7 @@ func TestPrefixChurnConservation(t *testing.T) {
 			for i := range batch {
 				grp := rng.Intn(groups)
 				// Sibling-space sources, so traffic matches child pair
-				// filters exactly and aggregates via the trie.
+				// filters exactly and aggregates via the prefix directory.
 				batch[i] = pkt(flow.MakeAddr(240, 1, byte(grp), byte(rng.Intn(8))), addr(2000+grp), payload)
 			}
 			verdicts := make([]Verdict, 0, len(batch))
@@ -611,7 +611,7 @@ func TestPrefixChurnConservation(t *testing.T) {
 // (ClassifyInto with a caller-owned verdict slice) and the per-packet
 // path (ClassifyTuple), on hit, miss, and shadow-hit traffic — over a
 // plain pair table and over a wildcard/prefix-heavy table that keeps
-// the dst index and the source-prefix trie hot. GC is paused for the
+// the dst and source-prefix directories hot. GC is paused for the
 // measurements: a collection mid-loop evicts the engine's sync.Pool
 // scratch and charges the refill to the classify path as phantom
 // allocations.
@@ -652,7 +652,7 @@ func TestClassifySteadyStateZeroAlloc(t *testing.T) {
 	we := wildcardWorkloadEngine(4, 2048, 4096)
 	measure(t, "wildcard", we, wildcardWorkloadBatch(rng, 2048, 4096, 64, 0.5))
 
-	// A prefix filter drop specifically (trie-matched verdict).
+	// A prefix filter drop specifically (prefix-directory verdict).
 	psrc, pdst := workloadPrefixLabel(0)
 	ptup := flow.TupleOf(psrc+7, pdst, flow.ProtoUDP, 1000, 80)
 	if v := we.ClassifyTuple(ptup, 1); !v.Drop {
@@ -661,11 +661,40 @@ func TestClassifySteadyStateZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, func() {
 		we.ClassifyTuple(ptup, 1)
 	}); allocs != 0 {
-		t.Fatalf("trie-hit classify allocates %v/op, want 0", allocs)
+		t.Fatalf("prefix-hit classify allocates %v/op, want 0", allocs)
+	}
+
+	// Nested prefix lengths: /16, /24 and /28 filters over one source
+	// block, each toward its own destination, so a packet the /28 drops
+	// first probes the two shorter lengths; and a /20 shadow record over
+	// the same block that only the shadow side covers.
+	ne := wildcardWorkloadEngine(4, 2048, 4096)
+	nsrc := flow.MakeAddr(243, 1, 2, 0)
+	for i, bits := range []uint8{16, 24, 28} {
+		if err := ne.Install(flow.SrcPrefixLabel(nsrc, bits, addr(3000+i)), 0, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ne.LogShadow(flow.SrcPrefixLabel(nsrc, 20, addr(3100)), addr(3100), 0, time.Hour)
+	nested := wildcardWorkloadBatch(rng, 2048, 4096, 64, 0.5)
+	for i := 0; i < len(nested); i += 4 {
+		nested[i] = pkt(nsrc+5, addr(3002), 512)
+		nested[i+1] = pkt(nsrc+5, addr(3100), 512)
+	}
+	if v := ne.Classify(nested[:2]); !v[0].Drop || !v[1].ShadowHit {
+		t.Fatalf("nested prefixes: verdicts %+v, want a /28 drop and a /20 shadow hit", v)
+	}
+	measure(t, "nested", ne, nested)
+	nshTup := nested[1].Tuple()
+	if allocs := testing.AllocsPerRun(200, func() {
+		ne.ClassifyTuple(nshTup, 1)
+	}); allocs != 0 {
+		t.Fatalf("nested prefix shadow-hit classify allocates %v/op, want 0", allocs)
 	}
 
 	// Shadow-hit path: log a shadow for a miss-range flow and classify
-	// it; also a prefix-shaped shadow record (trie on the shadow side).
+	// it; also a prefix-shaped shadow record (prefix directory on the
+	// shadow side).
 	src, dst := addr(9999), addr(19999)
 	e.LogShadow(flow.PairLabel(src, dst), dst, 0, time.Hour)
 	shTup := flow.TupleOf(src, dst, flow.ProtoUDP, 1000, 80)

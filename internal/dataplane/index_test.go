@@ -1,0 +1,304 @@
+package dataplane
+
+import (
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"aitf/internal/filter"
+	"aitf/internal/flow"
+)
+
+// TestNestedPrefixChargeOrder pins which of several covering source
+// prefixes a packet is charged to: the shortest one, on both the filter
+// and the shadow side, whatever the install order, and across directory
+// rebuilds. The per-filter drop counters (and the reappearance counts)
+// an operator reads depend on it.
+func TestNestedPrefixChargeOrder(t *testing.T) {
+	src, dst := flow.MakeAddr(240, 7, 8, 9), addr(2000)
+	l16 := flow.SrcPrefixLabel(src, 16, dst)
+	l24 := flow.SrcPrefixLabel(src, 24, dst)
+	l28 := flow.SrcPrefixLabel(src, 28, dst)
+	tup := flow.TupleOf(src, dst, flow.ProtoUDP, 1000, 80)
+
+	sides := []struct {
+		name   string
+		add    func(*Engine, flow.Label)
+		remove func(*Engine, flow.Label) bool
+		hits   func(*Engine, flow.Label) uint64 // packets charged to the label
+		hit    func(Verdict) bool
+	}{
+		{
+			name: "filters",
+			add: func(e *Engine, l flow.Label) {
+				if err := e.Install(l, 0, time.Hour); err != nil {
+					t.Fatal(err)
+				}
+			},
+			remove: (*Engine).Remove,
+			hits: func(e *Engine, l flow.Label) uint64 {
+				en, _ := e.Get(l, 0)
+				return en.Drops
+			},
+			hit: func(v Verdict) bool { return v.Drop },
+		},
+		{
+			name: "shadows",
+			add: func(e *Engine, l flow.Label) {
+				if !e.LogShadow(l, dst, 0, time.Hour) {
+					t.Fatal("LogShadow rejected below capacity")
+				}
+			},
+			remove: (*Engine).RemoveShadow,
+			hits: func(e *Engine, l flow.Label) uint64 {
+				en, _ := e.ShadowGet(l, 0)
+				return uint64(en.Reappearances)
+			},
+			hit: func(v Verdict) bool { return v.ShadowHit },
+		},
+	}
+	for _, sd := range sides {
+		t.Run(sd.name, func(t *testing.T) {
+			e, _ := newEngine(t, 4, 1024, 1024, filter.RejectNew)
+			// Longest first, so install order and length order disagree.
+			for _, l := range []flow.Label{l28, l24, l16} {
+				sd.add(e, l)
+			}
+			charged := func(want flow.Label) {
+				t.Helper()
+				before := map[flow.Label]uint64{}
+				for _, l := range []flow.Label{l16, l24, l28} {
+					before[l] = sd.hits(e, l)
+				}
+				if v := e.ClassifyTuple(tup, 100); !sd.hit(v) {
+					t.Fatalf("covered tuple not caught: %+v", v)
+				}
+				for _, l := range []flow.Label{l16, l24, l28} {
+					got, wantN := sd.hits(e, l)-before[l], uint64(0)
+					if l == want {
+						wantN = 1
+					}
+					if got != wantN {
+						t.Fatalf("%v charged %d, want %d (winner should be %v)", l, got, wantN, want)
+					}
+				}
+			}
+			// rebuild forces a whole-view rebuild of the segment holding
+			// the prefixes: a scan-shaped label in and out, and enough
+			// unrelated /24s to grow every directory.
+			rebuild := func(round int) {
+				t.Helper()
+				scan := flow.FromSource(flow.MakeAddr(241, 0, 0, byte(round)))
+				sd.add(e, scan)
+				for i := 0; i < 64; i++ {
+					sd.add(e, flow.SrcPrefixLabel(flow.MakeAddr(242, byte(round), byte(i), 0), 24, dst))
+				}
+				if !sd.remove(e, scan) {
+					t.Fatal("remove of the scan-shaped label failed")
+				}
+			}
+			charged(l16)
+			rebuild(1)
+			charged(l16)
+			if !sd.remove(e, l16) {
+				t.Fatal("remove /16 failed")
+			}
+			charged(l24)
+			rebuild(2)
+			charged(l24)
+		})
+	}
+}
+
+// TestHeapBytesPerFilter bounds the live heap an installed filter costs
+// the engine, on the fwd_attack table in a 2-shard engine: the
+// "bounded amount of router resources" the filter bank is sized by.
+// It reads HeapInuse, as the benchmark's mem_mb does, so the spans that
+// churned buckets leave part-filled count against the table; two
+// collections settle the heap before each reading.
+func TestHeapBytesPerFilter(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory distorts heap readings")
+	}
+	const budget = 120 // bytes of live heap per installed filter
+	labels := fwdAttackLabels()
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	before := live()
+	e := New(Config{Shards: 2, FilterCapacity: len(labels), Evict: filter.RejectNew, Clock: steadyClock{}})
+	for _, l := range labels {
+		if err := e.Install(l, 0, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := live()
+	runtime.KeepAlive(e)
+	runtime.KeepAlive(labels) // live at both readings, so outside the delta
+	per := float64(int64(after)-int64(before)) / float64(len(labels))
+	t.Logf("%d filters: %.1f B of live heap per filter (budget %d)", len(labels), per, budget)
+	if per > budget {
+		t.Fatalf("%.1f B of live heap per installed filter, budget %d", per, budget)
+	}
+}
+
+// TestBucketPublishRace is the -race workout for append-in-place
+// buckets: one writer installs (appending, growing buckets and resizing
+// directories) and removes filters of every indexed shape under the
+// shard locks, while readers scan every published bucket of every
+// directory lock-free. Each slot a reader sees must hold an entry whose
+// tag is the key its directory hashes that entry's label to, in the
+// bucket that key selects.
+func TestBucketPublishRace(t *testing.T) {
+	e, _ := newEngine(t, 2, 1<<16, 1, filter.RejectNew)
+	labels := make([]flow.Label, 0, 1536)
+	for i := 0; i < 512; i++ {
+		src, dst := addr(i), addr(4000+i%16)
+		labels = append(labels,
+			flow.PairLabel(src, dst),
+			flow.Label{Src: src, Dst: dst, Proto: flow.ProtoUDP, Wildcards: flow.WildSrcPort | flow.WildDstPort}.Canonical(),
+			flow.SrcPrefixLabel(flow.MakeAddr(240, byte(i>>8), byte(i), 0), uint8(16+i%13), dst))
+	}
+	scan := func(d directory[*fentry], key func(flow.Label) uint32) {
+		for i := range d {
+			b := d[i].Load()
+			if b == nil {
+				continue
+			}
+			for _, sl := range b.s[:b.n.Load()] {
+				if sl.e == nil {
+					t.Error("published slot holds no entry")
+					return
+				}
+				if k := key(sl.e.key()); sl.tag != k || int(k&uint32(len(d)-1)) != i {
+					t.Errorf("slot tag %#x in bucket %d, label %v keys to %#x", sl.tag, i, sl.e.key(), k)
+					return
+				}
+			}
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, s := range append(e.shards[:len(e.shards):len(e.shards)], e.wild) {
+					v := s.fview.Load()
+					scan(v.main, labelHash)
+					scan(v.dst, func(l flow.Label) uint32 { return addrHash(uint32(l.Dst)) })
+					scan(v.pfx, func(l flow.Label) uint32 { return pfxHash(uint32(l.Src), l.SrcPrefixLen) })
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 6 && !t.Failed(); round++ {
+		for _, l := range labels {
+			if err := e.Install(l, 0, time.Hour); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, i := range rng.Perm(len(labels)) {
+			e.Remove(labels[i])
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// recount derives from a view's entries what its probe gates must say:
+// the exact- and pair-shaped counts and the mask of source-prefix
+// lengths present.
+func recount[P entry](v *view[P]) (exact, pair int32, plens uint32) {
+	v.each(func(e P) {
+		switch l := e.key(); labelShape(l) {
+		case shapeExact:
+			exact++
+		case shapePair:
+			pair++
+		case shapeSrcPfx:
+			plens |= 1 << l.SrcPrefixLen
+		}
+	})
+	return exact, pair, plens
+}
+
+// TestProbeCountsMatchRecount checks the probe gates against the
+// entries they summarize after a randomized stream of installs,
+// removals, aggregations, expiry sweeps and directory resizes, on the
+// filter and the shadow side of every segment: a gate that reads low
+// would skip a probe that can hit. The wild segment never holds an
+// exact or pair label, so its gates must stay shut.
+func TestProbeCountsMatchRecount(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e, ck := newEngine(t, 4, 1<<20, 1<<20, filter.RejectNew)
+		check := func(op int) {
+			t.Helper()
+			for i, s := range append(e.shards[:len(e.shards):len(e.shards)], e.wild) {
+				wild := s == e.wild
+				fv, sv := s.fview.Load(), s.sview.Load()
+				ex, pr, pl := recount(fv)
+				if fv.exact.Load() != ex || fv.pair.Load() != pr || fv.plens.Load() != pl {
+					t.Fatalf("seed %d op %d seg %d filters: gates exact=%d pair=%d plens=%#x, recount %d %d %#x",
+						seed, op, i, fv.exact.Load(), fv.pair.Load(), fv.plens.Load(), ex, pr, pl)
+				}
+				if ex, pr, pl = recount(sv); sv.exact.Load() != ex || sv.pair.Load() != pr || sv.plens.Load() != pl {
+					t.Fatalf("seed %d op %d seg %d shadows: gates exact=%d pair=%d plens=%#x, recount %d %d %#x",
+						seed, op, i, sv.exact.Load(), sv.pair.Load(), sv.plens.Load(), ex, pr, pl)
+				}
+				if wild && fv.exact.Load()+fv.pair.Load()+sv.exact.Load()+sv.pair.Load() != 0 {
+					t.Fatalf("seed %d op %d: wild segment holds exact or pair labels", seed, op)
+				}
+			}
+		}
+		for op := 0; op < 2000; op++ {
+			now := ck.Now()
+			switch l := randomLabel(rng, 64); rng.Intn(8) {
+			case 0, 1:
+				e.Install(l, now, now+filter.Time(rng.Intn(50)+1)*time.Millisecond)
+			case 2:
+				e.LogShadow(l, l.Dst, now, now+filter.Time(rng.Intn(50)+1)*time.Millisecond)
+			case 3:
+				e.Remove(l)
+				e.RemoveShadow(l)
+			case 4: // aggregate whatever /24 siblings are installed
+				if groups := filter.SiblingGroups(e.FilterEntries(), 24, 2); len(groups) > 0 {
+					g := groups[rng.Intn(len(groups))]
+					e.Aggregate(g.Aggregate, g.ChildLabels(), now, now+10*time.Millisecond)
+				}
+			case 5:
+				ck.advance(time.Duration(rng.Intn(20)) * time.Millisecond)
+				e.Expire(ck.Now())
+				e.ExpireShadows(ck.Now())
+			case 6: // a burst of fresh labels: grows, then shrinks, the directories
+				burst := make([]flow.Label, 100)
+				for i := range burst {
+					burst[i] = randomLabel(rng, 4096)
+					e.Install(burst[i], now, now+time.Hour)
+				}
+				check(op)
+				for _, b := range burst {
+					e.Remove(b)
+				}
+			case 7:
+				e.Install(l, now, now+time.Hour)
+				e.LogShadow(l, l.Dst, now, now+time.Hour)
+			}
+			check(op)
+		}
+	}
+}

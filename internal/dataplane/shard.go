@@ -1,12 +1,40 @@
 package dataplane
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 )
+
+// packed is a flow.Label stored in 16 bytes: the same fields, ordered
+// so that none needs padding (flow.Label's declaration order pads it to
+// 20). It is what keeps fentry and sentry in the 48-byte size class
+// instead of the 64-byte one.
+type packed struct {
+	src, dst     flow.Addr
+	sport, dport uint16
+	proto        flow.Proto
+	wild         flow.Wild
+	splen, dplen uint8
+}
+
+// pack stores l.
+//
+// aitf:noalloc
+func pack(l flow.Label) packed {
+	return packed{l.Src, l.Dst, l.SrcPort, l.DstPort, l.Proto, l.Wildcards, l.SrcPrefixLen, l.DstPrefixLen}
+}
+
+// label unpacks the stored label.
+//
+// aitf:noalloc
+func (p packed) label() flow.Label {
+	return flow.Label{Src: p.src, Dst: p.dst, Proto: p.proto, SrcPort: p.sport, DstPort: p.dport,
+		Wildcards: p.wild, SrcPrefixLen: p.splen, DstPrefixLen: p.dplen}
+}
 
 // fentry is one installed wire-speed filter. The label and install time
 // are immutable after the entry is published; the expiry deadline is
@@ -16,12 +44,16 @@ import (
 // survives snapshot swaps (the entry object itself is shared between
 // successive views).
 type fentry struct {
-	label        flow.Label
+	label        packed
 	installedAt  filter.Time
 	exp          atomic.Int64  // aitf:atomic expiry deadline (filter.Time)
 	drops        atomic.Uint64 // aitf:atomic
 	droppedBytes atomic.Uint64 // aitf:atomic
 }
+
+// key returns the entry's label; with expires it is what the generic
+// view needs of an entry (see entry).
+func (fe *fentry) key() flow.Label { return fe.label.label() }
 
 // expires returns the entry's current expiry deadline.
 func (fe *fentry) expires() filter.Time { return filter.Time(fe.exp.Load()) }
@@ -29,7 +61,7 @@ func (fe *fentry) expires() filter.Time { return filter.Time(fe.exp.Load()) }
 // snapshot converts the entry to the substrate's exported form.
 func (fe *fentry) snapshot() filter.Entry {
 	return filter.Entry{
-		Label:        fe.label,
+		Label:        fe.key(),
 		InstalledAt:  fe.installedAt,
 		ExpiresAt:    fe.expires(),
 		Drops:        fe.drops.Load(),
@@ -42,18 +74,20 @@ func (fe *fentry) snapshot() filter.Entry {
 // same reasons as fentry's fields: LogShadow refreshes them in place
 // under the writer lock while snapshot readers run.
 type sentry struct {
-	label    flow.Label
+	label    packed
 	loggedAt filter.Time
 	exp      atomic.Int64  // aitf:atomic expiry deadline (filter.Time)
 	victim   atomic.Uint32 // aitf:atomic flow.Addr
 	reapp    atomic.Uint64 // aitf:atomic
 }
 
+func (se *sentry) key() flow.Label { return se.label.label() }
+
 func (se *sentry) expires() filter.Time { return filter.Time(se.exp.Load()) }
 
 func (se *sentry) snapshot() filter.ShadowEntry {
 	return filter.ShadowEntry{
-		Label:         se.label,
+		Label:         se.key(),
 		LoggedAt:      se.loggedAt,
 		ExpiresAt:     se.expires(),
 		Reappearances: int(se.reapp.Load()),
@@ -65,24 +99,26 @@ func (se *sentry) snapshot() filter.ShadowEntry {
 const pairWild = flow.WildProto | flow.WildSrcPort | flow.WildDstPort
 
 // shape partitions canonical labels by the index structure that can
-// match them. The hierarchy (see filterView.match) is: exact → pair
-// hash probes, then the destination-anchored secondary index, then the
-// source-prefix trie, then the residual linear scan list. Only shapes
-// no index anchors — e.g. FromSource wildcards, destination prefixes —
-// fall through to the scan residue, and only the wild overflow segment
-// ever holds those.
+// match them. The hierarchy (see match) is: exact → pair probes of the
+// main directory, then the destination-keyed directory, then the
+// per-prefix-length source directory, then the residual linear scan
+// list. Only shapes no index anchors — e.g. FromSource wildcards,
+// destination prefixes — fall through to the scan residue, and only the
+// wild overflow segment ever holds those.
 type shape uint8
 
 const (
-	// shapeHash: exact or canonical pair label, found by the main
-	// bucket probes alone.
-	shapeHash shape = iota
+	// shapeExact: a fully specified label, found by the exact probe of
+	// the main directory.
+	shapeExact shape = iota
+	// shapePair: the canonical pair label, found by the pair probe.
+	shapePair
 	// shapeDst: a concrete full destination address anchors the label
-	// (wildcard or partially wildcarded elsewhere): the per-destination
-	// secondary hash index matches it in O(probes).
+	// (wildcard or partially wildcarded elsewhere): the destination
+	// directory matches it in O(probes).
 	shapeDst
-	// shapeSrcPfx: a source prefix anchors the label: the compressed
-	// binary trie matches it in O(32-bit depth).
+	// shapeSrcPfx: a source prefix anchors the label: the prefix
+	// directory matches it with one probe per prefix length present.
 	shapeSrcPfx
 	// shapeScan: no usable anchor; linear scan residue.
 	shapeScan
@@ -90,9 +126,13 @@ const (
 
 // labelShape classifies a canonical label.
 func labelShape(l flow.Label) shape {
-	if l.SrcPrefixLen == 0 && l.DstPrefixLen == 0 &&
-		(l.Wildcards == 0 || l.Wildcards == pairWild) {
-		return shapeHash
+	if l.SrcPrefixLen == 0 && l.DstPrefixLen == 0 {
+		switch l.Wildcards {
+		case 0:
+			return shapeExact
+		case pairWild:
+			return shapePair
+		}
 	}
 	if l.Wildcards&flow.WildSrc == 0 && l.SrcPrefixLen != 0 {
 		return shapeSrcPfx
@@ -103,18 +143,42 @@ func labelShape(l flow.Label) shape {
 	return shapeScan
 }
 
-// addrHash mixes a single address into a destination-index bucket.
+// addrHash mixes a single address into a destination-directory key.
 //
 // aitf:noalloc
-func addrHash(a uint32) uint32 {
-	h := uint64(a) * 0x9e3779b97f4a7c15
+func addrHash(a uint32) uint32 { return mix(uint64(a)) }
+
+// pfxHash keys the prefix directory: the source address masked to plen
+// bits, and plen itself, so nested prefixes of one address get distinct
+// keys.
+//
+// aitf:noalloc
+func pfxHash(src uint32, plen uint8) uint32 {
+	return mix(uint64(plen)<<32 | uint64(src&prefixMask(plen)))
+}
+
+// mix is the 64→32-bit finalizer behind addrHash and pfxHash.
+//
+// aitf:noalloc
+func mix(h uint64) uint32 {
+	h *= 0x9e3779b97f4a7c15
 	h ^= h >> 29
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 32
 	return uint32(h)
 }
 
-// labelHash mixes a canonical label into a bucket index. It must
+// prefixMask keeps the top plen bits of a 32-bit address.
+//
+// aitf:noalloc
+func prefixMask(plen uint8) uint32 {
+	if plen == 0 {
+		return 0
+	}
+	return ^uint32(0) << (32 - plen)
+}
+
+// labelHash mixes a canonical label into a main-directory key. It must
 // disperse labels that differ only in ports/proto/wildcards/prefix
 // lengths, since the per-pair hash of Engine.shardIdx has already
 // consumed the (src, dst) entropy by the time a label reaches a shard's
@@ -133,7 +197,7 @@ func labelHash(l flow.Label) uint32 {
 	return uint32(h)
 }
 
-// bucketLoad is the target average entries per view bucket: the bucket
+// bucketLoad is the target average entries per directory bucket: a
 // directory doubles beyond it. It bounds the copy-on-write cost of one
 // control-plane write to O(bucketLoad + directory), independent of how
 // many filters the shard holds.
@@ -159,312 +223,375 @@ func bucketsOK(count, b int) bool {
 	return count <= bucketLoad*b && (b == 1 || count*4 > bucketLoad*b)
 }
 
-// ── filter view ──────────────────────────────────────────────────────
+// ── buckets and views, generic over the entry kind ───────────────────
+//
+// The filter bank and the shadow log share one storage design: the
+// view, its directories and buckets, and every control-plane operation
+// on them are generic over the entry pointer. Only the probe loops
+// (match, lookup and their exact-label helpers) are written once per
+// side: they are the hottest code in the engine, and reaching the
+// label and deadline through a type parameter's methods would defeat
+// the inlining the concrete loops get.
 
-// fbucket is one hash bucket of a view: a small immutable array of
-// (label, entry) pairs probed by linear label compare — for at most
-// bucketLoad-ish entries that beats a map probe (no second hash of the
-// label, and the labels sit in contiguous memory). Buckets are never
-// mutated after they are stored into a directory slot; writers build a
-// replacement and swap the slot pointer.
-type fbucket = []fslot
-
-// fslot inlines the label next to its entry pointer so a probe only
-// dereferences the entry on a label match.
-type fslot struct {
-	label flow.Label
-	fe    *fentry
+// entry is what the generic view needs of a filter or shadow record.
+type entry interface {
+	comparable
+	key() flow.Label
+	expires() filter.Time
 }
 
-// filterView is the published snapshot of one shard's filter bank,
-// reached lock-free through shard.fview. The bucket directory is
-// immutable per view; each slot holds an atomic pointer to an
-// immutable bucket map, so a single-entry control-plane write replaces
-// exactly one small bucket (O(bucketLoad)) without copying the
-// directory — the RCU grace period is per bucket. Directory resizes,
-// expiry sweeps, and scan-residue changes build a whole new view and
-// swap the shard's view pointer instead. Entry objects are shared
-// across bucket generations and views, so the atomic counters inside
-// them never lose updates across a swap.
-//
-// Non-exact labels live in secondary indexes alongside their main
-// bucket: dst is a destination-keyed hash directory for dst-anchored
-// shapes (same per-slot swap discipline as the main directory), trie is
-// the source-prefix LPM trie (writers path-copy and swap the root), and
-// scan is the residue of shapes with no anchor. Every entry appears in
-// its main bucket regardless of shape, so get/each see exactly one copy.
-type filterView struct {
-	buckets []atomic.Pointer[fbucket]    // aitf:atomic
-	dst     []atomic.Pointer[fbucket]    // aitf:atomic
-	dcount  int                          // live entries indexed by dst, maintained under the writer lock
-	trie    atomic.Pointer[tnode[fslot]] // aitf:atomic
-	scan    []*fentry                    // entries matchable only by linear scan; immutable per view
+// slot is one directory position: the full 32-bit key the directory
+// hashes the entry under, then the entry. A probe compares the tag
+// first and dereferences the entry only on a tag match.
+type slot[P entry] struct {
+	tag uint32
+	e   P
 }
 
-// get returns the entry stored under the exact canonical label, if any.
-//
-// aitf:noalloc
-func (v *filterView) get(l flow.Label) *fentry {
-	if len(v.buckets) == 0 {
+// bucket is one hash bucket of a directory. Readers scan s[:n.Load()].
+// The writer (holding the shard lock) appends in place — it writes
+// s[n], then publishes n+1, so a reader sees each slot whole or not at
+// all — and allocates only when the bucket is full, swapping in a copy
+// of double the size. Slots below the published length are never
+// written again: removal swaps in a replacement bucket.
+type bucket[P entry] struct {
+	n atomic.Int32 // aitf:atomic published length
+	s []slot[P]    // len(s) is the capacity; s[n:] is unpublished room
+}
+
+// directory is a power-of-two array of bucket pointers, indexed by the
+// low bits of the slot tags. Its length is fixed per view.
+type directory[P entry] []atomic.Pointer[bucket[P]]
+
+// newDirectory builds a directory over slots, keeping their order
+// within each bucket and sizing every bucket to its length (room
+// appears at the first append).
+func newDirectory[P entry](slots []slot[P]) directory[P] {
+	if len(slots) == 0 {
 		return nil
 	}
-	if bp := v.buckets[labelHash(l)&uint32(len(v.buckets)-1)].Load(); bp != nil {
-		for i := range *bp {
-			if (*bp)[i].label == l {
-				return (*bp)[i].fe
-			}
+	d := make(directory[P], bucketsFor(len(slots)))
+	mask := uint32(len(d) - 1)
+	// The first pass counts each bucket's slots into its (unpublished)
+	// length; the second fills s to exactly that length.
+	for _, sl := range slots {
+		p := &d[sl.tag&mask]
+		if p.Load() == nil {
+			p.Store(&bucket[P]{})
 		}
+		p.Load().n.Add(1)
 	}
-	return nil
+	for _, sl := range slots {
+		b := d[sl.tag&mask].Load()
+		if b.s == nil {
+			b.s = make([]slot[P], 0, b.n.Load())
+		}
+		b.s = append(b.s, sl)
+	}
+	return d
 }
 
-// match finds a live filter covering the tuple, walking the match
-// hierarchy: exact probe, pair probe, destination index, source-prefix
-// trie, scan residue. Lock-free.
+// add publishes sl at the end of its bucket. Caller holds the writer
+// lock.
+func (d directory[P]) add(sl slot[P]) {
+	p := &d[sl.tag&uint32(len(d)-1)]
+	var old []slot[P]
+	if b := p.Load(); b != nil {
+		n := b.n.Load()
+		if int(n) < len(b.s) {
+			b.s[n] = sl // past the published length: no reader looks here
+			b.n.Store(n + 1)
+			return
+		}
+		old = b.s
+	}
+	nb := &bucket[P]{s: make([]slot[P], max(1, 2*len(old)))}
+	copy(nb.s, old)
+	nb.s[len(old)] = sl
+	nb.n.Store(int32(len(old) + 1))
+	p.Store(nb)
+}
+
+// del unpublishes e's slot from the bucket tag selects, swapping in a
+// replacement sized to what is left (nil once empty). Caller holds the
+// writer lock.
+func (d directory[P]) del(tag uint32, e P) {
+	p := &d[tag&uint32(len(d)-1)]
+	b := p.Load()
+	if b == nil {
+		return
+	}
+	old := b.s[:b.n.Load()]
+	kept := make([]slot[P], 0, len(old)-1)
+	for _, sl := range old {
+		if sl.e != e {
+			kept = append(kept, sl)
+		}
+	}
+	if len(kept) == 0 {
+		p.Store(nil)
+		return
+	}
+	nb := &bucket[P]{s: kept}
+	nb.n.Store(int32(len(kept)))
+	p.Store(nb)
+}
+
+// view is the published snapshot of one shard's filter bank (or shadow
+// log), reached lock-free through the shard's view pointer. Directory
+// lengths are fixed per view; each directory slot holds an atomic
+// pointer to a bucket, so a single-entry control-plane write appends
+// to or replaces one bucket per index without copying any directory —
+// the RCU grace period is per bucket. Directory resizes, expiry sweeps
+// and scan-residue changes build a whole new view and swap the shard's
+// view pointer instead. Entry objects are shared across bucket
+// generations and views, so the atomic counters inside them never lose
+// updates across a swap.
 //
-// aitf:noalloc
-func (v *filterView) match(exact, pair flow.Label, tup flow.Tuple, now filter.Time) *fentry {
-	if len(v.buckets) > 0 {
-		mask := uint32(len(v.buckets) - 1)
-		if bp := v.buckets[labelHash(exact)&mask].Load(); bp != nil {
-			for i := range *bp {
-				if (*bp)[i].label == exact {
-					if fe := (*bp)[i].fe; fe.expires() > now {
-						return fe
-					}
-					break
-				}
-			}
-		}
-		if bp := v.buckets[labelHash(pair)&mask].Load(); bp != nil {
-			for i := range *bp {
-				if (*bp)[i].label == pair {
-					if fe := (*bp)[i].fe; fe.expires() > now {
-						return fe
-					}
-					break
-				}
-			}
-		}
-	}
-	if len(v.dst) > 0 {
-		if bp := v.dst[addrHash(uint32(tup.Dst))&uint32(len(v.dst)-1)].Load(); bp != nil {
-			for i := range *bp {
-				if fe := (*bp)[i].fe; (*bp)[i].label.Matches(tup) && fe.expires() > now {
-					return fe
-				}
-			}
-		}
-	}
-	if n := v.trie.Load(); n != nil {
-		if fe := trieMatchF(n, tup, now); fe != nil {
-			return fe
-		}
-	}
-	for _, fe := range v.scan {
-		if fe.expires() > now && fe.label.Matches(tup) {
-			return fe
-		}
-	}
-	return nil
+// Every entry appears in main, keyed by labelHash, so get and each see
+// exactly one copy. Non-exact labels are also indexed by their anchor:
+// dst holds dst-anchored shapes keyed by addrHash(dst), pfx holds
+// source prefixes keyed by pfxHash(src, plen), and scan is the residue
+// of shapes with no anchor.
+type view[P entry] struct {
+	main directory[P]
+	dst  directory[P]
+	pfx  directory[P]
+	scan []P // immutable per view
+
+	// exact and pair count the entries of each hashed shape; a probe
+	// whose count is zero cannot hit and is skipped. plens has bit p
+	// set while a /p source prefix is indexed in pfx. Canonical prefix
+	// lengths are 1..31, so 32 bits hold them all.
+	exact atomic.Int32  // aitf:atomic
+	pair  atomic.Int32  // aitf:atomic
+	plens atomic.Uint32 // aitf:atomic
+
+	// Writer-only bookkeeping, under the shard's writer lock: entries
+	// indexed in dst and pfx, and pfx entries per prefix length (nil
+	// while pfx is empty).
+	dcount, pcount int32
+	perLen         *[32]int32
 }
 
-// each visits every entry exactly once (scan-shaped entries also live
-// in their bucket).
-func (v *filterView) each(fn func(*fentry)) {
-	for i := range v.buckets {
-		if bp := v.buckets[i].Load(); bp != nil {
-			for j := range *bp {
-				fn((*bp)[j].fe)
+// filterView and shadowView are the two instantiations the shards
+// publish.
+type (
+	filterView = view[*fentry]
+	shadowView = view[*sentry]
+)
+
+// get returns the entry stored under the exact canonical label, if any.
+func (v *view[P]) get(l flow.Label) P {
+	var none P
+	if len(v.main) == 0 {
+		return none
+	}
+	h := labelHash(l)
+	if b := v.main[h&uint32(len(v.main)-1)].Load(); b != nil {
+		for _, sl := range b.s[:b.n.Load()] {
+			if sl.tag == h && sl.e.key() == l {
+				return sl.e
+			}
+		}
+	}
+	return none
+}
+
+// each visits every entry exactly once, in directory order.
+func (v *view[P]) each(fn func(P)) {
+	for i := range v.main {
+		if b := v.main[i].Load(); b != nil {
+			for _, sl := range b.s[:b.n.Load()] {
+				fn(sl.e)
 			}
 		}
 	}
 }
 
-// buildFilterView constructs a fresh view over the given entries.
-func buildFilterView(entries []*fentry) *filterView {
-	v := &filterView{}
+// buildView constructs a fresh view over the given entries.
+func buildView[P entry](entries []P) *view[P] {
+	v := &view[P]{}
 	if len(entries) == 0 {
 		return v
 	}
-	nb := bucketsFor(len(entries))
-	v.buckets = make([]atomic.Pointer[fbucket], nb)
-	mask := uint32(nb - 1)
-	tmp := make([]fbucket, nb)
-	var dslots []fslot
-	var root *tnode[fslot]
-	for _, fe := range entries {
-		bi := labelHash(fe.label) & mask
-		tmp[bi] = append(tmp[bi], fslot{fe.label, fe})
-		switch labelShape(fe.label) {
+	slots := make([]slot[P], 0, len(entries))
+	var dslots, pslots []slot[P]
+	var exact, pair int32
+	var plens uint32
+	for _, e := range entries {
+		l := e.key()
+		slots = append(slots, slot[P]{labelHash(l), e})
+		switch labelShape(l) {
+		case shapeExact:
+			exact++
+		case shapePair:
+			pair++
 		case shapeDst:
-			dslots = append(dslots, fslot{fe.label, fe})
+			dslots = append(dslots, slot[P]{addrHash(uint32(l.Dst)), e})
 		case shapeSrcPfx:
-			root = trieInsert(root, uint32(fe.label.Src), fe.label.SrcPrefixLen, fslot{fe.label, fe})
-		case shapeScan:
-			v.scan = append(v.scan, fe)
-		}
-	}
-	for i := range tmp {
-		if len(tmp[i]) > 0 {
-			b := tmp[i]
-			v.buckets[i].Store(&b)
-		}
-	}
-	v.trie.Store(root)
-	if len(dslots) > 0 {
-		v.dcount = len(dslots)
-		nd := bucketsFor(v.dcount)
-		v.dst = make([]atomic.Pointer[fbucket], nd)
-		dtmp := make([]fbucket, nd)
-		dmask := uint32(nd - 1)
-		for _, sl := range dslots {
-			di := addrHash(uint32(sl.label.Dst)) & dmask
-			dtmp[di] = append(dtmp[di], sl)
-		}
-		for i := range dtmp {
-			if len(dtmp[i]) > 0 {
-				b := dtmp[i]
-				v.dst[i].Store(&b)
+			pslots = append(pslots, slot[P]{pfxHash(uint32(l.Src), l.SrcPrefixLen), e})
+			if v.perLen == nil {
+				v.perLen = new([32]int32)
 			}
+			v.perLen[l.SrcPrefixLen]++
+			plens |= 1 << l.SrcPrefixLen
+		case shapeScan:
+			v.scan = append(v.scan, e)
 		}
 	}
+	v.main, v.dst, v.pfx = newDirectory(slots), newDirectory(dslots), newDirectory(pslots)
+	v.dcount, v.pcount = int32(len(dslots)), int32(len(pslots))
+	v.exact.Store(exact)
+	v.pair.Store(pair)
+	v.plens.Store(plens)
 	return v
 }
 
-// withInsert adds fe, returning the view the shard must publish: the
-// receiver itself after in-place slot/root swaps (the common case —
-// O(bucketLoad) for hash- and dst-shaped labels, O(depth) for prefix
-// labels), or a freshly built view when a directory must resize or the
-// scan residue changes. Caller holds the shard's writer lock; newCount
-// is the entry count after the insert.
-func (v *filterView) withInsert(newCount int, fe *fentry) *filterView {
-	sh := labelShape(fe.label)
-	if sh == shapeScan || !bucketsOK(newCount, len(v.buckets)) ||
-		(sh == shapeDst && !bucketsOK(v.dcount+1, len(v.dst))) {
-		live := make([]*fentry, 0, newCount)
-		v.each(func(e *fentry) { live = append(live, e) })
-		return buildFilterView(append(live, fe))
+// inPlace reports whether v can absorb one more (delta 1) or one
+// fewer (delta −1) entry of shape sh in place, newCount being the
+// entry count afterwards: no directory resizes and the scan residue
+// stays as it is.
+func (v *view[P]) inPlace(sh shape, newCount, delta int) bool {
+	switch {
+	case sh == shapeScan || !bucketsOK(newCount, len(v.main)):
+		return false
+	case sh == shapeDst:
+		return bucketsOK(int(v.dcount)+delta, len(v.dst))
+	case sh == shapeSrcPfx:
+		return bucketsOK(int(v.pcount)+delta, len(v.pfx))
 	}
-	slot := &v.buckets[labelHash(fe.label)&uint32(len(v.buckets)-1)]
-	var nb fbucket
-	if bp := slot.Load(); bp != nil {
-		nb = make(fbucket, len(*bp), len(*bp)+1)
-		copy(nb, *bp)
+	return true
+}
+
+// withInsert adds e, returning the view the shard must publish: the
+// receiver itself after in-place bucket appends or swaps (the common
+// case — O(bucketLoad) per index touched), or a freshly built view when
+// a directory must resize or the scan residue changes. Caller holds the
+// shard's writer lock; newCount is the entry count after the insert.
+// Counts are raised after the slots are published, so a reader that
+// sees a count also finds the slot.
+func (v *view[P]) withInsert(newCount int, e P) *view[P] {
+	l := e.key()
+	sh := labelShape(l)
+	if !v.inPlace(sh, newCount, 1) {
+		live := make([]P, 0, newCount)
+		v.each(func(x P) { live = append(live, x) })
+		return buildView(append(live, e))
 	}
-	nb = append(nb, fslot{fe.label, fe})
-	slot.Store(&nb)
+	v.main.add(slot[P]{labelHash(l), e})
 	switch sh {
+	case shapeExact:
+		v.exact.Add(1)
+	case shapePair:
+		v.pair.Add(1)
 	case shapeDst:
 		v.dcount++
-		dslot := &v.dst[addrHash(uint32(fe.label.Dst))&uint32(len(v.dst)-1)]
-		var db fbucket
-		if bp := dslot.Load(); bp != nil {
-			db = make(fbucket, len(*bp), len(*bp)+1)
-			copy(db, *bp)
-		}
-		db = append(db, fslot{fe.label, fe})
-		dslot.Store(&db)
+		v.dst.add(slot[P]{addrHash(uint32(l.Dst)), e})
 	case shapeSrcPfx:
-		v.trie.Store(trieInsert(v.trie.Load(),
-			uint32(fe.label.Src), fe.label.SrcPrefixLen, fslot{fe.label, fe}))
+		v.pcount++
+		v.pfx.add(slot[P]{pfxHash(uint32(l.Src), l.SrcPrefixLen), e})
+		if v.perLen[l.SrcPrefixLen]++; v.perLen[l.SrcPrefixLen] == 1 {
+			v.plens.Or(1 << l.SrcPrefixLen)
+		}
 	}
 	return v
 }
 
-// withRemove deletes fe, with the same publish contract as withInsert;
+// withRemove deletes e, with the same publish contract as withInsert;
 // newCount is the entry count after the removal.
-func (v *filterView) withRemove(newCount int, fe *fentry) *filterView {
-	sh := labelShape(fe.label)
-	if sh == shapeScan || !bucketsOK(newCount, len(v.buckets)) ||
-		(sh == shapeDst && !bucketsOK(v.dcount-1, len(v.dst))) {
-		live := make([]*fentry, 0, newCount)
-		v.each(func(e *fentry) {
-			if e != fe {
-				live = append(live, e)
+func (v *view[P]) withRemove(newCount int, e P) *view[P] {
+	l := e.key()
+	sh := labelShape(l)
+	if !v.inPlace(sh, newCount, -1) {
+		live := make([]P, 0, newCount)
+		v.each(func(x P) {
+			if x != e {
+				live = append(live, x)
 			}
 		})
-		return buildFilterView(live)
+		return buildView(live)
 	}
-	slot := &v.buckets[labelHash(fe.label)&uint32(len(v.buckets)-1)]
-	if old := slot.Load(); old != nil {
-		if len(*old) <= 1 {
-			slot.Store(nil)
-		} else {
-			nb := make(fbucket, 0, len(*old)-1)
-			for i := range *old {
-				if (*old)[i].fe != fe {
-					nb = append(nb, (*old)[i])
-				}
-			}
-			slot.Store(&nb)
-		}
-	}
+	v.main.del(labelHash(l), e)
 	switch sh {
+	case shapeExact:
+		v.exact.Add(-1)
+	case shapePair:
+		v.pair.Add(-1)
 	case shapeDst:
 		v.dcount--
-		dslot := &v.dst[addrHash(uint32(fe.label.Dst))&uint32(len(v.dst)-1)]
-		if old := dslot.Load(); old != nil {
-			if len(*old) <= 1 {
-				dslot.Store(nil)
-			} else {
-				db := make(fbucket, 0, len(*old)-1)
-				for i := range *old {
-					if (*old)[i].fe != fe {
-						db = append(db, (*old)[i])
-					}
-				}
-				dslot.Store(&db)
-			}
-		}
+		v.dst.del(addrHash(uint32(l.Dst)), e)
 	case shapeSrcPfx:
-		v.trie.Store(trieRemove(v.trie.Load(),
-			uint32(fe.label.Src), fe.label.SrcPrefixLen,
-			func(s fslot) bool { return s.fe == fe }))
+		v.pcount--
+		v.pfx.del(pfxHash(uint32(l.Src), l.SrcPrefixLen), e)
+		if v.perLen[l.SrcPrefixLen]--; v.perLen[l.SrcPrefixLen] == 0 {
+			v.plens.And(^uint32(1 << l.SrcPrefixLen))
+		}
 	}
 	return v
 }
 
-// ── shadow view (same structure for sentry) ──────────────────────────
+// ── probe loops, one per side ────────────────────────────────────────
+
+// match finds a live filter covering the tuple, walking the match
+// hierarchy: exact probe, pair probe, destination directory, prefix
+// directory (present lengths shortest first, each bucket in insertion
+// order), scan residue. Lock-free.
 //
-// shadowView deliberately hand-mirrors filterView rather than sharing
-// a generic implementation: the probe loops are the hottest code in
-// the engine, and dispatching label()/expires() through a type-param
-// interface would defeat the inlining the flat versions get. (The trie
-// in trie.go shares its *structure* generically — insert/remove are
-// control-plane — but its probe loops are likewise hand-mirrored.)
-// Any change to the publish contract (bucketsOK hysteresis, shape
-// classification, dst-index/trie maintenance, scan rebuild rule,
-// slot-swap discipline) MUST be applied to both copies.
-
-// sbucket is one hash bucket of a shadow view; see fbucket.
-type sbucket = []sslot
-
-// sslot inlines the label next to its record pointer; see fslot.
-type sslot struct {
-	label flow.Label
-	se    *sentry
-}
-
-// shadowView is the published snapshot structure for the shadow cache
-// segment; see filterView for the per-bucket RCU discipline and the
-// secondary-index layout.
-type shadowView struct {
-	buckets []atomic.Pointer[sbucket] // aitf:atomic
-	dst     []atomic.Pointer[sbucket] // aitf:atomic
-	dcount  int
-	trie    atomic.Pointer[tnode[sslot]] // aitf:atomic
-	scan    []*sentry
-}
-
-func (v *shadowView) get(l flow.Label) *sentry {
-	if len(v.buckets) == 0 {
-		return nil
+// aitf:noalloc
+func match(v *filterView, exact, pair flow.Label, tup flow.Tuple, now filter.Time) *fentry {
+	if v.exact.Load() > 0 {
+		if fe := hitF(v.main, exact, now); fe != nil {
+			return fe
+		}
 	}
-	if bp := v.buckets[labelHash(l)&uint32(len(v.buckets)-1)].Load(); bp != nil {
-		for i := range *bp {
-			if (*bp)[i].label == l {
-				return (*bp)[i].se
+	if v.pair.Load() > 0 {
+		if fe := hitF(v.main, pair, now); fe != nil {
+			return fe
+		}
+	}
+	if len(v.dst) > 0 {
+		h := addrHash(uint32(tup.Dst))
+		if b := v.dst[h&uint32(len(v.dst)-1)].Load(); b != nil {
+			for _, sl := range b.s[:b.n.Load()] {
+				if sl.tag == h && sl.e.key().Matches(tup) && sl.e.expires() > now {
+					return sl.e
+				}
+			}
+		}
+	}
+	for m := v.plens.Load(); m != 0; m &= m - 1 {
+		plen := uint8(bits.TrailingZeros32(m))
+		h := pfxHash(uint32(tup.Src), plen)
+		if b := v.pfx[h&uint32(len(v.pfx)-1)].Load(); b != nil {
+			for _, sl := range b.s[:b.n.Load()] {
+				if sl.tag == h && sl.e.label.splen == plen &&
+					sl.e.key().Matches(tup) && sl.e.expires() > now {
+					return sl.e
+				}
+			}
+		}
+	}
+	for _, fe := range v.scan {
+		if fe.expires() > now && fe.key().Matches(tup) {
+			return fe
+		}
+	}
+	return nil
+}
+
+// hitF returns the filter stored under exactly l if it is live at now.
+//
+// aitf:noalloc
+func hitF(d directory[*fentry], l flow.Label, now filter.Time) *fentry {
+	h, k := labelHash(l), pack(l)
+	if b := d[h&uint32(len(d)-1)].Load(); b != nil {
+		for _, sl := range b.s[:b.n.Load()] {
+			if sl.tag == h && sl.e.label == k {
+				if sl.e.expires() > now {
+					return sl.e
+				}
+				return nil
 			}
 		}
 	}
@@ -472,199 +599,66 @@ func (v *shadowView) get(l flow.Label) *sentry {
 }
 
 // lookup finds a live shadow record covering the tuple, walking the
-// same match hierarchy as filterView.match. Lock-free.
+// same match hierarchy as match. Lock-free.
 //
 // aitf:noalloc
-func (v *shadowView) lookup(exact, pair flow.Label, tup flow.Tuple, now filter.Time) *sentry {
-	if len(v.buckets) > 0 {
-		mask := uint32(len(v.buckets) - 1)
-		if bp := v.buckets[labelHash(exact)&mask].Load(); bp != nil {
-			for i := range *bp {
-				if (*bp)[i].label == exact {
-					if se := (*bp)[i].se; se.expires() > now {
-						return se
-					}
-					break
-				}
-			}
-		}
-		if bp := v.buckets[labelHash(pair)&mask].Load(); bp != nil {
-			for i := range *bp {
-				if (*bp)[i].label == pair {
-					if se := (*bp)[i].se; se.expires() > now {
-						return se
-					}
-					break
-				}
-			}
-		}
-	}
-	if len(v.dst) > 0 {
-		if bp := v.dst[addrHash(uint32(tup.Dst))&uint32(len(v.dst)-1)].Load(); bp != nil {
-			for i := range *bp {
-				if se := (*bp)[i].se; (*bp)[i].label.Matches(tup) && se.expires() > now {
-					return se
-				}
-			}
-		}
-	}
-	if n := v.trie.Load(); n != nil {
-		if se := trieMatchS(n, tup, now); se != nil {
+func lookup(v *shadowView, exact, pair flow.Label, tup flow.Tuple, now filter.Time) *sentry {
+	if v.exact.Load() > 0 {
+		if se := hitS(v.main, exact, now); se != nil {
 			return se
 		}
 	}
+	if v.pair.Load() > 0 {
+		if se := hitS(v.main, pair, now); se != nil {
+			return se
+		}
+	}
+	if len(v.dst) > 0 {
+		h := addrHash(uint32(tup.Dst))
+		if b := v.dst[h&uint32(len(v.dst)-1)].Load(); b != nil {
+			for _, sl := range b.s[:b.n.Load()] {
+				if sl.tag == h && sl.e.key().Matches(tup) && sl.e.expires() > now {
+					return sl.e
+				}
+			}
+		}
+	}
+	for m := v.plens.Load(); m != 0; m &= m - 1 {
+		plen := uint8(bits.TrailingZeros32(m))
+		h := pfxHash(uint32(tup.Src), plen)
+		if b := v.pfx[h&uint32(len(v.pfx)-1)].Load(); b != nil {
+			for _, sl := range b.s[:b.n.Load()] {
+				if sl.tag == h && sl.e.label.splen == plen &&
+					sl.e.key().Matches(tup) && sl.e.expires() > now {
+					return sl.e
+				}
+			}
+		}
+	}
 	for _, se := range v.scan {
-		if se.expires() > now && se.label.Matches(tup) {
+		if se.expires() > now && se.key().Matches(tup) {
 			return se
 		}
 	}
 	return nil
 }
 
-func (v *shadowView) each(fn func(*sentry)) {
-	for i := range v.buckets {
-		if bp := v.buckets[i].Load(); bp != nil {
-			for j := range *bp {
-				fn((*bp)[j].se)
-			}
-		}
-	}
-}
-
-func buildShadowView(entries []*sentry) *shadowView {
-	v := &shadowView{}
-	if len(entries) == 0 {
-		return v
-	}
-	nb := bucketsFor(len(entries))
-	v.buckets = make([]atomic.Pointer[sbucket], nb)
-	mask := uint32(nb - 1)
-	tmp := make([]sbucket, nb)
-	var dslots []sslot
-	var root *tnode[sslot]
-	for _, se := range entries {
-		bi := labelHash(se.label) & mask
-		tmp[bi] = append(tmp[bi], sslot{se.label, se})
-		switch labelShape(se.label) {
-		case shapeDst:
-			dslots = append(dslots, sslot{se.label, se})
-		case shapeSrcPfx:
-			root = trieInsert(root, uint32(se.label.Src), se.label.SrcPrefixLen, sslot{se.label, se})
-		case shapeScan:
-			v.scan = append(v.scan, se)
-		}
-	}
-	for i := range tmp {
-		if len(tmp[i]) > 0 {
-			b := tmp[i]
-			v.buckets[i].Store(&b)
-		}
-	}
-	v.trie.Store(root)
-	if len(dslots) > 0 {
-		v.dcount = len(dslots)
-		nd := bucketsFor(v.dcount)
-		v.dst = make([]atomic.Pointer[sbucket], nd)
-		dtmp := make([]sbucket, nd)
-		dmask := uint32(nd - 1)
-		for _, sl := range dslots {
-			di := addrHash(uint32(sl.label.Dst)) & dmask
-			dtmp[di] = append(dtmp[di], sl)
-		}
-		for i := range dtmp {
-			if len(dtmp[i]) > 0 {
-				b := dtmp[i]
-				v.dst[i].Store(&b)
-			}
-		}
-	}
-	return v
-}
-
-// withInsert / withRemove follow filterView's publish contract.
-func (v *shadowView) withInsert(newCount int, se *sentry) *shadowView {
-	sh := labelShape(se.label)
-	if sh == shapeScan || !bucketsOK(newCount, len(v.buckets)) ||
-		(sh == shapeDst && !bucketsOK(v.dcount+1, len(v.dst))) {
-		live := make([]*sentry, 0, newCount)
-		v.each(func(e *sentry) { live = append(live, e) })
-		return buildShadowView(append(live, se))
-	}
-	slot := &v.buckets[labelHash(se.label)&uint32(len(v.buckets)-1)]
-	var nb sbucket
-	if bp := slot.Load(); bp != nil {
-		nb = make(sbucket, len(*bp), len(*bp)+1)
-		copy(nb, *bp)
-	}
-	nb = append(nb, sslot{se.label, se})
-	slot.Store(&nb)
-	switch sh {
-	case shapeDst:
-		v.dcount++
-		dslot := &v.dst[addrHash(uint32(se.label.Dst))&uint32(len(v.dst)-1)]
-		var db sbucket
-		if bp := dslot.Load(); bp != nil {
-			db = make(sbucket, len(*bp), len(*bp)+1)
-			copy(db, *bp)
-		}
-		db = append(db, sslot{se.label, se})
-		dslot.Store(&db)
-	case shapeSrcPfx:
-		v.trie.Store(trieInsert(v.trie.Load(),
-			uint32(se.label.Src), se.label.SrcPrefixLen, sslot{se.label, se}))
-	}
-	return v
-}
-
-func (v *shadowView) withRemove(newCount int, se *sentry) *shadowView {
-	sh := labelShape(se.label)
-	if sh == shapeScan || !bucketsOK(newCount, len(v.buckets)) ||
-		(sh == shapeDst && !bucketsOK(v.dcount-1, len(v.dst))) {
-		live := make([]*sentry, 0, newCount)
-		v.each(func(e *sentry) {
-			if e != se {
-				live = append(live, e)
-			}
-		})
-		return buildShadowView(live)
-	}
-	slot := &v.buckets[labelHash(se.label)&uint32(len(v.buckets)-1)]
-	if old := slot.Load(); old != nil {
-		if len(*old) <= 1 {
-			slot.Store(nil)
-		} else {
-			nb := make(sbucket, 0, len(*old)-1)
-			for i := range *old {
-				if (*old)[i].se != se {
-					nb = append(nb, (*old)[i])
+// hitS mirrors hitF for the shadow side.
+//
+// aitf:noalloc
+func hitS(d directory[*sentry], l flow.Label, now filter.Time) *sentry {
+	h, k := labelHash(l), pack(l)
+	if b := d[h&uint32(len(d)-1)].Load(); b != nil {
+		for _, sl := range b.s[:b.n.Load()] {
+			if sl.tag == h && sl.e.label == k {
+				if sl.e.expires() > now {
+					return sl.e
 				}
-			}
-			slot.Store(&nb)
-		}
-	}
-	switch sh {
-	case shapeDst:
-		v.dcount--
-		dslot := &v.dst[addrHash(uint32(se.label.Dst))&uint32(len(v.dst)-1)]
-		if old := dslot.Load(); old != nil {
-			if len(*old) <= 1 {
-				dslot.Store(nil)
-			} else {
-				db := make(sbucket, 0, len(*old)-1)
-				for i := range *old {
-					if (*old)[i].se != se {
-						db = append(db, (*old)[i])
-					}
-				}
-				dslot.Store(&db)
+				return nil
 			}
 		}
-	case shapeSrcPfx:
-		v.trie.Store(trieRemove(v.trie.Load(),
-			uint32(se.label.Src), se.label.SrcPrefixLen,
-			func(s sslot) bool { return s.se == se }))
 	}
-	return v
+	return nil
 }
 
 // ── shard ────────────────────────────────────────────────────────────
@@ -703,10 +697,18 @@ type shard struct {
 	shadowHits   atomic.Uint64 // aitf:atomic
 }
 
+// noFilters and noShadows are the views every shard starts from. An
+// empty view is never written — the first insert rebuilds — so all
+// shards share the same two.
+var (
+	noFilters = &filterView{}
+	noShadows = &shadowView{}
+)
+
 func newShard() *shard {
 	s := &shard{}
-	s.fview.Store(&filterView{})
-	s.sview.Store(&shadowView{})
+	s.fview.Store(noFilters)
+	s.sview.Store(noShadows)
 	return s
 }
 
@@ -714,59 +716,39 @@ func newShard() *shard {
 // the snapshot when anything died. Caller holds s.mu. The fNext hint
 // makes the nothing-due case O(1).
 func (s *shard) expireFilters(now filter.Time) int {
-	if s.fcount == 0 || now < s.fNext {
-		return 0
-	}
-	v := s.fview.Load()
-	live := make([]*fentry, 0, s.fcount)
-	var next filter.Time
-	first := true
-	v.each(func(fe *fentry) {
-		exp := fe.expires()
-		if exp <= now {
-			return
-		}
-		live = append(live, fe)
-		if first || exp < next {
-			next, first = exp, false
-		}
-	})
-	s.fNext = next
-	n := s.fcount - len(live)
-	if n == 0 {
-		return 0
-	}
-	s.fview.Store(buildFilterView(live))
-	s.fcount = len(live)
-	return n
+	return expire(&s.fview, &s.fcount, &s.fNext, now)
 }
 
-// expireShadows garbage-collects dead shadow records, rebuilding and
-// swapping the snapshot when anything died. Caller holds s.mu.
+// expireShadows garbage-collects dead shadow records the same way.
+// Caller holds s.mu.
 func (s *shard) expireShadows(now filter.Time) int {
-	if s.scount == 0 || now < s.sNext {
+	return expire(&s.sview, &s.scount, &s.sNext, now)
+}
+
+// expire is the sweep behind expireFilters and expireShadows: when the
+// earliest deadline next has passed, it publishes a view of the entries
+// still live, updates count and next, and returns how many died.
+func expire[P entry](pv *atomic.Pointer[view[P]], count *int, next *filter.Time, now filter.Time) int {
+	if *count == 0 || now < *next {
 		return 0
 	}
-	v := s.sview.Load()
-	live := make([]*sentry, 0, s.scount)
-	var next filter.Time
+	live := make([]P, 0, *count)
 	first := true
-	v.each(func(se *sentry) {
-		exp := se.expires()
+	pv.Load().each(func(e P) {
+		exp := e.expires()
 		if exp <= now {
 			return
 		}
-		live = append(live, se)
-		if first || exp < next {
-			next, first = exp, false
+		live = append(live, e)
+		if first || exp < *next {
+			*next, first = exp, false
 		}
 	})
-	s.sNext = next
-	n := s.scount - len(live)
+	n := *count - len(live)
 	if n == 0 {
 		return 0
 	}
-	s.sview.Store(buildShadowView(live))
-	s.scount = len(live)
+	pv.Store(buildView(live))
+	*count = len(live)
 	return n
 }

@@ -89,7 +89,7 @@ func workloadWildDst(i int) flow.Addr {
 
 // wildcardWorkloadLabels returns the nonExact coarse labels the
 // wildcard workload installs, split evenly between source-/24 prefixes
-// (LPM trie shapes) and dst-anchored wildcards (secondary index
+// (prefix-directory shapes) and dst-anchored wildcards (destination-directory
 // shapes). The scan-list baseline runs the same population through a
 // naive matcher.
 func wildcardWorkloadLabels(nonExact int) []flow.Label {
@@ -162,4 +162,25 @@ func wildcardWorkloadBatch(rng *rand.Rand, pairs, nonExact, size int, wildFrac f
 		}
 	}
 	return batch
+}
+
+// fwdAttackLabels is the filter table of the benchmark's fwd_attack
+// workload in shape: 60k canonical pair filters from distinct sources
+// toward 16 destinations plus 4k source-/24 aggregates, in a fixed
+// shuffled order. The install benchmark and the heap-per-filter gate
+// use it, so both price the table an attacked gateway actually holds.
+func fwdAttackLabels() []flow.Label {
+	const pairs, prefixes, dsts = 60_000, 4_000, 16
+	out := make([]flow.Label, 0, pairs+prefixes)
+	for i := 0; i < pairs; i++ {
+		src := flow.MakeAddr(30, byte(i>>12), byte(i>>4), byte(i<<4|1))
+		out = append(out, flow.PairLabel(src, flow.MakeAddr(10, 1, 0, byte(i%dsts+1))))
+	}
+	for i := 0; i < prefixes; i++ {
+		net24 := flow.MakeAddr(40, byte(i>>8), byte(i), 0)
+		out = append(out, flow.SrcPrefixLabel(net24, 24, flow.MakeAddr(10, 1, 0, byte(i%dsts+1))))
+	}
+	rng := rand.New(rand.NewSource(1))
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
 }
