@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,8 @@ import (
 	"time"
 
 	"aitf/internal/contract"
+	"aitf/internal/ctrl"
+	"aitf/internal/detect"
 	"aitf/internal/flow"
 	"aitf/internal/packet"
 )
@@ -228,4 +231,312 @@ func TestSetBookSetHandlerUnderTraffic(t *testing.T) {
 	if sent, _ := a.Counts(); sent != sends {
 		t.Fatalf("sender counted %d, want %d", sent, sends)
 	}
+}
+
+// peerGateway is a gateway at gwA between two plain UDP sockets the
+// test reads: down, its next hop toward victimA, and up, its next hop
+// toward the attacker's gateway agwA. cfg supplies everything but the
+// node, the timers, the default contract and the secret.
+func peerGateway(t *testing.T, cfg GatewayConfig) (g *Gateway, down, up *net.UDPConn) {
+	t.Helper()
+	var sinks [2]*net.UDPConn
+	for i := range sinks {
+		sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sink.Close() })
+		sinks[i] = sink
+	}
+	cfg.Node = NodeConfig{Addr: gwA, Name: "gw",
+		NextHop: map[flow.Addr]flow.Addr{victimA: victimA, agwA: agwA},
+		Book:    Book{victimA: sinks[0].LocalAddr().String(), agwA: sinks[1].LocalAddr().String()}}
+	cfg.Timers, cfg.Default, cfg.Secret = testTimers(), contract.DefaultPeer(), []byte("gw-secret")
+	g, err := NewGateway(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	return g, sinks[0], sinks[1]
+}
+
+// The addresses of peerGateway's neighbourhood.
+var (
+	gwA     = flow.MakeAddr(10, 0, 1, 1)
+	victimA = flow.MakeAddr(10, 0, 0, 2)
+	agwA    = flow.MakeAddr(10, 9, 0, 1)
+)
+
+// checkCounters fails unless n's class counters add up to Sent and
+// equal ctrl and data.
+func checkCounters(t *testing.T, n *Node, ctrl, data uint64) {
+	t.Helper()
+	if s, c, d := n.Sent.Load(), n.CtrlSent.Load(), n.DataSent.Load(); s != c+d || c != ctrl || d != data {
+		t.Fatalf("Sent %d, CtrlSent %d, DataSent %d, want %d control and %d data", s, c, d, ctrl, data)
+	}
+}
+
+// TestControlSendsShareTheFlush checks that what handling a read batch
+// sends, control messages as well as forwards, is queued on the batch
+// and leaves with its one flush, in handling order, through a
+// mid-batch flush when the queue fills, and that a send from a timer,
+// which has no batch, still leaves at once.
+func TestControlSendsShareTheFlush(t *testing.T) {
+	attackerA, otherA := flow.MakeAddr(30, 0, 0, 1), flow.MakeAddr(20, 0, 0, 1)
+	label := flow.PairLabel(attackerA, victimA)
+
+	t.Run("gateway", func(t *testing.T) {
+		g, down, up := peerGateway(t, GatewayConfig{})
+		tx, err := newSockBatch(g.node.conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		request := packet.NewControl(victimA, gwA, &packet.FilterReq{
+			Stage:    packet.StageToVictimGW,
+			Flow:     label,
+			Duration: time.Second,
+			Round:    1,
+			Victim:   victimA,
+			Evidence: []packet.RREntry{{Router: agwA, Nonce: 7},
+				{Router: gwA, Nonce: g.rec.Nonce(flow.Tuple{Src: attackerA, Dst: victimA})}},
+		})
+		batch := []*packet.Packet{
+			packet.NewData(otherA, victimA, flow.ProtoUDP, 1, 80, 100),
+			request, // relayed up
+			packet.NewControl(agwA, victimA, &packet.VerifyQuery{Flow: label, Nonce: 42}), // in transit down
+			packet.NewControl(agwA, victimA, &packet.VerifyQuery{Flow: label, Nonce: 43}),
+			packet.NewData(otherA, victimA, flow.ProtoUDP, 2, 80, 100),
+		}
+		msgs0 := g.node.SendMsgs.Load()
+		g.handleBatch(g.node, batch, tx)
+		if tx.txN != 0 || g.tx != nil {
+			t.Fatalf("after handleBatch: %d datagrams queued, g.tx %p, want 0 and nil", tx.txN, g.tx)
+		}
+		got := readPackets(t, down, 4)
+		if got[0].SrcPort != 1 || got[3].SrcPort != 2 {
+			t.Fatalf("toward the victim: data ports %d, %d, want 1, 2", got[0].SrcPort, got[3].SrcPort)
+		}
+		for i, nonce := range []uint64{42, 43} {
+			if q, ok := got[1+i].Msg.(*packet.VerifyQuery); !ok || q.Nonce != nonce {
+				t.Fatalf("toward the victim, datagram %d: %+v, want the query %d in transit", 2+i, got[1+i], nonce)
+			}
+		}
+		relay, ok := readPackets(t, up, 1)[0].Msg.(*packet.FilterReq)
+		if !ok || relay.Stage != packet.StageToAttackerGW || relay.Flow != label {
+			t.Fatalf("toward the attacker's gateway: %+v, want the relayed request", relay)
+		}
+		expectQuiet(t, down)
+		expectQuiet(t, up)
+		checkCounters(t, g.node, 3, 2)
+		// The two queries sit side by side in the one flush: one message
+		// where the socket segments.
+		want := uint64(5)
+		if tx.sys.gso {
+			want = 4
+		}
+		if msgs := g.node.SendMsgs.Load() - msgs0; msgs != want {
+			t.Fatalf("the batch's sends took %d kernel messages, want %d", msgs, want)
+		}
+	})
+
+	t.Run("host", func(t *testing.T) {
+		sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sink.Close()
+		h, err := NewHost(HostConfig{
+			Node: NodeConfig{Addr: victimA, Name: "victim", NextHop: map[flow.Addr]flow.Addr{agwA: gwA},
+				Book: Book{gwA: sink.LocalAddr().String()}},
+			Gateway: gwA,
+			Timers:  testTimers(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		tx, err := newSockBatch(h.node.conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const k = 8
+		pkts := make([]*packet.Packet, k)
+		for i := range pkts {
+			l := flow.PairLabel(flow.MakeAddr(30, 0, 0, byte(i+1)), victimA)
+			h.wanted[l.Key()] = wallNow() + time.Hour
+			pkts[i] = packet.NewControl(agwA, victimA, &packet.VerifyQuery{Flow: l, Nonce: uint64(100 + i)})
+		}
+		msgs0 := h.node.SendMsgs.Load()
+		h.handleBatch(h.node, pkts, tx)
+		for i, p := range readPackets(t, sink, k) {
+			if r, ok := p.Msg.(*packet.VerifyReply); !ok || r.Nonce != uint64(100+i) || p.Dst != agwA {
+				t.Fatalf("reply %d: %+v to %v, want nonce %d to %v", i, p.Msg, p.Dst, 100+i, agwA)
+			}
+		}
+		expectQuiet(t, sink)
+		// k replies of one size to one hop: one message where the socket
+		// segments.
+		want := uint64(k)
+		if tx.sys.gso {
+			want = 1
+		}
+		if msgs := h.node.SendMsgs.Load() - msgs0; msgs != want || tx.txN != 0 {
+			t.Fatalf("%d replies took %d kernel messages with %d still queued, want %d and 0", k, msgs, tx.txN, want)
+		}
+		checkCounters(t, h.node, k, 0)
+	})
+
+	t.Run("selfDetect", func(t *testing.T) {
+		g, down, _ := peerGateway(t, GatewayConfig{
+			Detect:    detect.Config{ThresholdBps: 1, Window: time.Second}, // the first datagram is an attack
+			DetectFor: []flow.Addr{victimA},
+		})
+		// Both next hops are one socket, which sees the sends' order.
+		g.node.SetBook(Book{victimA: down.LocalAddr().String(), agwA: down.LocalAddr().String()})
+		tx, err := newSockBatch(g.node.conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each datagram queues its relay, then its forward: 64 sends
+		// from a batch of 32, so the queue fills and flushes halfway.
+		pkts := make([]*packet.Packet, batchSlots)
+		for i := range pkts {
+			pkts[i] = packet.NewData(flow.MakeAddr(30, 0, 1, byte(i+1)), victimA, flow.ProtoUDP, uint16(i), 80, 1000)
+			pkts[i].RecordRoute(agwA, uint64(i))
+		}
+		g.handleBatch(g.node, pkts, tx)
+		got := readPackets(t, down, 2*batchSlots)
+		for i := 0; i < batchSlots; i++ {
+			if r, ok := got[2*i].Msg.(*packet.FilterReq); !ok || r.Flow.Src != flow.MakeAddr(30, 0, 1, byte(i+1)) {
+				t.Fatalf("send %d: %+v, want the relay for source %d", 2*i, got[2*i].Msg, i+1)
+			}
+			if p := got[2*i+1]; p.IsControl() || p.SrcPort != uint16(i) {
+				t.Fatalf("send %d: %+v, want the forward of datagram %d", 2*i+1, p, i)
+			}
+		}
+		expectQuiet(t, down)
+		if st := g.Stats(); st.Detections != batchSlots || tx.txN != 0 || g.tx != nil {
+			t.Fatalf("%d detections, %d queued, g.tx %p, want %d, 0, nil", st.Detections, tx.txN, g.tx, batchSlots)
+		}
+		checkCounters(t, g.node, batchSlots, batchSlots)
+	})
+
+	t.Run("timer", func(t *testing.T) {
+		g, down, _ := peerGateway(t, GatewayConfig{
+			Control:          ctrl.Config{MaxAttempts: 3, RTO: 20 * time.Millisecond},
+			HandshakeTimeout: 10 * time.Second,
+		})
+		tx, err := newSockBatch(g.node.conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		request := packet.NewControl(victimA, gwA, &packet.FilterReq{
+			Stage:    packet.StageToAttackerGW,
+			Flow:     label,
+			Duration: time.Second,
+			Round:    1,
+			Victim:   victimA,
+			Evidence: []packet.RREntry{{Router: gwA, Nonce: g.rec.Nonce(flow.Tuple{Src: attackerA, Dst: victimA})}},
+		})
+		g.handleBatch(g.node, []*packet.Packet{request}, tx)
+		checkCounters(t, g.node, 1, 0)
+		// The read loop is not running: the two retransmissions can only
+		// leave by themselves, from the ladder's timers.
+		waitUntil(t, 2*time.Second, func() bool { return g.node.CtrlSent.Load() == 3 },
+			"the ladder's retransmissions were not sent")
+		for i, p := range readPackets(t, down, 3) {
+			if q, ok := p.Msg.(*packet.VerifyQuery); !ok || q.Flow != label {
+				t.Fatalf("attempt %d: %+v, want the handshake query", i+1, p.Msg)
+			}
+		}
+		checkCounters(t, g.node, 3, 0)
+	})
+}
+
+// TestSendCountersSplitByClass queues mixes of data and control packets
+// of several sizes on a batch, more than one queue's worth at a time,
+// and checks after every flush that the class counters add up to Sent
+// and match what the peer received of each class, also when one
+// datagram of a flush is refused by the kernel.
+func TestSendCountersSplitByClass(t *testing.T) {
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	sinkA, badA := flow.MakeAddr(10, 0, 2, 1), flow.MakeAddr(10, 0, 2, 2)
+	n, err := NewNode(NodeConfig{Addr: gwA, Name: "tx",
+		// Port 0 is no destination: the kernel refuses the send (EINVAL).
+		Book: Book{sinkA: sink.LocalAddr().String(), badA: "127.0.0.1:0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	tx, err := newSockBatch(n.conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := flow.PairLabel(flow.MakeAddr(30, 0, 0, 1), victimA)
+	build := func(kind int, seq uint16) *packet.Packet {
+		switch kind {
+		case 0:
+			return packet.NewData(flow.MakeAddr(20, 0, 0, 1), victimA, flow.ProtoUDP, seq, 80, 100)
+		case 1:
+			return packet.NewControl(agwA, victimA, &packet.VerifyReply{Flow: label, Nonce: uint64(seq)})
+		default:
+			return packet.NewControl(victimA, agwA, &packet.FilterReq{Stage: packet.StageToAttackerGW, Flow: label,
+				Duration: time.Second, Victim: victimA, Txid: uint64(seq),
+				Evidence: make([]packet.RREntry, 1+int(seq)%packet.MaxEvidenceLen)})
+		}
+	}
+	var nCtrl, nData uint64
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		// Up to one and a half queues' worth, and every tenth flush
+		// with one datagram to badA.
+		k := 1 + rng.Intn(batchSlots+batchSlots/2)
+		bad := -1
+		if round%10 == 9 {
+			bad = rng.Intn(k)
+		}
+		var want []*packet.Packet
+		var refused int
+		for j := 0; j < k; j++ {
+			p := build(rng.Intn(3), uint16(round*100+j))
+			to := sinkA
+			if j == bad {
+				to = badA
+			} else {
+				want = append(want, p)
+			}
+			// A send that finds the queue full flushes it first, and
+			// reports that flush's refusal.
+			if err := n.sendTo(to, p, tx); err != nil {
+				refused++
+			}
+		}
+		if err := n.flush(tx); err != nil {
+			refused++
+		}
+		wantRefused := 0
+		if bad >= 0 {
+			wantRefused = 1
+		}
+		if refused != wantRefused {
+			t.Fatalf("round %d: %d sends or flushes failed, want %d", round, refused, wantRefused)
+		}
+		for i, p := range readPackets(t, sink, len(want)) {
+			w := want[i]
+			if p.IsControl() != w.IsControl() || p.SrcPort != w.SrcPort || p.Dst != w.Dst {
+				t.Fatalf("round %d, datagram %d: %+v, want %+v", round, i, p, w)
+			}
+			if p.IsControl() {
+				nCtrl++
+			} else {
+				nData++
+			}
+		}
+		checkCounters(t, n, nCtrl, nData)
+	}
+	expectQuiet(t, sink)
 }

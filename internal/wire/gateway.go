@@ -133,10 +133,14 @@ type Gateway struct {
 
 	// The reliable control plane, all under mu: ladder retransmits
 	// protocol sends, hs holds the attacker-side handshakes, and dedup
-	// remembers recently seen (source, txid) pairs.
+	// remembers recently seen (source, txid) pairs. tx is the read
+	// batch the packet being handled came in, for the span of that
+	// handling, so that the ladder's sends join the batch's flush; it
+	// is nil otherwise, and a send from a timer leaves at once.
 	ladder *ctrl.Ladder
 	hs     *ctrl.Ledger
 	dedup  filter.Dedup
+	tx     *sockBatch
 
 	// stats holds the control-plane counters, mutated under mu. Its
 	// data-plane fields are the two atomics below: the receive goroutine
@@ -221,10 +225,12 @@ func (g *Gateway) after(d time.Duration, fn func()) (cancel func()) {
 	})
 }
 
-// transmit originates one control packet; Originate marshals
-// synchronously, so the shell is recycled on return.
+// transmit originates one control packet, queued on g.tx while a read
+// batch is being handled and sent at once otherwise. Either way it is
+// marshalled synchronously, so the shell is recycled on return. Called
+// under mu.
 func (g *Gateway) transmit(p *packet.Packet) {
-	if err := g.node.Originate(p); err != nil {
+	if err := g.node.originate(p, g.tx); err != nil {
 		g.logf("control send: %v", err)
 	}
 	p.Release()
@@ -310,34 +316,41 @@ func (g *Gateway) policer(peer flow.Addr) *filter.Policer {
 
 // Handle implements Handler. Control packets take the gateway lock;
 // data packets take the concurrent data-plane fast path inline on the
-// calling goroutine.
+// calling goroutine. Whatever either sends leaves at once.
 func (g *Gateway) Handle(n *Node, p *packet.Packet, from flow.Addr) {
 	if p.IsControl() {
-		// Control handling is synchronous and retains at most p.Msg
-		// (which Release does not recycle) and copies of its fields, so
-		// the shell goes back to the pool on return; Forward marshals
-		// before returning.
-		defer p.Release()
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		if p.Dst == n.Addr() {
-			g.handleControl(p, from)
-			return
-		}
-		if err := n.Forward(p); err != nil {
-			g.logf("forward control: %v", err)
-		}
+		g.control(n, p, from, nil)
 		return
 	}
 	g.finishData(p, g.dp.ClassifyTuple(p.Tuple(), int(p.PayloadLen)), nil)
 }
 
+// control handles one control packet under mu: the gateway's own, or
+// one in transit. With tx non-nil every send it makes is queued on tx
+// for the caller to flush. Control handling is synchronous and retains
+// at most p.Msg (which Release does not recycle) and copies of its
+// fields, so the shell goes back to the pool on return; a send marshals
+// before returning.
+func (g *Gateway) control(n *Node, p *packet.Packet, from flow.Addr, tx *sockBatch) {
+	g.mu.Lock()
+	g.tx = tx
+	if p.Dst == n.Addr() {
+		g.handleControl(p, from)
+	} else if err := n.forward(p, tx); err != nil {
+		g.logf("forward control: %v", err)
+	}
+	g.tx = nil
+	g.mu.Unlock()
+	p.Release()
+}
+
 // handleBatch implements batchHandler: Handle over everything one
-// read-loop wakeup took from the socket, in arrival order. Each run of
-// data packets is classified with one ClassifyInto and its forwards
-// leave in one flush, before the control packet behind it is looked
-// at: a filter that packet installs cannot catch up with, and nothing
-// it sends can overtake, the data that arrived ahead of it.
+// read-loop wakeup took from the socket, in arrival order, with every
+// send queued on tx and one flush at the end. Each run of data packets
+// is classified with one ClassifyInto and its forwards queued before
+// the control packet behind it is looked at: a filter that packet
+// installs cannot catch up with, and nothing it sends can overtake, the
+// data that arrived ahead of it.
 //
 // aitf:noalloc
 func (g *Gateway) handleBatch(n *Node, pkts []*packet.Packet, tx *sockBatch) {
@@ -348,15 +361,17 @@ func (g *Gateway) handleBatch(n *Node, pkts []*packet.Packet, tx *sockBatch) {
 			run++
 		}
 		if run == 0 {
-			g.Handle(n, pkts[0], prevHop(pkts[0]))
+			g.control(n, pkts[0], prevHop(pkts[0]), tx)
 			pkts = pkts[1:]
 			continue
 		}
 		for i, v := range g.dp.ClassifyInto(pkts[:run], verdicts[:0]) {
 			g.finishData(pkts[i], v, tx)
 		}
-		g.flushForwards(tx)
 		pkts = pkts[run:]
+	}
+	if err := n.flush(tx); err != nil {
+		g.logSendErr(err)
 	}
 }
 
@@ -364,8 +379,9 @@ func (g *Gateway) handleBatch(n *Node, pkts []*packet.Packet, tx *sockBatch) {
 // on the receive goroutine and must not take the gateway lock. The
 // gateway owns data packets decoded by its read loop, so every terminal
 // outcome releases the shell back to the packet pool (forward marshals
-// synchronously; nothing retains p). With tx non-nil the forward is
-// queued on it for the caller to flush.
+// synchronously; nothing retains p). With tx non-nil the forward, and
+// any request a detection sends, are queued on it for the caller to
+// flush.
 //
 // aitf:noalloc
 func (g *Gateway) finishData(p *packet.Packet, v dataplane.Verdict, tx *sockBatch) {
@@ -386,7 +402,7 @@ func (g *Gateway) finishData(p *packet.Packet, v dataplane.Verdict, tx *sockBatc
 	// path is safe — finishData is never invoked with the lock held.
 	if g.plane.Protects(p.Dst) {
 		if d, ok := g.plane.Observe(wallNow(), p.Tuple(), int(p.PayloadLen)); ok {
-			g.selfDetect(d, p.Path)
+			g.selfDetect(d, p.Path, tx)
 		}
 	}
 	if p.Dst == g.node.Addr() {
@@ -397,23 +413,14 @@ func (g *Gateway) finishData(p *packet.Packet, v dataplane.Verdict, tx *sockBatc
 		p.RecordRoute(g.node.Addr(), g.rec.Nonce(flow.Tuple{Src: p.Src, Dst: p.Dst}))
 	}
 	if err := g.node.forward(p, tx); err != nil {
-		g.logForwardErr(err)
+		g.logSendErr(err)
 	}
 	p.Release()
 }
 
-// flushForwards writes the forwards finishData queued on tx.
-//
-// aitf:noalloc
-func (g *Gateway) flushForwards(tx *sockBatch) {
-	if err := g.node.flush(tx); err != nil {
-		g.logForwardErr(err)
-	}
-}
-
-// logForwardErr keeps the data path's only formatting call out of the
+// logSendErr keeps the data path's only formatting call out of the
 // functions held to aitf:noalloc.
-func (g *Gateway) logForwardErr(err error) { g.logf("forward: %v", err) }
+func (g *Gateway) logSendErr(err error) { g.logf("send: %v", err) }
 
 func (g *Gateway) handleControl(p *packet.Packet, from flow.Addr) {
 	switch m := p.Msg.(type) {
@@ -454,12 +461,16 @@ func (g *Gateway) handleVerifyQuery(p *packet.Packet, m *packet.VerifyQuery) {
 // the attacker's gateway with the evidence the offending packet
 // carried, completed by this gateway's own stamp. The gateway names
 // itself as the victim so the attacker-side handshake query comes back
-// here (handleVerifyQuery).
-func (g *Gateway) selfDetect(d detect.Detection, path []packet.RREntry) {
+// here (handleVerifyQuery). With tx non-nil the relay is queued on it.
+func (g *Gateway) selfDetect(d detect.Detection, path []packet.RREntry, tx *sockBatch) {
 	now := wallNow()
 	label := d.Label.Canonical()
 	g.mu.Lock()
-	defer g.mu.Unlock()
+	g.tx = tx
+	defer func() {
+		g.tx = nil
+		g.mu.Unlock()
+	}()
 	g.stats.Detections++
 	if g.tracing() {
 		g.event(obs.EvAttackDetected, label, fmt.Sprintf("est %dB for protected client %v", d.EstBytes, d.Dst))

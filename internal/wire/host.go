@@ -99,26 +99,50 @@ func (h *Host) event(kind obs.EventKind, label flow.Label, detail string) {
 	}
 }
 
-// Handle implements Handler. Hosts never forward, so every path is
-// terminal and the pooled shell decoded by the read loop is released
-// on return (request() copies the evidence path synchronously; only
-// the Msg object, which Release does not recycle, may be retained).
-func (h *Host) Handle(n *Node, p *packet.Packet, _ flow.Addr) {
-	defer p.Release()
-	if p.Dst != n.Addr() {
-		return
-	}
+// Handle implements Handler: one packet, and whatever it makes the host
+// send leaves at once.
+func (h *Host) Handle(_ *Node, p *packet.Packet, _ flow.Addr) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.handle(p, nil)
+}
+
+// handleBatch implements batchHandler: everything one read-loop wakeup
+// took from the socket, in arrival order under one hold of mu, with the
+// requests and verification replies it sends queued on tx and flushed
+// once mu is released.
+//
+// aitf:noalloc
+func (h *Host) handleBatch(n *Node, pkts []*packet.Packet, tx *sockBatch) {
+	h.mu.Lock()
+	for _, p := range pkts {
+		h.handle(p, tx)
+	}
+	h.mu.Unlock()
+	if err := n.flush(tx); err != nil {
+		h.logf("send: %v", err)
+	}
+}
+
+// handle treats one packet under mu, queueing what it sends on tx when
+// tx is non-nil. Hosts never forward, so every path is terminal and the
+// pooled shell decoded by the read loop is released on return
+// (request() copies the evidence path synchronously; only the Msg
+// object, which Release does not recycle, may be retained).
+func (h *Host) handle(p *packet.Packet, tx *sockBatch) {
+	defer p.Release()
+	if p.Dst != h.node.Addr() {
+		return
+	}
 	if p.IsControl() {
-		h.handleControl(p)
+		h.handleControl(p, tx)
 		return
 	}
 	h.stats.BytesReceived += uint64(p.PayloadLen)
-	h.observe(p)
+	h.observe(p, tx)
 }
 
-func (h *Host) observe(p *packet.Packet) {
+func (h *Host) observe(p *packet.Packet, tx *sockBatch) {
 	if h.det == nil {
 		return
 	}
@@ -130,16 +154,16 @@ func (h *Host) observe(p *packet.Packet) {
 	case asked && now < exp:
 		// Already requested; the gateway's shadow handles recurrences.
 	case asked:
-		h.request(label, p.Path, now) // re-request after expiry
+		h.request(label, p.Path, now, tx) // re-request after expiry
 	case detected:
 		if h.tracing() {
 			h.event(obs.EvAttackDetected, label, "undesired flow from "+p.Src.String())
 		}
-		h.request(label, p.Path, now)
+		h.request(label, p.Path, now, tx)
 	}
 }
 
-func (h *Host) request(label flow.Label, evidence []packet.RREntry, now sim.Time) {
+func (h *Host) request(label flow.Label, evidence []packet.RREntry, now sim.Time, tx *sockBatch) {
 	h.wanted[label.Key()] = now + h.cfg.Timers.T
 	h.stats.RequestsSent++
 	if h.tracing() {
@@ -153,13 +177,13 @@ func (h *Host) request(label flow.Label, evidence []packet.RREntry, now sim.Time
 		Victim:   h.node.Addr(),
 		Evidence: append([]packet.RREntry(nil), evidence...),
 	})
-	if err := h.node.Originate(req); err != nil {
+	if err := h.node.originate(req, tx); err != nil {
 		h.logf("request: %v", err)
 	}
-	req.Release() // Originate marshals synchronously; recycle the shell
+	req.Release() // originate marshals synchronously; recycle the shell
 }
 
-func (h *Host) handleControl(p *packet.Packet) {
+func (h *Host) handleControl(p *packet.Packet, tx *sockBatch) {
 	switch m := p.Msg.(type) {
 	case *packet.VerifyQuery:
 		key := m.Flow.Canonical().Key()
@@ -169,7 +193,7 @@ func (h *Host) handleControl(p *packet.Packet) {
 			}
 			reply := packet.NewControl(h.node.Addr(), p.Src,
 				&packet.VerifyReply{Flow: m.Flow, Nonce: m.Nonce})
-			if err := h.node.Originate(reply); err != nil {
+			if err := h.node.originate(reply, tx); err != nil {
 				h.logf("reply: %v", err)
 			}
 			reply.Release()

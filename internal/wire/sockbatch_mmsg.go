@@ -23,21 +23,23 @@ const (
 	udpSegment     = 103 // UDP_SEGMENT
 	udpMaxSegments = 64  // UDP_MAX_SEGMENTS, the most one message may carry
 
-	// maxDataBytes is the longest data packet: a header and
-	// packet.MaxPathLen route-record entries. Only data packets are
-	// queued (see Node.sendTo).
-	maxDataBytes = 3 + packet.HeaderBytes + 1 + packet.MaxPathLen*packet.RREntryBytes + 1
+	// maxSegBytes is the longest datagram a run may coalesce: the
+	// longest data packet, a header and packet.MaxPathLen route-record
+	// entries. Short control packets (verification queries and replies,
+	// stop orders) coalesce too; a longer one, such as a filtering
+	// request with its evidence path, leaves as a message of its own.
+	maxSegBytes = 3 + packet.HeaderBytes + 1 + packet.MaxPathLen*packet.RREntryBytes + 1
 )
 
 // A coalesced run is at most batchSlots segments, within the kernel's
-// UDP_MAX_SEGMENTS, of at most maxDataBytes each: far inside the 64 KB
+// UDP_MAX_SEGMENTS, of at most maxSegBytes each: far inside the 64 KB
 // that one GSO payload may hold, and each segment with its IPv4 and UDP
 // headers under any Ethernet MTU. A change to either side that breaks
 // this fails to compile here.
 const (
 	_ = uint(udpMaxSegments - batchSlots)
-	_ = uint(0xffff - 20 - 8 - batchSlots*maxDataBytes)
-	_ = uint(1500 - 20 - 8 - maxDataBytes)
+	_ = uint(0xffff - 20 - 8 - batchSlots*maxSegBytes)
+	_ = uint(1500 - 20 - 8 - maxSegBytes)
 )
 
 // mmsghdr is struct mmsghdr of <sys/socket.h>, the element recvmmsg
@@ -81,9 +83,9 @@ type sockBatchSys struct {
 	got            int // datagrams the last recvmmsg returned
 	// flush progress: the queue laid out as messages txHdr[:end], of
 	// which txHdr[off] is the next to send and starts at datagram next.
-	off, end, next int
-	sent, msgs     int           // datagrams and messages the socket took
-	errno          syscall.Errno // first failure of the call in progress
+	off, end, next   int
+	data, ctrl, msgs int           // datagrams by class, and messages, the socket took
+	errno            syscall.Errno // first failure of the call in progress
 }
 
 func (b *sockBatch) sysInit() error {
@@ -165,32 +167,33 @@ func (b *sockBatch) recvmmsg(fd uintptr) bool {
 
 // flush writes the queued datagrams, each to its own destination, in
 // as few sendmmsg calls as the kernel allows: one message per
-// same-destination, same-size run, segmented by the kernel where it
-// supports UDP_SEGMENT. It returns how many datagrams and how many
-// messages the socket took, and the first error.
+// same-destination, same-size run of datagrams no longer than
+// maxSegBytes, segmented by the kernel where it supports UDP_SEGMENT.
+// It returns how many data and how many control datagrams, and how
+// many messages, the socket took, and the first error.
 //
 // aitf:noalloc
-func (b *sockBatch) flush() (sent, msgs int, err error) {
+func (b *sockBatch) flush() (data, ctrl, msgs int, err error) {
 	s := &b.sys
 	for i := 0; i < b.txN; i++ {
 		s.txIov[i].SetLen(b.txLen[i])
 	}
-	s.off, s.next, s.sent, s.msgs, s.errno = 0, 0, 0, 0, 0
+	s.off, s.next, s.data, s.ctrl, s.msgs, s.errno = 0, 0, 0, 0, 0, 0
 	s.end = b.group(0, 0)
 	err = s.rc.Write(s.sendFn)
 	b.txN = 0
 	if err == nil && s.errno != 0 {
 		err = errnoErr(s.errno)
 	}
-	return s.sent, s.msgs, err
+	return s.data, s.ctrl, s.msgs, err
 }
 
 // group lays the queued datagrams from the i-th on out as messages from
 // txHdr[m] on, and returns the index past the last one. A message is a
 // maximal run of consecutive datagrams with the same destination and
-// the same length, or a single datagram while gso is off. The run's
-// datagrams sit in consecutive slots, so its message gathers the
-// consecutive iovecs txIov[i:i+k].
+// the same length, at most maxSegBytes, or a single datagram while gso
+// is off or for a longer one. The run's datagrams sit in consecutive
+// slots, so its message gathers the consecutive iovecs txIov[i:i+k].
 //
 // aitf:noalloc
 func (b *sockBatch) group(m, i int) int {
@@ -198,7 +201,7 @@ func (b *sockBatch) group(m, i int) int {
 	for ; i < b.txN; m++ {
 		to, size := b.txTo[i], b.txLen[i]
 		k := 1
-		for s.gso && i+k < b.txN && b.txTo[i+k] == to && b.txLen[i+k] == size {
+		for s.gso && size <= maxSegBytes && i+k < b.txN && b.txTo[i+k] == to && b.txLen[i+k] == size {
 			k++
 		}
 		h := &s.txHdr[m].hdr
@@ -253,7 +256,13 @@ func (b *sockBatch) sendmmsg(fd uintptr) bool {
 		switch e {
 		case 0:
 			for _, k := range s.txSegs[s.off : s.off+int(r)] {
-				s.sent += k
+				for _, c := range b.txCtrl[s.next : s.next+k] {
+					if c {
+						s.ctrl++
+					} else {
+						s.data++
+					}
+				}
 				s.next += k
 			}
 			s.off += int(r)

@@ -52,25 +52,36 @@ func newFlushRig(t *testing.T, listen string) *flushRig {
 	return r
 }
 
-// send queues mix, flushes it through the node, and checks that each
-// sink reads its datagrams byte-identical and in queue order. It
-// returns how many kernel messages the flush took.
+// send queues mix as data packets, flushes it through the node, and
+// checks that each sink reads its datagrams byte-identical and in queue
+// order. It returns how many kernel messages the flush took.
 func (r *flushRig) send(t *testing.T, mix []queued) int {
+	t.Helper()
+	pkts := make([]*packet.Packet, len(mix))
+	sinks := make([]int, len(mix))
+	for i, q := range mix {
+		r.seq++
+		pkts[i] = packet.NewData(flow.MakeAddr(20, 0, 0, 1), flow.MakeAddr(10, 0, 0, 2), flow.ProtoUDP, r.seq, 80, 100)
+		for j := 0; j < q.size; j++ {
+			pkts[i].RecordRoute(flow.MakeAddr(10, 0, 0, byte(3+j)), uint64(r.seq))
+		}
+		sinks[i] = q.sink
+	}
+	return r.sendPackets(t, pkts, sinks)
+}
+
+// sendPackets is send for any packets, pkts[i] queued for sink sinks[i].
+func (r *flushRig) sendPackets(t *testing.T, pkts []*packet.Packet, sinks []int) int {
 	t.Helper()
 	var want [2][][]byte
 	msgs0 := r.n.SendMsgs.Load()
-	for _, q := range mix {
-		r.seq++
-		p := packet.NewData(flow.MakeAddr(20, 0, 0, 1), flow.MakeAddr(10, 0, 0, 2), flow.ProtoUDP, r.seq, 80, 100)
-		for j := 0; j < q.size; j++ {
-			p.RecordRoute(flow.MakeAddr(10, 0, 0, byte(3+j)), uint64(r.seq))
-		}
+	for i, p := range pkts {
 		b, err := packet.Marshal(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[q.sink] = append(want[q.sink], b)
-		if err := r.tx.queue(p, r.to[q.sink]); err != nil {
+		want[sinks[i]] = append(want[sinks[i]], b)
+		if err := r.tx.queue(p, r.to[sinks[i]]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,12 +119,13 @@ func runs(mix []queued) int {
 }
 
 // TestFlushCoalescesRuns checks that a flush sends each maximal run of
-// same-destination, same-size datagrams as one kernel message where the
-// socket segments (and one message per datagram where it does not), and
-// that either way every sink reads exactly what was queued for it, in
-// queue order. It covers an AF_INET socket and a dual-stack one that
-// writes v4-mapped destinations, and the switch to one datagram a
-// message when the kernel turns a segmented message down.
+// same-destination, same-size datagrams no longer than maxSegBytes as
+// one kernel message where the socket segments (and one message per
+// datagram where it does not, or for a longer one), and that either way
+// every sink reads exactly what was queued for it, in queue order. It
+// covers an AF_INET socket and a dual-stack one that writes v4-mapped
+// destinations, and the switch to one datagram a message when the
+// kernel turns a segmented message down.
 func TestFlushCoalescesRuns(t *testing.T) {
 	fixed := []queued{
 		{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, // 5 equal to sink A
@@ -140,6 +152,40 @@ func TestFlushCoalescesRuns(t *testing.T) {
 			}
 			if sent, data := r.n.Sent.Load(), r.n.DataSent.Load(); sent != 11 || data != 11 {
 				t.Fatalf("Sent %d, DataSent %d, want 11 and 11", sent, data)
+			}
+
+			// Control packets: a run of the longest filtering requests
+			// leaves one message each, a run of verification replies as
+			// one message where the socket segments.
+			const k = 6
+			long, replies := make([]*packet.Packet, k), make([]*packet.Packet, k)
+			label := flow.PairLabel(flow.MakeAddr(30, 0, 0, 1), flow.MakeAddr(10, 0, 0, 2))
+			for i := range long {
+				path := make([]packet.RREntry, packet.MaxPathLen)
+				long[i] = packet.NewControl(flow.MakeAddr(10, 0, 0, 2), flow.MakeAddr(10, 9, 0, 1), &packet.FilterReq{
+					Stage: packet.StageToAttackerGW, Flow: label, Duration: time.Second, Round: 1,
+					Victim: flow.MakeAddr(10, 0, 0, 2), Evidence: path, Txid: uint64(i)})
+				long[i].Path = path
+				replies[i] = packet.NewControl(flow.MakeAddr(10, 0, 0, 2), flow.MakeAddr(10, 9, 0, 1),
+					&packet.VerifyReply{Flow: label, Nonce: uint64(i)})
+			}
+			if b, _ := packet.Marshal(long[0]); len(b) <= maxSegBytes {
+				t.Fatalf("the longest filtering request is %d bytes, within maxSegBytes %d", len(b), maxSegBytes)
+			}
+			oneSink := make([]int, k)
+			ctrl0 := r.n.CtrlSent.Load()
+			if got := r.sendPackets(t, long, oneSink); got != k {
+				t.Fatalf("%d same-size filtering requests of the longest kind took %d kernel messages, want %d", k, got, k)
+			}
+			wantReplies := k
+			if probed {
+				wantReplies = 1
+			}
+			if got := r.sendPackets(t, replies, oneSink); got != wantReplies {
+				t.Fatalf("%d verification replies took %d kernel messages, want %d", k, got, wantReplies)
+			}
+			if ctrl := r.n.CtrlSent.Load() - ctrl0; ctrl != 2*k {
+				t.Fatalf("CtrlSent grew by %d, want %d", ctrl, 2*k)
 			}
 
 			r.tx.sys.gso = false

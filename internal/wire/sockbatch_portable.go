@@ -22,19 +22,22 @@ func (b *sockBatch) read() (int, error) {
 }
 
 // flush writes the queued datagrams one call each. It returns how many
-// datagrams, and as many messages, the socket took, and the first error.
-func (b *sockBatch) flush() (int, int, error) {
-	var sent int
-	var first error
+// data and how many control datagrams, and as many messages, the socket
+// took, and the first error.
+func (b *sockBatch) flush() (data, ctrl, msgs int, err error) {
 	for i := 0; i < b.txN; i++ {
-		if _, err := b.conn.WriteToUDPAddrPort(b.slot(i)[:b.txLen[i]], b.txTo[i]); err != nil {
-			if first == nil {
-				first = err
+		if _, werr := b.conn.WriteToUDPAddrPort(b.slot(i)[:b.txLen[i]], b.txTo[i]); werr != nil {
+			if err == nil {
+				err = werr
 			}
 			continue
 		}
-		sent++
+		if b.txCtrl[i] {
+			ctrl++
+		} else {
+			data++
+		}
 	}
 	b.txN = 0
-	return sent, sent, first
+	return data, ctrl, data + ctrl, err
 }

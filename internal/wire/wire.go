@@ -16,12 +16,14 @@
 // nothing and takes no lock. Its socket I/O is batched: a read-loop
 // wakeup takes every datagram waiting on the socket, up to 32, with one
 // recvmmsg; the gateway classifies each run of data packets with one
-// dataplane.ClassifyInto; and their forwards leave in one sendmmsg,
-// one message per same-destination, same-size run, segmented by the
-// kernel where it supports UDP_SEGMENT. Arrival order on a socket is
-// kept: a control packet in a batch is handled only after the data
-// ahead of it has been written out. A handler without a batch form
-// (Host) gets the same datagrams one Handle at a time.
+// dataplane.ClassifyInto; and everything the wakeup sends, forwards and
+// control messages alike, leaves in one sendmmsg at its end, one
+// message per same-destination, same-size run of short datagrams,
+// segmented by the kernel where it supports UDP_SEGMENT. Arrival order
+// on a socket is kept: the queue is first in, first out, and a control
+// packet is handled only after the data ahead of it has been classified
+// and queued. A handler without a batch form gets the same datagrams
+// one Handle at a time.
 // recvmmsg/sendmmsg and UDP segmentation offload are Linux
 // (sockbatch_mmsg.go, linux on amd64 and arm64); everywhere else
 // sockbatch_portable.go reads one datagram per wakeup and writes the
@@ -100,11 +102,10 @@ type Handler interface {
 
 // batchHandler is the optional fast path of a Handler. The read loop
 // hands it every datagram one wakeup took from the socket, decoded and
-// in arrival order, together with the batch the forwards may be queued
-// on (Node.forward). The handler owns the packets, must treat them in
-// order, and must flush tx (Node.flush) before it handles a control
-// packet and before it returns, so that nothing queued is overtaken or
-// left behind.
+// in arrival order, together with the batch its sends may be queued on
+// (Node.forward, Node.originate). The handler owns the packets, must
+// treat them in order, and must flush tx (Node.flush) before it
+// returns, so that nothing queued is left behind.
 type batchHandler interface {
 	handleBatch(n *Node, pkts []*packet.Packet, tx *sockBatch)
 }
@@ -159,8 +160,9 @@ type Node struct {
 	CtrlSent, DataSent     atomic.Uint64 // aitf:atomic
 	CtrlReceived, DataRecv atomic.Uint64 // aitf:atomic
 	// SendMsgs counts the messages the kernel took: one per direct
-	// send, and one per run a flush coalesced (see sockBatch.flush), so
-	// Sent/SendMsgs is the datagrams per kernel send.
+	// send, one per datagram a flush sent alone, and one per run it
+	// coalesced (see sockBatch.flush), so Sent/SendMsgs is the
+	// datagrams per kernel send.
 	SendMsgs atomic.Uint64 // aitf:atomic
 	// Undecodable counts datagrams the read loop dropped before any
 	// handler saw them: not a packet of this wire format, or longer
@@ -300,23 +302,27 @@ const (
 
 // sockBatch is the read loop's socket I/O: one read fills slots with
 // the datagrams waiting on the socket, and once those are decoded the
-// same slots carry the forwards queued for one write. How both reach
-// the kernel is the platform's half (newSockBatch's sys, read, flush):
-// recvmmsg and sendmmsg where they exist, one datagram per call
-// elsewhere. sendmmsg sends one message per same-destination, same-size
-// run, segmented by the kernel where it supports UDP_SEGMENT. It
-// belongs to the read-loop goroutine.
+// same slots carry what handling them sends, data and control, queued
+// for one write. How both reach the kernel is the platform's half
+// (newSockBatch's sys, read, flush): recvmmsg and sendmmsg where they
+// exist, one datagram per call elsewhere. sendmmsg sends one message
+// per same-destination, same-size run of datagrams no longer than
+// maxSegBytes, segmented by the kernel where it supports UDP_SEGMENT,
+// and each longer datagram as a message of its own. It belongs to the
+// read-loop goroutine.
 type sockBatch struct {
 	conn *net.UDPConn
 	buf  []byte // batchSlots slots of slotSize bytes
 	// rxLen[i] is the length of the i-th datagram of the last read;
 	// above slotSize, the datagram did not fit its slot.
 	rxLen [batchSlots]int
-	// The first txN slots hold marshalled datagrams queued for txTo.
-	txLen [batchSlots]int
-	txTo  [batchSlots]netip.AddrPort
-	txN   int
-	sys   sockBatchSys
+	// The first txN slots hold marshalled datagrams queued for txTo;
+	// txCtrl marks the control packets among them, for the counters.
+	txLen  [batchSlots]int
+	txTo   [batchSlots]netip.AddrPort
+	txCtrl [batchSlots]bool
+	txN    int
+	sys    sockBatchSys
 }
 
 func newSockBatch(conn *net.UDPConn) (*sockBatch, error) {
@@ -333,10 +339,9 @@ func (b *sockBatch) slot(i int) []byte {
 	return b.buf[i*slotSize : (i+1)*slotSize : (i+1)*slotSize]
 }
 
-// queue marshals the data packet p into the next free slot, to leave
-// for to with the next flush. A batch never queues more than the
-// batchSlots datagrams it read, and a data packet is a header and at
-// most packet.MaxPathLen route-record entries, well inside a slot.
+// queue marshals p, a data or a control packet, into the next free
+// slot, to leave for to with the next flush. The caller keeps a free
+// slot (see Node.sendTo). Every packet the codec encodes fits a slot.
 //
 // aitf:noalloc
 func (b *sockBatch) queue(p *packet.Packet, to netip.AddrPort) error {
@@ -344,22 +349,23 @@ func (b *sockBatch) queue(p *packet.Packet, to netip.AddrPort) error {
 	if err != nil {
 		return err
 	}
-	b.txLen[b.txN], b.txTo[b.txN] = len(enc), to
+	b.txLen[b.txN], b.txTo[b.txN], b.txCtrl[b.txN] = len(enc), to, p.IsControl()
 	b.txN++
 	return nil
 }
 
-// flush writes what tx has queued, all of it data packets (see sendTo),
-// and counts the datagrams and the kernel messages the socket took.
+// flush writes what tx has queued and counts, by class, the datagrams
+// the socket took, and the kernel messages they took.
 //
 // aitf:noalloc
 func (n *Node) flush(tx *sockBatch) error {
 	if tx.txN == 0 {
 		return nil
 	}
-	sent, msgs, err := tx.flush()
-	n.Sent.Add(uint64(sent))
-	n.DataSent.Add(uint64(sent))
+	data, ctrl, msgs, err := tx.flush()
+	n.Sent.Add(uint64(data + ctrl))
+	n.DataSent.Add(uint64(data))
+	n.CtrlSent.Add(uint64(ctrl))
 	n.SendMsgs.Add(uint64(msgs))
 	return err
 }
@@ -379,10 +385,11 @@ var encBufPool = sync.Pool{New: func() any {
 // node owning addr.
 func (n *Node) SendTo(addr flow.Addr, p *packet.Packet) error { return n.sendTo(addr, p, nil) }
 
-// sendTo is SendTo or, with tx non-nil, a deferred SendTo of a data
-// packet: p is marshalled now and leaves with the batch's next flush,
-// which also counts it. The queue carries IPv4 socket addresses only;
-// any other endpoint is written at once.
+// sendTo is SendTo or, with tx non-nil, a deferred SendTo: p is
+// marshalled now and leaves with the batch's next flush, which also
+// counts it. A full queue is flushed first, and an error of that flush
+// is returned as this send's. The queue carries IPv4 socket addresses
+// only; any other endpoint is written at once.
 //
 // aitf:noalloc
 func (n *Node) sendTo(addr flow.Addr, p *packet.Packet, tx *sockBatch) error {
@@ -394,7 +401,14 @@ func (n *Node) sendTo(addr flow.Addr, p *packet.Packet, tx *sockBatch) error {
 		return ep.err
 	}
 	if tx != nil && ep.to.Addr().Is4() {
-		return tx.queue(p, ep.to)
+		var ferr error
+		if tx.txN == batchSlots {
+			ferr = n.flush(tx)
+		}
+		if err := tx.queue(p, ep.to); err != nil {
+			return err
+		}
+		return ferr
 	}
 	bp := encBufPool.Get().(*[]byte)
 	b, err := packet.AppendMarshal((*bp)[:0], p)
@@ -439,7 +453,13 @@ func (n *Node) forward(p *packet.Packet, tx *sockBatch) error {
 }
 
 // Originate injects a locally generated packet, stamping the source.
-func (n *Node) Originate(p *packet.Packet) error {
+func (n *Node) Originate(p *packet.Packet) error { return n.originate(p, nil) }
+
+// originate is Originate with the send deferred to tx's next flush when
+// tx is non-nil (see sendTo).
+//
+// aitf:noalloc
+func (n *Node) originate(p *packet.Packet, tx *sockBatch) error {
 	if p.Src == 0 {
 		p.Src = n.cfg.Addr
 	}
@@ -447,7 +467,7 @@ func (n *Node) Originate(p *packet.Packet) error {
 	if !ok {
 		return errNoRoute(p.Dst)
 	}
-	return n.SendTo(hop, p)
+	return n.sendTo(hop, p, tx)
 }
 
 // timerSet manages cancellable real-time timers under the owner's lock
