@@ -69,10 +69,11 @@
 //
 // With "snapshot_path" set in the gateway object, the drain also
 // writes the gateway's durable state — filter table, shadow cache,
-// in-flight handshakes, counters — to that file, and the next boot
-// restores it with every original deadline honored (downtime is
-// charged against each entry's remaining lifetime), so a daemon
-// restart mid-attack keeps filtering. "ctrl_max_attempts",
+// in-flight handshakes, counters — to that file (readable by its
+// owner only), and the next boot restores it with every original
+// deadline honored (every instant moves by one offset that charges the
+// downtime), so a daemon restart mid-attack keeps filtering. A file
+// in an older format is refused, and the daemon boots fresh. "ctrl_max_attempts",
 // "ctrl_rto_ms", and "ctrl_jitter" arm bounded control-plane
 // retransmission with exponential backoff; receivers drop duplicate
 // deliveries by transaction id, so retries never double-install a

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -348,19 +349,26 @@ func TestHostFinalSnapshot(t *testing.T) {
 	}
 }
 
-// TestDaemonRestartRestoresFilters drives the full snapshot-on-drain /
-// restore-on-boot path through the daemon: a gateway with a
-// snapshot_path is stopped mid-lifetime and booted again from the same
-// config, and its filters come back with their deadlines intact.
-func TestDaemonRestartRestoresFilters(t *testing.T) {
-	dir := t.TempDir()
+// restartRig writes a gateway config with a snapshot_path, returning
+// the config's path and the snapshot's.
+func restartRig(t *testing.T) (cfgPath, snapPath string) {
+	t.Helper()
+	snapPath = filepath.Join(t.TempDir(), "gw.snapshot.json")
 	cfgBody := fmt.Sprintf(`{
 	  "role": "gateway", "addr": "10.0.0.1", "name": "g",
 	  "listen": "127.0.0.1:0", "book": {}, "routes": {},
 	  "gateway": {"secret": "s", "snapshot_path": %q,
 	              "ctrl_max_attempts": 3, "ctrl_rto_ms": 50}
-	}`, filepath.Join(dir, "gw.snapshot.json"))
-	path := writeCfg(t, "gw.json", cfgBody)
+	}`, snapPath)
+	return writeCfg(t, "gw.json", cfgBody), snapPath
+}
+
+// TestDaemonRestartRestoresFilters drives the full snapshot-on-drain /
+// restore-on-boot path through the daemon: a gateway with a
+// snapshot_path is stopped mid-lifetime and booted again from the same
+// config, and its filters come back with their deadlines intact.
+func TestDaemonRestartRestoresFilters(t *testing.T) {
+	path, _ := restartRig(t)
 
 	d, err := start(path, discardLogger())
 	if err != nil {
@@ -387,5 +395,43 @@ func TestDaemonRestartRestoresFilters(t *testing.T) {
 	}
 	if _, ok := d2.gw.Filters().Lookup(label, d2.gw.DataPlane().Now()); !ok {
 		t.Fatal("filter missing after daemon restart")
+	}
+}
+
+// TestDaemonBootsFreshOnV1Snapshot: a snapshot in the refused version 1
+// format (written by an earlier build, kept under internal/wire/testdata)
+// is logged with its version error, the daemon boots fresh, and its
+// next drain writes the current version over it.
+func TestDaemonBootsFreshOnV1Snapshot(t *testing.T) {
+	path, snapPath := restartRig(t)
+	raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "wire", "testdata", "v1.snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapPath, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var logBuf bytes.Buffer
+	d, err := start(path, slog.New(slog.NewTextHandler(&logBuf, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := d.gw.Stats(); st.SnapshotRestores != 0 || st.HandshakesStarted != 0 || d.gw.Filters().Len() != 0 {
+		t.Fatalf("v1 snapshot restored state: %+v, %d filters", st, d.gw.Filters().Len())
+	}
+	d.beginDrain()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(logBuf.Bytes(), []byte("snapshot version 1, want 2")) {
+		t.Fatalf("boot did not log the version error:\n%s", logBuf.String())
+	}
+	raw, err = os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var head struct{ Version int }
+	if err := json.Unmarshal(raw, &head); err != nil || head.Version != 2 {
+		t.Fatalf("drain wrote version %d (%v), want 2", head.Version, err)
 	}
 }

@@ -1,20 +1,19 @@
 package core
 
 // Gateway snapshot/restore: the crash-survival path. Snapshot
-// serializes everything a gateway must remember — the filter table,
-// the shadow cache, protocol counters, and every in-flight pending
-// (handshakes, compliance checks, escalation watches) with its
-// absolute deadline. Restore rebuilds that state into a freshly
-// attached gateway and re-arms each timer at its original deadline,
-// so a daemon restart mid-attack keeps filtering: no filter expires
-// early, none lives past the deadline it was originally granted.
+// serializes everything a gateway must remember — the state the daemon
+// shares (internal/durable: filters, shadows, handshakes, aggregates,
+// the cluster log), protocol counters, and the simulator's own
+// compliance checks and escalation watches — with absolute deadlines.
+// Restore rebuilds that state into a freshly attached gateway on the
+// clock it was captured on (durable's offset is 0 here) and re-arms
+// each timer at its original deadline: no filter expires early, none
+// lives past the deadline it was originally granted.
 
 import (
 	"sort"
 
-	"aitf/internal/alloc"
-	"aitf/internal/cluster"
-	"aitf/internal/ctrl"
+	"aitf/internal/durable"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
@@ -53,47 +52,29 @@ type DisconnectSnapshot struct {
 }
 
 // GatewaySnapshot is a point-in-time serialization of a gateway's
-// durable protocol state. All times are absolute virtual times; the
-// wire runtime's on-disk form converts them to remaining durations
-// (see internal/wire).
+// durable protocol state: the state the daemon shares (durable.State,
+// all times absolute virtual times) plus the simulator's own watches,
+// compliance checks and disconnections.
 type GatewaySnapshot struct {
-	TakenAt      sim.Time
+	durable.State
 	Stats        GatewayStats
-	Filters      []filter.Entry
-	Shadows      []filter.ShadowEntry
 	Watches      []WatchSnapshot
-	Pendings     []ctrl.Pending // attacker-side handshakes in flight
 	Compliance   []ComplianceSnapshot
-	Aggregates   []alloc.Aggregate
 	Disconnected []DisconnectSnapshot
-	// NextTxid continues the ladder's txid sequence so post-restore
-	// sends cannot collide with pre-crash ones inside a receiver's
-	// dedup window.
-	NextTxid uint64
-	// Cluster is the cluster overlay's durable state (replicated log,
-	// replica liveness, log positions, counters); nil when clustering
-	// is disabled. Detection engines are volatile by design — the
-	// merged sweep re-acquires attacks from live traffic.
-	Cluster *cluster.State
 }
 
 func labelLess(a, b flow.Label) bool { return a.String() < b.String() }
+
+// parts are the owners of the gateway's shared durable state.
+func (g *Gateway) parts() durable.Parts {
+	return durable.Parts{DP: g.dp, Ladder: g.ladder, Ledger: g.hs, Agg: g.agg, Plane: g.plane}
+}
 
 // Snapshot captures the gateway's durable state. Output ordering is
 // deterministic (sorted by label), so snapshotting inside a seeded
 // simulation does not perturb replay fingerprints.
 func (g *Gateway) Snapshot() *GatewaySnapshot {
-	snap := &GatewaySnapshot{
-		TakenAt:  g.now(),
-		Stats:    g.Stats(),
-		Filters:  g.dp.FilterEntries(),
-		Shadows:  g.dp.ShadowEntries(),
-		Pendings: g.hs.Export(),
-		NextTxid: g.ladder.NextTxid(),
-		Cluster:  g.plane.ExportState(),
-	}
-	sort.Slice(snap.Filters, func(i, j int) bool { return labelLess(snap.Filters[i].Label, snap.Filters[j].Label) })
-	sort.Slice(snap.Shadows, func(i, j int) bool { return labelLess(snap.Shadows[i].Label, snap.Shadows[j].Label) })
+	snap := &GatewaySnapshot{State: durable.Capture(g.now(), g.parts()), Stats: g.Stats()}
 	for _, w := range g.watches {
 		snap.Watches = append(snap.Watches, WatchSnapshot{
 			Label:       w.label,
@@ -119,7 +100,6 @@ func (g *Gateway) Snapshot() *GatewaySnapshot {
 		})
 	}
 	sort.Slice(snap.Compliance, func(i, j int) bool { return labelLess(snap.Compliance[i].Label, snap.Compliance[j].Label) })
-	snap.Aggregates = g.agg.Export()
 	for n, until := range g.disconnected {
 		snap.Disconnected = append(snap.Disconnected, DisconnectSnapshot{Neighbor: n, Until: until})
 	}
@@ -160,26 +140,13 @@ func (g *Gateway) Restore(snap *GatewaySnapshot) {
 	now := g.now()
 	eng := g.node.Engine()
 	g.restoreStats(snap.Stats)
-	g.ladder.RestoreTxid(snap.NextTxid)
-	g.plane.ImportState(snap.Cluster, now)
-
-	for _, ent := range snap.Filters {
-		if ent.ExpiresAt <= now {
-			continue // lapsed during the outage: stays gone
-		}
-		if err := g.dp.AdoptFilter(ent); err != nil {
+	snap.RestoreTables(g.parts(), now, func(ent filter.Entry, err error) {
+		if err != nil {
 			g.trace(obs.EvFilterRejected, ent.Label, "restore: "+err.Error())
-			continue
+			return
 		}
-		exp := ent.ExpiresAt
-		eng.ScheduleAt(exp, func() { g.dp.Expire(g.now()) })
-	}
-	for _, ent := range snap.Shadows {
-		if ent.ExpiresAt <= now {
-			continue
-		}
-		g.dp.AdoptShadow(ent)
-	}
+		eng.ScheduleAt(ent.ExpiresAt, func() { g.dp.Expire(g.now()) })
+	})
 
 	for _, ws := range snap.Watches {
 		w := &vwatch{
@@ -205,9 +172,7 @@ func (g *Gateway) Restore(snap *GatewaySnapshot) {
 		g.scheduleWatchGC(w)
 	}
 
-	// Pending handshakes re-issue their queries with the original
-	// nonces; those whose window closed while we were down fail.
-	g.hs.Adopt(snap.Pendings)
+	snap.RestorePending(g.parts(), now)
 
 	for _, cs := range snap.Compliance {
 		comp := &compliance{
@@ -221,7 +186,6 @@ func (g *Gateway) Restore(snap *GatewaySnapshot) {
 		comp.check = eng.ScheduleAt(cs.CheckAt, func() { g.complianceCheck(comp) })
 	}
 
-	g.agg.Adopt(snap.Aggregates, now)
 	if g.agg.Len() > 0 {
 		g.armAggregateReview()
 	}

@@ -408,7 +408,20 @@ func atomicMax(a *atomic.Int64, v int64) {
 // filter.ErrTableFull and EvictSoonest displaces the engine-wide entry
 // nearest to expiry. A zero-capacity engine rejects under either policy.
 func (e *Engine) Install(label flow.Label, now, exp filter.Time) error {
-	label = label.Key()
+	return e.insertFilter(filter.Entry{Label: label, InstalledAt: now, ExpiresAt: exp}, true)
+}
+
+// AdoptFilter re-installs a snapshotted entry with its install time,
+// deadline and drop counters: the restore path after a gateway crash.
+// It is Install without the reclaim, since a restore has no "now" of
+// its own; adopting a label already present only raises its deadline.
+func (e *Engine) AdoptFilter(ent filter.Entry) error { return e.insertFilter(ent, false) }
+
+// insertFilter is Install and AdoptFilter: ent's label is refreshed to
+// ent's deadline when present, and otherwise installed as ent, after
+// reclaiming the entries dead at ent.InstalledAt when reclaim is set.
+func (e *Engine) insertFilter(ent filter.Entry, reclaim bool) error {
+	label, exp := ent.Label.Key(), ent.ExpiresAt
 	seg, isWild := e.segFor(label)
 
 	// Refresh path first: a present label consumes no new capacity and
@@ -423,8 +436,10 @@ func (e *Engine) Install(label flow.Label, now, exp filter.Time) error {
 	}
 	seg.mu.Unlock()
 
-	// Reclaim dead entries before judging occupancy.
-	e.Expire(now)
+	if reclaim {
+		// Reclaim dead entries before judging occupancy.
+		e.Expire(ent.InstalledAt)
+	}
 
 	cap64 := int64(e.cfg.FilterCapacity)
 	for attempt := 0; ; attempt++ {
@@ -435,11 +450,7 @@ func (e *Engine) Install(label flow.Label, now, exp filter.Time) error {
 			}
 			break // slot reserved
 		}
-		if e.cfg.Evict == filter.RejectNew || e.cfg.FilterCapacity == 0 || attempt >= 8 {
-			e.rejected.Add(1)
-			return fmt.Errorf("%w (capacity %d)", filter.ErrTableFull, e.cfg.FilterCapacity)
-		}
-		if !e.evictSoonest() {
+		if e.cfg.Evict == filter.RejectNew || e.cfg.FilterCapacity == 0 || attempt >= 8 || !e.evictSoonest() {
 			e.rejected.Add(1)
 			return fmt.Errorf("%w (capacity %d)", filter.ErrTableFull, e.cfg.FilterCapacity)
 		}
@@ -456,78 +467,14 @@ func (e *Engine) Install(label flow.Label, now, exp filter.Time) error {
 		e.fUsed.Add(-1)
 		return nil
 	}
-	fe := &fentry{label: pack(label), installedAt: now}
-	fe.exp.Store(int64(exp))
-	seg.fcount++
-	seg.fview.Store(seg.fview.Load().withInsert(seg.fcount, fe))
-	if seg.fcount == 1 || exp < seg.fNext {
-		seg.fNext = exp
-	}
-	if isWild {
-		e.wildFilters.Add(1)
-	}
-	seg.mu.Unlock()
-	e.installed.Add(1)
-	atomicMax(&e.fPeak, e.fUsed.Load())
-	return nil
-}
-
-// AdoptFilter re-installs a previously snapshotted entry, preserving
-// its original install time, deadline, and per-entry drop counters —
-// the restore path after a gateway crash. Capacity and eviction
-// semantics match Install, except that nothing is expired first (a
-// restore has no "now" of its own); adopting a label that is already
-// present only raises its deadline.
-func (e *Engine) AdoptFilter(ent filter.Entry) error {
-	label := ent.Label.Key()
-	seg, isWild := e.segFor(label)
-
-	seg.mu.Lock()
-	if fe := seg.fview.Load().get(label); fe != nil {
-		if ent.ExpiresAt > fe.expires() {
-			fe.exp.Store(int64(ent.ExpiresAt))
-		}
-		seg.mu.Unlock()
-		return nil
-	}
-	seg.mu.Unlock()
-
-	cap64 := int64(e.cfg.FilterCapacity)
-	for attempt := 0; ; attempt++ {
-		used := e.fUsed.Load()
-		if used < cap64 {
-			if !e.fUsed.CompareAndSwap(used, used+1) {
-				continue
-			}
-			break
-		}
-		if e.cfg.Evict == filter.RejectNew || e.cfg.FilterCapacity == 0 || attempt >= 8 {
-			e.rejected.Add(1)
-			return fmt.Errorf("%w (capacity %d)", filter.ErrTableFull, e.cfg.FilterCapacity)
-		}
-		if !e.evictSoonest() {
-			e.rejected.Add(1)
-			return fmt.Errorf("%w (capacity %d)", filter.ErrTableFull, e.cfg.FilterCapacity)
-		}
-	}
-
-	seg.mu.Lock()
-	if fe := seg.fview.Load().get(label); fe != nil {
-		if ent.ExpiresAt > fe.expires() {
-			fe.exp.Store(int64(ent.ExpiresAt))
-		}
-		seg.mu.Unlock()
-		e.fUsed.Add(-1)
-		return nil
-	}
 	fe := &fentry{label: pack(label), installedAt: ent.InstalledAt}
-	fe.exp.Store(int64(ent.ExpiresAt))
+	fe.exp.Store(int64(exp))
 	fe.drops.Store(ent.Drops)
 	fe.droppedBytes.Store(ent.DroppedBytes)
 	seg.fcount++
 	seg.fview.Store(seg.fview.Load().withInsert(seg.fcount, fe))
-	if seg.fcount == 1 || ent.ExpiresAt < seg.fNext {
-		seg.fNext = ent.ExpiresAt
+	if seg.fcount == 1 || exp < seg.fNext {
+		seg.fNext = exp
 	}
 	if isWild {
 		e.wildFilters.Add(1)
@@ -768,74 +715,26 @@ func (e *Engine) FilterEntries() []filter.Entry {
 // label first reclaims records already dead at now; it returns false,
 // counting a rejection, when the log is still full or has capacity 0.
 func (e *Engine) LogShadow(label flow.Label, victim flow.Addr, now, exp filter.Time) bool {
-	label = label.Key()
-	seg, isWild := e.segFor(label)
-
-	seg.mu.Lock()
-	if se := seg.sview.Load().get(label); se != nil {
-		if exp > se.expires() {
-			se.exp.Store(int64(exp))
-		}
-		se.victim.Store(uint32(victim))
-		seg.mu.Unlock()
-		return true
-	}
-	seg.mu.Unlock()
-
-	e.ExpireShadows(now)
-
-	cap64 := int64(e.cfg.ShadowCapacity)
-	for {
-		used := e.sUsed.Load()
-		if used >= cap64 {
-			e.sRejected.Add(1)
-			return false
-		}
-		if e.sUsed.CompareAndSwap(used, used+1) {
-			break
-		}
-	}
-
-	seg.mu.Lock()
-	if se := seg.sview.Load().get(label); se != nil {
-		if exp > se.expires() {
-			se.exp.Store(int64(exp))
-		}
-		se.victim.Store(uint32(victim))
-		seg.mu.Unlock()
-		e.sUsed.Add(-1)
-		return true
-	}
-	se := &sentry{label: pack(label), loggedAt: now}
-	se.exp.Store(int64(exp))
-	se.victim.Store(uint32(victim))
-	seg.scount++
-	seg.sview.Store(seg.sview.Load().withInsert(seg.scount, se))
-	if seg.scount == 1 || exp < seg.sNext {
-		seg.sNext = exp
-	}
-	if isWild {
-		e.wildShadows.Add(1)
-	}
-	seg.mu.Unlock()
-	e.sLogged.Add(1)
-	atomicMax(&e.sPeak, e.sUsed.Load())
-	return true
+	return e.insertShadow(filter.ShadowEntry{Label: label, LoggedAt: now, ExpiresAt: exp, Victim: victim}, true)
 }
 
-// AdoptShadow re-logs a previously snapshotted shadow entry,
-// preserving its logged time, deadline, victim, and reappearance count
-// — the restore path after a gateway crash. Returns false when the
-// cache is full. (The snapshot's Round field has no engine-side slot;
-// the protocol layer carries rounds in its own watch records.)
-func (e *Engine) AdoptShadow(ent filter.ShadowEntry) bool {
-	label := ent.Label.Key()
+// AdoptShadow re-logs a snapshotted shadow entry with its logged time,
+// deadline, victim and reappearance count: the restore path after a
+// gateway crash. It is LogShadow without the reclaim.
+func (e *Engine) AdoptShadow(ent filter.ShadowEntry) bool { return e.insertShadow(ent, false) }
+
+// insertShadow is LogShadow and AdoptShadow: ent's label is refreshed
+// to ent's deadline and victim when present, and otherwise logged as
+// ent, after reclaiming the records dead at ent.LoggedAt when reclaim
+// is set.
+func (e *Engine) insertShadow(ent filter.ShadowEntry, reclaim bool) bool {
+	label, exp := ent.Label.Key(), ent.ExpiresAt
 	seg, isWild := e.segFor(label)
 
 	seg.mu.Lock()
 	if se := seg.sview.Load().get(label); se != nil {
-		if ent.ExpiresAt > se.expires() {
-			se.exp.Store(int64(ent.ExpiresAt))
+		if exp > se.expires() {
+			se.exp.Store(int64(exp))
 		}
 		se.victim.Store(uint32(ent.Victim))
 		seg.mu.Unlock()
@@ -843,6 +742,10 @@ func (e *Engine) AdoptShadow(ent filter.ShadowEntry) bool {
 	}
 	seg.mu.Unlock()
 
+	if reclaim {
+		e.ExpireShadows(ent.LoggedAt)
+	}
+
 	cap64 := int64(e.cfg.ShadowCapacity)
 	for {
 		used := e.sUsed.Load()
@@ -857,8 +760,8 @@ func (e *Engine) AdoptShadow(ent filter.ShadowEntry) bool {
 
 	seg.mu.Lock()
 	if se := seg.sview.Load().get(label); se != nil {
-		if ent.ExpiresAt > se.expires() {
-			se.exp.Store(int64(ent.ExpiresAt))
+		if exp > se.expires() {
+			se.exp.Store(int64(exp))
 		}
 		se.victim.Store(uint32(ent.Victim))
 		seg.mu.Unlock()
@@ -866,13 +769,13 @@ func (e *Engine) AdoptShadow(ent filter.ShadowEntry) bool {
 		return true
 	}
 	se := &sentry{label: pack(label), loggedAt: ent.LoggedAt}
-	se.exp.Store(int64(ent.ExpiresAt))
+	se.exp.Store(int64(exp))
 	se.victim.Store(uint32(ent.Victim))
 	se.reapp.Store(uint64(ent.Reappearances))
 	seg.scount++
 	seg.sview.Store(seg.sview.Load().withInsert(seg.scount, se))
-	if seg.scount == 1 || ent.ExpiresAt < seg.sNext {
-		seg.sNext = ent.ExpiresAt
+	if seg.scount == 1 || exp < seg.sNext {
+		seg.sNext = exp
 	}
 	if isWild {
 		e.wildShadows.Add(1)

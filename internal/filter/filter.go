@@ -94,8 +94,6 @@ type ShadowEntry struct {
 	// Reappearances counts shadow hits after the temporary filter was
 	// removed — each one is an "on-off" resumption of the flow.
 	Reappearances int
-	// Round is the highest escalation round reached for this flow.
-	Round int
 	// Victim is the original requester, needed to re-verify and to
 	// address escalations.
 	Victim flow.Addr

@@ -110,9 +110,9 @@ func snapGateway(t *testing.T, dir string) *Gateway {
 
 // TestSnapshotRestoreHonorsDeadlines is the wire half of the
 // crash/restore tentpole: a filter granted until deadline D before the
-// drain still expires at D after the restore — the downtime is charged
-// against its remaining lifetime — and entries that lapsed while the
-// daemon was down stay gone.
+// drain still expires at D after the restore — every instant moves by
+// one offset that charges the downtime — with its drop counters, and
+// entries that lapsed while the daemon was down stay gone.
 func TestSnapshotRestoreHonorsDeadlines(t *testing.T) {
 	dir := t.TempDir()
 	g := snapGateway(t, dir)
@@ -127,6 +127,10 @@ func TestSnapshotRestoreHonorsDeadlines(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.dp.LogShadow(longLived, flow.MakeAddr(10, 0, 0, 2), now, now+sim.Time(5*time.Second))
+	// The filter's own drop counters ride the snapshot too.
+	for range 3 {
+		g.dp.ClassifyTuple(flow.TupleOf(longLived.Src, longLived.Dst, flow.ProtoUDP, 9, 9), 100)
+	}
 	// The original absolute deadline, in wall terms.
 	longDeadline := time.Now().Add(5 * time.Second)
 	g.mu.Lock()
@@ -163,6 +167,9 @@ func TestSnapshotRestoreHonorsDeadlines(t *testing.T) {
 	entries := g2.dp.FilterEntries()
 	if len(entries) != 1 || entries[0].Label != longLived {
 		t.Fatalf("restored filters = %+v, want only the long-lived one", entries)
+	}
+	if entries[0].Drops != 3 || entries[0].DroppedBytes != 300 {
+		t.Fatalf("restored filter counts %d drops, %d bytes; want 3, 300", entries[0].Drops, entries[0].DroppedBytes)
 	}
 	// The restored expiry must match the original absolute deadline:
 	// neither extended by the restart nor cut short.
