@@ -29,7 +29,7 @@ func (net *Network) ifacePair(a, b flow.Addr) (*Iface, *Iface) {
 	if na == nil || nb == nil {
 		return nil, nil
 	}
-	return na.byPeer[b], nb.byPeer[a]
+	return na.IfaceTo(b), nb.IfaceTo(a)
 }
 
 // SetLinkLoss sets random loss probabilities in [0, 1] on the link

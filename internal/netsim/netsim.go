@@ -264,9 +264,8 @@ type Node struct {
 	net  *Network
 	info topology.Node
 
-	ifaces  []*Iface
-	byPeer  map[flow.Addr]*Iface
-	routes  []*Iface // next hop by destination NodeID; nil = none
+	ifaces  []*Iface     // in topology link order, as topology.Neighbors
+	row     topology.Row // next hop toward each destination, as an ifaces index
 	handler Handler
 
 	// RoutingDrops counts packets dropped for TTL expiry or no route.
@@ -305,16 +304,27 @@ func (n *Node) Engine() *sim.Engine { return n.net.eng }
 // Ifaces lists the node's interfaces in topology order.
 func (n *Node) Ifaces() []*Iface { return n.ifaces }
 
-// IfaceTo returns the interface whose neighbor has the given address.
-func (n *Node) IfaceTo(neighbor flow.Addr) *Iface { return n.byPeer[neighbor] }
+// IfaceTo returns the interface whose neighbor has the given address,
+// or nil. Topologies hold no parallel links, so there is at most one.
+func (n *Node) IfaceTo(neighbor flow.Addr) *Iface {
+	for _, i := range n.ifaces {
+		if i.neighbor.Addr() == neighbor {
+			return i
+		}
+	}
+	return nil
+}
 
 // NextHop returns the interface on the shortest path toward dst, or nil
 // if dst is unknown or is the node itself.
+//
+// aitf:noalloc
 func (n *Node) NextHop(dst flow.Addr) *Iface {
-	if id, ok := n.net.ids[dst]; ok {
-		return n.routes[id]
+	id, ok := n.net.ids[dst]
+	if !ok || id == n.info.ID {
+		return nil
 	}
-	return nil
+	return n.ifaces[n.row.Port(id)]
 }
 
 // SetHandler installs the node's packet handler.
@@ -393,12 +403,7 @@ func Build(eng *sim.Engine, topo *topology.Topology) (*Network, error) {
 	n := len(topo.Nodes)
 	net := &Network{eng: eng, topo: topo, nodes: make([]*Node, n), ids: make(map[flow.Addr]topology.NodeID, n)}
 	for _, tn := range topo.Nodes {
-		node := &Node{
-			net:    net,
-			info:   tn,
-			byPeer: make(map[flow.Addr]*Iface),
-		}
-		node.handler = HandlerFunc(defaultReceive)
+		node := &Node{net: net, info: tn, handler: HandlerFunc(defaultReceive)}
 		net.nodes[tn.ID] = node
 		net.ids[tn.Addr] = tn.ID
 	}
@@ -414,18 +419,18 @@ func Build(eng *sim.Engine, topo *topology.Topology) (*Network, error) {
 		for _, i := range [2]*Iface{ab, ba} {
 			i.arriveFn, i.releaseFn = i.arriveHead, i.releaseHead
 			i.owner.ifaces = append(i.owner.ifaces, i)
-			i.owner.byPeer[i.neighbor.Addr()] = i
 		}
 	}
+	// A row's ports index topology.Neighbors, so NextHop can index
+	// ifaces with them only while both lists are in link order.
 	routes := topo.Routes()
-	hops := make([]*Iface, n*n) // one allocation, a row per node
 	for _, node := range net.nodes {
-		node.routes = hops[int(node.ID())*n:][:n:n]
-		for dst := range node.routes {
-			if via := routes.Next(node.ID(), topology.NodeID(dst)); via != topology.NoRoute {
-				node.routes[dst] = node.byPeer[topo.Nodes[via].Addr]
+		for i, peer := range topo.Neighbors(node.ID()) {
+			if node.ifaces[i].neighbor.ID() != peer {
+				panic(fmt.Sprintf("netsim: %s interface %d is not toward neighbor %d", node.Name(), i, peer))
 			}
 		}
+		node.row = routes.Row(node.ID())
 	}
 	return net, nil
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -180,6 +181,34 @@ func TestOriginateNoRoute(t *testing.T) {
 	}
 	if src.RoutingDrops != 1 {
 		t.Fatalf("RoutingDrops = %d", src.RoutingDrops)
+	}
+}
+
+// TestNextHopMatchesRoutes: on a random internet every node's NextHop
+// toward every other node is the interface toward the topology's next
+// hop, and nil toward the node itself and toward an unknown address.
+func TestNextHopMatchesRoutes(t *testing.T) {
+	spec := topology.RandomSpec{ASes: 14, Tier1: 3, MaxHostsPerAS: 3, InternalRouterProb: 0.3, Params: topology.DefaultParams()}
+	topo, _ := topology.Random(spec, rand.New(rand.NewSource(7)))
+	net := MustBuild(sim.NewEngine(1), topo)
+	routes := topo.Routes()
+	unknown := flow.MakeAddr(203, 0, 113, 9)
+	for _, from := range net.Nodes() {
+		if hop := from.NextHop(from.Addr()); hop != nil {
+			t.Fatalf("%s: NextHop toward itself = %s, want nil", from.Name(), hop.Neighbor().Name())
+		}
+		if hop := from.NextHop(unknown); hop != nil {
+			t.Fatalf("%s: NextHop toward an unknown address = %s, want nil", from.Name(), hop.Neighbor().Name())
+		}
+		for _, dst := range net.Nodes() {
+			if dst == from {
+				continue
+			}
+			via := topo.Nodes[routes.Next(from.ID(), dst.ID())]
+			if got, want := from.NextHop(dst.Addr()), from.IfaceTo(via.Addr); got != want || got == nil {
+				t.Fatalf("%s -> %s: NextHop %v, want the interface toward %s", from.Name(), dst.Name(), got, via.Name)
+			}
+		}
 	}
 }
 

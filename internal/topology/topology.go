@@ -1,11 +1,14 @@
 // Package topology builds the multi-node network graphs the experiments
 // run on: the paper's Figure-1 chain, generalized chains for escalation
 // sweeps, and many-to-one attack topologies with a bottleneck tail
-// circuit. It also computes static shortest-path routing tables.
+// circuit. It also computes static shortest-path routing: one
+// bit-packed row per node naming, for every destination, the port of
+// the next hop in the node's neighbor list (see Routes).
 package topology
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"aitf/internal/flow"
@@ -69,7 +72,10 @@ type Topology struct {
 
 	byAddr map[flow.Addr]NodeID
 	byName map[string]NodeID
-	adj    [][]NodeID // indexed by NodeID
+	adj    [][]NodeID // indexed by NodeID, in the order links were added
+	// back[u][j] is u's index in the neighbor list of adj[u][j], so a
+	// search crossing that link learns the port back to u without a scan.
+	back [][]int32
 }
 
 // New returns an empty topology.
@@ -93,17 +99,31 @@ func (t *Topology) AddNode(name string, addr flow.Addr, kind Kind, as int) NodeI
 	id := NodeID(len(t.Nodes))
 	t.Nodes = append(t.Nodes, Node{ID: id, Addr: addr, Name: name, Kind: kind, AS: as})
 	t.adj = append(t.adj, nil)
+	t.back = append(t.back, nil)
 	t.byAddr[addr] = id
 	t.byName[name] = id
 	return id
 }
 
-// AddLink connects a and b.
+// AddLink connects a and b. It panics on a self link and on a second
+// link between the same two nodes: a node's interfaces are known by the
+// neighbor they reach, so a parallel link could carry routed traffic
+// that loss and link-state faults aimed at the neighbor never touch.
 func (t *Topology) AddLink(a, b NodeID, delay time.Duration, bandwidth float64, queueLen int) {
 	if a == b {
 		panic("topology: self link")
 	}
+	// Scan the shorter neighbor list; a host's holds one entry.
+	short, other := a, b
+	if len(t.adj[b]) < len(t.adj[a]) {
+		short, other = b, a
+	}
+	if slices.Contains(t.adj[short], other) {
+		panic(fmt.Sprintf("topology: parallel link %s-%s", t.Nodes[a].Name, t.Nodes[b].Name))
+	}
 	t.Links = append(t.Links, LinkSpec{A: a, B: b, Delay: delay, Bandwidth: bandwidth, QueueLen: queueLen})
+	t.back[a] = append(t.back[a], int32(len(t.adj[b])))
+	t.back[b] = append(t.back[b], int32(len(t.adj[a])))
 	t.adj[a] = append(t.adj[a], b)
 	t.adj[b] = append(t.adj[b], a)
 }
@@ -126,7 +146,8 @@ func (t *Topology) ByName(name string) (Node, bool) {
 	return t.Nodes[id], true
 }
 
-// Neighbors returns the IDs adjacent to id.
+// Neighbors returns the IDs adjacent to id, in the order their links
+// were added; a Routes row's ports index this list.
 func (t *Topology) Neighbors(id NodeID) []NodeID {
 	return t.adj[id]
 }
@@ -135,17 +156,63 @@ func (t *Topology) Neighbors(id NodeID) []NodeID {
 // a destination it cannot reach.
 const NoRoute NodeID = -1
 
-// Routes is the static routing of a topology: the next hop from every
-// node toward every other, one flat n×n table.
+// Routes is the static routing of a topology: one packed row per node
+// naming its next hop toward every destination as a port, the index of
+// that hop in the node's neighbor list.
+//
+// A row's entries share one width, the smallest power of two in
+// {0, 1, 2, 4, 8, 16, 32} bits that holds degree−1, so no entry
+// straddles a 64-bit word. A one-link host needs no storage; a two-link
+// gateway needs one bit per destination. Every row starts on a word of
+// one shared []uint64, which holds no pointers for the GC to scan.
+// Entries toward the node itself or toward another component hold 0;
+// Next tells them apart by a component label per node.
 type Routes struct {
-	n    int
-	next []int32 // next[from*n+dst]; int32 halves the table, NodeIDs fit
+	adj  [][]NodeID
+	rows []Row
+	comp []NodeID // the lowest NodeID in each node's component
 }
+
+// Row is one node's next-hop ports, indexed by destination NodeID.
+type Row struct {
+	words []uint64 // nil for a row of width 0
+	log   uint8    // log2 of the entry width in bits, when words != nil
+}
+
+// Port returns the index, in the node's neighbor list, of its next hop
+// toward dst. The answer is meaningful only for another node of the
+// same component; toward any other node it is some port, not NoRoute.
+//
+// aitf:noalloc
+func (r Row) Port(dst NodeID) int {
+	if r.words == nil {
+		return 0
+	}
+	// uint is 32 bits on 32-bit platforms; u<<k may overflow there, but
+	// only its low six bits, the offset within the word, are kept.
+	u, k := uint(dst), uint(r.log)
+	return int(r.words[u>>(6-k)] >> (u << k & 63) & (1<<(1<<k) - 1))
+}
+
+// set ORs port into the (zero) entry for dst, indexed as Port reads it.
+func (r Row) set(dst NodeID, port int32) {
+	if r.words == nil {
+		return
+	}
+	u, k := uint(dst), uint(r.log)
+	r.words[u>>(6-k)] |= uint64(port) << (u << k & 63)
+}
+
+// Row returns node id's row. It shares the table's storage.
+func (r *Routes) Row(id NodeID) Row { return r.rows[id] }
 
 // Next returns the neighbor of from on the shortest path toward dst, or
 // NoRoute.
 func (r *Routes) Next(from, dst NodeID) NodeID {
-	return NodeID(r.next[int(from)*r.n+int(dst)])
+	if from == dst || r.comp[from] != r.comp[dst] {
+		return NoRoute
+	}
+	return r.adj[from][r.rows[from].Port(dst)]
 }
 
 // Routes computes the next hop from every node toward every other by
@@ -154,37 +221,74 @@ func (r *Routes) Next(from, dst NodeID) NodeID {
 // follows the order links were added, deterministically.
 func (t *Topology) Routes() *Routes {
 	n := len(t.Nodes)
-	r := &Routes{n: n, next: make([]int32, n*n)}
-	for i := range r.next {
-		r.next[i] = int32(NoRoute)
+	r := &Routes{adj: t.adj, rows: make([]Row, n), comp: make([]NodeID, n)}
+	total := 0
+	for id, nbrs := range t.adj {
+		if len(nbrs) > 1 {
+			r.rows[id].log = entryLog(len(nbrs) - 1)
+			total += rowWords(n, r.rows[id].log)
+		}
 	}
-	parent := make([]NodeID, n)
+	words := make([]uint64, total)
+	for id := range r.rows {
+		if row := &r.rows[id]; len(t.adj[id]) > 1 {
+			w := rowWords(n, row.log)
+			row.words, words = words[:w:w], words[w:]
+		}
+	}
+	for i := range r.comp {
+		r.comp[i] = NoRoute
+	}
+	port := make([]int32, n)
 	var queue []NodeID
 	for d := range t.Nodes {
-		// parent[v] is v's next hop toward d, for every v the BFS reached.
-		queue = t.bfs(NodeID(d), parent, queue)
+		dst := NodeID(d)
+		queue = t.bfs(dst, port, queue)
+		if r.comp[d] == NoRoute {
+			for _, v := range queue {
+				r.comp[v] = dst
+			}
+		}
 		for _, v := range queue[1:] {
-			r.next[int(v)*n+d] = int32(parent[v])
+			r.rows[v].set(dst, port[v])
 		}
 	}
 	return r
 }
 
-// bfs visits every node reachable from root in breadth-first order and
-// returns them in that order, root first, in queue's storage. parent
-// (one entry per node) is overwritten: NoRoute for nodes not reached,
-// else the node each was first reached from (root from itself).
-func (t *Topology) bfs(root NodeID, parent, queue []NodeID) []NodeID {
-	for i := range parent {
-		parent[i] = NoRoute
+// entryLog returns log2 of the narrowest entry width, 1 to 32 bits,
+// that holds every port up to maxPort.
+func entryLog(maxPort int) uint8 {
+	k := uint8(0)
+	for uint64(maxPort) >= 1<<(1<<k) {
+		k++
 	}
-	parent[root] = root
+	return k
+}
+
+// rowWords is the 64-bit words a row of n entries 1<<k bits wide needs.
+func rowWords(n int, k uint8) int { return (n<<k + 63) >> 6 }
+
+// unreached marks, in bfs's port slice, a node the search has not
+// reached.
+const unreached int32 = -1
+
+// bfs visits every node reachable from root in breadth-first order and
+// returns them in that order, root first, in queue's storage. port (one
+// entry per node) is overwritten: unreached for nodes not reached, 0
+// for root, else the index in each node's neighbor list of the node it
+// was first reached from, which is its next hop toward root.
+func (t *Topology) bfs(root NodeID, port []int32, queue []NodeID) []NodeID {
+	for i := range port {
+		port[i] = unreached
+	}
+	port[root] = 0
 	queue = append(queue[:0], root)
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		for _, v := range t.adj[u] {
-			if parent[v] == NoRoute {
-				parent[v] = u
+		for j, v := range t.adj[u] {
+			if port[v] == unreached {
+				port[v] = t.back[u][j]
 				queue = append(queue, v)
 			}
 		}
@@ -200,10 +304,10 @@ func (t *Topology) Validate() error {
 	}
 	// The links are undirected: if the first node reaches every node,
 	// every node reaches every other through it.
-	parent := make([]NodeID, len(t.Nodes))
-	t.bfs(0, parent, nil)
-	for id, p := range parent {
-		if p == NoRoute {
+	port := make([]int32, len(t.Nodes))
+	t.bfs(0, port, nil)
+	for id, p := range port {
+		if p == unreached {
 			return fmt.Errorf("topology: %s cannot reach %s", t.Nodes[0].Name, t.Nodes[id].Name)
 		}
 	}

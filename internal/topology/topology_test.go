@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aitf/internal/flow"
@@ -310,6 +312,207 @@ func TestRoutesShortestAndTieBreak(t *testing.T) {
 			if hops != want[a][b] {
 				t.Fatalf("route %d->%d takes %d hops, shortest is %d", a, b, hops, want[a][b])
 			}
+		}
+	}
+}
+
+func TestParallelLinkPanics(t *testing.T) {
+	topo := New()
+	a := topo.AddNode("a", flow.MakeAddr(1, 1, 1, 1), KindHost, 1)
+	b := topo.AddNode("b", flow.MakeAddr(2, 2, 2, 2), KindBorderRouter, 1)
+	topo.AddLink(a, b, 0, 0, 0)
+	for _, pair := range [][2]NodeID{{a, b}, {b, a}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("parallel link %d-%d did not panic", pair[0], pair[1])
+				}
+			}()
+			topo.AddLink(pair[0], pair[1], 0, 0, 0)
+		}()
+	}
+	if len(topo.Links) != 1 || len(topo.Neighbors(a)) != 1 || len(topo.Neighbors(b)) != 1 {
+		t.Fatalf("a refused link was recorded: %d links", len(topo.Links))
+	}
+}
+
+// denseRoutes is the reference next-hop table: one n×n matrix filled by
+// a BFS from each destination over Neighbors, a node's next hop being
+// the node the search first reached it from.
+func denseRoutes(topo *Topology) [][]NodeID {
+	n := len(topo.Nodes)
+	next := make([][]NodeID, n)
+	for i := range next {
+		next[i] = slices.Repeat([]NodeID{NoRoute}, n)
+	}
+	parent := make([]NodeID, n)
+	for d := range n {
+		for i := range parent {
+			parent[i] = NoRoute
+		}
+		parent[d] = NodeID(d)
+		queue := []NodeID{NodeID(d)}
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, v := range topo.Neighbors(u) {
+				if parent[v] == NoRoute {
+					parent[v] = u
+					queue = append(queue, v)
+				}
+			}
+		}
+		for _, v := range queue[1:] {
+			next[v][d] = parent[v]
+		}
+	}
+	return next
+}
+
+// checkAgainstDense fails unless Routes.Next equals denseRoutes for
+// every (from, dst) pair of topo.
+func checkAgainstDense(t *testing.T, name string, topo *Topology) {
+	t.Helper()
+	r, want := topo.Routes(), denseRoutes(topo)
+	for from := range want {
+		for dst, hop := range want[from] {
+			if got := r.Next(NodeID(from), NodeID(dst)); got != hop {
+				t.Fatalf("%s: Next(%d, %d) = %d, reference %d", name, from, dst, got, hop)
+			}
+		}
+	}
+}
+
+// TestRoutesMatchDense: the packed table answers exactly as the dense
+// reference on every builder, on random internets, and on hand-built
+// graphs with disconnected parts, isolated nodes and rows of width 0
+// through 16 bits.
+func TestRoutesMatchDense(t *testing.T) {
+	p := DefaultParams()
+	fig1, _ := Figure1(p)
+	checkAgainstDense(t, "Figure1", fig1)
+	for depth := 1; depth <= 6; depth++ {
+		topo, _ := Chain(depth, p)
+		checkAgainstDense(t, fmt.Sprintf("Chain(%d)", depth), topo)
+	}
+	army, _ := ManyToOne(500, 4, p)
+	checkAgainstDense(t, "ManyToOne(500, 4)", army)
+	shared, _ := SharedGateway(10, 3, p)
+	checkAgainstDense(t, "SharedGateway", shared)
+	for seed := int64(1); seed <= 200; seed++ {
+		spec := RandomSpec{
+			ASes: 2 + int(seed%23), Tier1: 1 + int(seed%4), MaxHostsPerAS: 1 + int(seed%5),
+			InternalRouterProb: 0.3, Params: p,
+		}
+		topo, _ := Random(spec, rand.New(rand.NewSource(seed)))
+		checkAgainstDense(t, fmt.Sprintf("Random seed %d", seed), topo)
+	}
+
+	addr := byte(0)
+	node := func(topo *Topology) NodeID {
+		addr++
+		return topo.AddNode(fmt.Sprint("n", addr), flow.MakeAddr(9, 9, 9, addr), KindInternalRouter, 1)
+	}
+	single := New()
+	node(single)
+	checkAgainstDense(t, "one node", single)
+	pair := New()
+	pair.AddLink(node(pair), node(pair), 0, 0, 0)
+	checkAgainstDense(t, "two nodes", pair)
+	apart := New()
+	node(apart)
+	node(apart)
+	checkAgainstDense(t, "two isolated nodes", apart)
+
+	// Stars of 2, 3, 5 and 20 leaves give their hubs 1-, 2-, 4- and
+	// 8-bit entries; a ring gives 1-bit entries with two shortest paths
+	// to the far side; an isolated node and a lone link sit between
+	// them, so most pairs cross components.
+	mixed := New()
+	for _, leaves := range []int{2, 3, 5, 20} {
+		hub := node(mixed)
+		for range leaves {
+			mixed.AddLink(hub, node(mixed), 0, 0, 0)
+		}
+		node(mixed)
+	}
+	ring := make([]NodeID, 6)
+	for i := range ring {
+		ring[i] = node(mixed)
+	}
+	for i := range ring {
+		mixed.AddLink(ring[i], ring[(i+1)%len(ring)], 0, 0, 0)
+	}
+	mixed.AddLink(node(mixed), node(mixed), 0, 0, 0)
+	checkAgainstDense(t, "mixed components", mixed)
+}
+
+// TestRowPortRoundTrip: every entry width, 32 bits included, reads back
+// what was written at every destination, whatever its neighbors hold.
+func TestRowPortRoundTrip(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewSource(1))
+	for k := uint8(0); k <= 5; k++ {
+		row := Row{words: make([]uint64, rowWords(n, k)), log: k}
+		want := make([]int32, n)
+		for d := range want {
+			// Ports are int32 neighbor indexes, so even 32-bit entries
+			// hold at most 1<<31 - 1.
+			want[d] = int32(rng.Int63n(min(int64(1)<<(1<<k), 1<<31)))
+			row.set(NodeID(d), want[d])
+		}
+		for d, w := range want {
+			if got := row.Port(NodeID(d)); got != int(w) {
+				t.Fatalf("width %d: Port(%d) = %d, want %d", 1<<k, d, got, w)
+			}
+		}
+	}
+	if got := (Row{}).Port(7); got != 0 {
+		t.Fatalf("width-0 row: Port = %d, want 0", got)
+	}
+	for maxPort, want := range map[int]uint8{1: 0, 2: 1, 3: 1, 4: 2, 15: 2, 16: 3, 255: 3, 256: 4, 65535: 4, 65536: 5} {
+		if got := entryLog(maxPort); got != want {
+			t.Errorf("entryLog(%d) = %d, want %d", maxPort, got, want)
+		}
+	}
+}
+
+// routeTableBytes sums the backing words of every row of r.
+func routeTableBytes(r *Routes) int {
+	words := 0
+	for _, row := range r.rows {
+		words += len(row.words)
+	}
+	return 8 * words
+}
+
+// TestRouteTableBytes pins the table's size by counting its words: a
+// one-link host's row is empty and a two-link gateway's holds one bit
+// per destination, so an army's table grows with n·gateways/64 words,
+// not with n² pointers.
+func TestRouteTableBytes(t *testing.T) {
+	p := DefaultParams()
+	for _, tc := range []struct {
+		zombies, maxBytes int
+	}{
+		{500, 80 << 10},    // 1,011 nodes; a dense []*Iface table was 8 MB
+		{2000, 1200 << 10}, // 4,011 nodes; a dense table would be 123 MB
+	} {
+		topo, n := ManyToOne(tc.zombies, 4, p)
+		r := topo.Routes()
+		got := routeTableBytes(r)
+		t.Logf("ManyToOne(%d, 4): %d nodes, %d route table bytes", tc.zombies, len(topo.Nodes), got)
+		if got > tc.maxBytes {
+			t.Fatalf("ManyToOne(%d, 4): route table %d bytes, want at most %d", tc.zombies, got, tc.maxBytes)
+		}
+		last := len(n.Attackers) - 1
+		path := []NodeID{n.Attackers[last]}
+		for cur := path[0]; cur != n.Victim; path = append(path, cur) {
+			if cur = r.Next(cur, n.Victim); cur == NoRoute || len(path) > 5 {
+				t.Fatalf("ManyToOne(%d, 4): zombie route broken at %v", tc.zombies, path)
+			}
+		}
+		if want := []NodeID{n.Attackers[last], n.AttackGWs[last], n.Core, n.VictimGW, n.Victim}; !slices.Equal(path, want) {
+			t.Fatalf("ManyToOne(%d, 4): zombie path %v, want %v", tc.zombies, path, want)
 		}
 	}
 }
