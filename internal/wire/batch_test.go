@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -539,4 +540,58 @@ func TestSendCountersSplitByClass(t *testing.T) {
 		checkCounters(t, n, nCtrl, nData)
 	}
 	expectQuiet(t, sink)
+}
+
+// FuzzCoalescedSplit checks how the read loop splits a message into its
+// datagrams, for any length, segment size (from the UDP_GRO control
+// message, so any int) and cut flag: the whole datagrams tile the
+// message from its start and a cut one's tail the rest, each datagram
+// is the segment size but an uncut message's last, none is empty but an
+// empty message's one, and none leaves the slot.
+func FuzzCoalescedSplit(f *testing.F) {
+	f.Add(uint16(1000), int32(100), false)
+	f.Add(uint16(1995), int32(105), false)
+	f.Add(uint16(slotSize), int32(105), true) // a cut coalesced message
+	f.Add(uint16(slotSize), int32(128), true) // cut at a datagram's end
+	f.Add(uint16(0), int32(0), false)         // an empty datagram
+	f.Add(uint16(60), int32(0), false)
+	f.Add(uint16(slotSize+1), int32(0), false) // longer than a slot (the portable read)
+	f.Add(uint16(50), int32(-1), false)
+	f.Add(uint16(50), int32(math.MaxInt32), true)
+	f.Add(uint16(math.MaxUint16), int32(1), false)
+	f.Fuzz(func(t *testing.T, length uint16, seg int32, trunc bool) {
+		m := rxMsg{n: int(length), seg: int(seg), trunc: trunc}
+		n, cut := min(m.n, slotSize), trunc || m.n > slotSize
+		k, gotCut := m.split()
+		if gotCut != cut {
+			t.Fatalf("%+v: cut %v, want %v", m, gotCut, cut)
+		}
+		if k < 0 || !cut && k < 1 || k > max(n, 1) {
+			t.Fatalf("%+v: %d datagrams", m, k)
+		}
+		slot := make([]byte, slotSize)
+		end := 0
+		for j := 0; j < k; j++ {
+			lo, hi := m.datagram(j)
+			if lo != end || hi < lo || hi > n {
+				t.Fatalf("%+v: datagram %d is [%d, %d) after one ending at %d, in %d bytes", m, j, lo, hi, end, n)
+			}
+			_ = slot[lo:hi]
+			if last := j == k-1 && !cut; seg > 0 && hi-lo != int(seg) && !last {
+				t.Fatalf("%+v: datagram %d is %d bytes, not the segment size", m, j, hi-lo)
+			}
+			if hi == lo && n > 0 {
+				t.Fatalf("%+v: datagram %d is empty", m, j)
+			}
+			end = hi
+		}
+		switch {
+		case !cut && end != n:
+			t.Fatalf("%+v: the datagrams end at %d, short of %d", m, end, n)
+		case cut && seg <= 0 && k != 0:
+			t.Fatalf("%+v: a cut datagram yields %d", m, k)
+		case cut && seg > 0 && n-end >= int(seg):
+			t.Fatalf("%+v: a whole datagram is left in the cut tail [%d, %d)", m, end, n)
+		}
+	})
 }

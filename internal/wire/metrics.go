@@ -176,6 +176,9 @@ func (n *Node) registerMetrics(r *obs.Registry) {
 	r.CounterFunc("aitf_node_send_messages_total",
 		"Messages the node's UDP socket took: one per datagram, or one per run the kernel segments (UDP GSO).",
 		n.SendMsgs.Load)
+	r.CounterFunc("aitf_node_recv_messages_total",
+		"Messages the node's UDP socket handed the read loop: one per datagram, or one per run a peer coalesced (UDP GRO).",
+		n.RecvMsgs.Load)
 	r.CounterFunc("aitf_node_packets_received_total",
 		"Datagrams received by the node's UDP transport.",
 		func() uint64 { _, rcv := n.Counts(); return rcv })

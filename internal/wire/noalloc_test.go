@@ -4,6 +4,7 @@ package wire
 
 import (
 	"testing"
+	"time"
 
 	"aitf/internal/flow"
 	"aitf/internal/packet"
@@ -13,10 +14,12 @@ import (
 // received datagram's bytes, through the decode into a pooled packet,
 // the classification, the route-record stamp and the encode, to the
 // socket write, the gateway's data path allocates nothing — one packet
-// at a time through Handle, and a full read batch through handleBatch
-// and one flush, which coalesces the batch into one kernel message
-// where the socket segments. (The race detector makes sync.Pool drop
-// items at random, so this file is built without it.)
+// at a time through Handle; a full read batch through handleBatch and
+// one flush, which coalesces the batch into one kernel message where
+// the socket segments; and from the socket, a peer's coalesced run
+// taken by one read, split into its datagrams, handled and flushed.
+// (The race detector makes sync.Pool drop items at random, so this file
+// is built without it.)
 func TestDatagramPathZeroAlloc(t *testing.T) {
 	dst := flow.MakeAddr(10, 0, 0, 2)
 	g, _ := fwdGateway(t, dst)
@@ -71,5 +74,51 @@ func TestDatagramPathZeroAlloc(t *testing.T) {
 	// segments, each flush is one kernel message.
 	if msgs := g.node.SendMsgs.Load() - msgs0; tx.sys.gso && msgs != 201 {
 		t.Fatalf("201 batches of %d same-size datagrams to one sink took %d kernel messages, want 201", batchSlots, msgs)
+	}
+
+	// A peer flushes two full batches to the gateway's socket, where the
+	// sockets offload as two coalesced messages; the gateway's read loop
+	// takes both with one read, splits them, and hands the datagrams to
+	// handleBatch a batch at a time.
+	peer, err := NewNode(NodeConfig{Addr: flow.MakeAddr(10, 0, 0, 3), Name: "peer"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	ptx, err := newSockBatch(peer.conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gwTo := g.node.UDPAddr().AddrPort()
+	var rx []*packet.Packet
+	// A read that finds nothing to split fails the test, not hangs it.
+	g.node.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	rcvd0, msgs0 := g.node.Received.Load(), g.node.RecvMsgs.Load()
+	if n := testing.AllocsPerRun(200, func() {
+		for range 2 {
+			for i := range wires {
+				p := decode(i)
+				if err := ptx.queue(p, gwTo); err != nil {
+					t.Fatal(err)
+				}
+				p.Release()
+			}
+			if err := peer.flush(ptx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for want := g.node.Received.Load() + 2*batchSlots; g.node.Received.Load() < want; {
+			if rx, err = g.node.receive(tx, rx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("coalesced read of 2×%d datagrams -> split -> handleBatch -> flush allocates %v/op, want 0", batchSlots, n)
+	}
+	if rcvd := g.node.Received.Load() - rcvd0; rcvd != 201*2*batchSlots {
+		t.Fatalf("gateway read %d datagrams, want %d", rcvd, 201*2*batchSlots)
+	}
+	if msgs := g.node.RecvMsgs.Load() - msgs0; ptx.sys.gso && tx.sys.gro && msgs != 201*2 {
+		t.Fatalf("201×2 coalesced runs of %d datagrams took %d kernel receives, want %d", batchSlots, msgs, 201*2)
 	}
 }

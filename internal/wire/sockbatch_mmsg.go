@@ -17,10 +17,14 @@ var sysSendmmsg = map[string]uintptr{"amd64": 307, "arm64": 269}[runtime.GOARCH]
 // UDP segmentation offload (Linux 4.18 on), which the syscall package
 // predates: a message carrying a UDP_SEGMENT control message is one
 // payload that the kernel cuts into datagrams of the given size below
-// the socket, after one pass down the UDP/IP output path.
+// the socket, after one pass down the UDP/IP output path. Its receive
+// side, UDP_GRO (Linux 5.0 on), queues such a message whole on a socket
+// that sets it, and a read of it carries a UDP_GRO control message with
+// the segment size.
 const (
 	solUDP         = 17  // SOL_UDP
 	udpSegment     = 103 // UDP_SEGMENT
+	udpGRO         = 104 // UDP_GRO
 	udpMaxSegments = 64  // UDP_MAX_SEGMENTS, the most one message may carry
 
 	// maxSegBytes is the longest datagram a run may coalesce: the
@@ -32,13 +36,16 @@ const (
 )
 
 // A coalesced run is at most batchSlots segments, within the kernel's
-// UDP_MAX_SEGMENTS, of at most maxSegBytes each: far inside the 64 KB
-// that one GSO payload may hold, and each segment with its IPv4 and UDP
-// headers under any Ethernet MTU. A change to either side that breaks
-// this fails to compile here.
+// UDP_MAX_SEGMENTS, of at most maxSegBytes each, and at most slotSize
+// bytes in all (see group), so that a wire peer reading with UDP_GRO
+// gets it whole in one slot: far inside the 64 KB that one GSO payload
+// may hold, and each segment with its IPv4 and UDP headers under any
+// Ethernet MTU. A change to either side that breaks this fails to
+// compile here.
 const (
 	_ = uint(udpMaxSegments - batchSlots)
-	_ = uint(0xffff - 20 - 8 - batchSlots*maxSegBytes)
+	_ = uint(0xffff - 20 - 8 - slotSize)
+	_ = uint(slotSize - maxSegBytes)
 	_ = uint(1500 - 20 - 8 - maxSegBytes)
 )
 
@@ -59,6 +66,15 @@ type gsoCmsg struct {
 	_    [6]byte
 }
 
+// groCmsg is room for a UDP_GRO control message, which carries the
+// segment size as an int: the cmsghdr and the size, padded to
+// CMSG_SPACE of an int.
+type groCmsg struct {
+	hdr  syscall.Cmsghdr
+	size int32
+	_    [4]byte
+}
+
 // sockBatchSys is the kernel's view of a sockBatch: one iovec per slot
 // in each direction, pointing into the slots, wired up once; one
 // recvmmsg header per slot; and one sendmmsg header per message, each
@@ -70,9 +86,14 @@ type sockBatchSys struct {
 	// gso is whether the socket takes UDP_SEGMENT: probed once, and
 	// switched off for good the first time a segmented message fails.
 	gso bool
+	// gro is whether the socket reads with UDP_GRO: set once, and
+	// switched off for good the first time a coalesced message does
+	// not fit its slot.
+	gro bool
 
 	rxHdr, txHdr [batchSlots]mmsghdr
 	rxIov, txIov [batchSlots]syscall.Iovec
+	rxCmsg       [batchSlots]groCmsg                  // rxHdr[i]'s segment size, when the kernel coalesced it
 	txName       [batchSlots]syscall.RawSockaddrInet6 // room for either family
 	txCmsg       [batchSlots]gsoCmsg                  // txHdr[m]'s segment size, when it carries a run
 	txSegs       [batchSlots]int                      // datagrams txHdr[m] carries
@@ -105,6 +126,9 @@ func (b *sockBatch) sysInit() error {
 		// run as one concatenated datagram.
 		_, probeErr := syscall.GetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpSegment)
 		s.gso = probeErr == nil
+		// A kernel without UDP_GRO refuses it (ENOPROTOOPT) and
+		// segments every message on arrival, as before.
+		s.gro = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1) == nil
 	}); err != nil {
 		return err
 	}
@@ -117,6 +141,9 @@ func (b *sockBatch) sysInit() error {
 		s.rxIov[i].SetLen(slotSize)
 		s.rxHdr[i].hdr.Iov = &s.rxIov[i]
 		s.rxHdr[i].hdr.Iovlen = 1
+		if s.gro {
+			s.rxHdr[i].hdr.Control = (*byte)(unsafe.Pointer(&s.rxCmsg[i]))
+		}
 		s.txIov[i].Base = base
 		s.txHdr[i].hdr.Name = (*byte)(unsafe.Pointer(&s.txName[i]))
 		s.txCmsg[i].hdr = syscall.Cmsghdr{Level: solUDP, Type: udpSegment}
@@ -127,24 +154,58 @@ func (b *sockBatch) sysInit() error {
 }
 
 // read waits until the socket is readable and takes up to batchSlots
-// datagrams in one recvmmsg. It returns how many, at least one.
+// messages in one recvmmsg: datagrams, or with gro on, runs a peer's
+// kernel coalesced, each recorded with its segment size. It returns how
+// many, at least one. A coalesced message cut short by its slot, which
+// no wire peer sends (see group), switches gro off for good: its whole
+// segments are still read, and those to come arrive one datagram each.
 //
 // aitf:noalloc
 func (b *sockBatch) read() (int, error) {
 	s := &b.sys
+	if s.gro {
+		// The kernel overwrites each header's controllen with what it
+		// wrote there.
+		for i := range s.rxHdr {
+			s.rxHdr[i].hdr.SetControllen(int(unsafe.Sizeof(s.rxCmsg[i])))
+		}
+	}
 	if err := s.rc.Read(s.recvFn); err != nil {
 		return 0, err
 	}
 	if s.errno != 0 {
 		return 0, errnoErr(s.errno)
 	}
+	cut := false
 	for i := 0; i < s.got; i++ {
-		b.rxLen[i] = int(s.rxHdr[i].n)
-		if s.rxHdr[i].hdr.Flags&syscall.MSG_TRUNC != 0 {
-			b.rxLen[i] = slotSize + 1
+		h, c := &s.rxHdr[i], &s.rxCmsg[i]
+		m := rxMsg{n: int(h.n), trunc: h.hdr.Flags&syscall.MSG_TRUNC != 0}
+		if h.hdr.Controllen >= syscall.SizeofCmsghdr+4 && c.hdr.Level == solUDP && c.hdr.Type == udpGRO {
+			m.seg = int(c.size)
 		}
+		cut = cut || m.trunc && m.seg > 0
+		b.rx[i] = m
+	}
+	if cut {
+		s.groOff()
 	}
 	return s.got, nil
+}
+
+// groOff switches UDP_GRO off for the socket. Messages the kernel
+// queued whole before then arrive without their segment size, each one
+// undecodable; everything after is segmented on arrival.
+func (s *sockBatchSys) groOff() {
+	var serr error
+	if err := s.rc.Control(func(fd uintptr) {
+		serr = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 0)
+	}); err != nil || serr != nil {
+		return // the socket is closing, or the next cut message tries again
+	}
+	s.gro = false
+	for i := range s.rxHdr {
+		s.rxHdr[i].hdr.Control, s.rxHdr[i].hdr.Controllen = nil, 0
+	}
 }
 
 // recvmmsg is read's RawConn callback. Returning false on EAGAIN parks
@@ -168,7 +229,8 @@ func (b *sockBatch) recvmmsg(fd uintptr) bool {
 // flush writes the queued datagrams, each to its own destination, in
 // as few sendmmsg calls as the kernel allows: one message per
 // same-destination, same-size run of datagrams no longer than
-// maxSegBytes, segmented by the kernel where it supports UDP_SEGMENT.
+// maxSegBytes, of at most slotSize bytes, segmented by the kernel where
+// it supports UDP_SEGMENT.
 // It returns how many data and how many control datagrams, and how
 // many messages, the socket took, and the first error.
 //
@@ -191,9 +253,11 @@ func (b *sockBatch) flush() (data, ctrl, msgs int, err error) {
 // group lays the queued datagrams from the i-th on out as messages from
 // txHdr[m] on, and returns the index past the last one. A message is a
 // maximal run of consecutive datagrams with the same destination and
-// the same length, at most maxSegBytes, or a single datagram while gso
-// is off or for a longer one. The run's datagrams sit in consecutive
-// slots, so its message gathers the consecutive iovecs txIov[i:i+k].
+// the same length, at most maxSegBytes, of at most slotSize bytes in
+// all, or a single datagram while gso is off or for a longer one. The
+// cap lets a peer that reads with UDP_GRO take the run whole into one
+// slot. The run's datagrams sit in consecutive slots, so its message
+// gathers the consecutive iovecs txIov[i:i+k].
 //
 // aitf:noalloc
 func (b *sockBatch) group(m, i int) int {
@@ -201,7 +265,8 @@ func (b *sockBatch) group(m, i int) int {
 	for ; i < b.txN; m++ {
 		to, size := b.txTo[i], b.txLen[i]
 		k := 1
-		for s.gso && size <= maxSegBytes && i+k < b.txN && b.txTo[i+k] == to && b.txLen[i+k] == size {
+		for s.gso && size <= maxSegBytes && (k+1)*size <= slotSize &&
+			i+k < b.txN && b.txTo[i+k] == to && b.txLen[i+k] == size {
 			k++
 		}
 		h := &s.txHdr[m].hdr

@@ -4,8 +4,8 @@ package wire
 
 // sockBatchSys holds nothing where the net package's one-datagram calls
 // are the only socket interface: a read fills one slot, a flush is a
-// loop, and gso stays false, every datagram a message of its own.
-type sockBatchSys struct{ gso bool }
+// loop, and gso and gro stay false, every datagram a message of its own.
+type sockBatchSys struct{ gso, gro bool }
 
 func (b *sockBatch) sysInit() error { return nil }
 
@@ -17,7 +17,7 @@ func (b *sockBatch) read() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	b.rxLen[0] = n
+	b.rx[0] = rxMsg{n: n}
 	return 1, nil
 }
 

@@ -14,17 +14,24 @@
 // A border router pays the datagram path on every packet it forwards,
 // so that path (Node's read loop → Gateway → Node's send) allocates
 // nothing and takes no lock. Its socket I/O is batched: a read-loop
-// wakeup takes every datagram waiting on the socket, up to 32, with one
+// wakeup takes every message waiting on the socket, up to 32, with one
 // recvmmsg; the gateway classifies each run of data packets with one
 // dataplane.ClassifyInto; and everything the wakeup sends, forwards and
 // control messages alike, leaves in one sendmmsg at its end, one
-// message per same-destination, same-size run of short datagrams,
-// segmented by the kernel where it supports UDP_SEGMENT. Arrival order
-// on a socket is kept: the queue is first in, first out, and a control
-// packet is handled only after the data ahead of it has been classified
-// and queued. A handler without a batch form gets the same datagrams
-// one Handle at a time.
-// recvmmsg/sendmmsg and UDP segmentation offload are Linux
+// message per same-destination, same-size run of short datagrams, of
+// at most one 2 KB read slot in all, segmented by the kernel where it
+// supports UDP_SEGMENT. The socket reads with UDP_GRO where the kernel
+// has it, so a peer's such run arrives whole, one message in one slot,
+// and the read loop splits it back into its datagrams, all of the
+// wakeup's decoded before any handler runs and handed over at most 32
+// at a time. A coalesced message longer than its slot, which no wire
+// node sends, keeps the datagrams that fit, counts its cut tail once as
+// undecodable, and switches UDP_GRO off for the socket for good.
+// Arrival order on a socket is kept: the queue is first in, first out,
+// and a control packet is handled only after the data ahead of it has
+// been classified and queued. A handler without a batch form gets the
+// same datagrams one Handle at a time.
+// recvmmsg/sendmmsg and UDP segmentation and receive offload are Linux
 // (sockbatch_mmsg.go, linux on amd64 and arm64); everywhere else
 // sockbatch_portable.go reads one datagram per wakeup and writes the
 // queue in a loop, behind the same two operations, so the read loop and
@@ -101,11 +108,12 @@ type Handler interface {
 }
 
 // batchHandler is the optional fast path of a Handler. The read loop
-// hands it every datagram one wakeup took from the socket, decoded and
-// in arrival order, together with the batch its sends may be queued on
-// (Node.forward, Node.originate). The handler owns the packets, must
-// treat them in order, and must flush tx (Node.flush) before it
-// returns, so that nothing queued is left behind.
+// hands it the datagrams one wakeup took from the socket, decoded and
+// in arrival order, at most batchSlots a call, together with the batch
+// its sends may be queued on (Node.forward, Node.originate). The
+// handler owns the packets, must treat them in order, and must flush tx
+// (Node.flush) before it returns, so that nothing queued is left
+// behind.
 type batchHandler interface {
 	handleBatch(n *Node, pkts []*packet.Packet, tx *sockBatch)
 }
@@ -164,9 +172,15 @@ type Node struct {
 	// coalesced (see sockBatch.flush), so Sent/SendMsgs is the
 	// datagrams per kernel send.
 	SendMsgs atomic.Uint64 // aitf:atomic
+	// RecvMsgs counts the messages the kernel handed the read loop: one
+	// per datagram, or one per run a peer's kernel coalesced where the
+	// socket reads with UDP_GRO (see sockBatch.read), so
+	// Received/RecvMsgs is the datagrams per kernel receive.
+	RecvMsgs atomic.Uint64 // aitf:atomic
 	// Undecodable counts datagrams the read loop dropped before any
 	// handler saw them: not a packet of this wire format, or longer
-	// than any packet of it can be.
+	// than any packet of it can be, or the cut tail of a coalesced
+	// message longer than its slot (counted once).
 	Undecodable atomic.Uint64 // aitf:atomic
 }
 
@@ -239,83 +253,163 @@ func prevHop(p *packet.Packet) flow.Addr {
 	return p.Src
 }
 
-// readLoop takes every datagram that is waiting on the socket (up to
-// batchSlots per wakeup), decodes them into pooled packets and hands
-// them to the handler, as one batch when it takes batches.
+// readLoop takes every datagram that is waiting on the socket and
+// hands it to the handler, one wakeup at a time (see receive).
 func (n *Node) readLoop() {
 	defer n.wg.Done()
 	b, err := newSockBatch(n.conn)
 	if err != nil {
 		return // socket already closed
 	}
-	var pkts [batchSlots]*packet.Packet
+	var pkts []*packet.Packet
 	for {
-		got, err := b.read()
-		if err != nil {
+		if pkts, err = n.receive(b, pkts); err != nil {
 			return // socket closed
 		}
-		// Decode into pooled packets: shells released downstream (e.g.
-		// by the gateway's data path once a verdict is final) cycle back
-		// here instead of being reallocated per datagram.
-		k, ctrl := 0, 0
-		for i := 0; i < got; i++ {
+	}
+}
+
+// receive is one read-loop wakeup: it takes up to batchSlots messages
+// with one read, decodes every datagram they hold into pooled packets,
+// and hands those to the handler in arrival order, as batches of at most
+// batchSlots when it takes batches. All are decoded before any handler
+// runs, because what the handler sends reuses the slots. It returns
+// pkts, emptied, for the next wakeup to reuse.
+//
+// aitf:noalloc
+func (n *Node) receive(b *sockBatch, pkts []*packet.Packet) ([]*packet.Packet, error) {
+	got, err := b.read()
+	if err != nil {
+		return pkts, err
+	}
+	pkts, ctrl, bad := b.decode(pkts[:0], got)
+	n.RecvMsgs.Add(uint64(got))
+	n.Undecodable.Add(uint64(bad))
+	n.Received.Add(uint64(len(pkts)))
+	n.CtrlReceived.Add(uint64(ctrl))
+	n.DataRecv.Add(uint64(len(pkts) - ctrl))
+	switch ref := n.handler.Load(); {
+	case ref == nil || ref.h == nil:
+		for _, p := range pkts {
+			p.Release()
+		}
+	case ref.batch != nil:
+		for rest := pkts; len(rest) > 0; {
+			k := min(len(rest), batchSlots)
+			ref.batch.handleBatch(n, rest[:k], b)
+			rest = rest[k:]
+		}
+	default:
+		for _, p := range pkts {
+			ref.h.Handle(n, p, prevHop(p))
+		}
+	}
+	return pkts[:0], nil
+}
+
+// decode appends to pkts the datagrams of the last read's got messages,
+// each message's in order, decoded into pooled packets: shells released
+// downstream (e.g. by the gateway's data path once a verdict is final)
+// cycle back here instead of being reallocated per datagram. pkts grows
+// only past its high-water mark. It returns them, how many are control
+// packets, and how many datagrams it dropped: not packets of this wire
+// format, or cut short by the read.
+//
+// aitf:noalloc
+func (b *sockBatch) decode(pkts []*packet.Packet, got int) (_ []*packet.Packet, ctrl, bad int) {
+	for i := 0; i < got; i++ {
+		m, slot := b.rx[i], b.slot(i)
+		k, cut := m.split()
+		if cut {
+			bad++
+		}
+		for j := 0; j < k; j++ {
+			lo, hi := m.datagram(j)
 			p := packet.Get()
-			if b.rxLen[i] > slotSize || packet.UnmarshalInto(p, b.slot(i)[:b.rxLen[i]]) != nil {
+			if packet.UnmarshalInto(p, slot[lo:hi]) != nil {
 				p.Release()
-				n.Undecodable.Add(1)
+				bad++
 				continue
 			}
 			if p.IsControl() {
 				ctrl++
 			}
-			pkts[k] = p
-			k++
-		}
-		n.Received.Add(uint64(k))
-		n.CtrlReceived.Add(uint64(ctrl))
-		n.DataRecv.Add(uint64(k - ctrl))
-		switch ref := n.handler.Load(); {
-		case ref == nil || ref.h == nil:
-			for _, p := range pkts[:k] {
-				p.Release()
-			}
-		case ref.batch != nil:
-			ref.batch.handleBatch(n, pkts[:k], b)
-		default:
-			for _, p := range pkts[:k] {
-				ref.h.Handle(n, p, prevHop(p))
-			}
+			pkts = append(pkts, p)
 		}
 	}
+	return pkts, ctrl, bad
 }
 
-// Datagrams move through the read loop in batches of up to batchSlots,
+// rxMsg is one message of a read: n bytes received into its slot; seg,
+// when the kernel coalesced a peer's run of datagrams into it (UDP_GRO),
+// their size, all but the last of them that long, and 0 otherwise; and
+// trunc, whether the message was longer than its slot. A length above
+// slotSize means the same as trunc.
+type rxMsg struct {
+	n, seg int
+	trunc  bool
+}
+
+// split returns how many whole datagrams m holds, and whether the read
+// cut one short after them. A message the kernel did not coalesce is
+// one datagram, an empty one too, or when cut, none. Of a coalesced one
+// cut by its slot only the datagrams that fit whole are kept. Any seg
+// is safe: one not above 0 means not coalesced, and one at least the
+// message's length one datagram.
+func (m rxMsg) split() (k int, cut bool) {
+	n := min(m.n, slotSize)
+	if m.trunc || m.n > slotSize {
+		if m.seg <= 0 {
+			return 0, true
+		}
+		return n / m.seg, true
+	}
+	if m.seg <= 0 || n == 0 {
+		return 1, false
+	}
+	return 1 + (n-1)/m.seg, false
+}
+
+// datagram returns the bounds within m's slot of its j-th datagram, for
+// j below split's count.
+func (m rxMsg) datagram(j int) (lo, hi int) {
+	n := min(m.n, slotSize)
+	if m.seg <= 0 {
+		return 0, n
+	}
+	lo = j * m.seg
+	return lo, lo + min(m.seg, n-lo)
+}
+
+// Messages move through the read loop in batches of up to batchSlots,
 // each in a slot of slotSize bytes: 64 KB a node. slotSize is above the
 // largest datagram the codec can produce (a header, packet.MaxPathLen
 // route-record entries and a FilterReq with packet.MaxEvidenceLen
 // evidence entries come to about 1.6 KB), so a longer one is not a
-// packet and is dropped unread.
+// packet and is dropped unread; and it bounds the coalesced runs a wire
+// node sends, so that a peer takes each whole.
 const (
 	batchSlots = 32
 	slotSize   = 2048
 )
 
 // sockBatch is the read loop's socket I/O: one read fills slots with
-// the datagrams waiting on the socket, and once those are decoded the
-// same slots carry what handling them sends, data and control, queued
-// for one write. How both reach the kernel is the platform's half
-// (newSockBatch's sys, read, flush): recvmmsg and sendmmsg where they
-// exist, one datagram per call elsewhere. sendmmsg sends one message
-// per same-destination, same-size run of datagrams no longer than
-// maxSegBytes, segmented by the kernel where it supports UDP_SEGMENT,
-// and each longer datagram as a message of its own. It belongs to the
+// the messages waiting on the socket, and once their datagrams are
+// decoded the same slots carry what handling them sends, data and
+// control, queued for one write. How both reach the kernel is the
+// platform's half (newSockBatch's sys, read, flush): recvmmsg and
+// sendmmsg where they exist, one datagram per call elsewhere. recvmmsg
+// takes a peer's coalesced run as one message where the kernel has
+// UDP_GRO. sendmmsg sends one message per same-destination, same-size
+// run of datagrams no longer than maxSegBytes, of at most slotSize
+// bytes, segmented by the kernel where it supports UDP_SEGMENT, and
+// each longer datagram as a message of its own. It belongs to the
 // read-loop goroutine.
 type sockBatch struct {
 	conn *net.UDPConn
 	buf  []byte // batchSlots slots of slotSize bytes
-	// rxLen[i] is the length of the i-th datagram of the last read;
-	// above slotSize, the datagram did not fit its slot.
-	rxLen [batchSlots]int
+	// rx[i] is the i-th message of the last read, in slot i.
+	rx [batchSlots]rxMsg
 	// The first txN slots hold marshalled datagrams queued for txTo;
 	// txCtrl marks the control packets among them, for the counters.
 	txLen  [batchSlots]int
