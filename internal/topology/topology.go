@@ -3,7 +3,9 @@
 // sweeps, and many-to-one attack topologies with a bottleneck tail
 // circuit. It also computes static shortest-path routing: one
 // bit-packed row per node naming, for every destination, the port of
-// the next hop in the node's neighbor list (see Routes).
+// the next hop in the node's neighbor list. The build searches only the
+// graph's 2-core, left after peeling the trees that hang off it, and
+// fills the tree entries from where each tree attaches (see Routes).
 package topology
 
 import (
@@ -165,8 +167,9 @@ const NoRoute NodeID = -1
 // straddles a 64-bit word. A one-link host needs no storage; a two-link
 // gateway needs one bit per destination. Every row starts on a word of
 // one shared []uint64, which holds no pointers for the GC to scan.
-// Entries toward the node itself or toward another component hold 0;
-// Next tells them apart by a component label per node.
+// Entries toward the node itself or toward another component hold some
+// port (in a tree node's row, its port up toward the core); Next tells
+// them apart by a component label per node.
 type Routes struct {
 	adj  [][]NodeID
 	rows []Row
@@ -194,13 +197,22 @@ func (r Row) Port(dst NodeID) int {
 	return int(r.words[u>>(6-k)] >> (u << k & 63) & (1<<(1<<k) - 1))
 }
 
-// set ORs port into the (zero) entry for dst, indexed as Port reads it.
+// set overwrites the entry for dst with port, indexed as Port reads it.
 func (r Row) set(dst NodeID, port int32) {
 	if r.words == nil {
 		return
 	}
 	u, k := uint(dst), uint(r.log)
-	r.words[u>>(6-k)] |= uint64(port) << (u << k & 63)
+	w, off := &r.words[u>>(6-k)], u<<k&63
+	*w = *w&^((1<<(1<<k)-1)<<off) | uint64(port)<<off
+}
+
+// fill sets every entry of the row to port.
+func (r Row) fill(port int32) {
+	pattern := uint64(port) * (^uint64(0) / (1<<(1<<r.log) - 1))
+	for i := range r.words {
+		r.words[i] = pattern
+	}
 }
 
 // Row returns node id's row. It shares the table's storage.
@@ -216,12 +228,28 @@ func (r *Routes) Next(from, dst NodeID) NodeID {
 }
 
 // Routes computes the next hop from every node toward every other by
-// hop-count shortest path (BFS from each destination). Among equal
-// paths a node takes the neighbor the BFS reached it from first, which
-// follows the order links were added, deterministically.
+// hop-count shortest path. Among equal paths a node takes the neighbor
+// a BFS from the destination reached it from first, which follows the
+// order links were added, deterministically.
+//
+// Only the graph's 2-core is searched. Peeling nodes of degree 1 until
+// none is left splits the graph into the core and trees hanging off it,
+// each attached to one core node; a component that is a tree keeps one
+// unpeeled node, its root, as its whole core. A tree has one path
+// between any two of its nodes, and every path from outside the branch
+// holding a tree node d into it passes through the core node a(d) the
+// branch hangs from. A BFS from a core node enters a branch only
+// through its a(d) and finds nothing outside the branch from inside it,
+// so it dequeues core nodes in the same order whether or not it crosses
+// the trees: one restricted to the core finds the same next hops
+// between core nodes. A BFS from d, once it leaves d's branch at a(d),
+// runs as one from a(d) would, so every node x outside that branch has
+// row[x][d] = row[x][a(d)]. Core rows take their entries toward tree
+// nodes from that; a tree node's row is its port up toward the core,
+// save toward the nodes below it.
 func (t *Topology) Routes() *Routes {
 	n := len(t.Nodes)
-	r := &Routes{adj: t.adj, rows: make([]Row, n), comp: make([]NodeID, n)}
+	r := &Routes{adj: t.adj, rows: make([]Row, n), comp: slices.Repeat([]NodeID{NoRoute}, n)}
 	total := 0
 	for id, nbrs := range t.adj {
 		if len(nbrs) > 1 {
@@ -236,22 +264,95 @@ func (t *Topology) Routes() *Routes {
 			row.words, words = words[:w:w], words[w:]
 		}
 	}
-	for i := range r.comp {
-		r.comp[i] = NoRoute
+
+	// Peel: up[v] becomes the port of a peeled node's one neighbor left,
+	// its parent; the core keeps up = unreached. peel ends up holding the
+	// peeled nodes in the order they went, each before its parent.
+	deg, up, peel := make([]int32, n), make([]int32, n), make([]NodeID, 0, n)
+	for v, nbrs := range t.adj {
+		deg[v], up[v] = int32(len(nbrs)), unreached
+		if len(nbrs) == 1 {
+			peel = append(peel, NodeID(v))
+		}
 	}
-	port := make([]int32, n)
+	kept := 0
+	for head := 0; head < len(peel); head++ {
+		v := peel[head]
+		if deg[v] != 1 {
+			continue // its last neighbor went first: v roots a tree component
+		}
+		j := slices.IndexFunc(t.adj[v], func(u NodeID) bool { return up[u] == unreached })
+		u := t.adj[v][j]
+		up[v], deg[v], deg[u] = int32(j), 0, deg[u]-1
+		if deg[u] == 1 {
+			peel = append(peel, u)
+		}
+		peel[kept] = v
+		kept++
+	}
+	peel = peel[:kept]
+	parent := func(v NodeID) NodeID { return t.adj[v][up[v]] }
+
+	// Search the core: port (deg's storage) starts as up, so each tree
+	// node holds a port and walls the search off. comp holds, for now,
+	// the lowest core node of each component.
+	port := deg
+	copy(port, up)
 	var queue []NodeID
-	for d := range t.Nodes {
-		dst := NodeID(d)
-		queue = t.bfs(dst, port, queue)
-		if r.comp[d] == NoRoute {
-			for _, v := range queue {
-				r.comp[v] = dst
+	for c := range NodeID(n) {
+		if up[c] != unreached {
+			continue
+		}
+		queue = t.bfs(c, port, queue)
+		for _, v := range queue {
+			if r.comp[v] == NoRoute {
+				r.comp[v] = c
+			}
+			r.rows[v].set(c, port[v])
+			port[v] = unreached
+		}
+	}
+
+	// Attach and fill the trees, parents before children. top[d] is the
+	// node of d's branch next to the core, so a(d) = parent(top[d]). A
+	// tree row holds its up port in every entry; then each ancestor of d
+	// takes its port down toward d.
+	top := make([]NodeID, n)
+	for i := len(peel) - 1; i >= 0; i-- {
+		d := peel[i]
+		top[d] = d
+		if p := parent(d); up[p] != unreached {
+			top[d] = top[p]
+		}
+		r.comp[d] = r.comp[parent(top[d])]
+		r.rows[d].fill(up[d])
+		for child, p := d, parent(d); up[p] != unreached; child, p = p, parent(p) {
+			r.rows[p].set(d, t.back[child][up[child]])
+		}
+	}
+	for c := range NodeID(n) {
+		if row := r.rows[c]; up[c] == unreached && row.words != nil {
+			for _, d := range peel {
+				tp := top[d]
+				if a := parent(tp); a == c {
+					row.set(d, t.back[tp][up[tp]])
+				} else {
+					row.set(d, int32(row.Port(a)))
+				}
 			}
 		}
-		for _, v := range queue[1:] {
-			r.rows[v].set(dst, port[v])
+	}
+
+	// Relabel each component by its lowest node, in top's storage.
+	low := top
+	for v := range low {
+		low[v] = NoRoute
+	}
+	for v, c := range r.comp {
+		if low[c] == NoRoute {
+			low[c] = NodeID(v)
 		}
+		r.comp[v] = low[c]
 	}
 	return r
 }
@@ -273,15 +374,13 @@ func rowWords(n int, k uint8) int { return (n<<k + 63) >> 6 }
 // reached.
 const unreached int32 = -1
 
-// bfs visits every node reachable from root in breadth-first order and
-// returns them in that order, root first, in queue's storage. port (one
-// entry per node) is overwritten: unreached for nodes not reached, 0
-// for root, else the index in each node's neighbor list of the node it
-// was first reached from, which is its next hop toward root.
+// bfs visits, in breadth-first order, every node reachable from root
+// through nodes whose port entry (one per node) is unreached; any other
+// entry walls its node off. It returns the visited nodes in that order,
+// root first, in queue's storage, and sets each one's entry: 0 for
+// root, else the index in the node's neighbor list of the node it was
+// first reached from, which is its next hop toward root.
 func (t *Topology) bfs(root NodeID, port []int32, queue []NodeID) []NodeID {
-	for i := range port {
-		port[i] = unreached
-	}
 	port[root] = 0
 	queue = append(queue[:0], root)
 	for head := 0; head < len(queue); head++ {
@@ -304,7 +403,7 @@ func (t *Topology) Validate() error {
 	}
 	// The links are undirected: if the first node reaches every node,
 	// every node reaches every other through it.
-	port := make([]int32, len(t.Nodes))
+	port := slices.Repeat([]int32{unreached}, len(t.Nodes))
 	t.bfs(0, port, nil)
 	for id, p := range port {
 		if p == unreached {

@@ -274,6 +274,27 @@ func TestRoutesShortestAndTieBreak(t *testing.T) {
 	if got := r.Next(d, s); got != lo {
 		t.Fatalf("d routes to s via %d, want %d (s's first link)", got, lo)
 	}
+	// A depth-2 tree hangs off d: traffic from s toward any of its nodes
+	// crosses the cycle as traffic toward d does, and climbs back out
+	// through d and lo.
+	var tree [3]NodeID
+	for i := range tree {
+		tree[i] = diamond.AddNode(fmt.Sprint("t", i), flow.MakeAddr(1, 1, 2, byte(i+1)), KindHost, 1)
+	}
+	diamond.AddLink(d, tree[0], 0, 0, 0)
+	diamond.AddLink(tree[0], tree[1], 0, 0, 0)
+	diamond.AddLink(tree[0], tree[2], 0, 0, 0)
+	r = diamond.Routes()
+	for _, x := range append(tree[:], d) {
+		if got := r.Next(s, x); got != hi {
+			t.Fatalf("s routes to %d via %d, want %d as toward d", x, got, hi)
+		}
+	}
+	for _, hop := range [][3]NodeID{{tree[1], s, tree[0]}, {tree[0], s, d}, {d, s, lo}, {tree[1], tree[2], tree[0]}, {d, tree[2], tree[0]}} {
+		if got := r.Next(hop[0], hop[1]); got != hop[2] {
+			t.Fatalf("Next(%d, %d) = %d, want %d", hop[0], hop[1], got, hop[2])
+		}
+	}
 
 	spec := RandomSpec{ASes: 12, Tier1: 3, MaxHostsPerAS: 3, InternalRouterProb: 0.3, Params: DefaultParams()}
 	topo, _ := Random(spec, rand.New(rand.NewSource(5)))
@@ -336,48 +357,45 @@ func TestParallelLinkPanics(t *testing.T) {
 	}
 }
 
-// denseRoutes is the reference next-hop table: one n×n matrix filled by
-// a BFS from each destination over Neighbors, a node's next hop being
-// the node the search first reached it from.
-func denseRoutes(topo *Topology) [][]NodeID {
-	n := len(topo.Nodes)
-	next := make([][]NodeID, n)
-	for i := range next {
-		next[i] = slices.Repeat([]NodeID{NoRoute}, n)
-	}
-	parent := make([]NodeID, n)
-	for d := range n {
-		for i := range parent {
-			parent[i] = NoRoute
-		}
-		parent[d] = NodeID(d)
-		queue := []NodeID{NodeID(d)}
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, v := range topo.Neighbors(u) {
-				if parent[v] == NoRoute {
-					parent[v] = u
-					queue = append(queue, v)
-				}
+// denseRoutes is the reference next-hop table one destination at a
+// time: a BFS from dst over Neighbors, each node's next hop being the
+// node the search first reached it from. It returns every node's next
+// hop toward dst, NoRoute for dst itself and for nodes it cannot reach.
+func denseRoutes(topo *Topology, dst NodeID) []NodeID {
+	next := slices.Repeat([]NodeID{NoRoute}, len(topo.Nodes))
+	next[dst] = dst
+	queue := []NodeID{dst}
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range topo.Neighbors(u) {
+			if next[v] == NoRoute {
+				next[v] = u
+				queue = append(queue, v)
 			}
 		}
-		for _, v := range queue[1:] {
-			next[v][d] = parent[v]
-		}
 	}
+	next[dst] = NoRoute
 	return next
 }
 
 // checkAgainstDense fails unless Routes.Next equals denseRoutes for
-// every (from, dst) pair of topo.
+// every (from, dst) pair of topo, and each node's component label is
+// the lowest node that reaches it.
 func checkAgainstDense(t *testing.T, name string, topo *Topology) {
 	t.Helper()
-	r, want := topo.Routes(), denseRoutes(topo)
-	for from := range want {
-		for dst, hop := range want[from] {
-			if got := r.Next(NodeID(from), NodeID(dst)); got != hop {
+	r := topo.Routes()
+	for dst := range NodeID(len(topo.Nodes)) {
+		lowest := dst
+		for from, hop := range denseRoutes(topo, dst) {
+			if got := r.Next(NodeID(from), dst); got != hop {
 				t.Fatalf("%s: Next(%d, %d) = %d, reference %d", name, from, dst, got, hop)
 			}
+			if hop != NoRoute {
+				lowest = min(lowest, NodeID(from))
+			}
+		}
+		if r.comp[dst] != lowest {
+			t.Fatalf("%s: node %d labelled component %d, want %d", name, dst, r.comp[dst], lowest)
 		}
 	}
 }
@@ -394,8 +412,10 @@ func TestRoutesMatchDense(t *testing.T) {
 		topo, _ := Chain(depth, p)
 		checkAgainstDense(t, fmt.Sprintf("Chain(%d)", depth), topo)
 	}
-	army, _ := ManyToOne(500, 4, p)
-	checkAgainstDense(t, "ManyToOne(500, 4)", army)
+	for _, zombies := range []int{500, 2000} {
+		army, _ := ManyToOne(zombies, 4, p)
+		checkAgainstDense(t, fmt.Sprintf("ManyToOne(%d, 4)", zombies), army)
+	}
 	shared, _ := SharedGateway(10, 3, p)
 	checkAgainstDense(t, "SharedGateway", shared)
 	for seed := int64(1); seed <= 200; seed++ {
@@ -444,21 +464,58 @@ func TestRoutesMatchDense(t *testing.T) {
 	}
 	mixed.AddLink(node(mixed), node(mixed), 0, 0, 0)
 	checkAgainstDense(t, "mixed components", mixed)
+
+	// A 5-ring, the whole 2-core, each node carrying a binary tree of
+	// depth 3: every core row answers for 70 tree nodes through its
+	// entry toward their attachment, and tree rows hold up ports save
+	// toward their own subtrees.
+	forest := New()
+	cycle := make([]NodeID, 5)
+	for i := range cycle {
+		cycle[i] = node(forest)
+	}
+	for i := range cycle {
+		forest.AddLink(cycle[i], cycle[(i+1)%len(cycle)], 0, 0, 0)
+		level := []NodeID{cycle[i]}
+		for range 3 {
+			var below []NodeID
+			for _, parent := range level {
+				for range 2 {
+					child := node(forest)
+					forest.AddLink(parent, child, 0, 0, 0)
+					below = append(below, child)
+				}
+			}
+			level = below
+		}
+	}
+	checkAgainstDense(t, "5-ring of depth-3 trees", forest)
 }
 
 // TestRowPortRoundTrip: every entry width, 32 bits included, reads back
-// what was written at every destination, whatever its neighbors hold.
+// a filled port everywhere and then what was last set at every
+// destination, whatever its neighbors and its own earlier value hold.
 func TestRowPortRoundTrip(t *testing.T) {
 	const n = 300
 	rng := rand.New(rand.NewSource(1))
 	for k := uint8(0); k <= 5; k++ {
 		row := Row{words: make([]uint64, rowWords(n, k)), log: k}
 		want := make([]int32, n)
+		// A fill sets every entry; each pass of set overwrites them all.
+		fill := int32(rng.Int63n(min(int64(1)<<(1<<k), 1<<31)))
+		row.fill(fill)
 		for d := range want {
-			// Ports are int32 neighbor indexes, so even 32-bit entries
-			// hold at most 1<<31 - 1.
-			want[d] = int32(rng.Int63n(min(int64(1)<<(1<<k), 1<<31)))
-			row.set(NodeID(d), want[d])
+			if got := row.Port(NodeID(d)); got != int(fill) {
+				t.Fatalf("width %d: after fill(%d), Port(%d) = %d", 1<<k, fill, d, got)
+			}
+		}
+		for range 2 {
+			for d := range want {
+				// Ports are int32 neighbor indexes, so even 32-bit
+				// entries hold at most 1<<31 - 1.
+				want[d] = int32(rng.Int63n(min(int64(1)<<(1<<k), 1<<31)))
+				row.set(NodeID(d), want[d])
+			}
 		}
 		for d, w := range want {
 			if got := row.Port(NodeID(d)); got != int(w) {
@@ -515,4 +572,92 @@ func TestRouteTableBytes(t *testing.T) {
 			t.Fatalf("ManyToOne(%d, 4): zombie path %v, want %v", tc.zombies, path, want)
 		}
 	}
+}
+
+// TestRoutesAtScale: on an army of 5,000 zombies (10,011 nodes) seeded
+// pairs route as a BFS from the destination says, and the table keeps
+// to one bit per destination for each two-link gateway.
+func TestRoutesAtScale(t *testing.T) {
+	topo, _ := ManyToOne(5000, 4, DefaultParams())
+	r := topo.Routes()
+	n := len(topo.Nodes)
+	rng := rand.New(rand.NewSource(1))
+	for range 300 {
+		from, dst := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+		if got, want := r.Next(from, dst), denseRoutes(topo, dst)[from]; got != want {
+			t.Fatalf("Next(%d, %d) = %d, reference %d", from, dst, got, want)
+		}
+	}
+	// 5,005 one-bit rows of 157 words and the core's 16-bit row; a
+	// dense []*Iface table would be 800 MB.
+	got := routeTableBytes(r)
+	t.Logf("ManyToOne(5000, 4): %d nodes, %d route table bytes", n, got)
+	if max := 6600 << 10; got > max {
+		t.Fatalf("route table %d bytes, want at most %d", got, max)
+	}
+}
+
+// graphBytes encodes a graph as FuzzRoutes decodes it: the node count
+// less one, then one byte pair per link.
+func graphBytes(nodes int, links ...[2]byte) []byte {
+	b := []byte{byte(nodes - 1)}
+	for _, l := range links {
+		b = append(b, l[0], l[1])
+	}
+	return b
+}
+
+// FuzzRoutes decodes bytes into a graph of at most 48 nodes, dropping
+// self and parallel links, and requires the table to answer every pair
+// as the per-destination BFS does.
+func FuzzRoutes(f *testing.F) {
+	f.Add(graphBytes(6, [2]byte{0, 1}, [2]byte{1, 2}, [2]byte{2, 3}, [2]byte{3, 4}, [2]byte{4, 5}))                // a path
+	f.Add(graphBytes(7, [2]byte{0, 1}, [2]byte{0, 2}, [2]byte{0, 3}, [2]byte{0, 4}, [2]byte{0, 5}, [2]byte{0, 6})) // a star
+	f.Add(graphBytes(9, [2]byte{0, 1}, [2]byte{1, 2}, [2]byte{2, 3}, [2]byte{3, 4}, [2]byte{4, 0},
+		[2]byte{0, 5}, [2]byte{5, 6}, [2]byte{2, 7}, [2]byte{8, 3})) // a ring with tails
+	f.Add(graphBytes(12, [2]byte{0, 1}, [2]byte{0, 2}, [2]byte{1, 3}, [2]byte{3, 4}, [2]byte{4, 5},
+		[2]byte{4, 6}, [2]byte{5, 7}, [2]byte{5, 8}, [2]byte{7, 9}, [2]byte{6, 10}, [2]byte{2, 11})) // a depth-4 tree off another tree
+	f.Add(graphBytes(2, [2]byte{0, 1}))                               // a two-node path
+	f.Add(graphBytes(4, [2]byte{0, 2}, [2]byte{2, 1}, [2]byte{1, 3})) // a path whose peel ends at its lower middle node
+	f.Add(graphBytes(1))                                              // an isolated node
+	f.Add(graphBytes(9, [2]byte{0, 1}, [2]byte{1, 2}, [2]byte{2, 3}, [2]byte{3, 0},
+		[2]byte{4, 5}, [2]byte{5, 6}, [2]byte{5, 7}, [2]byte{7, 8})) // a tree component beside a ring
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) == 0 {
+			return
+		}
+		n := 1 + int(b[0])%48
+		topo := New()
+		for i := range n {
+			topo.AddNode(fmt.Sprint("n", i), flow.MakeAddr(10, 0, 0, byte(i)), KindInternalRouter, 1)
+		}
+		for i := 1; i+1 < len(b); i += 2 {
+			a, c := NodeID(int(b[i])%n), NodeID(int(b[i+1])%n)
+			if a != c && !slices.Contains(topo.Neighbors(a), c) {
+				topo.AddLink(a, c, 0, 0, 0)
+			}
+		}
+		checkAgainstDense(t, "fuzzed graph", topo)
+	})
+}
+
+// BenchmarkRoutes times one table build on armies of 500, 2,000 and
+// 5,000 zombies and on the largest internet the scenario generator
+// draws.
+func BenchmarkRoutes(b *testing.B) {
+	build := func(name string, topo *Topology) {
+		b.Run(name, func(b *testing.B) {
+			for b.Loop() {
+				topo.Routes()
+			}
+		})
+	}
+	p := DefaultParams()
+	for _, zombies := range []int{500, 2000, 5000} {
+		topo, _ := ManyToOne(zombies, 4, p)
+		build(fmt.Sprintf("ManyToOne%d", zombies), topo)
+	}
+	spec := RandomSpec{ASes: 14, Tier1: 3, MaxHostsPerAS: 3, InternalRouterProb: 0.3, Params: p}
+	topo, _ := Random(spec, rand.New(rand.NewSource(1)))
+	build("Random14", topo)
 }
