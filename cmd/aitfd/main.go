@@ -270,8 +270,10 @@ func (d *daemon) finalSnapshot() []any {
 	return []any{
 		"bytes_received", st.BytesReceived,
 		"requests_sent", st.RequestsSent,
-		"stop_orders_received", st.StopOrdersReceived,
-		"suppressed_sends", st.SuppressedSends,
+		"rerequests_sent", st.ReRequestsSent,
+		"wanted_evicted", st.WantedEvicted,
+		"stop_orders_received", st.StopOrders,
+		"suppressed_sends", st.StoppedSends,
 	}
 }
 

@@ -142,7 +142,7 @@ func main() {
 			fmt.Printf("victim received %.1f KB before filtering engaged\n",
 				float64(victim.Stats().BytesReceived)/1e3)
 			fmt.Printf("attacker suppressed %d sends after the stop order\n",
-				attacker.Stats().SuppressedSends)
+				attacker.Stats().StoppedSends)
 			fmt.Printf("attacker gateway filters: %d\n", agw.Filters().Len())
 			fmt.Println("\n== scraped from /metrics ==")
 			printScrape(admin.Addr())

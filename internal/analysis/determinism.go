@@ -13,7 +13,7 @@ import (
 var DeterministicPkgs = []string{
 	"core", "netsim", "sim", "scenario", "detect", "cluster",
 	"attack", "topology", "alloc", "filter", "pushback", "traceback",
-	"ctrl",
+	"ctrl", "endhost",
 }
 
 // Determinism forbids ambient nondeterminism in sim-driven packages:

@@ -5,14 +5,16 @@ import (
 	"testing"
 	"time"
 
+	"aitf/internal/endhost"
 	"aitf/internal/flow"
 	"aitf/internal/netsim"
+	"aitf/internal/packet"
 	"aitf/internal/sim"
 	"aitf/internal/topology"
 )
 
-// TestBlockedByStopOrderMatchesBruteForce: blockedByStopOrder finds
-// exact and pair orders by lookup and scans only the other shapes,
+// TestBlockedByStopOrderMatchesBruteForce: a compliant host finds exact
+// and pair stop orders by lookup and scans only the other shapes,
 // dropping expired ones as it goes. Over random order sets — exact,
 // pair, /N source and destination prefixes, wildcard endpoints, partial
 // port and protocol wildcards, re-issued labels, orders already expired
@@ -28,8 +30,10 @@ func TestBlockedByStopOrderMatchesBruteForce(t *testing.T) {
 	for trial := int64(0); trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(trial))
 		eng := sim.NewEngine(trial)
-		h := NewHost(DefaultHostConfig(flow.MakeAddr(10, 0, 0, 2)))
+		gw := flow.MakeAddr(10, 0, 0, 2)
+		h := NewHost(DefaultHostConfig(gw))
 		h.Attach(netsim.MustBuild(eng, topo).Node(a), nil)
+		var out endhost.Out
 
 		// A small address and port space, so orders and tuples overlap.
 		addr := func() flow.Addr { return flow.MakeAddr(20, byte(rng.Intn(2)), byte(rng.Intn(3)), byte(rng.Intn(4))) }
@@ -66,7 +70,9 @@ func TestBlockedByStopOrderMatchesBruteForce(t *testing.T) {
 				t := tuple()
 				l := label(t)
 				until := h.now() + sim.Time(rng.Intn(40)-10)*time.Millisecond
-				h.stopOrders.Add(l, until)
+				h.eng.Control(h.now(), packet.NewControl(gw, h.node.Addr(), &packet.FilterReq{
+					Stage: packet.StageToAttacker, Flow: l, Duration: until - h.now(), Txid: uint64(step + 1),
+				}), &out)
 				ref[l.Canonical()] = until
 				ordered = append(ordered, t)
 			}
@@ -86,8 +92,8 @@ func TestBlockedByStopOrderMatchesBruteForce(t *testing.T) {
 					want = want || l.Matches(tup)
 				}
 			}
-			if got := h.blockedByStopOrder(tup); got != want {
-				t.Fatalf("trial %d step %d: blockedByStopOrder(%+v) = %v, brute force %v", trial, step, tup, got, want)
+			if got := !h.eng.MaySend(now, tup); got != want {
+				t.Fatalf("trial %d step %d: blocked(%+v) = %v, brute force %v", trial, step, tup, got, want)
 			}
 			if got := h.ActiveStopOrders(); got != live {
 				t.Fatalf("trial %d step %d: ActiveStopOrders = %d, brute force %d", trial, step, got, live)

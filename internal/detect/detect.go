@@ -30,7 +30,7 @@
 // caller-owned output slice, zero steady-state allocations — so a
 // gateway can run detection at classification speed on behalf of
 // legacy (non-AITF) hosts behind it. HostDetector adapts the engine to
-// the simulator's per-packet core.Detector interface for end hosts.
+// the per-packet endhost.Detector interface of both runtimes' hosts.
 //
 // Every hash is seeded from Config.Seed, every structure iterates in
 // slot order, and the clock is the caller's: equal seeds and equal
@@ -378,11 +378,11 @@ func (e *Engine) TopK() []HeavyHitter {
 	return out
 }
 
-// ── core.Detector adapter ────────────────────────────────────────────
+// ── endhost.Detector adapter ─────────────────────────────────────────
 
-// HostDetector adapts the engine to the simulator's per-packet
-// end-host detector interface (core.Detector, satisfied structurally
-// so this package stays import-cycle-free with internal/core).
+// HostDetector adapts the engine to the per-packet end-host detector
+// interface both runtimes' hosts use (endhost.Detector, satisfied
+// structurally).
 type HostDetector struct {
 	// Engine is the underlying sketch engine, exposed for inspection.
 	Engine *Engine
@@ -393,7 +393,7 @@ func NewHostDetector(cfg Config) *HostDetector {
 	return &HostDetector{Engine: New(cfg)}
 }
 
-// Observe implements core.Detector.
+// Observe implements endhost.Detector.
 func (d *HostDetector) Observe(now sim.Time, p *packet.Packet) (flow.Label, bool) {
 	det, ok := d.Engine.ObserveTuple(now, p.Tuple(), int(p.PayloadLen))
 	return det.Label, ok

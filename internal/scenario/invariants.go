@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"aitf"
@@ -584,8 +585,15 @@ func (w *world) fingerprint() uint64 {
 	sort.Ints(hostIDs)
 	for _, id := range hostIDs {
 		host := w.dep.Hosts[topology.NodeID(id)]
+		// WantedEvicted is 0 unless the host's wanted table overflowed;
+		// a zero is left out, so the rows of runs that never reach
+		// endhost.MaxWanted do not depend on the table having a bound.
 		st := host.Stats()
-		add("h%d:%+v:%d:%d\n", id, st, host.Meter.Bytes, host.Meter.Packets)
+		row := fmt.Sprintf("%+v", st)
+		if st.WantedEvicted == 0 {
+			row = strings.Replace(row, " WantedEvicted:0", "", 1)
+		}
+		add("h%d:%s:%d:%d\n", id, row, host.Meter.Bytes, host.Meter.Packets)
 		// 64-bit, not int: an address above 2^31 wraps negative where int
 		// is 32 bits, changing both the order and the rendered digits.
 		srcs := make([]uint64, 0, len(host.PerSource))

@@ -12,6 +12,7 @@ import (
 	"aitf/internal/contract"
 	"aitf/internal/ctrl"
 	"aitf/internal/detect"
+	"aitf/internal/endhost"
 	"aitf/internal/flow"
 	"aitf/internal/packet"
 )
@@ -346,11 +347,14 @@ func TestControlSendsShareTheFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sink.Close()
+		tm := testTimers()
+		tm.T = time.Hour
 		h, err := NewHost(HostConfig{
 			Node: NodeConfig{Addr: victimA, Name: "victim", NextHop: map[flow.Addr]flow.Addr{agwA: gwA},
 				Book: Book{gwA: sink.LocalAddr().String()}},
-			Gateway: gwA,
-			Timers:  testTimers(),
+			Gateway:   gwA,
+			Timers:    tm,
+			DetectBps: 1, // the first datagram of any source is an attack
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -362,9 +366,11 @@ func TestControlSendsShareTheFlush(t *testing.T) {
 		}
 		const k = 8
 		pkts := make([]*packet.Packet, k)
+		var requests endhost.Out // the victim asks to block each source; the test drops the requests
 		for i := range pkts {
-			l := flow.PairLabel(flow.MakeAddr(30, 0, 0, byte(i+1)), victimA)
-			h.wanted[l.Key()] = wallNow() + time.Hour
+			src := flow.MakeAddr(30, 0, 0, byte(i+1))
+			l := flow.PairLabel(src, victimA)
+			h.eng.Data(wallNow(), packet.NewData(src, victimA, flow.ProtoUDP, 4000, 80, 100), &requests)
 			pkts[i] = packet.NewControl(agwA, victimA, &packet.VerifyQuery{Flow: l, Nonce: uint64(100 + i)})
 		}
 		msgs0 := h.node.SendMsgs.Load()

@@ -1,6 +1,9 @@
 package wire
 
-import "aitf/internal/obs"
+import (
+	"aitf/internal/endhost"
+	"aitf/internal/obs"
+)
 
 // GatewayStats is a point-in-time snapshot of the wire gateway's
 // protocol counters, safe to take from any goroutine (an admin
@@ -118,20 +121,11 @@ func (g *Gateway) RegisterMetrics(r *obs.Registry) {
 	g.plane.Instrument(r)
 }
 
-// HostStats is a point-in-time snapshot of a wire host's counters.
-type HostStats struct {
-	BytesReceived      uint64
-	RequestsSent       uint64
-	StopOrdersReceived uint64
-	SuppressedSends    uint64
-	CtrlDupDrops       uint64 // redundant stop-order copies absorbed by txid dedup
-}
-
 // Stats snapshots the host counters under the host lock.
-func (h *Host) Stats() HostStats {
+func (h *Host) Stats() endhost.Stats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.stats
+	return h.eng.Stats()
 }
 
 // RegisterMetrics registers the host's counters into r under the
@@ -144,12 +138,18 @@ func (h *Host) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("aitf_host_requests_sent_total",
 		"Filtering requests issued.",
 		func() uint64 { return h.Stats().RequestsSent })
+	r.CounterFunc("aitf_host_rerequests_sent_total",
+		"Filtering requests reissued for a flow still arriving while its request was live.",
+		func() uint64 { return h.Stats().ReRequestsSent })
+	r.CounterFunc("aitf_host_wanted_evicted_total",
+		"Live requests forgotten to keep the wanted table at its bound.",
+		func() uint64 { return h.Stats().WantedEvicted })
 	r.CounterFunc("aitf_host_stop_orders_received_total",
 		"Provider stop orders received.",
-		func() uint64 { return h.Stats().StopOrdersReceived })
+		func() uint64 { return h.Stats().StopOrders })
 	r.CounterFunc("aitf_host_suppressed_sends_total",
 		"Packets withheld for stop-order compliance.",
-		func() uint64 { return h.Stats().SuppressedSends })
+		func() uint64 { return h.Stats().StoppedSends })
 	r.CounterFunc("aitf_host_ctrl_dup_drops_total",
 		"Duplicate stop-order deliveries absorbed by txid dedup.",
 		func() uint64 { return h.Stats().CtrlDupDrops })

@@ -513,7 +513,7 @@ func TestWireReliableRoundCompletes(t *testing.T) {
 		return r.agw.Stats().HandshakesOK > 0
 	}, "handshake never completed with retransmission armed")
 	waitUntil(t, 5*time.Second, func() bool {
-		return r.attacker.Stats().SuppressedSends > 0
+		return r.attacker.Stats().StoppedSends > 0
 	}, "stop order never landed with retransmission armed")
 
 	// The redundant relay copy arrives ~RTO later and must be absorbed.
@@ -537,8 +537,8 @@ func TestWireReliableRoundCompletes(t *testing.T) {
 	waitUntil(t, 2*time.Second, func() bool {
 		return r.attacker.Stats().CtrlDupDrops >= 1
 	}, "redundant stop order was never deduped at the attacker")
-	if hs := r.attacker.Stats(); hs.StopOrdersReceived != 1 || hs.CtrlDupDrops != 1 {
-		t.Fatalf("attacker: StopOrdersReceived = %d, CtrlDupDrops = %d; want 1, 1", hs.StopOrdersReceived, hs.CtrlDupDrops)
+	if hs := r.attacker.Stats(); hs.StopOrders != 1 || hs.CtrlDupDrops != 1 {
+		t.Fatalf("attacker: StopOrders = %d, CtrlDupDrops = %d; want 1, 1", hs.StopOrders, hs.CtrlDupDrops)
 	}
 
 	kinds := map[any]int{}
