@@ -14,9 +14,9 @@ import (
 //   - a sync/atomic typed field (atomic.Uint64, atomic.Pointer[T],
 //     ...): every access is a method call, inherently atomic;
 //   - a plain integer field (or a struct-of-counters field such as
-//     core.Gateway.stats) whose every selector access is
+//     border.Engine.stats) whose every selector access is
 //     address-taken directly into a sync/atomic call:
-//     atomic.AddUint64(&g.stats.FilterDrops, 1).
+//     atomic.AddUint64(&e.stats.FilterDrops, 1).
 //
 // Anything else — plain reads, plain writes, ++/--, compound
 // assignment, taking the address for a non-atomic callee — is the

@@ -13,7 +13,7 @@ import (
 var DeterministicPkgs = []string{
 	"core", "netsim", "sim", "scenario", "detect", "cluster",
 	"attack", "topology", "alloc", "filter", "pushback", "traceback",
-	"ctrl", "endhost",
+	"ctrl", "endhost", "border",
 }
 
 // Determinism forbids ambient nondeterminism in sim-driven packages:

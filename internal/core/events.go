@@ -1,13 +1,12 @@
-// Package core implements the AITF protocol itself: the behaviour of
-// victims, victims' gateways, attackers' gateways and attackers
-// (§II-C), the three-way handshake that authenticates filtering
-// requests (§II-E), the escalation mechanism that walks filtering
-// toward the attacker round by round (§II-B/II-D), and the
-// disconnection threat that makes cooperation rational (§III-A).
-//
-// core nodes plug into the netsim data plane as packet handlers; all
-// state machines run on simulated virtual time, so the same code is
-// exercised identically across experiments.
+// Package core runs AITF on the simulator: it is the netsim adapter
+// over the protocol engines. Gateway feeds a border.Engine (§II-B–E:
+// request policing and verification, the three-way handshake,
+// escalation, disconnection) from its node and keeps the data half —
+// ingress filtering, classification and forwarding with a route
+// record. Host feeds an endhost.Engine (§II-C, §IV-D: requests,
+// handshake replies, stop orders). Both engines run on the simulator's
+// virtual clock and seeded source, so the same code is exercised
+// identically across experiments.
 package core
 
 import "aitf/internal/obs"

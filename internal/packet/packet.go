@@ -144,16 +144,6 @@ func (p *Packet) RecordRoute(router flow.Addr, nonce uint64) {
 	p.Path = append(p.Path, RREntry{Router: router, Nonce: nonce})
 }
 
-// PathRouters returns just the router addresses of the RR shim, in
-// traversal order.
-func (p *Packet) PathRouters() []flow.Addr {
-	out := make([]flow.Addr, len(p.Path))
-	for i, e := range p.Path {
-		out[i] = e.Router
-	}
-	return out
-}
-
 // IsControl reports whether the packet carries an AITF message.
 func (p *Packet) IsControl() bool { return p.Msg != nil }
 

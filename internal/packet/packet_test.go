@@ -69,16 +69,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestPathRouters(t *testing.T) {
-	p := NewData(srcA, dstA, flow.ProtoUDP, 1, 2, 100)
-	p.RecordRoute(gw1, 1)
-	p.RecordRoute(gw2, 2)
-	got := p.PathRouters()
-	if len(got) != 2 || got[0] != gw1 || got[1] != gw2 {
-		t.Fatalf("PathRouters = %v", got)
-	}
-}
-
 func roundTrip(t *testing.T, p *Packet) *Packet {
 	t.Helper()
 	b, err := Marshal(p)

@@ -152,34 +152,12 @@ var (
 // index 0 being the attacker's gateway (appended first).
 type AttackPath []packet.RREntry
 
-// FromPacket extracts the attack path from a sample attack packet.
-func FromPacket(p *packet.Packet) (AttackPath, error) {
-	if len(p.Path) == 0 {
-		return nil, ErrEmptyPath
-	}
-	return AttackPath(append([]packet.RREntry(nil), p.Path...)), nil
-}
-
 // AttackerGateway returns the AITF node closest to the attacker.
 func (ap AttackPath) AttackerGateway() (flow.Addr, error) {
 	if len(ap) == 0 {
 		return 0, ErrEmptyPath
 	}
 	return ap[0].Router, nil
-}
-
-// GatewayForRound returns the attacker-side target of escalation round
-// r (1-based): round 1 is the attacker's gateway, round 2 the next
-// border router toward the core, and so on (§II-B "the mechanism
-// proceeds in rounds").
-func (ap AttackPath) GatewayForRound(round int) (flow.Addr, error) {
-	if len(ap) == 0 {
-		return 0, ErrEmptyPath
-	}
-	if round < 1 || round > len(ap) {
-		return 0, ErrRoundTooHigh
-	}
-	return ap[round-1].Router, nil
 }
 
 // Contains reports whether addr appears anywhere on the path.
@@ -200,13 +178,4 @@ func (ap AttackPath) IndexOf(addr flow.Addr) int {
 		}
 	}
 	return -1
-}
-
-// Routers returns the bare router addresses in order.
-func (ap AttackPath) Routers() []flow.Addr {
-	out := make([]flow.Addr, len(ap))
-	for i, e := range ap {
-		out[i] = e.Router
-	}
-	return out
 }

@@ -124,25 +124,9 @@ func TestAttackPathExtraction(t *testing.T) {
 	} {
 		r.Stamp(p)
 	}
-	ap, err := FromPacket(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := ap.AttackerGateway()
+	gw, err := AttackPath(p.Path).AttackerGateway()
 	if err != nil || gw != rtrA {
 		t.Fatalf("AttackerGateway = %v, %v", gw, err)
-	}
-	for round, want := range map[int]flow.Addr{1: rtrA, 2: rtrB, 3: rtrC} {
-		got, err := ap.GatewayForRound(round)
-		if err != nil || got != want {
-			t.Fatalf("round %d: got %v, %v; want %v", round, got, err, want)
-		}
-	}
-	if _, err := ap.GatewayForRound(4); !errors.Is(err, ErrRoundTooHigh) {
-		t.Fatalf("round 4 err = %v", err)
-	}
-	if _, err := ap.GatewayForRound(0); !errors.Is(err, ErrRoundTooHigh) {
-		t.Fatalf("round 0 err = %v", err)
 	}
 }
 
@@ -150,36 +134,19 @@ func TestAttackPathHelpers(t *testing.T) {
 	p := samplePacket()
 	NewRecorder(rtrA, []byte("a")).Stamp(p)
 	NewRecorder(rtrB, []byte("b")).Stamp(p)
-	ap, _ := FromPacket(p)
+	ap := AttackPath(p.Path)
 	if !ap.Contains(rtrA) || !ap.Contains(rtrB) || ap.Contains(rtrC) {
 		t.Fatal("Contains wrong")
 	}
 	if ap.IndexOf(rtrB) != 1 || ap.IndexOf(rtrC) != -1 {
 		t.Fatal("IndexOf wrong")
 	}
-	rs := ap.Routers()
-	if len(rs) != 2 || rs[0] != rtrA || rs[1] != rtrB {
-		t.Fatalf("Routers = %v", rs)
-	}
 }
 
-func TestFromPacketEmpty(t *testing.T) {
-	if _, err := FromPacket(samplePacket()); !errors.Is(err, ErrEmptyPath) {
-		t.Fatalf("err = %v, want ErrEmptyPath", err)
-	}
+func TestEmptyAttackPath(t *testing.T) {
 	var ap AttackPath
 	if _, err := ap.AttackerGateway(); !errors.Is(err, ErrEmptyPath) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestPathIsolatedFromPacketMutation(t *testing.T) {
-	p := samplePacket()
-	NewRecorder(rtrA, []byte("a")).Stamp(p)
-	ap, _ := FromPacket(p)
-	p.Path[0].Router = rtrC
-	if ap[0].Router != rtrA {
-		t.Fatal("AttackPath aliases packet path")
 	}
 }
 

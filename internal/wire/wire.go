@@ -13,7 +13,11 @@
 //
 // A border router pays the datagram path on every packet it forwards,
 // so that path (Node's read loop → Gateway → Node's send) allocates
-// nothing and takes no lock. Its socket I/O is batched: a read-loop
+// nothing and takes no gateway lock. Its one lock is gateway-side
+// detection's: every datagram toward a protected destination takes
+// detect.Engine's mutex, and also Cluster.mu when a cluster is
+// configured; the rare datagram that fires a detection then takes the
+// gateway lock to file the request. Its socket I/O is batched: a read-loop
 // wakeup takes every message waiting on the socket, up to 32, with one
 // recvmmsg; the gateway classifies each run of data packets with one
 // dataplane.ClassifyInto; and everything the wakeup sends, forwards and
