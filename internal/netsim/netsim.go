@@ -264,8 +264,7 @@ type Node struct {
 	net  *Network
 	info topology.Node
 
-	ifaces  []*Iface     // in topology link order, as topology.Neighbors
-	row     topology.Row // next hop toward each destination, as an ifaces index
+	ifaces  []*Iface // in topology link order, as topology.Neighbors
 	handler Handler
 
 	// RoutingDrops counts packets dropped for TTL expiry or no route.
@@ -324,7 +323,7 @@ func (n *Node) NextHop(dst flow.Addr) *Iface {
 	if !ok || id == n.info.ID {
 		return nil
 	}
-	return n.ifaces[n.row.Port(id)]
+	return n.ifaces[n.net.routes.Port(n.info.ID, id)]
 }
 
 // SetHandler installs the node's packet handler.
@@ -382,10 +381,11 @@ func (n *Node) Originate(p *packet.Packet) bool {
 
 // Network is a set of running nodes built from a topology.
 type Network struct {
-	eng   *sim.Engine
-	topo  *topology.Topology
-	nodes []*Node
-	ids   map[flow.Addr]topology.NodeID // the one index every NextHop shares
+	eng    *sim.Engine
+	topo   *topology.Topology
+	nodes  []*Node
+	ids    map[flow.Addr]topology.NodeID // the one index every NextHop shares
+	routes *topology.Routes
 
 	// faultRng drives all fault randomness (faults.go). Lazily seeded;
 	// fault-free networks never touch it, so their schedules are
@@ -421,16 +421,15 @@ func Build(eng *sim.Engine, topo *topology.Topology) (*Network, error) {
 			i.owner.ifaces = append(i.owner.ifaces, i)
 		}
 	}
-	// A row's ports index topology.Neighbors, so NextHop can index
+	// Routes' ports index topology.Neighbors, so NextHop can index
 	// ifaces with them only while both lists are in link order.
-	routes := topo.Routes()
+	net.routes = topo.Routes()
 	for _, node := range net.nodes {
 		for i, peer := range topo.Neighbors(node.ID()) {
 			if node.ifaces[i].neighbor.ID() != peer {
 				panic(fmt.Sprintf("netsim: %s interface %d is not toward neighbor %d", node.Name(), i, peer))
 			}
 		}
-		node.row = routes.Row(node.ID())
 	}
 	return net, nil
 }

@@ -308,9 +308,26 @@ func BenchmarkForwardThroughChain(b *testing.B) {
 
 // TestHopZeroAlloc pins the simulated hop's allocation budget: once the
 // link FIFOs and the engine's free list are warm, originating a burst
-// and carrying it across all eleven hops allocates nothing.
+// and carrying it to its destination allocates nothing, across all
+// eleven hops of a chain of tree nodes and across the four of an army's
+// zombie → victim path, whose core router looks its next hop up as the
+// root of the army's tree.
 func TestHopZeroAlloc(t *testing.T) {
 	eng, src, dst := forwardChain()
+	hopZeroAlloc(t, eng, src, dst, 11)
+
+	eng = sim.NewEngine(1)
+	p := topology.DefaultParams()
+	p.TailBandwidth = 0
+	topo, ids := topology.ManyToOne(50, 2, p)
+	net := MustBuild(eng, topo)
+	hopZeroAlloc(t, eng, net.Node(ids.Attackers[49]), net.Node(ids.Victim).Addr(), 4)
+}
+
+// hopZeroAlloc carries bursts of 32 packets from src to dst, hops links
+// apart, and fails unless a warm burst allocates nothing.
+func hopZeroAlloc(t *testing.T, eng *sim.Engine, src *Node, dst flow.Addr, hops uint64) {
+	t.Helper()
 	// The default handler absorbs a packet at its destination without
 	// releasing it, so the same packets go round again.
 	burst := make([]*packet.Packet, 32)
@@ -332,8 +349,8 @@ func TestHopZeroAlloc(t *testing.T) {
 		t.Fatalf("%v allocs per burst of %d packets at steady state, want 0", allocs, len(burst))
 	}
 	// AllocsPerRun calls round once to warm up, then 50 times.
-	if hops := (eng.Processed - before) / uint64(51*len(burst)); hops != 11 {
-		t.Fatalf("%d events per packet, want one per hop of the 11-link chain", hops)
+	if got := (eng.Processed - before) / uint64(51*len(burst)); got != hops {
+		t.Fatalf("%d events per packet, want one per hop of %d", got, hops)
 	}
 }
 

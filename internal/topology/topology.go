@@ -1,16 +1,16 @@
 // Package topology builds the multi-node network graphs the experiments
 // run on: the paper's Figure-1 chain, generalized chains for escalation
 // sweeps, and many-to-one attack topologies with a bottleneck tail
-// circuit. It also computes static shortest-path routing: one
-// bit-packed row per node naming, for every destination, the port of
-// the next hop in the node's neighbor list. The build searches only the
-// graph's 2-core, left after peeling the trees that hang off it, and
-// fills the tree entries from where each tree attaches (see Routes).
+// circuit. It also computes static shortest-path routing in state
+// linear in the node count: the build peels the trees that hang off the
+// graph's 2-core, searches only the core, and answers toward and within
+// the trees from their pre-order intervals (see Routes).
 package topology
 
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"time"
 
 	"aitf/internal/flow"
@@ -149,7 +149,7 @@ func (t *Topology) ByName(name string) (Node, bool) {
 }
 
 // Neighbors returns the IDs adjacent to id, in the order their links
-// were added; a Routes row's ports index this list.
+// were added; Routes.Port's answers index this list.
 func (t *Topology) Neighbors(id NodeID) []NodeID {
 	return t.adj[id]
 }
@@ -158,73 +158,75 @@ func (t *Topology) Neighbors(id NodeID) []NodeID {
 // a destination it cannot reach.
 const NoRoute NodeID = -1
 
-// Routes is the static routing of a topology: one packed row per node
-// naming its next hop toward every destination as a port, the index of
-// that hop in the node's neighbor list.
+// Routes is the static routing of a topology in one entry per node and
+// one next-hop table over the graph's 2-core, so its size grows with n
+// plus the core's square, not with n².
 //
-// A row's entries share one width, the smallest power of two in
-// {0, 1, 2, 4, 8, 16, 32} bits that holds degree−1, so no entry
-// straddles a 64-bit word. A one-link host needs no storage; a two-link
-// gateway needs one bit per destination. Every row starts on a word of
-// one shared []uint64, which holds no pointers for the GC to scan.
-// Entries toward the node itself or toward another component hold some
-// port (in a tree node's row, its port up toward the core); Next tells
-// them apart by a component label per node.
+// Every node not in the 2-core hangs in a tree from one core node, its
+// attachment (see Topology.Routes). Each node's entry holds the
+// pre-order interval of the nodes below it, children numbered in
+// neighbor-list order, and a tree node's port up toward its parent.
+// A tree node routes up, save toward a node in its interval, which it
+// routes to the child whose interval holds it. A core node routes
+// toward a node hanging from it by that node's branch, and toward any
+// other by its core table entry toward the core node the destination
+// is or hangs from. A lookup reads the two nodes' entries, a cache line
+// each, then one core table entry or, below a tree node, a binary
+// search over its children's pre-order numbers.
 type Routes struct {
-	adj  [][]NodeID
-	rows []Row
-	comp []NodeID // the lowest NodeID in each node's component
+	adj   [][]NodeID
+	nodes []route
+	core  []int32 // ports between 2-core nodes, nc rows of nc by core index
+	nc    int
 }
 
-// Row is one node's next-hop ports, indexed by destination NodeID.
-type Row struct {
-	words []uint64 // nil for a row of width 0
-	log   uint8    // log2 of the entry width in bits, when words != nil
+// route is one node's entry in Routes.
+type route struct {
+	up   int32    // a tree node's port toward its parent; unreached on a core node
+	down int32    // a tree node's attachment's port toward the node's branch
+	pre  int32    // the node's pre-order number
+	end  int32    // one past the pre-order numbers of the nodes below it
+	core int32    // the core table index of the node, or of its attachment
+	comp int32    // the lowest NodeID in the node's component
+	_    [2]int32 // pads an entry to 32 bytes, so none straddles a cache line
 }
 
-// Port returns the index, in the node's neighbor list, of its next hop
-// toward dst. The answer is meaningful only for another node of the
-// same component; toward any other node it is some port, not NoRoute.
+// Port returns the index, in from's neighbor list, of its next hop
+// toward dst. from and dst must be two distinct nodes of one
+// component; Next checks that, and answers NoRoute otherwise.
 //
 // aitf:noalloc
-func (r Row) Port(dst NodeID) int {
-	if r.words == nil {
-		return 0
+func (r *Routes) Port(from, dst NodeID) int {
+	f, d := &r.nodes[from], &r.nodes[dst]
+	switch {
+	case d.pre <= f.pre || d.pre >= f.end:
+		if f.up != unreached {
+			return int(f.up)
+		}
+		return int(r.core[int(f.core)*r.nc+int(d.core)])
+	case f.up == unreached:
+		return int(d.down)
 	}
-	// uint is 32 bits on 32-bit platforms; u<<k may overflow there, but
-	// only its low six bits, the offset within the word, are kept.
-	u, k := uint(dst), uint(r.log)
-	return int(r.words[u>>(6-k)] >> (u << k & 63) & (1<<(1<<k) - 1))
-}
-
-// set overwrites the entry for dst with port, indexed as Port reads it.
-func (r Row) set(dst NodeID, port int32) {
-	if r.words == nil {
-		return
+	// dst is below tree node from. Its children, every neighbor but up,
+	// start their intervals in neighbor-list order: take the last child
+	// that starts at or before dst.
+	nbrs, up := r.adj[from], int(f.up)
+	skipUp := func(i int) int {
+		if i >= up {
+			return i + 1
+		}
+		return i
 	}
-	u, k := uint(dst), uint(r.log)
-	w, off := &r.words[u>>(6-k)], u<<k&63
-	*w = *w&^((1<<(1<<k)-1)<<off) | uint64(port)<<off
+	return skipUp(sort.Search(len(nbrs)-1, func(i int) bool { return r.nodes[nbrs[skipUp(i)]].pre > d.pre }) - 1)
 }
-
-// fill sets every entry of the row to port.
-func (r Row) fill(port int32) {
-	pattern := uint64(port) * (^uint64(0) / (1<<(1<<r.log) - 1))
-	for i := range r.words {
-		r.words[i] = pattern
-	}
-}
-
-// Row returns node id's row. It shares the table's storage.
-func (r *Routes) Row(id NodeID) Row { return r.rows[id] }
 
 // Next returns the neighbor of from on the shortest path toward dst, or
 // NoRoute.
 func (r *Routes) Next(from, dst NodeID) NodeID {
-	if from == dst || r.comp[from] != r.comp[dst] {
+	if from == dst || r.nodes[from].comp != r.nodes[dst].comp {
 		return NoRoute
 	}
-	return r.adj[from][r.rows[from].Port(dst)]
+	return r.adj[from][r.Port(from, dst)]
 }
 
 // Routes computes the next hop from every node toward every other by
@@ -243,34 +245,21 @@ func (r *Routes) Next(from, dst NodeID) NodeID {
 // so it dequeues core nodes in the same order whether or not it crosses
 // the trees: one restricted to the core finds the same next hops
 // between core nodes. A BFS from d, once it leaves d's branch at a(d),
-// runs as one from a(d) would, so every node x outside that branch has
-// row[x][d] = row[x][a(d)]. Core rows take their entries toward tree
-// nodes from that; a tree node's row is its port up toward the core,
-// save toward the nodes below it.
+// runs as one from a(d) would, so every node outside that branch routes
+// toward d as toward a(d): a core node other than a(d) by its entry
+// toward a(d), a tree node up.
 func (t *Topology) Routes() *Routes {
 	n := len(t.Nodes)
-	r := &Routes{adj: t.adj, rows: make([]Row, n), comp: slices.Repeat([]NodeID{NoRoute}, n)}
-	total := 0
-	for id, nbrs := range t.adj {
-		if len(nbrs) > 1 {
-			r.rows[id].log = entryLog(len(nbrs) - 1)
-			total += rowWords(n, r.rows[id].log)
-		}
-	}
-	words := make([]uint64, total)
-	for id := range r.rows {
-		if row := &r.rows[id]; len(t.adj[id]) > 1 {
-			w := rowWords(n, row.log)
-			row.words, words = words[:w:w], words[w:]
-		}
-	}
+	r := &Routes{adj: t.adj, nodes: make([]route, n)}
+	nodes := r.nodes
 
-	// Peel: up[v] becomes the port of a peeled node's one neighbor left,
-	// its parent; the core keeps up = unreached. peel ends up holding the
+	// Peel: up becomes the port of a peeled node's one neighbor left, its
+	// parent; the core keeps up = unreached. peel ends up holding the
 	// peeled nodes in the order they went, each before its parent.
-	deg, up, peel := make([]int32, n), make([]int32, n), make([]NodeID, 0, n)
+	deg, peel := make([]int32, n), make([]NodeID, 0, n)
 	for v, nbrs := range t.adj {
-		deg[v], up[v] = int32(len(nbrs)), unreached
+		deg[v] = int32(len(nbrs))
+		nodes[v].up, nodes[v].comp = unreached, int32(NoRoute)
 		if len(nbrs) == 1 {
 			peel = append(peel, NodeID(v))
 		}
@@ -281,9 +270,9 @@ func (t *Topology) Routes() *Routes {
 		if deg[v] != 1 {
 			continue // its last neighbor went first: v roots a tree component
 		}
-		j := slices.IndexFunc(t.adj[v], func(u NodeID) bool { return up[u] == unreached })
+		j := slices.IndexFunc(t.adj[v], func(u NodeID) bool { return nodes[u].up == unreached })
 		u := t.adj[v][j]
-		up[v], deg[v], deg[u] = int32(j), 0, deg[u]-1
+		nodes[v].up, deg[v], deg[u] = int32(j), 0, deg[u]-1
 		if deg[u] == 1 {
 			peel = append(peel, u)
 		}
@@ -291,84 +280,93 @@ func (t *Topology) Routes() *Routes {
 		kept++
 	}
 	peel = peel[:kept]
-	parent := func(v NodeID) NodeID { return t.adj[v][up[v]] }
+
+	// Index the 2-core, the unpeeled nodes left with links. A tree
+	// component's root has none and needs no index: every other node of
+	// its component hangs from it.
+	for c := range nodes {
+		if nodes[c].up == unreached && deg[c] > 0 {
+			nodes[c].core = int32(r.nc)
+			r.nc++
+		}
+	}
+	r.core = make([]int32, r.nc*r.nc)
 
 	// Search the core: port (deg's storage) starts as up, so each tree
 	// node holds a port and walls the search off. comp holds, for now,
 	// the lowest core node of each component.
 	port := deg
-	copy(port, up)
+	for v := range nodes {
+		port[v] = nodes[v].up
+	}
 	var queue []NodeID
 	for c := range NodeID(n) {
-		if up[c] != unreached {
+		if nodes[c].up != unreached {
 			continue
 		}
 		queue = t.bfs(c, port, queue)
 		for _, v := range queue {
-			if r.comp[v] == NoRoute {
-				r.comp[v] = c
+			if nodes[v].comp == int32(NoRoute) {
+				nodes[v].comp = int32(c)
 			}
-			r.rows[v].set(c, port[v])
+			if len(queue) > 1 { // not a tree component's lone root
+				r.core[int(nodes[v].core)*r.nc+int(nodes[c].core)] = port[v]
+			}
 			port[v] = unreached
 		}
 	}
 
-	// Attach and fill the trees, parents before children. top[d] is the
-	// node of d's branch next to the core, so a(d) = parent(top[d]). A
-	// tree row holds its up port in every entry; then each ancestor of d
-	// takes its port down toward d.
-	top := make([]NodeID, n)
-	for i := len(peel) - 1; i >= 0; i-- {
-		d := peel[i]
-		top[d] = d
-		if p := parent(d); up[p] != unreached {
-			top[d] = top[p]
-		}
-		r.comp[d] = r.comp[parent(top[d])]
-		r.rows[d].fill(up[d])
-		for child, p := d, parent(d); up[p] != unreached; child, p = p, parent(p) {
-			r.rows[p].set(d, t.back[child][up[child]])
-		}
+	// Number the nodes in pre-order, top-down. end first holds subtree
+	// sizes, summed along the peel order. Each core node takes the next
+	// free block of its size and hands its children, in neighbor-list
+	// order, consecutive blocks inside its own; then each tree node,
+	// parents before children, does the same. A child inherits its
+	// parent's core index, component and down port, except that a
+	// branch's top takes its attachment's port toward it.
+	for v := range nodes {
+		nodes[v].end = 1
 	}
-	for c := range NodeID(n) {
-		if row := r.rows[c]; up[c] == unreached && row.words != nil {
-			for _, d := range peel {
-				tp := top[d]
-				if a := parent(tp); a == c {
-					row.set(d, t.back[tp][up[tp]])
-				} else {
-					row.set(d, int32(row.Port(a)))
+	for _, v := range peel {
+		nodes[t.adj[v][nodes[v].up]].end += nodes[v].end
+	}
+	number := func(u NodeID) {
+		at := nodes[u].pre + 1
+		for j, c := range t.adj[u] {
+			if child := &nodes[c]; child.up == t.back[u][j] {
+				child.pre, at = at, at+child.end
+				child.end, child.core, child.comp, child.down = at, nodes[u].core, nodes[u].comp, nodes[u].down
+				if nodes[u].up == unreached {
+					child.down = int32(j)
 				}
 			}
 		}
 	}
-
-	// Relabel each component by its lowest node, in top's storage.
-	low := top
-	for v := range low {
-		low[v] = NoRoute
-	}
-	for v, c := range r.comp {
-		if low[c] == NoRoute {
-			low[c] = NodeID(v)
+	next := int32(0)
+	for c := range NodeID(n) {
+		if nodes[c].up == unreached {
+			nodes[c].pre, next = next, next+nodes[c].end
+			nodes[c].end = next
+			number(c)
 		}
-		r.comp[v] = low[c]
+	}
+	for i := len(peel) - 1; i >= 0; i-- {
+		number(peel[i])
+	}
+
+	// Relabel each component by its lowest node, in port's storage.
+	low := port
+	for v := range low {
+		low[v] = unreached
+	}
+	for v := range nodes {
+		c := nodes[v].comp
+		if low[c] == unreached {
+			low[c] = int32(v)
+		}
+		nodes[v].comp = low[c]
 	}
 	return r
 }
-
-// entryLog returns log2 of the narrowest entry width, 1 to 32 bits,
-// that holds every port up to maxPort.
-func entryLog(maxPort int) uint8 {
-	k := uint8(0)
-	for uint64(maxPort) >= 1<<(1<<k) {
-		k++
-	}
-	return k
-}
-
-// rowWords is the 64-bit words a row of n entries 1<<k bits wide needs.
-func rowWords(n int, k uint8) int { return (n<<k + 63) >> 6 }
 
 // unreached marks, in bfs's port slice, a node the search has not
 // reached.

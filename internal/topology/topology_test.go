@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"aitf/internal/flow"
 )
@@ -394,16 +395,18 @@ func checkAgainstDense(t *testing.T, name string, topo *Topology) {
 				lowest = min(lowest, NodeID(from))
 			}
 		}
-		if r.comp[dst] != lowest {
-			t.Fatalf("%s: node %d labelled component %d, want %d", name, dst, r.comp[dst], lowest)
+		if got := NodeID(r.nodes[dst].comp); got != lowest {
+			t.Fatalf("%s: node %d labelled component %d, want %d", name, dst, got, lowest)
 		}
 	}
 }
 
-// TestRoutesMatchDense: the packed table answers exactly as the dense
+// TestRoutesMatchDense: the routes answer exactly as the dense
 // reference on every builder, on random internets, and on hand-built
-// graphs with disconnected parts, isolated nodes and rows of width 0
-// through 16 bits.
+// graphs with disconnected parts, isolated nodes, hubs of up to 20
+// links, and the trees whose lookups need care: a tree node's up port
+// among its child ports, a core node with several branches, and a tree
+// component rooted above its lowest node.
 func TestRoutesMatchDense(t *testing.T) {
 	p := DefaultParams()
 	fig1, _ := Figure1(p)
@@ -443,10 +446,9 @@ func TestRoutesMatchDense(t *testing.T) {
 	node(apart)
 	checkAgainstDense(t, "two isolated nodes", apart)
 
-	// Stars of 2, 3, 5 and 20 leaves give their hubs 1-, 2-, 4- and
-	// 8-bit entries; a ring gives 1-bit entries with two shortest paths
-	// to the far side; an isolated node and a lone link sit between
-	// them, so most pairs cross components.
+	// Stars of 2, 3, 5 and 20 leaves; a ring with two shortest paths to
+	// the far side; an isolated node and a lone link between them, so
+	// most pairs cross components.
 	mixed := New()
 	for _, leaves := range []int{2, 3, 5, 20} {
 		hub := node(mixed)
@@ -466,8 +468,8 @@ func TestRoutesMatchDense(t *testing.T) {
 	checkAgainstDense(t, "mixed components", mixed)
 
 	// A 5-ring, the whole 2-core, each node carrying a binary tree of
-	// depth 3: every core row answers for 70 tree nodes through its
-	// entry toward their attachment, and tree rows hold up ports save
+	// depth 3: every core node answers for 70 tree nodes through its
+	// entry toward their attachment, and tree nodes route up save
 	// toward their own subtrees.
 	forest := New()
 	cycle := make([]NodeID, 5)
@@ -490,93 +492,90 @@ func TestRoutesMatchDense(t *testing.T) {
 		}
 	}
 	checkAgainstDense(t, "5-ring of depth-3 trees", forest)
+
+	// A 4-ring whose first node has a branch linked before its ring
+	// links and another after them. Tree node x links to a child, then
+	// up to the ring, then to two more children; so does y below x's
+	// first child, so a child search skips an up port in the middle of
+	// three children at either depth.
+	edges := New()
+	square := make([]NodeID, 4)
+	for i := range square {
+		square[i] = node(edges)
+	}
+	first := node(edges)
+	edges.AddLink(square[0], first, 0, 0, 0)
+	for i := range square {
+		edges.AddLink(square[i], square[(i+1)%len(square)], 0, 0, 0)
+	}
+	edges.AddLink(first, node(edges), 0, 0, 0)
+	x, y := node(edges), node(edges)
+	kids := []NodeID{node(edges), node(edges), node(edges)}
+	edges.AddLink(x, kids[0], 0, 0, 0)
+	edges.AddLink(x, square[0], 0, 0, 0)
+	edges.AddLink(x, kids[1], 0, 0, 0)
+	edges.AddLink(x, kids[2], 0, 0, 0)
+	edges.AddLink(kids[1], node(edges), 0, 0, 0)
+	edges.AddLink(y, node(edges), 0, 0, 0)
+	edges.AddLink(y, kids[0], 0, 0, 0)
+	edges.AddLink(y, node(edges), 0, 0, 0)
+	edges.AddLink(y, node(edges), 0, 0, 0)
+	if r := edges.Routes(); r.nodes[x].up != 1 || r.nodes[y].up != 1 || r.nodes[square[0]].up != unreached {
+		t.Fatal("x and y should route up through their second link, from a ring node")
+	}
+	checkAgainstDense(t, "ring with interleaved branches", edges)
+
+	// A tree component whose peel ends at neither its lowest node nor its
+	// hub: l1, the one leaf of the hub with a leaf of its own, is left
+	// last and roots it.
+	rooted := New()
+	l0, l1, l2 := node(rooted), node(rooted), node(rooted)
+	hub := node(rooted)
+	for _, l := range []NodeID{l0, l1, l2} {
+		rooted.AddLink(hub, l, 0, 0, 0)
+	}
+	rooted.AddLink(l1, node(rooted), 0, 0, 0)
+	if r := rooted.Routes(); r.nodes[l1].up != unreached || r.nodes[l0].up == unreached {
+		t.Fatal("the tree component should be rooted at l1")
+	}
+	checkAgainstDense(t, "tree rooted above its lowest node", rooted)
 }
 
-// TestRowPortRoundTrip: every entry width, 32 bits included, reads back
-// a filled port everywhere and then what was last set at every
-// destination, whatever its neighbors and its own earlier value hold.
-func TestRowPortRoundTrip(t *testing.T) {
-	const n = 300
-	rng := rand.New(rand.NewSource(1))
-	for k := uint8(0); k <= 5; k++ {
-		row := Row{words: make([]uint64, rowWords(n, k)), log: k}
-		want := make([]int32, n)
-		// A fill sets every entry; each pass of set overwrites them all.
-		fill := int32(rng.Int63n(min(int64(1)<<(1<<k), 1<<31)))
-		row.fill(fill)
-		for d := range want {
-			if got := row.Port(NodeID(d)); got != int(fill) {
-				t.Fatalf("width %d: after fill(%d), Port(%d) = %d", 1<<k, fill, d, got)
-			}
-		}
-		for range 2 {
-			for d := range want {
-				// Ports are int32 neighbor indexes, so even 32-bit
-				// entries hold at most 1<<31 - 1.
-				want[d] = int32(rng.Int63n(min(int64(1)<<(1<<k), 1<<31)))
-				row.set(NodeID(d), want[d])
-			}
-		}
-		for d, w := range want {
-			if got := row.Port(NodeID(d)); got != int(w) {
-				t.Fatalf("width %d: Port(%d) = %d, want %d", 1<<k, d, got, w)
-			}
-		}
-	}
-	if got := (Row{}).Port(7); got != 0 {
-		t.Fatalf("width-0 row: Port = %d, want 0", got)
-	}
-	for maxPort, want := range map[int]uint8{1: 0, 2: 1, 3: 1, 4: 2, 15: 2, 16: 3, 255: 3, 256: 4, 65535: 4, 65536: 5} {
-		if got := entryLog(maxPort); got != want {
-			t.Errorf("entryLog(%d) = %d, want %d", maxPort, got, want)
-		}
-	}
+// routeBytes sums every slice r allocates; the adjacency it shares
+// with the topology is not counted.
+func routeBytes(r *Routes) int {
+	return cap(r.nodes)*int(unsafe.Sizeof(route{})) + cap(r.core)*4
 }
 
-// routeTableBytes sums the backing words of every row of r.
-func routeTableBytes(r *Routes) int {
-	words := 0
-	for _, row := range r.rows {
-		words += len(row.words)
-	}
-	return 8 * words
-}
-
-// TestRouteTableBytes pins the table's size by counting its words: a
-// one-link host's row is empty and a two-link gateway's holds one bit
-// per destination, so an army's table grows with n·gateways/64 words,
-// not with n² pointers.
+// TestRouteTableBytes pins the routes' size per node: an army is a tree
+// with no 2-core, so it needs its 32-byte entries and nothing else, and
+// 20,000 zombies fit in 2 MB where a dense []*Iface table would need
+// 12.8 GB and the bit-packed rows before this took 95.6 MB.
 func TestRouteTableBytes(t *testing.T) {
 	p := DefaultParams()
-	for _, tc := range []struct {
-		zombies, maxBytes int
-	}{
-		{500, 80 << 10},    // 1,011 nodes; a dense []*Iface table was 8 MB
-		{2000, 1200 << 10}, // 4,011 nodes; a dense table would be 123 MB
-	} {
-		topo, n := ManyToOne(tc.zombies, 4, p)
+	for _, zombies := range []int{500, 2000, 5000, 20000} {
+		topo, n := ManyToOne(zombies, 4, p)
 		r := topo.Routes()
-		got := routeTableBytes(r)
-		t.Logf("ManyToOne(%d, 4): %d nodes, %d route table bytes", tc.zombies, len(topo.Nodes), got)
-		if got > tc.maxBytes {
-			t.Fatalf("ManyToOne(%d, 4): route table %d bytes, want at most %d", tc.zombies, got, tc.maxBytes)
+		got, nodes := routeBytes(r), len(topo.Nodes)
+		t.Logf("ManyToOne(%d, 4): %d nodes, %d route bytes", zombies, nodes, got)
+		if got > 32*nodes || got > 2<<20 {
+			t.Fatalf("ManyToOne(%d, 4): routes %d bytes, want at most 32 per node and 2 MB", zombies, got)
 		}
 		last := len(n.Attackers) - 1
 		path := []NodeID{n.Attackers[last]}
 		for cur := path[0]; cur != n.Victim; path = append(path, cur) {
 			if cur = r.Next(cur, n.Victim); cur == NoRoute || len(path) > 5 {
-				t.Fatalf("ManyToOne(%d, 4): zombie route broken at %v", tc.zombies, path)
+				t.Fatalf("ManyToOne(%d, 4): zombie route broken at %v", zombies, path)
 			}
 		}
 		if want := []NodeID{n.Attackers[last], n.AttackGWs[last], n.Core, n.VictimGW, n.Victim}; !slices.Equal(path, want) {
-			t.Fatalf("ManyToOne(%d, 4): zombie path %v, want %v", tc.zombies, path, want)
+			t.Fatalf("ManyToOne(%d, 4): zombie path %v, want %v", zombies, path, want)
 		}
 	}
 }
 
 // TestRoutesAtScale: on an army of 5,000 zombies (10,011 nodes) seeded
-// pairs route as a BFS from the destination says, and the table keeps
-// to one bit per destination for each two-link gateway.
+// pairs route as a BFS from the destination says.
 func TestRoutesAtScale(t *testing.T) {
 	topo, _ := ManyToOne(5000, 4, DefaultParams())
 	r := topo.Routes()
@@ -587,13 +586,6 @@ func TestRoutesAtScale(t *testing.T) {
 		if got, want := r.Next(from, dst), denseRoutes(topo, dst)[from]; got != want {
 			t.Fatalf("Next(%d, %d) = %d, reference %d", from, dst, got, want)
 		}
-	}
-	// 5,005 one-bit rows of 157 words and the core's 16-bit row; a
-	// dense []*Iface table would be 800 MB.
-	got := routeTableBytes(r)
-	t.Logf("ManyToOne(5000, 4): %d nodes, %d route table bytes", n, got)
-	if max := 6600 << 10; got > max {
-		t.Fatalf("route table %d bytes, want at most %d", got, max)
 	}
 }
 
@@ -622,6 +614,12 @@ func FuzzRoutes(f *testing.F) {
 	f.Add(graphBytes(1))                                              // an isolated node
 	f.Add(graphBytes(9, [2]byte{0, 1}, [2]byte{1, 2}, [2]byte{2, 3}, [2]byte{3, 0},
 		[2]byte{4, 5}, [2]byte{5, 6}, [2]byte{5, 7}, [2]byte{7, 8})) // a tree component beside a ring
+	f.Add(graphBytes(15, [2]byte{0, 1}, [2]byte{1, 2}, [2]byte{2, 3}, [2]byte{3, 0},
+		[2]byte{4, 5}, [2]byte{4, 0}, [2]byte{4, 6}, [2]byte{4, 7}, [2]byte{6, 8},
+		[2]byte{9, 10}, [2]byte{9, 5}, [2]byte{9, 11}, [2]byte{9, 12}, [2]byte{12, 13}, [2]byte{7, 14})) // up ports between three children
+	f.Add(graphBytes(7, [2]byte{0, 3}, [2]byte{0, 1}, [2]byte{1, 2}, [2]byte{2, 0},
+		[2]byte{0, 4}, [2]byte{3, 5}, [2]byte{5, 6})) // a core node with two branches, one linked before its ring links
+	f.Add(graphBytes(5, [2]byte{3, 0}, [2]byte{3, 1}, [2]byte{3, 2}, [2]byte{1, 4})) // a tree component rooted above its lowest node
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) == 0 {
 			return
@@ -641,9 +639,9 @@ func FuzzRoutes(f *testing.F) {
 	})
 }
 
-// BenchmarkRoutes times one table build on armies of 500, 2,000 and
-// 5,000 zombies and on the largest internet the scenario generator
-// draws.
+// BenchmarkRoutes times one build on armies of 500, 2,000, 5,000 and
+// 20,000 zombies and on the largest internet the scenario generator
+// draws, and one Next over seeded pairs of the 5,000-zombie army.
 func BenchmarkRoutes(b *testing.B) {
 	build := func(name string, topo *Topology) {
 		b.Run(name, func(b *testing.B) {
@@ -653,11 +651,27 @@ func BenchmarkRoutes(b *testing.B) {
 		})
 	}
 	p := DefaultParams()
-	for _, zombies := range []int{500, 2000, 5000} {
+	for _, zombies := range []int{500, 2000, 5000, 20000} {
 		topo, _ := ManyToOne(zombies, 4, p)
 		build(fmt.Sprintf("ManyToOne%d", zombies), topo)
 	}
 	spec := RandomSpec{ASes: 14, Tier1: 3, MaxHostsPerAS: 3, InternalRouterProb: 0.3, Params: p}
 	topo, _ := Random(spec, rand.New(rand.NewSource(1)))
 	build("Random14", topo)
+
+	army, _ := ManyToOne(5000, 4, p)
+	r := army.Routes()
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]NodeID, 4096)
+	for i := range pairs {
+		pairs[i] = [2]NodeID{NodeID(rng.Intn(len(army.Nodes))), NodeID(rng.Intn(len(army.Nodes)))}
+	}
+	b.Run("Next5000", func(b *testing.B) {
+		i := 0
+		for b.Loop() {
+			pair := pairs[i%len(pairs)]
+			r.Next(pair[0], pair[1])
+			i++
+		}
+	})
 }
