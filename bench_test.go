@@ -161,6 +161,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 func BenchmarkArmyScale(b *testing.B) {
 	for _, zombies := range []int{10, 50, 100} {
 		b.Run("zombies="+strconv.Itoa(zombies), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				opt := aitf.DefaultOptions()
 				dep := aitf.DeployManyToOne(aitf.ManyToOneOptions{
@@ -177,6 +178,32 @@ func BenchmarkArmyScale(b *testing.B) {
 				}
 				army.Launch()
 				dep.Run(3 * time.Second)
+			}
+		})
+	}
+}
+
+// BenchmarkDeployArmy measures building a many-to-one army and
+// launching its zombies, without running it: the setup that sim_army's
+// setup_s times, whose cost is mostly allocation.
+func BenchmarkDeployArmy(b *testing.B) {
+	for _, zombies := range []int{500, 5000} {
+		b.Run("zombies="+strconv.Itoa(zombies), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dep := aitf.DeployManyToOne(aitf.ManyToOneOptions{
+					Options:            aitf.DefaultOptions(),
+					Attackers:          zombies,
+					AttackersCompliant: true,
+				})
+				army := &attack.Army{
+					Zombies:       dep.Attackers,
+					Dst:           dep.Victim.Node().Addr(),
+					RatePerZombie: 200_000,
+					PacketSize:    1000,
+					Stagger:       2 * time.Second,
+				}
+				army.Launch()
 			}
 		})
 	}

@@ -187,8 +187,7 @@ func (d *Deployment) addGateway(id topology.NodeID, cfg core.GatewayConfig) *Gat
 	if cfg.DataplaneShards == 0 {
 		cfg.DataplaneShards = d.opt.DataplaneShards
 	}
-	g := core.NewGateway(cfg)
-	g.Attach(d.Net.Node(id), d.tracer())
+	g := core.NewGateway(d.Net.Node(id), cfg, d.tracer())
 	d.Gateways[id] = g
 	return g
 }
@@ -227,8 +226,7 @@ func (d *Deployment) RestoreGateway(id topology.NodeID, snap *core.GatewaySnapsh
 	}
 	n := d.Net.Node(id)
 	n.Restart()
-	g := core.NewGateway(old.Config())
-	g.Attach(n, d.tracer())
+	g := core.NewGateway(n, old.Config(), d.tracer())
 	if snap != nil {
 		g.Restore(snap)
 	}

@@ -138,7 +138,8 @@ type ManyToOneOptions struct {
 func DeployManyToOne(opt ManyToOneOptions) *ManyToOneDeployment {
 	topo, ids := topology.ManyToOne(opt.Attackers, opt.Legit, opt.Params)
 
-	spec := TopologySpec{Topo: topo}
+	sites := 1 + len(ids.Attackers) + len(ids.Legit)
+	spec := TopologySpec{Topo: topo, Gateways: make([]GatewaySpec, 0, sites), Hosts: make([]HostSpec, 0, sites)}
 	site := func(host, gw topology.NodeID, nonCompliant, victim bool) {
 		gs := GatewaySpec{Node: gw, Provider: NoProvider, Clients: []topology.NodeID{host}}
 		if opt.IngressFiltering && gw != ids.VictimGW {
@@ -168,14 +169,16 @@ func DeployManyToOne(opt ManyToOneOptions) *ManyToOneDeployment {
 		IDs:        ids,
 		Victim:     d.Host(ids.Victim),
 		VictimGW:   d.Gateway(ids.VictimGW),
+		Attackers:  make([]*Host, len(ids.Attackers)),
+		AttackGWs:  make([]*Gateway, len(ids.Attackers)),
+		Legit:      make([]*Host, len(ids.Legit)),
+		LegitGWs:   make([]*Gateway, len(ids.Legit)),
 	}
 	for i := range ids.Attackers {
-		m.Attackers = append(m.Attackers, d.Host(ids.Attackers[i]))
-		m.AttackGWs = append(m.AttackGWs, d.Gateway(ids.AttackGWs[i]))
+		m.Attackers[i], m.AttackGWs[i] = d.Host(ids.Attackers[i]), d.Gateway(ids.AttackGWs[i])
 	}
 	for i := range ids.Legit {
-		m.Legit = append(m.Legit, d.Host(ids.Legit[i]))
-		m.LegitGWs = append(m.LegitGWs, d.Gateway(ids.LegitGWs[i]))
+		m.Legit[i], m.LegitGWs[i] = d.Host(ids.Legit[i]), d.Gateway(ids.LegitGWs[i])
 	}
 	return m
 }

@@ -90,13 +90,17 @@ func DeployTopology(opt Options, spec TopologySpec) *Deployment {
 		if gs.Provider != NoProvider {
 			cfg.Provider = d.addrOf(gs.Provider)
 		}
-		cfg.Clients = map[flow.Addr]contract.Contract{}
-		for _, c := range gs.Clients {
-			cfg.Clients[d.addrOf(c)] = d.contractForNode(c)
+		if len(gs.Clients) > 0 {
+			cfg.Clients = make(map[flow.Addr]contract.Contract, len(gs.Clients))
+			for _, c := range gs.Clients {
+				cfg.Clients[d.addrOf(c)] = d.contractForNode(c)
+			}
 		}
-		cfg.Peers = map[flow.Addr]contract.Contract{}
-		for _, p := range gs.Peers {
-			cfg.Peers[d.addrOf(p)] = opt.PeerContract
+		if len(gs.Peers) > 0 {
+			cfg.Peers = make(map[flow.Addr]contract.Contract, len(gs.Peers))
+			for _, p := range gs.Peers {
+				cfg.Peers[d.addrOf(p)] = opt.PeerContract
+			}
 		}
 		if len(gs.IngressHosts) > 0 {
 			cfg.IngressValidSrc = map[flow.Addr][]flow.Addr{}

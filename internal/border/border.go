@@ -8,6 +8,18 @@
 // Engine reads time and arms timers only through its ctrl.Clock and
 // reaches the network only through its Env funcs; core.Gateway is its
 // netsim adapter and keeps the per-packet data half.
+//
+// A new Engine holds only what the data path reads on every packet:
+// its config, its counters and its route-record recorder. The control
+// half (the filter bank and shadow log, the aggregator, the
+// retransmission ladder, the handshake ledger, the detection plane and
+// the policer, watch, compliance and disconnection maps) is built on
+// the first call that writes to it, so a router that never handles a
+// control message never pays for it. Until then every read reports
+// what an empty engine would: zero counters, empty tables, nothing
+// pending. An engine whose detection plane is armed builds it all at
+// New, because that plane observes from the first packet and arms its
+// merge round at once.
 package border
 
 import (
@@ -142,7 +154,8 @@ type Detection struct {
 }
 
 // DefaultConfig returns a cooperative gateway provisioned per the
-// paper's worked examples.
+// paper's worked examples. Its Clients and Peers are nil: assign maps
+// before adding contracts.
 func DefaultConfig() Config {
 	tm := contract.DefaultTimers()
 	eh := contract.DefaultEndHost()
@@ -154,8 +167,6 @@ func DefaultConfig() Config {
 		ShadowMode:       VictimDriven,
 		Cooperative:      true,
 		HandshakeTimeout: time.Second,
-		Clients:          map[flow.Addr]contract.Contract{},
-		Peers:            map[flow.Addr]contract.Contract{},
 		Default:          contract.DefaultPeer(),
 	}
 }
@@ -266,10 +277,13 @@ type policerKey struct {
 // Engine is one border router's control state. Every method but Stats
 // must be serialised with the Clock's callbacks.
 type Engine struct {
-	cfg Config
+	cfg Config // as given to New
 	env Env
 
 	rec *traceback.Recorder
+
+	// The control half: nil until build, which makes all of it at once.
+	//
 	// dp is the sharded classification engine: the wire-speed filter
 	// bank plus the DRAM shadow cache, behind one concurrent fast path.
 	dp       *dataplane.Engine
@@ -292,6 +306,14 @@ type Engine struct {
 	ladder    *ctrl.Ladder
 	hs        *ctrl.Ledger
 	seenTxids filter.Dedup
+
+	// built is set once build has run. One rule reads the unbuilt
+	// state: every read of the control half from outside the data path
+	// (Stats, the views, the plane's accessors, Snapshot, Halt) tests
+	// built, which lets Stats run beside the call that builds; the
+	// per-packet calls Classify and Observe, serialised with Control,
+	// test the one pointer they need.
+	built atomic.Bool // aitf:atomic
 	// halted marks a crashed gateway: every control timer fires as a
 	// no-op (see after and Halt).
 	halted bool
@@ -302,23 +324,36 @@ type Engine struct {
 	stats Stats // aitf:atomic
 }
 
-// New builds an engine for the router env.Addr and arms its cluster
-// merge round, if it has one.
+// New builds an engine for the router env.Addr. With gateway-side
+// detection or a cluster configured it builds the control half too and
+// arms the cluster merge round, if there is one.
 func New(cfg Config, env Env) *Engine {
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = time.Second
+	e := &Engine{cfg: cfg, env: env, rec: traceback.NewRecorder(env.Addr, cfg.Secret)}
+	if cfg.Detection != nil || cfg.Cluster.Enabled() {
+		e.build()
+		e.armClusterMerge()
 	}
-	e := &Engine{
-		cfg:          cfg,
-		env:          env,
-		rec:          traceback.NewRecorder(env.Addr, cfg.Secret),
-		policers:     make(map[policerKey]*filter.Policer),
-		watches:      make(map[flow.Label]*watch),
-		compliance:   make(map[flow.Label]*compliance),
-		disconnected: make(map[flow.Addr]time.Duration),
+	return e
+}
+
+// build makes the control half unless it exists. No constructor here
+// arms a timer or draws from env.Rand, so when it runs moves neither
+// the event order nor the seeded draws.
+func (e *Engine) build() {
+	if e.built.Load() {
+		return
+	}
+	cfg, env := &e.cfg, &e.env
+	e.policers = make(map[policerKey]*filter.Policer)
+	e.watches = make(map[flow.Label]*watch)
+	e.compliance = make(map[flow.Label]*compliance)
+	e.disconnected = make(map[flow.Addr]time.Duration)
+	hsTimeout := cfg.HandshakeTimeout
+	if hsTimeout <= 0 {
+		hsTimeout = time.Second
 	}
 	e.ladder = ctrl.NewLadder(cfg.Control, env.Clock, env.Rand.Float64, env.Send, env.Trace)
-	e.hs = ctrl.NewLedger(e.ladder, env.Clock, cfg.HandshakeTimeout, env.Trace)
+	e.hs = ctrl.NewLedger(e.ladder, env.Clock, hsTimeout, env.Trace)
 	e.dp = dataplane.New(dataplane.Config{
 		Shards:         cfg.DataplaneShards,
 		FilterCapacity: cfg.FilterCapacity,
@@ -333,23 +368,81 @@ func New(cfg Config, env Env) *Engine {
 	}
 	e.plane = cluster.NewPlane(d.Config, d.Protected, cfg.Cluster, env.Trace)
 	e.agg = alloc.NewAggregator(e.dp, cfg.Allocation, e.plane, env.Trace)
-	e.armClusterMerge()
-	return e
+	e.built.Store(true)
 }
 
-// DataPlane exposes the sharded classification engine.
-func (e *Engine) DataPlane() *dataplane.Engine { return e.dp }
+// Config returns the configuration the engine was built with.
+func (e *Engine) Config() Config { return e.cfg }
 
-// Plane exposes the detection plane: its engine or cluster.
-func (e *Engine) Plane() *cluster.Plane { return e.plane }
+// DataPlane exposes the sharded classification engine, building the
+// control half first: a caller may write to it.
+func (e *Engine) DataPlane() *dataplane.Engine {
+	e.build()
+	return e.dp
+}
+
+// Built reports whether the control half exists.
+func (e *Engine) Built() bool { return e.built.Load() }
+
+// Filters and Shadows are read views of the filter bank and the shadow
+// log; they build nothing, and read as empty before the first build.
+func (e *Engine) Filters() dataplane.TableView {
+	if !e.built.Load() {
+		return dataplane.TableView{}
+	}
+	return e.dp.Table()
+}
+
+func (e *Engine) Shadows() dataplane.ShadowView {
+	if !e.built.Load() {
+		return dataplane.ShadowView{}
+	}
+	return e.dp.Shadow()
+}
+
+// Detector and Cluster expose the detection plane's engine (nil when
+// the router defends no legacy clients or runs clustered) and its
+// cluster overlay (nil when disabled); KillReplica kills one logical
+// replica of the cluster now. Before the control half is built the
+// plane is unarmed: nil, nil and no replica to kill.
+func (e *Engine) Detector() *detect.Engine {
+	if !e.built.Load() {
+		return nil
+	}
+	return e.plane.Engine()
+}
+
+func (e *Engine) Cluster() *cluster.Cluster {
+	if !e.built.Load() {
+		return nil
+	}
+	return e.plane.Cluster()
+}
+
+func (e *Engine) KillReplica(id int) (inherited, lost int, ok bool) {
+	if !e.built.Load() {
+		return 0, 0, false
+	}
+	return e.plane.KillReplica(id, e.now())
+}
 
 // OutstandingReliable returns how many reliable sends still await an
 // ack or their final attempt; every ladder terminates, so it drains.
-func (e *Engine) OutstandingReliable() int { return e.ladder.Outstanding() }
+func (e *Engine) OutstandingReliable() int {
+	if !e.built.Load() {
+		return 0
+	}
+	return e.ladder.Outstanding()
+}
 
 // PendingHandshakes returns the attacker-side handshakes awaiting their
 // reply: HandshakesStarted == HandshakesOK + HandshakesFailed + pending.
-func (e *Engine) PendingHandshakes() int { return e.hs.Pending() }
+func (e *Engine) PendingHandshakes() int {
+	if !e.built.Load() {
+		return 0
+	}
+	return e.hs.Pending()
+}
 
 // Disconnected reports whether traffic from neighbor is refused at now.
 func (e *Engine) Disconnected(neighbor flow.Addr, now time.Duration) bool {
@@ -368,9 +461,34 @@ func (e *Engine) Refuses(neighbor flow.Addr, now time.Duration) bool {
 	return false
 }
 
-// CountSpoofDrop, CountFilterDrop and CountForwarded bump the data
-// half's counters.
-func (e *Engine) CountSpoofDrop()  { atomic.AddUint64(&e.stats.SpoofDrops, 1) }
+// Spoofed applies ingress filtering (§III-A) to a packet from src
+// arriving through neighbor (0 when locally originated): a client whose
+// legitimate sources are listed may send from no other. It counts the
+// drop of a spoofed packet.
+func (e *Engine) Spoofed(src, neighbor flow.Addr) bool {
+	if neighbor == 0 {
+		return false
+	}
+	valid := e.cfg.IngressValidSrc[neighbor]
+	if len(valid) == 0 || slices.Contains(valid, src) {
+		return false
+	}
+	atomic.AddUint64(&e.stats.SpoofDrops, 1)
+	return true
+}
+
+// Classify is the filter bank's verdict on a data packet; before the
+// tables are built it passes everything.
+//
+// aitf:noalloc
+func (e *Engine) Classify(tup flow.Tuple, payloadBytes int) dataplane.Verdict {
+	if e.dp == nil {
+		return dataplane.Verdict{}
+	}
+	return e.dp.ClassifyTuple(tup, payloadBytes)
+}
+
+// CountFilterDrop and CountForwarded bump the data half's counters.
 func (e *Engine) CountFilterDrop() { atomic.AddUint64(&e.stats.FilterDrops, 1) }
 func (e *Engine) CountForwarded()  { atomic.AddUint64(&e.stats.DataForwarded, 1) }
 
@@ -424,7 +542,7 @@ func (e *Engine) Reappeared(s filter.ShadowEntry) bool {
 // Filtered packets never get here — a blocked flow cannot retrigger
 // detection; its reappearances are the shadow cache's business.
 func (e *Engine) Observe(now time.Duration, p *packet.Packet) {
-	if e.plane.Protects(p.Dst) {
+	if e.plane != nil && e.plane.Protects(p.Dst) {
 		e.selfDetect(now, p)
 	}
 }
@@ -488,7 +606,14 @@ func (e *Engine) policer(neighbor flow.Addr, out bool) *filter.Policer {
 // classifying — the snapshot is per-field coherent, not a cross-field
 // transaction, which is all monitoring needs.
 func (e *Engine) Stats() Stats {
-	a, l, h := e.agg.Stats(), e.ladder.Stats(), e.hs.Stats()
+	var (
+		a alloc.AggregateStats
+		l ctrl.Stats
+		h ctrl.LedgerStats
+	)
+	if e.built.Load() {
+		a, l, h = e.agg.Stats(), e.ladder.Stats(), e.hs.Stats()
+	}
 	return Stats{
 		DataForwarded:   atomic.LoadUint64(&e.stats.DataForwarded),
 		FilterDrops:     atomic.LoadUint64(&e.stats.FilterDrops),
@@ -591,8 +716,12 @@ func (e *Engine) parts() durable.Parts {
 // deterministic (sorted by label), so snapshotting inside a seeded
 // simulation does not perturb replay fingerprints.
 func (e *Engine) Snapshot() *Snapshot {
-	snap := &Snapshot{State: durable.Capture(e.now(), e.parts()), Stats: e.Stats(),
+	now := e.now()
+	snap := &Snapshot{State: durable.State{TakenAt: now}, Stats: e.Stats(),
 		Disconnected: maps.Clone(e.disconnected)}
+	if e.built.Load() {
+		snap.State = durable.Capture(now, e.parts())
+	}
 	for _, w := range e.watches {
 		ws := w.Watch
 		ws.Evidence = slices.Clone(ws.Evidence)
@@ -612,8 +741,10 @@ func (e *Engine) Snapshot() *Snapshot {
 // Snapshot first if the state should survive.
 func (e *Engine) Halt() {
 	e.halted = true
-	e.hs.StopAll()
-	e.ladder.StopAll()
+	if e.built.Load() {
+		e.hs.StopAll()
+		e.ladder.StopAll()
+	}
 }
 
 // Restore rebuilds snapshotted state into this engine, which must be
@@ -623,6 +754,7 @@ func (e *Engine) Halt() {
 // snapshot, so accounting balances (handshakes started vs resolved)
 // survive the crash.
 func (e *Engine) Restore(snap *Snapshot) {
+	e.build()
 	now := e.now()
 	e.restoreStats(snap.Stats)
 	snap.RestoreTables(e.parts(), now, func(ent filter.Entry, err error) {

@@ -1,8 +1,10 @@
 package border
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -155,7 +157,7 @@ func (r *rig) drain() []*packet.Packet {
 // data half makes them: classification, liveness, then the drop, the
 // shadow reappearance and detection.
 func (r *rig) data(p *packet.Packet, from flow.Addr) {
-	v := r.e.DataPlane().ClassifyTuple(p.Tuple(), int(p.PayloadLen))
+	v := r.e.Classify(p.Tuple(), int(p.PayloadLen))
 	r.e.Seen(flow.PairLabel(p.Src, p.Dst), from, r.clk.now)
 	if v.Drop || v.ShadowHit && r.e.Reappeared(v.Shadow) {
 		return
@@ -241,6 +243,92 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	balanced(t, r.e, "after restore")
 }
 
+// TestIdleEngineReadsAsEmpty: an engine without detection that has
+// handled no control message has built nothing, data traffic does not
+// build it, and every read of it reports what an eagerly built, empty
+// engine reports, without building it: counters, both tables, the
+// snapshot, disconnection, the reliable sends and handshakes in
+// flight, the detection plane. Halted and restored from its snapshot into a fresh engine,
+// it still reads as the eager one does.
+func TestIdleEngineReadsAsEmpty(t *testing.T) {
+	cfg := testConfig(true, true, VictimDriven, true)
+	cfg.Detection = nil
+	idle, eager := newRig(cfg), newRig(cfg)
+	eager.e.DataPlane()
+
+	type reads struct {
+		stats        Stats
+		filters      filter.Stats
+		shadows      filter.ShadowStats
+		snapshot     string // nil and empty print alike
+		disconnected bool
+		outstanding  int
+		pending      int
+		armed        bool
+		killed       bool
+	}
+	read := func(r *rig) reads {
+		_, _, killed := r.e.KillReplica(0)
+		return reads{r.e.Stats(), r.e.Filters().Stats(), r.e.Shadows().Stats(), fmt.Sprintf("%+v", *r.e.Snapshot()),
+			r.e.Disconnected(peer, r.clk.now), r.e.OutstandingReliable(), r.e.PendingHandshakes(),
+			r.e.Detector() != nil || r.e.Cluster() != nil, killed}
+	}
+	for _, r := range []*rig{idle, eager} {
+		r.clk.Advance(time.Second)
+		r.data(packet.NewData(remote(0), victim, flow.ProtoUDP, 1, 2, 500), peer)
+		r.data(packet.NewData(host, remote(1), flow.ProtoUDP, 1, 2, 500), host)
+	}
+	if got, want := read(idle), read(eager); got != want {
+		t.Fatalf("idle engine reads\n%+v\nan eager one\n%+v", got, want)
+	}
+	if idle.e.Built() {
+		t.Fatal("data traffic or a read built the control half")
+	}
+
+	crashed := idle.e
+	for _, r := range []*rig{idle, eager} {
+		snap := r.e.Snapshot()
+		r.e.Halt()
+		r.start(snap)
+	}
+	if crashed.Built() {
+		t.Fatal("Halt built the control half")
+	}
+	if got, want := read(idle), read(eager); got != want {
+		t.Fatalf("restored idle engine reads\n%+v\na restored eager one\n%+v", got, want)
+	}
+}
+
+// TestStatsBesideFirstBuild is the -race workout for the lazy build:
+// another goroutine reads Stats while the first control message builds
+// the control half.
+func TestStatsBesideFirstBuild(t *testing.T) {
+	cfg := testConfig(false, true, VictimDriven, false)
+	cfg.Detection = nil
+	r := newRig(cfg)
+	l := flow.PairLabel(host, remote(1))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.e.Stats()
+			}
+		}
+	}()
+	r.request(peer, packet.StageToAttackerGW, l, remote(1), []packet.RREntry{r.stamp(host, remote(1))}, 1)
+	close(stop)
+	wg.Wait()
+	if s := r.e.Stats(); s.HandshakesStarted != 1 {
+		t.Fatalf("handshakes started %d, want 1", s.HandshakesStarted)
+	}
+}
+
 // FuzzGatewayEngine drives one engine with byte-chosen filtering
 // requests at every stage (with valid, forged or no evidence and fresh
 // or replayed txids), verification queries and replies (right and
@@ -272,12 +360,21 @@ func FuzzGatewayEngine(f *testing.F) {
 	// A non-cooperating gateway with the shadow off: requests ignored,
 	// a victim's request from a non-client, crashes mid-round.
 	f.Add([]byte{0x0a, 1, 0x04, 0, 0x24, 0, 0x44, 8, 0, 6, 0x02, 7, 30, 8, 0, 0, 0x44, 9, 10})
+	// An engine without detection (0x80) starts idle: data while it has
+	// built nothing, then its first control message, a request naming it
+	// the attacker's gateway, answered; the client keeps sending, a
+	// crash, silence.
+	f.Add([]byte{0x91, 0x06, 1, 0x07, 10, 0x01, 5, 0x04, 1, 0x06, 3, 0x08, 0, 0x09, 20})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) < 1 {
 			return
 		}
 		b := script[0]
-		r := newRig(testConfig(b&1 != 0, b&2 == 0, ShadowMode(b>>2%3), b&16 != 0))
+		cfg := testConfig(b&1 != 0, b&2 == 0, ShadowMode(b>>2%3), b&16 != 0)
+		if b&0x80 != 0 {
+			cfg.Detection = nil
+		}
+		r := newRig(cfg)
 		script = script[1:]
 
 		// recorded mirrors the engine's dedup: when each (src, txid) was

@@ -16,6 +16,7 @@ import (
 // Control takes a control packet addressed to this router, arriving
 // through neighbor (0 when locally originated).
 func (e *Engine) Control(p *packet.Packet, neighbor flow.Addr) {
+	e.build()
 	atomic.AddUint64(&e.stats.MsgProcessed, 1)
 	switch m := p.Msg.(type) {
 	case *packet.FilterReq:

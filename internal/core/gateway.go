@@ -38,26 +38,22 @@ func DefaultGatewayConfig() GatewayConfig { return border.DefaultConfig() }
 // Gateway is an AITF border router on a netsim node: the border
 // engine's control plane, fed from the node, plus the data half — it
 // refuses disconnected neighbors, filters spoofed ingress, classifies,
-// and forwards with a route record.
+// and forwards with a route record. The engine builds its tables and
+// control state on the first control message (border.Engine); until
+// then the gateway forwards without classifying, and its reads report
+// empty tables and zero counters.
 type Gateway struct {
-	cfg    GatewayConfig
 	eng    *border.Engine
-	dp     *dataplane.Engine // the engine's, classified on every packet
 	tracer Tracer
 	node   *netsim.Node
 }
 
-// NewGateway builds a gateway handler; Attach binds it to a netsim
-// node and must come before any other call.
-func NewGateway(cfg GatewayConfig) *Gateway { return &Gateway{cfg: cfg} }
-
-// Attach binds the gateway to a node and installs it as the node's
+// NewGateway builds a gateway on node n and installs it as the node's
 // packet handler. The engine runs on the simulator's clock and seeded
 // source, so fault schedules replay exactly.
-func (g *Gateway) Attach(n *netsim.Node, tr Tracer) {
-	g.node = n
-	g.tracer = tr
-	g.eng = border.New(g.cfg, border.Env{
+func NewGateway(n *netsim.Node, cfg GatewayConfig, tr Tracer) *Gateway {
+	g := &Gateway{tracer: tr, node: n}
+	g.eng = border.New(cfg, border.Env{
 		Addr:  n.Addr(),
 		Clock: simClock{n.Engine()},
 		Rand:  n.Engine().Rand(),
@@ -70,8 +66,8 @@ func (g *Gateway) Attach(n *netsim.Node, tr Tracer) {
 		},
 		Trace: g.trace,
 	})
-	g.dp = g.eng.DataPlane()
 	n.SetHandler(g)
+	return g
 }
 
 // simClock is the engine's clock: the simulator's virtual time and
@@ -87,30 +83,31 @@ func (c simClock) After(d time.Duration, fn func()) func() {
 // Node returns the bound netsim node.
 func (g *Gateway) Node() *netsim.Node { return g.node }
 
-// Config returns the gateway's configuration.
-func (g *Gateway) Config() GatewayConfig { return g.cfg }
+// Config returns the gateway's configuration as NewGateway was given it.
+func (g *Gateway) Config() GatewayConfig { return g.eng.Config() }
 
-// DataPlane exposes the sharded classification engine; Filters and
-// Shadows expose its filter bank and shadow cache (for experiments).
-func (g *Gateway) DataPlane() *dataplane.Engine  { return g.dp }
-func (g *Gateway) Filters() dataplane.TableView  { return g.dp.Table() }
-func (g *Gateway) Shadows() dataplane.ShadowView { return g.dp.Shadow() }
+// DataPlane exposes the sharded classification engine, building the
+// gateway's tables if no control message has yet. Filters and Shadows
+// are read views of its filter bank and shadow cache (for experiments)
+// that build nothing: before the tables exist they read as empty.
+func (g *Gateway) DataPlane() *dataplane.Engine  { return g.eng.DataPlane() }
+func (g *Gateway) Filters() dataplane.TableView  { return g.eng.Filters() }
+func (g *Gateway) Shadows() dataplane.ShadowView { return g.eng.Shadows() }
 
-// Detector and Cluster expose the detection plane's engine (nil when
-// the gateway defends no legacy clients or runs clustered) and its
-// cluster overlay (nil when disabled); KillReplica kills one logical
-// replica mid-run.
-func (g *Gateway) Detector() *detect.Engine  { return g.eng.Plane().Engine() }
-func (g *Gateway) Cluster() *cluster.Cluster { return g.eng.Plane().Cluster() }
+// Detector, Cluster and KillReplica are the engine's detection plane
+// (border.Engine): nil, nil and a no-op on a gateway that has not
+// built it yet.
+func (g *Gateway) Detector() *detect.Engine  { return g.eng.Detector() }
+func (g *Gateway) Cluster() *cluster.Cluster { return g.eng.Cluster() }
 func (g *Gateway) KillReplica(id int) (inherited, lost int, ok bool) {
-	return g.eng.Plane().KillReplica(id, g.now())
+	return g.eng.KillReplica(id)
 }
 
 // Stats, OutstandingReliable, PendingHandshakes, Snapshot, Halt and
 // Restore are the engine's (border.Engine). Any goroutine may call
 // Stats while the gateway classifies. Halt freezes the control plane
 // only: crash the node (netsim.Node.Crash) to kill the data plane.
-// Restore wants a freshly attached gateway.
+// Restore wants a freshly built gateway.
 func (g *Gateway) Stats() GatewayStats           { return g.eng.Stats() }
 func (g *Gateway) OutstandingReliable() int      { return g.eng.OutstandingReliable() }
 func (g *Gateway) PendingHandshakes() int        { return g.eng.PendingHandshakes() }
@@ -151,34 +148,15 @@ func (g *Gateway) Receive(n *netsim.Node, p *packet.Packet, from *netsim.Iface) 
 	g.handleData(p, peer)
 }
 
-// dropSpoofed applies ingress filtering (§III-A): spoofed sources from
-// clients whose legitimate addresses are known are dropped.
-func (g *Gateway) dropSpoofed(p *packet.Packet, peer flow.Addr) bool {
-	if peer == 0 {
-		return false
-	}
-	valid, ok := g.cfg.IngressValidSrc[peer]
-	if !ok || len(valid) == 0 {
-		return false
-	}
-	for _, a := range valid {
-		if p.Src == a {
-			return false
-		}
-	}
-	g.eng.CountSpoofDrop()
-	return true
-}
-
 // handleData is the per-packet data path: ingress filtering,
 // classification, then the engine's liveness, reappearance and
 // detection calls, and forwarding with route record.
 func (g *Gateway) handleData(p *packet.Packet, peer flow.Addr) {
-	if g.dropSpoofed(p, peer) {
+	if g.eng.Spoofed(p.Src, peer) {
 		p.Release()
 		return
 	}
-	v := g.dp.ClassifyTuple(p.Tuple(), int(p.PayloadLen))
+	v := g.eng.Classify(p.Tuple(), int(p.PayloadLen))
 	now := g.now()
 	g.eng.Seen(flow.PairLabel(p.Src, p.Dst), peer, now)
 	if v.Drop {

@@ -61,13 +61,14 @@ type Host struct {
 	// Meter observes all received data traffic (per-second buckets).
 	Meter *Meter
 	// PerSource tracks received bytes per source address, used by the
-	// experiments to measure each flow's effective bandwidth.
+	// experiments to measure each flow's effective bandwidth. It is nil
+	// until the host's first data delivery; a zombie never receives.
 	PerSource map[flow.Addr]*Meter
 }
 
 // NewHost builds a host handler; Attach binds it to a node.
 func NewHost(cfg HostConfig) *Host {
-	h := &Host{cfg: cfg, Meter: NewMeter(time.Second), PerSource: make(map[flow.Addr]*Meter)}
+	h := &Host{cfg: cfg, Meter: NewMeter(time.Second)}
 	h.eng = endhost.New(endhost.Config{
 		Gateway:      cfg.Gateway,
 		Timers:       cfg.Timers,
@@ -116,6 +117,9 @@ func (h *Host) Receive(n *netsim.Node, p *packet.Packet, from *netsim.Iface) {
 		h.Meter.Add(now, int(p.PayloadLen))
 		src := h.PerSource[p.Src]
 		if src == nil {
+			if h.PerSource == nil {
+				h.PerSource = make(map[flow.Addr]*Meter)
+			}
 			src = NewMeter(time.Second)
 			h.PerSource[p.Src] = src
 		}
@@ -163,14 +167,12 @@ type Meter struct {
 	Packets uint64
 
 	window  sim.Time
-	buckets map[int64]uint64
+	buckets map[int64]uint64 // nil until the first Add
 }
 
 // NewMeter creates a meter that additionally tracks per-window byte
 // buckets of the given width; width 0 disables bucketing.
-func NewMeter(window sim.Time) *Meter {
-	return &Meter{window: window, buckets: make(map[int64]uint64)}
-}
+func NewMeter(window sim.Time) *Meter { return &Meter{window: window} }
 
 // Add records n payload bytes observed at time now.
 func (m *Meter) Add(now sim.Time, n int) {
@@ -184,6 +186,9 @@ func (m *Meter) Add(now sim.Time, n int) {
 	m.Bytes += uint64(n)
 	m.Packets++
 	if m.window > 0 {
+		if m.buckets == nil {
+			m.buckets = make(map[int64]uint64)
+		}
 		m.buckets[int64(now/m.window)] += uint64(n)
 	}
 }

@@ -304,8 +304,8 @@ func TestExpireAndViews(t *testing.T) {
 	e.LogShadow(flow.PairLabel(addr(1), addr(2)), addr(2), 0, time.Second)
 
 	tv, sv := e.Table(), e.Shadow()
-	if tv.Len() != 2 || tv.Capacity() != 16 || sv.Len() != 1 {
-		t.Fatalf("views: filters %d/%d shadows %d", tv.Len(), tv.Capacity(), sv.Len())
+	if tv.Len() != 2 || e.FilterCapacity() != 16 || e.ShadowCapacity() != 16 || sv.Len() != 1 {
+		t.Fatalf("views: filters %d/%d shadows %d/%d", tv.Len(), e.FilterCapacity(), sv.Len(), e.ShadowCapacity())
 	}
 	ents := tv.Entries()
 	if len(ents) != 2 || ents[0].ExpiresAt > ents[1].ExpiresAt {
@@ -326,6 +326,26 @@ func TestExpireAndViews(t *testing.T) {
 	}
 	if st := tv.Stats(); st.Expired != 1 {
 		t.Fatalf("Expired = %d, want 1", st.Expired)
+	}
+}
+
+// TestZeroViews: the zero views read as an empty table and log, the
+// zeros a fresh engine's views report.
+func TestZeroViews(t *testing.T) {
+	fresh, _ := newEngine(t, 1, 16, 16, filter.RejectNew)
+	l := flow.PairLabel(addr(1), addr(2))
+	views := []struct {
+		tv TableView
+		sv ShadowView
+	}{{TableView{}, ShadowView{}}, {fresh.Table(), fresh.Shadow()}}
+	for i, v := range views {
+		tv, sv := v.tv, v.sv
+		_, hasF := tv.Lookup(l, 0)
+		_, hasS := sv.Get(l, 0)
+		if tv.Len() != 0 || tv.Stats() != (filter.Stats{}) || len(tv.Entries()) != 0 || tv.Expire(time.Hour) != 0 || hasF ||
+			sv.Len() != 0 || sv.Stats() != (filter.ShadowStats{}) || len(sv.Entries()) != 0 || sv.ExpireOld(time.Hour) != 0 || hasS {
+			t.Fatalf("views %d are not empty", i)
+		}
 	}
 }
 

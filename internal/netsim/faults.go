@@ -124,8 +124,8 @@ func (n *Node) Crash() {
 }
 
 // Restart brings a crashed node back with empty queues and the default
-// handler. The caller re-attaches its protocol handler (e.g. via
-// core.Gateway.Attach) and restores any snapshot it kept.
+// handler. The caller re-attaches its protocol handler (e.g. by
+// building a fresh core.Gateway on it) and restores any snapshot it kept.
 func (n *Node) Restart() { n.down = false }
 
 // Down reports whether the node is crashed.

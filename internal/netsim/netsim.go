@@ -127,12 +127,8 @@ func (i *Iface) Send(p *packet.Packet) bool {
 	}
 	eng := i.owner.net.eng
 	now := eng.Now()
-	size := p.WireSize()
-
-	var txdur sim.Time
-	if i.bandwidth > 0 {
-		txdur = sim.Time(float64(size) / i.bandwidth * 1e9)
-	}
+	size := uint32(p.WireSize())
+	txdur := i.txdur(size)
 	start := now
 	if i.busyUntil > now {
 		// Link busy: the packet must queue.
@@ -163,7 +159,7 @@ func (i *Iface) Send(p *packet.Packet) bool {
 	i.stats.TxPackets++
 	i.stats.TxBytes += uint64(size)
 
-	f := flight{p: p, at: start + txdur + i.delay, seq: eng.ReserveSeq(), start: start, size: size, epoch: i.epoch}
+	f := flight{p: p, at: start + txdur + i.delay, seq: eng.ReserveSeq(), size: size, epoch: i.epoch}
 	switch {
 	case i.inflight.len() == 0:
 		i.inflight.push(f)
@@ -178,17 +174,30 @@ func (i *Iface) Send(p *packet.Packet) bool {
 
 // flight is one packet on its way across a link: when it arrives, the
 // engine seq it took at Send, and what arrive needs to decide whether a
-// crash of the sender caught it still in the output queue.
+// crash of the sender caught it still in the output queue. It is 32
+// bytes: a link's delay and bandwidth never change, so the instant
+// serialization began is not kept but recomputed (start).
 //
 // aitf:packetowner — owns its packet from Send to arrival.
 type flight struct {
 	p     *packet.Packet
 	at    sim.Time
 	seq   uint64
-	start sim.Time // when serialization begins
-	size  int
+	size  uint32 // wire bytes
 	epoch uint32
 }
+
+// txdur is the serialization time of size wire bytes on the link.
+func (i *Iface) txdur(size uint32) sim.Time {
+	if i.bandwidth > 0 {
+		return sim.Time(float64(size) / i.bandwidth * 1e9)
+	}
+	return 0
+}
+
+// start is when f began serializing: Send set f.at = start + txdur +
+// delay.
+func (i *Iface) start(f *flight) sim.Time { return f.at - i.delay - i.txdur(f.size) }
 
 // release is the moment a queued packet starts serializing and frees
 // its output-queue slot.
@@ -245,7 +254,7 @@ func (i *Iface) release(r release) {
 }
 
 func (i *Iface) arrive(f flight) {
-	if i.epoch != f.epoch && f.start > i.crashedAt {
+	if i.epoch != f.epoch && i.start(&f) > i.crashedAt {
 		// The owner crashed while this packet was still sitting in its
 		// output queue; it never made it onto the wire. Packets that had
 		// already begun serializing (start <= crash time) are on the

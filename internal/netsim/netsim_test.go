@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"aitf/internal/flow"
 	"aitf/internal/packet"
@@ -429,5 +430,13 @@ func TestBandwidthCeiling(t *testing.T) {
 	rate := deliveredBytes / 10
 	if rate < 90_000 || rate > 110_000 {
 		t.Fatalf("delivered %v B/s through a 100 KB/s link", rate)
+	}
+}
+
+// TestFlightSize pins a link's per-packet in-flight record at 32 bytes:
+// the link rings hold one per packet on the wire.
+func TestFlightSize(t *testing.T) {
+	if n := unsafe.Sizeof(flight{}); n != 32 {
+		t.Fatalf("flight is %d bytes, want 32", n)
 	}
 }

@@ -137,7 +137,7 @@ func (w *world) checkLegitNeverFiltered(r *Result) {
 	}
 	// Nothing protected may be left in any filter table either.
 	for id, g := range w.dep.Gateways {
-		for _, fe := range g.DataPlane().FilterEntries() {
+		for _, fe := range g.Filters().Entries() {
 			if src, bad := covered(fe.Label); bad {
 				w.violate(r, "legit-filtered", w.topo.Nodes[id].Name,
 					"final filter table holds protected source %v (%s)", src, fe.Label)
@@ -220,12 +220,12 @@ func (w *world) checkBudgets(r *Result) {
 	for id, g := range w.dep.Gateways {
 		name := w.topo.Nodes[id].Name
 		cfg := g.Config()
-		fs := g.DataPlane().FilterStats()
+		fs := g.Filters().Stats()
 		if fs.PeakOccupancy > cfg.FilterCapacity {
 			w.violate(r, "budget", name,
 				"filter peak %d exceeds wire-speed capacity %d", fs.PeakOccupancy, cfg.FilterCapacity)
 		}
-		ss := g.DataPlane().ShadowStats()
+		ss := g.Shadows().Stats()
 		if ss.PeakSize > cfg.ShadowCapacity {
 			w.violate(r, "budget", name,
 				"shadow peak %d exceeds cache capacity %d", ss.PeakSize, cfg.ShadowCapacity)
@@ -613,7 +613,7 @@ func (w *world) fingerprint() uint64 {
 	sort.Ints(gwIDs)
 	for _, id := range gwIDs {
 		g := w.dep.Gateways[topology.NodeID(id)]
-		add("g%d:%+v:%+v:%+v\n", id, g.Stats(), g.DataPlane().FilterStats(), g.DataPlane().ShadowStats())
+		add("g%d:%+v:%+v:%+v\n", id, g.Stats(), g.Filters().Stats(), g.Shadows().Stats())
 		if clu := g.Cluster(); clu != nil {
 			st := clu.Stats()
 			// CatchupNanos is wall clock — it must never enter a replay
