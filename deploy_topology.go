@@ -91,9 +91,9 @@ func DeployTopology(opt Options, spec TopologySpec) *Deployment {
 			cfg.Provider = d.addrOf(gs.Provider)
 		}
 		if len(gs.Clients) > 0 {
-			cfg.Clients = make(map[flow.Addr]contract.Contract, len(gs.Clients))
+			cfg.Clients = make([]core.GatewayClient, 0, len(gs.Clients))
 			for _, c := range gs.Clients {
-				cfg.Clients[d.addrOf(c)] = d.contractForNode(c)
+				cfg.Clients = append(cfg.Clients, core.GatewayClient{Addr: d.addrOf(c), Contract: d.contractForNode(c)})
 			}
 		}
 		if len(gs.Peers) > 0 {

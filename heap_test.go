@@ -20,7 +20,7 @@ func TestHeapPerZombie(t *testing.T) {
 	}
 	const (
 		zombies = 20_000
-		budget  = 4608 // bytes of live heap per zombie
+		budget  = 3840 // bytes of live heap per zombie
 	)
 	live := func() uint64 {
 		runtime.GC()

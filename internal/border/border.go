@@ -23,6 +23,7 @@
 package border
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -102,9 +103,10 @@ type Config struct {
 	// HandshakeTimeout bounds the 3-way handshake; a verification query
 	// unanswered for this long rejects the request. 0 means a second.
 	HandshakeTimeout time.Duration
-	// Clients maps each directly attached client (end-host or
-	// downstream gateway) to its filtering contract.
-	Clients map[flow.Addr]contract.Contract
+	// Clients lists each directly attached client (end-host or
+	// downstream gateway), once, with its filtering contract. New keeps
+	// them ordered by address, sorting a copy when they are not.
+	Clients []Client
 	// Peers maps peering border routers to their contracts.
 	Peers map[flow.Addr]contract.Contract
 	// Default is the contract applied to filtering requests arriving
@@ -144,6 +146,24 @@ type Config struct {
 	Cluster cluster.Config
 }
 
+// Client is one directly attached client and its filtering contract.
+type Client struct {
+	Addr     flow.Addr
+	Contract contract.Contract
+}
+
+// byAddr orders clients by address.
+func byAddr(a, b Client) int { return cmp.Compare(a.Addr, b.Addr) }
+
+// client returns the contract of the client at a, if a is one.
+func (c *Config) client(a flow.Addr) (contract.Contract, bool) {
+	i, ok := slices.BinarySearchFunc(c.Clients, Client{Addr: a}, byAddr)
+	if !ok {
+		return contract.Contract{}, false
+	}
+	return c.Clients[i].Contract, true
+}
+
 // Detection configures gateway-side detection on behalf of legacy
 // (non-AITF) hosts behind this gateway.
 type Detection struct {
@@ -154,7 +174,7 @@ type Detection struct {
 }
 
 // DefaultConfig returns a cooperative gateway provisioned per the
-// paper's worked examples. Its Clients and Peers are nil: assign maps
+// paper's worked examples. Its Clients and Peers are nil: assign them
 // before adding contracts.
 func DefaultConfig() Config {
 	tm := contract.DefaultTimers()
@@ -277,6 +297,13 @@ type policerKey struct {
 // Engine is one border router's control state. Every method but Stats
 // must be serialised with the Clock's callbacks.
 type Engine struct {
+	// stats counters are bumped on the data path concurrently with
+	// Stats() snapshots; every access must go through sync/atomic
+	// (aitf-vet's atomicfield check enforces it). They come first: on a
+	// 32-bit platform only the first word of an allocated struct is
+	// sure to be 64-bit aligned, which sync/atomic needs.
+	stats Stats // aitf:atomic
+
 	cfg Config // as given to New
 	env Env
 
@@ -317,17 +344,16 @@ type Engine struct {
 	// halted marks a crashed gateway: every control timer fires as a
 	// no-op (see after and Halt).
 	halted bool
-
-	// stats counters are bumped on the data path concurrently with
-	// Stats() snapshots; every access must go through sync/atomic
-	// (aitf-vet's atomicfield check enforces it).
-	stats Stats // aitf:atomic
 }
 
 // New builds an engine for the router env.Addr. With gateway-side
 // detection or a cluster configured it builds the control half too and
 // arms the cluster merge round, if there is one.
 func New(cfg Config, env Env) *Engine {
+	if !slices.IsSortedFunc(cfg.Clients, byAddr) {
+		cfg.Clients = slices.Clone(cfg.Clients)
+		slices.SortStableFunc(cfg.Clients, byAddr)
+	}
 	e := &Engine{cfg: cfg, env: env, rec: traceback.NewRecorder(env.Addr, cfg.Secret)}
 	if cfg.Detection != nil || cfg.Cluster.Enabled() {
 		e.build()
@@ -584,7 +610,7 @@ func (e *Engine) policer(neighbor flow.Addr, out bool) *filter.Policer {
 	k := policerKey{neighbor, out}
 	p, ok := e.policers[k]
 	if !ok {
-		c, ok := e.cfg.Clients[neighbor]
+		c, ok := e.cfg.client(neighbor)
 		if !ok {
 			if c, ok = e.cfg.Peers[neighbor]; !ok {
 				c = e.cfg.Default

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -100,7 +101,7 @@ func testConfig(provider bool, cooperative bool, mode ShadowMode, retransmit boo
 		Cooperative:      cooperative,
 		Secret:           []byte("g"),
 		HandshakeTimeout: 300 * time.Millisecond,
-		Clients:          map[flow.Addr]contract.Contract{victim: c, host: c, legacy: c},
+		Clients:          []Client{{victim, c}, {host, c}, {legacy, c}},
 		Peers:            map[flow.Addr]contract.Contract{peer: c},
 		Detection: &Detection{
 			Config:    detect.Config{ThresholdBps: 20000, Window: 100 * time.Millisecond, Width: 64, Depth: 2, TopK: 8},
@@ -120,6 +121,31 @@ func newRig(cfg Config) *rig {
 	r := &rig{clk: &fakeClock{}, cfg: cfg}
 	r.start(nil)
 	return r
+}
+
+// TestClientContracts: the client check and the contract a client's
+// policer takes answer for clients listed in any order, as the map they
+// replace did, and New leaves the caller's list as it was.
+func TestClientContracts(t *testing.T) {
+	cfg := testConfig(false, true, VictimDriven, false)
+	cfg.Clients = []Client{
+		{legacy, contract.Contract{R1: 3}}, {victim, contract.Contract{R1: 1}}, {host, contract.Contract{R1: 2}},
+	}
+	given := slices.Clone(cfg.Clients)
+	e := newRig(cfg).e
+	if !reflect.DeepEqual(cfg.Clients, given) {
+		t.Fatalf("New reordered the caller's clients: %v", cfg.Clients)
+	}
+	for _, c := range given {
+		if got, ok := e.cfg.client(c.Addr); !ok || got != c.Contract {
+			t.Fatalf("client %v: contract %+v, %v; want %+v", c.Addr, got, ok, c.Contract)
+		}
+	}
+	for _, a := range []flow.Addr{self, peer, flow.MakeAddr(10, 0, 2, 2)} {
+		if _, ok := e.cfg.client(a); ok {
+			t.Fatalf("%v is not a client", a)
+		}
+	}
 }
 
 // start builds a fresh engine on the rig's clock, restoring snap when

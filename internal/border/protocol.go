@@ -141,7 +141,7 @@ func (e *Engine) handleVictimSideRequest(m *packet.FilterReq, neighbor flow.Addr
 		e.env.Trace(obs.EvRequestInvalid, label, "requester not on path to flow destination")
 		return
 	}
-	if _, isClient := e.cfg.Clients[neighbor]; !isClient {
+	if _, isClient := e.cfg.client(neighbor); !isClient {
 		atomic.AddUint64(&e.stats.ReqInvalid, 1)
 		e.env.Trace(obs.EvRequestInvalid, label, "requester is not a client")
 		return

@@ -18,6 +18,7 @@ import (
 // snapshot are the engine's (package border).
 type (
 	GatewayConfig    = border.Config
+	GatewayClient    = border.Client
 	GatewayDetection = border.Detection
 	GatewayStats     = border.Stats
 	ShadowMode       = border.ShadowMode

@@ -44,8 +44,8 @@ func (net *Network) SetLinkLoss(a, b flow.Addr, ctrl, data float64) {
 	ab, ba := net.ifacePair(a, b)
 	for _, i := range []*Iface{ab, ba} {
 		if i != nil {
-			i.ctrlLoss = clamp01(ctrl)
-			i.dataLoss = clamp01(data)
+			f := i.faults()
+			f.ctrlLoss, f.dataLoss = clamp01(ctrl), clamp01(data)
 		}
 	}
 }
@@ -57,7 +57,7 @@ func (net *Network) SetLinkState(a, b flow.Addr, up bool) {
 	ab, ba := net.ifacePair(a, b)
 	for _, i := range []*Iface{ab, ba} {
 		if i != nil {
-			i.down = !up
+			i.faults().down = !up
 		}
 	}
 }
@@ -80,17 +80,37 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// lossFor returns the interface's loss probability for p's class.
-func (i *Iface) lossFor(p *packet.Packet) float64 {
-	if p.IsControl() {
-		return i.ctrlLoss
+// linkFault is one direction's fault-injection state: per-class random
+// loss probability and administrative link state. An Iface holds one
+// only once a fault is configured on its link.
+type linkFault struct {
+	ctrlLoss, dataLoss float64
+	down               bool
+}
+
+// faults returns the interface's fault state, making it on first use.
+func (i *Iface) faults() *linkFault {
+	if i.fault == nil {
+		i.fault = &linkFault{}
 	}
-	return i.dataLoss
+	return i.fault
+}
+
+// drops reports whether the link loses p: it is down, or p's class has
+// a loss probability and the network's fault source draws below it.
+func (f *linkFault) drops(net *Network, p *packet.Packet) bool {
+	if f.down {
+		return true
+	}
+	loss := f.dataLoss
+	if p.IsControl() {
+		loss = f.ctrlLoss
+	}
+	return loss > 0 && net.faultRng.Float64() < loss
 }
 
 // dropFault counts a fault-induced loss and recycles the packet.
 func (i *Iface) dropFault(p *packet.Packet) {
-	i.stats.LossDrops++
 	if p.IsControl() {
 		i.stats.CtrlLossDrops++
 	} else {
@@ -109,13 +129,13 @@ func (i *Iface) dropFault(p *packet.Packet) {
 func (n *Node) Crash() {
 	now := n.net.eng.Now()
 	n.down = true
+	n.crashedAt = now
 	for _, i := range n.ifaces {
 		// Bumping the epoch turns the pending releases into no-ops and
 		// makes the arrivals of still-queued packets drop instead of
 		// deliver. Both FIFOs keep their entries: each still fires as
 		// one event, at the time it was given.
 		i.epoch++
-		i.crashedAt = now
 		n.CrashDrops += uint64(i.queued)
 		i.queued = 0
 		i.busyUntil = now

@@ -9,6 +9,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"aitf/internal/flow"
@@ -62,16 +63,18 @@ type IfaceStats struct {
 // aitf:packetowner — a link holds its in-flight pooled packets from
 // Send until their arrival fires.
 type Iface struct {
-	owner    *Node
-	neighbor *Node
-	back     *Iface // the neighbor's interface toward owner
+	owner *Node
+	back  *Iface // the neighbor's interface toward owner; back.owner is the neighbor
 
 	delay     sim.Time
 	bandwidth float64 // bytes/s; 0 = infinite
-	queueCap  int
-
 	busyUntil sim.Time
-	queued    int
+	queueCap  int32
+	queued    int32
+	// epoch counts the owner's crashes (faults.go): a packet sent
+	// under an older epoch that had not begun serializing by the
+	// owner's crashedAt died in the output queue.
+	epoch uint32
 
 	// The link's pending events, in the order they fire: one arrival
 	// per packet in flight, one release per packet waiting its turn to
@@ -84,28 +87,39 @@ type Iface struct {
 	arriveFn  func() // i.arriveHead, bound once at Build
 	releaseFn func() // i.releaseHead
 
-	// Fault-injection state (faults.go): per-class random loss
-	// probability, administrative link state, and a crash epoch that
-	// invalidates transmissions still queued when the owner crashes.
-	ctrlLoss, dataLoss float64
-	down               bool
-	epoch              uint32
-	crashedAt          sim.Time
+	// fault is the link's fault-injection state (faults.go), nil until
+	// SetLinkLoss or SetLinkState configures one.
+	fault *linkFault
 
-	stats IfaceStats
+	stats ifaceCounters
+}
+
+// ifaceCounters is what IfaceStats reports, without the two totals it
+// sums from their per-class splits.
+type ifaceCounters struct {
+	TxPackets, TxBytes, RxPackets, RxBytes uint64
+	CtrlQueueDrops, DataQueueDrops         uint64
+	CtrlLossDrops, DataLossDrops           uint64
 }
 
 // Neighbor returns the node at the far end.
-func (i *Iface) Neighbor() *Node { return i.neighbor }
+func (i *Iface) Neighbor() *Node { return i.back.owner }
 
 // Owner returns the node this interface belongs to.
 func (i *Iface) Owner() *Node { return i.owner }
 
 // Stats returns a copy of the interface counters.
-func (i *Iface) Stats() IfaceStats { return i.stats }
+func (i *Iface) Stats() IfaceStats {
+	c := &i.stats
+	return IfaceStats{
+		TxPackets: c.TxPackets, TxBytes: c.TxBytes, RxPackets: c.RxPackets, RxBytes: c.RxBytes,
+		QueueDrops: c.CtrlQueueDrops + c.DataQueueDrops, CtrlQueueDrops: c.CtrlQueueDrops, DataQueueDrops: c.DataQueueDrops,
+		LossDrops: c.CtrlLossDrops + c.DataLossDrops, CtrlLossDrops: c.CtrlLossDrops, DataLossDrops: c.DataLossDrops,
+	}
+}
 
 // QueueLen returns the packets currently waiting for transmission.
-func (i *Iface) QueueLen() int { return i.queued }
+func (i *Iface) QueueLen() int { return int(i.queued) }
 
 // Send transmits p toward the neighbor, modelling serialization delay,
 // propagation delay, and a drop-tail queue. It reports whether the
@@ -115,13 +129,9 @@ func (i *Iface) QueueLen() int { return i.queued }
 //
 // aitf:noalloc
 func (i *Iface) Send(p *packet.Packet) bool {
-	if i.down || i.owner.down {
-		// Downed link (or crashed owner): the packet never reaches the
-		// wire.
-		i.dropFault(p)
-		return false
-	}
-	if loss := i.lossFor(p); loss > 0 && i.owner.net.faultRng.Float64() < loss {
+	if i.owner.down || i.fault != nil && i.fault.drops(i.owner.net, p) {
+		// Crashed owner, downed link or random loss: the packet never
+		// reaches the wire.
 		i.dropFault(p)
 		return false
 	}
@@ -133,7 +143,6 @@ func (i *Iface) Send(p *packet.Packet) bool {
 	if i.busyUntil > now {
 		// Link busy: the packet must queue.
 		if i.queued >= i.queueCap {
-			i.stats.QueueDrops++
 			if p.IsControl() {
 				i.stats.CtrlQueueDrops++
 			} else {
@@ -254,7 +263,7 @@ func (i *Iface) release(r release) {
 }
 
 func (i *Iface) arrive(f flight) {
-	if i.epoch != f.epoch && i.start(&f) > i.crashedAt {
+	if i.epoch != f.epoch && i.start(&f) > i.owner.crashedAt {
 		// The owner crashed while this packet was still sitting in its
 		// output queue; it never made it onto the wire. Packets that had
 		// already begun serializing (start <= crash time) are on the
@@ -265,7 +274,7 @@ func (i *Iface) arrive(f flight) {
 	}
 	i.back.stats.RxPackets++
 	i.back.stats.RxBytes += uint64(f.size)
-	i.neighbor.deliver(f.p, i.back)
+	i.back.owner.deliver(f.p, i.back)
 }
 
 // Node is a running network element.
@@ -284,8 +293,9 @@ type Node struct {
 	CrashDrops uint64
 
 	// down marks a crashed node (see faults.go); a down node neither
-	// sends nor receives.
-	down bool
+	// sends nor receives. crashedAt is when its last crash struck.
+	down      bool
+	crashedAt sim.Time
 }
 
 // ID returns the node's topology ID.
@@ -316,7 +326,7 @@ func (n *Node) Ifaces() []*Iface { return n.ifaces }
 // or nil. Topologies hold no parallel links, so there is at most one.
 func (n *Node) IfaceTo(neighbor flow.Addr) *Iface {
 	for _, i := range n.ifaces {
-		if i.neighbor.Addr() == neighbor {
+		if i.Neighbor().Addr() == neighbor {
 			return i
 		}
 	}
@@ -417,13 +427,13 @@ func Build(eng *sim.Engine, topo *topology.Topology) (*Network, error) {
 		net.ids[tn.Addr] = tn.ID
 	}
 	for _, ls := range topo.Links {
-		qlen := ls.QueueLen
+		qlen := int32(min(ls.QueueLen, math.MaxInt32))
 		if qlen <= 0 {
 			qlen = DefaultQueueLen
 		}
 		a, b := net.nodes[ls.A], net.nodes[ls.B]
-		ab := &Iface{owner: a, neighbor: b, delay: ls.Delay, bandwidth: ls.Bandwidth, queueCap: qlen}
-		ba := &Iface{owner: b, neighbor: a, delay: ls.Delay, bandwidth: ls.Bandwidth, queueCap: qlen}
+		ab := &Iface{owner: a, delay: ls.Delay, bandwidth: ls.Bandwidth, queueCap: qlen}
+		ba := &Iface{owner: b, delay: ls.Delay, bandwidth: ls.Bandwidth, queueCap: qlen}
 		ab.back, ba.back = ba, ab
 		for _, i := range [2]*Iface{ab, ba} {
 			i.arriveFn, i.releaseFn = i.arriveHead, i.releaseHead
@@ -435,7 +445,7 @@ func Build(eng *sim.Engine, topo *topology.Topology) (*Network, error) {
 	net.routes = topo.Routes()
 	for _, node := range net.nodes {
 		for i, peer := range topo.Neighbors(node.ID()) {
-			if node.ifaces[i].neighbor.ID() != peer {
+			if node.ifaces[i].Neighbor().ID() != peer {
 				panic(fmt.Sprintf("netsim: %s interface %d is not toward neighbor %d", node.Name(), i, peer))
 			}
 		}

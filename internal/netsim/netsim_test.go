@@ -433,10 +433,25 @@ func TestBandwidthCeiling(t *testing.T) {
 	}
 }
 
-// TestFlightSize pins a link's per-packet in-flight record at 32 bytes:
-// the link rings hold one per packet on the wire.
+// TestFlightSize pins a link's per-packet in-flight record at 24 bytes
+// and a pointer, 32 on a 64-bit word: the link rings hold one per
+// packet on the wire.
 func TestFlightSize(t *testing.T) {
-	if n := unsafe.Sizeof(flight{}); n != 32 {
-		t.Fatalf("flight is %d bytes, want 32", n)
+	if n, want := unsafe.Sizeof(flight{}), 24+unsafe.Sizeof(uintptr(0)); n != want {
+		t.Fatalf("flight is %d bytes, want %d", n, want)
+	}
+}
+
+// TestIfaceSize pins a link end at 208 bytes on a 64-bit word, a Go
+// size class of its own (it was 272, in the 288-byte class): a zombie's
+// two links have four. Its fault state sits behind a pointer, its
+// owner's last crash time on the node, and its two drop totals are
+// sums of their per-class splits.
+func TestIfaceSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned for a 64-bit word")
+	}
+	if n := unsafe.Sizeof(Iface{}); n != 208 {
+		t.Fatalf("Iface is %d bytes, want 208", n)
 	}
 }

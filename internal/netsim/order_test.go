@@ -118,11 +118,11 @@ func (m *orderModel) send(i *Iface, p *packet.Packet) {
 		want = false
 	case loss > 0 && m.rng.Float64() < loss:
 		want = false
-	case l.busyUntil > now && l.queued >= i.queueCap:
+	case l.busyUntil > now && l.queued >= int(i.queueCap):
 		want = false
 	}
 	if got := i.Send(p); got != want {
-		m.t.Fatalf("t=%v: Send on %s->%s = %v, model says %v", now, i.owner.Name(), i.neighbor.Name(), got, want)
+		m.t.Fatalf("t=%v: Send on %s->%s = %v, model says %v", now, i.owner.Name(), i.Neighbor().Name(), got, want)
 	}
 	if !want {
 		return
@@ -193,10 +193,10 @@ func (m *orderModel) step() {
 		switch {
 		case ev.link.epoch != ev.epoch && ev.start > ev.link.crashedAt:
 			m.drops[i.owner]++ // wiped from the sender's queue by its crash
-		case m.down[i.neighbor]:
-			m.drops[i.neighbor]++
+		case m.down[i.Neighbor()]:
+			m.drops[i.Neighbor()]++
 		default:
-			wantDelivery = &delivery{i.neighbor, ev.id}
+			wantDelivery = &delivery{i.Neighbor(), ev.id}
 		}
 	case evRelease:
 		if ev.link.epoch == ev.epoch {
@@ -225,7 +225,7 @@ func (m *orderModel) step() {
 		for _, i := range n.Ifaces() {
 			if i.QueueLen() != m.links[i].queued {
 				m.t.Fatalf("t=%v after kind %d: %s->%s QueueLen = %d, model %d",
-					ev.at, ev.kind, n.Name(), i.neighbor.Name(), i.QueueLen(), m.links[i].queued)
+					ev.at, ev.kind, n.Name(), i.Neighbor().Name(), i.QueueLen(), m.links[i].queued)
 			}
 		}
 	}

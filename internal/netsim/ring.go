@@ -5,22 +5,22 @@ package netsim
 // in flight and allocate nothing after that.
 type ring[T any] struct {
 	buf  []T
-	head int // index of the oldest element
-	n    int
+	head uint32 // index of the oldest element
+	n    uint32
 }
 
-func (r *ring[T]) len() int { return r.n }
+func (r *ring[T]) len() int { return int(r.n) }
 
 // first returns the oldest element, last the newest. Caller checks len.
 func (r *ring[T]) first() *T { return &r.buf[r.head] }
-func (r *ring[T]) last() *T  { return &r.buf[(r.head+r.n-1)&(len(r.buf)-1)] }
+func (r *ring[T]) last() *T  { return &r.buf[(r.head+r.n-1)&uint32(len(r.buf)-1)] }
 
 // aitf:noalloc
 func (r *ring[T]) push(v T) {
-	if r.n == len(r.buf) {
+	if int(r.n) == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.buf[(r.head+r.n)&uint32(len(r.buf)-1)] = v
 	r.n++
 }
 
@@ -32,7 +32,7 @@ func (r *ring[T]) pop() T {
 	var zero T
 	v := r.buf[r.head]
 	r.buf[r.head] = zero
-	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.head = (r.head + 1) & uint32(len(r.buf)-1)
 	r.n--
 	return v
 }
@@ -43,8 +43,8 @@ func (r *ring[T]) pop() T {
 //go:noinline
 func (r *ring[T]) grow() {
 	buf := make([]T, max(4, 2*len(r.buf)))
-	for k := 0; k < r.n; k++ {
-		buf[k] = r.buf[(r.head+k)&(len(r.buf)-1)]
+	for k := range r.n {
+		buf[k] = r.buf[(r.head+k)&uint32(len(r.buf)-1)]
 	}
 	r.buf, r.head = buf, 0
 }

@@ -28,25 +28,46 @@ import "math/bits"
 // does; discard, which drops a cancelled event, does not, so base is
 // always the last fired key.
 //
-// Buckets grow to their high-water marks and are reused; push and pop
-// allocate nothing at steady state.
+// Each bucket is one contiguous array that push appends to and pop
+// scans, and every slot at or past a bucket's length is zero: pop and
+// discard clear a slot as it empties, so no fired event stays
+// reachable. A bucket owns an array of up to keepCap slots, kept for
+// its next fill. A fill that outgrows it borrows a larger array from
+// the spare list, the smallest that is large enough, and the pop or
+// discard that empties the bucket returns it there. Every pop empties
+// its bucket, so the large arrays follow the pending events from
+// bucket to bucket: the queue holds about what is pending, not the sum
+// of every bucket's high-water mark, and push and pop allocate nothing
+// at steady state.
 type eventHeap struct {
 	baseAt  Time
 	baseSeq uint64
 	n       int
 	// nonEmpty has bit b set while buckets[b] holds an entry.
 	nonEmpty [3]uint64
-	buckets  [heapBuckets][]heapEntry
 	// minB, minI locate the minimum findMin found, and minEv is its
 	// event; valid while minOK, until the next push, pop or discard.
 	minB, minI int
 	minEv      *Event
 	minOK      bool
+	buckets    [heapBuckets][]heapEntry
+	// owned[b] is bucket b's own array, empty, while it borrows.
+	owned [heapBuckets][]heapEntry
+	// spare[c] holds empty borrowable arrays of capacity 1<<c, and
+	// spareMask has bit c set while spare[c] is not empty. Every
+	// capacity is a power of two: grow only ever doubles.
+	spare     [64][][]heapEntry
+	spareMask uint64
 }
 
 // heapBuckets is one bucket per bit of the 128-bit key, plus one for a
 // key equal to base.
 const heapBuckets = 129
+
+// keepCap is the capacity of the largest array a bucket owns; a fill
+// that outgrows it borrows a spare. A power of two, as grow doubles
+// from 8.
+const keepCap = 128
 
 // heapEntry is one queued event with the (at, seq) it was pushed under,
 // so a compare reads the bucket's own array and never follows the
@@ -100,17 +121,74 @@ func (h *eventHeap) push(e *Event) {
 	h.minOK = false
 }
 
-// grow stays out of line: push and pop are under the allocation gate,
-// and this is their one allocation, paid until the bucket reaches its
-// working size.
+// grow doubles bucket b's capacity: in an array of its own up to
+// keepCap, then in the smallest spare array large enough, if there is
+// one. The array a borrowing bucket outgrows goes back to the spare
+// list. grow stays out of line: push and pop are under the allocation
+// gate, and this is their one allocation, paid until the queue reaches
+// its working size.
 //
 //go:noinline
 func (h *eventHeap) grow(b int) {
 	old := h.buckets[b]
-	bk := make([]heapEntry, len(old), max(8, 2*cap(old)))
+	need := max(8, 2*cap(old))
+	if need <= keepCap {
+		bk := make([]heapEntry, len(old), need)
+		copy(bk, old)
+		h.buckets[b] = bk
+		return
+	}
+	bk := h.takeSpare(need)[:len(old)]
 	copy(bk, old)
+	clear(old)
 	h.buckets[b] = bk
+	if cap(old) <= keepCap {
+		h.owned[b] = old[:0]
+	} else {
+		h.putSpare(old[:0])
+	}
 }
+
+// takeSpare removes and returns the smallest spare array of at least
+// need slots, or makes one if there is none.
+func (h *eventHeap) takeSpare(need int) []heapEntry {
+	c := classOf(need)
+	if h.spareMask>>c == 0 {
+		return make([]heapEntry, 0, need)
+	}
+	c += bits.TrailingZeros64(h.spareMask >> c)
+	st := h.spare[c]
+	bk := st[len(st)-1]
+	st[len(st)-1] = nil
+	h.spare[c] = st[:len(st)-1]
+	if len(st) == 1 {
+		h.spareMask &^= 1 << c
+	}
+	return bk
+}
+
+// giveBack returns bucket b's borrowed array, emptied and cleared, to
+// the spare list, and gives the bucket back the array it owns.
+//
+//go:noinline
+func (h *eventHeap) giveBack(b int) {
+	bk := h.buckets[b][:0]
+	h.buckets[b], h.owned[b] = h.owned[b], nil
+	h.putSpare(bk)
+}
+
+// putSpare adds a cleared array to the spare list. The list's own
+// growth is its one allocation, paid until it reaches its working
+// length.
+func (h *eventHeap) putSpare(bk []heapEntry) {
+	c := classOf(cap(bk))
+	h.spare[c] = append(h.spare[c], bk)
+	h.spareMask |= 1 << c
+}
+
+// classOf is the spare-list class of capacity c, a power of two: its
+// base-2 logarithm.
+func classOf(c int) int { return bits.Len(uint(c)) - 1 }
 
 // findMin finds the minimum, the earliest entry of the lowest non-empty
 // bucket, and caches it for peek, pop and discard until the next push,
@@ -178,6 +256,9 @@ func (h *eventHeap) pop() *Event {
 	}
 	h.buckets[b] = bk[:0]
 	h.nonEmpty[b>>6] &^= 1 << (b & 63)
+	if cap(bk) > keepCap {
+		h.giveBack(b)
+	}
 	h.n--
 	h.minOK = false
 	return m.ev
@@ -199,6 +280,9 @@ func (h *eventHeap) discard() {
 	h.buckets[b] = bk[:last]
 	if last == 0 {
 		h.nonEmpty[b>>6] &^= 1 << (b & 63)
+		if cap(bk) > keepCap {
+			h.giveBack(b)
+		}
 	}
 	h.n--
 	h.minOK = false

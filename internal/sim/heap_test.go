@@ -115,7 +115,10 @@ func TestEventHeapOrdering(t *testing.T) {
 // pop and discard operations against the reference: every peek, pop
 // and discard must meet the event the sorted reference names, and a
 // discard, which drops a cancelled event, must leave the base where the
-// last pop put it.
+// last pop put it. Once drained, the queue must keep no event
+// reachable. The spare_reuse seed pushes 600 events at one instant,
+// pops them, and pushes and drains 600 more, so that fills outgrow the
+// arrays buckets own and later ones borrow what earlier ones gave back.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 6, 6, 6})
 	f.Add([]byte{3, 3, 0, 9, 4, 1, 4, 0, 5, 7, 6, 6, 1, 200, 6})
@@ -187,6 +190,9 @@ func FuzzEventQueue(f *testing.F) {
 				t.Fatalf("drain: pop (at=%v seq=%d), want (at=%v seq=%d)", got.at, got.seq, want.at, want.seq)
 			}
 		}
+		if h.staleSlot() {
+			t.Fatal("drained queue: a slot still holds an event")
+		}
 	})
 }
 
@@ -254,13 +260,15 @@ func TestEngineOrderingMatchesSortedReplay(t *testing.T) {
 }
 
 // TestEventHeapSteadyStateZeroAlloc pins the optimization goal: once
-// every bucket has reached its high-water mark, push and pop allocate
-// nothing (the old container/heap path boxed every element through an
+// the queue has reached its working size, push and pop allocate nothing
+// (the old container/heap path boxed every element through an
 // interface on exactly this loop). Each cycle pushes the same pattern
-// of keys, shifted above the last one popped.
+// of keys, shifted above the last one popped: 1,024 events on 13
+// instants, so that fills outgrow the arrays buckets own and every
+// cycle borrows spare arrays the one before gave back.
 func TestEventHeapSteadyStateZeroAlloc(t *testing.T) {
 	var h eventHeap
-	const n = 64
+	const n = 1024
 	evs := make([]*Event, n)
 	for i := range evs {
 		evs[i] = &Event{fn: func() {}}
@@ -277,12 +285,135 @@ func TestEventHeapSteadyStateZeroAlloc(t *testing.T) {
 			h.pop()
 		}
 	}
-	// Warm to the high-water mark.
+	// Warm to the working size.
 	for i := 0; i < 100; i++ {
 		cycle()
 	}
+	if h.spareMask == 0 {
+		t.Fatal("no fill outgrew an owned array: the cycles miss the spare list")
+	}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("push/pop allocates %v per cycle at steady state, want 0", allocs)
+	}
+}
+
+// slots counts the entry slots the queue holds in arrays larger than a
+// bucket owns, in its buckets or on the spare list, and in the arrays
+// its buckets own.
+func (h *eventHeap) slots() (borrowed, owned int) {
+	for b := range h.buckets {
+		if c := cap(h.buckets[b]); c > keepCap {
+			borrowed += c
+		} else {
+			owned += c
+		}
+		owned += cap(h.owned[b])
+	}
+	for _, st := range h.spare {
+		for _, bk := range st {
+			borrowed += cap(bk)
+		}
+	}
+	return borrowed, owned
+}
+
+// staleSlot reports whether a slot no pending event occupies still
+// points at an event: one past a bucket's length, in an owned array or
+// in a spare one.
+func (h *eventHeap) staleSlot() bool {
+	dirty := func(bk []heapEntry) bool {
+		for _, ent := range bk[len(bk):cap(bk)] {
+			if ent != (heapEntry{}) {
+				return true
+			}
+		}
+		return false
+	}
+	for b := range h.buckets {
+		if dirty(h.buckets[b]) || dirty(h.owned[b]) {
+			return true
+		}
+	}
+	for _, st := range h.spare {
+		for _, bk := range st {
+			if dirty(bk) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestEventQueueMemoryBound drives the queue through a hold model whose
+// fire times spread over a second, half of them on a 2^20 ns (about
+// 1 ms) grid so that many share an instant, with the number pending
+// swinging between 300 and 3,000 and one removal in eight a cancelled
+// event's discard. Fills outgrow what a bucket owns, borrow spare
+// arrays and give them back for other buckets to borrow. The arrays
+// larger than a bucket owns, in buckets or on the spare list, must stay
+// within 8 slots per event at the peak (a queue that keeps every
+// bucket's high-water mark holds about 10); the rest are owned, at most
+// keepCap slots a bucket. A spare array must come back into use, and no
+// slot outside the pending events may keep an event reachable.
+func TestEventQueueMemoryBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var h eventHeap
+	var free []*Event
+	var seq uint64
+	spares := map[*heapEntry]bool{} // first slot of every array seen on the spare list
+	peak, most, owned, reused := 0, 0, 0, false
+	for step := 0; step < 300_000; step++ {
+		target := 3000
+		if step/40_000%2 == 1 {
+			target = 300
+		}
+		if h.len() >= target {
+			if rng.Intn(8) == 0 {
+				h.discard() // a cancelled event
+			} else {
+				free = append(free, h.pop())
+			}
+		}
+		if h.len() <= target {
+			e := &Event{}
+			if k := len(free); k > 0 {
+				e, free = free[k-1], free[:k-1]
+			}
+			d := rng.Int63n(1 << 30)
+			if rng.Intn(2) == 0 {
+				d &^= 1<<20 - 1
+			}
+			e.at, e.seq = h.baseAt+Time(d), seq
+			seq++
+			h.push(e)
+		}
+		peak = max(peak, h.len())
+		if step%64 != 0 {
+			continue
+		}
+		borrowed, own := h.slots()
+		most, owned = max(most, borrowed), max(owned, own)
+		if h.staleSlot() {
+			t.Fatalf("step %d: a slot outside the pending events still holds an event", step)
+		}
+		for _, bk := range h.buckets {
+			if cap(bk) > keepCap && spares[&bk[:1][0]] {
+				reused = true
+			}
+		}
+		for _, st := range h.spare {
+			for _, bk := range st {
+				spares[&bk[:1][0]] = true
+			}
+		}
+	}
+	t.Logf("peak %d pending: at most %d slots in borrowed arrays and %d in owned ones; %d arrays seen spare",
+		peak, most, owned, len(spares))
+	if most > 8*peak {
+		t.Fatalf("borrowed arrays held %d slots for a peak of %d pending events, over 8 per event", most, peak)
+	}
+	if !reused {
+		t.Fatal("no spare array was borrowed again: the test missed the reuse path")
 	}
 }
 

@@ -65,13 +65,16 @@ func (e *Event) Cancelled() bool { return e.cancelled }
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventHeap
 	free    []*Event // fired handle-less events, reused by post
 	rng     *rand.Rand
 	stopped bool
 
 	// Processed counts events that have fired since construction.
 	Processed uint64
+
+	// queue comes last: its bucket arrays' headers fill kilobytes, and
+	// the fields above are read with its own on every step.
+	queue eventHeap
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
