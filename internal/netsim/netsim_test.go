@@ -308,7 +308,7 @@ func BenchmarkForwardThroughChain(b *testing.B) {
 }
 
 // TestHopZeroAlloc pins the simulated hop's allocation budget: once the
-// link FIFOs and the engine's free list are warm, originating a burst
+// link FIFOs and the engine's event slab are warm, originating a burst
 // and carrying it to its destination allocates nothing, across all
 // eleven hops of a chain of tree nodes and across the four of an army's
 // zombie → victim path, whose core router looks its next hop up as the

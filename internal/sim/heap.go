@@ -17,70 +17,60 @@ import "math/bits"
 // b-1; bucket 0 holds a key equal to base. A bitmap marks the
 // non-empty buckets, so finding the minimum scans only the lowest
 // non-empty bucket, and a key only ever moves to a lower bucket: pop
-// makes the minimum the new base and redistributes the rest of its
-// bucket below it (they agree with the minimum above bit b-1), while
-// every higher bucket keeps its index. Each key moves at most 128 times
-// over its life, and in practice a few, so push and pop cost O(1)
-// amortised against the log N sift of a comparison heap.
+// makes the minimum the new base and relinks the rest of its bucket
+// below it (they agree with the minimum above bit b-1), while every
+// higher bucket keeps its index. Each key moves at most 128 times over
+// its life, and in practice a few, so push and pop cost O(1) amortised
+// against the log N sift of a comparison heap.
 //
 // peek never moves base: RunUntil peeks at an event past its deadline,
 // and the caller may then schedule below it at now. pop, which fires,
 // does; discard, which drops a cancelled event, does not, so base is
 // always the last fired key.
 //
-// Each bucket is one contiguous array that push appends to and pop
-// scans, and every slot at or past a bucket's length is zero: pop and
-// discard clear a slot as it empties, so no fired event stays
-// reachable. A bucket owns an array of up to keepCap slots, kept for
-// its next fill. A fill that outgrows it borrows a larger array from
-// the spare list, the smallest that is large enough, and the pop or
-// discard that empties the bucket returns it there. Every pop empties
-// its bucket, so the large arrays follow the pending events from
-// bucket to bucket: the queue holds about what is pending, not the sum
-// of every bucket's high-water mark, and push and pop allocate nothing
-// at steady state.
+// Every event lives in one slot of one slab, and each bucket is a
+// singly linked list through it. A slot leaves its list only to be
+// freed, and pop and discard clear it as they free it, so no fired
+// callback stays reachable. Freed slots form a LIFO free list that
+// push takes from first, so the slab holds the most events ever
+// pending at once, and push and pop allocate nothing once it has
+// reached that length. Slot 0 is never used: a zero link ends a list.
 type eventHeap struct {
 	baseAt  Time
 	baseSeq uint64
 	n       int
-	// nonEmpty has bit b set while buckets[b] holds an entry.
+	// nonEmpty has bit b set while head[b] is not 0.
 	nonEmpty [3]uint64
-	// minB, minI locate the minimum findMin found, and minEv is its
-	// event; valid while minOK, until the next push, pop or discard.
-	minB, minI int
-	minEv      *Event
-	minOK      bool
-	buckets    [heapBuckets][]heapEntry
-	// owned[b] is bucket b's own array, empty, while it borrows.
-	owned [heapBuckets][]heapEntry
-	// spare[c] holds empty borrowable arrays of capacity 1<<c, and
-	// spareMask has bit c set while spare[c] is not empty. Every
-	// capacity is a power of two: grow only ever doubles.
-	spare     [64][][]heapEntry
-	spareMask uint64
+	// minB, minI locate the minimum findMin found, and minPrev is the
+	// slot linking to it, 0 at the head of its list; valid while minOK,
+	// until the next push, pop or discard.
+	minB          int
+	minI, minPrev int32
+	minOK         bool
+	free          int32 // first free slot, 0 when there is none
+	head          [heapBuckets]int32
+	slab          []slot
 }
 
 // heapBuckets is one bucket per bit of the 128-bit key, plus one for a
 // key equal to base.
 const heapBuckets = 129
 
-// keepCap is the capacity of the largest array a bucket owns; a fill
-// that outgrows it borrows a spare. A power of two, as grow doubles
-// from 8.
-const keepCap = 128
-
-// heapEntry is one queued event with the (at, seq) it was pushed under,
-// so a compare reads the bucket's own array and never follows the
-// *Event.
-type heapEntry struct {
-	at  Time
-	seq uint64
-	ev  *Event
+// slot is one queued event: its key, its callback, the handle Schedule
+// gave out for it (nil for Post), and the next slot in its bucket or
+// on the free list. A step reads the slab alone, apart from a handle's
+// cancelled flag.
+type slot struct {
+	at     Time
+	seq    uint64
+	fn     func()
+	handle *Event
+	next   int32
 }
 
 // before is the queue order: earliest fire time first, ties broken by
 // scheduling order so a run is fully reproducible.
-func (a *heapEntry) before(b *heapEntry) bool {
+func (a *slot) before(b *slot) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -103,94 +93,51 @@ func (h *eventHeap) bucketOf(at Time, seq uint64) int {
 	return bits.Len64(seq ^ h.baseSeq)
 }
 
-// push queues e under its current (at, seq), which must not be below
-// base; the caller must not change either while e is queued.
+// link puts slot i at the head of bucket b.
+func (h *eventHeap) link(i int32, b int) {
+	h.slab[i].next = h.head[b]
+	h.head[b] = i
+	h.nonEmpty[b>>6] |= 1 << (b & 63)
+}
+
+// push queues fn under (at, seq), which must not be below base, with
+// the handle to check for a cancel (nil if it has none).
 //
 // aitf:noalloc
-func (h *eventHeap) push(e *Event) {
-	b := h.bucketOf(e.at, e.seq)
-	bk := &h.buckets[b]
-	n := len(*bk)
-	if n == cap(*bk) {
-		h.grow(b)
+func (h *eventHeap) push(at Time, seq uint64, fn func(), handle *Event) {
+	if h.free == 0 {
+		h.grow()
 	}
-	*bk = (*bk)[:n+1]
-	(*bk)[n] = heapEntry{at: e.at, seq: e.seq, ev: e}
-	h.nonEmpty[b>>6] |= 1 << (b & 63)
+	i := h.free
+	s := &h.slab[i]
+	h.free = s.next
+	s.at, s.seq, s.fn, s.handle = at, seq, fn, handle
+	h.link(i, h.bucketOf(at, seq))
 	h.n++
 	h.minOK = false
 }
 
-// grow doubles bucket b's capacity: in an array of its own up to
-// keepCap, then in the smallest spare array large enough, if there is
-// one. The array a borrowing bucket outgrows goes back to the spare
-// list. grow stays out of line: push and pop are under the allocation
-// gate, and this is their one allocation, paid until the queue reaches
-// its working size.
+// grow adds one slot to the slab and the free list, and slot 0 first.
+// It stays out of line: push is under the allocation gate, and the
+// slab's append is its one allocation, paid until the queue reaches
+// its most pending events.
 //
 //go:noinline
-func (h *eventHeap) grow(b int) {
-	old := h.buckets[b]
-	need := max(8, 2*cap(old))
-	if need <= keepCap {
-		bk := make([]heapEntry, len(old), need)
-		copy(bk, old)
-		h.buckets[b] = bk
-		return
+func (h *eventHeap) grow() {
+	if len(h.slab) == 0 {
+		h.slab = append(h.slab, slot{})
 	}
-	bk := h.takeSpare(need)[:len(old)]
-	copy(bk, old)
-	clear(old)
-	h.buckets[b] = bk
-	if cap(old) <= keepCap {
-		h.owned[b] = old[:0]
-	} else {
-		h.putSpare(old[:0])
-	}
+	h.free = int32(len(h.slab))
+	h.slab = append(h.slab, slot{})
 }
 
-// takeSpare removes and returns the smallest spare array of at least
-// need slots, or makes one if there is none.
-func (h *eventHeap) takeSpare(need int) []heapEntry {
-	c := classOf(need)
-	if h.spareMask>>c == 0 {
-		return make([]heapEntry, 0, need)
-	}
-	c += bits.TrailingZeros64(h.spareMask >> c)
-	st := h.spare[c]
-	bk := st[len(st)-1]
-	st[len(st)-1] = nil
-	h.spare[c] = st[:len(st)-1]
-	if len(st) == 1 {
-		h.spareMask &^= 1 << c
-	}
-	return bk
+// release clears slot i and puts it on the free list.
+func (h *eventHeap) release(i int32) {
+	h.slab[i] = slot{next: h.free}
+	h.free = i
 }
 
-// giveBack returns bucket b's borrowed array, emptied and cleared, to
-// the spare list, and gives the bucket back the array it owns.
-//
-//go:noinline
-func (h *eventHeap) giveBack(b int) {
-	bk := h.buckets[b][:0]
-	h.buckets[b], h.owned[b] = h.owned[b], nil
-	h.putSpare(bk)
-}
-
-// putSpare adds a cleared array to the spare list. The list's own
-// growth is its one allocation, paid until it reaches its working
-// length.
-func (h *eventHeap) putSpare(bk []heapEntry) {
-	c := classOf(cap(bk))
-	h.spare[c] = append(h.spare[c], bk)
-	h.spareMask |= 1 << c
-}
-
-// classOf is the spare-list class of capacity c, a power of two: its
-// base-2 logarithm.
-func classOf(c int) int { return bits.Len(uint(c)) - 1 }
-
-// findMin finds the minimum, the earliest entry of the lowest non-empty
+// findMin finds the minimum, the earliest slot of the lowest non-empty
 // bucket, and caches it for peek, pop and discard until the next push,
 // pop or discard. Caller checks len.
 //
@@ -205,63 +152,51 @@ func (h *eventHeap) findMin() {
 	default:
 		b = 128 + bits.TrailingZeros64(h.nonEmpty[2])
 	}
-	bk := h.buckets[b]
-	i := 0
-	for j := 1; j < len(bk); j++ {
-		if bk[j].before(&bk[i]) {
-			i = j
+	m, prev := h.head[b], int32(0)
+	for p, i := m, h.slab[m].next; i != 0; p, i = i, h.slab[i].next {
+		if h.slab[i].before(&h.slab[m]) {
+			m, prev = i, p
 		}
 	}
-	h.minB, h.minI, h.minEv, h.minOK = b, i, bk[i].ev, true
+	h.minB, h.minI, h.minPrev, h.minOK = b, m, prev, true
 }
 
-// peek returns the next event without removing it or moving base.
+// peek returns the next event's slot without removing it or moving
+// base; the pointer is valid until the next push, pop or discard.
 // Caller checks len.
-func (h *eventHeap) peek() *Event {
+func (h *eventHeap) peek() *slot {
 	if !h.minOK {
 		h.findMin()
 	}
-	return h.minEv
+	return &h.slab[h.minI]
 }
 
-// pop removes and returns the earliest event, making its key the new
-// base. Caller checks len.
+// pop removes the earliest event, making its key the new base, and
+// returns its callback; its slot is free before the callback runs.
+// Caller checks len.
 //
 // aitf:noalloc
-func (h *eventHeap) pop() *Event {
+func (h *eventHeap) pop() func() {
 	if !h.minOK {
 		h.findMin()
 	}
-	b, bk := h.minB, h.buckets[h.minB]
-	m := bk[h.minI]
-	h.baseAt, h.baseSeq = m.at, m.seq
-	last := len(bk) - 1
-	bk[h.minI] = bk[last]
-	// Slots are zeroed as they empty, so fired events can be GC'd.
-	bk[last] = heapEntry{}
-	// push's append, written out: a call per moved entry costs pop a
-	// tenth.
-	for k := range bk[:last] {
-		ent := bk[k]
-		bk[k] = heapEntry{}
-		nb := h.bucketOf(ent.at, ent.seq) // always below b
-		dst := &h.buckets[nb]
-		n := len(*dst)
-		if n == cap(*dst) {
-			h.grow(nb)
+	b, m := h.minB, h.minI
+	h.baseAt, h.baseSeq = h.slab[m].at, h.slab[m].seq
+	fn := h.slab[m].fn
+	for i := h.head[b]; i != 0; {
+		s := &h.slab[i]
+		next := s.next
+		if i != m {
+			h.link(i, h.bucketOf(s.at, s.seq)) // always below b
 		}
-		*dst = (*dst)[:n+1]
-		(*dst)[n] = ent
-		h.nonEmpty[nb>>6] |= 1 << (nb & 63)
+		i = next
 	}
-	h.buckets[b] = bk[:0]
+	h.head[b] = 0
 	h.nonEmpty[b>>6] &^= 1 << (b & 63)
-	if cap(bk) > keepCap {
-		h.giveBack(b)
-	}
+	h.release(m)
 	h.n--
 	h.minOK = false
-	return m.ev
+	return fn
 }
 
 // discard removes the earliest event without moving base. Caller checks
@@ -272,18 +207,16 @@ func (h *eventHeap) discard() {
 	if !h.minOK {
 		h.findMin()
 	}
-	b, i := h.minB, h.minI
-	bk := h.buckets[b]
-	last := len(bk) - 1
-	bk[i] = bk[last]
-	bk[last] = heapEntry{}
-	h.buckets[b] = bk[:last]
-	if last == 0 {
-		h.nonEmpty[b>>6] &^= 1 << (b & 63)
-		if cap(bk) > keepCap {
-			h.giveBack(b)
-		}
+	b, m := h.minB, h.minI
+	if next := h.slab[m].next; h.minPrev != 0 {
+		h.slab[h.minPrev].next = next
+	} else {
+		h.head[b] = next
 	}
+	if h.head[b] == 0 {
+		h.nonEmpty[b>>6] &^= 1 << (b & 63)
+	}
+	h.release(m)
 	h.n--
 	h.minOK = false
 }

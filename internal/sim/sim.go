@@ -16,25 +16,20 @@ import (
 // the simulation. The zero Time is the simulation epoch.
 type Time = time.Duration
 
-// Event is a scheduled closure, in one of two forms.
+// Event is the handle Schedule and ScheduleAt return for a scheduled
+// callback: the caller may keep it and Cancel it at any time, long
+// after it fired. It is allocated per call and never reused, because a
+// recycled one would let a stale handle cancel whatever unrelated
+// callback the engine had given it since. The callback itself lives in
+// the queue's slot, which is reused; the handle only records the fire
+// time and the cancel.
 //
-// Schedule and ScheduleAt return the Event as a handle: the caller may
-// keep it and Cancel it at any time, long after it fired. Such an Event
-// is allocated per call and never reused, because a recycled one would
-// let a stale handle cancel whatever unrelated callback the engine had
-// put in it since.
-//
-// Post and PostReserved hand out no handle, so nothing outside the
-// engine can hold the Event: it comes from the engine's free list and
-// goes back to it the moment it fires, before its callback runs. This
-// is the form for the per-packet and per-tick work (link deliveries,
+// Post and PostReserved hand out no handle and allocate nothing. They
+// are the form for the per-packet and per-tick work (link deliveries,
 // flood ticks) that is never cancelled.
 type Event struct {
 	at        Time
-	seq       uint64
-	fn        func()
 	cancelled bool
-	pooled    bool // handle-less: back to Engine.free when it fires
 }
 
 // At reports the virtual time at which the event fires.
@@ -65,15 +60,14 @@ func (e *Event) Cancelled() bool { return e.cancelled }
 type Engine struct {
 	now     Time
 	seq     uint64
-	free    []*Event // fired handle-less events, reused by post
 	rng     *rand.Rand
 	stopped bool
 
 	// Processed counts events that have fired since construction.
 	Processed uint64
 
-	// queue comes last: its bucket arrays' headers fill kilobytes, and
-	// the fields above are read with its own on every step.
+	// queue comes last: its bucket heads fill half a kilobyte, and the
+	// fields above are read with its own on every step.
 	queue eventHeap
 }
 
@@ -107,15 +101,14 @@ func (e *Engine) ScheduleAt(at Time, fn func()) *Event {
 	if at < e.now {
 		at = e.now
 	}
-	ev := &Event{at: at, seq: e.seq, fn: fn}
-	e.seq++
-	e.queue.push(ev)
+	ev := &Event{at: at}
+	e.queue.push(at, e.ReserveSeq(), fn, ev)
 	return ev
 }
 
 // Post runs fn at absolute virtual time at, like ScheduleAt, but hands
-// out no handle: the event cannot be cancelled and is recycled when it
-// fires.
+// out no handle: the event cannot be cancelled, and posting it
+// allocates nothing once the queue has held as many events before.
 //
 // aitf:noalloc
 func (e *Engine) Post(at Time, fn func()) {
@@ -155,55 +148,37 @@ func (e *Engine) PostReserved(at Time, seq uint64, fn func()) {
 	e.post(at, seq, fn)
 }
 
-// post queues a pooled event under the given order key.
+// post queues a handle-less event under the given order key.
 //
 // aitf:noalloc
 func (e *Engine) post(at Time, seq uint64, fn func()) {
 	if fn == nil {
 		misuse("sim: Post with nil callback")
 	}
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		ev = newPooledEvent()
-	}
-	ev.at, ev.seq, ev.fn = at, seq, fn
-	e.queue.push(ev)
+	e.queue.push(at, seq, fn, nil)
 }
 
-// newPooledEvent grows the pool by one; the free list's high-water mark
-// is the most handle-less events ever pending at once. Like misuse it
-// stays out of line, so the allocation gate on the posting functions
-// sees only their steady-state path.
+// misuse stays out of line, so the allocation gate on the posting
+// functions sees only their steady-state path.
 //
-//go:noinline
-func newPooledEvent() *Event { return &Event{pooled: true} }
-
 //go:noinline
 func misuse(msg string) { panic(msg) }
 
 // step fires the earliest queued event, reporting false for a
-// cancelled one, which leaves the queue without counting as fired. A
-// pooled event is recycled before its callback runs, so the callback's
-// own Post reuses it. Caller checks the queue is non-empty.
+// cancelled one, which leaves the queue without counting as fired. The
+// event's slot is free before its callback runs, so the callback's own
+// Post reuses it. Caller checks the queue is non-empty.
 //
 // aitf:noalloc
 func (e *Engine) step() bool {
-	ev := e.queue.peek()
-	if ev.cancelled {
+	s := e.queue.peek()
+	if s.handle != nil && s.handle.cancelled {
 		e.queue.discard()
 		return false
 	}
-	e.queue.pop()
-	e.now = ev.at
+	e.now = s.at
+	fn := e.queue.pop()
 	e.Processed++
-	fn := ev.fn
-	if ev.pooled {
-		ev.fn = nil
-		e.free = append(e.free, ev)
-	}
 	fn()
 	return true
 }

@@ -296,15 +296,16 @@ func TestPostFiresInScheduleOrder(t *testing.T) {
 	}
 }
 
-// TestPooledEventNeverFiresStaleCallback: a handle-less event goes back
-// to the free list before its callback runs, so the callback's own Post
-// reuses it; the old callback must not run again through the reuse.
+// TestPooledEventNeverFiresStaleCallback: a fired event's slot goes
+// back to the free list before its callback runs, so the callback's own
+// Post reuses it; the old callback must not run again through the
+// reuse, and a free slot must not keep a callback reachable.
 func TestPooledEventNeverFiresStaleCallback(t *testing.T) {
 	e := NewEngine(1)
 	var a, b, c int
 	e.Post(time.Millisecond, func() {
 		a++
-		e.Post(e.Now()+time.Millisecond, func() { b++ }) // takes a's event
+		e.Post(e.Now()+time.Millisecond, func() { b++ }) // takes a's slot
 	})
 	e.Run()
 	e.Post(e.Now(), func() { c++ }) // and again
@@ -312,27 +313,35 @@ func TestPooledEventNeverFiresStaleCallback(t *testing.T) {
 	if a != 1 || b != 1 || c != 1 {
 		t.Fatalf("callbacks fired a=%d b=%d c=%d times, want once each", a, b, c)
 	}
-	if len(e.free) != 1 {
-		t.Fatalf("free list holds %d events, want the one event reused three times", len(e.free))
+	if len(e.queue.slab) != 2 {
+		t.Fatalf("slab holds %d slots, want slot 0 and the one slot reused three times", len(e.queue.slab))
 	}
-	if e.free[0].fn != nil {
-		t.Fatal("a recycled event still references its callback")
+	if free, stale := e.queue.freeSlots(); free != 1 || stale {
+		t.Fatalf("free list holds %d slots, stale=%v: want the one slot, cleared", free, stale)
 	}
 }
 
-// TestHandleSurvivesPooledChurn: events from Schedule are never pooled,
-// so a held handle stays valid however many handle-less events fire in
-// between. Cancelling a live one long after stops exactly it, and
-// cancelling one that already fired touches nothing, where a recycled
-// event would have let it cancel whichever callback held it now.
+// TestHandleSurvivesPooledChurn: a handle from Schedule is never
+// reused, though its slot is, so it stays valid however many
+// handle-less events fire in between. Cancelling a live one long after
+// stops exactly it, and cancelling one that already fired touches
+// nothing, though its slot now holds another callback: the first Post
+// after it fires takes that slot, and later ones churn through it.
 func TestHandleSurvivesPooledChurn(t *testing.T) {
 	e := NewEngine(1)
 	spentFired, liveFired := false, false
 	spent := e.Schedule(time.Millisecond, func() { spentFired = true })
 	live := e.Schedule(time.Hour, func() { liveFired = true })
 	e.RunUntil(time.Second)
-	if !spentFired || len(e.free) != 0 {
-		t.Fatalf("handle event fired=%v, free list %d: a handle event must fire and never be pooled", spentFired, len(e.free))
+	if !spentFired {
+		t.Fatal("handle event did not fire")
+	}
+	reused := false
+	e.Post(e.Now()+time.Millisecond, func() { reused = true }) // on spent's slot
+	spent.Cancel()
+	e.RunUntil(e.Now() + time.Second)
+	if !reused {
+		t.Fatal("cancelling a fired handle cancelled the event on its reused slot")
 	}
 
 	pooled := 0
@@ -357,13 +366,13 @@ func TestHandleSurvivesPooledChurn(t *testing.T) {
 	if !live.Cancelled() || !spent.Cancelled() {
 		t.Fatal("handles lost their cancelled flag")
 	}
-	if len(e.free) != 100 {
-		t.Fatalf("free list holds %d events, want the high-water mark of 100", len(e.free))
+	if len(e.queue.slab) != 102 {
+		t.Fatalf("slab holds %d slots, want slot 0 and the high-water mark of 101", len(e.queue.slab))
 	}
 }
 
-// TestPostSteadyStateZeroAlloc: with the free list and the heap at
-// their high-water marks, posting and firing allocate nothing.
+// TestPostSteadyStateZeroAlloc: with the queue's slab at its
+// high-water mark, posting and firing allocate nothing.
 func TestPostSteadyStateZeroAlloc(t *testing.T) {
 	e := NewEngine(1)
 	fn := func() {}

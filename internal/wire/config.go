@@ -105,9 +105,10 @@ type GatewayFileConfig struct {
 	// zero. Valid values are 0 (disabled) or 2..64.
 	ClusterPeers int `json:"cluster_peers"`
 	// ClusterMergeMs is the merge-round interval in milliseconds
-	// (0 = the cluster default, 250). It must not be shorter than the
-	// effective detection window — merging faster than the sketches
-	// rotate only reships identical state.
+	// (0 = the larger of the cluster default, 250, and the detection
+	// window). It must not be shorter than the effective detection
+	// window — merging faster than the sketches rotate only reships
+	// identical state.
 	ClusterMergeMs int `json:"cluster_merge_ms"`
 	// ClusterHashSeed perturbs the rendezvous hash assigning flows to
 	// replicas (0 = derive from the node address).
@@ -167,6 +168,26 @@ func ParseFileConfig(raw []byte) (*FileConfig, error) {
 	return &cfg, nil
 }
 
+// detectWindowMs is the detection window the gateway runs:
+// detect_window_ms, or the detect engine's 250 ms default.
+func (g *GatewayFileConfig) detectWindowMs() int {
+	if g.DetectWindowMs > 0 {
+		return g.DetectWindowMs
+	}
+	return 250
+}
+
+// mergeMs is the merge-round interval the cluster runs:
+// cluster_merge_ms, or when that is 0 the larger of the cluster's
+// 250 ms default and the detection window, so that a cluster left at
+// its default never merges faster than its sketches rotate.
+func (g *GatewayFileConfig) mergeMs() int {
+	if g.ClusterMergeMs > 0 {
+		return g.ClusterMergeMs
+	}
+	return max(250, g.detectWindowMs())
+}
+
 // validate rejects gateway knobs outside their meaningful ranges.
 func (g *GatewayFileConfig) validate() error {
 	if g.Shards < 0 {
@@ -210,18 +231,12 @@ func (g *GatewayFileConfig) validate() error {
 	if g.ClusterPeers == 0 && (g.ClusterMergeMs != 0 || g.ClusterHashSeed != 0 || g.ClusterReplication) {
 		return fmt.Errorf("%w: cluster knobs set without cluster_peers", ErrBadConfig)
 	}
-	if g.ClusterPeers >= 2 && g.ClusterMergeMs > 0 {
-		// Merging faster than the detection window rotates reships the
-		// same sketch state; reject the interval outright rather than
-		// silently clamping it.
-		win := g.DetectWindowMs
-		if win == 0 {
-			win = 250 // the detect engine's default window
-		}
-		if g.ClusterMergeMs < win {
-			return fmt.Errorf("%w: cluster_merge_ms %d shorter than the %dms detection window",
-				ErrBadConfig, g.ClusterMergeMs, win)
-		}
+	// Merging faster than the detection window rotates reships the same
+	// sketch state; reject an explicit interval outright rather than
+	// silently clamping it. The default is never shorter (mergeMs).
+	if win := g.detectWindowMs(); g.ClusterPeers >= 2 && g.ClusterMergeMs > 0 && g.ClusterMergeMs < win {
+		return fmt.Errorf("%w: cluster_merge_ms %d shorter than the %dms detection window",
+			ErrBadConfig, g.ClusterMergeMs, win)
 	}
 	if g.CtrlMaxAttempts < 0 || g.CtrlRtoMs < 0 {
 		return fmt.Errorf("%w: negative retransmission knob (attempts %d, rto %dms)",
@@ -344,7 +359,7 @@ func (c *FileConfig) GatewayConfig(trace *obs.Trace) (GatewayConfig, error) {
 		}
 		cfg.Cluster = cluster.Config{
 			Replicas:   c.Gateway.ClusterPeers,
-			MergeEvery: time.Duration(c.Gateway.ClusterMergeMs) * time.Millisecond,
+			MergeEvery: time.Duration(c.Gateway.mergeMs()) * time.Millisecond,
 			HashSeed:   seed,
 			Replicate:  c.Gateway.ClusterReplication,
 		}

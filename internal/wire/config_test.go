@@ -181,6 +181,23 @@ func TestParseGatewayConfig(t *testing.T) {
 			"detect_bps":1000,"detect_for":["1.1.1.2"],"detect_window_ms":100}}`)); err != nil {
 		t.Fatalf("boundary merge interval rejected: %v", err)
 	}
+	// With cluster_merge_ms unset, the cluster merges on the longer of
+	// its 250 ms default and the detection window, never faster than the
+	// window; an explicit interval equal to the window runs as given.
+	for _, merge := range []string{``, `"cluster_merge_ms":500,`} {
+		fc, err := ParseFileConfig([]byte(`{"role":"gateway","addr":"1.1.1.1","gateway":{` + merge +
+			`"cluster_peers":2,"detect_bps":1000,"detect_for":["1.1.1.2"],"detect_window_ms":500}}`))
+		if err != nil {
+			t.Fatalf("merge %q: %v", merge, err)
+		}
+		gc, err := fc.GatewayConfig(nil)
+		if err != nil {
+			t.Fatalf("merge %q: %v", merge, err)
+		}
+		if gc.Cluster.MergeEvery != 500*time.Millisecond {
+			t.Fatalf("merge %q under a 500ms window: cluster merges every %v, want 500ms", merge, gc.Cluster.MergeEvery)
+		}
+	}
 	cg, err := NewGateway(ccfg)
 	if err != nil {
 		t.Fatal(err)
@@ -244,6 +261,7 @@ func TestParseConfigErrors(t *testing.T) {
 		"cluster neg ms":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_peers":2,"cluster_merge_ms":-250}}`,
 		"merge < window":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_peers":2,"cluster_merge_ms":100}}`,
 		"merge < custom":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_peers":2,"cluster_merge_ms":400,"detect_bps":1000,"detect_for":["1.1.1.2"],"detect_window_ms":500}}`,
+		"merge just under": `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_peers":2,"cluster_merge_ms":499,"detect_bps":1000,"detect_for":["1.1.1.2"],"detect_window_ms":500}}`,
 		"knobs no peers":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_merge_ms":500}}`,
 		"repl no peers":    `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_replication":true}}`,
 	}
