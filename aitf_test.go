@@ -359,7 +359,7 @@ func TestDeterminism(t *testing.T) {
 		fl := dep.Flood(dep.Attacker, dep.Victim, attackRate)
 		fl.Launch()
 		dep.Run(3 * time.Second)
-		return dep.Victim.Meter.Bytes, len(dep.Log.Events), dep.Now()
+		return dep.Victim.Meter.Bytes, dep.Log.Len(), dep.Now()
 	}
 	b1, e1, t1 := run()
 	b2, e2, t2 := run()

@@ -96,7 +96,7 @@ func TestGatewayDetectionDeterministic(t *testing.T) {
 		fl := dep.Flood(dep.Attacker, dep.Victim, attackRate)
 		fl.Launch()
 		dep.Run(4 * time.Second)
-		return len(dep.Log.Events), dep.Victim.Meter.Bytes, dep.VictimGWs[0].Stats().Detections
+		return dep.Log.Len(), dep.Victim.Meter.Bytes, dep.VictimGWs[0].Stats().Detections
 	}
 	e1, b1, d1 := run()
 	e2, b2, d2 := run()

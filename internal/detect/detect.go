@@ -199,7 +199,7 @@ func New(cfg Config) *Engine {
 }
 
 // Reset returns the engine to the state New left it in, in place: the
-// sketch empties by an epoch bump (O(1), as at a window boundary), the
+// sketch's cells are cleared (as at a window boundary), the
 // heavy-hitter summary and the baselines are emptied, the window is
 // unanchored (the next observation or merge anchors it, as on a fresh
 // engine) and the counters are zeroed. Configuration, hash seeds and

@@ -96,16 +96,10 @@ func (e *Engine) Merge(now sim.Time, o *Engine) error {
 	e.rotate(now)
 	o.rotate(now)
 
-	// Count-min: element-wise add of o's current-epoch cells. Identical
+	// Count-min: element-wise add of o's current-window cells. Identical
 	// seeds mean index i maps the same keys in both sketches.
-	for i := range o.cms.cells {
-		v := o.cms.value(&o.cms.cells[i])
-		if v == 0 {
-			continue
-		}
-		c := &e.cms.cells[i]
-		c.count = e.cms.value(c) + v
-		c.epoch = e.cms.epoch
+	for i, v := range o.cms.cells {
+		e.cms.cells[i] += v
 	}
 
 	e.mergeTopK(o.hh)
@@ -259,8 +253,8 @@ func (e *Engine) MergeSize() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n := 0
-	for i := range e.cms.cells {
-		if e.cms.value(&e.cms.cells[i]) != 0 {
+	for _, v := range e.cms.cells {
+		if v != 0 {
 			n++
 		}
 	}

@@ -1,30 +1,21 @@
 package detect
 
-// sketch is a count-min sketch with conservative update and lazy
-// window reset. It estimates the byte count of every observed key
-// within the current measurement window using depth hash rows of width
-// counters each — O(depth·width) memory for an unbounded key space,
-// with the classic one-sided guarantee: an estimate is never below the
-// true count (collisions only inflate, and the lazy epoch reset only
-// zeroes).
+// sketch is a count-min sketch with conservative update. It estimates
+// the byte count of every observed key within the current measurement
+// window using depth hash rows of width counters each — O(depth·width)
+// memory for an unbounded key space, with the classic one-sided
+// guarantee: an estimate is never below the true count (collisions only
+// inflate).
 //
-// Instead of clearing depth·width counters at every window boundary,
-// each cell carries the epoch it was last written in; a cell whose
-// epoch predates the sketch's current epoch reads as zero. Rotation is
-// therefore O(1) and the hot path stays allocation-free.
+// A cell is one 8-byte counter, and rotate clears every cell at a
+// window boundary: 32 KB at the default 1024×4, once a window. The hot
+// path stays allocation-free.
 type sketch struct {
 	mask  uint32 // width-1 (width is a power of two)
 	depth int
-	epoch uint64
 	seeds []uint64 // one hash seed per row
-	// cells holds depth rows of width cells, row-major.
-	cells []cell
-}
-
-// cell is one counter plus the epoch that owns its value.
-type cell struct {
-	epoch uint64
-	count uint64
+	// cells holds depth rows of width counters, row-major.
+	cells []uint64
 }
 
 // newSketch builds a sketch; width is rounded up to a power of two.
@@ -33,14 +24,14 @@ func newSketch(width, depth int, seed uint64) *sketch {
 	for int(w) < width {
 		w <<= 1
 	}
-	s := &sketch{mask: w - 1, depth: depth, epoch: 1}
+	s := &sketch{mask: w - 1, depth: depth}
 	s.seeds = make([]uint64, depth)
 	rng := seed
 	for i := range s.seeds {
 		rng = splitmix64(rng)
 		s.seeds[i] = rng
 	}
-	s.cells = make([]cell, int(w)*depth)
+	s.cells = make([]uint64, int(w)*depth)
 	return s
 }
 
@@ -56,21 +47,12 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// rotate starts a new window; every cell written under an older epoch
-// now reads as zero. Emptying the sketch (Engine.Reset) is the same
-// step: no cell of any earlier epoch is ever read again.
-func (s *sketch) rotate() { s.epoch++ }
-
-// value reads a cell under the current epoch.
-func (s *sketch) value(c *cell) uint64 {
-	if c.epoch != s.epoch {
-		return 0
-	}
-	return c.count
-}
+// rotate starts a new window by zeroing every cell. Emptying the
+// sketch (Engine.Reset) is the same step.
+func (s *sketch) rotate() { clear(s.cells) }
 
 // cellFor returns row i's cell for key.
-func (s *sketch) cellFor(i int, key uint64) *cell {
+func (s *sketch) cellFor(i int, key uint64) *uint64 {
 	h := splitmix64(key ^ s.seeds[i])
 	return &s.cells[i*int(s.mask+1)+int(uint32(h)&s.mask)]
 }
@@ -83,18 +65,10 @@ func (s *sketch) cellFor(i int, key uint64) *cell {
 //
 // aitf:noalloc
 func (s *sketch) add(key uint64, n uint64) uint64 {
-	est := ^uint64(0)
+	est := s.estimate(key) + n
 	for i := 0; i < s.depth; i++ {
-		if v := s.value(s.cellFor(i, key)); v < est {
-			est = v
-		}
-	}
-	est += n
-	for i := 0; i < s.depth; i++ {
-		c := s.cellFor(i, key)
-		if s.value(c) < est {
-			c.epoch = s.epoch
-			c.count = est
+		if c := s.cellFor(i, key); *c < est {
+			*c = est
 		}
 	}
 	return est
@@ -106,7 +80,7 @@ func (s *sketch) add(key uint64, n uint64) uint64 {
 func (s *sketch) estimate(key uint64) uint64 {
 	est := ^uint64(0)
 	for i := 0; i < s.depth; i++ {
-		if v := s.value(s.cellFor(i, key)); v < est {
+		if v := *s.cellFor(i, key); v < est {
 			est = v
 		}
 	}

@@ -71,7 +71,7 @@ func E1Figure1() Result {
 	tl := NewTable("cooperative-round timeline (first occurrence of each protocol step)",
 		"t", "node", "event")
 	seen := map[aitf.EventKind]bool{}
-	for _, e := range dep.Log.Events {
+	for e := range dep.Log.All() {
 		if seen[e.Kind] {
 			continue
 		}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 	"time"
 
@@ -119,18 +120,49 @@ func (r Record) Event() Event {
 }
 
 // Log is the simulator's unbounded trace sink: it retains every record
-// for replay and inspection.
+// for replay and inspection. Records go into fixed chunks of chunkLen
+// and stay where they were written, so a growing log never copies one.
+// The zero Log is empty and ready to use.
 type Log struct {
-	Events []Record
+	chunks []*[chunkLen]Record
+	n      int
 }
 
+// chunkLen is the records per chunk: 127 × 64 B plus the allocator's
+// 8-byte header fills the 8 KB size class exactly (128 would spill into
+// the next class, 9,472 B).
+const chunkLen = 127
+
 // Record appends a record; pass log.Record as the core.Tracer.
-func (l *Log) Record(e Record) { l.Events = append(l.Events, e) }
+func (l *Log) Record(e Record) {
+	i := l.n % chunkLen
+	if i == 0 {
+		l.chunks = append(l.chunks, new([chunkLen]Record))
+	}
+	l.chunks[len(l.chunks)-1][i] = e
+	l.n++
+}
+
+// Len returns how many records were retained.
+func (l *Log) Len() int { return l.n }
+
+// All yields the retained records in the order they were recorded.
+func (l *Log) All() iter.Seq[Record] {
+	return func(yield func(Record) bool) {
+		for c, left := 0, l.n; left > 0; c, left = c+1, left-chunkLen {
+			for _, e := range l.chunks[c][:min(left, chunkLen)] {
+				if !yield(e) {
+					return
+				}
+			}
+		}
+	}
+}
 
 // OfKind returns the retained records of the given kind, in order.
 func (l *Log) OfKind(k EventKind) []Record {
 	var out []Record
-	for _, e := range l.Events {
+	for e := range l.All() {
 		if e.Kind == k {
 			out = append(out, e)
 		}
@@ -139,11 +171,19 @@ func (l *Log) OfKind(k EventKind) []Record {
 }
 
 // Count returns how many records of kind k were retained.
-func (l *Log) Count(k EventKind) int { return len(l.OfKind(k)) }
+func (l *Log) Count(k EventKind) int {
+	n := 0
+	for e := range l.All() {
+		if e.Kind == k {
+			n++
+		}
+	}
+	return n
+}
 
 // First returns the first record of kind k, if any.
 func (l *Log) First(k EventKind) (Record, bool) {
-	for _, e := range l.Events {
+	for e := range l.All() {
 		if e.Kind == k {
 			return e, true
 		}
@@ -154,7 +194,7 @@ func (l *Log) First(k EventKind) (Record, bool) {
 // String renders the whole timeline, one record per line.
 func (l *Log) String() string {
 	var b strings.Builder
-	for _, e := range l.Events {
+	for e := range l.All() {
 		b.WriteString(e.String())
 		b.WriteByte('\n')
 	}

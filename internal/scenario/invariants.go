@@ -29,7 +29,7 @@ func (w *world) check() *Result {
 		Attackers:   len(w.attackers),
 		Legit:       len(w.legit),
 		ReqFlooders: len(w.flooders),
-		Events:      len(w.dep.Log.Events),
+		Events:      w.dep.Log.Len(),
 	}
 	for _, a := range w.attackers {
 		if a.launched.Flood != nil {
@@ -126,7 +126,7 @@ func (w *world) checkLegitNeverFiltered(r *Result) {
 		aitf.EvStopOrder:           true,
 		aitf.EvAggregated:          true,
 	}
-	for _, e := range w.dep.Log.Events {
+	for e := range w.dep.Log.All() {
 		if !filterish[e.Kind] {
 			continue
 		}
@@ -563,8 +563,7 @@ func (w *world) fingerprint() uint64 {
 	// decimal, rendered into one reused buffer: the trace is most of the
 	// hashed bytes, and fmt spent longer on it than the hash did.
 	line := make([]byte, 0, 256)
-	for i := range w.dep.Log.Events {
-		e := &w.dep.Log.Events[i]
+	for e := range w.dep.Log.All() {
 		line = strconv.AppendInt(line[:0], int64(e.At), 10)
 		line = append(line, '|')
 		line = append(line, e.Node...)

@@ -94,9 +94,10 @@ func FuzzDatagram(f *testing.F) {
 	data := func(src flow.Addr, port uint16) []byte {
 		return marshalled(f, packet.NewData(src, victimA, flow.ProtoUDP, port, 80, 100))
 	}
-	request := func(txid uint64) []byte {
+	// A request from src, relayed through the routers in via.
+	requestVia := func(src flow.Addr, txid uint64, via ...flow.Addr) []byte {
 		rec := traceback.NewRecorder(gwA, []byte("gw-secret"))
-		return marshalled(f, packet.NewControl(victimA, gwA, &packet.FilterReq{
+		p := packet.NewControl(src, gwA, &packet.FilterReq{
 			Stage:    packet.StageToVictimGW,
 			Flow:     flow.PairLabel(attackerA, victimA),
 			Duration: time.Second,
@@ -104,8 +105,17 @@ func FuzzDatagram(f *testing.F) {
 			Txid:     txid,
 			Victim:   victimA,
 			Evidence: []packet.RREntry{{Router: gwA, Nonce: rec.Nonce(flow.Tuple{Src: attackerA, Dst: victimA})}},
-		}))
+		})
+		for i, r := range via {
+			p.RecordRoute(r, uint64(i))
+		}
+		return marshalled(f, p)
 	}
+	request := func(txid uint64) []byte { return requestVia(victimA, txid) }
+	// Control from a non-neighbour: an address no route, address book
+	// entry or contract names, as the source or as the last router.
+	stranger := flow.MakeAddr(99, 0, 0, 1)
+	fromStranger, viaStranger := requestVia(stranger, 3), requestVia(victimA, 4, stranger)
 	full := packet.NewData(attackerA, victimA, flow.ProtoUDP, 9, 80, 100)
 	for i := range packet.MaxPathLen {
 		full.RecordRoute(flow.Addr(i+1), uint64(i))
@@ -124,6 +134,8 @@ func FuzzDatagram(f *testing.F) {
 	f.Add(datagramScript(marshalled(f, full), overlong, a(2)))            // route record at and over the bound
 	f.Add(datagramScript(o(1), transit, o(2), transit, request(2), a(3))) // control in transit
 	f.Add(datagramScript(nil, a(1)))                                      // an empty datagram
+	f.Add(datagramScript(a(1), fromStranger, a(2), viaStranger, o(3)))    // control from a non-neighbour
+	f.Add(datagramScript(a(1), request(5), a(2), o(3), request(5), a(4))) // a replayed txid
 	f.Fuzz(func(t *testing.T, script []byte) {
 		gb, sinkB := fwdGateway(t, victimA)
 		gs, sinkS := fwdGateway(t, victimA)
