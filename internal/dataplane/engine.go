@@ -467,7 +467,7 @@ func (e *Engine) insertFilter(ent filter.Entry, reclaim bool) error {
 		e.fUsed.Add(-1)
 		return nil
 	}
-	fe := &fentry{label: pack(label), installedAt: ent.InstalledAt}
+	fe := &fentry{label: label, installedAt: ent.InstalledAt}
 	fe.exp.Store(int64(exp))
 	fe.drops.Store(ent.Drops)
 	fe.droppedBytes.Store(ent.DroppedBytes)
@@ -768,7 +768,7 @@ func (e *Engine) insertShadow(ent filter.ShadowEntry, reclaim bool) bool {
 		e.sUsed.Add(-1)
 		return true
 	}
-	se := &sentry{label: pack(label), loggedAt: ent.LoggedAt}
+	se := &sentry{label: label, loggedAt: ent.LoggedAt}
 	se.exp.Store(int64(exp))
 	se.victim.Store(uint32(ent.Victim))
 	se.reapp.Store(uint64(ent.Reappearances))

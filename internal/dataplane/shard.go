@@ -9,42 +9,16 @@ import (
 	"aitf/internal/flow"
 )
 
-// packed is a flow.Label stored in 16 bytes: the same fields, ordered
-// so that none needs padding (flow.Label's declaration order pads it to
-// 20). It is what keeps fentry and sentry in the 48-byte size class
-// instead of the 64-byte one.
-type packed struct {
-	src, dst     flow.Addr
-	sport, dport uint16
-	proto        flow.Proto
-	wild         flow.Wild
-	splen, dplen uint8
-}
-
-// pack stores l.
-//
-// aitf:noalloc
-func pack(l flow.Label) packed {
-	return packed{l.Src, l.Dst, l.SrcPort, l.DstPort, l.Proto, l.Wildcards, l.SrcPrefixLen, l.DstPrefixLen}
-}
-
-// label unpacks the stored label.
-//
-// aitf:noalloc
-func (p packed) label() flow.Label {
-	return flow.Label{Src: p.src, Dst: p.dst, Proto: p.proto, SrcPort: p.sport, DstPort: p.dport,
-		Wildcards: p.wild, SrcPrefixLen: p.splen, DstPrefixLen: p.dplen}
-}
-
 // fentry is one installed wire-speed filter. The label and install time
 // are immutable after the entry is published; the expiry deadline is
 // atomic because Install refreshes it in place while lock-free readers
 // are consulting a published snapshot; drop counters are atomic so the
 // classification path never needs exclusive access and accounting
 // survives snapshot swaps (the entry object itself is shared between
-// successive views).
+// successive views). The 16-byte label keeps fentry and sentry in the
+// 48-byte size class.
 type fentry struct {
-	label        packed
+	label        flow.Label
 	installedAt  filter.Time
 	exp          atomic.Int64  // aitf:atomic expiry deadline (filter.Time)
 	drops        atomic.Uint64 // aitf:atomic
@@ -53,7 +27,7 @@ type fentry struct {
 
 // key returns the entry's label; with expires it is what the generic
 // view needs of an entry (see entry).
-func (fe *fentry) key() flow.Label { return fe.label.label() }
+func (fe *fentry) key() flow.Label { return fe.label }
 
 // expires returns the entry's current expiry deadline.
 func (fe *fentry) expires() filter.Time { return filter.Time(fe.exp.Load()) }
@@ -74,14 +48,14 @@ func (fe *fentry) snapshot() filter.Entry {
 // same reasons as fentry's fields: LogShadow refreshes them in place
 // under the writer lock while snapshot readers run.
 type sentry struct {
-	label    packed
+	label    flow.Label
 	loggedAt filter.Time
 	exp      atomic.Int64  // aitf:atomic expiry deadline (filter.Time)
 	victim   atomic.Uint32 // aitf:atomic flow.Addr
 	reapp    atomic.Uint64 // aitf:atomic
 }
 
-func (se *sentry) key() flow.Label { return se.label.label() }
+func (se *sentry) key() flow.Label { return se.label }
 
 func (se *sentry) expires() filter.Time { return filter.Time(se.exp.Load()) }
 
@@ -565,7 +539,7 @@ func match(v *filterView, exact, pair flow.Label, tup flow.Tuple, now filter.Tim
 		h := pfxHash(uint32(tup.Src), plen)
 		if b := v.pfx[h&uint32(len(v.pfx)-1)].Load(); b != nil {
 			for _, sl := range b.s[:b.n.Load()] {
-				if sl.tag == h && sl.e.label.splen == plen &&
+				if sl.tag == h && sl.e.label.SrcPrefixLen == plen &&
 					sl.e.key().Matches(tup) && sl.e.expires() > now {
 					return sl.e
 				}
@@ -584,10 +558,10 @@ func match(v *filterView, exact, pair flow.Label, tup flow.Tuple, now filter.Tim
 //
 // aitf:noalloc
 func hitF(d directory[*fentry], l flow.Label, now filter.Time) *fentry {
-	h, k := labelHash(l), pack(l)
+	h := labelHash(l)
 	if b := d[h&uint32(len(d)-1)].Load(); b != nil {
 		for _, sl := range b.s[:b.n.Load()] {
-			if sl.tag == h && sl.e.label == k {
+			if sl.tag == h && sl.e.label == l {
 				if sl.e.expires() > now {
 					return sl.e
 				}
@@ -628,7 +602,7 @@ func lookup(v *shadowView, exact, pair flow.Label, tup flow.Tuple, now filter.Ti
 		h := pfxHash(uint32(tup.Src), plen)
 		if b := v.pfx[h&uint32(len(v.pfx)-1)].Load(); b != nil {
 			for _, sl := range b.s[:b.n.Load()] {
-				if sl.tag == h && sl.e.label.splen == plen &&
+				if sl.tag == h && sl.e.label.SrcPrefixLen == plen &&
 					sl.e.key().Matches(tup) && sl.e.expires() > now {
 					return sl.e
 				}
@@ -647,10 +621,10 @@ func lookup(v *shadowView, exact, pair flow.Label, tup flow.Tuple, now filter.Ti
 //
 // aitf:noalloc
 func hitS(d directory[*sentry], l flow.Label, now filter.Time) *sentry {
-	h, k := labelHash(l), pack(l)
+	h := labelHash(l)
 	if b := d[h&uint32(len(d)-1)].Load(); b != nil {
 		for _, sl := range b.s[:b.n.Load()] {
-			if sl.tag == h && sl.e.label == k {
+			if sl.tag == h && sl.e.label == l {
 				if sl.e.expires() > now {
 					return sl.e
 				}

@@ -139,10 +139,17 @@ const (
 // (§II, §IV). 0 means the full /32 address; 32 is equivalent to 0 and
 // canonicalizes to it; the prefix length is ignored (and canonicalizes
 // to 0) when the corresponding Wild bit is set.
+//
+// Layout: the fields are declared widest first, so a Label is 16 bytes
+// with no padding (TestLabelLayout). A padding-free comparable struct
+// is hashed and compared as one block of memory, which is what every
+// Label-keyed map and every == on the hot path does; declared in 5-tuple
+// order it padded to 20 bytes and each map access called a generated
+// per-field hash. Keep new fields in this rule.
 type Label struct {
 	Src, Dst                   Addr
-	Proto                      Proto
 	SrcPort, DstPort           uint16
+	Proto                      Proto
 	Wildcards                  Wild
 	SrcPrefixLen, DstPrefixLen uint8
 }

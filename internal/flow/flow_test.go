@@ -1,9 +1,27 @@
 package flow
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestLabelLayout pins Label's layout: 16 bytes, the sum of its
+// fields' sizes, so the struct holds no padding and the compiler hashes
+// and compares it as plain memory (see the Label doc comment). It runs
+// on 32-bit targets too, where alignment differs.
+func TestLabelLayout(t *testing.T) {
+	size := unsafe.Sizeof(Label{})
+	var sum uintptr
+	lt := reflect.TypeFor[Label]()
+	for i := range lt.NumField() {
+		sum += lt.Field(i).Type.Size()
+	}
+	if size != 16 || sum != size {
+		t.Fatalf("Label is %d bytes, its fields %d; want both 16 (no padding)", size, sum)
+	}
+}
 
 func TestAddrRoundTrip(t *testing.T) {
 	cases := []string{"0.0.0.0", "10.0.3.1", "255.255.255.255", "192.168.1.77"}

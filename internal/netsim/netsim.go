@@ -285,6 +285,12 @@ type Node struct {
 	ifaces  []*Iface // in topology link order, as topology.Neighbors
 	handler Handler
 
+	// lastDst and lastHop cache NextHop's last non-nil answer. Routes
+	// are fixed at Build and crashes or link flaps change none, so the
+	// entry never goes stale.
+	lastDst flow.Addr
+	lastHop *Iface
+
 	// RoutingDrops counts packets dropped for TTL expiry or no route.
 	RoutingDrops uint64
 	// CrashDrops counts packets lost to a node crash: queued
@@ -338,11 +344,15 @@ func (n *Node) IfaceTo(neighbor flow.Addr) *Iface {
 //
 // aitf:noalloc
 func (n *Node) NextHop(dst flow.Addr) *Iface {
+	if dst == n.lastDst && n.lastHop != nil {
+		return n.lastHop
+	}
 	id, ok := n.net.ids[dst]
 	if !ok || id == n.info.ID {
 		return nil
 	}
-	return n.ifaces[n.net.routes.Port(n.info.ID, id)]
+	n.lastDst, n.lastHop = dst, n.ifaces[n.net.routes.Port(n.info.ID, id)]
+	return n.lastHop
 }
 
 // SetHandler installs the node's packet handler.

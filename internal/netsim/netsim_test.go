@@ -185,31 +185,71 @@ func TestOriginateNoRoute(t *testing.T) {
 	}
 }
 
-// TestNextHopMatchesRoutes: on a random internet every node's NextHop
-// toward every other node is the interface toward the topology's next
-// hop, and nil toward the node itself and toward an unknown address.
-func TestNextHopMatchesRoutes(t *testing.T) {
-	spec := topology.RandomSpec{ASes: 14, Tier1: 3, MaxHostsPerAS: 3, InternalRouterProb: 0.3, Params: topology.DefaultParams()}
-	topo, _ := topology.Random(spec, rand.New(rand.NewSource(7)))
-	net := MustBuild(sim.NewEngine(1), topo)
-	routes := topo.Routes()
-	unknown := flow.MakeAddr(203, 0, 113, 9)
-	for _, from := range net.Nodes() {
-		if hop := from.NextHop(from.Addr()); hop != nil {
-			t.Fatalf("%s: NextHop toward itself = %s, want nil", from.Name(), hop.Neighbor().Name())
-		}
-		if hop := from.NextHop(unknown); hop != nil {
-			t.Fatalf("%s: NextHop toward an unknown address = %s, want nil", from.Name(), hop.Neighbor().Name())
-		}
-		for _, dst := range net.Nodes() {
-			if dst == from {
-				continue
+// TestNextHopCacheMatchesRoutes drives NextHop's one-entry cache
+// through hits, misses and thrashing: every (node, destination) pair of
+// a random internet and of an army, plus the node itself and an unknown
+// address, queried one to three times back to back in a seeded shuffled
+// order. Every answer is the interface toward Routes.Next (nil toward
+// the node itself and toward the unknown address), and the answers do
+// not change while nodes are crashed and links are down, nor after.
+func TestNextHopCacheMatchesRoutes(t *testing.T) {
+	random, _ := topology.Random(topology.RandomSpec{ASes: 14, Tier1: 3, MaxHostsPerAS: 3, InternalRouterProb: 0.3,
+		Params: topology.DefaultParams()}, rand.New(rand.NewSource(7)))
+	army, _ := topology.ManyToOne(40, 3, topology.DefaultParams())
+	for _, tc := range []struct {
+		name string
+		topo *topology.Topology
+	}{{"random", random}, {"army", army}} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := MustBuild(sim.NewEngine(1), tc.topo)
+			routes := tc.topo.Routes()
+			unknown := flow.MakeAddr(203, 0, 113, 9)
+			type query struct {
+				from *Node
+				dst  flow.Addr
 			}
-			via := topo.Nodes[routes.Next(from.ID(), dst.ID())]
-			if got, want := from.NextHop(dst.Addr()), from.IfaceTo(via.Addr); got != want || got == nil {
-				t.Fatalf("%s -> %s: NextHop %v, want the interface toward %s", from.Name(), dst.Name(), got, via.Name)
+			var queries []query
+			want := map[query]*Iface{}
+			for _, from := range net.Nodes() {
+				queries = append(queries, query{from, unknown})
+				want[query{from, unknown}] = nil
+				for _, dst := range net.Nodes() {
+					var hop *Iface
+					if dst != from {
+						hop = from.IfaceTo(tc.topo.Nodes[routes.Next(from.ID(), dst.ID())].Addr)
+					}
+					queries = append(queries, query{from, dst.Addr()})
+					want[query{from, dst.Addr()}] = hop
+				}
 			}
-		}
+			rng := rand.New(rand.NewSource(11))
+			pass := func(stage string) {
+				t.Helper()
+				rng.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
+				for _, q := range queries {
+					for range 1 + rng.Intn(3) {
+						if got := q.from.NextHop(q.dst); got != want[q] {
+							t.Fatalf("%s: %s -> %s: NextHop leads to %s, want %s",
+								stage, q.from.Name(), q.dst, neighborName(got), neighborName(want[q]))
+						}
+					}
+				}
+			}
+			pass("fresh")
+			for i, node := range net.Nodes() {
+				if i%5 == 0 {
+					node.Crash()
+				}
+			}
+			for _, ls := range tc.topo.Links[:len(tc.topo.Links)/3] {
+				net.SetLinkState(tc.topo.Nodes[ls.A].Addr, tc.topo.Nodes[ls.B].Addr, false)
+			}
+			pass("crashed and links down")
+			for _, node := range net.Nodes() {
+				node.Restart()
+			}
+			pass("restarted")
+		})
 	}
 }
 
@@ -305,6 +345,45 @@ func BenchmarkForwardThroughChain(b *testing.B) {
 		}
 	}
 	eng.Run()
+}
+
+// neighborName names the node an interface leads to, or "nil".
+func neighborName(i *Iface) string {
+	if i == nil {
+		return "nil"
+	}
+	return i.Neighbor().Name()
+}
+
+// BenchmarkNextHop times one next-hop lookup: toward one destination,
+// as every hop of an army's attack traffic asks, and toward
+// destinations rotating over every node of the army, so each lookup
+// misses the node's last answer.
+func BenchmarkNextHop(b *testing.B) {
+	topo, ids := topology.ManyToOne(500, 0, topology.DefaultParams())
+	net := MustBuild(sim.NewEngine(1), topo)
+	core := net.Node(ids.Core)
+	var dsts []flow.Addr
+	for _, n := range net.Nodes() {
+		if n != core {
+			dsts = append(dsts, n.Addr())
+		}
+	}
+	b.Run("one", func(b *testing.B) {
+		victim := net.Node(ids.Victim).Addr()
+		for range b.N {
+			if core.NextHop(victim) == nil {
+				b.Fatal("no route")
+			}
+		}
+	})
+	b.Run("rotating", func(b *testing.B) {
+		for i := range b.N {
+			if core.NextHop(dsts[i%len(dsts)]) == nil {
+				b.Fatal("no route")
+			}
+		}
+	})
 }
 
 // TestHopZeroAlloc pins the simulated hop's allocation budget: once the

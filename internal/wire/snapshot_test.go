@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,6 +85,62 @@ func TestV1SnapshotRefused(t *testing.T) {
 	}
 	if st := g.Stats(); st.SnapshotRestores != 0 || g.dp.Len() != 0 || g.PendingHandshakes() != 0 {
 		t.Fatalf("refused snapshot restored state: %+v", st)
+	}
+}
+
+// TestSnapshotRestoresPriorLabelOrder: a version 2 snapshot written
+// while flow.Label still declared its fields in 5-tuple order (Src,
+// Dst, Proto, SrcPort, DstPort, ...; kept under testdata) restores the
+// same labels into the filter table, the shadow log and the pending
+// handshakes. JSON names every field, so the declaration order a file
+// was written in does not matter on read.
+func TestSnapshotRestoresPriorLabelOrder(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "v2-5tuple-order.snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if proto, sport := strings.Index(string(raw), `"Proto"`), strings.Index(string(raw), `"SrcPort"`); proto < 0 || proto > sport {
+		t.Fatal("fixture does not list Proto before SrcPort; it no longer tests the prior field order")
+	}
+	var snap DiskSnapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	// The fixture's deadlines are an hour past its TakenAt; restore
+	// charges the downtime since TakenAtUnixNs, so date it now.
+	snap.TakenAtUnixNs = time.Now().UnixNano()
+	g := snapGateway(t, t.TempDir())
+	defer g.Close()
+	if err := g.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	v := flow.MakeAddr(10, 0, 0, 2)
+	pair := flow.PairLabel(flow.MakeAddr(20, 0, 0, 1), v)
+	exact := flow.Exact(flow.MakeAddr(20, 0, 0, 5), v, flow.ProtoUDP, 1234, 80)
+	wantFilters := map[flow.Label]bool{
+		pair:  true,
+		exact: true,
+		flow.SrcPrefixLabel(flow.MakeAddr(30, 0, 0, 0), 24, v): true,
+		{Src: flow.MakeAddr(20, 0, 0, 9), Dst: flow.MakeAddr(10, 0, 0, 0), Proto: flow.ProtoTCP,
+			Wildcards: flow.WildSrcPort | flow.WildDstPort, DstPrefixLen: 16}: true,
+	}
+	got := map[flow.Label]bool{}
+	for _, ent := range g.dp.FilterEntries() {
+		got[ent.Label] = true
+	}
+	if !maps.Equal(got, wantFilters) {
+		t.Fatalf("restored filters %v, want %v", got, wantFilters)
+	}
+	got = map[flow.Label]bool{}
+	for _, ent := range g.dp.ShadowEntries() {
+		got[ent.Label] = true
+	}
+	if want := map[flow.Label]bool{pair: true, exact: true}; !maps.Equal(got, want) {
+		t.Fatalf("restored shadows %v, want %v", got, want)
+	}
+	if ps := g.Snapshot().Pendings; len(ps) != 1 || ps[0].Req.Flow != exact {
+		t.Fatalf("restored pending handshakes %+v, want one for %v", ps, exact)
 	}
 }
 
