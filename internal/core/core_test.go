@@ -113,11 +113,7 @@ func TestHandshakeTimeoutOnSilentVictim(t *testing.T) {
 	attacker := dep.Attacker.Node().Addr()
 	victim := dep.Victim.Node().Addr()
 	// Let one real packet cross to collect authentic route records.
-	probe := packet.NewData(attacker, victim, flow.ProtoUDP, 1, 2, 10)
-	var path []packet.RREntry
-	dep.Engine.ScheduleAt(0, func() { dep.Attacker.Node().Originate(probe) })
-	dep.Run(time.Second)
-	path = append(path, probe.Path...) // stamped in place as it crossed
+	path := stampPath(dep)
 
 	dep.Engine.ScheduleAt(dep.Now(), func() {
 		req := &packet.FilterReq{
@@ -152,15 +148,13 @@ func TestHandshakeRejectsWrongNonce(t *testing.T) {
 	attacker := dep.Attacker.Node().Addr()
 	victim := dep.Victim.Node().Addr()
 
-	probe := packet.NewData(attacker, victim, flow.ProtoUDP, 1, 2, 10)
-	dep.Engine.ScheduleAt(0, func() { dep.Attacker.Node().Originate(probe) })
-	dep.Run(time.Second)
+	path := stampPath(dep)
 
 	dep.Engine.ScheduleAt(dep.Now(), func() {
 		req := &packet.FilterReq{
 			Stage: packet.StageToAttackerGW, Flow: flow.PairLabel(attacker, victim),
 			Duration: time.Minute, Round: 1, Victim: victim,
-			Evidence: append([]packet.RREntry(nil), probe.Path...),
+			Evidence: path,
 		}
 		dep.Attacker.Node().Originate(packet.NewControl(attacker, agw.Node().Addr(), req))
 	})

@@ -141,6 +141,7 @@ func (g *Gateway) Receive(n *netsim.Node, p *packet.Packet, from *netsim.Iface) 
 	if p.IsControl() {
 		if p.Dst == n.Addr() {
 			g.eng.Control(p, peer)
+			p.Release() // the engine keeps field values and the Msg only
 			return
 		}
 		n.Forward(p)

@@ -99,16 +99,16 @@ func (h *Host) Config() HostConfig { return h.cfg }
 
 func (h *Host) now() sim.Time { return h.node.Engine().Now() }
 
-// Receive implements netsim.Handler. Delivered packets are NOT
-// released back to the packet pool: simulator code (tests, detectors,
-// traffic sources) may legitimately retain a packet it originated and
-// inspect its accumulated route record after delivery, so ownership of
-// a delivered packet stays with whoever holds references. Only the
-// network's own drop points and the gateway data path, where the
-// packet is provably dead, recycle shells.
+// Receive implements netsim.Handler. The host is the packet's consumer
+// and releases it to the packet pool, as wire.Host does: the engine and
+// the meters keep field values only (a filtering request copies the
+// route record into its evidence). Code that wants a delivered
+// packet's route record copies it in a handler of its own before
+// delegating here.
 func (h *Host) Receive(n *netsim.Node, p *packet.Packet, from *netsim.Iface) {
 	if p.Dst != n.Addr() {
-		return // hosts do not forward
+		p.Release() // hosts do not forward
+		return
 	}
 	now := h.now()
 	if p.IsControl() {
@@ -126,6 +126,7 @@ func (h *Host) Receive(n *netsim.Node, p *packet.Packet, from *netsim.Iface) {
 		src.Add(now, int(p.PayloadLen))
 		h.eng.Data(now, p, &h.out)
 	}
+	p.Release()
 	for _, r := range h.out.Records {
 		r.Node = n.Name()
 		h.tracer(r)

@@ -12,6 +12,7 @@ import (
 	"aitf"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
+	"aitf/internal/netsim"
 	"aitf/internal/packet"
 )
 
@@ -24,14 +25,25 @@ func reliableOpts() aitf.Options {
 }
 
 // stampPath lets one probe packet cross so a forged request can carry
-// authentic route-record evidence.
+// authentic route-record evidence. The victim's host releases what it
+// is delivered, so a handler copies the probe's route record at
+// delivery and then hands the packet on to the host.
 func stampPath(dep *aitf.ChainDeployment) []packet.RREntry {
 	attacker := dep.Attacker.Node().Addr()
-	victim := dep.Victim.Node().Addr()
-	probe := packet.NewData(attacker, victim, flow.ProtoUDP, 1, 2, 10)
+	victim := dep.Victim.Node()
+	host := victim.Handler()
+	var path []packet.RREntry
+	victim.SetHandler(netsim.HandlerFunc(func(n *netsim.Node, p *packet.Packet, from *netsim.Iface) {
+		if p.Src == attacker && !p.IsControl() {
+			path = append([]packet.RREntry(nil), p.Path...)
+		}
+		host.Receive(n, p, from)
+	}))
+	defer victim.SetHandler(host)
+	probe := packet.NewData(attacker, victim.Addr(), flow.ProtoUDP, 1, 2, 10)
 	dep.Engine.ScheduleAt(0, func() { dep.Attacker.Node().Originate(probe) })
 	dep.Run(time.Second)
-	return append([]packet.RREntry(nil), probe.Path...)
+	return path
 }
 
 // TestHandshakeLedgerBalances: every handshake started is resolved OK,

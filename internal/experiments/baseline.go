@@ -47,6 +47,7 @@ func (v *pbVictim) Receive(n *netsim.Node, p *packet.Packet, _ *netsim.Iface) {
 	if p.Dst == n.Addr() && !p.IsControl() {
 		v.meter.Add(n.Engine().Now(), int(p.PayloadLen))
 	}
+	p.Release() // a victim forwards nothing
 }
 
 // runAITFChain returns (relief second, state-holding nodes, control

@@ -23,8 +23,9 @@ import (
 const DefaultQueueLen = 64
 
 // Handler receives every packet delivered to a node. from is the
-// interface the packet arrived on; it is nil for packets the node
-// originates via Deliver (used only in tests).
+// interface the packet arrived on, or nil when a caller hands the
+// handler a packet directly. The handler owns p: it forwards it or, as
+// its consumer, releases it.
 type Handler interface {
 	Receive(n *Node, p *packet.Packet, from *Iface)
 }
@@ -373,9 +374,10 @@ func (n *Node) deliver(p *packet.Packet, from *Iface) {
 
 // Forward routes p toward its destination: decrements TTL, looks up the
 // next hop, and transmits. It reports whether the packet moved on.
-// A dropped packet (TTL expiry, no route, queue overflow) is released
-// back to the packet pool — callers must not retain p after a false
-// return.
+// Either way the caller gives p up. The consumer releases: a dropped
+// packet (TTL expiry, no route, queue overflow) is released here, a
+// sent one by whichever handler ends its journey, so callers must not
+// retain p or p.Path.
 func (n *Node) Forward(p *packet.Packet) bool {
 	if p.TTL == 0 {
 		n.RoutingDrops++
@@ -393,8 +395,9 @@ func (n *Node) Forward(p *packet.Packet) bool {
 }
 
 // Originate injects a packet generated by this node into the network,
-// stamping the source if unset. As with Forward, a false return means
-// the packet was dropped and released; callers must not retain it.
+// stamping the source if unset. As with Forward, the caller gives p up:
+// a false return means it was dropped and released, a true one that
+// the handler consuming it at the far end will release it.
 func (n *Node) Originate(p *packet.Packet) bool {
 	if p.Src == 0 {
 		p.Src = n.Addr()
@@ -492,10 +495,11 @@ func (net *Network) NodeByAddr(a flow.Addr) *Node {
 // Nodes lists all nodes in topology order.
 func (net *Network) Nodes() []*Node { return net.nodes }
 
-// defaultReceive is plain best-effort forwarding: routers relay,
-// endpoints silently absorb their own traffic and drop the rest.
+// defaultReceive is plain best-effort forwarding: nodes relay what is
+// not theirs and absorb, releasing it, what is addressed to them.
 func defaultReceive(n *Node, p *packet.Packet, _ *Iface) {
 	if p.Dst == n.Addr() {
+		p.Release()
 		return
 	}
 	n.Forward(p)

@@ -408,12 +408,15 @@ func TestHopZeroAlloc(t *testing.T) {
 // apart, and fails unless a warm burst allocates nothing.
 func hopZeroAlloc(t *testing.T, eng *sim.Engine, src *Node, dst flow.Addr, hops uint64) {
 	t.Helper()
-	// The default handler absorbs a packet at its destination without
+	// The destination hands each packet back to the burst instead of
 	// releasing it, so the same packets go round again.
 	burst := make([]*packet.Packet, 32)
 	for k := range burst {
 		burst[k] = packet.NewData(src.Addr(), dst, flow.ProtoUDP, 1, 80, 1000)
 	}
+	src.Net().NodeByAddr(dst).SetHandler(HandlerFunc(func(_ *Node, p *packet.Packet, _ *Iface) {
+		burst = append(burst, p)
+	}))
 	round := func() {
 		for _, p := range burst {
 			p.TTL = packet.DefaultTTL
@@ -421,7 +424,11 @@ func hopZeroAlloc(t *testing.T, eng *sim.Engine, src *Node, dst flow.Addr, hops 
 				t.Fatal("Originate failed")
 			}
 		}
+		burst = burst[:0]
 		eng.Run()
+		if len(burst) != cap(burst) {
+			t.Fatalf("%d of %d packets came back", len(burst), cap(burst))
+		}
 	}
 	round()
 	before := eng.Processed

@@ -52,9 +52,13 @@ type RREntry struct {
 // Floods push millions of packets through the simulator and the wire
 // runtime; without recycling, every one is a fresh allocation (plus one
 // more per RR shim), and the GC becomes the real bottleneck of the data
-// plane. Constructors draw from the pool; Release returns a packet at
-// the points where the network definitively drops it (TTL expiry, no
-// route, queue overflow, a wire-speed filter drop).
+// plane. Constructors draw from the pool, and both runtimes keep one
+// ownership rule: the consumer releases. Whoever ends a packet's
+// journey calls Release: a node that drops it (TTL expiry, no route,
+// queue overflow, a filter), a host or router that absorbs it, a
+// gateway that consumes a control message addressed to itself. A
+// caller that wants a packet's fields after handing it on copies them
+// first.
 var pool = sync.Pool{New: func() any { return new(Packet) }}
 
 // Get returns an empty packet from the pool. Header and Msg are zero;

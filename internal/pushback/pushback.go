@@ -137,17 +137,15 @@ func (r *Router) now() sim.Time { return r.node.Engine().Now() }
 
 // Receive implements netsim.Handler.
 func (r *Router) Receive(n *netsim.Node, p *packet.Packet, from *netsim.Iface) {
-	if p.IsControl() {
-		if m, ok := p.Msg.(*packet.PushbackReq); ok && p.Dst == n.Addr() {
+	if p.Dst == n.Addr() {
+		if m, ok := p.Msg.(*packet.PushbackReq); ok {
 			r.handleRequest(m)
-			return
 		}
-		if p.Dst != n.Addr() {
-			n.Forward(p)
-		}
+		p.Release() // consumed here; handleRequest keeps only m
 		return
 	}
-	if p.Dst == n.Addr() {
+	if p.IsControl() {
+		n.Forward(p)
 		return
 	}
 	r.handleData(p, from)
