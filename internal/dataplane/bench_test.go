@@ -84,7 +84,6 @@ func BenchmarkDataplaneInstrumented(b *testing.B) {
 				rng := rand.New(rand.NewSource(42))
 				batch := workloadBatch(rng, filters, benchBatchSize, 0.5)
 				verdicts := make([]Verdict, 0, benchBatchSize)
-				verdicts = e.ClassifyInto(batch, verdicts) // warm the scratch pool
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

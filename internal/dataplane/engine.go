@@ -47,7 +47,6 @@ package dataplane
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"aitf/internal/filter"
@@ -73,7 +72,7 @@ type Config struct {
 	// filter misses, reporting "on-off" flow reappearances (§II-B).
 	// Disabled it models the shadow-off ablation.
 	ShadowLookup bool
-	// Clock supplies "now" for classification; see SimClock / WallClock.
+	// Clock supplies "now" for classification; see WallClock.
 	Clock Clock
 }
 
@@ -125,8 +124,6 @@ type Engine struct {
 	// classification; nil (the uninstrumented default) costs one
 	// predictable branch per batch.
 	batchHist atomic.Pointer[obs.Histogram] // aitf:atomic
-
-	scratch sync.Pool // *batchScratch, for ClassifyInto bucketing
 }
 
 // New builds an engine. The clock must be non-nil.
@@ -153,7 +150,6 @@ func New(cfg Config) *Engine {
 	for i := range e.shards {
 		e.shards[i] = newShard()
 	}
-	e.scratch.New = func() any { return &batchScratch{} }
 	return e
 }
 
@@ -200,7 +196,51 @@ func (e *Engine) allSegs(fn func(*shard, bool)) {
 // payload at the engine clock's current time.
 func (e *Engine) ClassifyTuple(tup flow.Tuple, payloadBytes int) Verdict {
 	e.classified.Add(1)
-	return e.classifyAt(tup, payloadBytes, e.clock.Now())
+	now := e.clock.Now()
+	wfv, wsv := e.wildViews()
+	return e.classifyAt(tup, payloadBytes, now, wfv, wsv)
+}
+
+// ClassifyInto classifies a batch of packets into a caller-owned
+// verdict slice (grown as needed), for allocation-free steady-state
+// use. Every packet is stamped with the same "now", read once from the
+// engine clock, and checked in arrival order against the wild views
+// loaded once for the batch. Those loads are not a per-batch snapshot:
+// concurrent single-entry writes land in the live views, so a filter
+// installed mid-batch can apply to the batch's later packets — the
+// same semantics as the write landing between two packets.
+func (e *Engine) ClassifyInto(batch []*packet.Packet, out []Verdict) []Verdict {
+	if cap(out) < len(batch) {
+		out = make([]Verdict, len(batch))
+	}
+	out = out[:len(batch)]
+	e.classified.Add(uint64(len(batch)))
+	if h := e.batchHist.Load(); h != nil {
+		h.Observe(uint64(len(batch)))
+	}
+	now := e.clock.Now()
+	wfv, wsv := e.wildViews()
+	for i, p := range batch {
+		out[i] = e.classifyAt(p.Tuple(), int(p.PayloadLen), now, wfv, wsv)
+	}
+	return out
+}
+
+// wildViews loads the wild segment's filter and shadow views: the
+// segment applies to every packet whatever its home shard. A view is
+// nil while the segment holds no entry of its kind (and the shadow view
+// also while shadow lookup is off), so the common all-pairs table skips
+// the segment with one predictable branch.
+func (e *Engine) wildViews() (*filterView, *shadowView) {
+	var wfv *filterView
+	if e.wildFilters.Load() > 0 {
+		wfv = e.wild.fview.Load()
+	}
+	var wsv *shadowView
+	if e.cfg.ShadowLookup && e.wildShadows.Load() > 0 {
+		wsv = e.wild.sview.Load()
+	}
+	return wfv, wsv
 }
 
 func chargeDrop(s *shard, fe *fentry, payloadBytes int) {
@@ -217,10 +257,11 @@ func recordShadowHit(s *shard, se *sentry) Verdict {
 }
 
 // classifyAt is the per-packet decision: home-shard filter bank first,
-// then the wild filter segment (the filter bank always outranks the
-// shadow cache), then the shadow segments. All lookups go through the
+// then the wild filter view wfv (the filter bank always outranks the
+// shadow cache), then the home shadow segment and the wild shadow view
+// wsv. A nil wild view is skipped. All lookups go through the
 // published immutable snapshots; no locks are taken.
-func (e *Engine) classifyAt(tup flow.Tuple, payloadBytes int, now filter.Time) Verdict {
+func (e *Engine) classifyAt(tup flow.Tuple, payloadBytes int, now filter.Time, wfv *filterView, wsv *shadowView) Verdict {
 	exact := tup.ExactLabel()
 	pair := flow.PairLabel(tup.Src, tup.Dst)
 	s := e.shards[e.shardIdx(tup.Src, tup.Dst)]
@@ -229,8 +270,8 @@ func (e *Engine) classifyAt(tup flow.Tuple, payloadBytes int, now filter.Time) V
 		chargeDrop(s, fe, payloadBytes)
 		return Verdict{Drop: true}
 	}
-	if e.wildFilters.Load() > 0 {
-		if fe := match(e.wild.fview.Load(), exact, pair, tup, now); fe != nil {
+	if wfv != nil {
+		if fe := match(wfv, exact, pair, tup, now); fe != nil {
 			chargeDrop(e.wild, fe, payloadBytes)
 			return Verdict{Drop: true}
 		}
@@ -241,151 +282,12 @@ func (e *Engine) classifyAt(tup flow.Tuple, payloadBytes int, now filter.Time) V
 	if se := lookup(s.sview.Load(), exact, pair, tup, now); se != nil {
 		return recordShadowHit(s, se)
 	}
-	if e.wildShadows.Load() > 0 {
-		if se := lookup(e.wild.sview.Load(), exact, pair, tup, now); se != nil {
+	if wsv != nil {
+		if se := lookup(wsv, exact, pair, tup, now); se != nil {
 			return recordShadowHit(e.wild, se)
 		}
 	}
 	return Verdict{}
-}
-
-// batchScratch holds the per-call bucketing state for ClassifyInto,
-// pooled to keep the batch path allocation-free at steady state.
-type batchScratch struct {
-	count []int32 // packets per shard
-	start []int32 // prefix offsets per shard
-	order []int32 // packet indices grouped by shard
-}
-
-// smallBatch is the size below which bucketing costs more than it saves.
-const smallBatch = 4
-
-// Classify classifies a batch of packets, amortizing per-shard snapshot
-// loads and cache misses by grouping packets per shard. All packets in
-// the batch are stamped with the same "now" read once from the engine
-// clock.
-func (e *Engine) Classify(batch []*packet.Packet) []Verdict {
-	return e.ClassifyInto(batch, make([]Verdict, len(batch)))
-}
-
-// ClassifyInto is Classify writing into a caller-owned verdict slice
-// (grown as needed), for allocation-free steady-state use.
-func (e *Engine) ClassifyInto(batch []*packet.Packet, out []Verdict) []Verdict {
-	if cap(out) < len(batch) {
-		out = make([]Verdict, len(batch))
-	}
-	out = out[:len(batch)]
-	e.classified.Add(uint64(len(batch)))
-	if h := e.batchHist.Load(); h != nil {
-		h.Observe(uint64(len(batch)))
-	}
-	now := e.clock.Now()
-
-	if len(batch) < smallBatch || len(e.shards) == 1 {
-		for i, p := range batch {
-			out[i] = e.classifyAt(p.Tuple(), int(p.PayloadLen), now)
-		}
-		return out
-	}
-
-	sc := e.scratch.Get().(*batchScratch)
-	ns := len(e.shards)
-	if cap(sc.count) < ns {
-		sc.count = make([]int32, ns)
-		sc.start = make([]int32, ns)
-	}
-	sc.count = sc.count[:ns]
-	sc.start = sc.start[:ns]
-	for i := range sc.count {
-		sc.count[i] = 0
-	}
-	if cap(sc.order) < len(batch) {
-		sc.order = make([]int32, len(batch))
-	}
-	sc.order = sc.order[:len(batch)]
-
-	for _, p := range batch {
-		sc.count[e.shardIdx(p.Src, p.Dst)]++
-	}
-	var off int32
-	for i, c := range sc.count {
-		sc.start[i] = off
-		off += c
-	}
-	pos := sc.start
-	for i, p := range batch {
-		si := e.shardIdx(p.Src, p.Dst)
-		sc.order[pos[si]] = int32(i)
-		pos[si]++
-	}
-
-	// pos[si] now points one past shard si's slice; recover the starts.
-	wantShadow := e.cfg.ShadowLookup
-	// The wild segment (wildcard- and prefix-shaped labels) applies to
-	// every packet regardless of home shard; load its snapshots once per
-	// batch. Its indexes (dst and source-prefix directories) keep the
-	// probe cheap even when the segment holds most of the table. Skipped
-	// entirely while empty.
-	var wfv *filterView
-	if e.wildFilters.Load() > 0 {
-		wfv = e.wild.fview.Load()
-	}
-	var wsv *shadowView
-	if wantShadow && e.wildShadows.Load() > 0 {
-		wsv = e.wild.sview.Load()
-	}
-	begin := int32(0)
-	for si := 0; si < ns; si++ {
-		end := pos[si]
-		if end == begin {
-			continue
-		}
-		s := e.shards[si]
-		// One view load per shard run amortizes the pointer chases, but
-		// is NOT a per-batch snapshot: concurrent single-entry writes
-		// swap bucket slots inside the live view, so a filter installed
-		// mid-run can apply to the run's later packets — the same
-		// semantics as the write landing between two packets.
-		fv := s.fview.Load()
-		var sv *shadowView
-		if wantShadow {
-			sv = s.sview.Load()
-		}
-		for _, pi := range sc.order[begin:end] {
-			p := batch[pi]
-			tup := p.Tuple()
-			exact := tup.ExactLabel()
-			pair := flow.PairLabel(tup.Src, tup.Dst)
-			if fe := match(fv, exact, pair, tup, now); fe != nil {
-				chargeDrop(s, fe, int(p.PayloadLen))
-				out[pi] = Verdict{Drop: true}
-				continue
-			}
-			if wfv != nil {
-				if fe := match(wfv, exact, pair, tup, now); fe != nil {
-					chargeDrop(e.wild, fe, int(p.PayloadLen))
-					out[pi] = Verdict{Drop: true}
-					continue
-				}
-			}
-			if wantShadow {
-				if se := lookup(sv, exact, pair, tup, now); se != nil {
-					out[pi] = recordShadowHit(s, se)
-					continue
-				}
-				if wsv != nil {
-					if se := lookup(wsv, exact, pair, tup, now); se != nil {
-						out[pi] = recordShadowHit(e.wild, se)
-						continue
-					}
-				}
-			}
-			out[pi] = Verdict{}
-		}
-		begin = end
-	}
-	e.scratch.Put(sc)
-	return out
 }
 
 // ── Filter control plane ─────────────────────────────────────────────
@@ -638,20 +540,6 @@ func (e *Engine) Expire(now filter.Time) int {
 	return n
 }
 
-// NextExpiry returns the earliest deadline among installed filters.
-func (e *Engine) NextExpiry() (filter.Time, bool) {
-	var min filter.Time
-	found := false
-	e.allSegs(func(s *shard, _ bool) {
-		s.fview.Load().each(func(fe *fentry) {
-			if exp := fe.expires(); !found || exp < min {
-				min, found = exp, true
-			}
-		})
-	})
-	return min, found
-}
-
 // Len returns the number of installed filters (including entries whose
 // deadline has passed but which have not been garbage-collected yet),
 // summed across shards.
@@ -811,27 +699,6 @@ func (e *Engine) ShadowHit(label flow.Label) (filter.ShadowEntry, bool) {
 	se.reapp.Add(1)
 	seg.shadowHits.Add(1)
 	return se.snapshot(), true
-}
-
-// RemoveShadow deletes the record for label, reporting whether it
-// existed.
-func (e *Engine) RemoveShadow(label flow.Label) bool {
-	label = label.Key()
-	seg, isWild := e.segFor(label)
-	seg.mu.Lock()
-	se := seg.sview.Load().get(label)
-	if se == nil {
-		seg.mu.Unlock()
-		return false
-	}
-	seg.scount--
-	seg.sview.Store(seg.sview.Load().withRemove(seg.scount, se))
-	seg.mu.Unlock()
-	if isWild {
-		e.wildShadows.Add(-1)
-	}
-	e.sUsed.Add(-1)
-	return true
 }
 
 // ExpireShadows garbage-collects shadow records past their deadline.

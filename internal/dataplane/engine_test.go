@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -189,7 +190,7 @@ func TestShardInvariance(t *testing.T) {
 		for i := range batch {
 			batch[i] = pkt(addr(i), addr(i+1000), 100)
 		}
-		return e.Classify(batch)
+		return e.ClassifyInto(batch, nil)
 	}
 	want := mk(1)
 	for _, shards := range []int{2, 4, 8} {
@@ -202,35 +203,76 @@ func TestShardInvariance(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSingle checks Classify(batch) against per-packet
-// ClassifyTuple on a fresh identical engine.
+// TestBatchMatchesSingle checks ClassifyInto(batch) against per-packet
+// ClassifyTuple on a fresh identical engine: whole verdicts (shadow
+// snapshots included) and both stats blocks must agree. The table puts
+// entries in the wild segment on the filter and the shadow side, and
+// the traffic arrives interleaved across shards; it runs with shadow
+// lookup on and off.
 func TestBatchMatchesSingle(t *testing.T) {
-	build := func() (*Engine, *testClock) {
-		e, ck := newEngine(t, 4, 1024, 1024, filter.RejectNew)
+	pfxSrc, fromSrc, wildDst := flow.MakeAddr(240, 1, 2, 0), addr(700), addr(1000)
+	build := func(shadowLookup bool) *Engine {
+		ck := &testClock{}
+		e := New(Config{Shards: 4, FilterCapacity: 1024, ShadowCapacity: 1024,
+			Evict: filter.RejectNew, ShadowLookup: shadowLookup, Clock: ck})
 		for i := 0; i < 64; i += 2 {
 			e.Install(flow.PairLabel(addr(i), addr(i+500)), 0, time.Minute)
 		}
 		for i := 1; i < 64; i += 4 {
 			e.LogShadow(flow.PairLabel(addr(i), addr(i+500)), addr(i+500), 0, time.Minute)
 		}
-		ck.set(time.Second)
-		return e, ck
-	}
-	batch := make([]*packet.Packet, 64)
-	for i := range batch {
-		batch[i] = pkt(addr(i), addr(i+500), 10+i)
-	}
-	eb, _ := build()
-	got := eb.Classify(batch)
-	es, _ := build()
-	for i, p := range batch {
-		want := es.ClassifyTuple(p.Tuple(), int(p.PayloadLen))
-		if got[i].Drop != want.Drop || got[i].ShadowHit != want.ShadowHit {
-			t.Fatalf("packet %d: batch %+v, single %+v", i, got[i], want)
+		e.Install(flow.SrcPrefixLabel(pfxSrc, 24, addr(600)), 0, time.Minute)
+		e.Install(flow.FromSource(fromSrc), 0, time.Minute)
+		e.LogShadow(flow.ToDestination(wildDst), wildDst, 0, time.Minute)
+		if e.wildFilters.Load() != 2 || e.wildShadows.Load() != 1 {
+			t.Fatalf("wild segment holds %d filters, %d shadows; want 2, 1",
+				e.wildFilters.Load(), e.wildShadows.Load())
 		}
+		ck.set(time.Second)
+		return e
 	}
-	if bs, ss := eb.FilterStats(), es.FilterStats(); bs != ss {
-		t.Fatalf("stats diverge: batch %+v, single %+v", bs, ss)
+	var batch []*packet.Packet
+	for i := 0; i < 64; i++ { // pair drops, pair shadow hits, misses
+		batch = append(batch, pkt(addr(i), addr(i+500), 10+i))
+	}
+	for i := 0; i < 8; i++ {
+		batch = append(batch,
+			pkt(pfxSrc+flow.Addr(i), addr(600), 100+i), // source /24 drop
+			pkt(pfxSrc+256+flow.Addr(i), addr(600), 1), // just outside the /24
+			pkt(fromSrc, addr(800+i), 200+i),           // dst-wildcard drop
+			pkt(addr(900+i), wildDst, 300+i))           // wildcard shadow hit
+	}
+	batch = append(batch, pkt(fromSrc, wildDst, 5)) // filter outranks shadow
+	rand.New(rand.NewSource(1)).Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+
+	for _, shadowLookup := range []bool{true, false} {
+		t.Run(fmt.Sprintf("shadowlookup=%v", shadowLookup), func(t *testing.T) {
+			eb, es := build(shadowLookup), build(shadowLookup)
+			got := eb.ClassifyInto(batch, nil)
+			wildHits := 0
+			for i, p := range batch {
+				want := es.ClassifyTuple(p.Tuple(), int(p.PayloadLen))
+				if got[i] != want {
+					t.Fatalf("packet %d: batch %+v, single %+v", i, got[i], want)
+				}
+				if want.ShadowHit && want.Shadow.Label == flow.ToDestination(wildDst).Key() {
+					wildHits++
+				}
+			}
+			want := 0
+			if shadowLookup {
+				want = 8
+			}
+			if wildHits != want {
+				t.Fatalf("wildcard shadow hits = %d, want %d", wildHits, want)
+			}
+			if bs, ss := eb.FilterStats(), es.FilterStats(); bs != ss {
+				t.Fatalf("filter stats diverge: batch %+v, single %+v", bs, ss)
+			}
+			if bs, ss := eb.ShadowStats(), es.ShadowStats(); bs != ss {
+				t.Fatalf("shadow stats diverge: batch %+v, single %+v", bs, ss)
+			}
+		})
 	}
 }
 
@@ -382,7 +424,6 @@ func TestConcurrentInstallExpireClassify(t *testing.T) {
 					e.ExpireShadows(now)
 				case 3:
 					e.Remove(label)
-					e.RemoveShadow(label)
 				}
 			}
 		}(w)

@@ -23,21 +23,28 @@ func TestNestedPrefixChargeOrder(t *testing.T) {
 	l28 := flow.SrcPrefixLabel(src, 28, dst)
 	tup := flow.TupleOf(src, dst, flow.ProtoUDP, 1000, 80)
 
+	// Deadlines: a record leaves the shadow side only by expiry, so each
+	// label the test takes out is the next one due when it goes.
+	const (
+		scanLife = time.Second    // the rebuild's scan-shaped label
+		l16Life  = 2 * time.Hour  // the /16, taken out after the first rebuild
+		longLife = 10 * time.Hour // everything else
+	)
 	sides := []struct {
 		name   string
-		add    func(*Engine, flow.Label)
-		remove func(*Engine, flow.Label) bool
+		add    func(e *Engine, l flow.Label, exp filter.Time)
+		remove func(e *Engine, ck *testClock, l flow.Label) bool
 		hits   func(*Engine, flow.Label) uint64 // packets charged to the label
 		hit    func(Verdict) bool
 	}{
 		{
 			name: "filters",
-			add: func(e *Engine, l flow.Label) {
-				if err := e.Install(l, 0, time.Hour); err != nil {
+			add: func(e *Engine, l flow.Label, exp filter.Time) {
+				if err := e.Install(l, 0, exp); err != nil {
 					t.Fatal(err)
 				}
 			},
-			remove: (*Engine).Remove,
+			remove: func(e *Engine, _ *testClock, l flow.Label) bool { return e.Remove(l) },
 			hits: func(e *Engine, l flow.Label) uint64 {
 				en, _ := e.Get(l, 0)
 				return en.Drops
@@ -46,12 +53,19 @@ func TestNestedPrefixChargeOrder(t *testing.T) {
 		},
 		{
 			name: "shadows",
-			add: func(e *Engine, l flow.Label) {
-				if !e.LogShadow(l, dst, 0, time.Hour) {
+			add: func(e *Engine, l flow.Label, exp filter.Time) {
+				if !e.LogShadow(l, dst, 0, exp) {
 					t.Fatal("LogShadow rejected below capacity")
 				}
 			},
-			remove: (*Engine).RemoveShadow,
+			remove: func(e *Engine, ck *testClock, l flow.Label) bool {
+				en, ok := e.ShadowGet(l, ck.Now())
+				if !ok {
+					return false
+				}
+				ck.set(en.ExpiresAt)
+				return e.ExpireShadows(en.ExpiresAt) == 1
+			},
 			hits: func(e *Engine, l flow.Label) uint64 {
 				en, _ := e.ShadowGet(l, 0)
 				return uint64(en.Reappearances)
@@ -61,11 +75,11 @@ func TestNestedPrefixChargeOrder(t *testing.T) {
 	}
 	for _, sd := range sides {
 		t.Run(sd.name, func(t *testing.T) {
-			e, _ := newEngine(t, 4, 1024, 1024, filter.RejectNew)
+			e, ck := newEngine(t, 4, 1024, 1024, filter.RejectNew)
 			// Longest first, so install order and length order disagree.
-			for _, l := range []flow.Label{l28, l24, l16} {
-				sd.add(e, l)
-			}
+			sd.add(e, l28, longLife)
+			sd.add(e, l24, longLife)
+			sd.add(e, l16, l16Life)
 			charged := func(want flow.Label) {
 				t.Helper()
 				before := map[flow.Label]uint64{}
@@ -91,18 +105,18 @@ func TestNestedPrefixChargeOrder(t *testing.T) {
 			rebuild := func(round int) {
 				t.Helper()
 				scan := flow.FromSource(flow.MakeAddr(241, 0, 0, byte(round)))
-				sd.add(e, scan)
+				sd.add(e, scan, ck.Now()+scanLife)
 				for i := 0; i < 64; i++ {
-					sd.add(e, flow.SrcPrefixLabel(flow.MakeAddr(242, byte(round), byte(i), 0), 24, dst))
+					sd.add(e, flow.SrcPrefixLabel(flow.MakeAddr(242, byte(round), byte(i), 0), 24, dst), longLife)
 				}
-				if !sd.remove(e, scan) {
+				if !sd.remove(e, ck, scan) {
 					t.Fatal("remove of the scan-shaped label failed")
 				}
 			}
 			charged(l16)
 			rebuild(1)
 			charged(l16)
-			if !sd.remove(e, l16) {
+			if !sd.remove(e, ck, l16) {
 				t.Fatal("remove /16 failed")
 			}
 			charged(l24)
@@ -274,7 +288,6 @@ func TestProbeCountsMatchRecount(t *testing.T) {
 				e.LogShadow(l, l.Dst, now, now+filter.Time(rng.Intn(50)+1)*time.Millisecond)
 			case 3:
 				e.Remove(l)
-				e.RemoveShadow(l)
 			case 4: // aggregate whatever /24 siblings are installed
 				if groups := filter.SiblingGroups(e.FilterEntries(), 24, 2); len(groups) > 0 {
 					g := groups[rng.Intn(len(groups))]

@@ -6,7 +6,7 @@ import (
 
 // Classified returns the number of packets classified since engine
 // creation (ClassifyTuple calls plus the summed sizes of all
-// Classify/ClassifyInto batches).
+// ClassifyInto batches).
 func (e *Engine) Classified() uint64 { return e.classified.Load() }
 
 // Instrument registers the engine's counters into r under the

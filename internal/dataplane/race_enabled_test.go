@@ -3,7 +3,5 @@
 package dataplane
 
 // raceEnabled reports that this test binary runs under the race
-// detector, where allocs/op measurements are meaningless: sync.Pool
-// intentionally drops a random fraction of Puts to widen race
-// coverage, so pooled scratch reallocates even at steady state.
+// detector, whose shadow memory distorts heap readings.
 const raceEnabled = true

@@ -205,20 +205,19 @@ func TestExpireAndNextExpiry(t *testing.T) {
 		tb.Install(pair(1), 0, 10*time.Second)
 		tb.Install(pair(2), 0, 20*time.Second)
 		tb.Install(pair(3), 0, 30*time.Second)
-		next, ok := tb.NextExpiry()
-		if !ok || next != 10*time.Second {
-			t.Fatalf("NextExpiry = %v ok=%v", next, ok)
+		// FilterEntries lists the soonest deadline first.
+		if es := tb.FilterEntries(); len(es) != 3 || es[0].ExpiresAt != 10*time.Second {
+			t.Fatalf("FilterEntries = %+v", es)
 		}
 		if n := tb.Expire(15 * time.Second); n != 1 {
 			t.Fatalf("Expire removed %d, want 1", n)
 		}
-		next, _ = tb.NextExpiry()
-		if next != 20*time.Second {
-			t.Fatalf("NextExpiry after GC = %v", next)
+		if es := tb.FilterEntries(); len(es) != 2 || es[0].ExpiresAt != 20*time.Second {
+			t.Fatalf("FilterEntries after GC = %+v", es)
 		}
 		tb.Expire(time.Hour)
-		if _, ok := tb.NextExpiry(); ok {
-			t.Fatal("NextExpiry ok on empty bank")
+		if es := tb.FilterEntries(); len(es) != 0 || tb.Len() != 0 {
+			t.Fatalf("bank not empty after expiring all: %+v", es)
 		}
 	})
 }
@@ -605,8 +604,12 @@ func TestShadowRemoveAndEntries(t *testing.T) {
 		if len(es) != 2 || es[0].ExpiresAt != 10*time.Second {
 			t.Fatalf("ShadowEntries = %+v", es)
 		}
-		if !c.RemoveShadow(pair(1)) || c.RemoveShadow(pair(1)) {
-			t.Fatal("RemoveShadow semantics wrong")
+		// A shadow record leaves the log only by expiry.
+		if n := c.ExpireShadows(20 * time.Second); n != 1 || c.ShadowLen() != 1 {
+			t.Fatalf("ExpireShadows removed %d, %d left; want 1, 1", n, c.ShadowLen())
+		}
+		if es := c.ShadowEntries(); len(es) != 1 || es[0].Label != pair(1) {
+			t.Fatalf("ShadowEntries after expiry = %+v", es)
 		}
 	})
 }

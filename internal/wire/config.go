@@ -55,7 +55,7 @@ type GatewayFileConfig struct {
 	// Capacity bounds the filter table (0 = default).
 	Capacity int `json:"filter_capacity"`
 	// Shards partitions the data-plane classification engine
-	// (0 = GOMAXPROCS).
+	// (0 = GOMAXPROCS, at most maxShards).
 	Shards int `json:"dataplane_shards"`
 	// CollateralAlloc enables coalescing sibling filters into covering
 	// source-prefix filters under table pressure, chosen by the
@@ -81,7 +81,8 @@ type GatewayFileConfig struct {
 	DetectWindowMs int `json:"detect_window_ms"`
 	// SketchWidth / SketchDepth set the count-min geometry and
 	// DetectTopK the heavy-hitter budget (0 = engine defaults:
-	// 1024 × 4, 128).
+	// 1024 × 4, 128; at most maxSketchWidth, maxSketchDepth and
+	// maxDetectTopK).
 	SketchWidth int `json:"sketch_width"`
 	SketchDepth int `json:"sketch_depth"`
 	DetectTopK  int `json:"detect_topk"`
@@ -188,10 +189,21 @@ func (g *GatewayFileConfig) mergeMs() int {
 	return max(250, g.detectWindowMs())
 }
 
+// Upper bounds on the gateway's sizing knobs, far above any useful
+// setting. The engines round shards, sketch width and top-k up to a
+// power of two in a fixed-width integer, which a larger value overflows
+// into an endless loop at boot; sketch depth sizes an allocation.
+const (
+	maxShards      = 1024
+	maxSketchWidth = 1 << 20
+	maxSketchDepth = 64
+	maxDetectTopK  = 1 << 16
+)
+
 // validate rejects gateway knobs outside their meaningful ranges.
 func (g *GatewayFileConfig) validate() error {
-	if g.Shards < 0 {
-		return fmt.Errorf("%w: dataplane_shards %d is negative", ErrBadConfig, g.Shards)
+	if g.Shards < 0 || g.Shards > maxShards {
+		return fmt.Errorf("%w: dataplane_shards %d outside 0..%d", ErrBadConfig, g.Shards, maxShards)
 	}
 	if g.Capacity < 0 {
 		return fmt.Errorf("%w: filter_capacity %d is negative", ErrBadConfig, g.Capacity)
@@ -216,6 +228,10 @@ func (g *GatewayFileConfig) validate() error {
 	if g.DetectWindowMs < 0 || g.SketchWidth < 0 || g.SketchDepth < 0 || g.DetectTopK < 0 {
 		return fmt.Errorf("%w: negative detection knob (window %dms, width %d, depth %d, topk %d)",
 			ErrBadConfig, g.DetectWindowMs, g.SketchWidth, g.SketchDepth, g.DetectTopK)
+	}
+	if g.SketchWidth > maxSketchWidth || g.SketchDepth > maxSketchDepth || g.DetectTopK > maxDetectTopK {
+		return fmt.Errorf("%w: detection sizing above its bound (width %d of %d, depth %d of %d, topk %d of %d)",
+			ErrBadConfig, g.SketchWidth, maxSketchWidth, g.SketchDepth, maxSketchDepth, g.DetectTopK, maxDetectTopK)
 	}
 	for _, a := range g.DetectFor {
 		if _, err := flow.ParseAddr(a); err != nil {

@@ -242,6 +242,8 @@ func TestParseConfigErrors(t *testing.T) {
 		"misspelled key":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"filter_capacty":10}}`,
 		"trailing data":    `{"role":"host","addr":"1.1.1.1","host":{"gateway":"1.1.1.2"}}}`,
 		"negative shards":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"dataplane_shards":-4}}`,
+		"shards over max":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"dataplane_shards":1025}}`,
+		"shards int max":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"dataplane_shards":9223372036854775807}}`,
 		"negative cap":     `{"role":"gateway","addr":"1.1.1.1","gateway":{"filter_capacity":-10}}`,
 		"negative timer":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"t_ms":-5}}`,
 		"ttmp >= t":        `{"role":"gateway","addr":"1.1.1.1","gateway":{"t_ms":500,"ttmp_ms":600}}`,
@@ -255,6 +257,11 @@ func TestParseConfigErrors(t *testing.T) {
 		"gw detect neg":    `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":-2,"detect_for":["1.1.1.2"]}}`,
 		"gw detect badfor": `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["zzz"]}}`,
 		"gw sketch neg":    `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"sketch_depth":-1}}`,
+		"gw width over":    `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"sketch_width":1048577}}`,
+		"gw width int max": `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"sketch_width":9223372036854775807}}`,
+		"gw depth over":    `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"sketch_depth":65}}`,
+		"gw topk over":     `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"detect_topk":65537}}`,
+		"gw topk int max":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"detect_topk":9223372036854775807}}`,
 		"cluster one":      `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_peers":1}}`,
 		"cluster negative": `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_peers":-2}}`,
 		"cluster huge":     `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_peers":65}}`,
