@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"aitf/internal/cluster"
+	"aitf/internal/ctrl"
 	"aitf/internal/dataplane"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
+	"aitf/internal/sim"
 )
 
 // Aggregate is one covering prefix filter installed in place of its
@@ -43,7 +46,7 @@ type AggregateStats struct {
 // cover, and Review splits aggregates back when pressure subsides or
 // refines them when it only eases. Filter mutations are appended to the
 // cluster's replicated log. The caller serialises every method but
-// Stats, which any goroutine may call.
+// Stats, which any goroutine may call, with the clock's callbacks.
 type Aggregator struct {
 	dp      *dataplane.Engine
 	policy  *Policy // nil: reject-only
@@ -54,6 +57,15 @@ type Aggregator struct {
 
 	aggregates map[flow.Label]*Aggregate // by covering label's Key()
 
+	// clk runs Review every `every` while aggregates are outstanding,
+	// until Halt clears it: review is the timer's callback, bound once,
+	// and reviewArmed marks it pending.
+	clk         ctrl.Clock
+	every       time.Duration
+	review      func()
+	reviewTimer sim.Timer
+	reviewArmed bool
+
 	aggregations, children, splits, covered  atomic.Uint64 // aitf:atomic
 	collateral, collateralBytes, refinements atomic.Uint64 // aitf:atomic
 }
@@ -63,9 +75,13 @@ type Aggregator struct {
 // the detection plane when it has detection armed (a cluster's view
 // includes traffic only a dead replica's frozen summary saw); the plane
 // also receives the filter ops. trace receives the aggregation events.
+// The aggregator reviews itself on clk every `every` (the gateway's
+// Ttmp) while aggregates are outstanding.
 func NewAggregator(dp *dataplane.Engine, policy *Policy, plane *cluster.Plane,
-	trace func(obs.EventKind, flow.Label, string)) *Aggregator {
-	a := &Aggregator{dp: dp, policy: policy, plane: plane, trace: trace, aggregates: make(map[flow.Label]*Aggregate)}
+	trace func(obs.EventKind, flow.Label, string), clk ctrl.Clock, every time.Duration) *Aggregator {
+	a := &Aggregator{dp: dp, policy: policy, plane: plane, trace: trace, aggregates: make(map[flow.Label]*Aggregate),
+		clk: clk, every: every}
+	a.review = a.reviewTick
 	if plane.Window() > 0 {
 		a.traffic, a.window = plane, plane.Window().Seconds()
 	}
@@ -75,8 +91,41 @@ func NewAggregator(dp *dataplane.Engine, policy *Policy, plane *cluster.Plane,
 // Install installs a victim-side filter for label until exp. With a
 // policy, a live aggregate covering label is refreshed instead, and on
 // filter.ErrTableFull the cheapest cover freeing a slot is installed
-// and the install retried once.
+// and the install retried once. Either way the review is armed while an
+// aggregate is outstanding.
 func (a *Aggregator) Install(label flow.Label, now, exp filter.Time) error {
+	err := a.install(label, now, exp)
+	a.ArmReview()
+	return err
+}
+
+// ArmReview arms the review, unless one is pending or no aggregate is
+// outstanding: Install arms it itself, a restore calls it.
+func (a *Aggregator) ArmReview() {
+	if a.clk == nil || a.reviewArmed || len(a.aggregates) == 0 {
+		return
+	}
+	a.reviewArmed = true
+	a.reviewTimer = a.clk.Arm(a.every, a.review)
+}
+
+func (a *Aggregator) reviewTick() {
+	a.reviewArmed = false
+	if a.Review(a.clk.Now()) {
+		a.ArmReview()
+	}
+}
+
+// Halt stops the review for good, as a crashed gateway's control plane
+// stops.
+func (a *Aggregator) Halt() {
+	if a.clk != nil {
+		a.clk.Stop(a.reviewTimer)
+	}
+	a.clk = nil
+}
+
+func (a *Aggregator) install(label flow.Label, now, exp filter.Time) error {
 	if a.policy != nil {
 		if agg := a.covering(label, now); agg != nil && a.dp.Install(agg.Label, now, exp) == nil {
 			a.refreshCovered(agg, label, now, exp)

@@ -12,6 +12,7 @@ import (
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
+	"aitf/internal/sim"
 )
 
 // aggHarness is an aggregator over a bare engine whose clock the test
@@ -23,6 +24,14 @@ type aggHarness struct {
 	events []obs.Record
 }
 
+// idleClock arms nothing: the harness runs Review itself, at the
+// instants it chooses.
+type idleClock struct{}
+
+func (idleClock) Now() time.Duration                  { return 0 }
+func (idleClock) Arm(time.Duration, func()) sim.Timer { return sim.Timer{} }
+func (idleClock) Stop(sim.Timer)                      {}
+
 func newAggHarness(capacity int, policy *Policy) *aggHarness {
 	h := &aggHarness{}
 	h.dp = dataplane.New(dataplane.Config{
@@ -33,7 +42,7 @@ func newAggHarness(capacity int, policy *Policy) *aggHarness {
 	plane := cluster.NewPlane(detect.Config{}, nil, cluster.Config{}, nil)
 	h.agg = NewAggregator(h.dp, policy, plane, func(k obs.EventKind, l flow.Label, detail string) {
 		h.events = append(h.events, obs.Record{At: h.now, Kind: k, Flow: l, Detail: detail})
-	})
+	}, idleClock{}, time.Second)
 	return h
 }
 

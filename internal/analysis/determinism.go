@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"path/filepath"
 )
 
 // DeterministicPkgs are the packages whose behavior must be a pure
@@ -16,6 +17,18 @@ var DeterministicPkgs = []string{
 	"ctrl", "endhost", "border",
 }
 
+// ClockDrivers names, for a package that reads wall clocks, the one
+// file that may start a runtime timer: the wall-clock driver under the
+// package's timer queue (a sim.Queue, the simulator's own). Everywhere
+// else in the package a timer is armed on that queue, so the order
+// callbacks fire in is the queue's, one driver goroutine per owner.
+var ClockDrivers = map[string]string{"wire": "clock.go"}
+
+// detTimers are the time functions that start a runtime timer.
+var detTimers = map[string]bool{
+	"AfterFunc": true, "NewTimer": true, "NewTicker": true, "After": true, "Tick": true,
+}
+
 // Determinism forbids ambient nondeterminism in sim-driven packages:
 //
 //   - wall clocks: time.Now, time.Since, time.Until, timers/tickers,
@@ -27,6 +40,9 @@ var DeterministicPkgs = []string{
 //   - map iteration feeding output or event ordering: a `range` over
 //     a map whose body appends, sends, or schedules, without a
 //     subsequent sort in the same function.
+//
+// A package in ClockDrivers may read wall clocks, but only its driver
+// file may start a runtime timer.
 //
 // Escape hatches (both REQUIRE a justification string):
 //
@@ -68,6 +84,9 @@ func isDeterministicPkg(path string) bool {
 
 func runDeterminism(pass *Pass) error {
 	if !isDeterministicPkg(pass.Pkg.Path) {
+		if driver, ok := ClockDrivers[pathBase(pass.Pkg.Path)]; ok {
+			checkClockDriver(pass, driver)
+		}
 		return nil
 	}
 	for _, f := range pass.Pkg.Files {
@@ -211,4 +230,26 @@ func sortsAfter(pass *Pass, body *ast.BlockStmt, r *ast.RangeStmt) bool {
 		return true
 	})
 	return sorted
+}
+
+// checkClockDriver flags every runtime timer a package starts outside
+// its clock driver file.
+func checkClockDriver(pass *Pass, driver string) {
+	for _, f := range pass.Pkg.Files {
+		if filepath.Base(pass.Fset.Position(f.Pos()).Filename) == driver {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Signature().Recv() == nil && detTimers[fn.Name()] {
+				pass.Reportf(sel.Pos(), "runtime timer time.%s outside %s, the clock driver of package %s; arm on its timer queue",
+					fn.Name(), driver, pass.Pkg.Name)
+			}
+			return true
+		})
+	}
 }

@@ -201,30 +201,60 @@ type RequestFlood struct {
 	Sent uint64
 }
 
-// Launch schedules the request flood.
+// Launch schedules the request flood. It fixes every request's
+// (at, seq) order key at once, reserving a block of seqs, but keeps
+// only the next request queued: each posts its successor under that
+// successor's reserved key, so the requests fire exactly where one
+// event per request armed at launch would fire them, with one event
+// pending at a time.
 func (rf *RequestFlood) Launch() {
 	if rf.Rate <= 0 || rf.Count <= 0 {
 		return
 	}
 	eng := rf.From.Node().Engine()
-	gap := sim.Time(1e9 / rf.Rate)
-	for i := 0; i < rf.Count; i++ {
-		i := i
-		eng.ScheduleAt(rf.Start+gap*sim.Time(i), func() {
-			var ev []packet.RREntry
-			if rf.MakeEvidence != nil {
-				ev = rf.MakeEvidence(i)
-			}
-			req := &packet.FilterReq{
-				Stage:    packet.StageToVictimGW,
-				Flow:     flow.PairLabel(flow.Addr(0xC0000000+uint32(i)), rf.Victim),
-				Duration: rf.From.Config().Timers.T,
-				Round:    1,
-				Victim:   rf.Victim,
-				Evidence: ev,
-			}
-			rf.Sent++
-			rf.From.Node().Originate(packet.NewControl(rf.From.Node().Addr(), rf.Gateway, req))
-		})
+	r := &requestRun{rf: rf, eng: eng, gap: sim.Time(1e9 / rf.Rate), from: eng.Now()}
+	r.seq = eng.ReserveSeqs(uint64(rf.Count))
+	r.fire = r.send
+	eng.PostReserved(r.at(0), r.seq, r.fire)
+}
+
+// requestRun is one launched RequestFlood: the next request to send,
+// and the order keys the launch fixed.
+type requestRun struct {
+	rf   *RequestFlood
+	eng  *sim.Engine
+	gap  sim.Time
+	from sim.Time // the launch instant: no request fires before it
+	seq  uint64   // the first reserved seq; request i fires under seq+i
+	next int
+	fire func() // send, bound once
+}
+
+// at is request i's fire time: its slot in the flood, or the launch
+// instant for a flood that started in the past.
+func (r *requestRun) at(i int) sim.Time {
+	return max(r.rf.Start+r.gap*sim.Time(i), r.from)
+}
+
+// send sends the next request and posts the one after it.
+func (r *requestRun) send() {
+	rf, i := r.rf, r.next
+	r.next++
+	if r.next < rf.Count {
+		r.eng.PostReserved(r.at(r.next), r.seq+uint64(r.next), r.fire)
 	}
+	var ev []packet.RREntry
+	if rf.MakeEvidence != nil {
+		ev = rf.MakeEvidence(i)
+	}
+	req := &packet.FilterReq{
+		Stage:    packet.StageToVictimGW,
+		Flow:     flow.PairLabel(flow.Addr(0xC0000000+uint32(i)), rf.Victim),
+		Duration: rf.From.Config().Timers.T,
+		Round:    1,
+		Victim:   rf.Victim,
+		Evidence: ev,
+	}
+	rf.Sent++
+	rf.From.Node().Originate(packet.NewControl(rf.From.Node().Addr(), rf.Gateway, req))
 }

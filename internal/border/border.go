@@ -43,6 +43,7 @@ import (
 	"aitf/internal/flow"
 	"aitf/internal/obs"
 	"aitf/internal/packet"
+	"aitf/internal/sim"
 	"aitf/internal/traceback"
 )
 
@@ -247,7 +248,9 @@ type Env struct {
 	Send func(*packet.Packet) // transmits a control packet
 	// NextHop names the neighbor a packet to dst leaves through.
 	NextHop func(dst flow.Addr) (neighbor flow.Addr, ok bool)
-	Trace   ctrl.Trace
+	// Trace receives the protocol events; nil records none, and then
+	// no event detail is formatted.
+	Trace ctrl.Trace
 }
 
 // Watch is the persisted state of one undesired flow for which this
@@ -266,7 +269,12 @@ type Watch struct {
 
 type watch struct {
 	Watch
-	cancelCheck func() // the takeover check's timer
+	// checkTimer is the pending takeover check, armed for the temporary
+	// filter installed at checkFor. check and gc, its callback and the
+	// reclamation timer's, are bound once when the watch is made.
+	checkTimer sim.Timer
+	checkFor   time.Duration
+	check, gc  func()
 	// reqTok/escTok cancel the reliable-send ladders for this watch's
 	// outstanding attacker-gateway request and provider escalation.
 	reqTok, escTok uint64
@@ -322,9 +330,8 @@ type Engine struct {
 
 	// agg runs the §IV fallback on victim-side installs: covering
 	// aggregates, allocation under pressure, split-back and refinement.
-	agg         *alloc.Aggregator
-	reviewArmed bool           // an aggregate review is scheduled
-	plane       *cluster.Plane // the detection plane: engine or cluster
+	agg   *alloc.Aggregator
+	plane *cluster.Plane // the detection plane: engine or cluster
 
 	// ladder retransmits protocol sends (single-shot when Control is
 	// off); hs holds the attacker-side handshakes; seenTxids dedups
@@ -341,9 +348,17 @@ type Engine struct {
 	// per-packet calls Classify and Observe, serialised with Control,
 	// test the one pointer they need.
 	built atomic.Bool // aitf:atomic
-	// halted marks a crashed gateway: every control timer fires as a
-	// no-op (see after and Halt).
+	// halted marks a crashed gateway: every control timer's callback
+	// opens with the halt gate, and fires as a no-op (see Halt). The
+	// table expiries (expireFilters) alone run on.
 	halted bool
+	// traced is whether env.Trace listens; without it, New puts a no-op
+	// in its place and no event detail is formatted.
+	traced bool
+
+	// The engine's own timer callbacks, bound once by build: the cluster
+	// merge round and the filter table's expiry.
+	merge, expire func()
 }
 
 // New builds an engine for the router env.Addr. With gateway-side
@@ -354,7 +369,10 @@ func New(cfg Config, env Env) *Engine {
 		cfg.Clients = slices.Clone(cfg.Clients)
 		slices.SortStableFunc(cfg.Clients, byAddr)
 	}
-	e := &Engine{cfg: cfg, env: env, rec: traceback.NewRecorder(env.Addr, cfg.Secret)}
+	e := &Engine{cfg: cfg, env: env, rec: traceback.NewRecorder(env.Addr, cfg.Secret), traced: env.Trace != nil}
+	if !e.traced {
+		e.env.Trace = func(obs.EventKind, flow.Label, string) {}
+	}
 	if cfg.Detection != nil || cfg.Cluster.Enabled() {
 		e.build()
 		e.armClusterMerge()
@@ -378,8 +396,12 @@ func (e *Engine) build() {
 	if hsTimeout <= 0 {
 		hsTimeout = time.Second
 	}
-	e.ladder = ctrl.NewLadder(cfg.Control, env.Clock, env.Rand.Float64, env.Send, env.Trace)
-	e.hs = ctrl.NewLedger(e.ladder, env.Clock, hsTimeout, env.Trace)
+	var trace ctrl.Trace // nil unless traced, so ctrl formats nothing
+	if e.traced {
+		trace = env.Trace
+	}
+	e.ladder = ctrl.NewLadder(cfg.Control, env.Clock, env.Rand.Float64, env.Send, trace)
+	e.hs = ctrl.NewLedger(e.ladder, env.Clock, hsTimeout, trace)
 	e.dp = dataplane.New(dataplane.Config{
 		Shards:         cfg.DataplaneShards,
 		FilterCapacity: cfg.FilterCapacity,
@@ -393,7 +415,8 @@ func (e *Engine) build() {
 		d = &Detection{}
 	}
 	e.plane = cluster.NewPlane(d.Config, d.Protected, cfg.Cluster, env.Trace)
-	e.agg = alloc.NewAggregator(e.dp, cfg.Allocation, e.plane, env.Trace)
+	e.agg = alloc.NewAggregator(e.dp, cfg.Allocation, e.plane, env.Trace, env.Clock, cfg.Timers.Ttmp)
+	e.merge, e.expire = e.mergeRound, e.expireFilters
 	e.built.Store(true)
 }
 
@@ -550,7 +573,9 @@ func (e *Engine) seen(pair flow.Label, neighbor flow.Addr, now time.Duration) {
 // installed. Under GatewayAuto a watched flow is re-blocked and
 // escalated at once, and the packet is to be dropped (true).
 func (e *Engine) Reappeared(s filter.ShadowEntry) bool {
-	e.env.Trace(obs.EvShadowHit, s.Label, fmt.Sprintf("reappearance %d", s.Reappearances))
+	if e.traced {
+		e.env.Trace(obs.EvShadowHit, s.Label, fmt.Sprintf("reappearance %d", s.Reappearances))
+	}
 	if e.cfg.ShadowMode != GatewayAuto {
 		return false
 	}
@@ -575,25 +600,31 @@ func (e *Engine) Observe(now time.Duration, p *packet.Packet) {
 
 func (e *Engine) now() time.Duration { return e.env.Clock.Now() }
 
-// after arms fn d from now behind the halt gate: once Halt has run,
-// every control timer fires as a no-op.
-func (e *Engine) after(d time.Duration, fn func()) (cancel func()) {
-	return e.env.Clock.After(d, func() {
-		if !e.halted {
-			fn()
-		}
-	})
-}
-
 // armClusterMerge schedules the recurring merge round; each firing
 // re-arms the next, and a halted engine lets the chain die.
 func (e *Engine) armClusterMerge() {
 	if every := e.plane.MergeEvery(); every > 0 {
-		e.after(every, func() {
-			e.plane.MergeRound(e.now())
-			e.armClusterMerge()
-		})
+		e.env.Clock.Arm(every, e.merge)
 	}
+}
+
+func (e *Engine) mergeRound() {
+	if e.halted {
+		return
+	}
+	e.plane.MergeRound(e.now())
+	e.armClusterMerge()
+}
+
+// expireFilters drops the filters whose time is up.
+func (e *Engine) expireFilters() { e.dp.Expire(e.now()) }
+
+// newWatch makes the live form of a watch, its callbacks bound.
+func (e *Engine) newWatch(ws Watch) *watch {
+	w := &watch{Watch: ws}
+	w.check = func() { e.takeoverCheck(w) }
+	w.gc = func() { e.watchGC(w) }
+	return w
 }
 
 // rrTuple masks a packet tuple down to the (src, dst) pair that
@@ -762,14 +793,15 @@ func (e *Engine) Snapshot() *Snapshot {
 }
 
 // Halt freezes the control plane: the halt gate turns every control
-// timer into a no-op, and the retransmission ladders and handshake
-// timeouts stop. It models the protocol half of a crash — take
+// timer's callback into a no-op, and the retransmission ladders and
+// handshake timeouts stop. It models the protocol half of a crash — take
 // Snapshot first if the state should survive.
 func (e *Engine) Halt() {
 	e.halted = true
 	if e.built.Load() {
 		e.hs.StopAll()
 		e.ladder.StopAll()
+		e.agg.Halt()
 	}
 }
 
@@ -788,11 +820,11 @@ func (e *Engine) Restore(snap *Snapshot) {
 			e.env.Trace(obs.EvFilterRejected, ent.Label, "restore: "+err.Error())
 			return
 		}
-		e.env.Clock.After(ent.ExpiresAt-now, func() { e.dp.Expire(e.now()) })
+		e.env.Clock.Arm(ent.ExpiresAt-now, e.expire)
 	})
 
 	for _, ws := range snap.Watches {
-		w := &watch{Watch: ws}
+		w := e.newWatch(ws)
 		e.watches[w.Label.Key()] = w
 		if w.TempUntil > now {
 			// The temporary filter is still up: re-arm the takeover
@@ -810,9 +842,7 @@ func (e *Engine) Restore(snap *Snapshot) {
 		e.armComplianceCheck(c, cs.Deadline+e.cfg.Timers.Grace-now)
 	}
 
-	if e.agg.Len() > 0 {
-		e.armAggregateReview()
-	}
+	e.agg.ArmReview()
 
 	for n, until := range snap.Disconnected {
 		if until > now {

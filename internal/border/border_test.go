@@ -15,6 +15,7 @@ import (
 	"aitf/internal/flow"
 	"aitf/internal/obs"
 	"aitf/internal/packet"
+	"aitf/internal/sim"
 )
 
 // The engine under test is the border router G. Its clients are the
@@ -33,55 +34,21 @@ var (
 
 func remote(i int) flow.Addr { return flow.MakeAddr(20, 0, 0, byte(1+i)) }
 
-// fakeClock is a manual clock: timers fire only inside Advance, in
-// (deadline, arming order) order, each at its own deadline.
-type fakeClock struct {
-	now    time.Duration
-	seq    int
-	timers []*fakeTimer
+// fakeClock is a manual clock over a sim.Queue: timers fire only
+// inside Advance, in (deadline, arming order) order, each at its own
+// deadline.
+type fakeClock struct{ q sim.Queue }
+
+func (c *fakeClock) Now() time.Duration { return c.q.Now() }
+
+func (c *fakeClock) Arm(d time.Duration, fn func()) sim.Timer {
+	return c.q.ScheduleAt(c.q.Now()+max(d, 0), fn)
 }
 
-type fakeTimer struct {
-	at   time.Duration
-	seq  int
-	fn   func()
-	dead bool // fired or cancelled
-}
-
-func (c *fakeClock) Now() time.Duration { return c.now }
-
-func (c *fakeClock) After(d time.Duration, fn func()) func() {
-	t := &fakeTimer{at: c.now + max(d, 0), seq: c.seq, fn: fn}
-	c.seq++
-	c.timers = append(c.timers, t)
-	return func() { t.dead = true }
-}
+func (c *fakeClock) Stop(t sim.Timer) { c.q.Cancel(t) }
 
 // Advance moves the clock d forward, firing every timer due by then.
-func (c *fakeClock) Advance(d time.Duration) {
-	end := c.now + d
-	for {
-		var next *fakeTimer
-		live := c.timers[:0]
-		for _, t := range c.timers {
-			if t.dead {
-				continue
-			}
-			live = append(live, t)
-			if t.at <= end && (next == nil || t.at < next.at || t.at == next.at && t.seq < next.seq) {
-				next = t
-			}
-		}
-		c.timers = live
-		if next == nil {
-			break
-		}
-		next.dead = true
-		c.now = next.at
-		next.fn()
-	}
-	c.now = end
-}
+func (c *fakeClock) Advance(d time.Duration) { c.q.RunUntil(c.q.Now() + d) }
 
 // rig is one engine on a fake clock, with the sends it made.
 type rig struct {
@@ -184,11 +151,11 @@ func (r *rig) drain() []*packet.Packet {
 // shadow reappearance and detection.
 func (r *rig) data(p *packet.Packet, from flow.Addr) {
 	v := r.e.Classify(p.Tuple(), int(p.PayloadLen))
-	r.e.Seen(flow.PairLabel(p.Src, p.Dst), from, r.clk.now)
+	r.e.Seen(flow.PairLabel(p.Src, p.Dst), from, r.clk.Now())
 	if v.Drop || v.ShadowHit && r.e.Reappeared(v.Shadow) {
 		return
 	}
-	r.e.Observe(r.clk.now, p)
+	r.e.Observe(r.clk.Now(), p)
 }
 
 // stamp is G's genuine route-record entry for traffic from src to dst.
@@ -296,7 +263,7 @@ func TestIdleEngineReadsAsEmpty(t *testing.T) {
 	read := func(r *rig) reads {
 		_, _, killed := r.e.KillReplica(0)
 		return reads{r.e.Stats(), r.e.Filters().Stats(), r.e.Shadows().Stats(), fmt.Sprintf("%+v", *r.e.Snapshot()),
-			r.e.Disconnected(peer, r.clk.now), r.e.OutstandingReliable(), r.e.PendingHandshakes(),
+			r.e.Disconnected(peer, r.clk.Now()), r.e.OutstandingReliable(), r.e.PendingHandshakes(),
 			r.e.Detector() != nil || r.e.Cluster() != nil, killed}
 	}
 	for _, r := range []*rig{idle, eager} {
@@ -417,9 +384,9 @@ func FuzzGatewayEngine(f *testing.F) {
 		deliver := func(from flow.Addr, stage packet.Stage, label flow.Label, requester flow.Addr, ev []packet.RREntry, txid uint64) {
 			k := key{from, txid}
 			at, seen := recorded[k]
-			dup := txid != 0 && seen && r.clk.now-at < filter.DedupWindow
+			dup := txid != 0 && seen && r.clk.Now()-at < filter.DedupWindow
 			if txid != 0 && !dup {
-				recorded[k] = r.clk.now
+				recorded[k] = r.clk.Now()
 			}
 			before := r.e.Stats()
 			r.request(from, stage, label, requester, ev, txid)
@@ -430,7 +397,7 @@ func FuzzGatewayEngine(f *testing.F) {
 			before.MsgProcessed++
 			if after := r.e.Stats(); after != before || len(*r.sent) != 0 {
 				t.Fatalf("replayed txid %d from %v at %v moved more than CtrlDupDrops: %+v -> %+v, %d sends",
-					txid, from, r.clk.now, before, after, len(*r.sent))
+					txid, from, r.clk.Now(), before, after, len(*r.sent))
 			}
 		}
 		evidence := func(arg int, src, dst flow.Addr, path ...packet.RREntry) []packet.RREntry {

@@ -38,11 +38,15 @@ func (e *Engine) handleFilterReq(p *packet.Packet, m *packet.FilterReq, neighbor
 	// counter other than the dup counter itself.
 	if e.seenTxids.Seen(p.Src, m.Txid, now, filter.DedupWindow) {
 		atomic.AddUint64(&e.stats.CtrlDupDrops, 1)
-		e.env.Trace(obs.EvCtrlDupDrop, m.Flow, fmt.Sprintf("txid %d from %v", m.Txid, p.Src))
+		if e.traced {
+			e.env.Trace(obs.EvCtrlDupDrop, m.Flow, fmt.Sprintf("txid %d from %v", m.Txid, p.Src))
+		}
 		return
 	}
 	atomic.AddUint64(&e.stats.ReqReceived, 1)
-	e.env.Trace(obs.EvRequestReceived, m.Flow, fmt.Sprintf("stage %v round %d from %v", m.Stage, m.Round, p.Src))
+	if e.traced {
+		e.env.Trace(obs.EvRequestReceived, m.Flow, fmt.Sprintf("stage %v round %d from %v", m.Stage, m.Round, p.Src))
+	}
 
 	// Contract policing per ingress neighbor (§II-B).
 	if neighbor == 0 || !e.policer(neighbor, false).Allow(now) {
@@ -98,7 +102,9 @@ func (e *Engine) selfDetect(now time.Duration, p *packet.Packet) {
 		delete(e.watches, label.Key())
 	}
 	atomic.AddUint64(&e.stats.Detections, 1)
-	e.env.Trace(obs.EvAttackDetected, label, fmt.Sprintf("gateway sketch, est %dB for %v", d.EstBytes, d.Dst))
+	if e.traced {
+		e.env.Trace(obs.EvAttackDetected, label, fmt.Sprintf("gateway sketch, est %dB for %v", d.EstBytes, d.Dst))
+	}
 
 	evidence := make(traceback.AttackPath, 0, len(p.Path)+1)
 	evidence = append(evidence, p.Path...)
@@ -114,7 +120,7 @@ func (e *Engine) selfDetect(now time.Duration, p *packet.Packet) {
 // attacker's gateway, and the takeover and reclamation timers.
 func (e *Engine) openWatch(label flow.Label, victim flow.Addr, evidence traceback.AttackPath) {
 	now := e.now()
-	w := &watch{Watch: Watch{Label: label, Victim: victim, Evidence: evidence, Round: 1}}
+	w := e.newWatch(Watch{Label: label, Victim: victim, Evidence: evidence, Round: 1})
 	e.watches[label.Key()] = w
 	e.installTemp(w)
 	if e.cfg.ShadowMode != ShadowOff {
@@ -187,14 +193,14 @@ func (e *Engine) handleVictimSideRequest(m *packet.FilterReq, neighbor flow.Addr
 // scheduleWatchGC arms the periodic reclamation of a watch once both
 // its filter and its shadow entry have lapsed and the flow is gone.
 func (e *Engine) scheduleWatchGC(w *watch) {
-	e.after(e.cfg.Timers.T+e.cfg.Timers.Ttmp, func() { e.watchGC(w) })
+	e.env.Clock.Arm(e.cfg.Timers.T+e.cfg.Timers.Ttmp, w.gc)
 }
 
 func (e *Engine) watchGC(w *watch) {
-	now := e.now()
-	if e.watches[w.Label.Key()] != w {
+	if e.halted || e.watches[w.Label.Key()] != w {
 		return
 	}
+	now := e.now()
 	_, live := e.dp.ShadowGet(w.Label, now)
 	recentlySeen := w.HaveSeen && now-w.LastSeen < e.cfg.Timers.T
 	if w.TempUntil > now || live || recentlySeen {
@@ -208,41 +214,21 @@ func (e *Engine) watchGC(w *watch) {
 
 // installTemp (re)installs the temporary filter for Ttmp (§II-C i).
 func (e *Engine) installTemp(w *watch) {
-	if e.block(w, e.cfg.Timers.Ttmp) {
+	if e.block(w, e.cfg.Timers.Ttmp) && e.traced {
 		e.env.Trace(obs.EvTempFilterInstalled, w.Label, fmt.Sprintf("until %v", w.TempUntil))
 	}
 }
 
 // block installs w's victim-side filter for d through the §IV
-// aggregator, reporting whether the table took it, and keeps the
-// aggregate review armed while any aggregate is outstanding.
+// aggregator, reporting whether the table took it.
 func (e *Engine) block(w *watch, d time.Duration) bool {
 	now := e.now()
-	err := e.agg.Install(w.Label, now, now+d)
-	if e.agg.Len() > 0 {
-		e.armAggregateReview()
-	}
-	if err != nil {
+	if err := e.agg.Install(w.Label, now, now+d); err != nil {
 		e.env.Trace(obs.EvFilterRejected, w.Label, err.Error())
 		return false
 	}
 	w.TempUntil, w.InstalledAt = now+d, now
 	return true
-}
-
-// armAggregateReview schedules the periodic split-back check while any
-// aggregate is outstanding; each review re-arms while aggregates remain.
-func (e *Engine) armAggregateReview() {
-	if e.reviewArmed {
-		return
-	}
-	e.reviewArmed = true
-	e.after(e.cfg.Timers.Ttmp, func() {
-		e.reviewArmed = false
-		if e.agg.Review(e.now()) {
-			e.armAggregateReview()
-		}
-	})
 }
 
 // sendToAttackerGateway propagates the request to the attack-path node
@@ -257,7 +243,9 @@ func (e *Engine) sendToAttackerGateway(w *watch) {
 	}
 	// A new round supersedes any ladder still running for the old one.
 	e.ladder.Cancel(w.reqTok)
-	e.env.Trace(obs.EvRequestSent, w.Label, fmt.Sprintf("to attacker-gw %v round %d", target, w.Round))
+	if e.traced {
+		e.env.Trace(obs.EvRequestSent, w.Label, fmt.Sprintf("to attacker-gw %v round %d", target, w.Round))
+	}
 	w.reqTok = e.sendReq(w, target, packet.StageToAttackerGW, w.Victim)
 }
 
@@ -297,20 +285,22 @@ func (e *Engine) roundTarget(w *watch) (flow.Addr, error) {
 // arriving when the temporary filter is about to lapse, the attacker's
 // gateway did not take over and we escalate (§II-C iii).
 func (e *Engine) scheduleTakeoverCheck(w *watch) {
-	if w.cancelCheck != nil {
-		w.cancelCheck()
-	}
+	e.env.Clock.Stop(w.checkTimer)
 	e.armTakeoverCheck(w, e.cfg.Timers.Ttmp)
 }
 
 // armTakeoverCheck arms w's takeover check d from now, for the
 // temporary filter installed at w.InstalledAt.
 func (e *Engine) armTakeoverCheck(w *watch, d time.Duration) {
-	installedAt := w.InstalledAt
-	w.cancelCheck = e.after(d, func() { e.takeoverCheck(w, installedAt) })
+	w.checkFor = w.InstalledAt
+	w.checkTimer = e.env.Clock.Arm(d, w.check)
 }
 
-func (e *Engine) takeoverCheck(w *watch, installedAt time.Duration) {
+func (e *Engine) takeoverCheck(w *watch) {
+	if e.halted {
+		return
+	}
+	installedAt := w.checkFor
 	if w.InstalledAt != installedAt {
 		return // superseded by a re-install
 	}
@@ -336,7 +326,9 @@ func (e *Engine) takeoverCheck(w *watch, installedAt time.Duration) {
 func (e *Engine) reblockAndEscalate(w *watch) {
 	w.Round++
 	atomic.AddUint64(&e.stats.Escalations, 1)
-	e.env.Trace(obs.EvEscalated, w.Label, fmt.Sprintf("round %d", w.Round))
+	if e.traced {
+		e.env.Trace(obs.EvEscalated, w.Label, fmt.Sprintf("round %d", w.Round))
+	}
 	e.installTemp(w)
 	e.scheduleTakeoverCheck(w)
 	// Refresh the shadow for another T from now.
@@ -346,7 +338,9 @@ func (e *Engine) reblockAndEscalate(w *watch) {
 	}
 	if e.cfg.Provider != 0 {
 		e.ladder.Cancel(w.escTok)
-		e.env.Trace(obs.EvRequestSent, w.Label, fmt.Sprintf("escalate to provider %v round %d", e.cfg.Provider, w.Round))
+		if e.traced {
+			e.env.Trace(obs.EvRequestSent, w.Label, fmt.Sprintf("escalate to provider %v round %d", e.cfg.Provider, w.Round))
+		}
 		// We now play the victim (§II-B).
 		w.escTok = e.sendReq(w, e.cfg.Provider, packet.StageToVictimGW, e.env.Addr)
 		return
@@ -379,7 +373,9 @@ func (e *Engine) resolveExhausted(w *watch) {
 func (e *Engine) disconnect(neighbor flow.Addr, label flow.Label) {
 	e.disconnected[neighbor] = e.now() + e.cfg.Timers.Penalty
 	atomic.AddUint64(&e.stats.Disconnects, 1)
-	e.env.Trace(obs.EvDisconnected, label, fmt.Sprintf("neighbor %v for %v", neighbor, e.cfg.Timers.Penalty))
+	if e.traced {
+		e.env.Trace(obs.EvDisconnected, label, fmt.Sprintf("neighbor %v for %v", neighbor, e.cfg.Timers.Penalty))
+	}
 	e.env.Send(packet.NewControl(e.env.Addr, neighbor, &packet.Disconnect{
 		Client:  neighbor,
 		Flow:    label,
@@ -424,7 +420,9 @@ func (e *Engine) handleVerifyQuery(p *packet.Packet, m *packet.VerifyQuery) {
 		e.ladder.Cancel(w.reqTok)
 		w.reqTok = 0
 	}
-	e.env.Trace(obs.EvHandshakeReply, label, fmt.Sprintf("to %v", p.Src))
+	if e.traced {
+		e.env.Trace(obs.EvHandshakeReply, label, fmt.Sprintf("to %v", p.Src))
+	}
 	src, mflow, nonce := p.Src, m.Flow, m.Nonce
 	e.ladder.SendBlind(label, func(uint64) *packet.Packet {
 		return packet.NewControl(e.env.Addr, src,
@@ -441,22 +439,30 @@ func (e *Engine) handleVerifyReply(m *packet.VerifyReply) {
 	}
 	atomic.AddUint64(&e.stats.ReqAccepted, 1)
 	e.env.Trace(obs.EvHandshakeOK, label, "")
-	if e.installFilter(label, fmt.Sprintf("for %v", e.cfg.Timers.T)) {
-		e.env.Clock.After(e.cfg.Timers.T, func() { e.dp.Expire(e.now()) })
+	if e.installFilter(label, false) {
+		e.env.Clock.Arm(e.cfg.Timers.T, e.expire)
 		e.orderClientToStop(label)
 	}
 }
 
 // installFilter installs the attacker-side T filter for label and logs
-// it in the detection plane, reporting whether the table took it.
-func (e *Engine) installFilter(label flow.Label, detail string) bool {
+// it in the detection plane, reporting whether the table took it. The
+// trace says whether a handshake or the provider's stop order asked
+// for it.
+func (e *Engine) installFilter(label flow.Label, byProvider bool) bool {
 	now := e.now()
 	exp := now + e.cfg.Timers.T
 	if err := e.dp.Install(label, now, exp); err != nil {
 		e.env.Trace(obs.EvFilterRejected, label, err.Error())
 		return false
 	}
-	e.env.Trace(obs.EvFilterInstalled, label, detail)
+	if e.traced {
+		detail := "stop order from provider"
+		if !byProvider {
+			detail = fmt.Sprintf("for %v", e.cfg.Timers.T)
+		}
+		e.env.Trace(obs.EvFilterInstalled, label, detail)
+	}
 	e.plane.Record(cluster.OpInstall, label, exp, now)
 	return true
 }
@@ -476,7 +482,9 @@ func (e *Engine) orderClientToStop(label flow.Label) {
 		return
 	}
 	atomic.AddUint64(&e.stats.StopOrders, 1)
-	e.env.Trace(obs.EvStopOrder, label, fmt.Sprintf("to %v", client))
+	if e.traced {
+		e.env.Trace(obs.EvStopOrder, label, fmt.Sprintf("to %v", client))
+	}
 
 	c := &compliance{Compliance: Compliance{Label: label, Client: client, Deadline: now + e.cfg.Timers.Grace}}
 	e.compliance[label.Key()] = c
@@ -492,21 +500,25 @@ func (e *Engine) orderClientToStop(label flow.Label) {
 	e.armComplianceCheck(c, 2*e.cfg.Timers.Grace)
 }
 
-// armComplianceCheck arms c's check d from now: a client still sending
-// past its grace period is disconnected (§II-C).
+// armComplianceCheck arms c's one check d from now: a client still
+// sending past its grace period is disconnected (§II-C).
 func (e *Engine) armComplianceCheck(c *compliance, d time.Duration) {
-	e.after(d, func() {
-		if e.compliance[c.Label.Key()] != c {
-			return
-		}
-		e.ladder.Cancel(c.tok)
-		delete(e.compliance, c.Label.Key())
-		if c.HaveSeen && c.LastSeen > c.Deadline {
-			e.disconnect(c.Client, c.Label)
-			return
-		}
+	e.env.Clock.Arm(d, func() { e.complianceCheck(c) })
+}
+
+func (e *Engine) complianceCheck(c *compliance) {
+	if e.halted || e.compliance[c.Label.Key()] != c {
+		return
+	}
+	e.ladder.Cancel(c.tok)
+	delete(e.compliance, c.Label.Key())
+	if c.HaveSeen && c.LastSeen > c.Deadline {
+		e.disconnect(c.Client, c.Label)
+		return
+	}
+	if e.traced {
 		e.env.Trace(obs.EvFlowStopped, c.Label, fmt.Sprintf("client %v complied", c.Client))
-	})
+	}
 }
 
 // handleStopOrder handles a provider's order to stop a flow sourced in
@@ -522,7 +534,7 @@ func (e *Engine) handleStopOrder(p *packet.Packet, m *packet.FilterReq) {
 		return
 	}
 	label := m.Flow.Canonical()
-	if e.installFilter(label, "stop order from provider") {
+	if e.installFilter(label, true) {
 		e.orderClientToStop(label)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"aitf/internal/border"
 	"aitf/internal/cluster"
+	"aitf/internal/ctrl"
 	"aitf/internal/dataplane"
 	"aitf/internal/detect"
 	"aitf/internal/flow"
@@ -54,6 +55,10 @@ type Gateway struct {
 // source, so fault schedules replay exactly.
 func NewGateway(n *netsim.Node, cfg GatewayConfig, tr Tracer) *Gateway {
 	g := &Gateway{tracer: tr, node: n}
+	var trace ctrl.Trace // nil without a tracer: no event detail is formatted
+	if tr != nil {
+		trace = g.trace
+	}
 	g.eng = border.New(cfg, border.Env{
 		Addr:  n.Addr(),
 		Clock: simClock{n.Engine()},
@@ -65,7 +70,7 @@ func NewGateway(n *netsim.Node, cfg GatewayConfig, tr Tracer) *Gateway {
 			}
 			return 0, false
 		},
-		Trace: g.trace,
+		Trace: trace,
 	})
 	n.SetHandler(g)
 	return g
@@ -77,9 +82,9 @@ type simClock struct{ eng *sim.Engine }
 
 func (c simClock) Now() time.Duration { return c.eng.Now() }
 
-func (c simClock) After(d time.Duration, fn func()) func() {
-	return c.eng.Schedule(d, fn).Cancel
-}
+func (c simClock) Arm(d time.Duration, fn func()) sim.Timer { return c.eng.Schedule(d, fn) }
+
+func (c simClock) Stop(t sim.Timer) { c.eng.Cancel(t) }
 
 // Node returns the bound netsim node.
 func (g *Gateway) Node() *netsim.Node { return g.node }

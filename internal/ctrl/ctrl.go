@@ -17,6 +17,7 @@ import (
 	"aitf/internal/flow"
 	"aitf/internal/obs"
 	"aitf/internal/packet"
+	"aitf/internal/sim"
 )
 
 // Config tunes bounded control-plane retransmission. The zero value
@@ -37,17 +38,29 @@ type Config struct {
 // Enabled reports whether the configuration arms retransmission.
 func (c Config) Enabled() bool { return c.MaxAttempts > 1 && c.RTO > 0 }
 
-// Clock is the runtime's time source. Now reads the clock every
-// deadline is expressed on; After runs fn once, d from now, serialised
-// with the caller's other control-plane work, unless cancel is called
-// first.
+// Clock is the runtime's time source and timer queue. Now reads the
+// clock every deadline is expressed on. Arm runs fn once, d from now,
+// serialised with the caller's other control-plane work, unless Stop
+// is given the handle first; a stale or zero handle is a no-op. Both
+// runtimes arm on a sim.Queue, so an arm allocates nothing: callers
+// pass a callback bound once per record they keep, not one built per
+// arm.
 type Clock interface {
 	Now() time.Duration
-	After(d time.Duration, fn func()) (cancel func())
+	Arm(d time.Duration, fn func()) sim.Timer
+	Stop(t sim.Timer)
 }
 
-// Trace receives the control plane's protocol events.
+// Trace receives the control plane's protocol events. A nil Trace
+// records nothing, and no event detail is formatted for it.
 type Trace func(kind obs.EventKind, label flow.Label, detail string)
+
+// emit records an event with a fixed detail on t, if there is one.
+func (t Trace) emit(kind obs.EventKind, label flow.Label, detail string) {
+	if t != nil {
+		t(kind, label, detail)
+	}
+}
 
 // Stats are a Ladder's counters.
 type Stats struct {
@@ -55,13 +68,16 @@ type Stats struct {
 	Retransmits   uint64 // attempts beyond each first transmission
 }
 
-// send is one logical reliable send in flight.
+// send is one logical reliable send in flight. retry, the
+// retransmission timer's callback, is bound once when the send is made,
+// and every attempt re-arms it.
 type send struct {
 	id            uint64
 	label         flow.Label
 	build         func(txid uint64) *packet.Packet
 	attempts, max int
-	cancel        func() // the pending retransmission's timer
+	timer         sim.Timer // the pending retransmission
+	retry         func()
 }
 
 // Ladder is the retransmission engine: it numbers logical sends,
@@ -81,7 +97,8 @@ type Ladder struct {
 }
 
 // NewLadder builds a ladder transmitting through out. jitter draws the
-// backoff spread; pass a seeded source so runs replay.
+// backoff spread; pass a seeded source so runs replay. trace may be
+// nil.
 func NewLadder(cfg Config, clk Clock, jitter func() float64, out func(*packet.Packet), trace Trace) *Ladder {
 	return &Ladder{cfg: cfg, clk: clk, jitter: jitter, out: out, trace: trace, live: make(map[uint64]*send)}
 }
@@ -110,6 +127,11 @@ func (l *Ladder) send(label flow.Label, build func(txid uint64) *packet.Packet, 
 	}
 	l.next++
 	s := &send{id: l.next, label: label, build: build, max: attempts}
+	s.retry = func() {
+		if l.live[s.id] == s {
+			l.transmit(s)
+		}
+	}
 	l.live[s.id] = s
 	l.sends.Add(1)
 	l.transmit(s)
@@ -120,7 +142,9 @@ func (l *Ladder) transmit(s *send) {
 	s.attempts++
 	if s.attempts > 1 {
 		l.retransmits.Add(1)
-		l.trace(obs.EvCtrlRetransmit, s.label, fmt.Sprintf("attempt %d/%d", s.attempts, s.max))
+		if l.trace != nil {
+			l.trace(obs.EvCtrlRetransmit, s.label, fmt.Sprintf("attempt %d/%d", s.attempts, s.max))
+		}
 	}
 	l.out(s.build(s.id))
 	if s.attempts >= s.max {
@@ -130,11 +154,7 @@ func (l *Ladder) transmit(s *send) {
 		delete(l.live, s.id)
 		return
 	}
-	s.cancel = l.clk.After(l.backoff(s.attempts), func() {
-		if l.live[s.id] == s {
-			l.transmit(s)
-		}
-	})
+	s.timer = l.clk.Arm(l.backoff(s.attempts), s.retry)
 }
 
 // backoff returns the delay before the attempt following attempt n:
@@ -152,7 +172,7 @@ func (l *Ladder) backoff(attempt int) time.Duration {
 // Unknown and zero tokens are no-ops.
 func (l *Ladder) Cancel(tok uint64) {
 	if s, ok := l.live[tok]; ok {
-		s.cancel()
+		l.clk.Stop(s.timer)
 		delete(l.live, tok)
 	}
 }

@@ -8,68 +8,43 @@ import (
 	"aitf/internal/flow"
 	"aitf/internal/obs"
 	"aitf/internal/packet"
+	"aitf/internal/sim"
 )
 
-// fakeClock is a manual clock: timers fire only inside Advance, in
-// (deadline, arming order) order, each at its own deadline.
+// fakeClock is a manual clock over a sim.Queue: timers fire only
+// inside Advance, in (deadline, arming order) order, each at its own
+// deadline. armed holds the handles of the timers that have neither
+// fired nor been stopped.
 type fakeClock struct {
-	now    time.Duration
-	seq    int
-	timers []*fakeTimer
+	q     sim.Queue
+	armed map[sim.Timer]bool
 }
 
-type fakeTimer struct {
-	at   time.Duration
-	seq  int
-	fn   func()
-	dead bool // fired or cancelled
+func (c *fakeClock) Now() time.Duration { return c.q.Now() }
+
+func (c *fakeClock) Arm(d time.Duration, fn func()) sim.Timer {
+	if c.armed == nil {
+		c.armed = make(map[sim.Timer]bool)
+	}
+	var t sim.Timer
+	t = c.q.ScheduleAt(c.q.Now()+max(d, 0), func() {
+		delete(c.armed, t)
+		fn()
+	})
+	c.armed[t] = true
+	return t
 }
 
-func (c *fakeClock) Now() time.Duration { return c.now }
-
-func (c *fakeClock) After(d time.Duration, fn func()) func() {
-	t := &fakeTimer{at: c.now + max(d, 0), seq: c.seq, fn: fn}
-	c.seq++
-	c.timers = append(c.timers, t)
-	return func() { t.dead = true }
+func (c *fakeClock) Stop(t sim.Timer) {
+	c.q.Cancel(t)
+	delete(c.armed, t)
 }
 
 // Advance moves the clock d forward, firing every timer due by then.
-func (c *fakeClock) Advance(d time.Duration) {
-	end := c.now + d
-	for {
-		var next *fakeTimer
-		live := c.timers[:0]
-		for _, t := range c.timers {
-			if t.dead {
-				continue
-			}
-			live = append(live, t)
-			if t.at <= end && (next == nil || t.at < next.at || t.at == next.at && t.seq < next.seq) {
-				next = t
-			}
-		}
-		c.timers = live
-		if next == nil {
-			break
-		}
-		next.dead = true
-		c.now = next.at
-		next.fn()
-	}
-	c.now = end
-}
+func (c *fakeClock) Advance(d time.Duration) { c.q.RunUntil(c.q.Now() + d) }
 
-// live counts armed timers that have neither fired nor been cancelled.
-func (c *fakeClock) live() int {
-	n := 0
-	for _, t := range c.timers {
-		if !t.dead {
-			n++
-		}
-	}
-	return n
-}
+// live counts armed timers that have neither fired nor been stopped.
+func (c *fakeClock) live() int { return len(c.armed) }
 
 // tx is one transmission seen by the fake transport.
 type tx struct {
@@ -91,7 +66,7 @@ type rig struct {
 func newRig(cfg Config, jitter func() float64, timeout time.Duration) *rig {
 	r := &rig{clk: &fakeClock{}}
 	out := func(p *packet.Packet) {
-		t := tx{at: r.clk.now}
+		t := tx{at: r.clk.Now()}
 		switch m := p.Msg.(type) {
 		case *packet.FilterReq:
 			t.txid = m.Txid
@@ -293,7 +268,7 @@ func TestLedgerBalances(t *testing.T) {
 	}
 
 	b := newRig(cfg, rand.New(rand.NewSource(3)).Float64, time.Second)
-	b.clk.now = r.clk.now + 500*time.Millisecond
+	b.clk.Advance(r.clk.Now() + 500*time.Millisecond)
 	b.hs.RestoreStats(stats)
 	b.ladder.RestoreTxid(txid)
 	b.hs.Adopt(snap)

@@ -9,6 +9,7 @@ import (
 	"aitf/internal/flow"
 	"aitf/internal/obs"
 	"aitf/internal/packet"
+	"aitf/internal/sim"
 )
 
 // Pending is one attacker-side handshake awaiting its verification
@@ -30,8 +31,8 @@ type LedgerStats struct {
 // pending is a live handshake: its query ladder and its timeout.
 type pending struct {
 	Pending
-	tok    uint64
-	cancel func()
+	tok   uint64
+	timer sim.Timer
 }
 
 // Ledger is the attacker-side half of the §II-E three-way handshake: a
@@ -52,7 +53,7 @@ type Ledger struct {
 }
 
 // NewLedger builds a ledger whose queries ride ladder and whose
-// handshakes fail timeout after they start.
+// handshakes fail timeout after they start. trace may be nil.
 func NewLedger(ladder *Ladder, clk Clock, timeout time.Duration, trace Trace) *Ledger {
 	return &Ledger{ladder: ladder, clk: clk, timeout: timeout, trace: trace, pendings: make(map[flow.Label]*pending)}
 }
@@ -67,10 +68,12 @@ func (h *Ledger) Start(label flow.Label, req *packet.FilterReq, nonce uint64) {
 		// leak one started-but-never-resolved handshake.
 		h.drop(label, prev)
 		h.failed.Add(1)
-		h.trace(obs.EvHandshakeFailed, label, "superseded by a newer request")
+		h.trace.emit(obs.EvHandshakeFailed, label, "superseded by a newer request")
 	}
 	h.started.Add(1)
-	h.trace(obs.EvHandshakeQuery, label, fmt.Sprintf("to victim %v", req.Victim))
+	if h.trace != nil {
+		h.trace(obs.EvHandshakeQuery, label, fmt.Sprintf("to victim %v", req.Victim))
+	}
 	h.arm(label, *req, nonce, h.clk.Now()+h.timeout)
 }
 
@@ -85,18 +88,18 @@ func (h *Ledger) arm(label flow.Label, req packet.FilterReq, nonce uint64, deadl
 		// transport stamps the source.
 		return packet.NewControl(0, victim, &packet.VerifyQuery{Flow: mflow, Nonce: nonce})
 	})
-	p.cancel = h.clk.After(deadline-h.clk.Now(), func() {
+	p.timer = h.clk.Arm(deadline-h.clk.Now(), func() {
 		if h.pendings[label.Key()] == p {
 			h.drop(label, p)
 			h.failed.Add(1)
-			h.trace(obs.EvHandshakeFailed, label, "verification query timed out")
+			h.trace.emit(obs.EvHandshakeFailed, label, "verification query timed out")
 		}
 	})
 }
 
 // drop forgets a handshake, stopping its timeout and its query ladder.
 func (h *Ledger) drop(label flow.Label, p *pending) {
-	p.cancel()
+	h.clk.Stop(p.timer)
 	h.ladder.Cancel(p.tok)
 	delete(h.pendings, label.Key())
 }
@@ -139,7 +142,7 @@ func (h *Ledger) Adopt(ps []Pending) {
 		label := p.Req.Flow.Canonical()
 		if p.Deadline <= now {
 			h.failed.Add(1)
-			h.trace(obs.EvHandshakeFailed, label, "handshake window lapsed during outage")
+			h.trace.emit(obs.EvHandshakeFailed, label, "handshake window lapsed during outage")
 			continue
 		}
 		h.arm(label, p.Req, p.Nonce, p.Deadline)
@@ -150,7 +153,7 @@ func (h *Ledger) Adopt(ps []Pending) {
 // handshakes stay on the books for a snapshot.
 func (h *Ledger) StopAll() {
 	for _, p := range h.pendings {
-		p.cancel()
+		h.clk.Stop(p.timer)
 	}
 }
 

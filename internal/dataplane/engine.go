@@ -57,8 +57,9 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Shards is the number of hash partitions; values <= 0 mean 1 and
-	// other values are rounded up to a power of two.
+	// Shards is the number of hash partitions; values <= 0 mean 1,
+	// values above MaxShards mean MaxShards, and the rest are rounded up
+	// to a power of two.
 	Shards int
 	// FilterCapacity bounds the wire-speed filter bank, summed across
 	// all shards (the hardware budget is global; shards only partition
@@ -126,14 +127,16 @@ type Engine struct {
 	batchHist atomic.Pointer[obs.Histogram] // aitf:atomic
 }
 
+// MaxShards bounds Config.Shards, far above any useful partitioning:
+// rounding a larger count up to a power of two would overflow.
+const MaxShards = 1024
+
 // New builds an engine. The clock must be non-nil.
 func New(cfg Config) *Engine {
 	if cfg.Clock == nil {
 		panic("dataplane: Config.Clock is required")
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
+	cfg.Shards = min(max(cfg.Shards, 1), MaxShards)
 	n := 1
 	for n < cfg.Shards {
 		n <<= 1

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -505,5 +506,19 @@ func TestShadowCapacityRejects(t *testing.T) {
 	}
 	if st := e.ShadowStats(); st.Rejected != 4 || st.PeakSize != 4 {
 		t.Fatalf("shadow stats %+v", st)
+	}
+}
+
+// TestNewClampsShards: New rounds a shard count up to a power of two
+// but never above MaxShards, so the largest int builds MaxShards
+// shards instead of looping forever on an overflowing doubling.
+func TestNewClampsShards(t *testing.T) {
+	clk := ClockFunc(func() filter.Time { return 0 })
+	for _, c := range []struct{ in, want int }{
+		{-1, 1}, {0, 1}, {3, 4}, {MaxShards, MaxShards}, {MaxShards + 1, MaxShards}, {math.MaxInt, MaxShards},
+	} {
+		if got := New(Config{Shards: c.in, Clock: clk}).Shards(); got != c.want {
+			t.Errorf("Shards %d built %d shards, want %d", c.in, got, c.want)
+		}
 	}
 }

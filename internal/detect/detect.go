@@ -52,9 +52,10 @@ import (
 type Config struct {
 	// Width and Depth set the count-min sketch geometry: Width counters
 	// (rounded up to a power of two) in each of Depth hash rows.
-	// Defaults: 1024 × 4.
+	// Defaults: 1024 × 4; at most MaxWidth × MaxDepth.
 	Width, Depth int
-	// TopK bounds the heavy-hitter summary (default 128 keys).
+	// TopK bounds the heavy-hitter summary (default 128 keys, at most
+	// MaxTopK).
 	TopK int
 	// Window is the measurement window the sketch rotates on and the
 	// threshold is expressed over (default 250ms).
@@ -91,7 +92,18 @@ type Config struct {
 // Enabled reports whether the configuration arms detection.
 func (c Config) Enabled() bool { return c.ThresholdBps > 0 }
 
-// withDefaults fills unset fields.
+// Upper bounds on the sketch geometry and the heavy-hitter budget, far
+// above any useful setting: the sketch and the summary round width and
+// top-k up to a power of two in 32 bits, which a larger value would
+// overflow, and more rows than MaxDepth only cost time. withDefaults
+// clamps to them.
+const (
+	MaxWidth = 1 << 20
+	MaxDepth = 16
+	MaxTopK  = 1 << 16
+)
+
+// withDefaults fills unset fields and clamps the sizes to their bounds.
 func (c Config) withDefaults() Config {
 	if c.Width <= 0 {
 		c.Width = 1024
@@ -99,12 +111,10 @@ func (c Config) withDefaults() Config {
 	if c.Depth <= 0 {
 		c.Depth = 4
 	}
-	if c.Depth > 16 {
-		c.Depth = 16
-	}
 	if c.TopK <= 0 {
 		c.TopK = 128
 	}
+	c.Width, c.Depth, c.TopK = min(c.Width, MaxWidth), min(c.Depth, MaxDepth), min(c.TopK, MaxTopK)
 	if c.Window <= 0 {
 		c.Window = 250 * time.Millisecond
 	}

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -423,5 +424,26 @@ func TestNoFalsePositiveUnderCollisions(t *testing.T) {
 	}
 	if len(dets) == 0 {
 		t.Fatal("no hot source detected at all")
+	}
+}
+
+// TestNewClampsSizes: the sketch's width and depth and the summary's
+// top-k are clamped to MaxWidth, MaxDepth and MaxTopK, so the largest
+// int builds the bound instead of looping forever on an overflowing
+// 32-bit doubling (or allocating without end). Each case keeps the
+// other sizes small, so that the test allocates a few megabytes.
+func TestNewClampsSizes(t *testing.T) {
+	e := New(Config{Width: math.MaxInt, Depth: 1, TopK: 1})
+	if w := int(e.cms.mask) + 1; w != MaxWidth || e.cfg.Width != MaxWidth {
+		t.Errorf("Width MaxInt built a sketch %d wide (config %d), want %d", w, e.cfg.Width, MaxWidth)
+	}
+	for _, d := range []int{MaxDepth + 1, math.MaxInt} {
+		if e := New(Config{Width: 1, Depth: d, TopK: 1}); e.cms.depth != MaxDepth || len(e.cms.seeds) != MaxDepth {
+			t.Errorf("Depth %d built %d rows, want %d", d, e.cms.depth, MaxDepth)
+		}
+	}
+	e = New(Config{Width: 1, Depth: 1, TopK: math.MaxInt})
+	if k := cap(e.hh.entries); k != MaxTopK || len(e.hh.slots) != 4*MaxTopK {
+		t.Errorf("TopK MaxInt built a summary of %d keys and %d slots, want %d and %d", k, len(e.hh.slots), MaxTopK, 4*MaxTopK)
 	}
 }

@@ -18,7 +18,8 @@ type sketch struct {
 	cells []uint64
 }
 
-// newSketch builds a sketch; width is rounded up to a power of two.
+// newSketch builds a sketch; width, at most MaxWidth, is rounded up to a
+// power of two.
 func newSketch(width, depth int, seed uint64) *sketch {
 	w := uint32(1)
 	for int(w) < width {

@@ -42,9 +42,9 @@ type topk struct {
 	evictions uint64
 }
 
-// newTopK builds a summary holding up to k keys. The index is sized at
-// 4x the entry budget (rounded to a power of two) to keep probe runs
-// short even when full.
+// newTopK builds a summary holding up to k keys, at most MaxTopK. The
+// index is sized at 4x the entry budget (rounded to a power of two) to
+// keep probe runs short even when full.
 func newTopK(k int, seed uint64) *topk {
 	w := uint32(4)
 	for int(w) < 4*k {

@@ -16,14 +16,16 @@ import (
 	"aitf/internal/flow"
 	"aitf/internal/obs"
 	"aitf/internal/packet"
+	"aitf/internal/sim"
 )
 
 // fakeClock is a control-plane clock that never fires: restore only
 // arms timers, and the test reads the state they guard.
 type fakeClock struct{ now time.Duration }
 
-func (c *fakeClock) Now() time.Duration                          { return c.now }
-func (c *fakeClock) After(time.Duration, func()) (cancel func()) { return func() {} }
+func (c *fakeClock) Now() time.Duration                  { return c.now }
+func (c *fakeClock) Arm(time.Duration, func()) sim.Timer { return sim.Timer{} }
+func (c *fakeClock) Stop(sim.Timer)                      {}
 
 // freshParts builds an empty set of owners on clk, clustered so the
 // cluster log restores too.
@@ -39,7 +41,7 @@ func freshParts(clk *fakeClock) Parts {
 		DP:     dp,
 		Ladder: ladder,
 		Ledger: ctrl.NewLedger(ladder, clk, time.Second, trace),
-		Agg:    alloc.NewAggregator(dp, nil, plane, trace),
+		Agg:    alloc.NewAggregator(dp, nil, plane, trace, clk, time.Second),
 		Plane:  plane,
 	}
 }

@@ -25,48 +25,64 @@ import "math/bits"
 //
 // peek never moves base: RunUntil peeks at an event past its deadline,
 // and the caller may then schedule below it at now. pop, which fires,
-// does; discard, which drops a cancelled event, does not, so base is
-// always the last fired key.
+// does, so base is always the last fired key.
 //
 // Every event lives in one slot of one slab, and each bucket is a
 // singly linked list through it. A slot leaves its list only to be
-// freed, and pop and discard clear it as they free it, so no fired
-// callback stays reachable. Freed slots form a LIFO free list that
-// push takes from first, so the slab holds the most events ever
-// pending at once, and push and pop allocate nothing once it has
-// reached that length. Slot 0 is never used: a zero link ends a list.
+// freed, and pop clears it as it frees it, so no fired callback stays
+// reachable. Freed slots form a LIFO free list that push takes from
+// first, so the slab holds the most events ever pending at once, and
+// push and pop allocate nothing once it has reached that length. Slot 0
+// is never used: a zero link ends a list, and a zero Timer names no
+// event.
+//
+// A slot's generation word is what a Timer is checked against: cancel
+// marks it (its low bit) and drops the callback, and release moves it
+// past every handle given out for the slot, so a handle outliving its
+// event matches nothing. A cancelled slot stays linked until a scan of
+// its bucket meets it, which unlinks and frees it without moving base:
+// the scan for the minimum scans the lowest bucket, and once cancelled
+// events outnumber the live ones cancel scans them all. So every
+// cancelled event costs O(1) amortised, never holds its slot past the
+// point where the slab is half cancelled, and peek and pop only ever
+// see live events.
 type eventHeap struct {
 	baseAt  Time
 	baseSeq uint64
-	n       int
+	n       int // linked slots, the cancelled ones among them
+	dead    int // cancelled slots still linked
 	// nonEmpty has bit b set while head[b] is not 0.
 	nonEmpty [3]uint64
-	// minB, minI locate the minimum findMin found, and minPrev is the
-	// slot linking to it, 0 at the head of its list; valid while minOK,
-	// until the next push, pop or discard.
-	minB          int
-	minI, minPrev int32
-	minOK         bool
-	free          int32 // first free slot, 0 when there is none
-	head          [heapBuckets]int32
-	slab          []slot
+	// minB, minI locate the minimum findMin found; valid while minOK,
+	// until the next push, pop, or cancel of that event.
+	minB  int
+	minI  int32
+	minOK bool
+	free  int32 // first free slot, 0 when there is none
+	head  [heapBuckets]int32
+	slab  []slot
 }
 
 // heapBuckets is one bucket per bit of the 128-bit key, plus one for a
 // key equal to base.
 const heapBuckets = 129
 
-// slot is one queued event: its key, its callback, the handle Schedule
-// gave out for it (nil for Post), and the next slot in its bucket or
-// on the free list. A step reads the slab alone, apart from a handle's
-// cancelled flag.
+// slot is one queued event in 32 bytes: its key, its callback, its
+// generation with the cancel mark, and the next slot in its bucket or
+// on the free list. A step reads the slab alone.
 type slot struct {
-	at     Time
-	seq    uint64
-	fn     func()
-	handle *Event
-	next   int32
+	at   Time
+	seq  uint64
+	fn   func()
+	gen  uint32
+	next int32
 }
+
+// cancelled is the cancel mark in a slot's generation word. A pending
+// slot's generation is even until Cancel marks it; release clears the
+// mark and steps past it, so the next event on the slot gets a
+// generation no earlier handle holds.
+const cancelled = 1
 
 // before is the queue order: earliest fire time first, ties broken by
 // scheduling order so a run is fully reproducible.
@@ -100,21 +116,79 @@ func (h *eventHeap) link(i int32, b int) {
 	h.nonEmpty[b>>6] |= 1 << (b & 63)
 }
 
-// push queues fn under (at, seq), which must not be below base, with
-// the handle to check for a cancel (nil if it has none).
+// push queues fn under (at, seq), which must not be below base, and
+// returns the handle that cancels it.
 //
 // aitf:noalloc
-func (h *eventHeap) push(at Time, seq uint64, fn func(), handle *Event) {
+func (h *eventHeap) push(at Time, seq uint64, fn func()) Timer {
 	if h.free == 0 {
 		h.grow()
 	}
 	i := h.free
 	s := &h.slab[i]
 	h.free = s.next
-	s.at, s.seq, s.fn, s.handle = at, seq, fn, handle
+	s.at, s.seq, s.fn = at, seq, fn
 	h.link(i, h.bucketOf(at, seq))
 	h.n++
 	h.minOK = false
+	return Timer{slot: i, gen: s.gen}
+}
+
+// cancel marks t's event cancelled and drops its callback, unless t is
+// stale: its slot has been freed since t was handed out, or t is zero.
+// The slot stays linked until a scan of its bucket, findMin's or
+// sweep's, frees it.
+//
+// aitf:noalloc
+func (h *eventHeap) cancel(t Timer) {
+	if t.slot <= 0 || int(t.slot) >= len(h.slab) {
+		return
+	}
+	if s := &h.slab[t.slot]; s.gen == t.gen {
+		s.gen |= cancelled
+		s.fn = nil
+		if t.slot == h.minI {
+			h.minOK = false
+		}
+		if h.dead++; 2*h.dead > h.n {
+			h.sweep()
+		}
+	}
+}
+
+// sweep frees every cancelled slot, scanning each non-empty bucket.
+func (h *eventHeap) sweep() {
+	for w, word := range h.nonEmpty {
+		for ; word != 0; word &= word - 1 {
+			b := w<<6 + bits.TrailingZeros64(word)
+			for p, i := int32(0), h.head[b]; i != 0; {
+				next := h.slab[i].next
+				if h.slab[i].gen&cancelled != 0 {
+					h.drop(b, p, i)
+				} else {
+					p = i
+				}
+				i = next
+			}
+			if h.head[b] == 0 {
+				h.nonEmpty[w] &^= 1 << (b & 63)
+			}
+		}
+	}
+	h.minOK = false
+}
+
+// drop unlinks cancelled slot i, which follows p in bucket b (p is 0 at
+// the head of the list), and frees it.
+func (h *eventHeap) drop(b int, p, i int32) {
+	if p == 0 {
+		h.head[b] = h.slab[i].next
+	} else {
+		h.slab[p].next = h.slab[i].next
+	}
+	h.release(i)
+	h.n--
+	h.dead--
 }
 
 // grow adds one slot to the slab and the free list, and slot 0 first.
@@ -131,49 +205,70 @@ func (h *eventHeap) grow() {
 	h.slab = append(h.slab, slot{})
 }
 
-// release clears slot i and puts it on the free list.
+// release clears slot i, moves its generation on, and puts it on the
+// free list.
 func (h *eventHeap) release(i int32) {
-	h.slab[i] = slot{next: h.free}
+	h.slab[i] = slot{gen: (h.slab[i].gen | cancelled) + 1, next: h.free}
 	h.free = i
 }
 
-// findMin finds the minimum, the earliest slot of the lowest non-empty
-// bucket, and caches it for peek, pop and discard until the next push,
-// pop or discard. Caller checks len.
+// findMin finds the minimum, the earliest live slot of the lowest
+// non-empty bucket, and caches it for peek and pop until the next push,
+// pop, or cancel of it. Its scan frees the bucket's cancelled slots; a
+// bucket that held only those empties, and the search moves on to the
+// next. It reports false when no live event is left.
 //
 // aitf:noalloc
-func (h *eventHeap) findMin() {
-	var b int
-	switch {
-	case h.nonEmpty[0] != 0:
-		b = bits.TrailingZeros64(h.nonEmpty[0])
-	case h.nonEmpty[1] != 0:
-		b = 64 + bits.TrailingZeros64(h.nonEmpty[1])
-	default:
-		b = 128 + bits.TrailingZeros64(h.nonEmpty[2])
-	}
-	m, prev := h.head[b], int32(0)
-	for p, i := m, h.slab[m].next; i != 0; p, i = i, h.slab[i].next {
-		if h.slab[i].before(&h.slab[m]) {
-			m, prev = i, p
+func (h *eventHeap) findMin() bool {
+	for {
+		var b int
+		switch {
+		case h.nonEmpty[0] != 0:
+			b = bits.TrailingZeros64(h.nonEmpty[0])
+		case h.nonEmpty[1] != 0:
+			b = 64 + bits.TrailingZeros64(h.nonEmpty[1])
+		case h.nonEmpty[2] != 0:
+			b = 128 + bits.TrailingZeros64(h.nonEmpty[2])
+		default:
+			return false
 		}
+		m := int32(0)
+		for p, i := int32(0), h.head[b]; i != 0; {
+			s := &h.slab[i]
+			next := s.next
+			if s.gen&cancelled != 0 {
+				h.drop(b, p, i)
+			} else {
+				if m == 0 || s.before(&h.slab[m]) {
+					m = i
+				}
+				p = i
+			}
+			i = next
+		}
+		if m != 0 {
+			h.minB, h.minI, h.minOK = b, m, true
+			return true
+		}
+		h.nonEmpty[b>>6] &^= 1 << (b & 63)
 	}
-	h.minB, h.minI, h.minPrev, h.minOK = b, m, prev, true
 }
 
-// peek returns the next event's slot without removing it or moving
-// base; the pointer is valid until the next push, pop or discard.
-// Caller checks len.
+// peek returns the next live event's slot without removing it or
+// moving base, or nil when none is left; the pointer is valid until the
+// next push, pop or cancel.
+//
+// aitf:noalloc
 func (h *eventHeap) peek() *slot {
-	if !h.minOK {
-		h.findMin()
+	if !h.minOK && !h.findMin() {
+		return nil
 	}
 	return &h.slab[h.minI]
 }
 
-// pop removes the earliest event, making its key the new base, and
+// pop removes the earliest live event, making its key the new base, and
 // returns its callback; its slot is free before the callback runs.
-// Caller checks len.
+// Caller checks that peek finds one.
 //
 // aitf:noalloc
 func (h *eventHeap) pop() func() {
@@ -197,26 +292,4 @@ func (h *eventHeap) pop() func() {
 	h.n--
 	h.minOK = false
 	return fn
-}
-
-// discard removes the earliest event without moving base. Caller checks
-// len.
-//
-// aitf:noalloc
-func (h *eventHeap) discard() {
-	if !h.minOK {
-		h.findMin()
-	}
-	b, m := h.minB, h.minI
-	if next := h.slab[m].next; h.minPrev != 0 {
-		h.slab[h.minPrev].next = next
-	} else {
-		h.head[b] = next
-	}
-	if h.head[b] == 0 {
-		h.nonEmpty[b>>6] &^= 1 << (b & 63)
-	}
-	h.release(m)
-	h.n--
-	h.minOK = false
 }

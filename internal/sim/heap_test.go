@@ -39,6 +39,18 @@ func (r *refQueue) take() refEvent {
 	return e
 }
 
+// remove drops the event with the given id, reporting whether it was
+// there.
+func (r *refQueue) remove(id int) bool {
+	for i, e := range *r {
+		if e.id == id {
+			*r = append((*r)[:i], (*r)[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
 // idHeap is the heap under test with each event's callback reporting
 // the id it was pushed with, so a pop names the event it removed.
 type idHeap struct {
@@ -46,22 +58,45 @@ type idHeap struct {
 	fired int
 }
 
-// push queues e with a callback that records e.id, and a handle when
-// withHandle is set.
-func (h *idHeap) push(e refEvent, withHandle bool) {
-	var handle *Event
-	if withHandle {
-		handle = &Event{at: e.at}
-	}
-	h.eventHeap.push(e.at, e.seq, func() { h.fired = e.id }, handle)
+// push queues e with a callback that records e.id and returns its
+// handle.
+func (h *idHeap) push(e refEvent) Timer {
+	return h.eventHeap.push(e.at, e.seq, func() { h.fired = e.id })
 }
 
-// is reports whether slot s holds event e: its key, and its callback
-// reports e's id.
+// is reports whether slot s holds event e, live: its key, no cancel
+// mark, and a callback that reports e's id.
 func (h *idHeap) is(s *slot, e refEvent) bool {
+	if s == nil || s.at != e.at || s.seq != e.seq || s.gen&cancelled != 0 || s.fn == nil {
+		return false
+	}
 	h.fired = -1
 	s.fn()
-	return s.at == e.at && s.seq == e.seq && h.fired == e.id
+	return h.fired == e.id
+}
+
+// cancelMin cancels the earliest live event through a handle made for
+// its slot, as a Timer holder would, and reports whether there was one.
+func (h *eventHeap) cancelMin() bool {
+	if h.peek() == nil {
+		return false
+	}
+	h.cancel(Timer{slot: h.minI, gen: h.slab[h.minI].gen})
+	return true
+}
+
+// live counts the linked slots that are not cancelled: the events
+// still to fire.
+func (h *eventHeap) live() int {
+	n := 0
+	for _, i := range h.head {
+		for ; i != 0; i = h.slab[i].next {
+			if h.slab[i].gen&cancelled == 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // popID pops the earliest event and returns the id its callback
@@ -73,14 +108,14 @@ func (h *idHeap) popID() int {
 }
 
 // freeSlots walks the free list and reports its length and whether a
-// free slot still holds a callback or a handle. A walk longer than the
-// slab is a cycle, and counts as stale.
+// free slot still holds a callback or a cancel mark. A walk longer
+// than the slab is a cycle, and counts as stale.
 func (h *eventHeap) freeSlots() (n int, stale bool) {
 	for i := h.free; i != 0; i = h.slab[i].next {
 		if n++; n >= len(h.slab) {
 			return n, true
 		}
-		if s := &h.slab[i]; s.fn != nil || s.handle != nil {
+		if s := &h.slab[i]; s.fn != nil || s.gen&cancelled != 0 {
 			stale = true
 		}
 	}
@@ -121,7 +156,7 @@ func TestEventHeapOrdering(t *testing.T) {
 				reserved = append(reserved, seq)
 				seq++
 			}
-			h.push(e, rng.Intn(2) == 0)
+			h.push(e)
 			ref.insert(e)
 			// Pop in bursts now and then, so the script visits both a
 			// deep heap and a nearly empty one.
@@ -162,14 +197,21 @@ func TestEventHeapOrdering(t *testing.T) {
 }
 
 // FuzzEventQueue runs a byte script of monotone push, reserve, peek,
-// pop and discard operations against the reference: every peek, pop
-// and discard must meet the event the sorted reference names, and a
-// discard, which drops a cancelled event, must leave the base where the
-// last pop put it. Every slot must be pending, free or slot 0 after
-// each operation, and once drained no free slot may keep a callback or
-// a handle reachable. The spare_reuse seed pushes 600 events at one
-// instant, pops them, and pushes and drains 600 more, so that the
-// second fill runs on the slots the first one freed.
+// pop and cancel operations against the reference: every peek and pop
+// must meet the event the sorted reference names, and a cancel must
+// leave the base where the last pop put it. One cancel goes through a
+// handle an earlier push kept, live or stale: a live one stops exactly
+// its event, and a stale one, whose event fired or was cancelled
+// already, changes nothing, though its slot may hold a later event by
+// now. The other cancels the earliest event, as a cancelled timer at
+// the front of the queue. After each operation the heap holds the
+// reference's events and no others live, a kept handle matches its
+// slot exactly while its event is pending and not cancelled, and every
+// slot is linked, free or slot 0; once drained no free slot may keep a
+// callback reachable or a cancel mark set. The spare_reuse seed pushes
+// 600 events at one instant, pops them, and pushes and drains 600 more,
+// so that the second fill runs on the slots the first one freed; the
+// stale_cancel seed cancels through handles whose slots were reused.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 6, 6, 6})
 	f.Add([]byte{3, 3, 0, 9, 4, 1, 4, 0, 5, 7, 6, 6, 1, 200, 6})
@@ -180,6 +222,11 @@ func FuzzEventQueue(f *testing.F) {
 		var now Time
 		var seq, lastSeq uint64
 		var reserved []uint64
+		type kept struct {
+			t  Timer
+			id int
+		}
+		var handles []kept
 		arg := func(i int) Time {
 			if i+1 < len(script) {
 				return Time(script[i+1] % 16)
@@ -187,11 +234,13 @@ func FuzzEventQueue(f *testing.F) {
 			return 0
 		}
 		for i, op := range script {
-			switch op % 8 {
-			case 0, 1, 2: // post under a fresh seq; 1 keeps a handle, as Schedule does
+			switch op % 9 {
+			case 0, 1, 2: // post under a fresh seq; 1 keeps the handle, as Schedule's caller does
 				e := refEvent{at: now + arg(i), seq: seq, id: i}
 				seq++
-				h.push(e, op%8 == 1)
+				if tm := h.push(e); op%9 == 1 {
+					handles = append(handles, kept{tm, i})
+				}
 				ref.insert(e)
 			case 3: // reserve a seq for later
 				reserved = append(reserved, seq)
@@ -205,11 +254,14 @@ func FuzzEventQueue(f *testing.F) {
 				if e.at == now && e.seq < lastSeq {
 					e.at++
 				}
-				h.push(e, false)
+				h.push(e)
 				ref.insert(e)
 			case 5: // peek
 				if len(ref) > 0 && !h.is(h.peek(), ref[0]) {
-					t.Fatalf("op %d: peek (at=%v seq=%d), want (at=%v seq=%d)", i, h.peek().at, h.peek().seq, ref[0].at, ref[0].seq)
+					t.Fatalf("op %d: peek does not hold (at=%v seq=%d)", i, ref[0].at, ref[0].seq)
+				}
+				if len(ref) == 0 && h.peek() != nil {
+					t.Fatalf("op %d: peek found an event in an empty queue", i)
 				}
 			case 6: // pop, as a fired event
 				if len(ref) == 0 {
@@ -220,23 +272,40 @@ func FuzzEventQueue(f *testing.F) {
 					t.Fatalf("op %d: pop event %d, want %d (at=%v seq=%d)", i, got, want.id, want.at, want.seq)
 				}
 				now, lastSeq = want.at, want.seq
-			case 7: // discard, as a cancelled event
+			case 7: // cancel the earliest event
 				if len(ref) == 0 {
 					continue
 				}
-				if got, want := h.peek(), ref.take(); !h.is(got, want) {
-					t.Fatalf("op %d: discard would drop (at=%v seq=%d), want (at=%v seq=%d)", i, got.at, got.seq, want.at, want.seq)
+				if want := ref[0]; !h.is(h.peek(), want) {
+					t.Fatalf("op %d: the earliest event is not (at=%v seq=%d)", i, want.at, want.seq)
 				}
-				h.discard()
+				h.cancelMin()
+				ref.take()
+			case 8: // cancel through a kept handle, live or stale
+				if len(handles) == 0 {
+					continue
+				}
+				k := handles[int(arg(i))%len(handles)]
+				h.cancel(k.t)
+				ref.remove(k.id)
 			}
-			if h.len() != len(ref) {
-				t.Fatalf("op %d: heap holds %d events, reference %d", i, h.len(), len(ref))
+			if h.live() != len(ref) {
+				t.Fatalf("op %d: heap holds %d live events, reference %d", i, h.live(), len(ref))
 			}
 			if h.baseAt != now || h.baseSeq != lastSeq {
 				t.Fatalf("op %d: base (at=%v seq=%d), want the last popped (at=%v seq=%d)", i, h.baseAt, h.baseSeq, now, lastSeq)
 			}
 			if free, _ := h.freeSlots(); len(h.slab) > 0 && free+h.len()+1 != len(h.slab) {
-				t.Fatalf("op %d: %d free and %d pending slots of %d, want all but slot 0", i, free, h.len(), len(h.slab))
+				t.Fatalf("op %d: %d free and %d linked slots of %d, want all but slot 0", i, free, h.len(), len(h.slab))
+			}
+			for _, k := range handles {
+				live := false
+				for _, e := range ref {
+					live = live || e.id == k.id
+				}
+				if s := &h.slab[k.t.slot]; (s.gen == k.t.gen) != live || live && s.fn == nil {
+					t.Fatalf("op %d: handle of event %d matches its slot=%v, event live=%v", i, k.id, s.gen == k.t.gen, live)
+				}
 			}
 		}
 		for len(ref) > 0 {
@@ -244,8 +313,11 @@ func FuzzEventQueue(f *testing.F) {
 				t.Fatalf("drain: pop event %d, want %d (at=%v seq=%d)", got, want.id, want.at, want.seq)
 			}
 		}
+		if h.peek() != nil || h.len() != 0 {
+			t.Fatalf("drained queue still links %d slots", h.len())
+		}
 		if _, stale := h.freeSlots(); stale {
-			t.Fatal("drained queue: a free slot still holds a callback or a handle")
+			t.Fatal("drained queue: a free slot still holds a callback or a cancel mark")
 		}
 	})
 }
@@ -264,7 +336,7 @@ func TestEngineOrderingMatchesSortedReplay(t *testing.T) {
 			seq int
 		}
 		var fired []rec
-		var all []*Event
+		var all []Timer
 		n := 300
 		seq := 0
 		for i := 0; i < n; i++ {
@@ -286,11 +358,11 @@ func TestEngineOrderingMatchesSortedReplay(t *testing.T) {
 			all = append(all, ev)
 		}
 		// Cancel a random subset before running.
-		cancelled := make(map[*Event]bool)
-		for _, ev := range all[:n] {
+		cancelledIDs := make(map[int]bool)
+		for id, ev := range all[:n] {
 			if rng.Intn(5) == 0 {
-				ev.Cancel()
-				cancelled[ev] = true
+				eng.Cancel(ev)
+				cancelledIDs[id] = true
 			}
 		}
 		eng.Run()
@@ -302,9 +374,9 @@ func TestEngineOrderingMatchesSortedReplay(t *testing.T) {
 				t.Fatalf("seed %d: time went backwards: %v after %v", seed, fired[i].at, fired[i-1].at)
 			}
 		}
-		for _, ev := range all {
-			if cancelled[ev] && !ev.Cancelled() {
-				t.Fatalf("seed %d: cancelled event lost its flag", seed)
+		for _, f := range fired {
+			if cancelledIDs[f.seq] {
+				t.Fatalf("seed %d: cancelled event %d fired", seed, f.seq)
 			}
 		}
 		if eng.Pending() != 0 {
@@ -327,7 +399,7 @@ func TestEventHeapSteadyStateZeroAlloc(t *testing.T) {
 	cycle := func() {
 		base := h.baseAt
 		for i := 0; i < n; i++ {
-			h.push(base+Time(i*7%13), seq, fn, nil)
+			h.push(base+Time(i*7%13), seq, fn)
 			seq++
 		}
 		for h.len() > 0 {
@@ -349,12 +421,12 @@ func TestEventHeapSteadyStateZeroAlloc(t *testing.T) {
 // TestEventQueueMemoryBound drives the queue through a hold model whose
 // fire times spread over a second, half of them on a 2^20 ns (about
 // 1 ms) grid so that many share an instant, with the number pending
-// swinging between 300 and 3,000 and one removal in eight a cancelled
-// event's discard. The slab must never hold more slots than the peak
+// swinging between 300 and 3,000 and one removal in eight the cancel
+// of the earliest event, which the next scan for the minimum frees. The slab must never hold more slots than the peak
 // pending events, plus slot 0 (a queue that keeps every bucket's
 // high-water mark holds about 10 per event): each push must reuse a
-// freed slot while there is one. No free slot may keep a callback or a
-// handle reachable.
+// freed slot while there is one. No free slot may keep a callback
+// reachable or a cancel mark set.
 func TestEventQueueMemoryBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var h eventHeap
@@ -368,7 +440,7 @@ func TestEventQueueMemoryBound(t *testing.T) {
 		}
 		if h.len() >= target {
 			if rng.Intn(8) == 0 {
-				h.discard() // a cancelled event
+				h.cancelMin() // a cancelled timer at the front
 			} else {
 				h.pop()
 			}
@@ -378,11 +450,7 @@ func TestEventQueueMemoryBound(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				d &^= 1<<20 - 1
 			}
-			var handle *Event
-			if rng.Intn(8) == 0 {
-				handle = &Event{}
-			}
-			h.push(h.baseAt+Time(d), seq, fn, handle)
+			h.push(h.baseAt+Time(d), seq, fn)
 			seq++
 			pushes++
 		}
@@ -406,8 +474,8 @@ func TestEventQueueMemoryBound(t *testing.T) {
 
 // BenchmarkEventQueue measures the scheduler's core loop: schedule a
 // window of events, drain it, repeat — the pattern every netsim
-// delivery and protocol timer follows. allocs/op isolates the cancel
-// handle (one per Schedule; the queue's slots add zero). It fills and
+// delivery and protocol timer follows. allocs/op reads 0: the handle
+// is a value, and the queue's slots are reused. It fills and
 // drains; BenchmarkEventQueueHold measures a queue held at depth.
 func BenchmarkEventQueue(b *testing.B) {
 	const window = 256

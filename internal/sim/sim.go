@@ -1,9 +1,16 @@
-// Package sim provides a deterministic discrete-event simulation engine.
+// Package sim provides a deterministic discrete-event simulation engine
+// and the timer queue under it.
 //
-// The engine owns a virtual clock. Events are closures scheduled at
+// The engine owns a virtual clock. Events are callbacks scheduled at
 // absolute virtual times; ties are broken by scheduling order so that a
 // run is fully reproducible for a given seed. All AITF protocol timing
 // experiments (Td, Tr, Ttmp, T interplay) run on this engine.
+//
+// Its queue, Queue, is the one timer queue of both runtimes: the
+// engine runs it on virtual time, and the daemon (package wire) runs
+// one per gateway under a wall-clock driver. Arming a timer takes a
+// slot of the queue's slab and returns a value handle, so once the
+// slab has held as many events as are pending it allocates nothing.
 package sim
 
 import (
@@ -16,38 +23,100 @@ import (
 // the simulation. The zero Time is the simulation epoch.
 type Time = time.Duration
 
-// Event is the handle Schedule and ScheduleAt return for a scheduled
-// callback: the caller may keep it and Cancel it at any time, long
-// after it fired. It is allocated per call and never reused, because a
-// recycled one would let a stale handle cancel whatever unrelated
-// callback the engine had given it since. The callback itself lives in
-// the queue's slot, which is reused; the handle only records the fire
-// time and the cancel.
+// Timer is the handle ScheduleAt and Schedule return for a callback:
+// its slot in the queue and the slot's generation when it was armed.
+// The caller may keep it and Cancel through it at any time, long after
+// it fired. A slot's generation moves on when the slot is freed, so a
+// handle whose event fired or was cancelled matches nothing, and
+// cancelling through it touches no later event on its slot; nor does
+// the zero Timer. (The generation steps by two, so a handle kept
+// across 2³¹ reuses of its slot could match again; no caller keeps one
+// past the record it belongs to.)
 //
-// Post and PostReserved hand out no handle and allocate nothing. They
-// are the form for the per-packet and per-tick work (link deliveries,
-// flood ticks) that is never cancelled.
-type Event struct {
-	at        Time
-	cancelled bool
+// Post and PostReserved hand out no handle. They are the form for the
+// per-packet and per-tick work (link deliveries, flood ticks) that is
+// never cancelled.
+type Timer struct {
+	slot int32
+	gen  uint32
 }
 
-// At reports the virtual time at which the event fires.
-func (e *Event) At() Time { return e.at }
+// Queue is a monotone timer queue. Callbacks fire in (at, seq) order,
+// seq being the order they were armed in, so ties replay. Now is its
+// floor: the time of the last event fired, or the deadline RunUntil
+// last reached. An event armed below it is clamped to it, because the
+// radix heap takes no key below the last one fired.
+//
+// The zero Queue is empty and ready. It is not safe for concurrent
+// use: the engine runs it from its event loop, the daemon's clock under
+// the gateway's lock.
+type Queue struct {
+	now Time
+	seq uint64
+	// heap comes last: its bucket heads fill half a kilobyte, and the
+	// fields above are read with its own on every step.
+	heap eventHeap
+}
 
-// Cancel prevents the event from firing. Cancelling an event that has
-// already fired or been cancelled is a no-op.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.cancelled = true
+// Now returns the queue's floor (see Queue).
+func (q *Queue) Now() Time { return q.now }
+
+// ScheduleAt runs fn at absolute time at, clamped to Now. The returned
+// handle cancels it.
+//
+// aitf:noalloc
+func (q *Queue) ScheduleAt(at Time, fn func()) Timer {
+	if fn == nil {
+		misuse("sim: ScheduleAt with nil callback")
+	}
+	if at < q.now {
+		at = q.now
+	}
+	t := q.heap.push(at, q.seq, fn)
+	q.seq++
+	return t
+}
+
+// Cancel prevents t's callback from firing and lets go of it. A stale
+// handle, whose event has fired or been cancelled, and the zero Timer
+// are no-ops.
+//
+// aitf:noalloc
+func (q *Queue) Cancel(t Timer) { q.heap.cancel(t) }
+
+// Next returns the time of the earliest event still to fire, freeing
+// the cancelled ones ahead of it, and false when none is pending.
+func (q *Queue) Next() (Time, bool) {
+	if s := q.heap.peek(); s != nil {
+		return s.at, true
+	}
+	return 0, false
+}
+
+// RunUntil fires, in order, every event due at or before deadline,
+// those the callbacks arm included, and then raises Now to deadline.
+func (q *Queue) RunUntil(deadline Time) {
+	for s := q.heap.peek(); s != nil && s.at <= deadline; s = q.heap.peek() {
+		q.fire(s)()
+	}
+	if q.now < deadline {
+		q.now = deadline
 	}
 }
 
-// Cancelled reports whether Cancel was called before the event fired.
-func (e *Event) Cancelled() bool { return e.cancelled }
+// fire pops s, the slot peek returned, makes its time Now and returns
+// its callback. The slot is free before the callback runs, so the
+// callback's own arm reuses it.
+//
+// aitf:noalloc
+func (q *Queue) fire(s *slot) func() {
+	q.now = s.at
+	return q.heap.pop()
+}
 
-// Engine is a single-threaded discrete-event scheduler. It is not safe
-// for concurrent use; all protocol code runs inside event callbacks.
+// Engine is a single-threaded discrete-event scheduler: a Queue on
+// virtual time, with a seeded random source. It is not safe for
+// concurrent use; all protocol code runs inside event callbacks.
 //
 // Events fire in (at, seq) order, and the queue is monotone: no event
 // may enter it below the last one fired. Schedule, ScheduleAt and Post
@@ -58,17 +127,15 @@ func (e *Event) Cancelled() bool { return e.cancelled }
 // PostReserved in the past. A cancelled event leaves the queue without
 // counting as fired.
 type Engine struct {
-	now     Time
-	seq     uint64
 	rng     *rand.Rand
 	stopped bool
 
 	// Processed counts events that have fired since construction.
 	Processed uint64
 
-	// queue comes last: its bucket heads fill half a kilobyte, and the
-	// fields above are read with its own on every step.
-	queue eventHeap
+	// Queue holds the virtual clock (Now) and the events; ScheduleAt
+	// and Cancel are its.
+	Queue
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -77,38 +144,22 @@ func NewEngine(seed int64) *Engine {
 	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
-// Now returns the current virtual time.
-func (e *Engine) Now() Time { return e.now }
-
 // Rand exposes the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Schedule runs fn after delay d. A negative delay is treated as zero.
-// The returned Event may be used to cancel the callback.
-func (e *Engine) Schedule(d time.Duration, fn func()) *Event {
+// The returned Timer cancels the callback.
+//
+// aitf:noalloc
+func (e *Engine) Schedule(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
 	return e.ScheduleAt(e.now+d, fn)
 }
 
-// ScheduleAt runs fn at absolute virtual time at. Times in the past are
-// clamped to the present.
-func (e *Engine) ScheduleAt(at Time, fn func()) *Event {
-	if fn == nil {
-		panic("sim: ScheduleAt with nil callback")
-	}
-	if at < e.now {
-		at = e.now
-	}
-	ev := &Event{at: at}
-	e.queue.push(at, e.ReserveSeq(), fn, ev)
-	return ev
-}
-
 // Post runs fn at absolute virtual time at, like ScheduleAt, but hands
-// out no handle: the event cannot be cancelled, and posting it
-// allocates nothing once the queue has held as many events before.
+// out no handle: the event cannot be cancelled.
 //
 // aitf:noalloc
 func (e *Engine) Post(at Time, fn func()) {
@@ -125,9 +176,16 @@ func (e *Engine) Post(at Time, fn func()) {
 // and still fire in the order of their sends.
 //
 // aitf:noalloc
-func (e *Engine) ReserveSeq() uint64 {
+func (e *Engine) ReserveSeq() uint64 { return e.ReserveSeqs(1) }
+
+// ReserveSeqs takes n consecutive positions at once and returns the
+// first, for a source that fixes the order of a whole series of events
+// up front and keeps only the next one queued.
+//
+// aitf:noalloc
+func (e *Engine) ReserveSeqs(n uint64) uint64 {
 	seq := e.seq
-	e.seq++
+	e.seq += n
 	return seq
 }
 
@@ -142,7 +200,7 @@ func (e *Engine) PostReserved(at Time, seq uint64, fn func()) {
 	if at < e.now {
 		misuse("sim: PostReserved in the past")
 	}
-	if e.queue.below(at, seq) {
+	if e.heap.below(at, seq) {
 		misuse("sim: PostReserved below the last fired event")
 	}
 	e.post(at, seq, fn)
@@ -155,7 +213,7 @@ func (e *Engine) post(at Time, seq uint64, fn func()) {
 	if fn == nil {
 		misuse("sim: Post with nil callback")
 	}
-	e.queue.push(at, seq, fn, nil)
+	e.heap.push(at, seq, fn)
 }
 
 // misuse stays out of line, so the allocation gate on the posting
@@ -164,33 +222,23 @@ func (e *Engine) post(at Time, seq uint64, fn func()) {
 //go:noinline
 func misuse(msg string) { panic(msg) }
 
-// step fires the earliest queued event, reporting false for a
-// cancelled one, which leaves the queue without counting as fired. The
-// event's slot is free before its callback runs, so the callback's own
-// Post reuses it. Caller checks the queue is non-empty.
+// step fires s, the slot peek returned, counting it.
 //
 // aitf:noalloc
-func (e *Engine) step() bool {
-	s := e.queue.peek()
-	if s.handle != nil && s.handle.cancelled {
-		e.queue.discard()
-		return false
-	}
-	e.now = s.at
-	fn := e.queue.pop()
+func (e *Engine) step(s *slot) {
+	fn := e.fire(s)
 	e.Processed++
 	fn()
-	return true
 }
 
 // Stop makes Run/RunUntil return before dispatching the next event.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of events still queued (including
-// cancelled events that have not yet been popped). A netsim link keeps
-// only its earliest in-flight packet queued, so for network traffic
-// this counts busy links, not packets in flight.
-func (e *Engine) Pending() int { return e.queue.len() }
+// cancelled events the queue has not yet swept out). A netsim link
+// keeps only its earliest in-flight packet queued, so for network
+// traffic this counts busy links, not packets in flight.
+func (e *Engine) Pending() int { return e.heap.len() }
 
 // RunUntil dispatches events in timestamp order until the queue is
 // empty, Stop is called, or the next event is strictly after deadline.
@@ -199,11 +247,12 @@ func (e *Engine) Pending() int { return e.queue.len() }
 // measurements cover the full window.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for e.queue.len() > 0 && !e.stopped {
-		if e.queue.peek().at > deadline {
+	for !e.stopped {
+		s := e.heap.peek()
+		if s == nil || s.at > deadline {
 			break
 		}
-		e.step()
+		e.step(s)
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
@@ -214,21 +263,25 @@ func (e *Engine) RunUntil(deadline Time) {
 // other events) until the queue is empty or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
-	for e.queue.len() > 0 && !e.stopped {
-		e.step()
+	for !e.stopped {
+		s := e.heap.peek()
+		if s == nil {
+			break
+		}
+		e.step(s)
 	}
 }
 
-// Step fires exactly one event, returning false if the queue was empty.
+// Step fires exactly one event, returning false if none was pending.
 func (e *Engine) Step() bool {
-	for e.queue.len() > 0 {
-		if e.step() {
-			return true
-		}
+	s := e.heap.peek()
+	if s == nil {
+		return false
 	}
-	return false
+	e.step(s)
+	return true
 }
 
 func (e *Engine) String() string {
-	return fmt.Sprintf("sim.Engine{now=%v pending=%d processed=%d}", e.now, e.queue.len(), e.Processed)
+	return fmt.Sprintf("sim.Engine{now=%v pending=%d processed=%d}", e.now, e.heap.len(), e.Processed)
 }

@@ -45,21 +45,23 @@ func TestCancel(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
 	ev := e.Schedule(time.Millisecond, func() { fired = true })
-	ev.Cancel()
+	e.Cancel(ev)
+	e.Cancel(ev) // a second cancel is a no-op
 	e.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if e.Pending() != 0 || e.Now() != 0 {
+		t.Fatalf("a cancelled event left %d pending and moved the clock to %v", e.Pending(), e.Now())
 	}
+	e.Cancel(Timer{}) // the zero handle names no event
 }
 
 func TestCancelFromEarlierEvent(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
 	ev := e.Schedule(2*time.Millisecond, func() { fired = true })
-	e.Schedule(time.Millisecond, func() { ev.Cancel() })
+	e.Schedule(time.Millisecond, func() { e.Cancel(ev) })
 	e.Run()
 	if fired {
 		t.Fatal("event fired despite cancellation by earlier event")
@@ -115,13 +117,19 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 
 func TestNegativeDelayClampedToNow(t *testing.T) {
 	e := NewEngine(1)
+	fired := false
 	e.Schedule(time.Second, func() {
-		ev := e.Schedule(-5*time.Second, func() {})
-		if ev.At() != e.Now() {
-			t.Fatalf("negative delay scheduled at %v, want %v", ev.At(), e.Now())
-		}
+		at := e.Now()
+		e.Schedule(-5*time.Second, func() {
+			if fired = true; e.Now() != at {
+				t.Fatalf("negative delay fired at %v, want %v", e.Now(), at)
+			}
+		})
 	})
 	e.Run()
+	if !fired {
+		t.Fatal("negative-delay event never fired")
+	}
 }
 
 func TestStop(t *testing.T) {
@@ -313,20 +321,22 @@ func TestPooledEventNeverFiresStaleCallback(t *testing.T) {
 	if a != 1 || b != 1 || c != 1 {
 		t.Fatalf("callbacks fired a=%d b=%d c=%d times, want once each", a, b, c)
 	}
-	if len(e.queue.slab) != 2 {
-		t.Fatalf("slab holds %d slots, want slot 0 and the one slot reused three times", len(e.queue.slab))
+	if len(e.heap.slab) != 2 {
+		t.Fatalf("slab holds %d slots, want slot 0 and the one slot reused three times", len(e.heap.slab))
 	}
-	if free, stale := e.queue.freeSlots(); free != 1 || stale {
+	if free, stale := e.heap.freeSlots(); free != 1 || stale {
 		t.Fatalf("free list holds %d slots, stale=%v: want the one slot, cleared", free, stale)
 	}
 }
 
-// TestHandleSurvivesPooledChurn: a handle from Schedule is never
-// reused, though its slot is, so it stays valid however many
-// handle-less events fire in between. Cancelling a live one long after
-// stops exactly it, and cancelling one that already fired touches
-// nothing, though its slot now holds another callback: the first Post
-// after it fires takes that slot, and later ones churn through it.
+// TestHandleSurvivesPooledChurn: a handle from Schedule names its
+// slot and the slot's generation, and the slot moves to a new
+// generation when it is freed, so the handle stays valid however many
+// handle-less events churn through the queue in between. Cancelling a
+// live one long after stops exactly it, and cancelling one that
+// already fired touches nothing, though its slot now holds another
+// callback: the first Post after it fires takes that slot, and later
+// ones churn through it.
 func TestHandleSurvivesPooledChurn(t *testing.T) {
 	e := NewEngine(1)
 	spentFired, liveFired := false, false
@@ -338,7 +348,7 @@ func TestHandleSurvivesPooledChurn(t *testing.T) {
 	}
 	reused := false
 	e.Post(e.Now()+time.Millisecond, func() { reused = true }) // on spent's slot
-	spent.Cancel()
+	e.Cancel(spent)
 	e.RunUntil(e.Now() + time.Second)
 	if !reused {
 		t.Fatal("cancelling a fired handle cancelled the event on its reused slot")
@@ -350,11 +360,11 @@ func TestHandleSurvivesPooledChurn(t *testing.T) {
 			e.Post(e.Now()+Time(i)*time.Microsecond, func() { pooled++ })
 		}
 		if round == 25 {
-			spent.Cancel() // while pooled events are pending
+			e.Cancel(spent) // while pooled events are pending
 		}
 		e.RunUntil(e.Now() + time.Second)
 	}
-	live.Cancel()
+	e.Cancel(live)
 	e.Post(e.Now(), func() { pooled++ })
 	e.Run()
 	if pooled != 5001 {
@@ -363,11 +373,30 @@ func TestHandleSurvivesPooledChurn(t *testing.T) {
 	if liveFired {
 		t.Fatal("a handle cancelled after 5000 pooled events still fired")
 	}
-	if !live.Cancelled() || !spent.Cancelled() {
-		t.Fatal("handles lost their cancelled flag")
+	if len(e.heap.slab) != 102 {
+		t.Fatalf("slab holds %d slots, want slot 0 and the high-water mark of 101", len(e.heap.slab))
 	}
-	if len(e.queue.slab) != 102 {
-		t.Fatalf("slab holds %d slots, want slot 0 and the high-water mark of 101", len(e.queue.slab))
+}
+
+// TestCancelledTimersDoNotHoldTheSlab: a timer armed far ahead and
+// stopped long before its deadline, as a handshake timeout is when the
+// reply comes, does not keep its slot until that deadline: once the
+// cancelled events outnumber the live ones the queue frees them. Arming
+// and stopping 100,000 such timers beside one live event holds the slab
+// at a handful of slots, and the live event still fires.
+func TestCancelledTimersDoNotHoldTheSlab(t *testing.T) {
+	e := NewEngine(1)
+	fired := false
+	e.Schedule(time.Hour, func() { fired = true })
+	for i := 0; i < 100_000; i++ {
+		e.Cancel(e.Schedule(10*time.Second+Time(i), func() { t.Fatal("a cancelled timer fired") }))
+	}
+	if n := len(e.heap.slab); n > 4 {
+		t.Fatalf("slab holds %d slots for one live event and stopped timers", n)
+	}
+	e.Run()
+	if !fired || e.Pending() != 0 || e.Processed != 1 {
+		t.Fatalf("live event fired=%v, %d pending, %d processed", fired, e.Pending(), e.Processed)
 	}
 }
 
@@ -460,7 +489,7 @@ func TestRunUntilDeadlineKeepsBase(t *testing.T) {
 func TestCancelledEventIsNotLastFired(t *testing.T) {
 	e := NewEngine(1)
 	e.Schedule(time.Millisecond, func() {})
-	e.Schedule(time.Second, func() {}).Cancel()
+	e.Cancel(e.Schedule(time.Second, func() {}))
 	e.Run()
 	if e.Now() != time.Millisecond {
 		t.Fatalf("Now = %v after a cancelled tail, want the last fired 1ms", e.Now())

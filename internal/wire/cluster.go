@@ -13,19 +13,17 @@ import (
 func (g *Gateway) Cluster() *cluster.Cluster { return g.plane.Cluster() }
 
 // armClusterMerge starts the recurring merge round on the gateway's
-// timer wheel. Each firing re-arms the next; Close flips g.closed
-// before stopAll, so a firing that races shutdown cannot re-arm a
-// timer behind the stopped set.
+// clock. Each firing re-arms the next, until Close stops the clock.
+// Called under mu.
 func (g *Gateway) armClusterMerge() {
 	if every := g.plane.MergeEvery(); every > 0 {
-		g.timers.after(time.Duration(every), func() {
-			if g.closed.Load() {
-				return
-			}
-			g.plane.MergeRound(wallNow())
-			g.armClusterMerge()
-		})
+		g.clock.Arm(time.Duration(every), g.merge)
 	}
+}
+
+func (g *Gateway) mergeRound() {
+	g.plane.MergeRound(wallNow())
+	g.armClusterMerge()
 }
 
 // KillReplica kills one logical replica mid-run (cluster.Plane.KillReplica).

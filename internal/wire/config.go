@@ -12,6 +12,7 @@ import (
 	"aitf/internal/cluster"
 	"aitf/internal/contract"
 	"aitf/internal/ctrl"
+	"aitf/internal/dataplane"
 	"aitf/internal/detect"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
@@ -55,7 +56,7 @@ type GatewayFileConfig struct {
 	// Capacity bounds the filter table (0 = default).
 	Capacity int `json:"filter_capacity"`
 	// Shards partitions the data-plane classification engine
-	// (0 = GOMAXPROCS, at most maxShards).
+	// (0 = GOMAXPROCS, at most dataplane.MaxShards).
 	Shards int `json:"dataplane_shards"`
 	// CollateralAlloc enables coalescing sibling filters into covering
 	// source-prefix filters under table pressure, chosen by the
@@ -81,8 +82,8 @@ type GatewayFileConfig struct {
 	DetectWindowMs int `json:"detect_window_ms"`
 	// SketchWidth / SketchDepth set the count-min geometry and
 	// DetectTopK the heavy-hitter budget (0 = engine defaults:
-	// 1024 × 4, 128; at most maxSketchWidth, maxSketchDepth and
-	// maxDetectTopK).
+	// 1024 × 4, 128; at most detect.MaxWidth, detect.MaxDepth and
+	// detect.MaxTopK).
 	SketchWidth int `json:"sketch_width"`
 	SketchDepth int `json:"sketch_depth"`
 	DetectTopK  int `json:"detect_topk"`
@@ -189,21 +190,15 @@ func (g *GatewayFileConfig) mergeMs() int {
 	return max(250, g.detectWindowMs())
 }
 
-// Upper bounds on the gateway's sizing knobs, far above any useful
-// setting. The engines round shards, sketch width and top-k up to a
-// power of two in a fixed-width integer, which a larger value overflows
-// into an endless loop at boot; sketch depth sizes an allocation.
-const (
-	maxShards      = 1024
-	maxSketchWidth = 1 << 20
-	maxSketchDepth = 64
-	maxDetectTopK  = 1 << 16
-)
+// The gateway's sizing knobs are bounded by the engines' own bounds
+// (dataplane.MaxShards, detect.MaxWidth, MaxDepth, MaxTopK), which the
+// engines clamp to: a larger value is rejected here rather than
+// silently cut.
 
 // validate rejects gateway knobs outside their meaningful ranges.
 func (g *GatewayFileConfig) validate() error {
-	if g.Shards < 0 || g.Shards > maxShards {
-		return fmt.Errorf("%w: dataplane_shards %d outside 0..%d", ErrBadConfig, g.Shards, maxShards)
+	if g.Shards < 0 || g.Shards > dataplane.MaxShards {
+		return fmt.Errorf("%w: dataplane_shards %d outside 0..%d", ErrBadConfig, g.Shards, dataplane.MaxShards)
 	}
 	if g.Capacity < 0 {
 		return fmt.Errorf("%w: filter_capacity %d is negative", ErrBadConfig, g.Capacity)
@@ -229,9 +224,9 @@ func (g *GatewayFileConfig) validate() error {
 		return fmt.Errorf("%w: negative detection knob (window %dms, width %d, depth %d, topk %d)",
 			ErrBadConfig, g.DetectWindowMs, g.SketchWidth, g.SketchDepth, g.DetectTopK)
 	}
-	if g.SketchWidth > maxSketchWidth || g.SketchDepth > maxSketchDepth || g.DetectTopK > maxDetectTopK {
+	if g.SketchWidth > detect.MaxWidth || g.SketchDepth > detect.MaxDepth || g.DetectTopK > detect.MaxTopK {
 		return fmt.Errorf("%w: detection sizing above its bound (width %d of %d, depth %d of %d, topk %d of %d)",
-			ErrBadConfig, g.SketchWidth, maxSketchWidth, g.SketchDepth, maxSketchDepth, g.DetectTopK, maxDetectTopK)
+			ErrBadConfig, g.SketchWidth, detect.MaxWidth, g.SketchDepth, detect.MaxDepth, g.DetectTopK, detect.MaxTopK)
 	}
 	for _, a := range g.DetectFor {
 		if _, err := flow.ParseAddr(a); err != nil {

@@ -260,6 +260,7 @@ func TestParseConfigErrors(t *testing.T) {
 		"gw width over":    `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"sketch_width":1048577}}`,
 		"gw width int max": `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"sketch_width":9223372036854775807}}`,
 		"gw depth over":    `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"sketch_depth":65}}`,
+		"gw depth 17":      `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"sketch_depth":17}}`,
 		"gw topk over":     `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"detect_topk":65537}}`,
 		"gw topk int max":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"detect_topk":9223372036854775807}}`,
 		"cluster one":      `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_peers":1}}`,

@@ -117,19 +117,19 @@ type Gateway struct {
 	dp *dataplane.Engine
 
 	policers map[flow.Addr]*filter.Policer
-	timers   *timerSet
+
+	// clock is the gateway's timer queue; its driver fires every
+	// callback under mu. merge, the cluster merge round's, is bound once.
+	clock *clock
+	merge func()
 
 	// plane is the detection plane; it locks itself, so the receive
-	// goroutine feeds it without g.mu. closed gates the self-re-arming
-	// timers so a firing that races Close cannot re-arm after stopAll.
-	plane  *cluster.Plane
-	closed atomic.Bool // aitf:atomic
+	// goroutine feeds it without g.mu.
+	plane *cluster.Plane
 
 	// agg runs the §IV fallback on victim-side installs, the same
-	// lifecycle as the simulator's; reviewArmed marks its review timer
-	// as pending. Both under mu.
-	agg         *alloc.Aggregator
-	reviewArmed bool
+	// lifecycle as the simulator's, review timer included. Under mu.
+	agg *alloc.Aggregator
 
 	// The reliable control plane, all under mu: ladder retransmits
 	// protocol sends, hs holds the attacker-side handshakes, and dedup
@@ -181,13 +181,17 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		node:     n,
 		rec:      traceback.NewRecorder(cfg.Node.Addr, cfg.Secret),
 		policers: make(map[flow.Addr]*filter.Policer),
-		timers:   newTimerSet(),
+	}
+	g.clock = newClock(&g.mu)
+	g.merge = g.mergeRound
+	var trace ctrl.Trace // nil without a trace: ctrl formats no detail
+	if g.tracing() {
+		trace = g.event
 	}
 	// A private seeded source jitters the backoff only; protocol nonces
 	// still come from crypto/rand (randNonce).
-	clk := wallClock{g}
-	g.ladder = ctrl.NewLadder(cfg.Control, clk, mrand.New(mrand.NewSource(int64(randNonce()))).Float64, g.transmit, g.event)
-	g.hs = ctrl.NewLedger(g.ladder, clk, cfg.HandshakeTimeout, g.event)
+	g.ladder = ctrl.NewLadder(cfg.Control, g.clock, mrand.New(mrand.NewSource(int64(randNonce()))).Float64, g.transmit, trace)
+	g.hs = ctrl.NewLedger(g.ladder, g.clock, cfg.HandshakeTimeout, trace)
 	g.dp = dataplane.New(dataplane.Config{
 		Shards:         cfg.DataplaneShards,
 		FilterCapacity: cfg.FilterCapacity,
@@ -197,32 +201,12 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		Clock:          dataplane.WallClock(epoch),
 	})
 	g.plane = cluster.NewPlane(cfg.Detect, cfg.DetectFor, cfg.Cluster, g.event)
-	g.agg = alloc.NewAggregator(g.dp, cfg.Allocation, g.plane, g.event)
+	g.agg = alloc.NewAggregator(g.dp, cfg.Allocation, g.plane, g.event, g.clock, cfg.Timers.Ttmp)
 	n.SetHandler(g)
+	g.mu.Lock()
 	g.armClusterMerge()
+	g.mu.Unlock()
 	return g, nil
-}
-
-// wallClock is the control plane's clock: the runtime's monotonic clock
-// and the gateway's timers.
-type wallClock struct{ g *Gateway }
-
-func (c wallClock) Now() time.Duration { return wallNow() }
-
-func (c wallClock) After(d time.Duration, fn func()) func() { return c.g.after(d, fn) }
-
-// after runs fn under mu, d from now. Close flips closed before it
-// stops the timers, so a firing that races Close does nothing and
-// cannot re-arm a timer behind stopAll.
-func (g *Gateway) after(d time.Duration, fn func()) (cancel func()) {
-	return g.timers.after(d, func() {
-		if g.closed.Load() {
-			return
-		}
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		fn()
-	})
 }
 
 // transmit originates one control packet, queued on g.tx while a read
@@ -246,12 +230,11 @@ func (g *Gateway) Node() *Node { return g.node }
 // Run starts the gateway.
 func (g *Gateway) Run() { g.node.Run() }
 
-// Close stops timers and the socket; with a SnapshotPath configured it
-// then writes the drain snapshot, so the state the next boot restores
-// is the quiescent post-drain state.
+// Close stops the timers, none of which fires once it returns, and the
+// socket; with a SnapshotPath configured it then writes the drain
+// snapshot, the quiescent post-drain state the next boot restores.
 func (g *Gateway) Close() error {
-	g.closed.Store(true)
-	g.timers.stopAll()
+	g.clock.Close()
 	err := g.node.Close()
 	if g.cfg.SnapshotPath != "" {
 		if serr := g.SaveToDisk(); err == nil {
@@ -586,29 +569,9 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 }
 
 // installVictimFilter installs a victim-side filter through the §IV
-// aggregator and keeps the aggregate review armed while any aggregate
-// is outstanding. Called under mu.
+// aggregator, which keeps its review armed. Called under mu.
 func (g *Gateway) installVictimFilter(label flow.Label, now, exp sim.Time) error {
-	err := g.agg.Install(label, now, exp)
-	g.armAggregateReview()
-	return err
-}
-
-// armAggregateReview arms the aggregator's review while an aggregate is
-// outstanding: every Ttmp it splits aggregates back or refines them,
-// re-arming while any remain. Like the cluster merge ticker, a firing
-// that races Close does nothing. Called under mu.
-func (g *Gateway) armAggregateReview() {
-	if g.reviewArmed || g.agg.Len() == 0 {
-		return
-	}
-	g.reviewArmed = true
-	g.after(g.cfg.Timers.Ttmp, func() {
-		g.reviewArmed = false
-		if g.agg.Review(wallNow()) {
-			g.armAggregateReview()
-		}
-	})
+	return g.agg.Install(label, now, exp)
 }
 
 func (g *Gateway) handleVerifyReply(m *packet.VerifyReply) {
@@ -622,12 +585,10 @@ func (g *Gateway) handleVerifyReply(m *packet.VerifyReply) {
 		return
 	}
 	g.plane.Record(cluster.OpInstall, label, now+sim.Time(g.cfg.Timers.T), now)
-	if g.tracing() {
-		g.event(obs.EvHandshakeOK, label, "filtering for "+g.cfg.Timers.T.String())
-	}
 	// Tell the attacking client to stop (§II-C ii).
 	g.stats.StopOrders++
 	if g.tracing() {
+		g.event(obs.EvHandshakeOK, label, "filtering for "+g.cfg.Timers.T.String())
 		g.event(obs.EvStopOrder, label, "to attacker "+label.Src.String())
 	}
 	gw, mflow, dur := g.node.Addr(), m.Flow, g.cfg.Timers.T

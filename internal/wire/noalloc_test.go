@@ -3,11 +3,13 @@
 package wire
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"aitf/internal/flow"
 	"aitf/internal/packet"
+	"aitf/internal/sim"
 )
 
 // TestDatagramPathZeroAlloc pins the claim the README makes: from a
@@ -120,5 +122,36 @@ func TestDatagramPathZeroAlloc(t *testing.T) {
 	}
 	if msgs := g.node.RecvMsgs.Load() - msgs0; ptx.sys.gso && tx.sys.gro && msgs != 201*2 {
 		t.Fatalf("201×2 coalesced runs of %d datagrams took %d kernel receives, want %d", batchSlots, msgs, 201*2)
+	}
+}
+
+// TestClockArmZeroAlloc: once a gateway clock's queue has held as many
+// timers as are armed at once, arming and stopping one allocates
+// nothing: no runtime timer, closure, map entry or goroutine per arm.
+// Each cycle arms 100,000 timers on one callback bound beforehand,
+// stops them all, and lets the cancelled ones leave the queue.
+func TestClockArmZeroAlloc(t *testing.T) {
+	var mu sync.Mutex
+	c := newClock(&mu)
+	defer c.Close()
+	const n = 100_000
+	ts := make([]sim.Timer, n)
+	fn := func() { t.Error("a stopped timer fired") }
+	cycle := func() {
+		mu.Lock()
+		for i := range ts {
+			ts[i] = c.Arm(time.Second+time.Duration(i)*time.Microsecond, fn)
+		}
+		for _, tm := range ts {
+			c.Stop(tm)
+		}
+		if _, ok := c.q.Next(); ok { // drops the cancelled timers, freeing their slots
+			t.Error("a stopped timer is still pending")
+		}
+		mu.Unlock()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(5, cycle); allocs != 0 {
+		t.Fatalf("arming and stopping %d timers allocates %v times at steady state, want 0", n, allocs)
 	}
 }

@@ -92,7 +92,7 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 		}
 	})
 	state.RestorePending(g.parts(), now)
-	g.armAggregateReview()
+	g.agg.ArmReview()
 	g.stats.SnapshotRestores++
 	g.stats.FiltersRestored += uint64(filters)
 	g.stats.ShadowsRestored += uint64(shadows)

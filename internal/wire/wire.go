@@ -49,7 +49,6 @@ import (
 	"net/netip"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"aitf/internal/flow"
 	"aitf/internal/packet"
@@ -566,48 +565,4 @@ func (n *Node) originate(p *packet.Packet, tx *sockBatch) error {
 		return errNoRoute(p.Dst)
 	}
 	return n.sendTo(hop, p, tx)
-}
-
-// timerSet manages cancellable real-time timers under the owner's lock
-// discipline: callbacks run in their own goroutine and must take the
-// owner's mutex themselves.
-type timerSet struct {
-	mu     sync.Mutex
-	timers map[uint64]*time.Timer
-	next   uint64
-}
-
-func newTimerSet() *timerSet { return &timerSet{timers: make(map[uint64]*time.Timer)} }
-
-// after schedules fn once after d, returning a cancel func.
-func (ts *timerSet) after(d time.Duration, fn func()) (cancel func()) {
-	ts.mu.Lock()
-	id := ts.next
-	ts.next++
-	t := time.AfterFunc(d, func() {
-		ts.mu.Lock()
-		delete(ts.timers, id)
-		ts.mu.Unlock()
-		fn()
-	})
-	ts.timers[id] = t
-	ts.mu.Unlock()
-	return func() {
-		ts.mu.Lock()
-		if t, ok := ts.timers[id]; ok {
-			t.Stop()
-			delete(ts.timers, id)
-		}
-		ts.mu.Unlock()
-	}
-}
-
-// stopAll cancels every outstanding timer.
-func (ts *timerSet) stopAll() {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	for id, t := range ts.timers {
-		t.Stop()
-		delete(ts.timers, id)
-	}
 }

@@ -398,25 +398,6 @@ func TestNodeForwardErrors(t *testing.T) {
 	}
 }
 
-func TestTimerSetCancel(t *testing.T) {
-	ts := newTimerSet()
-	fired := make(chan struct{}, 2)
-	cancel := ts.after(30*time.Millisecond, func() { fired <- struct{}{} })
-	cancel()
-	ts.after(30*time.Millisecond, func() { fired <- struct{}{} })
-	select {
-	case <-fired:
-	case <-time.After(2 * time.Second):
-		t.Fatal("second timer never fired")
-	}
-	select {
-	case <-fired:
-		t.Fatal("cancelled timer fired")
-	case <-time.After(100 * time.Millisecond):
-	}
-	ts.stopAll()
-}
-
 func TestGarbageDatagramsIgnored(t *testing.T) {
 	r := buildRig(t, true)
 	// Blast what is not a packet at the victim gateway's socket: the
