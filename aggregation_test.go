@@ -58,16 +58,16 @@ func TestAggregationBoundsFilterTablePressure(t *testing.T) {
 	}
 
 	// The coarser filters must still respect the hardware budget.
-	fs := aggregated.VictimGW.DataPlane().FilterStats()
+	fs := aggregated.VictimGW.Filters().Stats()
 	if fs.PeakOccupancy > 4 {
 		t.Fatalf("filter peak %d exceeded capacity 4 under aggregation", fs.PeakOccupancy)
 	}
 	// Aggregation conserves slots: occupancy arithmetic balances.
 	live := int64(fs.Installed) + int64(fs.Aggregates) - int64(fs.Removed) -
 		int64(fs.Aggregated) - int64(fs.Expired) - int64(fs.Evicted)
-	if live != int64(aggregated.VictimGW.DataPlane().Len()) {
+	if live != int64(aggregated.VictimGW.Filters().Len()) {
 		t.Fatalf("stats arithmetic %d != occupancy %d (%+v)",
-			live, aggregated.VictimGW.DataPlane().Len(), fs)
+			live, aggregated.VictimGW.Filters().Len(), fs)
 	}
 
 	// The point of the fallback: the starved table now suppresses far
@@ -145,21 +145,21 @@ func TestSplitBackRespectsCapacityAndDeadlines(t *testing.T) {
 			t.Fatalf("split-back rejected child %v: %s", e.Flow, e.Detail)
 		}
 	}
-	fs := dep.VictimGW.DataPlane().FilterStats()
+	fs := dep.VictimGW.Filters().Stats()
 	if fs.PeakOccupancy > capacity {
 		t.Fatalf("filter peak %d exceeded capacity %d mid-split", fs.PeakOccupancy, capacity)
 	}
 	// Budget arithmetic stays exact through aggregate→relief→split.
 	live := int64(fs.Installed) + int64(fs.Aggregates) - int64(fs.Removed) -
 		int64(fs.Aggregated) - int64(fs.Expired) - int64(fs.Evicted)
-	if live != int64(dep.VictimGW.DataPlane().Len()) {
+	if live != int64(dep.VictimGW.Filters().Len()) {
 		t.Fatalf("stats arithmetic %d != occupancy %d (%+v)",
-			live, dep.VictimGW.DataPlane().Len(), fs)
+			live, dep.VictimGW.Filters().Len(), fs)
 	}
 	// Nothing outlives its original deadline: the last filter was
 	// requested before ~9s and T is one minute, so by 80s the table
 	// must have drained completely.
-	if n := dep.VictimGW.DataPlane().Len(); n != 0 {
+	if n := dep.VictimGW.Filters().Len(); n != 0 {
 		t.Fatalf("%d filters outlived every original deadline", n)
 	}
 	if n := dep.Log.Count(EvDeaggregated); n == 0 {

@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"aitf/internal/flow"
-	"aitf/internal/obs"
+	"aitf/internal/obs/obstest"
 	"aitf/internal/wire"
 )
 
@@ -207,7 +207,7 @@ func TestAdminEndpointLiveAttack(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status = %d", code)
 	}
-	if err := obs.CheckExposition(expo); err != nil {
+	if err := obstest.CheckExposition(expo); err != nil {
 		t.Fatalf("/metrics does not parse: %v", err)
 	}
 	classified0 := metricValue(t, expo, "aitf_dataplane_classified_total")
@@ -231,7 +231,7 @@ func TestAdminEndpointLiveAttack(t *testing.T) {
 	if !detected {
 		t.Fatalf("gateway never detected the flood; last exposition:\n%s", expo)
 	}
-	if err := obs.CheckExposition(expo); err != nil {
+	if err := obstest.CheckExposition(expo); err != nil {
 		t.Fatalf("mid-attack /metrics does not parse: %v", err)
 	}
 	classified1 := metricValue(t, expo, "aitf_dataplane_classified_total")
@@ -304,11 +304,8 @@ func TestStartClusteredGateway(t *testing.T) {
 		t.Fatalf("start clustered gateway: %v", err)
 	}
 	defer d.Close()
-	if d.gw.Cluster() == nil {
-		t.Fatal("daemon gateway has no cluster overlay")
-	}
 	_, expo := httpGet(t, "http://"+d.AdminAddr()+"/metrics")
-	if err := obs.CheckExposition(expo); err != nil {
+	if err := obstest.CheckExposition(expo); err != nil {
 		t.Fatalf("clustered /metrics does not parse: %v", err)
 	}
 	for _, want := range []string{
@@ -393,7 +390,7 @@ func TestDaemonRestartRestoresFilters(t *testing.T) {
 	if st.SnapshotRestores != 1 || st.FiltersRestored != 1 {
 		t.Fatalf("restart restored nothing: %+v", st)
 	}
-	if _, ok := d2.gw.Filters().Lookup(label, d2.gw.DataPlane().Now()); !ok {
+	if _, ok := d2.gw.DataPlane().Get(label, d2.gw.DataPlane().Now()); !ok {
 		t.Fatal("filter missing after daemon restart")
 	}
 }

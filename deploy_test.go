@@ -135,21 +135,6 @@ func TestEvictionOptionPlumbed(t *testing.T) {
 	}
 }
 
-func TestWantsAccessor(t *testing.T) {
-	dep := DeployFigure1(DefaultOptions())
-	fl := dep.Flood(dep.Attacker, dep.Victim, 1.25e6)
-	fl.Launch()
-	dep.Run(2 * time.Second)
-	label := PairLabel(dep.Attacker.Node().Addr(), dep.Victim.Node().Addr())
-	if !dep.Victim.Wants(label) {
-		t.Fatal("victim should want the attack flow blocked")
-	}
-	other := PairLabel(MakeAddr(9, 9, 9, 9), dep.Victim.Node().Addr())
-	if dep.Victim.Wants(other) {
-		t.Fatal("victim wants a flow it never complained about")
-	}
-}
-
 func TestSeedChangesInterleavingNotOutcome(t *testing.T) {
 	run := func(seed int64) (string, uint64) {
 		opt := DefaultOptions()

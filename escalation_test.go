@@ -167,7 +167,7 @@ func TestConcurrentEscalationFilterPressure(t *testing.T) {
 	if n := dep.Log.Count(EvTempFilterInstalled); n == 0 {
 		t.Fatal("no filters installed at all — protection collapsed entirely")
 	}
-	st := dep.VictimGW.DataPlane().FilterStats()
+	st := dep.VictimGW.Filters().Stats()
 	if st.PeakOccupancy > opt.FilterCapacity {
 		t.Fatalf("filter peak %d exceeded capacity %d", st.PeakOccupancy, opt.FilterCapacity)
 	}
@@ -175,7 +175,7 @@ func TestConcurrentEscalationFilterPressure(t *testing.T) {
 		t.Fatal("dataplane never rejected an install")
 	}
 	// The shadow cache (provisioned independently) kept every request.
-	if dep.VictimGW.DataPlane().ShadowStats().PeakSize > dep.VictimGW.Config().ShadowCapacity {
+	if dep.VictimGW.Shadows().Stats().PeakSize > dep.VictimGW.Config().ShadowCapacity {
 		t.Fatal("shadow cache exceeded its budget")
 	}
 }

@@ -373,9 +373,6 @@ func (a *Aggregator) reinstall(children []filter.Entry, skip map[flow.Label]bool
 	}
 }
 
-// Len returns the number of outstanding aggregate records.
-func (a *Aggregator) Len() int { return len(a.aggregates) }
-
 // Stats returns the counters, each loaded atomically: per-field
 // coherent, which is all monitoring needs.
 func (a *Aggregator) Stats() AggregateStats {

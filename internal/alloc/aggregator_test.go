@@ -119,16 +119,16 @@ func TestSplitBackAtCapacityBoundary(t *testing.T) {
 	if n := h.agg.Stats().Splits; n != 1 {
 		t.Fatalf("Splits = %d, want 1", n)
 	}
-	if h.agg.Len() != 0 {
+	if len(h.agg.aggregates) != 0 {
 		t.Fatalf("aggregate record survived the split: %v", h.agg.Export())
 	}
 	// Full precision restored: both children and the unrelated filter.
 	for _, l := range []flow.Label{a1, a2, outside} {
-		if _, ok := h.dp.Table().Lookup(l, h.now); !ok {
+		if _, ok := h.dp.Get(l, h.now); !ok {
 			t.Fatalf("label %v missing after split-back", l)
 		}
 	}
-	if _, ok := h.dp.Table().Lookup(group.Aggregate, h.now); ok {
+	if _, ok := h.dp.Get(group.Aggregate, h.now); ok {
 		t.Fatalf("aggregate %v still installed after split-back", group.Aggregate)
 	}
 	if n := h.dp.Len(); n != 3 {
@@ -168,10 +168,10 @@ func TestSplitBackHonorsOriginalDeadlines(t *testing.T) {
 	h.now = filter.Time(3 * time.Second)
 	h.agg.Review(h.now)
 
-	if _, ok := h.dp.Table().Lookup(early, h.now); ok {
+	if _, ok := h.dp.Get(early, h.now); ok {
 		t.Fatalf("expired child %v resurrected past its original deadline", early)
 	}
-	if _, ok := h.dp.Table().Lookup(late, h.now); !ok {
+	if _, ok := h.dp.Get(late, h.now); !ok {
 		t.Fatalf("live child %v lost in split-back", late)
 	}
 	if rej := h.rejections("split-back:"); len(rej) != 0 {
@@ -179,7 +179,7 @@ func TestSplitBackHonorsOriginalDeadlines(t *testing.T) {
 	}
 	// The reinstalled child keeps its original deadline: gone right
 	// after lateExp.
-	if _, ok := h.dp.Table().Lookup(late, lateExp+1); ok {
+	if _, ok := h.dp.Get(late, lateExp+1); ok {
 		t.Fatalf("child %v outlived its original deadline", late)
 	}
 }

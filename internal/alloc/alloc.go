@@ -84,10 +84,6 @@ type Config struct {
 	// destinations with a baseline but no measured pairs (default
 	// 0.25, the detect engine's default window).
 	WindowSeconds float64
-	// AddrCost is the score charged per covered source address — the
-	// universal tie-break that makes deeper prefixes win whenever
-	// measurements cannot separate candidates (default 1).
-	AddrCost float64
 }
 
 func (c Config) windowSeconds() float64 {
@@ -95,13 +91,6 @@ func (c Config) windowSeconds() float64 {
 		return c.WindowSeconds
 	}
 	return 0.25
-}
-
-func (c Config) addrCost() float64 {
-	if c.AddrCost > 0 {
-		return c.AddrCost
-	}
-	return 1
 }
 
 // Candidate is one scored aggregation option: a sibling group plus its
@@ -116,9 +105,9 @@ type Candidate struct {
 	// Measured reports whether LegitBytes includes any per-pair
 	// measurement (false means pure fallback pricing).
 	Measured bool
-	// Score is the greedy ranking cost: LegitBytes plus
-	// AddrCost × CoveredAddrs, so unmeasured candidates still prefer
-	// the deepest prefix that does the job.
+	// Score is the greedy ranking cost: LegitBytes plus one per covered
+	// source address, the tie-break that makes unmeasured candidates
+	// prefer the deepest prefix that does the job.
 	Score float64
 }
 
@@ -128,7 +117,7 @@ type Candidate struct {
 func Assess(g filter.SiblingGroup, cfg Config) Candidate {
 	c := Candidate{SiblingGroup: g}
 	covered := float64(g.CoveredAddrs())
-	c.Score = cfg.addrCost() * covered
+	c.Score = covered
 	if cfg.Traffic == nil {
 		return c
 	}

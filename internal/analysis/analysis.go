@@ -15,7 +15,7 @@
 //     event ordering.
 //   - metricname: every obs instrument registration uses a constant
 //     `aitf_[a-z0-9_]+` name, registered from exactly one call site.
-//   - poolsafety: pooled packets (packet.NewData/NewControl/Clone)
+//   - poolsafety: pooled packets (packet.NewData/NewControl/Get)
 //     must not escape into struct fields or globals outside
 //     annotated owner types, and must not be Released after escaping.
 //

@@ -10,7 +10,7 @@ import (
 
 // MetricName locks the observability schema at compile time: every
 // instrument registration on an obs.Registry (Counter, CounterFunc,
-// Gauge, GaugeFunc, Histogram) must pass a *constant* name matching
+// GaugeFunc, Histogram) must pass a *constant* name matching
 // `aitf_[a-z0-9_]+`, and each name must be registered from exactly
 // one call site in the module — the compile-time form of the
 // string-matching schema-lock tests in internal/wire and cmd/aitfd.
@@ -24,7 +24,7 @@ var metricNameRe = regexp.MustCompile(`^aitf_[a-z0-9_]+$`)
 
 var registryMethods = map[string]bool{
 	"Counter": true, "CounterFunc": true,
-	"Gauge": true, "GaugeFunc": true,
+	"GaugeFunc": true,
 	"Histogram": true,
 }
 

@@ -7,9 +7,9 @@ import (
 )
 
 // PoolSafety polices the packet pool's ownership discipline: a value
-// produced by packet.NewData / packet.NewControl / packet.Get /
-// (*Packet).Clone is pool-owned, and the PR 3/PR 4 alias tests probe
-// its use-after-release failure modes at runtime. This analyzer moves
+// produced by packet.NewData / packet.NewControl / packet.Get is
+// pool-owned, and the pool's alias tests probe its use-after-release
+// failure modes at runtime. This analyzer moves
 // two rules to compile time:
 //
 //  1. a pooled packet may not be stored into a struct field or a
@@ -58,11 +58,8 @@ func isPoolCall(pass *Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || !isPkg(fn.Pkg().Path(), "packet") {
+	if !ok || fn.Pkg() == nil || !isPkg(fn.Pkg().Path(), "packet") || fn.Signature().Recv() != nil {
 		return false
-	}
-	if recv := fn.Signature().Recv(); recv != nil {
-		return fn.Name() == "Clone"
 	}
 	return poolFuncs[fn.Name()]
 }

@@ -14,7 +14,6 @@ func register(r *obs.Registry) {
 	r.Counter(reqTotal, "constant through a named const: fine")
 	r.Counter("aitf_drops_total", "literal: fine")
 	r.CounterFunc("aitf_scraped_total", "func instrument: fine", func() uint64 { return 0 })
-	r.Gauge("aitf_depth", "gauge: fine")
 	r.GaugeFunc("aitf_fill_ratio", "gauge func: fine", func() float64 { return 0 })
 	r.Histogram("aitf_batch_size", "histogram: fine")
 

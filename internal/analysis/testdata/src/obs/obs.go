@@ -6,8 +6,6 @@ package obs
 
 type Counter struct{ v uint64 }
 
-type Gauge struct{ v uint64 }
-
 type Histogram struct{ n uint64 }
 
 type Registry struct{}
@@ -15,8 +13,6 @@ type Registry struct{}
 func (r *Registry) Counter(name, help string) *Counter { return &Counter{} }
 
 func (r *Registry) CounterFunc(name, help string, fn func() uint64) {}
-
-func (r *Registry) Gauge(name, help string) *Gauge { return &Gauge{} }
 
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {}
 

@@ -11,8 +11,4 @@ func NewControl(n int) *Packet { return &Packet{Payload: make([]byte, n)} }
 
 func Get() *Packet { return &Packet{} }
 
-func (p *Packet) Clone() *Packet {
-	return &Packet{Payload: append([]byte(nil), p.Payload...)}
-}
-
 func (p *Packet) Release() {}

@@ -20,7 +20,7 @@ var global *packet.Packet
 func good(q *queue) {
 	p := packet.NewData(64)
 	q.buf = append(q.buf, p) // owner type: fine
-	c := p.Clone()
+	c := packet.Get()
 	c.Release() // never stored: fine
 }
 
@@ -44,6 +44,5 @@ func badRelease(q *queue) {
 }
 
 func goodLocalComposite() *packet.Packet {
-	p := packet.NewData(4)
-	return p.Clone()
+	return packet.NewData(4)
 }

@@ -55,8 +55,6 @@ type Flood struct {
 	// Sent counts packets that entered the network; Suppressed counts
 	// packets withheld because of a stop order.
 	Sent, Suppressed uint64
-
-	stopped bool
 }
 
 // Interval returns the inter-packet gap implied by Rate and PacketSize.
@@ -84,7 +82,7 @@ func (f *Flood) Launch() {
 	var tick func()
 	tick = func() {
 		now := eng.Now()
-		if f.stopped || (f.Stop > 0 && now >= f.Stop) {
+		if f.Stop > 0 && now >= f.Stop {
 			return
 		}
 		if f.onAt(now) {
@@ -110,9 +108,6 @@ func (f *Flood) rng() *rand.Rand {
 	}
 	return f.From.Node().Engine().Rand()
 }
-
-// Halt stops the flood permanently (used by tests).
-func (f *Flood) Halt() { f.stopped = true }
 
 // onAt reports whether the pulse schedule has the flood sending at t.
 func (f *Flood) onAt(t sim.Time) bool {
@@ -175,13 +170,4 @@ func (a *Army) Launch() {
 		fl.Launch()
 		a.Floods = append(a.Floods, fl)
 	}
-}
-
-// TotalSent sums packets sent across the army.
-func (a *Army) TotalSent() uint64 {
-	var n uint64
-	for _, f := range a.Floods {
-		n += f.Sent
-	}
-	return n
 }

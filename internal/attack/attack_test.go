@@ -85,28 +85,15 @@ func TestFloodStartStop(t *testing.T) {
 	fl := &Flood{From: src, Dst: dst.Node().Addr(), Rate: 100_000, PacketSize: 1000,
 		Start: 2 * time.Second, Stop: 4 * time.Second}
 	fl.Launch()
+	eng.RunUntil(2 * time.Second)
+	if !dst.Meter.Idle() {
+		t.Fatalf("%d packets arrived by Start", dst.Meter.Packets)
+	}
 	eng.RunUntil(10 * time.Second)
 
-	if dst.Meter.First() < 2*time.Second {
-		t.Fatalf("first packet at %v, before Start", dst.Meter.First())
-	}
 	if dst.Meter.Last() > 4*time.Second+10*time.Millisecond {
 		t.Fatalf("last packet at %v, after Stop", dst.Meter.Last())
 	}
-}
-
-func TestFloodHalt(t *testing.T) {
-	eng, src, dst, _ := harness(t)
-	fl := &Flood{From: src, Dst: dst.Node().Addr(), Rate: 100_000, PacketSize: 1000}
-	fl.Launch()
-	eng.RunUntil(time.Second)
-	fl.Halt()
-	sent := fl.Sent
-	eng.RunUntil(3 * time.Second)
-	if fl.Sent != sent {
-		t.Fatal("Halt did not stop the flood")
-	}
-	_ = dst
 }
 
 func TestFloodSpoofing(t *testing.T) {
@@ -151,7 +138,11 @@ func TestArmyStagger(t *testing.T) {
 	if len(army.Floods) != 4 {
 		t.Fatalf("army launched %d floods", len(army.Floods))
 	}
-	if army.TotalSent() == 0 {
+	var sent uint64
+	for _, f := range army.Floods {
+		sent += f.Sent
+	}
+	if sent == 0 {
 		t.Fatal("army sent nothing")
 	}
 	// Staggered starts: zombie i starts at i*1s.

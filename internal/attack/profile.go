@@ -97,17 +97,6 @@ type Launched struct {
 	ReqFl   *RequestFlood // non-nil for RequestFlooder
 }
 
-// Sent reports packets (or requests) that entered the network.
-func (l Launched) Sent() uint64 {
-	if l.Flood != nil {
-		return l.Flood.Sent
-	}
-	if l.ReqFl != nil {
-		return l.ReqFl.Sent
-	}
-	return 0
-}
-
 // Launch schedules the profile's workload on its host's engine.
 func (p Profile) Launch(rng *rand.Rand) Launched {
 	switch p.Behavior {

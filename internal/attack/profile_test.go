@@ -97,16 +97,16 @@ func TestProfileLaunchShapes(t *testing.T) {
 	}.Launch(rng)
 	eng.RunUntil(3 * time.Second)
 
-	if steady.Flood == nil || steady.Sent() == 0 {
+	if steady.Flood == nil || steady.Flood.Sent == 0 {
 		t.Fatal("steady profile emitted nothing")
 	}
-	if pulse.Flood == nil || pulse.Sent() == 0 {
+	if pulse.Flood == nil || pulse.Flood.Sent == 0 {
 		t.Fatal("pulse profile emitted nothing")
 	}
-	if pulse.Sent() >= steady.Sent() {
-		t.Fatalf("pulse (%d) should send less than steady (%d)", pulse.Sent(), steady.Sent())
+	if pulse.Flood.Sent >= steady.Flood.Sent {
+		t.Fatalf("pulse (%d) should send less than steady (%d)", pulse.Flood.Sent, steady.Flood.Sent)
 	}
-	if reqs.ReqFl == nil || reqs.Sent() == 0 {
+	if reqs.ReqFl == nil || reqs.ReqFl.Sent == 0 {
 		t.Fatal("request flooder emitted nothing")
 	}
 }

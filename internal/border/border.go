@@ -423,16 +423,6 @@ func (e *Engine) build() {
 // Config returns the configuration the engine was built with.
 func (e *Engine) Config() Config { return e.cfg }
 
-// DataPlane exposes the sharded classification engine, building the
-// control half first: a caller may write to it.
-func (e *Engine) DataPlane() *dataplane.Engine {
-	e.build()
-	return e.dp
-}
-
-// Built reports whether the control half exists.
-func (e *Engine) Built() bool { return e.built.Load() }
-
 // Filters and Shadows are read views of the filter bank and the shadow
 // log; they build nothing, and read as empty before the first build.
 func (e *Engine) Filters() dataplane.TableView {
@@ -449,18 +439,10 @@ func (e *Engine) Shadows() dataplane.ShadowView {
 	return e.dp.Shadow()
 }
 
-// Detector and Cluster expose the detection plane's engine (nil when
-// the router defends no legacy clients or runs clustered) and its
-// cluster overlay (nil when disabled); KillReplica kills one logical
-// replica of the cluster now. Before the control half is built the
-// plane is unarmed: nil, nil and no replica to kill.
-func (e *Engine) Detector() *detect.Engine {
-	if !e.built.Load() {
-		return nil
-	}
-	return e.plane.Engine()
-}
-
+// Cluster exposes the detection plane's cluster overlay (nil when
+// disabled); KillReplica kills one logical replica of the cluster now.
+// Before the control half is built the plane is unarmed: nil and no
+// replica to kill.
 func (e *Engine) Cluster() *cluster.Cluster {
 	if !e.built.Load() {
 		return nil

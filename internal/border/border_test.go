@@ -247,7 +247,7 @@ func TestIdleEngineReadsAsEmpty(t *testing.T) {
 	cfg := testConfig(true, true, VictimDriven, true)
 	cfg.Detection = nil
 	idle, eager := newRig(cfg), newRig(cfg)
-	eager.e.DataPlane()
+	eager.e.build()
 
 	type reads struct {
 		stats        Stats
@@ -264,7 +264,7 @@ func TestIdleEngineReadsAsEmpty(t *testing.T) {
 		_, _, killed := r.e.KillReplica(0)
 		return reads{r.e.Stats(), r.e.Filters().Stats(), r.e.Shadows().Stats(), fmt.Sprintf("%+v", *r.e.Snapshot()),
 			r.e.Disconnected(peer, r.clk.Now()), r.e.OutstandingReliable(), r.e.PendingHandshakes(),
-			r.e.Detector() != nil || r.e.Cluster() != nil, killed}
+			r.e.built.Load() && r.e.plane.Engine() != nil || r.e.Cluster() != nil, killed}
 	}
 	for _, r := range []*rig{idle, eager} {
 		r.clk.Advance(time.Second)
@@ -274,7 +274,7 @@ func TestIdleEngineReadsAsEmpty(t *testing.T) {
 	if got, want := read(idle), read(eager); got != want {
 		t.Fatalf("idle engine reads\n%+v\nan eager one\n%+v", got, want)
 	}
-	if idle.e.Built() {
+	if idle.e.built.Load() {
 		t.Fatal("data traffic or a read built the control half")
 	}
 
@@ -284,7 +284,7 @@ func TestIdleEngineReadsAsEmpty(t *testing.T) {
 		r.e.Halt()
 		r.start(snap)
 	}
-	if crashed.Built() {
+	if crashed.built.Load() {
 		t.Fatal("Halt built the control half")
 	}
 	if got, want := read(idle), read(eager); got != want {

@@ -31,8 +31,8 @@ func TestSimClockArmZeroAlloc(t *testing.T) {
 			clk.Stop(tm)
 		}
 		eng.Run()
-		if eng.Pending() != 0 || eng.Processed != 0 {
-			t.Errorf("stopped timers left %d pending, %d fired", eng.Pending(), eng.Processed)
+		if eng.Processed != 0 {
+			t.Errorf("%d stopped timers fired", eng.Processed)
 		}
 	}
 	cycle()

@@ -50,12 +50,12 @@ func TestTempFilterLifecycle(t *testing.T) {
 	if dep.Log.Count(aitf.EvTakeoverOK) == 0 {
 		t.Fatalf("no takeover confirmation:\n%s", dep.Log)
 	}
-	vgw.Filters().Expire(dep.Now())
-	if vgw.Filters().Len() != 0 {
-		t.Fatalf("victim gateway still holds %d filters after Ttmp", vgw.Filters().Len())
+	live := vgw.Snapshot()
+	if n := len(live.Filters); n != 0 {
+		t.Fatalf("victim gateway still holds %d filters after Ttmp", n)
 	}
 	// The shadow must outlive the temporary filter.
-	if vgw.Shadows().Len() == 0 {
+	if len(live.Shadows) == 0 {
 		t.Fatal("shadow entry missing after temp filter expiry")
 	}
 }

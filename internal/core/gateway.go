@@ -7,7 +7,6 @@ import (
 	"aitf/internal/cluster"
 	"aitf/internal/ctrl"
 	"aitf/internal/dataplane"
-	"aitf/internal/detect"
 	"aitf/internal/flow"
 	"aitf/internal/netsim"
 	"aitf/internal/obs"
@@ -92,18 +91,15 @@ func (g *Gateway) Node() *netsim.Node { return g.node }
 // Config returns the gateway's configuration as NewGateway was given it.
 func (g *Gateway) Config() GatewayConfig { return g.eng.Config() }
 
-// DataPlane exposes the sharded classification engine, building the
-// gateway's tables if no control message has yet. Filters and Shadows
-// are read views of its filter bank and shadow cache (for experiments)
-// that build nothing: before the tables exist they read as empty.
-func (g *Gateway) DataPlane() *dataplane.Engine  { return g.eng.DataPlane() }
+// Filters and Shadows are read views of the gateway's filter bank and
+// shadow cache (for experiments) that build nothing: before the tables
+// exist they read as empty.
 func (g *Gateway) Filters() dataplane.TableView  { return g.eng.Filters() }
 func (g *Gateway) Shadows() dataplane.ShadowView { return g.eng.Shadows() }
 
-// Detector, Cluster and KillReplica are the engine's detection plane
-// (border.Engine): nil, nil and a no-op on a gateway that has not
-// built it yet.
-func (g *Gateway) Detector() *detect.Engine  { return g.eng.Detector() }
+// Cluster and KillReplica are the engine's detection plane
+// (border.Engine): nil and a no-op on a gateway that has not built it
+// yet.
 func (g *Gateway) Cluster() *cluster.Cluster { return g.eng.Cluster() }
 func (g *Gateway) KillReplica(id int) (inherited, lost int, ok bool) {
 	return g.eng.KillReplica(id)

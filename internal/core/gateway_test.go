@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"aitf/internal/dataplane"
 	"aitf/internal/flow"
 	"aitf/internal/netsim"
 	"aitf/internal/packet"
@@ -33,17 +34,18 @@ func TestIdleGatewayForwardsUnbuilt(t *testing.T) {
 	if s := g.Stats(); s.DataForwarded != 10 {
 		t.Fatalf("forwarded %d of 10 data packets", s.DataForwarded)
 	}
-	if g.Filters().Len() != 0 || g.Shadows().Len() != 0 || len(g.Snapshot().Filters) != 0 ||
-		g.Detector() != nil || g.Cluster() != nil || g.OutstandingReliable() != 0 || g.PendingHandshakes() != 0 {
+	if g.Filters().Len() != 0 || len(g.Snapshot().Shadows) != 0 || len(g.Snapshot().Filters) != 0 ||
+		g.Cluster() != nil || g.OutstandingReliable() != 0 || g.PendingHandshakes() != 0 {
 		t.Fatal("an idle gateway reads as not empty")
 	}
-	if g.eng.Built() {
+	// Before the build the filter view is the zero view.
+	if g.Filters() != (dataplane.TableView{}) {
 		t.Fatal("data traffic or a read built the gateway's control state")
 	}
 
 	net.Node(src).Originate(packet.NewControl(srcAddr, gwAddr, &packet.Disconnect{}))
 	eng.Run()
-	if !g.eng.Built() || g.Stats().MsgProcessed != 1 {
+	if g.Filters() == (dataplane.TableView{}) || g.Stats().MsgProcessed != 1 {
 		t.Fatal("the first control message did not build the gateway's control state")
 	}
 }

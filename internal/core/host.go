@@ -152,17 +152,12 @@ func (h *Host) SendData(p *packet.Packet) bool {
 // must hold per §IV-D (na = R2·T).
 func (h *Host) ActiveStopOrders() int { return h.eng.ActiveStopOrders(h.now()) }
 
-// Wants reports whether the host currently wants label blocked.
-func (h *Host) Wants(label flow.Label) bool { return h.eng.Wants(h.now(), label) }
-
 // Meter accumulates a host's received byte count on the virtual clock
 // and exposes average bandwidth over the interval it was observed. It
 // also keeps per-window buckets so tests can examine the time profile
 // of a flow (e.g. on-off bursts).
 type Meter struct {
-	start   sim.Time
-	end     sim.Time
-	started bool
+	end sim.Time
 
 	Bytes   uint64
 	Packets uint64
@@ -177,10 +172,6 @@ func NewMeter(window sim.Time) *Meter { return &Meter{window: window} }
 
 // Add records n payload bytes observed at time now.
 func (m *Meter) Add(now sim.Time, n int) {
-	if !m.started {
-		m.start = now
-		m.started = true
-	}
 	if now > m.end {
 		m.end = now
 	}
@@ -194,14 +185,11 @@ func (m *Meter) Add(now sim.Time, n int) {
 	}
 }
 
-// First returns the time of the first observation.
-func (m *Meter) First() sim.Time { return m.start }
-
 // Last returns the time of the last observation.
 func (m *Meter) Last() sim.Time { return m.end }
 
 // Idle reports whether the meter never saw traffic.
-func (m *Meter) Idle() bool { return !m.started }
+func (m *Meter) Idle() bool { return m.Packets == 0 }
 
 // BandwidthOver returns average bytes/second across an externally
 // chosen horizon (e.g. the whole experiment), which is the "effective

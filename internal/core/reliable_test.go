@@ -31,7 +31,7 @@ func reliableOpts() aitf.Options {
 func stampPath(dep *aitf.ChainDeployment) []packet.RREntry {
 	attacker := dep.Attacker.Node().Addr()
 	victim := dep.Victim.Node()
-	host := victim.Handler()
+	host := dep.Victim
 	var path []packet.RREntry
 	victim.SetHandler(netsim.HandlerFunc(func(n *netsim.Node, p *packet.Packet, from *netsim.Iface) {
 		if p.Src == attacker && !p.IsControl() {
@@ -257,7 +257,7 @@ func TestCrashRestoreKeepsFilterDeadlines(t *testing.T) {
 	if dep.AttackGWs[0].Filters().Len() == 0 {
 		t.Fatalf("no filter at the attacker gateway before the crash:\n%s", dep.Log)
 	}
-	wantExp := dep.AttackGWs[0].DataPlane().FilterEntries()[0].ExpiresAt
+	wantExp := dep.AttackGWs[0].Filters().Entries()[0].ExpiresAt
 
 	snap := dep.CrashGateway(id)
 	if snap == nil || len(snap.Filters) == 0 {
@@ -266,7 +266,7 @@ func TestCrashRestoreKeepsFilterDeadlines(t *testing.T) {
 	dep.Run(300 * time.Millisecond)
 	g := dep.RestoreGateway(id, snap)
 
-	ents := g.DataPlane().FilterEntries()
+	ents := g.Filters().Entries()
 	if len(ents) != 1 {
 		t.Fatalf("restored gateway holds %d filters, want 1", len(ents))
 	}
@@ -276,14 +276,12 @@ func TestCrashRestoreKeepsFilterDeadlines(t *testing.T) {
 
 	// Just before the original deadline the filter is still up...
 	dep.Run(wantExp - dep.Engine.Now() - 50*time.Millisecond)
-	g.Filters().Expire(dep.Now())
-	if g.Filters().Len() != 1 {
+	if len(g.Snapshot().Filters) != 1 {
 		t.Fatalf("restored filter expired early (now %v, deadline %v)", dep.Now(), wantExp)
 	}
 	// ...and just after it, it is gone.
 	dep.Run(200 * time.Millisecond)
-	g.Filters().Expire(dep.Now())
-	if g.Filters().Len() != 0 {
+	if len(g.Snapshot().Filters) != 0 {
 		t.Fatalf("restored filter outlived its original deadline %v (now %v)", wantExp, dep.Now())
 	}
 }

@@ -50,15 +50,15 @@ func TestBlockedByStopOrderMatchesBruteForce(t *testing.T) {
 			case 3:
 				return flow.SrcPrefixLabel(t.Src, uint8(8+rng.Intn(25)), t.Dst)
 			case 4:
-				return flow.DstPrefixLabel(t.Src, t.Dst, uint8(8+rng.Intn(25)))
+				return dstPrefixLabel(t.Src, t.Dst, uint8(8+rng.Intn(25)))
 			case 5:
 				if rng.Intn(2) == 0 {
-					return flow.FromSource(t.Src)
+					return fromSource(t.Src)
 				}
 				return flow.ToDestination(t.Dst)
 			default:
 				l := t.ExactLabel()
-				l.Wildcards = flow.Wild(rng.Intn(int(flow.WildAll) + 1))
+				l.Wildcards = flow.Wild(rng.Intn(32)) // any of the five Wild bits
 				return l
 			}
 		}
@@ -100,4 +100,16 @@ func TestBlockedByStopOrderMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fromSource matches all traffic from src regardless of destination.
+func fromSource(src flow.Addr) flow.Label {
+	return flow.Label{Src: src, Wildcards: flow.WildDst | flow.WildProto | flow.WildSrcPort | flow.WildDstPort}
+}
+
+// dstPrefixLabel matches all traffic from src to the destination prefix
+// dst/bits, any protocol and ports.
+func dstPrefixLabel(src, dst flow.Addr, bits uint8) flow.Label {
+	return flow.Label{Src: src, Dst: dst, DstPrefixLen: bits,
+		Wildcards: flow.WildProto | flow.WildSrcPort | flow.WildDstPort}.Canonical()
 }

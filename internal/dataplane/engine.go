@@ -156,9 +156,6 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Shards returns the number of hash partitions.
-func (e *Engine) Shards() int { return len(e.shards) }
-
 // Now returns the engine clock's current time.
 func (e *Engine) Now() filter.Time { return e.clock.Now() }
 
@@ -550,15 +547,6 @@ func (e *Engine) Len() int { return int(e.fUsed.Load()) }
 
 // FilterCapacity returns the global wire-speed filter budget.
 func (e *Engine) FilterCapacity() int { return e.cfg.FilterCapacity }
-
-// ShardLen returns the occupancy of one hash shard (excluding the wild
-// segment), for accounting tests.
-func (e *Engine) ShardLen(i int) int {
-	s := e.shards[i]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fcount
-}
 
 // FilterStats aggregates counters across shards into filter.Stats.
 func (e *Engine) FilterStats() filter.Stats {

@@ -45,7 +45,7 @@ func TestShardRounding(t *testing.T) {
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {8, 8}, {9, 16},
 	} {
 		e, _ := newEngine(t, tc.in, 16, 16, filter.RejectNew)
-		if got := e.Shards(); got != tc.want {
+		if got := len(e.shards); got != tc.want {
 			t.Errorf("Shards(%d) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
@@ -114,7 +114,7 @@ func TestScanLabelSameShardAsPair(t *testing.T) {
 func TestWildSegment(t *testing.T) {
 	e, _ := newEngine(t, 8, 64, 64, filter.RejectNew)
 	// Block everything from one source, any destination.
-	if err := e.Install(flow.FromSource(addr(9)), 0, time.Minute); err != nil {
+	if err := e.Install(fromSource(addr(9)), 0, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
@@ -128,7 +128,7 @@ func TestWildSegment(t *testing.T) {
 	if e.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", e.Len())
 	}
-	if !e.Remove(flow.FromSource(addr(9))) {
+	if !e.Remove(fromSource(addr(9))) {
 		t.Fatal("Remove(wild) = false")
 	}
 	if v := e.ClassifyTuple(flow.TupleOf(addr(9), addr(100), flow.ProtoUDP, 1, 2), 10); v.Drop {
@@ -223,7 +223,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 			e.LogShadow(flow.PairLabel(addr(i), addr(i+500)), addr(i+500), 0, time.Minute)
 		}
 		e.Install(flow.SrcPrefixLabel(pfxSrc, 24, addr(600)), 0, time.Minute)
-		e.Install(flow.FromSource(fromSrc), 0, time.Minute)
+		e.Install(fromSource(fromSrc), 0, time.Minute)
 		e.LogShadow(flow.ToDestination(wildDst), wildDst, 0, time.Minute)
 		if e.wildFilters.Load() != 2 || e.wildShadows.Load() != 1 {
 			t.Fatalf("wild segment holds %d filters, %d shadows; want 2, 1",
@@ -294,7 +294,7 @@ func TestCapacityAccounting(t *testing.T) {
 				t.Fatalf("accepted %d installs, want exactly %d", accepted, capacity)
 			}
 			sum := 0
-			for i := 0; i < e.Shards(); i++ {
+			for i := 0; i < len(e.shards); i++ {
 				sum += e.ShardLen(i)
 			}
 			if sum != capacity || e.Len() != capacity {
@@ -346,26 +346,26 @@ func TestExpireAndViews(t *testing.T) {
 	e.Install(flow.PairLabel(addr(3), addr(4)), 0, time.Minute)
 	e.LogShadow(flow.PairLabel(addr(1), addr(2)), addr(2), 0, time.Second)
 
-	tv, sv := e.Table(), e.Shadow()
-	if tv.Len() != 2 || e.FilterCapacity() != 16 || e.ShadowCapacity() != 16 || sv.Len() != 1 {
-		t.Fatalf("views: filters %d/%d shadows %d/%d", tv.Len(), e.FilterCapacity(), sv.Len(), e.ShadowCapacity())
+	tv := e.Table()
+	if tv.Len() != 2 || e.FilterCapacity() != 16 || e.ShadowCapacity() != 16 || e.ShadowLen() != 1 {
+		t.Fatalf("views: filters %d/%d shadows %d/%d", tv.Len(), e.FilterCapacity(), e.ShadowLen(), e.ShadowCapacity())
 	}
 	ents := tv.Entries()
 	if len(ents) != 2 || ents[0].ExpiresAt > ents[1].ExpiresAt {
 		t.Fatalf("Entries not sorted by expiry: %+v", ents)
 	}
-	if _, ok := tv.Lookup(flow.PairLabel(addr(3), addr(4)), ck.Now()); !ok {
-		t.Fatal("Lookup missed live entry")
+	if _, ok := e.Get(flow.PairLabel(addr(3), addr(4)), ck.Now()); !ok {
+		t.Fatal("Get missed live entry")
 	}
 	ck.set(2 * time.Second)
-	if n := tv.Expire(ck.Now()); n != 1 {
+	if n := e.Expire(ck.Now()); n != 1 {
 		t.Fatalf("Expire removed %d, want 1", n)
 	}
-	if n := sv.ExpireOld(ck.Now()); n != 1 {
-		t.Fatalf("ExpireOld removed %d, want 1", n)
+	if n := e.ExpireShadows(ck.Now()); n != 1 {
+		t.Fatalf("ExpireShadows removed %d, want 1", n)
 	}
-	if tv.Len() != 1 || sv.Len() != 0 {
-		t.Fatalf("after expiry: filters %d shadows %d", tv.Len(), sv.Len())
+	if tv.Len() != 1 || e.ShadowLen() != 0 {
+		t.Fatalf("after expiry: filters %d shadows %d", tv.Len(), e.ShadowLen())
 	}
 	if st := tv.Stats(); st.Expired != 1 {
 		t.Fatalf("Expired = %d, want 1", st.Expired)
@@ -376,17 +376,13 @@ func TestExpireAndViews(t *testing.T) {
 // zeros a fresh engine's views report.
 func TestZeroViews(t *testing.T) {
 	fresh, _ := newEngine(t, 1, 16, 16, filter.RejectNew)
-	l := flow.PairLabel(addr(1), addr(2))
 	views := []struct {
 		tv TableView
 		sv ShadowView
 	}{{TableView{}, ShadowView{}}, {fresh.Table(), fresh.Shadow()}}
 	for i, v := range views {
 		tv, sv := v.tv, v.sv
-		_, hasF := tv.Lookup(l, 0)
-		_, hasS := sv.Get(l, 0)
-		if tv.Len() != 0 || tv.Stats() != (filter.Stats{}) || len(tv.Entries()) != 0 || tv.Expire(time.Hour) != 0 || hasF ||
-			sv.Len() != 0 || sv.Stats() != (filter.ShadowStats{}) || len(sv.Entries()) != 0 || sv.ExpireOld(time.Hour) != 0 || hasS {
+		if tv.Len() != 0 || tv.Stats() != (filter.Stats{}) || len(tv.Entries()) != 0 || sv.Stats() != (filter.ShadowStats{}) {
 			t.Fatalf("views %d are not empty", i)
 		}
 	}
@@ -480,7 +476,7 @@ func TestConcurrentInstallExpireClassify(t *testing.T) {
 	}
 	// Accounting still sums: Len equals per-shard sum.
 	sum := 0
-	for i := 0; i < e.Shards(); i++ {
+	for i := 0; i < len(e.shards); i++ {
 		sum += e.ShardLen(i)
 	}
 	if sum != e.Len() {
@@ -517,8 +513,13 @@ func TestNewClampsShards(t *testing.T) {
 	for _, c := range []struct{ in, want int }{
 		{-1, 1}, {0, 1}, {3, 4}, {MaxShards, MaxShards}, {MaxShards + 1, MaxShards}, {math.MaxInt, MaxShards},
 	} {
-		if got := New(Config{Shards: c.in, Clock: clk}).Shards(); got != c.want {
+		if got := len(New(Config{Shards: c.in, Clock: clk}).shards); got != c.want {
 			t.Errorf("Shards %d built %d shards, want %d", c.in, got, c.want)
 		}
 	}
+}
+
+// fromSource matches all traffic from src regardless of destination.
+func fromSource(src flow.Addr) flow.Label {
+	return flow.Label{Src: src, Wildcards: flow.WildDst | flow.WildProto | flow.WildSrcPort | flow.WildDstPort}
 }

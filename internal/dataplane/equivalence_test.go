@@ -162,14 +162,14 @@ func randomLabel(rng *rand.Rand, universe int) flow.Label {
 		return flow.Label{Src: src, Dst: dst, Proto: flow.ProtoUDP,
 			Wildcards: flow.WildSrcPort | flow.WildDstPort}
 	case 2: // wild source (overflow segment)
-		return flow.FromSource(src)
+		return fromSource(src)
 	case 3: // dst-anchored: any source toward dst
 		return flow.ToDestination(dst)
 	case 4, 5: // source prefix, length varied so prefixes nest
 		bits := uint8(20 + 4*rng.Intn(4)) // /20, /24, /28, /32
 		return flow.SrcPrefixLabel(src, bits, dst)
 	case 6: // destination prefix (scan residue)
-		return flow.DstPrefixLabel(src, dst, uint8(20+rng.Intn(12)))
+		return dstPrefixLabel(src, dst, uint8(20+rng.Intn(12)))
 	case 7: // source prefix with concrete proto/ports
 		l := flow.Exact(src, dst, flow.ProtoUDP, uint16(rng.Intn(4)+1), 80)
 		l.SrcPrefixLen = 24
@@ -383,7 +383,7 @@ func TestSnapshotChurnConservation(t *testing.T) {
 	}
 	// Occupancy accounting still sums after the dust settles.
 	sum := 0
-	for i := 0; i < e.Shards(); i++ {
+	for i := 0; i < len(e.shards); i++ {
 		sum += e.ShardLen(i)
 	}
 	if sum != e.Len() {
@@ -581,7 +581,7 @@ func TestPrefixChurnConservation(t *testing.T) {
 		t.Fatal("no drops observed; churn workload is mis-tuned")
 	}
 	sum := 0
-	for i := 0; i < e.Shards(); i++ {
+	for i := 0; i < len(e.shards); i++ {
 		sum += e.ShardLen(i)
 	}
 	// The wild segment holds the prefix filters; Len covers all segments.
@@ -731,4 +731,11 @@ func TestClassifySteadyStateZeroAlloc(t *testing.T) {
 				wide, wildcardWorkloadBatch(rng, 4096, nonExact, 64, wildFrac))
 		}
 	}
+}
+
+// dstPrefixLabel matches all traffic from src to the destination prefix
+// dst/bits, any protocol and ports.
+func dstPrefixLabel(src, dst flow.Addr, bits uint8) flow.Label {
+	return flow.Label{Src: src, Dst: dst, DstPrefixLen: bits,
+		Wildcards: flow.WildProto | flow.WildSrcPort | flow.WildDstPort}.Canonical()
 }

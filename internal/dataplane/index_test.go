@@ -104,7 +104,7 @@ func TestNestedPrefixChargeOrder(t *testing.T) {
 			// unrelated /24s to grow every directory.
 			rebuild := func(round int) {
 				t.Helper()
-				scan := flow.FromSource(flow.MakeAddr(241, 0, 0, byte(round)))
+				scan := fromSource(flow.MakeAddr(241, 0, 0, byte(round)))
 				sd.add(e, scan, ck.Now()+scanLife)
 				for i := 0; i < 64; i++ {
 					sd.add(e, flow.SrcPrefixLabel(flow.MakeAddr(242, byte(round), byte(i), 0), 24, dst), longLife)

@@ -64,13 +64,6 @@ type Config struct {
 	// one window exceeds this many bytes/second. <= 0 disables the
 	// engine entirely.
 	ThresholdBps float64
-	// BaselineRel, when positive, additionally requires the pair's
-	// window estimate to exceed BaselineRel × the destination's EWMA
-	// baseline bandwidth: a flow is only an attack if it is also
-	// abnormal for this victim. 0 applies the absolute threshold
-	// alone, as does a destination with no established baseline yet
-	// (cold start grants no benefit of the doubt).
-	BaselineRel float64
 	// BaselineAlpha is the EWMA smoothing factor (default 0.25).
 	BaselineAlpha float64
 	// BaselineCapacity bounds the per-destination baseline table
@@ -84,9 +77,6 @@ type Config struct {
 	// Seed keys every hash in the engine; equal seeds replay
 	// identically.
 	Seed uint64
-	// Whitelist sources are never flagged (the victim's known-good
-	// peers), regardless of rate.
-	Whitelist map[flow.Addr]bool
 }
 
 // Enabled reports whether the configuration arms detection.
@@ -102,6 +92,14 @@ const (
 	MaxDepth = 16
 	MaxTopK  = 1 << 16
 )
+
+// SketchBytes is the memory New allocates for the engine's count-min
+// cells under c, computed without allocating them: the width rounded up
+// to a power of two, times depth rows of 8-byte cells.
+func (c Config) SketchBytes() int64 {
+	c = c.withDefaults()
+	return int64(sketchWidth(c.Width)) * int64(c.Depth) * 8
+}
 
 // withDefaults fills unset fields and clamps the sizes to their bounds.
 func (c Config) withDefaults() Config {
@@ -148,9 +146,6 @@ type Detection struct {
 	// detection: the flow provably carried at least this many bytes
 	// within the window, so a detection is sound by construction.
 	LowBytes uint64
-	// BaselineBps is the destination's EWMA bandwidth at detection
-	// time (0 when the destination is untracked).
-	BaselineBps float64
 }
 
 // Stats aggregates engine counters.
@@ -268,9 +263,6 @@ func (e *Engine) observeOne(now sim.Time, tup flow.Tuple, payload int) (Detectio
 	e.rotate(now)
 	e.stats.Packets++
 	e.stats.Bytes += uint64(payload)
-	if e.cfg.Whitelist[tup.Src] {
-		return Detection{}, false
-	}
 	key := pairKey(tup.Src, tup.Dst)
 	est := e.cms.add(key, uint64(payload))
 	ent := e.hh.touch(key, uint64(payload), now, e.quiet)
@@ -296,24 +288,16 @@ func (e *Engine) observeOne(now sim.Time, tup flow.Tuple, payload int) (Detectio
 	if float64(low) <= e.thresholdB {
 		return Detection{}, false
 	}
-	baseBps := 0.0
-	if e.cfg.BaselineRel > 0 {
-		baseBps = e.base.bps(tup.Dst)
-		if baseBps > 0 && float64(est) <= e.cfg.BaselineRel*baseBps*e.cfg.Window.Seconds() {
-			return Detection{}, false
-		}
-	}
 	ent.flagged = true
 	ent.flaggedAt = now
 	e.stats.Detections++
 	return Detection{
-		Label:       flow.PairLabel(tup.Src, tup.Dst),
-		Src:         tup.Src,
-		Dst:         tup.Dst,
-		At:          now,
-		EstBytes:    est,
-		LowBytes:    low,
-		BaselineBps: baseBps,
+		Label:    flow.PairLabel(tup.Src, tup.Dst),
+		Src:      tup.Src,
+		Dst:      tup.Dst,
+		At:       now,
+		EstBytes: est,
+		LowBytes: low,
 	}, true
 }
 
@@ -340,16 +324,6 @@ func (e *Engine) ObserveTuple(now sim.Time, tup flow.Tuple, payload int) (Detect
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.observeOne(now, tup, payload)
-}
-
-// Estimate returns the (src, dst) pair's current window byte estimate.
-// The estimate is one-sided: it is never below the pair's true byte
-// count within the window.
-func (e *Engine) Estimate(now sim.Time, src, dst flow.Addr) uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rotate(now)
-	return e.cms.estimate(pairKey(src, dst))
 }
 
 // Baseline returns the destination's EWMA bandwidth in bytes/second.

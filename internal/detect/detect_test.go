@@ -93,21 +93,6 @@ func TestQuietReArm(t *testing.T) {
 	}
 }
 
-// TestWhitelistNeverFlagged: whitelisted sources flood freely.
-func TestWhitelistNeverFlagged(t *testing.T) {
-	cfg := testConfig()
-	cfg.Whitelist = map[flow.Addr]bool{attckr: true}
-	e := New(cfg)
-	var dets []Detection
-	for i := 0; i < 500; i++ {
-		dets = e.Observe(sim.Time(i)*time.Millisecond,
-			[]*packet.Packet{mkPkt(attckr, victim, 1400)}, dets)
-	}
-	if len(dets) != 0 {
-		t.Fatalf("whitelisted source flagged: %+v", dets)
-	}
-}
-
 // TestEstimateOneSided: the sketch estimate is never below the true
 // window byte count, for every key, across window rotations — the
 // count-min guarantee the detection threshold relies on.
@@ -156,49 +141,6 @@ func TestBaselineTracksRate(t *testing.T) {
 	e.Observe(sim.Time(30*time.Second), []*packet.Packet{mkPkt(legit, victim, 10)}, nil)
 	if after := e.Baseline(victim); after > got/4 {
 		t.Fatalf("baseline after silence = %.0f, want far below %.0f", after, got)
-	}
-}
-
-// TestBaselineRelSuppresses: with a relative threshold, a flow that
-// exceeds the absolute floor but not N× the victim's normal load is
-// not flagged, while a genuinely abnormal flow is.
-func TestBaselineRelSuppresses(t *testing.T) {
-	cfg := testConfig()
-	cfg.ThresholdBps = 10_000
-	cfg.BaselineRel = 3
-	e := New(cfg)
-	// Establish a 40 kB/s normal load from the legit sender.
-	for i := 0; i < 400; i++ {
-		e.Observe(sim.Time(i)*25*time.Millisecond, []*packet.Packet{mkPkt(legit, victim, 1000)}, nil)
-	}
-	base := sim.Time(10 * time.Second)
-	var dets []Detection
-	// 12 kB/s: over the absolute floor, under 3× baseline — suppressed.
-	mild := flow.MakeAddr(10, 3, 0, 1)
-	for i := 0; i < 120; i++ {
-		now := base + sim.Time(i)*25*time.Millisecond
-		dets = e.Observe(now, []*packet.Packet{mkPkt(legit, victim, 1000)}, dets) // keep baseline alive
-		if i%3 == 0 {
-			dets = e.Observe(now, []*packet.Packet{mkPkt(mild, victim, 1000)}, dets)
-		}
-	}
-	for _, d := range dets {
-		if d.Src == mild {
-			t.Fatalf("mild over-floor flow flagged despite baseline: %+v", d)
-		}
-	}
-	// 400 kB/s: an order of magnitude over baseline — flagged.
-	hot := flow.MakeAddr(10, 3, 0, 2)
-	for i := 0; i < 200; i++ {
-		now := base + sim.Time(5*time.Second) + sim.Time(i)*2500*time.Microsecond
-		dets = e.Observe(now, []*packet.Packet{mkPkt(hot, victim, 1000)}, dets)
-	}
-	found := false
-	for _, d := range dets {
-		found = found || d.Src == hot
-	}
-	if !found {
-		t.Fatal("abnormal flow not flagged under relative threshold")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"aitf/internal/flow"
 	"aitf/internal/obs"
+	"aitf/internal/obs/obstest"
 	"aitf/internal/sim"
 )
 
@@ -27,7 +28,7 @@ func TestInstrumentExposesStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if err := obs.CheckExposition(out); err != nil {
+	if err := obstest.CheckExposition(out); err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	}
 	if !strings.Contains(out, "aitf_detect_packets_total 50") {

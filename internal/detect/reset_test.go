@@ -14,6 +14,7 @@ import (
 // which a Reset engine and a freshly built one must agree.
 type observable struct {
 	Estimates []uint64
+	Baselines []float64
 	TopK      []HeavyHitter
 	MergeSize int
 	Swept     []Detection
@@ -26,6 +27,9 @@ func observe(e *Engine, now sim.Time, pairs [][2]flow.Addr) observable {
 	var o observable
 	for _, p := range pairs {
 		o.Estimates = append(o.Estimates, e.Estimate(now, p[0], p[1]))
+	}
+	for dst := flow.Addr(100); dst < 103; dst++ {
+		o.Baselines = append(o.Baselines, e.Baseline(dst))
 	}
 	o.TopK = e.TopK()
 	o.MergeSize = e.MergeSize()
@@ -91,7 +95,6 @@ func drive(e *Engine, seed int64, start sim.Time) sim.Time {
 func TestResetEqualsNew(t *testing.T) {
 	cfg := mergeCfg()
 	cfg.TopK = 8
-	cfg.BaselineRel = 1.5 // exercise the baselines' reset as well
 	pairs := resetPairs()
 	for seed := int64(1); seed <= 50; seed++ {
 		used := New(cfg)

@@ -21,10 +21,7 @@ type sketch struct {
 // newSketch builds a sketch; width, at most MaxWidth, is rounded up to a
 // power of two.
 func newSketch(width, depth int, seed uint64) *sketch {
-	w := uint32(1)
-	for int(w) < width {
-		w <<= 1
-	}
+	w := sketchWidth(width)
 	s := &sketch{mask: w - 1, depth: depth}
 	s.seeds = make([]uint64, depth)
 	rng := seed
@@ -34,6 +31,15 @@ func newSketch(width, depth int, seed uint64) *sketch {
 	}
 	s.cells = make([]uint64, int(w)*depth)
 	return s
+}
+
+// sketchWidth rounds width up to the power of two a sketch row holds.
+func sketchWidth(width int) uint32 {
+	w := uint32(1)
+	for int(w) < width {
+		w <<= 1
+	}
+	return w
 }
 
 // splitmix64 is the seed/key mixer used throughout the package: cheap,

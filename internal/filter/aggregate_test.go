@@ -27,7 +27,7 @@ func TestSiblingGroups(t *testing.T) {
 	}
 	entries = append(entries,
 		Entry{Label: aggChild(77, other), ExpiresAt: time.Second},               // lone: different dst
-		Entry{Label: flow.FromSource(dst), ExpiresAt: time.Second},              // wildcard: ineligible
+		Entry{Label: fromSource(dst), ExpiresAt: time.Second},                   // wildcard: ineligible
 		Entry{Label: flow.SrcPrefixLabel(flow.MakeAddr(240, 1, 2, 0), 24, dst)}, // already coarse
 	)
 
@@ -126,7 +126,7 @@ func TestLabelLessTotalOrder(t *testing.T) {
 		flow.PairLabel(flow.MakeAddr(240, 1, 2, 3), flow.MakeAddr(10, 0, 0, 8)),
 		flow.SrcPrefixLabel(flow.MakeAddr(240, 1, 2, 0), 24, dst),
 		flow.SrcPrefixLabel(flow.MakeAddr(240, 1, 2, 0), 28, dst),
-		flow.FromSource(dst),
+		fromSource(dst),
 		flow.Exact(flow.MakeAddr(240, 1, 2, 3), dst, flow.ProtoUDP, 5000, 80),
 		flow.Exact(flow.MakeAddr(240, 1, 2, 3), dst, flow.ProtoTCP, 5000, 80),
 	}
@@ -175,4 +175,9 @@ func BenchmarkSiblingGroups(b *testing.B) {
 			b.Fatal("no groups")
 		}
 	}
+}
+
+// fromSource matches all traffic from src regardless of destination.
+func fromSource(src flow.Addr) flow.Label {
+	return flow.Label{Src: src, Wildcards: flow.WildDst | flow.WildProto | flow.WildSrcPort | flow.WildDstPort}
 }

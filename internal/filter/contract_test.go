@@ -270,14 +270,14 @@ func TestZeroCapacityTable(t *testing.T) {
 func TestWildcardScanMatch(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
 		tb := newBank(shards, 4, 0, filter.RejectNew)
-		tb.Install(flow.FromSource(a1), 0, time.Minute)
-		// FromSource is neither exact nor pair shaped, and names no
-		// destination: no keyed probe finds it.
+		// A source-only label is neither exact nor pair shaped, and names
+		// no destination: no keyed probe finds it.
+		tb.Install(flow.Label{Src: a1, Wildcards: flow.WildDst | flow.WildProto | flow.WildSrcPort | flow.WildDstPort}, 0, time.Minute)
 		if !tb.classify(flow.TupleOf(a1, v1, flow.ProtoTCP, 9, 9), 10, time.Second).Drop {
-			t.Fatal("FromSource filter did not match")
+			t.Fatal("source-only filter did not match")
 		}
 		if tb.classify(flow.TupleOf(a2, v1, flow.ProtoTCP, 9, 9), 10, time.Second).Drop {
-			t.Fatal("FromSource filter matched wrong source")
+			t.Fatal("source-only filter matched wrong source")
 		}
 	})
 }

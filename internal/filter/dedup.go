@@ -80,6 +80,3 @@ func (d *Dedup) Seen(src flow.Addr, txid uint64, now, window Time) bool {
 	d.seen[k] = now
 	return false
 }
-
-// Len returns the number of pairs currently remembered.
-func (d *Dedup) Len() int { return len(d.seen) }

@@ -17,7 +17,7 @@ func TestDedupRerecordKeepsNewestSlot(t *testing.T) {
 	if d.Seen(src, 7, 0, window) || !d.Seen(src, 7, window-1, window) {
 		t.Fatal("first sighting is new, the second inside the window a duplicate")
 	}
-	if d.Seen(src, 0, 0, window) || d.Seen(src, 0, 0, window) || d.Len() != 1 {
+	if d.Seen(src, 0, 0, window) || d.Seen(src, 0, 0, window) || len(d.seen) != 1 {
 		t.Fatal("txid 0 must bypass and leave no record")
 	}
 	// Lapsed: recorded again at 2s, now owning two ring slots.
@@ -33,8 +33,8 @@ func TestDedupRerecordKeepsNewestSlot(t *testing.T) {
 	if !d.Seen(src, 7, now, window) {
 		t.Fatal("overwriting the stale slot forgot the fresh record")
 	}
-	if d.Evicted != 0 || d.Len() != DedupCapacity {
-		t.Fatalf("Evicted = %d, Len = %d; want 0, %d", d.Evicted, d.Len(), DedupCapacity)
+	if d.Evicted != 0 || len(d.seen) != DedupCapacity {
+		t.Fatalf("Evicted = %d, Len = %d; want 0, %d", d.Evicted, len(d.seen), DedupCapacity)
 	}
 	// The next new pair overwrites the fresh slot: that is an eviction.
 	d.Seen(src, 99, now, window)
@@ -42,7 +42,7 @@ func TestDedupRerecordKeepsNewestSlot(t *testing.T) {
 		// Re-recording 7 just now evicted txid 100 in turn.
 		t.Fatalf("fresh record not evicted in FIFO order: Evicted = %d", d.Evicted)
 	}
-	if d.Len() != DedupCapacity {
-		t.Fatalf("Len = %d, want the capacity %d", d.Len(), DedupCapacity)
+	if len(d.seen) != DedupCapacity {
+		t.Fatalf("Len = %d, want the capacity %d", len(d.seen), DedupCapacity)
 	}
 }

@@ -37,9 +37,6 @@ func NewPolicer(ratePerSec float64, burst float64) *Policer {
 	return &Policer{rate: ratePerSec, burst: burst, tokens: burst}
 }
 
-// Rate returns the contracted requests/second.
-func (p *Policer) Rate() float64 { return p.rate }
-
 // Allow consumes a token if available, advancing the bucket to now.
 // Calls must pass nondecreasing times; regressions are clamped.
 //
@@ -47,8 +44,7 @@ func (p *Policer) Rate() float64 { return p.rate }
 // never as rate·now − rate·last: at large absolute sim times both
 // products are huge and their float64 difference cancels
 // catastrophically, so the refill drifts (under-admitting a conforming
-// sender) and disagrees with Tokens, which has always used the delta
-// form. TestPolicerLargeTimestampPrecision pins this down.
+// sender). TestPolicerLargeTimestampPrecision pins this down.
 func (p *Policer) Allow(now Time) bool { return p.AllowN(now, 1) }
 
 // AllowN is Allow for a request costing n tokens; a denial consumes
@@ -71,16 +67,4 @@ func (p *Policer) AllowN(now Time, n float64) bool {
 	p.tokens -= n
 	p.Admitted++
 	return true
-}
-
-// Tokens reports the tokens available at time now without consuming.
-func (p *Policer) Tokens(now Time) float64 {
-	t := p.tokens
-	if now > p.last {
-		t += p.rate * (now - p.last).Seconds()
-		if t > p.burst {
-			t = p.burst
-		}
-	}
-	return t
 }

@@ -76,7 +76,7 @@ func randLabel(rng *rand.Rand, i int) Label {
 		Proto:        protos[rng.Intn(len(protos))],
 		SrcPort:      uint16(rng.Intn(1 << 16)),
 		DstPort:      uint16(rng.Intn(1 << 16)),
-		Wildcards:    Wild(i) & WildAll,
+		Wildcards:    Wild(i) & wildAll,
 		SrcPrefixLen: bits[rng.Intn(len(bits))],
 		DstPrefixLen: bits[rng.Intn(len(bits))],
 	}
@@ -119,7 +119,7 @@ func TestAppendToMatchesReference(t *testing.T) {
 }
 
 // TestAppendToParses: what AppendTo writes for a canonical label is
-// what ParseLabel reads back. The one label text cannot carry is a
+// what parseLabel reads back. The one label text cannot carry is a
 // concrete protocol 0, which renders "any" and parses as the wildcard.
 func TestAppendToParses(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -129,12 +129,12 @@ func TestAppendToParses(t *testing.T) {
 			l.Wildcards |= WildProto
 		}
 		s := string(l.AppendTo(nil))
-		got, err := ParseLabel(s)
+		got, err := parseLabel(s)
 		if err != nil {
-			t.Fatalf("ParseLabel(%q): %v", s, err)
+			t.Fatalf("parseLabel(%q): %v", s, err)
 		}
 		if got != l {
-			t.Fatalf("ParseLabel(%q) = %+v, want %+v", s, got, l)
+			t.Fatalf("parseLabel(%q) = %+v, want %+v", s, got, l)
 		}
 	}
 }

@@ -8,7 +8,6 @@
 package flow
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -59,11 +58,6 @@ func (a Addr) AppendTo(b []byte) []byte {
 	b = strconv.AppendUint(b, uint64(byte(a>>8)), 10)
 	b = append(b, '.')
 	return strconv.AppendUint(b, uint64(byte(a)), 10)
-}
-
-// Octets returns the four octets of the address, most significant first.
-func (a Addr) Octets() [4]byte {
-	return [4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}
 }
 
 // Mask keeps the top bits of the address and zeroes the rest; bits >= 32
@@ -123,14 +117,11 @@ const (
 	WildProto
 	WildSrcPort
 	WildDstPort
-
-	// WildAll matches every packet.
-	WildAll = WildSrc | WildDst | WildProto | WildSrcPort | WildDstPort
 )
 
-// Label is a wildcardable 5-tuple. The zero Label with Wildcards ==
-// WildAll matches every packet; the zero Label with no wildcards matches
-// only the all-zero tuple.
+// Label is a wildcardable 5-tuple. A Label with every Wild bit set
+// matches every packet; the zero Label with no wildcards matches only
+// the all-zero tuple.
 //
 // The address fields additionally support prefix granularity: a
 // SrcPrefixLen (DstPrefixLen) in [1, 31] turns Src (Dst) into a prefix
@@ -165,11 +156,6 @@ func PairLabel(src, dst Addr) Label {
 	return Label{Src: src, Dst: dst, Wildcards: WildProto | WildSrcPort | WildDstPort}
 }
 
-// FromSource matches all traffic from src regardless of destination.
-func FromSource(src Addr) Label {
-	return Label{Src: src, Wildcards: WildDst | WildProto | WildSrcPort | WildDstPort}
-}
-
 // ToDestination matches all traffic addressed to dst.
 func ToDestination(dst Addr) Label {
 	return Label{Dst: dst, Wildcards: WildSrc | WildProto | WildSrcPort | WildDstPort}
@@ -182,14 +168,6 @@ func ToDestination(dst Addr) Label {
 func SrcPrefixLabel(src Addr, bits uint8, dst Addr) Label {
 	l := PairLabel(src, dst)
 	l.SrcPrefixLen = bits
-	return l.Canonical()
-}
-
-// DstPrefixLabel matches all traffic from src to the destination prefix
-// dst/bits, any protocol and ports.
-func DstPrefixLabel(src Addr, dst Addr, bits uint8) Label {
-	l := PairLabel(src, dst)
-	l.DstPrefixLen = bits
 	return l.Canonical()
 }
 
@@ -221,12 +199,6 @@ func (l Label) dstBits() uint8 {
 func (l Label) CoversSrc(a Addr) bool {
 	b := l.srcBits()
 	return l.Src.Mask(b) == a.Mask(b)
-}
-
-// CoversDst reports whether the label's destination field covers addr.
-func (l Label) CoversDst(a Addr) bool {
-	b := l.dstBits()
-	return l.Dst.Mask(b) == a.Mask(b)
 }
 
 // Tuple is a concrete packet 5-tuple to be matched against labels.
@@ -346,8 +318,8 @@ func (l Label) String() string {
 	return string(l.AppendTo(buf[:0]))
 }
 
-// AppendTo appends the form String renders (and ParseLabel reads) to b
-// and returns the extended slice; it allocates only when b lacks room.
+// AppendTo appends the form String renders to b and returns the
+// extended slice; it allocates only when b lacks room.
 func (l Label) AppendTo(b []byte) []byte {
 	b = appendEnd(b, l.Wildcards&WildSrc != 0, l.Src, l.SrcPrefixLen)
 	b = append(b, "->"...)
@@ -384,137 +356,4 @@ func appendPort(b []byte, wild bool, port uint16) []byte {
 		return append(b, '*')
 	}
 	return strconv.AppendUint(b, uint64(port), 10)
-}
-
-// ErrBadLabel reports an unparseable label string.
-var ErrBadLabel = errors.New("flow: malformed label")
-
-// ParseLabel parses the format produced by Label.String.
-func ParseLabel(s string) (Label, error) {
-	fields := strings.Fields(s)
-	if len(fields) != 4 {
-		return Label{}, fmt.Errorf("%w: %q", ErrBadLabel, s)
-	}
-	var l Label
-	ends := strings.Split(fields[0], "->")
-	if len(ends) != 2 {
-		return Label{}, fmt.Errorf("%w: %q", ErrBadLabel, s)
-	}
-	// parseEnd handles one endpoint: "*", "a.b.c.d", or "a.b.c.d/bits".
-	parseEnd := func(s string) (Addr, uint8, Wild, error) {
-		if s == "*" {
-			return 0, 0, 1, nil // wild flag; caller maps to the right bit
-		}
-		addrPart, bitsPart, prefixed := strings.Cut(s, "/")
-		a, err := ParseAddr(addrPart)
-		if err != nil {
-			return 0, 0, 0, fmt.Errorf("%w: %v", ErrBadLabel, err)
-		}
-		if !prefixed {
-			return a, 0, 0, nil
-		}
-		n, err := strconv.ParseUint(bitsPart, 10, 8)
-		if err != nil || n < 1 || n > 32 {
-			return 0, 0, 0, fmt.Errorf("%w: prefix length %q", ErrBadLabel, bitsPart)
-		}
-		if n == 32 {
-			return a, 0, 0, nil // /32 is the full address
-		}
-		return a, uint8(n), 0, nil
-	}
-	a, bits, wild, err := parseEnd(ends[0])
-	if err != nil {
-		return Label{}, err
-	}
-	if wild != 0 {
-		l.Wildcards |= WildSrc
-	} else {
-		l.Src, l.SrcPrefixLen = a, bits
-	}
-	a, bits, wild, err = parseEnd(ends[1])
-	if err != nil {
-		return Label{}, err
-	}
-	if wild != 0 {
-		l.Wildcards |= WildDst
-	} else {
-		l.Dst, l.DstPrefixLen = a, bits
-	}
-	for _, f := range fields[1:] {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			return Label{}, fmt.Errorf("%w: field %q", ErrBadLabel, f)
-		}
-		switch k {
-		case "proto":
-			switch v {
-			case "*", "any":
-				l.Wildcards |= WildProto
-			case "udp":
-				l.Proto = ProtoUDP
-			case "tcp":
-				l.Proto = ProtoTCP
-			case "icmp":
-				l.Proto = ProtoICMP
-			case "aitf":
-				l.Proto = ProtoAITF
-			default:
-				n, err := strconv.ParseUint(strings.TrimPrefix(v, "proto"), 10, 8)
-				if err != nil {
-					return Label{}, fmt.Errorf("%w: proto %q", ErrBadLabel, v)
-				}
-				if n == 0 {
-					// Proto 0 is ProtoAny, which renders as "any": treat a
-					// numeric zero as the wildcard too so parse/format
-					// round-trips.
-					l.Wildcards |= WildProto
-				}
-				l.Proto = Proto(n)
-			}
-		case "sport", "dport":
-			if v == "*" {
-				if k == "sport" {
-					l.Wildcards |= WildSrcPort
-				} else {
-					l.Wildcards |= WildDstPort
-				}
-				continue
-			}
-			n, err := strconv.ParseUint(v, 10, 16)
-			if err != nil {
-				return Label{}, fmt.Errorf("%w: port %q", ErrBadLabel, v)
-			}
-			if k == "sport" {
-				l.SrcPort = uint16(n)
-			} else {
-				l.DstPort = uint16(n)
-			}
-		default:
-			return Label{}, fmt.Errorf("%w: unknown field %q", ErrBadLabel, k)
-		}
-	}
-	return l, nil
-}
-
-// Reverse swaps source and destination (addresses, prefix lengths,
-// ports, and their wildcard bits). Useful for addressing replies.
-func (l Label) Reverse() Label {
-	r := l
-	r.Src, r.Dst = l.Dst, l.Src
-	r.SrcPrefixLen, r.DstPrefixLen = l.DstPrefixLen, l.SrcPrefixLen
-	r.SrcPort, r.DstPort = l.DstPort, l.SrcPort
-	r.Wildcards = l.Wildcards &^ (WildSrc | WildDst | WildSrcPort | WildDstPort)
-	if l.Wildcards&WildSrc != 0 {
-		r.Wildcards |= WildDst
-	}
-	if l.Wildcards&WildDst != 0 {
-		r.Wildcards |= WildSrc
-	}
-	if l.Wildcards&WildSrcPort != 0 {
-		r.Wildcards |= WildDstPort
-	}
-	if l.Wildcards&WildDstPort != 0 {
-		r.Wildcards |= WildSrcPort
-	}
-	return r
 }

@@ -46,8 +46,8 @@ func TestParseAddrErrors(t *testing.T) {
 
 func TestMakeAddrOctets(t *testing.T) {
 	a := MakeAddr(10, 20, 30, 40)
-	if got := a.Octets(); got != [4]byte{10, 20, 30, 40} {
-		t.Fatalf("Octets = %v", got)
+	if a != 10<<24|20<<16|30<<8|40 {
+		t.Fatalf("MakeAddr = %#x", uint32(a))
 	}
 	if a.String() != "10.20.30.40" {
 		t.Fatalf("String = %q", a.String())
@@ -103,10 +103,10 @@ func TestPairLabelMatchesAnyProtoAndPorts(t *testing.T) {
 
 func TestFromSourceToDestination(t *testing.T) {
 	src, dst := MakeAddr(9, 9, 9, 9), MakeAddr(8, 8, 8, 8)
-	if !FromSource(src).Matches(TupleOf(src, dst, ProtoTCP, 1, 2)) {
+	if !fromSource(src).Matches(TupleOf(src, dst, ProtoTCP, 1, 2)) {
 		t.Error("FromSource should match any destination")
 	}
-	if FromSource(src).Matches(TupleOf(dst, src, ProtoTCP, 1, 2)) {
+	if fromSource(src).Matches(TupleOf(dst, src, ProtoTCP, 1, 2)) {
 		t.Error("FromSource matched wrong source")
 	}
 	if !ToDestination(dst).Matches(TupleOf(src, dst, ProtoTCP, 1, 2)) {
@@ -130,12 +130,12 @@ func TestCovers(t *testing.T) {
 	if !pair.Covers(pair) {
 		t.Error("label should cover itself")
 	}
-	all := Label{Wildcards: WildAll}
+	all := Label{Wildcards: wildAll}
 	if !all.Covers(pair) || !all.Covers(exact) {
-		t.Error("WildAll should cover everything")
+		t.Error("wildAll should cover everything")
 	}
 	if pair.Covers(all) {
-		t.Error("pair should not cover WildAll")
+		t.Error("pair should not cover wildAll")
 	}
 	other := PairLabel(src, MakeAddr(3, 3, 3, 3))
 	if pair.Covers(other) || other.Covers(pair) {
@@ -168,17 +168,17 @@ func TestStringParseRoundTrip(t *testing.T) {
 	labels := []Label{
 		Exact(MakeAddr(1, 0, 0, 1), MakeAddr(2, 0, 0, 2), ProtoUDP, 1000, 80),
 		PairLabel(MakeAddr(10, 0, 0, 1), MakeAddr(10, 0, 0, 2)),
-		FromSource(MakeAddr(172, 16, 0, 1)),
+		fromSource(MakeAddr(172, 16, 0, 1)),
 		ToDestination(MakeAddr(10, 9, 8, 7)),
-		{Wildcards: WildAll},
+		{Wildcards: wildAll},
 		Exact(MakeAddr(1, 1, 1, 1), MakeAddr(2, 2, 2, 2), ProtoICMP, 0, 0),
 		Exact(MakeAddr(1, 1, 1, 1), MakeAddr(2, 2, 2, 2), Proto(42), 1, 2),
 	}
 	for _, l := range labels {
 		s := l.String()
-		got, err := ParseLabel(s)
+		got, err := parseLabel(s)
 		if err != nil {
-			t.Fatalf("ParseLabel(%q): %v", s, err)
+			t.Fatalf("parseLabel(%q): %v", s, err)
 		}
 		if got.Canonical() != l.Canonical() {
 			t.Fatalf("round trip %q: got %+v want %+v", s, got, l)
@@ -198,29 +198,9 @@ func TestParseLabelErrors(t *testing.T) {
 		"1.2.3.4->5.6.7.8 proto=udp sport=1 dport",
 	}
 	for _, s := range bad {
-		if _, err := ParseLabel(s); err == nil {
-			t.Errorf("ParseLabel(%q) succeeded, want error", s)
+		if _, err := parseLabel(s); err == nil {
+			t.Errorf("parseLabel(%q) succeeded, want error", s)
 		}
-	}
-}
-
-func TestReverse(t *testing.T) {
-	l := Exact(MakeAddr(1, 1, 1, 1), MakeAddr(2, 2, 2, 2), ProtoUDP, 10, 20)
-	r := l.Reverse()
-	if r.Src != l.Dst || r.Dst != l.Src || r.SrcPort != 20 || r.DstPort != 10 {
-		t.Fatalf("Reverse = %+v", r)
-	}
-	if rr := r.Reverse(); rr != l {
-		t.Fatalf("double Reverse = %+v, want original", rr)
-	}
-	// Wildcards follow their field.
-	f := FromSource(MakeAddr(3, 3, 3, 3))
-	fr := f.Reverse()
-	if fr.Wildcards&WildSrc == 0 || fr.Wildcards&WildDst != 0 {
-		t.Fatalf("Reverse wildcards = %v", fr.Wildcards)
-	}
-	if fr.Dst != MakeAddr(3, 3, 3, 3) {
-		t.Fatalf("Reverse Dst = %v", fr.Dst)
 	}
 }
 
@@ -230,9 +210,9 @@ func TestReverse(t *testing.T) {
 func TestPropertyCoversImpliesMatches(t *testing.T) {
 	f := func(src, dst uint32, proto uint8, sp, dp uint16, wildA, wildB uint8) bool {
 		a := Label{Src: Addr(src), Dst: Addr(dst), Proto: Proto(proto),
-			SrcPort: sp, DstPort: dp, Wildcards: Wild(wildA) & WildAll}
+			SrcPort: sp, DstPort: dp, Wildcards: Wild(wildA) & wildAll}
 		b := Label{Src: Addr(src), Dst: Addr(dst), Proto: Proto(proto),
-			SrcPort: sp, DstPort: dp, Wildcards: Wild(wildB) & WildAll}
+			SrcPort: sp, DstPort: dp, Wildcards: Wild(wildB) & wildAll}
 		tup := Tuple{Src: Addr(src), Dst: Addr(dst), Proto: Proto(proto), SrcPort: sp, DstPort: dp}
 		if a.Covers(b) && b.Matches(tup) && !a.Matches(tup) {
 			return false
@@ -248,7 +228,7 @@ func TestPropertyCoversImpliesMatches(t *testing.T) {
 func TestPropertyCanonicalIdempotent(t *testing.T) {
 	f := func(src, dst uint32, proto uint8, sp, dp uint16, wild uint8, ts, td uint32, tp uint8, tsp, tdp uint16) bool {
 		l := Label{Src: Addr(src), Dst: Addr(dst), Proto: Proto(proto),
-			SrcPort: sp, DstPort: dp, Wildcards: Wild(wild) & WildAll}
+			SrcPort: sp, DstPort: dp, Wildcards: Wild(wild) & wildAll}
 		c := l.Canonical()
 		if c.Canonical() != c {
 			return false
@@ -265,8 +245,8 @@ func TestPropertyCanonicalIdempotent(t *testing.T) {
 func TestPropertyStringRoundTrip(t *testing.T) {
 	f := func(src, dst uint32, sp, dp uint16, wild uint8) bool {
 		l := Label{Src: Addr(src), Dst: Addr(dst), Proto: ProtoUDP,
-			SrcPort: sp, DstPort: dp, Wildcards: Wild(wild) & WildAll}.Canonical()
-		got, err := ParseLabel(l.String())
+			SrcPort: sp, DstPort: dp, Wildcards: Wild(wild) & wildAll}.Canonical()
+		got, err := parseLabel(l.String())
 		if err != nil {
 			return false
 		}
@@ -324,7 +304,7 @@ func TestSrcPrefixLabelMatches(t *testing.T) {
 		t.Fatalf("/32 prefix label = %+v", got)
 	}
 	// Destination prefixes mirror.
-	dl := DstPrefixLabel(MakeAddr(1, 2, 3, 4), MakeAddr(10, 9, 0, 0), 16)
+	dl := dstPrefixLabel(MakeAddr(1, 2, 3, 4), MakeAddr(10, 9, 0, 0), 16)
 	if !dl.Matches(TupleOf(MakeAddr(1, 2, 3, 4), MakeAddr(10, 9, 200, 1), ProtoTCP, 1, 2)) {
 		t.Error("dst prefix label missed in-prefix destination")
 	}
@@ -382,8 +362,8 @@ func TestPrefixCovers(t *testing.T) {
 	if p24.Covers(SrcPrefixLabel(MakeAddr(240, 1, 2, 0), 24, MakeAddr(10, 0, 0, 8))) {
 		t.Error("covered same prefix toward a different destination")
 	}
-	if (Label{Wildcards: WildAll}).Covers(p24) != true {
-		t.Error("WildAll should cover prefix labels")
+	if (Label{Wildcards: wildAll}).Covers(p24) != true {
+		t.Error("wildAll should cover prefix labels")
 	}
 	if p24.Covers(ToDestination(dst)) {
 		t.Error("prefix src must not cover wildcard src")
@@ -399,23 +379,20 @@ func TestCoversSrcCoversDst(t *testing.T) {
 	if !ToDestination(dst).CoversSrc(MakeAddr(1, 2, 3, 4)) {
 		t.Error("wildcard src should cover any address")
 	}
-	if !p.CoversDst(dst) || p.CoversDst(MakeAddr(10, 0, 0, 8)) {
-		t.Error("CoversDst wrong for concrete destination")
-	}
 }
 
 func TestPrefixStringRoundTrip(t *testing.T) {
 	labels := []Label{
 		SrcPrefixLabel(MakeAddr(240, 1, 2, 0), 24, MakeAddr(10, 0, 0, 9)),
-		DstPrefixLabel(MakeAddr(1, 2, 3, 4), MakeAddr(10, 16, 0, 0), 12),
+		dstPrefixLabel(MakeAddr(1, 2, 3, 4), MakeAddr(10, 16, 0, 0), 12),
 		{Src: MakeAddr(9, 8, 7, 0), Dst: MakeAddr(6, 5, 0, 0),
 			SrcPrefixLen: 25, DstPrefixLen: 17, Proto: ProtoTCP, SrcPort: 1, DstPort: 2},
 	}
 	for _, l := range labels {
 		s := l.String()
-		got, err := ParseLabel(s)
+		got, err := parseLabel(s)
 		if err != nil {
-			t.Fatalf("ParseLabel(%q): %v", s, err)
+			t.Fatalf("parseLabel(%q): %v", s, err)
 		}
 		if got.Canonical() != l.Canonical() {
 			t.Fatalf("round trip %q: got %+v want %+v", s, got, l)
@@ -426,7 +403,7 @@ func TestPrefixStringRoundTrip(t *testing.T) {
 		t.Fatalf("prefix label renders as %q", s)
 	}
 	// /32 parses but normalizes away; bad prefix lengths are rejected.
-	l, err := ParseLabel("1.2.3.4/32->5.6.7.8 proto=udp sport=1 dport=2")
+	l, err := parseLabel("1.2.3.4/32->5.6.7.8 proto=udp sport=1 dport=2")
 	if err != nil || l.SrcPrefixLen != 0 {
 		t.Fatalf("/32 parse: %+v, %v", l, err)
 	}
@@ -437,8 +414,8 @@ func TestPrefixStringRoundTrip(t *testing.T) {
 		"1.2.3.4/->5.6.7.8 proto=udp sport=1 dport=2",
 		"*/24->5.6.7.8 proto=udp sport=1 dport=2",
 	} {
-		if _, err := ParseLabel(bad); err == nil {
-			t.Errorf("ParseLabel(%q) succeeded, want error", bad)
+		if _, err := parseLabel(bad); err == nil {
+			t.Errorf("parseLabel(%q) succeeded, want error", bad)
 		}
 	}
 }

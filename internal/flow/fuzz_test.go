@@ -2,51 +2,62 @@ package flow
 
 import "testing"
 
-// FuzzLabelRoundTrip throws arbitrary strings at ParseLabel and checks
-// the parse/format contract on everything that parses: String must
-// agree with AppendTo and re-parse to the same canonical label, and
-// canonicalization must be idempotent and matching-preserving. Interesting inputs found by the
-// fuzzer are kept under testdata/fuzz/FuzzLabelRoundTrip.
+// FuzzLabelRoundTrip builds a label from arbitrary fields and checks
+// the rendering and canonical-form contract: String agrees with
+// AppendTo, canonicalization is idempotent, leaves prefix lengths in
+// [0, 31], and does not change which tuples match, and a canonical
+// label's text reads back as the label. Interesting inputs
+// found by the fuzzer are kept under testdata/fuzz/FuzzLabelRoundTrip.
 func FuzzLabelRoundTrip(f *testing.F) {
-	seeds := []string{
-		"1.2.3.4->5.6.7.8 proto=udp sport=1 dport=2",
-		"*->10.0.0.9 proto=* sport=* dport=80",
-		"240.1.2.0/24->10.0.0.9 proto=* sport=* dport=*",
-		"9.8.7.0/25->6.5.0.0/17 proto=tcp sport=1 dport=2",
-		"1.2.3.4/32->5.6.7.8 proto=aitf sport=0 dport=0",
-		"*->* proto=* sport=* dport=*",
-		"255.255.255.255/1->0.0.0.0 proto=proto99 sport=65535 dport=0",
+	type seed struct {
+		l          Label
+		tsrc, tdst Addr
 	}
-	for _, s := range seeds {
-		f.Add(s)
+	for _, s := range []seed{
+		{l: Exact(MakeAddr(1, 2, 3, 4), MakeAddr(5, 6, 7, 8), ProtoUDP, 1, 2)},
+		{l: Label{Dst: MakeAddr(10, 0, 0, 9), DstPort: 80, Wildcards: WildSrc | WildProto | WildSrcPort}},
+		{l: SrcPrefixLabel(MakeAddr(240, 1, 2, 0), 24, MakeAddr(10, 0, 0, 9)), tsrc: MakeAddr(240, 1, 2, 77), tdst: MakeAddr(10, 0, 0, 9)},
+		{l: Label{Src: MakeAddr(9, 8, 7, 0), Dst: MakeAddr(6, 5, 0, 0), SrcPrefixLen: 25, DstPrefixLen: 17, Proto: ProtoTCP, SrcPort: 1, DstPort: 2}},
+		{l: Label{Src: MakeAddr(1, 2, 3, 4), Dst: MakeAddr(5, 6, 7, 8), SrcPrefixLen: 32, Proto: ProtoAITF}},
+		{l: Label{Wildcards: WildSrc | WildDst | WildProto | WildSrcPort | WildDstPort}},
+		{l: Label{Src: MakeAddr(255, 255, 255, 255), SrcPrefixLen: 1, Proto: 99, SrcPort: 65535}},
+	} {
+		l := s.l
+		f.Add(uint32(l.Src), uint32(l.Dst), l.SrcPort, l.DstPort, uint8(l.Proto), uint8(l.Wildcards),
+			l.SrcPrefixLen, l.DstPrefixLen, uint32(s.tsrc), uint32(s.tdst))
 	}
-	f.Fuzz(func(t *testing.T, s string) {
-		l, err := ParseLabel(s)
-		if err != nil {
-			return // rejection is fine; crashing or mis-round-tripping is not
-		}
-		// Parsed labels never carry out-of-range prefix lengths.
-		if l.SrcPrefixLen > 31 || l.DstPrefixLen > 31 {
-			t.Fatalf("parse %q produced prefix lengths %d/%d", s, l.SrcPrefixLen, l.DstPrefixLen)
-		}
+	f.Fuzz(func(t *testing.T, src, dst uint32, sport, dport uint16, proto, wild, spl, dpl uint8, tsrc, tdst uint32) {
+		l := Label{Src: Addr(src), Dst: Addr(dst), SrcPort: sport, DstPort: dport, Proto: Proto(proto),
+			Wildcards: Wild(wild), SrcPrefixLen: spl, DstPrefixLen: dpl}
 		rendered := l.String()
 		if appended := string(l.AppendTo(nil)); appended != rendered {
 			t.Fatalf("AppendTo renders %q, String %q", appended, rendered)
 		}
-		back, err := ParseLabel(rendered)
-		if err != nil {
-			t.Fatalf("String of parsed label does not re-parse: %q -> %q: %v", s, rendered, err)
-		}
-		if back.Canonical() != l.Canonical() {
-			t.Fatalf("round trip drifted: %q -> %q: %+v vs %+v", s, rendered, back.Canonical(), l.Canonical())
-		}
 		c := l.Canonical()
 		if c.Canonical() != c {
-			t.Fatalf("canonicalization not idempotent for %q: %+v", s, c)
+			t.Fatalf("canonicalization not idempotent for %+v: %+v", l, c)
 		}
-		tup := Tuple{Src: l.Src, Dst: l.Dst, Proto: l.Proto, SrcPort: l.SrcPort, DstPort: l.DstPort}
-		if l.Matches(tup) != c.Matches(tup) {
-			t.Fatalf("canonicalization changed matching for %q", s)
+		if c.SrcPrefixLen > 31 || c.DstPrefixLen > 31 {
+			t.Fatalf("canonical %+v carries prefix lengths %d/%d", c, c.SrcPrefixLen, c.DstPrefixLen)
+		}
+		for _, tup := range []Tuple{
+			{Src: l.Src, Dst: l.Dst, Proto: l.Proto, SrcPort: l.SrcPort, DstPort: l.DstPort},
+			{Src: Addr(tsrc), Dst: Addr(tdst), Proto: l.Proto, SrcPort: l.SrcPort, DstPort: l.DstPort},
+		} {
+			if l.Matches(tup) != c.Matches(tup) {
+				t.Fatalf("canonicalization changed matching of %+v for %+v", tup, l)
+			}
+		}
+		// The reference parser reads a canonical label back, except a
+		// concrete protocol 0, which renders "any" and reads as the
+		// wildcard, and Wild bits above the five fields, which render as
+		// nothing.
+		c.Wildcards &= wildAll
+		if c.Wildcards&WildProto == 0 && c.Proto == ProtoAny {
+			c.Wildcards |= WildProto
+		}
+		if back, err := parseLabel(c.String()); err != nil || back != c {
+			t.Fatalf("%q reads back as %+v, %v; want %+v", c.String(), back, err, c)
 		}
 	})
 }

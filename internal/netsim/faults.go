@@ -148,9 +148,6 @@ func (n *Node) Crash() {
 // building a fresh core.Gateway on it) and restores any snapshot it kept.
 func (n *Node) Restart() { n.down = false }
 
-// Down reports whether the node is crashed.
-func (n *Node) Down() bool { return n.down }
-
 // AggStats sums the node's interface counters into one IfaceStats —
 // the per-node view the metrics surface exports.
 func (n *Node) AggStats() IfaceStats {

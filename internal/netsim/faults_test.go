@@ -168,7 +168,7 @@ func TestCrashDropsQueuedAndArrivals(t *testing.T) {
 	if last < sim.Time(80*time.Millisecond) {
 		t.Fatalf("no delivery after restart (last at %v)", last)
 	}
-	if router.Down() {
+	if router.down {
 		t.Fatal("router still reports down after Restart")
 	}
 }

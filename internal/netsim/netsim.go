@@ -106,9 +106,6 @@ type ifaceCounters struct {
 // Neighbor returns the node at the far end.
 func (i *Iface) Neighbor() *Node { return i.back.owner }
 
-// Owner returns the node this interface belongs to.
-func (i *Iface) Owner() *Node { return i.owner }
-
 // Stats returns a copy of the interface counters.
 func (i *Iface) Stats() IfaceStats {
 	c := &i.stats
@@ -118,9 +115,6 @@ func (i *Iface) Stats() IfaceStats {
 		LossDrops: c.CtrlLossDrops + c.DataLossDrops, CtrlLossDrops: c.CtrlLossDrops, DataLossDrops: c.DataLossDrops,
 	}
 }
-
-// QueueLen returns the packets currently waiting for transmission.
-func (i *Iface) QueueLen() int { return int(i.queued) }
 
 // Send transmits p toward the neighbor, modelling serialization delay,
 // propagation delay, and a drop-tail queue. It reports whether the
@@ -314,20 +308,8 @@ func (n *Node) Addr() flow.Addr { return n.info.Addr }
 // Name returns the node's topology name.
 func (n *Node) Name() string { return n.info.Name }
 
-// Kind returns the node's topology kind.
-func (n *Node) Kind() topology.Kind { return n.info.Kind }
-
-// AS returns the node's autonomous domain.
-func (n *Node) AS() int { return n.info.AS }
-
-// Net returns the owning network.
-func (n *Node) Net() *Network { return n.net }
-
 // Engine returns the simulation engine, for scheduling protocol timers.
 func (n *Node) Engine() *sim.Engine { return n.net.eng }
-
-// Ifaces lists the node's interfaces in topology order.
-func (n *Node) Ifaces() []*Iface { return n.ifaces }
 
 // IfaceTo returns the interface whose neighbor has the given address,
 // or nil. Topologies hold no parallel links, so there is at most one.
@@ -348,7 +330,7 @@ func (n *Node) NextHop(dst flow.Addr) *Iface {
 	if dst == n.lastDst && n.lastHop != nil {
 		return n.lastHop
 	}
-	id, ok := n.net.ids[dst]
+	id, ok := n.net.topo.ID(dst)
 	if !ok || id == n.info.ID {
 		return nil
 	}
@@ -358,9 +340,6 @@ func (n *Node) NextHop(dst flow.Addr) *Iface {
 
 // SetHandler installs the node's packet handler.
 func (n *Node) SetHandler(h Handler) { n.handler = h }
-
-// Handler returns the node's current handler.
-func (n *Node) Handler() Handler { return n.handler }
 
 // deliver hands an arriving packet to the handler.
 func (n *Node) deliver(p *packet.Packet, from *Iface) {
@@ -416,7 +395,6 @@ type Network struct {
 	eng    *sim.Engine
 	topo   *topology.Topology
 	nodes  []*Node
-	ids    map[flow.Addr]topology.NodeID // the one index every NextHop shares
 	routes *topology.Routes
 
 	// faultRng drives all fault randomness (faults.go). Lazily seeded;
@@ -433,11 +411,10 @@ func Build(eng *sim.Engine, topo *topology.Topology) (*Network, error) {
 		return nil, err
 	}
 	n := len(topo.Nodes)
-	net := &Network{eng: eng, topo: topo, nodes: make([]*Node, n), ids: make(map[flow.Addr]topology.NodeID, n)}
+	net := &Network{eng: eng, topo: topo, nodes: make([]*Node, n)}
 	for _, tn := range topo.Nodes {
 		node := &Node{net: net, info: tn, handler: HandlerFunc(defaultReceive)}
 		net.nodes[tn.ID] = node
-		net.ids[tn.Addr] = tn.ID
 	}
 	for _, ls := range topo.Links {
 		qlen := int32(min(ls.QueueLen, math.MaxInt32))
@@ -475,25 +452,16 @@ func MustBuild(eng *sim.Engine, topo *topology.Topology) *Network {
 	return net
 }
 
-// Engine returns the simulation engine.
-func (net *Network) Engine() *sim.Engine { return net.eng }
-
-// Topology returns the topology the network was built from.
-func (net *Network) Topology() *topology.Topology { return net.topo }
-
 // Node returns the node with the given topology ID.
 func (net *Network) Node(id topology.NodeID) *Node { return net.nodes[id] }
 
 // NodeByAddr returns the node with the given address, or nil.
 func (net *Network) NodeByAddr(a flow.Addr) *Node {
-	if id, ok := net.ids[a]; ok {
+	if id, ok := net.topo.ID(a); ok {
 		return net.nodes[id]
 	}
 	return nil
 }
-
-// Nodes lists all nodes in topology order.
-func (net *Network) Nodes() []*Node { return net.nodes }
 
 // defaultReceive is plain best-effort forwarding: nodes relay what is
 // not theirs and absorb, releasing it, what is addressed to them.

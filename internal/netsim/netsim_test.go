@@ -189,9 +189,9 @@ func TestOriginateNoRoute(t *testing.T) {
 // through hits, misses and thrashing: every (node, destination) pair of
 // a random internet and of an army, plus the node itself and an unknown
 // address, queried one to three times back to back in a seeded shuffled
-// order. Every answer is the interface toward Routes.Next (nil toward
-// the node itself and toward the unknown address), and the answers do
-// not change while nodes are crashed and links are down, nor after.
+// order. Every answer is the interface toward the neighbor Routes.Port
+// names (nil toward the node itself and toward the unknown address),
+// and the answers do not change while nodes are crashed and links are down, nor after.
 func TestNextHopCacheMatchesRoutes(t *testing.T) {
 	random, _ := topology.Random(topology.RandomSpec{ASes: 14, Tier1: 3, MaxHostsPerAS: 3, InternalRouterProb: 0.3,
 		Params: topology.DefaultParams()}, rand.New(rand.NewSource(7)))
@@ -210,13 +210,13 @@ func TestNextHopCacheMatchesRoutes(t *testing.T) {
 			}
 			var queries []query
 			want := map[query]*Iface{}
-			for _, from := range net.Nodes() {
+			for _, from := range net.nodes {
 				queries = append(queries, query{from, unknown})
 				want[query{from, unknown}] = nil
-				for _, dst := range net.Nodes() {
+				for _, dst := range net.nodes {
 					var hop *Iface
 					if dst != from {
-						hop = from.IfaceTo(tc.topo.Nodes[routes.Next(from.ID(), dst.ID())].Addr)
+						hop = from.IfaceTo(tc.topo.Nodes[tc.topo.Neighbors(from.ID())[routes.Port(from.ID(), dst.ID())]].Addr)
 					}
 					queries = append(queries, query{from, dst.Addr()})
 					want[query{from, dst.Addr()}] = hop
@@ -236,7 +236,7 @@ func TestNextHopCacheMatchesRoutes(t *testing.T) {
 				}
 			}
 			pass("fresh")
-			for i, node := range net.Nodes() {
+			for i, node := range net.nodes {
 				if i%5 == 0 {
 					node.Crash()
 				}
@@ -245,7 +245,7 @@ func TestNextHopCacheMatchesRoutes(t *testing.T) {
 				net.SetLinkState(tc.topo.Nodes[ls.A].Addr, tc.topo.Nodes[ls.B].Addr, false)
 			}
 			pass("crashed and links down")
-			for _, node := range net.Nodes() {
+			for _, node := range net.nodes {
 				node.Restart()
 			}
 			pass("restarted")
@@ -280,13 +280,13 @@ func TestBuildRejectsInvalidTopology(t *testing.T) {
 func TestFigure1EndToEnd(t *testing.T) {
 	eng := sim.NewEngine(1)
 	p := topology.DefaultParams()
-	p.TailBandwidth = 0 // uncongested for this test
-	topo, ids := topology.Figure1(p)
+	p.TailBandwidth = 0               // uncongested for this test
+	topo, ids := topology.Chain(3, p) // the paper's Figure 1
 	net := MustBuild(eng, topo)
 	s := &sink{}
-	net.Node(ids.GHost).SetHandler(s)
-	b := net.Node(ids.BHost)
-	b.Originate(packet.NewData(b.Addr(), net.Node(ids.GHost).Addr(), flow.ProtoUDP, 1, 80, 1000))
+	net.Node(ids.Victim).SetHandler(s)
+	b := net.Node(ids.Attacker)
+	b.Originate(packet.NewData(b.Addr(), net.Node(ids.Victim).Addr(), flow.ProtoUDP, 1, 80, 1000))
 	eng.Run()
 	if len(s.got) != 1 {
 		t.Fatalf("delivered %d", len(s.got))
@@ -299,11 +299,11 @@ func TestFigure1EndToEnd(t *testing.T) {
 
 func TestNodeAccessors(t *testing.T) {
 	eng := sim.NewEngine(1)
-	topo, ids := topology.Figure1(topology.DefaultParams())
+	topo, ids := topology.Chain(3, topology.DefaultParams())
 	net := MustBuild(eng, topo)
-	n := net.Node(ids.GGw1)
-	if n.Name() != "G_gw1" || n.Kind() != topology.KindBorderRouter || n.AS() != 1 {
-		t.Fatalf("accessors: %s %v %d", n.Name(), n.Kind(), n.AS())
+	n := net.Node(ids.VictimGW[0])
+	if n.Name() != "v_gw1" || n.ID() != ids.VictimGW[0] || n.Addr() != topo.Nodes[n.ID()].Addr {
+		t.Fatalf("accessors: %s %v %v", n.Name(), n.ID(), n.Addr())
 	}
 	if net.NodeByAddr(n.Addr()) != n {
 		t.Fatal("NodeByAddr mismatch")
@@ -311,14 +311,8 @@ func TestNodeAccessors(t *testing.T) {
 	if net.NodeByAddr(flow.MakeAddr(9, 9, 9, 9)) != nil {
 		t.Fatal("NodeByAddr for unknown addr should be nil")
 	}
-	if len(net.Nodes()) != 8 {
-		t.Fatal("Nodes() length wrong")
-	}
-	if net.Topology() != topo || net.Engine() != eng {
-		t.Fatal("Topology/Engine accessors wrong")
-	}
-	if n.Net() != net {
-		t.Fatal("Net accessor wrong")
+	if len(net.nodes) != 8 {
+		t.Fatal("Build made the wrong number of nodes")
 	}
 }
 
@@ -364,7 +358,7 @@ func BenchmarkNextHop(b *testing.B) {
 	net := MustBuild(sim.NewEngine(1), topo)
 	core := net.Node(ids.Core)
 	var dsts []flow.Addr
-	for _, n := range net.Nodes() {
+	for _, n := range net.nodes {
 		if n != core {
 			dsts = append(dsts, n.Addr())
 		}
@@ -414,7 +408,7 @@ func hopZeroAlloc(t *testing.T, eng *sim.Engine, src *Node, dst flow.Addr, hops 
 	for k := range burst {
 		burst[k] = packet.NewData(src.Addr(), dst, flow.ProtoUDP, 1, 80, 1000)
 	}
-	src.Net().NodeByAddr(dst).SetHandler(HandlerFunc(func(_ *Node, p *packet.Packet, _ *Iface) {
+	src.net.NodeByAddr(dst).SetHandler(HandlerFunc(func(_ *Node, p *packet.Packet, _ *Iface) {
 		burst = append(burst, p)
 	}))
 	round := func() {

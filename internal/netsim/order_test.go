@@ -160,7 +160,7 @@ func (m *orderModel) Receive(n *Node, p *packet.Packet, _ *Iface) {
 func (m *orderModel) crash(n *Node) {
 	now := m.eng.Now()
 	m.down[n] = true
-	for _, i := range n.Ifaces() {
+	for _, i := range n.ifaces {
 		l := m.links[i]
 		l.epoch++
 		l.crashedAt = now
@@ -218,14 +218,14 @@ func (m *orderModel) step() {
 	case wantDelivery != nil && (len(got) != 1 || got[0] != *wantDelivery):
 		m.t.Fatalf("t=%v: delivered %v, model expects packet %08x at %s", ev.at, got, wantDelivery.id, wantDelivery.node.Name())
 	}
-	for _, n := range m.net.Nodes() {
+	for _, n := range m.net.nodes {
 		if n.CrashDrops != m.drops[n] {
 			m.t.Fatalf("t=%v after kind %d: %s CrashDrops = %d, model %d", ev.at, ev.kind, n.Name(), n.CrashDrops, m.drops[n])
 		}
-		for _, i := range n.Ifaces() {
-			if i.QueueLen() != m.links[i].queued {
+		for _, i := range n.ifaces {
+			if int(i.queued) != m.links[i].queued {
 				m.t.Fatalf("t=%v after kind %d: %s->%s QueueLen = %d, model %d",
-					ev.at, ev.kind, n.Name(), i.Neighbor().Name(), i.QueueLen(), m.links[i].queued)
+					ev.at, ev.kind, n.Name(), i.Neighbor().Name(), i.queued, m.links[i].queued)
 			}
 		}
 	}
@@ -253,10 +253,10 @@ func TestPropertyDeliveryOrder(t *testing.T) {
 			t: t, eng: eng, net: net, rng: rand.New(rand.NewSource(seed)),
 			links: map[*Iface]*modelLink{}, down: map[*Node]bool{}, drops: map[*Node]uint64{},
 		}
-		nodes := net.Nodes()
+		nodes := net.nodes
 		for _, n := range nodes {
 			n.SetHandler(m)
-			for _, i := range n.Ifaces() {
+			for _, i := range n.ifaces {
 				m.links[i] = &modelLink{iface: i}
 			}
 		}

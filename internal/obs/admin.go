@@ -53,10 +53,6 @@ func NewAdminServer(registry *Registry, ring *Ring, health func() Health) *Admin
 	return a
 }
 
-// Handler returns the admin mux (for tests that serve it without a
-// listener).
-func (a *AdminServer) Handler() http.Handler { return a.srv.Handler }
-
 // Listen binds addr (e.g. "127.0.0.1:9100"; ":0" picks a free port)
 // and starts serving in a background goroutine.
 func (a *AdminServer) Listen(addr string) error {

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"aitf/internal/obs/obstest"
 )
 
 func bootAdmin(t *testing.T, health func() Health) (*AdminServer, string) {
@@ -47,7 +49,7 @@ func TestAdminEndpoints(t *testing.T) {
 	if !strings.Contains(body, "admin_test_total 5") {
 		t.Errorf("/metrics missing counter:\n%s", body)
 	}
-	if err := CheckExposition(body); err != nil {
+	if err := obstest.CheckExposition(body); err != nil {
 		t.Errorf("/metrics does not parse: %v", err)
 	}
 

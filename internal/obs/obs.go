@@ -16,7 +16,7 @@
 //
 // Two registration styles coexist:
 //
-//   - owned instruments (Counter, Gauge, Histogram) the caller records
+//   - owned instruments (Counter, Histogram) the caller records
 //     into directly — for code paths that do not already keep a
 //     counter;
 //   - func instruments (CounterFunc, GaugeFunc) that read an existing
@@ -27,7 +27,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -77,17 +76,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is an atomic gauge holding a float64 (stored as bits).
-type Gauge struct {
-	v atomic.Uint64 // aitf:atomic
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v float64) { g.v.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
-
 // HistogramBuckets is the fixed bucket count of every Histogram: one
 // log2 bucket per bit of a uint64, so any observable value has a slot
 // and recording is branch-free.
@@ -113,12 +101,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.sum.Add(v)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
 // snapshot copies the bucket array (count-first so the invariant
 // sum(buckets) <= count holds on a racing snapshot).
 func (h *Histogram) snapshot() (buckets [HistogramBuckets]uint64, count, sum uint64) {
@@ -138,7 +120,6 @@ type metric struct {
 
 	counter     *Counter
 	counterFunc func() uint64
-	gauge       *Gauge
 	gaugeFunc   func() float64
 	hist        *Histogram
 }
@@ -186,13 +167,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.register(metric{name: name, help: help, kind: KindCounter, counterFunc: fn})
 }
 
-// Gauge registers and returns an owned gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(metric{name: name, help: help, kind: KindGauge, gauge: g})
-	return g
-}
-
 // GaugeFunc registers a gauge whose value is read from fn at scrape
 // time; fn must be safe for concurrent use.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
@@ -224,8 +198,6 @@ func (m *metric) value() float64 {
 		return float64(m.counter.Value())
 	case m.counterFunc != nil:
 		return float64(m.counterFunc())
-	case m.gauge != nil:
-		return m.gauge.Value()
 	case m.gaugeFunc != nil:
 		return m.gaugeFunc()
 	default:

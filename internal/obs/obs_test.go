@@ -5,23 +5,26 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"aitf/internal/obs/obstest"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_total", "a counter")
-	g := r.Gauge("test_gauge", "a gauge")
+	v := 2.5
+	r.GaugeFunc("test_gauge", "a gauge", func() float64 { return v })
 	c.Inc()
 	c.Add(41)
-	g.Set(2.5)
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	if got := g.Value(); got != 2.5 {
+	g := r.sorted()[0]
+	if got := g.value(); got != 2.5 {
 		t.Fatalf("gauge = %v, want 2.5", got)
 	}
-	g.Set(-1)
-	if got := g.Value(); got != -1 {
+	v = -1
+	if got := g.value(); got != -1 {
 		t.Fatalf("gauge = %v, want -1", got)
 	}
 }
@@ -63,8 +66,8 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []uint64{0, 1, 5, 1024} {
 		h.Observe(v)
 	}
-	if h.Count() != 4 || h.Sum() != 1030 {
-		t.Fatalf("count=%d sum=%d", h.Count(), h.Sum())
+	if h.count.Load() != 4 || h.sum.Load() != 1030 {
+		t.Fatalf("count=%d sum=%d", h.count.Load(), h.sum.Load())
 	}
 	buckets, count, sum := h.snapshot()
 	if count != 4 || sum != 1030 {
@@ -75,7 +78,7 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Errorf("bucket[%d] = %d, want %d", i, buckets[i], want)
 		}
 	}
-	if h.Observe(math.MaxUint64); h.Count() != 5 {
+	if h.Observe(math.MaxUint64); h.count.Load() != 5 {
 		t.Fatal("MaxUint64 observation lost")
 	}
 }
@@ -83,10 +86,9 @@ func TestHistogramBuckets(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("aitf_test_total", "things counted")
-	g := r.Gauge("aitf_test_ratio", "a ratio")
+	r.GaugeFunc("aitf_test_ratio", "a ratio", func() float64 { return 0.25 })
 	h := r.Histogram("aitf_test_batch", "batch sizes")
 	c.Add(7)
-	g.Set(0.25)
 	h.Observe(3)
 	h.Observe(100)
 
@@ -131,7 +133,7 @@ func TestPrometheusParses(t *testing.T) {
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckExposition(sb.String()); err != nil {
+	if err := obstest.CheckExposition(sb.String()); err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, sb.String())
 	}
 }
@@ -175,8 +177,8 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 		r.Snapshot()
 	}
 	wg.Wait()
-	if c.Value() != 4000 || h.Count() != 4000 {
-		t.Fatalf("counter=%d histCount=%d, want 4000", c.Value(), h.Count())
+	if c.Value() != 4000 || h.count.Load() != 4000 {
+		t.Fatalf("counter=%d histCount=%d, want 4000", c.Value(), h.count.Load())
 	}
 }
 
@@ -186,12 +188,10 @@ func TestRecordZeroAlloc(t *testing.T) {
 	}
 	r := NewRegistry()
 	c := r.Counter("z_total", "")
-	g := r.Gauge("z_gauge", "")
 	h := r.Histogram("z_hist", "")
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
-		g.Set(1.5)
 		h.Observe(17)
 	}); n != 0 {
 		t.Fatalf("record path allocates %v allocs/op, want 0", n)

@@ -44,18 +44,6 @@ func NewRing(n int) *Ring {
 	return &Ring{slots: make([]atomic.Pointer[Record], size), mask: uint64(size - 1)}
 }
 
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.slots) }
-
-// Len returns the number of events currently retained.
-func (r *Ring) Len() int {
-	n := r.next.Load()
-	if n > uint64(len(r.slots)) {
-		return len(r.slots)
-	}
-	return int(n)
-}
-
 // Record appends a record, overwriting the oldest once full. The Record
 // is heap-allocated per call — tracing marks protocol milestones
 // (handshakes, installs, escalations), not per-packet work, so this is
@@ -146,9 +134,3 @@ func (t *Trace) Event(level slog.Level, r Record) {
 
 // Info records at slog.LevelInfo.
 func (t *Trace) Info(r Record) { t.Event(slog.LevelInfo, r) }
-
-// Debug records at slog.LevelDebug.
-func (t *Trace) Debug(r Record) { t.Event(slog.LevelDebug, r) }
-
-// Warn records at slog.LevelWarn.
-func (t *Trace) Warn(r Record) { t.Event(slog.LevelWarn, r) }

@@ -13,8 +13,8 @@ import (
 
 func TestRingBasics(t *testing.T) {
 	r := NewRing(4)
-	if r.Cap() != 16 {
-		t.Fatalf("cap = %d, want minimum 16", r.Cap())
+	if len(r.slots) != 16 {
+		t.Fatalf("cap = %d, want minimum 16", len(r.slots))
 	}
 	if got := r.Snapshot(); len(got) != 0 {
 		t.Fatalf("empty ring snapshot = %v", got)
@@ -23,8 +23,8 @@ func TestRingBasics(t *testing.T) {
 		r.Record(Record{Node: "gw", Kind: EvFilterInstalled, At: time.Duration(i)})
 	}
 	got := r.Snapshot()
-	if len(got) != 3 || r.Len() != 3 {
-		t.Fatalf("len = %d/%d, want 3", len(got), r.Len())
+	if len(got) != 3 || len(r.Snapshot()) != 3 {
+		t.Fatalf("len = %d/%d, want 3", len(got), len(r.Snapshot()))
 	}
 	for i, e := range got {
 		if e.At != time.Duration(i) {
@@ -39,7 +39,7 @@ func TestRingWrap(t *testing.T) {
 		r.Record(Record{At: time.Duration(i)})
 	}
 	got := r.Snapshot()
-	if len(got) != 16 || r.Len() != 16 {
+	if len(got) != 16 || len(r.Snapshot()) != 16 {
 		t.Fatalf("wrapped len = %d, want 16", len(got))
 	}
 	// Oldest retained record is #24, newest #39.
@@ -68,8 +68,8 @@ func TestRingConcurrent(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if r.Len() != 64 {
-		t.Fatalf("len = %d, want 64", r.Len())
+	if len(r.Snapshot()) != 64 {
+		t.Fatalf("len = %d, want 64", len(r.Snapshot()))
 	}
 }
 
@@ -80,7 +80,7 @@ func TestTraceLogsAndRecords(t *testing.T) {
 
 	label := flow.PairLabel(flow.MakeAddr(1, 2, 3, 4), flow.MakeAddr(5, 6, 7, 8))
 	tr.Info(Record{Node: "gwA", Kind: EvFilterInstalled, Flow: label, At: time.Second})
-	tr.Debug(Record{Node: "gwA", Kind: EvShadowHit}) // below level: ring only
+	tr.Event(slog.LevelDebug, Record{Node: "gwA", Kind: EvShadowHit}) // below level: ring only
 
 	out := buf.String()
 	if !strings.Contains(out, "filter-installed") || !strings.Contains(out, "node=gwA") ||

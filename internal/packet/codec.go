@@ -109,16 +109,6 @@ func AppendMarshal(dst []byte, p *Packet) ([]byte, error) {
 	return b, nil
 }
 
-// Unmarshal decodes a packet previously encoded by Marshal into a
-// fresh Packet.
-func Unmarshal(b []byte) (*Packet, error) {
-	var p Packet
-	if err := UnmarshalInto(&p, b); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
 // UnmarshalInto decodes into p, overwriting its previous contents but
 // reusing its Path backing array. Paired with Get/Release it makes the
 // receive path's decode allocation-free for data packets at steady

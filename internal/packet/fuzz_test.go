@@ -19,7 +19,7 @@ func fuzzSeedPackets() [][]byte {
 		NewControl(src, dst, &VerifyQuery{Flow: prefix, Nonce: 99}),
 		NewControl(src, dst, &VerifyReply{Flow: flow.PairLabel(src, dst), Nonce: 99}),
 		NewControl(src, dst, &Disconnect{Client: src, Flow: prefix, Penalty: 1 << 20}),
-		NewControl(src, dst, &PushbackReq{Aggregate: flow.DstPrefixLabel(src, dst, 16),
+		NewControl(src, dst, &PushbackReq{Aggregate: dstPrefixLabel(src, dst, 16),
 			LimitBps: 1e6, Depth: 2, Duration: 1 << 25}),
 	}
 	out := make([][]byte, 0, len(ps)+1)
@@ -67,4 +67,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// dstPrefixLabel matches all traffic from src to the destination prefix
+// dst/bits, any protocol and ports.
+func dstPrefixLabel(src, dst flow.Addr, bits uint8) flow.Label {
+	return flow.Label{Src: src, Dst: dst, DstPrefixLen: bits,
+		Wildcards: flow.WildProto | flow.WildSrcPort | flow.WildDstPort}.Canonical()
 }

@@ -128,20 +128,6 @@ func (p *Packet) WireSize() int {
 	return n
 }
 
-// Clone deep-copies the packet so queues and receivers can mutate
-// independently (the simulator delivers the same logical packet to one
-// receiver, but tests and taps may retain copies). The clone's shell
-// and Path backing come from the pool; its Path never aliases p's, so
-// releasing either side cannot corrupt the other.
-func (p *Packet) Clone() *Packet {
-	q := Get()
-	path := append(q.Path[:0], p.Path...)
-	*q = *p
-	q.Path = path
-	// Messages are immutable by convention; share them.
-	return q
-}
-
 // RecordRoute appends a route-record entry for router with the given
 // authenticator nonce.
 func (p *Packet) RecordRoute(router flow.Addr, nonce uint64) {

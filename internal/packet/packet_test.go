@@ -58,7 +58,7 @@ func TestWireSize(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	p := NewData(srcA, dstA, flow.ProtoUDP, 1, 2, 100)
 	p.RecordRoute(gw1, 11)
-	q := p.Clone()
+	q := clone(t, p)
 	q.RecordRoute(gw2, 22)
 	q.TTL--
 	if len(p.Path) != 1 {
@@ -75,7 +75,7 @@ func roundTrip(t *testing.T, p *Packet) *Packet {
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
-	got, err := Unmarshal(b)
+	got, err := unmarshal(b)
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestRoundTripFilterReq(t *testing.T) {
 }
 
 func TestRoundTripFilterReqEmptyEvidence(t *testing.T) {
-	m := &FilterReq{Stage: StageToAttacker, Flow: flow.FromSource(srcA),
+	m := &FilterReq{Stage: StageToAttacker, Flow: fromSource(srcA),
 		Duration: 30 * time.Second, Round: 1, Victim: dstA}
 	got := roundTrip(t, NewControl(gw1, srcA, m))
 	gm := got.Msg.(*FilterReq)
@@ -153,7 +153,7 @@ func TestRoundTripVerify(t *testing.T) {
 }
 
 func TestRoundTripDisconnect(t *testing.T) {
-	d := &Disconnect{Client: srcA, Flow: flow.FromSource(srcA), Penalty: 5 * time.Minute}
+	d := &Disconnect{Client: srcA, Flow: fromSource(srcA), Penalty: 5 * time.Minute}
 	got := roundTrip(t, NewControl(gw1, srcA, d))
 	gd := got.Msg.(*Disconnect)
 	if *gd != *d {
@@ -170,7 +170,7 @@ func TestMarshalSizeMatchesWireSizeEstimate(t *testing.T) {
 			Evidence: []RREntry{{Router: gw1, Nonce: 1}}},
 		&VerifyQuery{Flow: flow.PairLabel(srcA, dstA), Nonce: 1},
 		&VerifyReply{Flow: flow.PairLabel(srcA, dstA), Nonce: 1},
-		&Disconnect{Client: srcA, Flow: flow.FromSource(srcA), Penalty: time.Minute},
+		&Disconnect{Client: srcA, Flow: fromSource(srcA), Penalty: time.Minute},
 	}
 	for _, m := range msgs {
 		p := NewControl(gw1, gw2, m)
@@ -189,26 +189,26 @@ func TestUnmarshalErrors(t *testing.T) {
 	p := NewControl(gw1, gw2, &VerifyQuery{Flow: flow.PairLabel(srcA, dstA), Nonce: 5})
 	good, _ := Marshal(p)
 
-	if _, err := Unmarshal(nil); err == nil {
+	if _, err := unmarshal(nil); err == nil {
 		t.Error("nil input accepted")
 	}
-	if _, err := Unmarshal(good[:5]); err == nil {
+	if _, err := unmarshal(good[:5]); err == nil {
 		t.Error("truncated input accepted")
 	}
 	bad := append([]byte(nil), good...)
 	bad[0] = 0xff
-	if _, err := Unmarshal(bad); err == nil {
+	if _, err := unmarshal(bad); err == nil {
 		t.Error("bad magic accepted")
 	}
 	trailing := append(append([]byte(nil), good...), 0x00)
-	if _, err := Unmarshal(trailing); err == nil {
+	if _, err := unmarshal(trailing); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 	// Unknown message kind.
 	unknown := append([]byte(nil), good...)
 	unknown[3+HeaderBytes] = 0    // path len stays 0
 	unknown[3+HeaderBytes+1] = 99 // kind byte
-	if _, err := Unmarshal(unknown[:3+HeaderBytes+2]); err == nil {
+	if _, err := unmarshal(unknown[:3+HeaderBytes+2]); err == nil {
 		t.Error("unknown kind accepted")
 	}
 }
@@ -220,7 +220,7 @@ func TestUnmarshalRejectsBadStage(t *testing.T) {
 	// Stage byte is right after kind byte.
 	idx := 3 + HeaderBytes + 1 + 1
 	b[idx] = 77
-	if _, err := Unmarshal(b); err == nil {
+	if _, err := unmarshal(b); err == nil {
 		t.Fatal("bad stage accepted")
 	}
 }
@@ -245,7 +245,7 @@ func TestUnmarshalRejectsOverlongEvidence(t *testing.T) {
 	idx := 3 + HeaderBytes + 1 + 1 + 1 + 1 + 8 + 16 + 8 + 4
 	b[idx] = 0xff
 	b[idx+1] = 0xff
-	if _, err := Unmarshal(b); err == nil {
+	if _, err := unmarshal(b); err == nil {
 		t.Fatal("overlong evidence accepted")
 	}
 }
@@ -257,13 +257,13 @@ func TestUnmarshalNeverPanics(t *testing.T) {
 		Evidence: []RREntry{{Router: gw1, Nonce: 1}, {Router: gw2, Nonce: 2}}}
 	good, _ := Marshal(NewControl(gw1, gw2, m))
 	for cut := 0; cut <= len(good); cut++ {
-		Unmarshal(good[:cut]) // must not panic
+		unmarshal(good[:cut]) // must not panic
 	}
 	for i := 0; i < len(good); i++ {
 		for _, v := range []byte{0x00, 0x01, 0x7f, 0xff} {
 			mut := append([]byte(nil), good...)
 			mut[i] = v
-			Unmarshal(mut) // must not panic
+			unmarshal(mut) // must not panic
 		}
 	}
 }
@@ -303,8 +303,19 @@ func BenchmarkUnmarshalFilterReq(b *testing.B) {
 	buf, _ := Marshal(NewControl(gw1, gw2, m))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Unmarshal(buf); err != nil {
+		if _, err := unmarshal(buf); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// fromSource matches all traffic from src regardless of destination.
+func fromSource(src flow.Addr) flow.Label {
+	return flow.Label{Src: src, Wildcards: flow.WildDst | flow.WildProto | flow.WildSrcPort | flow.WildDstPort}
+}
+
+// unmarshal decodes b into a fresh packet.
+func unmarshal(b []byte) (*Packet, error) {
+	var p Packet
+	return &p, UnmarshalInto(&p, b)
 }

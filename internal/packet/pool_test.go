@@ -17,14 +17,15 @@ func poolPkt(n int) *Packet {
 }
 
 // TestCloneNeverAliasesPath is the pooled-reuse aliasing property: a
-// clone's Path must stay intact no matter what later happens to the
+// clone's Path (a copy decoded into a pooled shell, as a receiver makes
+// one) must stay intact no matter what later happens to the
 // original — including the original being released, recycled by the
 // pool into a brand-new packet, and that packet growing its own route
 // record into the recycled backing array.
 func TestCloneNeverAliasesPath(t *testing.T) {
 	for round := 0; round < 100; round++ {
 		p := poolPkt(6)
-		c := p.Clone()
+		c := clone(t, p)
 		want := append([]RREntry(nil), p.Path...)
 
 		// Mutating the original in place must not show through.
@@ -109,7 +110,7 @@ func TestUnmarshalIntoReusesBacking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Unmarshal(b)
+	want, err := unmarshal(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,4 +141,19 @@ func TestUnmarshalIntoReusesBacking(t *testing.T) {
 		t.Fatal("truncated datagram decoded")
 	}
 	target.Release()
+}
+
+// clone copies p into a pooled shell the way a receiver does: Marshal,
+// then UnmarshalInto a packet from Get.
+func clone(t *testing.T, p *Packet) *Packet {
+	t.Helper()
+	b, err := Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Get()
+	if err := UnmarshalInto(c, b); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -59,7 +59,7 @@ func TestPropertyRoundTripDataPackets(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Marshal: %v", err)
 		}
-		got, err := Unmarshal(b)
+		got, err := unmarshal(b)
 		if err != nil {
 			t.Fatalf("Unmarshal: %v", err)
 		}
@@ -104,7 +104,7 @@ func TestPropertyRoundTripFilterReqs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Marshal: %v", err)
 		}
-		got, err := Unmarshal(b)
+		got, err := unmarshal(b)
 		if err != nil {
 			t.Fatalf("Unmarshal: %v", err)
 		}

@@ -126,13 +126,6 @@ func (r *Router) Attach(n *netsim.Node) {
 // Stats returns a copy of the counters.
 func (r *Router) Stats() Stats { return r.stats }
 
-// Limited reports whether the router currently rate-limits traffic
-// toward dst.
-func (r *Router) Limited(dst flow.Addr) bool {
-	a, ok := r.aggs[dst]
-	return ok && a.limited && a.limitUntil > r.node.Engine().Now()
-}
-
 func (r *Router) now() sim.Time { return r.node.Engine().Now() }
 
 // Receive implements netsim.Handler.

@@ -272,8 +272,8 @@ func TestRoundTripPushbackMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := packet.Unmarshal(b)
-	if err != nil {
+	got := packet.Get()
+	if err := packet.UnmarshalInto(got, b); err != nil {
 		t.Fatal(err)
 	}
 	gm, ok := got.Msg.(*packet.PushbackReq)

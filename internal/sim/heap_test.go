@@ -379,8 +379,8 @@ func TestEngineOrderingMatchesSortedReplay(t *testing.T) {
 				t.Fatalf("seed %d: cancelled event %d fired", seed, f.seq)
 			}
 		}
-		if eng.Pending() != 0 {
-			t.Fatalf("seed %d: %d events left pending", seed, eng.Pending())
+		if eng.heap.len() != 0 {
+			t.Fatalf("seed %d: %d events left pending", seed, eng.heap.len())
 		}
 	}
 }

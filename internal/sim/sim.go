@@ -127,8 +127,7 @@ func (q *Queue) fire(s *slot) func() {
 // PostReserved in the past. A cancelled event leaves the queue without
 // counting as fired.
 type Engine struct {
-	rng     *rand.Rand
-	stopped bool
+	rng *rand.Rand
 
 	// Processed counts events that have fired since construction.
 	Processed uint64
@@ -231,44 +230,28 @@ func (e *Engine) step(s *slot) {
 	fn()
 }
 
-// Stop makes Run/RunUntil return before dispatching the next event.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Pending reports the number of events still queued (including
-// cancelled events the queue has not yet swept out). A netsim link
-// keeps only its earliest in-flight packet queued, so for network
-// traffic this counts busy links, not packets in flight.
-func (e *Engine) Pending() int { return e.heap.len() }
-
 // RunUntil dispatches events in timestamp order until the queue is
-// empty, Stop is called, or the next event is strictly after deadline.
-// The clock is left at min(deadline, time of last fired event); if the
-// queue empties early the clock still advances to deadline so that
-// measurements cover the full window.
+// empty or the next event is strictly after deadline. The clock is left
+// at min(deadline, time of last fired event); if the queue empties
+// early the clock still advances to deadline so that measurements cover
+// the full window.
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		s := e.heap.peek()
 		if s == nil || s.at > deadline {
 			break
 		}
 		e.step(s)
 	}
-	if !e.stopped && e.now < deadline {
+	if e.now < deadline {
 		e.now = deadline
 	}
 }
 
 // Run dispatches every queued event (including events scheduled by
-// other events) until the queue is empty or Stop is called.
+// other events) until the queue is empty.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped {
-		s := e.heap.peek()
-		if s == nil {
-			break
-		}
-		e.step(s)
+	for e.Step() {
 	}
 }
 

@@ -51,8 +51,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if e.Pending() != 0 || e.Now() != 0 {
-		t.Fatalf("a cancelled event left %d pending and moved the clock to %v", e.Pending(), e.Now())
+	if e.heap.len() != 0 || e.Now() != 0 {
+		t.Fatalf("a cancelled event left %d pending and moved the clock to %v", e.heap.len(), e.Now())
 	}
 	e.Cancel(Timer{}) // the zero handle names no event
 }
@@ -82,8 +82,8 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	if e.Now() != 3*time.Second {
 		t.Fatalf("Now = %v, want 3s", e.Now())
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
+	if e.heap.len() != 2 {
+		t.Fatalf("Pending = %d, want 2", e.heap.len())
 	}
 }
 
@@ -129,23 +129,6 @@ func TestNegativeDelayClampedToNow(t *testing.T) {
 	e.Run()
 	if !fired {
 		t.Fatal("negative-delay event never fired")
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 4 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 4 {
-		t.Fatalf("count = %d, want 4 (Stop should halt dispatch)", count)
 	}
 }
 
@@ -395,8 +378,8 @@ func TestCancelledTimersDoNotHoldTheSlab(t *testing.T) {
 		t.Fatalf("slab holds %d slots for one live event and stopped timers", n)
 	}
 	e.Run()
-	if !fired || e.Pending() != 0 || e.Processed != 1 {
-		t.Fatalf("live event fired=%v, %d pending, %d processed", fired, e.Pending(), e.Processed)
+	if !fired || e.heap.len() != 0 || e.Processed != 1 {
+		t.Fatalf("live event fired=%v, %d pending, %d processed", fired, e.heap.len(), e.Processed)
 	}
 }
 
@@ -458,8 +441,8 @@ func TestQueueRejectsKeyBelowLastFired(t *testing.T) {
 	fired := false
 	e.PostReserved(e.Now()+time.Nanosecond, stale, func() { fired = true })
 	e.Run()
-	if !fired || e.Pending() != 0 {
-		t.Fatalf("stale seq at a later instant fired=%v, %d pending", fired, e.Pending())
+	if !fired || e.heap.len() != 0 {
+		t.Fatalf("stale seq at a later instant fired=%v, %d pending", fired, e.heap.len())
 	}
 }
 
@@ -472,8 +455,8 @@ func TestRunUntilDeadlineKeepsBase(t *testing.T) {
 	e.Schedule(time.Millisecond, func() { got = append(got, "early") })
 	e.Schedule(time.Second, func() { got = append(got, "late") })
 	e.RunUntil(500 * time.Millisecond)
-	if e.Pending() != 1 || e.Now() != 500*time.Millisecond {
-		t.Fatalf("RunUntil left %d pending at %v, want 1 at 500ms", e.Pending(), e.Now())
+	if e.heap.len() != 1 || e.Now() != 500*time.Millisecond {
+		t.Fatalf("RunUntil left %d pending at %v, want 1 at 500ms", e.heap.len(), e.Now())
 	}
 	e.ScheduleAt(e.Now(), func() { got = append(got, "now") })
 	e.PostReserved(e.Now(), e.ReserveSeq(), func() { got = append(got, "reserved") })
@@ -508,7 +491,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.Schedule(time.Duration(i%1000)*time.Microsecond, func() {})
-		if e.Pending() > 10000 {
+		if e.heap.len() > 10000 {
 			e.Run()
 		}
 	}

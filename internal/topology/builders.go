@@ -37,41 +37,6 @@ func DefaultParams() Params {
 	}
 }
 
-// Fig1Nodes names the nodes of the paper's Figure 1.
-type Fig1Nodes struct {
-	GHost, GGw1, GGw2, GGw3 NodeID
-	BHost, BGw1, BGw2, BGw3 NodeID
-}
-
-// Figure1 builds the example attack path of the paper's Figure 1:
-//
-//	G_host — G_gw1 — G_gw2 — G_gw3 — B_gw3 — B_gw2 — B_gw1 — B_host
-//
-// G_host (the victim) sits in enterprise G_net behind gateway G_gw1;
-// G_gw2 is its ISP's backbone router, G_gw3 the wide-area provider's.
-// B_host (the attacker) mirrors this on the other side.
-func Figure1(p Params) (*Topology, Fig1Nodes) {
-	t := New()
-	var n Fig1Nodes
-	n.GHost = t.AddNode("G_host", flow.MakeAddr(10, 1, 0, 2), KindHost, 1)
-	n.GGw1 = t.AddNode("G_gw1", flow.MakeAddr(10, 1, 0, 1), KindBorderRouter, 1)
-	n.GGw2 = t.AddNode("G_gw2", flow.MakeAddr(10, 2, 0, 1), KindBorderRouter, 2)
-	n.GGw3 = t.AddNode("G_gw3", flow.MakeAddr(10, 3, 0, 1), KindBorderRouter, 3)
-	n.BGw3 = t.AddNode("B_gw3", flow.MakeAddr(10, 6, 0, 1), KindBorderRouter, 6)
-	n.BGw2 = t.AddNode("B_gw2", flow.MakeAddr(10, 5, 0, 1), KindBorderRouter, 5)
-	n.BGw1 = t.AddNode("B_gw1", flow.MakeAddr(10, 4, 0, 1), KindBorderRouter, 4)
-	n.BHost = t.AddNode("B_host", flow.MakeAddr(10, 4, 0, 2), KindHost, 4)
-
-	t.AddLink(n.GHost, n.GGw1, p.AccessDelay, p.TailBandwidth, p.QueueLen)
-	t.AddLink(n.GGw1, n.GGw2, p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
-	t.AddLink(n.GGw2, n.GGw3, p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
-	t.AddLink(n.GGw3, n.BGw3, p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
-	t.AddLink(n.BGw3, n.BGw2, p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
-	t.AddLink(n.BGw2, n.BGw1, p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
-	t.AddLink(n.BGw1, n.BHost, p.AccessDelay, p.CoreBandwidth, p.QueueLen)
-	return t, n
-}
-
 // ChainNodes names the nodes of a generalized Figure-1 chain.
 type ChainNodes struct {
 	Victim   NodeID
@@ -81,8 +46,8 @@ type ChainNodes struct {
 }
 
 // Chain builds a Figure-1-shaped path with depth border routers on each
-// side; Chain(3, p) is topologically identical to Figure1(p). Used for
-// the escalation-depth sweeps of experiments E2 and E8.
+// side; Chain(3, p) is topologically identical to the paper's Figure 1.
+// Used for the escalation-depth sweeps of experiments E2 and E8.
 func Chain(depth int, p Params) (*Topology, ChainNodes) {
 	if depth < 1 {
 		panic("topology: Chain depth must be >= 1")
@@ -185,9 +150,6 @@ type SharedGatewayNodes struct {
 	AttackGW  NodeID
 	Attackers []NodeID
 }
-
-// Victim returns the first (often only) victim host.
-func (n SharedGatewayNodes) Victim() NodeID { return n.Victims[0] }
 
 // SharedGateway puts nAttackers hosts behind one attacker gateway and
 // nVictims hosts behind one victim gateway — the configuration of

@@ -130,22 +130,10 @@ func (t *Topology) AddLink(a, b NodeID, delay time.Duration, bandwidth float64, 
 	t.adj[b] = append(t.adj[b], a)
 }
 
-// Lookup returns the node with the given address.
-func (t *Topology) Lookup(addr flow.Addr) (Node, bool) {
+// ID returns the ID of the node with the given address.
+func (t *Topology) ID(addr flow.Addr) (NodeID, bool) {
 	id, ok := t.byAddr[addr]
-	if !ok {
-		return Node{}, false
-	}
-	return t.Nodes[id], true
-}
-
-// ByName returns the node with the given name.
-func (t *Topology) ByName(name string) (Node, bool) {
-	id, ok := t.byName[name]
-	if !ok {
-		return Node{}, false
-	}
-	return t.Nodes[id], true
+	return id, ok
 }
 
 // Neighbors returns the IDs adjacent to id, in the order their links
@@ -154,8 +142,8 @@ func (t *Topology) Neighbors(id NodeID) []NodeID {
 	return t.adj[id]
 }
 
-// NoRoute is the Routes.Next answer for a node toward itself or toward
-// a destination it cannot reach.
+// NoRoute is the NodeID of no node: no next hop, or a node the
+// component search has not reached yet.
 const NoRoute NodeID = -1
 
 // Routes is the static routing of a topology in one entry per node and
@@ -193,7 +181,7 @@ type route struct {
 
 // Port returns the index, in from's neighbor list, of its next hop
 // toward dst. from and dst must be two distinct nodes of one
-// component; Next checks that, and answers NoRoute otherwise.
+// component.
 //
 // aitf:noalloc
 func (r *Routes) Port(from, dst NodeID) int {
@@ -218,15 +206,6 @@ func (r *Routes) Port(from, dst NodeID) int {
 		return i
 	}
 	return skipUp(sort.Search(len(nbrs)-1, func(i int) bool { return r.nodes[nbrs[skipUp(i)]].pre > d.pre }) - 1)
-}
-
-// Next returns the neighbor of from on the shortest path toward dst, or
-// NoRoute.
-func (r *Routes) Next(from, dst NodeID) NodeID {
-	if from == dst || r.nodes[from].comp != r.nodes[dst].comp {
-		return NoRoute
-	}
-	return r.adj[from][r.Port(from, dst)]
 }
 
 // Routes computes the next hop from every node toward every other by

@@ -32,9 +32,8 @@ func TestFigure1Shape(t *testing.T) {
 			t.Errorf("%s kind = %v", topo.Nodes[id].Name, topo.Nodes[id].Kind)
 		}
 	}
-	// Named lookup agrees with IDs.
-	if got, ok := topo.ByName("B_gw1"); !ok || got.ID != n.BGw1 {
-		t.Fatalf("ByName(B_gw1) = %+v, %v", got, ok)
+	if got := topo.Nodes[n.BGw1]; got.ID != n.BGw1 || got.Name != "B_gw1" {
+		t.Fatalf("Nodes[BGw1] = %+v", got)
 	}
 }
 
@@ -162,7 +161,7 @@ func TestSharedGateway(t *testing.T) {
 			}
 		}
 	}
-	if hops.Next(n.AttackGW, n.Victim()) != n.VictimGW {
+	if hops.Next(n.AttackGW, n.Victims[0]) != n.VictimGW {
 		t.Fatal("attack gw peers with victim gw")
 	}
 }
@@ -214,15 +213,12 @@ func TestValidateDisconnected(t *testing.T) {
 func TestLookup(t *testing.T) {
 	topo, n := Figure1(DefaultParams())
 	addr := topo.Nodes[n.BGw2].Addr
-	got, ok := topo.Lookup(addr)
-	if !ok || got.ID != n.BGw2 {
-		t.Fatalf("Lookup(%v) = %+v, %v", addr, got, ok)
+	got, ok := topo.ID(addr)
+	if !ok || got != n.BGw2 {
+		t.Fatalf("ID(%v) = %v, %v", addr, got, ok)
 	}
-	if _, ok := topo.Lookup(flow.MakeAddr(9, 9, 9, 9)); ok {
-		t.Fatal("Lookup of unknown addr succeeded")
-	}
-	if _, ok := topo.ByName("nobody"); ok {
-		t.Fatal("ByName of unknown name succeeded")
+	if _, ok := topo.ID(flow.MakeAddr(9, 9, 9, 9)); ok {
+		t.Fatal("ID of unknown addr succeeded")
 	}
 	if len(topo.Neighbors(n.GGw2)) != 2 {
 		t.Fatal("G_gw2 should have two neighbors")

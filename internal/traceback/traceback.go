@@ -60,9 +60,6 @@ func NewRecorder(addr flow.Addr, secret []byte) *Recorder {
 	}
 }
 
-// Addr returns the router address entries are stamped with.
-func (r *Recorder) Addr() flow.Addr { return r.addr }
-
 // Nonce computes the authenticator this router would stamp on a packet
 // with the given tuple: SipHash-2-4 under the router's key of the
 // 13-byte encoding src(4) dst(4) proto(1) sport(2) dport(2), big endian.
@@ -121,11 +118,6 @@ func sipRound(v0, v1, v2, v3 uint64) (uint64, uint64, uint64, uint64) {
 	return v0, v1, v2, v3
 }
 
-// Stamp appends this router's RR entry to the packet.
-func (r *Recorder) Stamp(p *packet.Packet) {
-	p.RecordRoute(r.addr, r.Nonce(p.Tuple()))
-}
-
 // Verify reports whether the path contains an entry for this router
 // whose authenticator matches the tuple — i.e. whether a packet of this
 // flow credibly crossed this router.
@@ -158,16 +150,6 @@ func (ap AttackPath) AttackerGateway() (flow.Addr, error) {
 		return 0, ErrEmptyPath
 	}
 	return ap[0].Router, nil
-}
-
-// Contains reports whether addr appears anywhere on the path.
-func (ap AttackPath) Contains(addr flow.Addr) bool {
-	for _, e := range ap {
-		if e.Router == addr {
-			return true
-		}
-	}
-	return false
 }
 
 // IndexOf returns the position of addr on the path, or -1.

@@ -135,9 +135,6 @@ func TestAttackPathHelpers(t *testing.T) {
 	NewRecorder(rtrA, []byte("a")).Stamp(p)
 	NewRecorder(rtrB, []byte("b")).Stamp(p)
 	ap := AttackPath(p.Path)
-	if !ap.Contains(rtrA) || !ap.Contains(rtrB) || ap.Contains(rtrC) {
-		t.Fatal("Contains wrong")
-	}
 	if ap.IndexOf(rtrB) != 1 || ap.IndexOf(rtrC) != -1 {
 		t.Fatal("IndexOf wrong")
 	}

@@ -56,8 +56,8 @@ func readPackets(t *testing.T, conn *net.UDPConn, want int) []*packet.Packet {
 		if err != nil {
 			t.Fatalf("read %d of %d forwarded datagrams: %v", len(out)+1, want, err)
 		}
-		p, err := packet.Unmarshal(buf[:n])
-		if err != nil {
+		p := packet.Get()
+		if err := packet.UnmarshalInto(p, buf[:n]); err != nil {
 			t.Fatalf("forwarded datagram %d: %v", len(out)+1, err)
 		}
 		out = append(out, p)

@@ -284,6 +284,6 @@ func TestClockRacesReadLoopAndAdmin(t *testing.T) {
 	}()
 	wg.Wait()
 	waitUntil(t, 5*time.Second, func() bool {
-		return g.Stats().HandshakesStarted > 0 && g.PendingHandshakes() == 0 && g.OutstandingReliable() == 0
+		return g.Stats().HandshakesStarted > 0 && g.pendingHandshakes() == 0 && g.outstandingReliable() == 0
 	}, "handshakes or retransmission ladders outstanding after every deadline passed")
 }

@@ -3,14 +3,7 @@ package wire
 // The cluster overlay lives in the detection plane (cluster.Plane);
 // the wire runtime supplies only the merge-round timer.
 
-import (
-	"time"
-
-	"aitf/internal/cluster"
-)
-
-// Cluster exposes the gateway's cluster overlay (nil when disabled).
-func (g *Gateway) Cluster() *cluster.Cluster { return g.plane.Cluster() }
+import "time"
 
 // armClusterMerge starts the recurring merge round on the gateway's
 // clock. Each firing re-arms the next, until Close stops the clock.
@@ -24,9 +17,4 @@ func (g *Gateway) armClusterMerge() {
 func (g *Gateway) mergeRound() {
 	g.plane.MergeRound(wallNow())
 	g.armClusterMerge()
-}
-
-// KillReplica kills one logical replica mid-run (cluster.Plane.KillReplica).
-func (g *Gateway) KillReplica(id int) (inherited, lost int, ok bool) {
-	return g.plane.KillReplica(id, wallNow())
 }

@@ -14,6 +14,7 @@ import (
 	"aitf/internal/detect"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
+	"aitf/internal/obs/obstest"
 )
 
 // clusterMetricNames is the aitf_cluster_* schema the admin endpoint
@@ -86,7 +87,7 @@ func TestWireClusterRoundOverUDP(t *testing.T) {
 	if vgw.Detector() != nil {
 		t.Fatal("clustered gateway still built the single detection engine")
 	}
-	if vgw.Cluster() == nil {
+	if vgw.plane.Cluster() == nil {
 		t.Fatal("cluster config did not build the overlay")
 	}
 	agw, err := NewGateway(GatewayConfig{
@@ -159,10 +160,10 @@ func TestWireClusterRoundOverUDP(t *testing.T) {
 		return agw.Stats().HandshakesOK > 0
 	}, "handshake never completed against the clustered victim gateway")
 	waitUntil(t, 5*time.Second, func() bool {
-		return vgw.Cluster().Stats().MergeRounds > 0
+		return vgw.plane.Cluster().Stats().MergeRounds > 0
 	}, "the merge ticker never ran a round")
 
-	clu := vgw.Cluster()
+	clu := vgw.plane.Cluster()
 	if clu.LogLen() == 0 {
 		t.Fatal("no filter op reached the replicated log")
 	}
@@ -171,7 +172,7 @@ func TestWireClusterRoundOverUDP(t *testing.T) {
 	// inherit every live filter.
 	time.Sleep(150 * time.Millisecond)
 	owner := clu.Owner(attackerA, victimA)
-	inherited, lost, ok := vgw.KillReplica(owner)
+	inherited, lost, ok := vgw.plane.KillReplica(owner, wallNow())
 	if !ok {
 		t.Fatalf("KillReplica(%d) refused", owner)
 	}
@@ -185,7 +186,7 @@ func TestWireClusterRoundOverUDP(t *testing.T) {
 		t.Fatalf("post-failover consistency: %s", msg)
 	}
 	// The dataplane never loses installed filters to a logical kill.
-	if vgw.Filters().Len() == 0 && vgw.Shadows().Len() == 0 {
+	if vgw.Filters().Len() == 0 && vgw.dp.ShadowLen() == 0 {
 		t.Fatal("gateway holds neither filter nor shadow after the round")
 	}
 }
@@ -219,7 +220,7 @@ func TestWireClusterMetricsSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	expo := buf.String()
-	if err := obs.CheckExposition(expo); err != nil {
+	if err := obstest.CheckExposition(expo); err != nil {
 		t.Fatalf("clustered exposition invalid: %v", err)
 	}
 	for _, name := range clusterMetricNames {
@@ -299,7 +300,7 @@ func TestWireClusterSnapshotRestore(t *testing.T) {
 		}
 	}
 	g.mu.Unlock()
-	wantLog := g.Cluster().LogLen()
+	wantLog := g.plane.Cluster().LogLen()
 	if wantLog < len(labels) {
 		t.Fatalf("log holds %d ops, want >= %d", wantLog, len(labels))
 	}
@@ -312,17 +313,17 @@ func TestWireClusterSnapshotRestore(t *testing.T) {
 	if _, err := g2.RestoreFromDisk(); err != nil {
 		t.Fatal(err)
 	}
-	if got := g2.Cluster().LogLen(); got != wantLog {
+	if got := g2.plane.Cluster().LogLen(); got != wantLog {
 		t.Fatalf("restored log holds %d ops, want %d", got, wantLog)
 	}
 	// Ops apply eagerly only at their origin replica; one merge round
 	// ships the restored log to the others, as in live operation.
-	g2.Cluster().MergeRound(wallNow())
+	g2.plane.Cluster().MergeRound(wallNow())
 	// Every restored deadline must be live and rebased: in the future,
 	// but no further out than the original 5s grant.
 	now2 := wallNow()
-	for id := 0; id < g2.Cluster().Replicas(); id++ {
-		view := g2.Cluster().FilterView(id)
+	for id := 0; id < g2.plane.Cluster().Replicas(); id++ {
+		view := g2.plane.Cluster().FilterView(id)
 		for _, l := range labels {
 			exp, ok := view[l]
 			if !ok {
@@ -333,7 +334,7 @@ func TestWireClusterSnapshotRestore(t *testing.T) {
 			}
 		}
 	}
-	inherited, lost, ok := g2.KillReplica(0)
+	inherited, lost, ok := g2.plane.KillReplica(0, wallNow())
 	if !ok || lost != 0 || inherited < len(labels) {
 		t.Fatalf("post-restore failover: inherited %d, lost %d, ok %v", inherited, lost, ok)
 	}
@@ -354,7 +355,7 @@ func TestWireClusterKillTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if _, _, ok := g.KillReplica(1); !ok {
+	if _, _, ok := g.plane.KillReplica(1, wallNow()); !ok {
 		t.Fatal("KillReplica(1) refused")
 	}
 	var killed []map[string]any
@@ -384,15 +385,15 @@ func TestWireClusterMergeTickerStopsOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, 2*time.Second, func() bool {
-		return g.Cluster().Stats().MergeRounds > 0
+		return g.plane.Cluster().Stats().MergeRounds > 0
 	}, "merge ticker never fired")
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let any in-flight firing finish
-	quiesced := g.Cluster().Stats().MergeRounds
+	quiesced := g.plane.Cluster().Stats().MergeRounds
 	time.Sleep(100 * time.Millisecond) // five intervals of silence
-	if got := g.Cluster().Stats().MergeRounds; got != quiesced {
+	if got := g.plane.Cluster().Stats().MergeRounds; got != quiesced {
 		t.Fatalf("merge ticker still running after Close: %d -> %d rounds", quiesced, got)
 	}
 }

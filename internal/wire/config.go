@@ -195,6 +195,30 @@ func (g *GatewayFileConfig) mergeMs() int {
 // engines clamp to: a larger value is rejected here rather than
 // silently cut.
 
+// maxSketchBytes bounds the count-min memory one gateway's detection
+// engines may take together: the paper's bounded router resources
+// applied to configuration. It admits one engine at the largest
+// geometry detect allows (MaxWidth × MaxDepth × 8 B = 128 MiB) and the
+// default 32 KiB sketch on every engine of the largest cluster (129
+// engines, 4 MiB), but not a cluster that multiplies a large sketch by
+// its replicas: 129 engines at the largest geometry would take 16 GiB.
+const maxSketchBytes = 256 << 20
+
+// sketchBytes is the count-min memory the gateway's detection engines
+// allocate: none without detection, one engine's sketch alone, and with
+// a cluster two engines per replica plus the merged view (cluster.New).
+func (g *GatewayFileConfig) sketchBytes() int64 {
+	if g.DetectBps <= 0 {
+		return 0
+	}
+	engines := int64(1)
+	if g.ClusterPeers >= 2 {
+		engines = 2*int64(g.ClusterPeers) + 1
+	}
+	det := detect.Config{Width: g.SketchWidth, Depth: g.SketchDepth}
+	return engines * det.SketchBytes()
+}
+
 // validate rejects gateway knobs outside their meaningful ranges.
 func (g *GatewayFileConfig) validate() error {
 	if g.Shards < 0 || g.Shards > dataplane.MaxShards {
@@ -238,6 +262,10 @@ func (g *GatewayFileConfig) validate() error {
 	}
 	if g.ClusterMergeMs < 0 {
 		return fmt.Errorf("%w: cluster_merge_ms %d is negative", ErrBadConfig, g.ClusterMergeMs)
+	}
+	if n := g.sketchBytes(); n > maxSketchBytes {
+		return fmt.Errorf("%w: detection sketches take %d bytes (sketch_width %d, sketch_depth %d, cluster_peers %d), above the %d-byte budget",
+			ErrBadConfig, n, g.SketchWidth, g.SketchDepth, g.ClusterPeers, maxSketchBytes)
 	}
 	if g.ClusterPeers == 0 && (g.ClusterMergeMs != 0 || g.ClusterHashSeed != 0 || g.ClusterReplication) {
 		return fmt.Errorf("%w: cluster knobs set without cluster_peers", ErrBadConfig)

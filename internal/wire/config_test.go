@@ -202,7 +202,7 @@ func TestParseGatewayConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cg.Cluster() == nil {
+	if cg.plane.Cluster() == nil {
 		t.Fatal("cluster-configured gateway has no overlay")
 	}
 	cg.Close()
@@ -272,12 +272,24 @@ func TestParseConfigErrors(t *testing.T) {
 		"merge just under": `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_peers":2,"cluster_merge_ms":499,"detect_bps":1000,"detect_for":["1.1.1.2"],"detect_window_ms":500}}`,
 		"knobs no peers":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_merge_ms":500}}`,
 		"repl no peers":    `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_replication":true}}`,
+		"sketch budget":    `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"sketch_width":1048576,"sketch_depth":16,"cluster_peers":64}}`,
+		"budget 2 peers":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"sketch_width":1048576,"sketch_depth":16,"cluster_peers":2}}`,
 	}
 	for name, raw := range cases {
 		if _, err := ParseFileConfig([]byte(raw)); err == nil {
 			t.Errorf("%s: accepted", name)
 		} else if name != "not json" && !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%s: err = %v, want ErrBadConfig", name, err)
+		}
+	}
+	// The sketch budget admits the default geometry on the largest
+	// cluster and the largest geometry on one engine.
+	for name, raw := range map[string]string{
+		"default sketches": `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"cluster_peers":64}}`,
+		"largest sketch":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"sketch_width":1048576,"sketch_depth":16}}`,
+	} {
+		if _, err := ParseFileConfig([]byte(raw)); err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
 		}
 	}
 }

@@ -66,8 +66,8 @@ func sent(t *testing.T, g *Gateway, sink *net.UDPConn, handle func()) []wireKey 
 		if err != nil {
 			t.Fatalf("read send %d of %d: %v", i+1, after-before, err)
 		}
-		p, err := packet.Unmarshal(buf[:n])
-		if err != nil {
+		p := packet.Get()
+		if err := packet.UnmarshalInto(p, buf[:n]); err != nil {
 			t.Fatalf("send %d: %v", i+1, err)
 		}
 		keys = append(keys, keyOf(p))

@@ -250,9 +250,6 @@ func (g *Gateway) DataPlane() *dataplane.Engine { return g.dp }
 // Filters exposes the filter bank for inspection.
 func (g *Gateway) Filters() dataplane.TableView { return g.dp.Table() }
 
-// Shadows exposes the shadow cache for inspection.
-func (g *Gateway) Shadows() dataplane.ShadowView { return g.dp.Shadow() }
-
 // logf emits a Debug-level diagnostic through the trace logger. The
 // enabled check keeps the Sprintf off every call when debug logging is
 // off (the default).

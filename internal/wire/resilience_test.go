@@ -2,8 +2,9 @@ package wire
 
 import (
 	"encoding/json"
+	"io"
 	"log/slog"
-	"net/http/httptest"
+	"net/http"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -189,11 +190,23 @@ func TestSnapshotRestoreHonorsDeadlines(t *testing.T) {
 // omitted key from an empty one.
 func traceJSON(t *testing.T, ring *obs.Ring) []map[string]any {
 	t.Helper()
-	rec := httptest.NewRecorder()
-	obs.NewAdminServer(obs.NewRegistry(), ring, nil).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/trace", nil))
+	admin := obs.NewAdminServer(obs.NewRegistry(), ring, nil)
+	if err := admin.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	resp, err := http.Get("http://" + admin.Addr() + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var events []map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &events); err != nil {
-		t.Fatalf("/trace: %v in %s", err, rec.Body)
+	if err := json.Unmarshal(body, &events); err != nil {
+		t.Fatalf("/trace: %v in %s", err, body)
 	}
 	return events
 }
@@ -274,7 +287,7 @@ func TestSnapshotRestoreFailsLapsedPendings(t *testing.T) {
 	if st.HandshakesStarted != 1 || st.HandshakesFailed != 1 {
 		t.Fatalf("lapsed pending not failed: %+v", st)
 	}
-	if got := st.HandshakesStarted - st.HandshakesOK - st.HandshakesFailed - uint64(g2.PendingHandshakes()); got != 0 {
+	if got := st.HandshakesStarted - st.HandshakesOK - st.HandshakesFailed - uint64(g2.pendingHandshakes()); got != 0 {
 		t.Fatalf("handshake ledger off by %d after restore", got)
 	}
 }
@@ -344,16 +357,11 @@ func TestDedupBoundedUnderFlood(t *testing.T) {
 	if took := time.Since(start); took >= filter.DedupWindow {
 		t.Fatalf("flood of %d took %v, longer than the %v dedup window", flood, took, filter.DedupWindow)
 	}
-	g.mu.Lock()
-	resident := g.dedup.Len()
-	g.mu.Unlock()
-	if resident > filter.DedupCapacity {
-		t.Fatalf("%d pairs resident, cap %d", resident, filter.DedupCapacity)
-	}
 	st := g.Stats()
 	if st.ReqReceived != flood || st.CtrlDupDrops != 0 {
 		t.Fatalf("distinct pairs deduped: %+v", st)
 	}
+	// Every pair is distinct, so exactly DedupCapacity stay resident.
 	if want := uint64(flood - filter.DedupCapacity); st.CtrlDedupEvicted != want {
 		t.Fatalf("CtrlDedupEvicted = %d, want %d", st.CtrlDedupEvicted, want)
 	}
@@ -476,10 +484,10 @@ func TestWireHandshakeRetransmitsUntilTimeout(t *testing.T) {
 	if st.CtrlRetransmits > uint64(g.cfg.Control.MaxAttempts-1) {
 		t.Fatalf("retransmission did not terminate: %d attempts", st.CtrlRetransmits)
 	}
-	if st.HandshakesStarted != 1 || g.PendingHandshakes() != 0 {
-		t.Fatalf("ledger off after timeout: %+v, %d pending", st, g.PendingHandshakes())
+	if st.HandshakesStarted != 1 || g.pendingHandshakes() != 0 {
+		t.Fatalf("ledger off after timeout: %+v, %d pending", st, g.pendingHandshakes())
 	}
-	if n := g.OutstandingReliable(); n != 0 {
+	if n := g.outstandingReliable(); n != 0 {
 		t.Fatalf("%d retransmission ladders outstanding after the handshake failed", n)
 	}
 }
@@ -524,7 +532,7 @@ func TestWireReliableRoundCompletes(t *testing.T) {
 	if st.HandshakesOK != 1 {
 		t.Fatalf("HandshakesOK = %d, want exactly 1 despite duplicates", st.HandshakesOK)
 	}
-	if got := st.HandshakesStarted - st.HandshakesOK - st.HandshakesFailed - uint64(r.agw.PendingHandshakes()); got != 0 {
+	if got := st.HandshakesStarted - st.HandshakesOK - st.HandshakesFailed - uint64(r.agw.pendingHandshakes()); got != 0 {
 		t.Fatalf("handshake ledger off by %d", got)
 	}
 	if st.CtrlReliableSends == 0 {

@@ -179,19 +179,3 @@ func (g *Gateway) RestoreFromDisk() (*DiskSnapshot, error) {
 	}
 	return &snap, nil
 }
-
-// PendingHandshakes returns the number of in-flight attacker-side
-// handshakes (for the started = ok + failed + pending ledger).
-func (g *Gateway) PendingHandshakes() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.hs.Pending()
-}
-
-// OutstandingReliable returns how many reliable sends still await an
-// ack or their final attempt; every ladder drains to zero.
-func (g *Gateway) OutstandingReliable() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.ladder.Outstanding()
-}

@@ -83,7 +83,7 @@ func TestV1SnapshotRefused(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "snapshot version 1, want 2") {
 		t.Fatalf("RestoreFromDisk(v1) = %v, want the version error", err)
 	}
-	if st := g.Stats(); st.SnapshotRestores != 0 || g.dp.Len() != 0 || g.PendingHandshakes() != 0 {
+	if st := g.Stats(); st.SnapshotRestores != 0 || g.dp.Len() != 0 || g.pendingHandshakes() != 0 {
 		t.Fatalf("refused snapshot restored state: %+v", st)
 	}
 }

@@ -529,12 +529,9 @@ func (n *Node) sendTo(addr flow.Addr, p *packet.Packet, tx *sockBatch) error {
 	return nil
 }
 
-// Forward sends p one hop toward its destination using the routing
-// table, decrementing the TTL.
-func (n *Node) Forward(p *packet.Packet) error { return n.forward(p, nil) }
-
-// forward is Forward with the send deferred to tx's next flush when tx
-// is non-nil (see sendTo).
+// forward sends p one hop toward its destination using the routing
+// table, decrementing the TTL. The send is deferred to tx's next flush
+// when tx is non-nil (see sendTo).
 //
 // aitf:noalloc
 func (n *Node) forward(p *packet.Packet, tx *sockBatch) error {

@@ -388,12 +388,12 @@ func TestNodeForwardErrors(t *testing.T) {
 	}
 	defer n.Close()
 	p := packet.NewData(n.Addr(), flow.MakeAddr(9, 9, 9, 9), flow.ProtoUDP, 1, 2, 10)
-	if err := n.Forward(p); err == nil {
+	if err := n.forward(p, nil); err == nil {
 		t.Fatal("Forward without route succeeded")
 	}
 	p2 := packet.NewData(n.Addr(), flow.MakeAddr(9, 9, 9, 9), flow.ProtoUDP, 1, 2, 10)
 	p2.TTL = 0
-	if err := n.Forward(p2); err == nil {
+	if err := n.forward(p2, nil); err == nil {
 		t.Fatal("Forward with TTL 0 succeeded")
 	}
 }
@@ -484,7 +484,7 @@ func TestSendMessagesExported(t *testing.T) {
 		pkts[i] = packet.NewData(flow.MakeAddr(20, 0, 0, 1), dst, flow.ProtoUDP, uint16(i), 80, 100)
 	}
 	g.handleBatch(g.node, pkts, tx)
-	if err := g.node.Forward(packet.NewData(flow.MakeAddr(20, 0, 0, 1), dst, flow.ProtoUDP, k, 80, 100)); err != nil {
+	if err := g.node.forward(packet.NewData(flow.MakeAddr(20, 0, 0, 1), dst, flow.ProtoUDP, k, 80, 100), nil); err != nil {
 		t.Fatal(err)
 	}
 	readPackets(t, sink, k+1)
@@ -822,7 +822,7 @@ func TestInstallWithAggregationAllocator(t *testing.T) {
 			if (st.CollateralBytes > 0) != c.collateral {
 				t.Fatalf("CollateralBytes = %d, want non-zero = %v", st.CollateralBytes, c.collateral)
 			}
-			if _, ok := g.dp.Table().Lookup(fresh, now); !ok {
+			if _, ok := g.dp.Get(fresh, now); !ok {
 				t.Fatal("triggering filter not installed after aggregation")
 			}
 		})
@@ -1023,7 +1023,7 @@ func TestFullTableStillRelaysRequest(t *testing.T) {
 	if st := g.Stats(); st.ReqReceived != 1 || st.ReqInvalid != 0 {
 		t.Fatalf("requests=%d invalid=%d, want 1, 0", st.ReqReceived, st.ReqInvalid)
 	}
-	if _, ok := g.dp.Table().Lookup(label, now); ok {
+	if _, ok := g.dp.Get(label, now); ok {
 		t.Fatal("a temporary filter fit into the full table")
 	}
 	if _, live := g.dp.ShadowGet(label, wallNow()); !live {
