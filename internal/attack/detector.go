@@ -16,8 +16,10 @@ import (
 // an *oracle*: it keeps exact per-source state, so its memory grows
 // with the number of sources and its latency is a model parameter,
 // not a measured one. The production counterpart is internal/detect's
-// sketch-based engine, which measures in constant memory and makes
-// detection latency, false positives and false negatives emergent;
+// sketch-based engine, which measures in memory that grows with the
+// cells and keys the traffic touches, up to a configured bound, and
+// makes detection latency, false positives and false negatives
+// emergent;
 // the scenario harness swaps between the two behind Spec.Detector to
 // quantify what assuming an oracle hides.
 type RateDetector struct {

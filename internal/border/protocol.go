@@ -2,6 +2,7 @@ package border
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -169,7 +170,7 @@ func (e *Engine) handleVictimSideRequest(m *packet.FilterReq, neighbor flow.Addr
 			atomic.AddUint64(&e.stats.ShadowReblocks, 1)
 			e.env.Trace(obs.EvShadowHit, label, "victim re-request")
 			if len(m.Evidence) > 0 {
-				w.Evidence = traceback.AttackPath(m.Evidence)
+				w.Evidence = slices.Clone(traceback.AttackPath(m.Evidence))
 			}
 			e.reblockAndEscalate(w)
 			return
@@ -187,7 +188,9 @@ func (e *Engine) handleVictimSideRequest(m *packet.FilterReq, neighbor flow.Addr
 		return
 	}
 	atomic.AddUint64(&e.stats.ReqAccepted, 1)
-	e.openWatch(label, m.Victim, evidence)
+	// The watch keeps its own copy: the message's slice may be the
+	// sender's (the simulator hands packets over by pointer).
+	e.openWatch(label, m.Victim, slices.Clone(evidence))
 }
 
 // scheduleWatchGC arms the periodic reclamation of a watch once both
@@ -250,6 +253,11 @@ func (e *Engine) sendToAttackerGateway(w *watch) {
 }
 
 // sendReq sends w's filtering request to dst on a reliable ladder.
+// Every (re)transmission carries w.Evidence itself, not a copy: a watch
+// owns its evidence and replaces it whole, and no receiver writes into
+// or appends to a request's evidence (border copies it when it adopts
+// it; traceback.Recorder.Verify, ctrl.Ledger's kept request and the
+// wire codec only read it).
 func (e *Engine) sendReq(w *watch, dst flow.Addr, stage packet.Stage, victim flow.Addr) uint64 {
 	round := uint8(min(w.Round, 255))
 	return e.ladder.Send(w.Label, func(txid uint64) *packet.Packet {
@@ -259,7 +267,7 @@ func (e *Engine) sendReq(w *watch, dst flow.Addr, stage packet.Stage, victim flo
 			Duration: e.cfg.Timers.T,
 			Round:    round,
 			Victim:   victim,
-			Evidence: append([]packet.RREntry(nil), w.Evidence...),
+			Evidence: w.Evidence,
 			Txid:     txid,
 		})
 	})

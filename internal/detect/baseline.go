@@ -35,8 +35,13 @@ func newBaselines(capacity int, alpha float64, seed uint64) *baselines {
 	}
 }
 
-// reset forgets every destination, keeping the table's arrays.
+// reset forgets every destination, keeping the table's arrays. Like
+// bps and rotate, it takes a nil table, which an engine has until its
+// first observation, as an empty one.
 func (b *baselines) reset() {
+	if b == nil {
+		return
+	}
 	clear(b.keys)
 	clear(b.used)
 	clear(b.win)
@@ -89,6 +94,9 @@ func (b *baselines) add(dst flow.Addr, n int) {
 // bps returns the smoothed bytes/second baseline for dst (0 when
 // untracked).
 func (b *baselines) bps(dst flow.Addr) float64 {
+	if b == nil {
+		return 0
+	}
 	if s := b.slot(dst, false); s >= 0 && b.keys[s] == dst {
 		return b.ewma[s]
 	}
@@ -100,7 +108,7 @@ func (b *baselines) bps(dst flow.Addr) float64 {
 // carries the accumulated bytes, the remainder are silent windows that
 // decay the average geometrically.
 func (b *baselines) rotate(elapsed int, windowSeconds float64) {
-	if windowSeconds <= 0 {
+	if b == nil || windowSeconds <= 0 {
 		return
 	}
 	decay := 1.0

@@ -4,8 +4,10 @@
 // detection latency Td, false positives, and false negatives become
 // measurable system outputs instead of model inputs.
 //
-// The engine keeps three constant-memory summaries over the packet
-// stream, all updated on one pass per packet:
+// The engine keeps three bounded summaries over the packet stream, all
+// updated on one pass per packet. Each holds memory for the cells and
+// keys the stream has touched and grows, up to its configured bound,
+// only as new ones arrive:
 //
 //   - a count-min sketch with conservative update estimates each
 //     (src, dst) pair's byte volume within the current measurement
@@ -93,12 +95,15 @@ const (
 	MaxTopK  = 1 << 16
 )
 
-// SketchBytes is the memory New allocates for the engine's count-min
-// cells under c, computed without allocating them: the width rounded up
-// to a power of two, times depth rows of 8-byte cells.
+// SketchBytes bounds the memory the engine's count-min sketch holds
+// under c, computed without allocating it. The sketch grows with the
+// cells its keys touch; filled to every cell it holds the width
+// (rounded up to a power of two) times depth rows of 8-byte cells, in
+// pages of eight, plus 8 bytes of bookkeeping per page (its directory
+// entry and its slab owner).
 func (c Config) SketchBytes() int64 {
 	c = c.withDefaults()
-	return int64(sketchWidth(c.Width)) * int64(c.Depth) * 8
+	return int64(sketchPages(sketchWidth(c.Width), c.Depth)) * (pageCells*8 + 8)
 }
 
 // withDefaults fills unset fields and clamps the sizes to their bounds.
@@ -171,7 +176,7 @@ type Engine struct {
 
 	cms  *sketch
 	hh   *topk
-	base *baselines
+	base *baselines // nil until the first observation
 
 	winStart   sim.Time
 	winStarted bool
@@ -189,14 +194,15 @@ type Engine struct {
 
 // New builds an engine from cfg (defaults applied). A disabled config
 // (ThresholdBps <= 0) still yields a working engine that measures but
-// never flags.
+// never flags. Only the sketch's page directory is allocated up front:
+// the cells, the summary and the baselines grow with what the engine
+// observes or merges in.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
 		cfg:        cfg,
 		cms:        newSketch(cfg.Width, cfg.Depth, splitmix64(cfg.Seed)),
 		hh:         newTopK(cfg.TopK, splitmix64(cfg.Seed+1)),
-		base:       newBaselines(cfg.BaselineCapacity, cfg.BaselineAlpha, splitmix64(cfg.Seed+2)),
 		quiet:      sim.Time(cfg.QuietWindows) * cfg.Window,
 		thresholdB: cfg.ThresholdBps * cfg.Window.Seconds(),
 	}
@@ -204,10 +210,11 @@ func New(cfg Config) *Engine {
 }
 
 // Reset returns the engine to the state New left it in, in place: the
-// sketch's cells are cleared (as at a window boundary), the
-// heavy-hitter summary and the baselines are emptied, the window is
-// unanchored (the next observation or merge anchors it, as on a fresh
-// engine) and the counters are zeroed. Configuration, hash seeds and
+// sketch's held cells are cleared (as at a window boundary), the
+// heavy-hitter summary and the baselines are emptied (keeping the
+// memory they have grown to), the window is unanchored (the next
+// observation or merge anchors it, as on a fresh engine) and the
+// counters are zeroed. Configuration, hash seeds and
 // any Instrument registration are kept. An accumulator that is Reset
 // and refilled behaves exactly like a freshly built one, which is what
 // lets a cluster keep the one-contribution-per-round merge discipline
@@ -266,6 +273,9 @@ func (e *Engine) observeOne(now sim.Time, tup flow.Tuple, payload int) (Detectio
 	key := pairKey(tup.Src, tup.Dst)
 	est := e.cms.add(key, uint64(payload))
 	ent := e.hh.touch(key, uint64(payload), now, e.quiet)
+	if e.base == nil {
+		e.base = newBaselines(e.cfg.BaselineCapacity, e.cfg.BaselineAlpha, splitmix64(e.cfg.Seed+2))
+	}
 	e.base.add(tup.Dst, payload)
 
 	if !e.cfg.Enabled() || ent.flagged {

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"aitf/internal/flow"
 	"aitf/internal/packet"
@@ -372,20 +374,93 @@ func TestNoFalsePositiveUnderCollisions(t *testing.T) {
 // TestNewClampsSizes: the sketch's width and depth and the summary's
 // top-k are clamped to MaxWidth, MaxDepth and MaxTopK, so the largest
 // int builds the bound instead of looping forever on an overflowing
-// 32-bit doubling (or allocating without end). Each case keeps the
-// other sizes small, so that the test allocates a few megabytes.
+// 32-bit doubling. New holds no cells and no summary entries yet, so
+// even the largest engine allocates little more than its sketch's page
+// directory: 8 MiB at MaxWidth × MaxDepth, not the 128 MiB its cells
+// take once every one is written.
 func TestNewClampsSizes(t *testing.T) {
-	e := New(Config{Width: math.MaxInt, Depth: 1, TopK: 1})
+	var e *Engine
+	built := allocated(func() { e = New(Config{Width: math.MaxInt, Depth: math.MaxInt, TopK: math.MaxInt}) })
 	if w := int(e.cms.mask) + 1; w != MaxWidth || e.cfg.Width != MaxWidth {
 		t.Errorf("Width MaxInt built a sketch %d wide (config %d), want %d", w, e.cfg.Width, MaxWidth)
 	}
-	for _, d := range []int{MaxDepth + 1, math.MaxInt} {
-		if e := New(Config{Width: 1, Depth: d, TopK: 1}); e.cms.depth != MaxDepth || len(e.cms.seeds) != MaxDepth {
-			t.Errorf("Depth %d built %d rows, want %d", d, e.cms.depth, MaxDepth)
+	if e.cms.depth != MaxDepth || len(e.cms.seeds) != MaxDepth || e.cfg.Depth != MaxDepth {
+		t.Errorf("Depth MaxInt built %d rows (config %d), want %d", e.cms.depth, e.cfg.Depth, MaxDepth)
+	}
+	dir := MaxWidth * MaxDepth / pageCells
+	if len(e.cms.dir) != dir {
+		t.Errorf("the largest sketch has a directory of %d pages, want %d", len(e.cms.dir), dir)
+	}
+	if e.hh.budget != MaxTopK || e.cfg.TopK != MaxTopK {
+		t.Errorf("TopK MaxInt built a summary of %d keys (config %d), want %d", e.hh.budget, e.cfg.TopK, MaxTopK)
+	}
+	if limit := uint64(dir)*4 + 64<<10; !raceEnabled && built > limit {
+		t.Errorf("New at the largest geometry allocated %d B, want at most %d (the directory and 64 KiB)", built, limit)
+	}
+	if e := New(Config{Width: 1, Depth: MaxDepth + 1, TopK: 1}); e.cms.depth != MaxDepth || len(e.cms.seeds) != MaxDepth {
+		t.Errorf("Depth %d built %d rows, want %d", MaxDepth+1, e.cms.depth, MaxDepth)
+	}
+}
+
+// allocated returns the heap bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestEngineMemoryFollowsUse: an engine holds memory for the cells and
+// keys it has seen, not for its bounds. At the default geometry a new
+// engine allocates at most 4 KB (the sketch's page directory, 2 KB, and
+// the structs), and one that has seen 16 pairs at most 20 KB in all,
+// growth included; a dense sketch alone was 32 KB. Filled to every
+// cell, the sketch never holds more than Config.SketchBytes, the bound
+// the daemon's configuration check adds up.
+func TestEngineMemoryFollowsUse(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation readings are meaningless under the race detector")
+	}
+	cfg := Config{ThresholdBps: 1e6, Seed: 3}
+	// The allocation counter is process-wide, so a stray runtime
+	// allocation can land in one reading: keep the least of five.
+	fresh, used := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 5 {
+		var e *Engine
+		built := allocated(func() { e = New(cfg) })
+		fed := allocated(func() {
+			for i := 0; i < 16; i++ {
+				e.ObserveTuple(sim.Time(i)*time.Millisecond, flow.TupleOf(flow.Addr(1000+i), victim, flow.ProtoUDP, 1, 2), 1000)
+			}
+		})
+		fresh, used = min(fresh, built), min(used, built+fed)
+	}
+	t.Logf("new engine %d B, after 16 pairs %d B", fresh, used)
+	if fresh > 4<<10 {
+		t.Errorf("a new engine allocated %d B, want at most 4 KB", fresh)
+	}
+	if used > 20<<10 {
+		t.Errorf("an engine that saw 16 pairs allocated %d B, want at most 20 KB", used)
+	}
+
+	for _, c := range []Config{cfg, {Width: 3, Depth: 5, ThresholdBps: 1e6}} {
+		e := New(c)
+		limit, cells := c.SketchBytes(), int(e.cms.mask+1)*e.cms.depth
+		pairs := 0
+		for e.cms.live() < cells {
+			e.ObserveTuple(0, flow.TupleOf(flow.Addr(pairs), victim, flow.ProtoUDP, 1, 2), 100)
+			pairs++
+			if b := heldBytes(e.cms); b > limit {
+				t.Fatalf("%dx%d: the sketch holds %d B after %d pairs, over SketchBytes %d", e.cfg.Width, e.cfg.Depth, b, pairs, limit)
+			}
 		}
+		t.Logf("%dx%d: all %d cells written after %d pairs; the sketch holds %d B of %d", e.cfg.Width, e.cfg.Depth, cells, pairs, heldBytes(e.cms), limit)
 	}
-	e = New(Config{Width: 1, Depth: 1, TopK: math.MaxInt})
-	if k := cap(e.hh.entries); k != MaxTopK || len(e.hh.slots) != 4*MaxTopK {
-		t.Errorf("TopK MaxInt built a summary of %d keys and %d slots, want %d and %d", k, len(e.hh.slots), MaxTopK, 4*MaxTopK)
-	}
+}
+
+// heldBytes is the memory s holds: its directory, its slab of pages and
+// the slab's owner list, by capacity.
+func heldBytes(s *sketch) int64 {
+	return int64(len(s.dir))*4 + int64(cap(s.slab))*int64(unsafe.Sizeof(page{})) + int64(cap(s.owner))*4
 }

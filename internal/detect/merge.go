@@ -98,9 +98,7 @@ func (e *Engine) Merge(now sim.Time, o *Engine) error {
 
 	// Count-min: element-wise add of o's current-window cells. Identical
 	// seeds mean index i maps the same keys in both sketches.
-	for i, v := range o.cms.cells {
-		e.cms.cells[i] += v
-	}
+	e.cms.merge(o.cms)
 
 	e.mergeTopK(o.hh)
 	return nil
@@ -110,7 +108,7 @@ func (e *Engine) Merge(now sim.Time, o *Engine) error {
 // (count, err), keep the k largest by count. Caller holds both locks.
 func (e *Engine) mergeTopK(o *topk) {
 	t := e.hh
-	k := cap(t.entries)
+	k := t.budget
 	merged := append(e.mergeBuf[:0], t.entries...)
 	if e.mergeIdx == nil {
 		e.mergeIdx = make(map[uint64]int, len(merged)+len(o.entries))
@@ -150,16 +148,16 @@ func (e *Engine) mergeTopK(o *topk) {
 	}
 	// Rebuild the summary around the merged slab: fresh index, fresh
 	// heap (heapify bottom-up).
-	t.entries = append(t.entries[:0], merged...)
-	for i := range t.slots {
-		t.slots[i] = -1
+	if len(merged) > cap(t.entries) {
+		t.grow(len(merged))
 	}
+	t.entries = append(t.entries[:0], merged...)
 	t.heap = t.heap[:0]
 	for i := range t.entries {
 		t.entries[i].heapIdx = int32(i)
 		t.heap = append(t.heap, int32(i))
-		t.indexInsert(t.entries[i].key, int32(i))
 	}
+	t.reindex()
 	for i := len(t.heap)/2 - 1; i >= 0; i-- {
 		t.siftDown(i)
 	}
@@ -252,12 +250,7 @@ func (e *Engine) Flag(now sim.Time, src, dst flow.Addr) bool {
 func (e *Engine) MergeSize() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := 0
-	for _, v := range e.cms.cells {
-		if v != 0 {
-			n++
-		}
-	}
+	n := e.cms.live()
 	live := 0
 	for i := range e.hh.entries {
 		if e.hh.entries[i].count > 0 {

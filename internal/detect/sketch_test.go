@@ -13,8 +13,8 @@ import (
 // zeroCells fails t if any cell of s holds a count.
 func zeroCells(t *testing.T, s *sketch, when string) {
 	t.Helper()
-	for i, v := range s.cells {
-		if v != 0 {
+	for i := range uint32(len(s.dir) * pageCells) {
+		if v := s.read(i); v != 0 {
 			t.Fatalf("%s: cell %d reads %d", when, i, v)
 		}
 	}

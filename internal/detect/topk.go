@@ -20,21 +20,25 @@ type hhEntry struct {
 	heapIdx int32 // position in the count min-heap
 }
 
-// topk is a space-saving heavy-hitter summary over a fixed budget of k
+// topk is a space-saving heavy-hitter summary over a budget of k
 // entries: every observed key is charged to an entry, and when all k
 // are taken the key with the smallest count is displaced, the
 // newcomer inheriting its count as err (the standard Metwally et al.
 // construction, which guarantees count ≥ true bytes for held keys).
 //
-// The structure is fully pre-allocated: a slab of entries, an
-// open-addressed key index with backward-shift deletion, and an
-// indexed min-heap for O(log k) eviction. Steady-state touch never
-// allocates.
+// The structure is a slab of entries, an open-addressed key index with
+// backward-shift deletion, and an indexed min-heap for O(log k)
+// eviction. It starts empty and grows by doubling up to the budget, so
+// it holds memory for the keys it has seen; once it has grown, touch
+// never allocates.
 type topk struct {
 	entries []hhEntry
 	heap    []int32 // entry indices ordered by count (min at heap[0])
+	budget  int     // most entries held
 
-	// Open-addressed index: slot -> entry index, or -1 when free.
+	// Open-addressed index: slot -> entry index, or -1 when free. It
+	// has at least four slots per entry the slab can hold, and none
+	// before the first key.
 	slots []int32
 	mask  uint32
 	seed  uint64
@@ -42,23 +46,42 @@ type topk struct {
 	evictions uint64
 }
 
-// newTopK builds a summary holding up to k keys, at most MaxTopK. The
-// index is sized at 4x the entry budget (rounded to a power of two) to
-// keep probe runs short even when full.
+// newTopK builds an empty summary that holds up to k keys, at most
+// MaxTopK.
 func newTopK(k int, seed uint64) *topk {
+	return &topk{budget: k, seed: splitmix64(seed ^ 0xA5A5A5A5A5A5A5A5)}
+}
+
+// grow makes room for at least n entries, n at most the budget: the
+// slab and heap double (from four) up to the budget, and the index is
+// rebuilt at four slots per entry, rounded up to a power of two.
+func (t *topk) grow(n int) {
+	c := max(cap(t.entries), 4)
+	for c < n {
+		c *= 2
+	}
+	c = min(c, t.budget)
+	entries := make([]hhEntry, len(t.entries), c)
+	copy(entries, t.entries)
+	heap := make([]int32, len(t.heap), c)
+	copy(heap, t.heap)
+	t.entries, t.heap = entries, heap
 	w := uint32(4)
-	for int(w) < 4*k {
+	for int(w) < 4*c {
 		w <<= 1
 	}
-	t := &topk{
-		entries: make([]hhEntry, 0, k),
-		heap:    make([]int32, 0, k),
-		slots:   make([]int32, w),
-		mask:    w - 1,
-		seed:    splitmix64(seed ^ 0xA5A5A5A5A5A5A5A5),
+	t.slots, t.mask = make([]int32, w), w-1
+	t.reindex()
+}
+
+// reindex rebuilds the key index from the slab.
+func (t *topk) reindex() {
+	for i := range t.slots {
+		t.slots[i] = -1
 	}
-	t.reset()
-	return t
+	for i := range t.entries {
+		t.indexInsert(t.entries[i].key, int32(i))
+	}
 }
 
 func (t *topk) home(key uint64) uint32 {
@@ -67,6 +90,9 @@ func (t *topk) home(key uint64) uint32 {
 
 // find returns the entry index for key, or -1.
 func (t *topk) find(key uint64) int32 {
+	if t.slots == nil {
+		return -1
+	}
 	for s := t.home(key); ; s = (s + 1) & t.mask {
 		ei := t.slots[s]
 		if ei < 0 {
@@ -182,7 +208,10 @@ func (t *topk) touch(key uint64, n uint64, now, quiet sim.Time) *hhEntry {
 		t.siftDown(int(e.heapIdx))
 		return e
 	}
-	if len(t.entries) < cap(t.entries) {
+	if len(t.entries) < t.budget {
+		if len(t.entries) == cap(t.entries) {
+			t.grow(len(t.entries) + 1)
+		}
 		t.entries = append(t.entries, hhEntry{
 			key: key, count: n,
 			firstSeen: now, lastSeen: now,

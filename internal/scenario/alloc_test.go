@@ -16,7 +16,7 @@ func TestScenarioAllocBudget(t *testing.T) {
 	}
 	const (
 		warm, from, to = 25, 26, 126
-		budget         = 349_700 // bytes allocated per scenario
+		budget         = 295_900 // bytes allocated per scenario
 	)
 	for s := int64(1); s <= warm; s++ {
 		Run(GenSpec(s))

@@ -197,16 +197,20 @@ func (g *GatewayFileConfig) mergeMs() int {
 
 // maxSketchBytes bounds the count-min memory one gateway's detection
 // engines may take together: the paper's bounded router resources
-// applied to configuration. It admits one engine at the largest
-// geometry detect allows (MaxWidth × MaxDepth × 8 B = 128 MiB) and the
-// default 32 KiB sketch on every engine of the largest cluster (129
-// engines, 4 MiB), but not a cluster that multiplies a large sketch by
-// its replicas: 129 engines at the largest geometry would take 16 GiB.
+// applied to configuration. A sketch grows with the cells its traffic
+// touches, so the check adds up each one's bound, every cell written
+// (detect.Config.SketchBytes). It admits one engine at the largest
+// geometry detect allows (MaxWidth × MaxDepth cells, 144 MiB with the
+// page bookkeeping) and the default 36 KiB sketch on every engine of
+// the largest cluster (129 engines, 4.5 MiB), but not a cluster that
+// multiplies a large sketch by its replicas: 129 engines at the
+// largest geometry could take 18 GiB.
 const maxSketchBytes = 256 << 20
 
-// sketchBytes is the count-min memory the gateway's detection engines
-// allocate: none without detection, one engine's sketch alone, and with
-// a cluster two engines per replica plus the merged view (cluster.New).
+// sketchBytes bounds the count-min memory the gateway's detection
+// engines hold: none without detection, one engine's sketch alone, and
+// with a cluster two engines per replica plus the merged view
+// (cluster.New).
 func (g *GatewayFileConfig) sketchBytes() int64 {
 	if g.DetectBps <= 0 {
 		return 0
