@@ -38,9 +38,9 @@ type GatewaySpec struct {
 	// packets entering through them must carry their own address
 	// (§III-A). Only meaningful for directly attached hosts.
 	IngressHosts []topology.NodeID
-	// FilterCapacity / ShadowCapacity override the Options-derived
-	// budgets when positive.
-	FilterCapacity, ShadowCapacity int
+	// FilterCapacity overrides the Options-derived filter budget when
+	// positive.
+	FilterCapacity int
 	// DetectFor lists legacy client hosts this gateway defends with
 	// gateway-side sketch detection (Options.GatewayDetect): the
 	// gateway observes traffic addressed to them and files filtering
@@ -83,9 +83,6 @@ func DeployTopology(opt Options, spec TopologySpec) *Deployment {
 		cfg.Cooperative = !gs.NonCooperative
 		if gs.FilterCapacity > 0 {
 			cfg.FilterCapacity = gs.FilterCapacity
-		}
-		if gs.ShadowCapacity > 0 {
-			cfg.ShadowCapacity = gs.ShadowCapacity
 		}
 		if gs.Provider != NoProvider {
 			cfg.Provider = d.addrOf(gs.Provider)

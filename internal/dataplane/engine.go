@@ -6,16 +6,19 @@
 // The engine is the tree's one implementation of the bounded
 // wire-speed filter bank and the DRAM shadow log (paper §II-B / §IV-B;
 // internal/filter holds the entry and counter types, and its tests are
-// this engine's contract). It partitions both into N hash shards keyed
-// by the (src, dst) pair of the flow label — the pair is what AITF
-// filtering requests name, so a tuple's exact label, its canonical
-// pair label, and every indexable label with a concrete host pair all
-// land in the same shard as the tuple's lookup. Labels that wildcard — or hold only a prefix of — the source
-// or destination address can match tuples hashing anywhere, and live
-// in a dedicated overflow segment consulted only while it is
-// non-empty.
+// this engine's contract). Both are one table type used twice: a
+// bounded table of flow labels with deadlines, holding one 48-byte
+// record type and matched by one probe walk; only how long a record
+// lasts and what its counters mean differ. Each table is partitioned
+// into N hash shards keyed by the (src, dst) pair of the flow label —
+// the pair is what AITF filtering requests name, so a tuple's exact
+// label, its canonical pair label, and every indexable label with a
+// concrete host pair all land in the same shard as the tuple's lookup.
+// Labels that wildcard — or hold only a prefix of — the source or
+// destination address can match tuples hashing anywhere, and live in a
+// dedicated wild segment consulted only while it is non-empty.
 //
-// The classification read path is lock-free: each shard publishes a
+// The classification read path is lock-free: each segment publishes a
 // match snapshot through an atomic.Pointer, and readers classify
 // against whatever state is current, bumping only atomic counters —
 // they never block, never write shared cache lines beyond their
@@ -27,26 +30,25 @@
 // probed once per prefix length present — shortest first, so the
 // coarsest covering prefix is charged — and a residual scan list for
 // the rare anchor-less shapes. A directory slot is 16 bytes: the
-// entry's full 32-bit key hash, compared before the entry is touched,
-// and the entry pointer. The control plane (install / remove / expire /
-// log) is RCU-style: writers take a per-shard writer mutex and either
-// append in place to the buckets they touch (the slot is written before
-// the bucket's atomic length publishes it), swap in a replacement
-// bucket (a full bucket doubles; a removal copies what is left), or
-// publish a whole new view (directory resizes, expiry sweeps,
-// scan-shape changes); expiry refreshes mutate the shared entry's
-// atomic deadline without any republish. Readers therefore observe
-// individual writes with per-lookup atomicity, not per-batch isolation
-// — equivalent to the writes landing between packets. Capacity is a
-// single global budget across shards,
-// mirroring the hardware argument that the filter bank is one scarce
-// resource: an engine with N shards accepts exactly as many filters,
-// and returns the same verdicts, as an engine with one.
+// record's full 32-bit key hash, compared before the record is touched,
+// and the record pointer. The control plane (install / remove / expire
+// / log) is RCU-style: writers take a per-segment writer mutex and
+// either append in place to the buckets they touch (the slot is written
+// before the bucket's atomic length publishes it), swap in a
+// replacement bucket (a full bucket doubles; a removal copies what is
+// left), or publish a whole new view (directory resizes, expiry sweeps,
+// scan-shape changes); refreshes mutate the shared record's atomic
+// deadline without any republish. Readers therefore observe individual
+// writes with per-lookup atomicity, not per-batch isolation —
+// equivalent to the writes landing between packets. Capacity is a
+// single global budget per table across segments, mirroring the
+// hardware argument that the filter bank is one scarce resource: an
+// engine with N shards accepts exactly as many filters, and returns the
+// same verdicts, as an engine with one.
 package dataplane
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"aitf/internal/filter"
@@ -95,27 +97,13 @@ type Verdict struct {
 // concurrent use.
 type Engine struct {
 	cfg   Config
-	mask  uint32
 	clock Clock
 
-	shards []*shard
-	wild   *shard // labels with a wildcard src or dst address
+	// filters is the wire-speed filter bank, shadows the shadow log.
+	filters, shadows table
 
-	// wildFilters / wildShadows count live-ish entries in the wild
-	// segment so the hot path can skip it entirely when empty.
-	wildFilters atomic.Int64 // aitf:atomic
-	wildShadows atomic.Int64 // aitf:atomic
-
-	// Global occupancy and stats. Capacity is enforced on fUsed/sUsed;
-	// the remaining counters are the fields of filter.Stats and
-	// filter.ShadowStats.
-	fUsed, fPeak atomic.Int64 // aitf:atomic
-	sUsed, sPeak atomic.Int64 // aitf:atomic
-
-	installed, rejected, evicted, expired, removed atomic.Uint64 // aitf:atomic
-	aggregates, aggregated                         atomic.Uint64 // aitf:atomic
-
-	sLogged, sExpired, sRejected atomic.Uint64 // aitf:atomic
+	// The filter bank's removal reasons beyond the tables' own counters.
+	removed, aggregates, aggregated atomic.Uint64 // aitf:atomic
 
 	// classified counts packets classified (batch paths add the whole
 	// batch size in one atomic add, so the per-packet cost is ~zero).
@@ -142,53 +130,16 @@ func New(cfg Config) *Engine {
 		n <<= 1
 	}
 	cfg.Shards = n
-	if cfg.FilterCapacity < 0 {
-		cfg.FilterCapacity = 0
-	}
-	if cfg.ShadowCapacity < 0 {
-		cfg.ShadowCapacity = 0
-	}
-	e := &Engine{cfg: cfg, mask: uint32(n - 1), clock: cfg.Clock, wild: newShard()}
-	e.shards = make([]*shard, n)
-	for i := range e.shards {
-		e.shards[i] = newShard()
-	}
+	cfg.FilterCapacity = max(cfg.FilterCapacity, 0)
+	cfg.ShadowCapacity = max(cfg.ShadowCapacity, 0)
+	e := &Engine{cfg: cfg, clock: cfg.Clock}
+	e.filters.init(n, cfg.FilterCapacity, cfg.Evict != filter.RejectNew && cfg.FilterCapacity > 0, false)
+	e.shadows.init(n, cfg.ShadowCapacity, false, true)
 	return e
 }
 
 // Now returns the engine clock's current time.
 func (e *Engine) Now() filter.Time { return e.clock.Now() }
-
-// shardIdx hashes a (src, dst) pair to its partition.
-func (e *Engine) shardIdx(src, dst flow.Addr) uint32 {
-	h := uint64(src)<<32 | uint64(dst)
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return uint32(h) & e.mask
-}
-
-// segFor returns the segment that owns a canonical label: the wild
-// overflow segment when src or dst is wildcarded or prefix-granular
-// (such a label matches tuples hashing to any pair shard), the pair's
-// hash shard otherwise.
-func (e *Engine) segFor(label flow.Label) (*shard, bool) {
-	if label.Wildcards&(flow.WildSrc|flow.WildDst) != 0 ||
-		label.SrcPrefixLen != 0 || label.DstPrefixLen != 0 {
-		return e.wild, true
-	}
-	return e.shards[e.shardIdx(label.Src, label.Dst)], false
-}
-
-// allSegs iterates every segment including the wild one.
-func (e *Engine) allSegs(fn func(*shard, bool)) {
-	for _, s := range e.shards {
-		fn(s, false)
-	}
-	fn(e.wild, true)
-}
 
 // ── Classification (hot path, lock-free) ────────────────────────────
 
@@ -197,8 +148,8 @@ func (e *Engine) allSegs(fn func(*shard, bool)) {
 func (e *Engine) ClassifyTuple(tup flow.Tuple, payloadBytes int) Verdict {
 	e.classified.Add(1)
 	now := e.clock.Now()
-	wfv, wsv := e.wildViews()
-	return e.classifyAt(tup, payloadBytes, now, wfv, wsv)
+	wf, ws := e.wildViews()
+	return e.classifyAt(tup, payloadBytes, now, wf, ws)
 }
 
 // ClassifyInto classifies a batch of packets into a caller-owned
@@ -219,78 +170,59 @@ func (e *Engine) ClassifyInto(batch []*packet.Packet, out []Verdict) []Verdict {
 		h.Observe(uint64(len(batch)))
 	}
 	now := e.clock.Now()
-	wfv, wsv := e.wildViews()
+	wf, ws := e.wildViews()
 	for i, p := range batch {
-		out[i] = e.classifyAt(p.Tuple(), int(p.PayloadLen), now, wfv, wsv)
+		out[i] = e.classifyAt(p.Tuple(), int(p.PayloadLen), now, wf, ws)
 	}
 	return out
 }
 
-// wildViews loads the wild segment's filter and shadow views: the
+// wildViews loads the wild segments' filter and shadow views: the
 // segment applies to every packet whatever its home shard. A view is
-// nil while the segment holds no entry of its kind (and the shadow view
-// also while shadow lookup is off), so the common all-pairs table skips
-// the segment with one predictable branch.
-func (e *Engine) wildViews() (*filterView, *shadowView) {
-	var wfv *filterView
-	if e.wildFilters.Load() > 0 {
-		wfv = e.wild.fview.Load()
+// nil while its segment is empty (and the shadow view also while shadow
+// lookup is off), so the common all-pairs table skips the segment with
+// one predictable branch.
+func (e *Engine) wildViews() (wf, ws *view) {
+	wf = e.filters.wildView()
+	if e.cfg.ShadowLookup {
+		ws = e.shadows.wildView()
 	}
-	var wsv *shadowView
-	if e.cfg.ShadowLookup && e.wildShadows.Load() > 0 {
-		wsv = e.wild.sview.Load()
-	}
-	return wfv, wsv
-}
-
-func chargeDrop(s *shard, fe *fentry, payloadBytes int) {
-	fe.drops.Add(1)
-	fe.droppedBytes.Add(uint64(payloadBytes))
-	s.drops.Add(1)
-	s.droppedBytes.Add(uint64(payloadBytes))
-}
-
-func recordShadowHit(s *shard, se *sentry) Verdict {
-	se.reapp.Add(1)
-	s.shadowHits.Add(1)
-	return Verdict{ShadowHit: true, Shadow: se.snapshot()}
+	return wf, ws
 }
 
 // classifyAt is the per-packet decision: home-shard filter bank first,
-// then the wild filter view wfv (the filter bank always outranks the
-// shadow cache), then the home shadow segment and the wild shadow view
-// wsv. A nil wild view is skipped. All lookups go through the
-// published immutable snapshots; no locks are taken.
-func (e *Engine) classifyAt(tup flow.Tuple, payloadBytes int, now filter.Time, wfv *filterView, wsv *shadowView) Verdict {
+// then the wild filter view wf (the filter bank always outranks the
+// shadow log), then the home shadow shard and the wild shadow view ws.
+// A nil wild view is skipped. All lookups go through the published
+// immutable snapshots; no locks are taken.
+func (e *Engine) classifyAt(tup flow.Tuple, payloadBytes int, now filter.Time, wf, ws *view) Verdict {
 	exact := tup.ExactLabel()
 	pair := flow.PairLabel(tup.Src, tup.Dst)
-	s := e.shards[e.shardIdx(tup.Src, tup.Dst)]
+	i := shardIdx(tup.Src, tup.Dst, uint32(len(e.filters.shards)-1))
 
-	if fe := match(s.fview.Load(), exact, pair, tup, now); fe != nil {
-		chargeDrop(s, fe, payloadBytes)
-		return Verdict{Drop: true}
+	fs := &e.filters.shards[i]
+	if r := match(fs.view.Load(), exact, pair, tup, now); r != nil {
+		return fs.drop(r, payloadBytes)
 	}
-	if wfv != nil {
-		if fe := match(wfv, exact, pair, tup, now); fe != nil {
-			chargeDrop(e.wild, fe, payloadBytes)
-			return Verdict{Drop: true}
+	if wf != nil {
+		if r := match(wf, exact, pair, tup, now); r != nil {
+			return e.filters.wild.drop(r, payloadBytes)
 		}
 	}
 	if !e.cfg.ShadowLookup {
 		return Verdict{}
 	}
-	if se := lookup(s.sview.Load(), exact, pair, tup, now); se != nil {
-		return recordShadowHit(s, se)
+	ss := &e.shadows.shards[i]
+	if r := match(ss.view.Load(), exact, pair, tup, now); r != nil {
+		return ss.reappear(r)
 	}
-	if wsv != nil {
-		if se := lookup(wsv, exact, pair, tup, now); se != nil {
-			return recordShadowHit(e.wild, se)
+	if ws != nil {
+		if r := match(ws, exact, pair, tup, now); r != nil {
+			return e.shadows.wild.reappear(r)
 		}
 	}
 	return Verdict{}
 }
-
-// ── Filter control plane ─────────────────────────────────────────────
 
 // atomicMax raises a to at least v.
 func atomicMax(a *atomic.Int64, v int64) {
@@ -302,6 +234,8 @@ func atomicMax(a *atomic.Int64, v int64) {
 	}
 }
 
+// ── Filter control plane ─────────────────────────────────────────────
+
 // Install adds a filter for label until deadline exp, refreshing the
 // expiry (and keeping counters) when the label is already present: a
 // refresh never shortens a deadline, consumes no capacity and always
@@ -310,146 +244,26 @@ func atomicMax(a *atomic.Int64, v int64) {
 // filter.ErrTableFull and EvictSoonest displaces the engine-wide entry
 // nearest to expiry. A zero-capacity engine rejects under either policy.
 func (e *Engine) Install(label flow.Label, now, exp filter.Time) error {
-	return e.insertFilter(filter.Entry{Label: label, InstalledAt: now, ExpiresAt: exp}, true)
+	return e.full(e.filters.insert(filter.Entry{Label: label, InstalledAt: now, ExpiresAt: exp}, true))
 }
 
 // AdoptFilter re-installs a snapshotted entry with its install time,
 // deadline and drop counters: the restore path after a gateway crash.
 // It is Install without the reclaim, since a restore has no "now" of
 // its own; adopting a label already present only raises its deadline.
-func (e *Engine) AdoptFilter(ent filter.Entry) error { return e.insertFilter(ent, false) }
+func (e *Engine) AdoptFilter(ent filter.Entry) error { return e.full(e.filters.insert(ent, false)) }
 
-// insertFilter is Install and AdoptFilter: ent's label is refreshed to
-// ent's deadline when present, and otherwise installed as ent, after
-// reclaiming the entries dead at ent.InstalledAt when reclaim is set.
-func (e *Engine) insertFilter(ent filter.Entry, reclaim bool) error {
-	label, exp := ent.Label.Key(), ent.ExpiresAt
-	seg, isWild := e.segFor(label)
-
-	// Refresh path first: a present label consumes no new capacity and
-	// needs no republish — the deadline lives in the shared entry.
-	seg.mu.Lock()
-	if fe := seg.fview.Load().get(label); fe != nil {
-		if exp > fe.expires() {
-			fe.exp.Store(int64(exp))
-		}
-		seg.mu.Unlock()
+// full turns a rejected filter write into filter.ErrTableFull.
+func (e *Engine) full(ok bool) error {
+	if ok {
 		return nil
 	}
-	seg.mu.Unlock()
-
-	if reclaim {
-		// Reclaim dead entries before judging occupancy.
-		e.Expire(ent.InstalledAt)
-	}
-
-	cap64 := int64(e.cfg.FilterCapacity)
-	for attempt := 0; ; attempt++ {
-		used := e.fUsed.Load()
-		if used < cap64 {
-			if !e.fUsed.CompareAndSwap(used, used+1) {
-				continue // raced with another install/remove; retry
-			}
-			break // slot reserved
-		}
-		if e.cfg.Evict == filter.RejectNew || e.cfg.FilterCapacity == 0 || attempt >= 8 || !e.evictSoonest() {
-			e.rejected.Add(1)
-			return fmt.Errorf("%w (capacity %d)", filter.ErrTableFull, e.cfg.FilterCapacity)
-		}
-		// The eviction freed a slot; loop to claim it.
-	}
-
-	seg.mu.Lock()
-	if fe := seg.fview.Load().get(label); fe != nil {
-		// Lost a race with a concurrent install of the same label.
-		if exp > fe.expires() {
-			fe.exp.Store(int64(exp))
-		}
-		seg.mu.Unlock()
-		e.fUsed.Add(-1)
-		return nil
-	}
-	fe := &fentry{label: label, installedAt: ent.InstalledAt}
-	fe.exp.Store(int64(exp))
-	fe.drops.Store(ent.Drops)
-	fe.droppedBytes.Store(ent.DroppedBytes)
-	seg.fcount++
-	seg.fview.Store(seg.fview.Load().withInsert(seg.fcount, fe))
-	if seg.fcount == 1 || exp < seg.fNext {
-		seg.fNext = exp
-	}
-	if isWild {
-		e.wildFilters.Add(1)
-	}
-	seg.mu.Unlock()
-	e.installed.Add(1)
-	atomicMax(&e.fPeak, e.fUsed.Load())
-	return nil
-}
-
-// evictSoonest removes the engine-wide entry closest to expiry,
-// reporting whether anything was evicted.
-func (e *Engine) evictSoonest() bool {
-	var (
-		vseg   *shard
-		vwild  bool
-		vlabel flow.Label
-		vexp   filter.Time
-		found  bool
-	)
-	e.allSegs(func(s *shard, wild bool) {
-		s.fview.Load().each(func(fe *fentry) {
-			if exp := fe.expires(); !found || exp < vexp {
-				vseg, vwild, vlabel, vexp, found = s, wild, fe.key(), exp, true
-			}
-		})
-	})
-	if !found {
-		return false
-	}
-	vseg.mu.Lock()
-	fe := vseg.fview.Load().get(vlabel)
-	if fe == nil {
-		vseg.mu.Unlock()
-		return false // raced with expiry/removal; caller retries
-	}
-	vseg.fcount--
-	vseg.fview.Store(vseg.fview.Load().withRemove(vseg.fcount, fe))
-	vseg.mu.Unlock()
-	if vwild {
-		e.wildFilters.Add(-1)
-	}
-	e.fUsed.Add(-1)
-	e.evicted.Add(1)
-	return true
-}
-
-// removeEntry deletes the filter for label without touching the
-// removal-reason counters; Remove and Aggregate attribute the removal
-// to the right one. It returns the removed entry's deadline so callers
-// can preserve coverage time.
-func (e *Engine) removeEntry(label flow.Label) (exp filter.Time, ok bool) {
-	seg, isWild := e.segFor(label)
-	seg.mu.Lock()
-	fe := seg.fview.Load().get(label)
-	if fe == nil {
-		seg.mu.Unlock()
-		return 0, false
-	}
-	exp = fe.expires()
-	seg.fcount--
-	seg.fview.Store(seg.fview.Load().withRemove(seg.fcount, fe))
-	seg.mu.Unlock()
-	if isWild {
-		e.wildFilters.Add(-1)
-	}
-	e.fUsed.Add(-1)
-	return exp, true
+	return fmt.Errorf("%w (capacity %d)", filter.ErrTableFull, e.cfg.FilterCapacity)
 }
 
 // Remove deletes the filter for label, reporting whether it existed.
 func (e *Engine) Remove(label flow.Label) bool {
-	if _, ok := e.removeEntry(label.Key()); ok {
+	if _, ok := e.filters.remove(label.Key()); ok {
 		e.removed.Add(1)
 		return true
 	}
@@ -485,7 +299,7 @@ func (e *Engine) Aggregate(agg flow.Label, children []flow.Label, now, exp filte
 		if c == agg {
 			continue
 		}
-		if cexp, ok := e.removeEntry(c); ok {
+		if cexp, ok := e.filters.remove(c); ok {
 			if cexp > exp {
 				exp = cexp
 			}
@@ -493,17 +307,16 @@ func (e *Engine) Aggregate(agg flow.Label, children []flow.Label, now, exp filte
 		}
 	}
 	e.aggregated.Add(uint64(replaced))
-	seg, _ := e.segFor(agg)
-	existed := seg.fview.Load().get(agg) != nil
+	existed, _ := e.filters.get(agg)
 	if err := e.Install(agg, now, exp); err != nil {
 		return replaced, err
 	}
-	if !existed {
+	if existed == nil {
 		// Install charged the new entry to Installed; reattribute it to
 		// Aggregates so the Stats occupancy arithmetic stays
 		// single-entry.
 		e.aggregates.Add(1)
-		e.installed.Add(^uint64(0))
+		e.filters.added.Add(^uint64(0))
 	}
 	return replaced, nil
 }
@@ -511,81 +324,45 @@ func (e *Engine) Aggregate(agg flow.Label, children []flow.Label, now, exp filte
 // Get returns a snapshot of the live filter entry for the exact label.
 // Like classification, it reads the published view and takes no locks.
 func (e *Engine) Get(label flow.Label, now filter.Time) (filter.Entry, bool) {
-	label = label.Key()
-	seg, _ := e.segFor(label)
-	fe := seg.fview.Load().get(label)
-	if fe == nil || fe.expires() <= now {
+	r, _ := e.filters.get(label.Key())
+	if r == nil || r.expires() <= now {
 		return filter.Entry{}, false
 	}
-	return fe.snapshot(), true
+	return r.entry(), true
 }
 
 // Expire garbage-collects filters whose deadline has passed, returning
 // how many were removed across all shards.
-func (e *Engine) Expire(now filter.Time) int {
-	n := 0
-	e.allSegs(func(s *shard, wild bool) {
-		s.mu.Lock()
-		k := s.expireFilters(now)
-		s.mu.Unlock()
-		if wild && k > 0 {
-			e.wildFilters.Add(int64(-k))
-		}
-		n += k
-	})
-	if n > 0 {
-		e.fUsed.Add(int64(-n))
-		e.expired.Add(uint64(n))
-	}
-	return n
-}
+func (e *Engine) Expire(now filter.Time) int { return e.filters.expire(now) }
 
 // Len returns the number of installed filters (including entries whose
 // deadline has passed but which have not been garbage-collected yet),
 // summed across shards.
-func (e *Engine) Len() int { return int(e.fUsed.Load()) }
+func (e *Engine) Len() int { return int(e.filters.used.Load()) }
 
 // FilterCapacity returns the global wire-speed filter budget.
 func (e *Engine) FilterCapacity() int { return e.cfg.FilterCapacity }
 
 // FilterStats aggregates counters across shards into filter.Stats.
 func (e *Engine) FilterStats() filter.Stats {
-	var drops, bytes uint64
-	e.allSegs(func(s *shard, _ bool) {
-		drops += s.drops.Load()
-		bytes += s.droppedBytes.Load()
-	})
+	drops, bytes := e.filters.sums()
 	return filter.Stats{
-		Installed:     e.installed.Load(),
-		Rejected:      e.rejected.Load(),
-		Evicted:       e.evicted.Load(),
-		Expired:       e.expired.Load(),
+		Installed:     e.filters.added.Load(),
+		Rejected:      e.filters.rejected.Load(),
+		Evicted:       e.filters.evicted.Load(),
+		Expired:       e.filters.expired.Load(),
 		Removed:       e.removed.Load(),
 		Aggregates:    e.aggregates.Load(),
 		Aggregated:    e.aggregated.Load(),
 		Drops:         drops,
 		DroppedBytes:  bytes,
-		PeakOccupancy: int(e.fPeak.Load()),
+		PeakOccupancy: int(e.filters.peak.Load()),
 	}
 }
 
 // FilterEntries returns a merged snapshot of installed filters sorted
 // by expiry (soonest first, ties by label text).
-func (e *Engine) FilterEntries() []filter.Entry {
-	out := make([]filter.Entry, 0, e.Len())
-	e.allSegs(func(s *shard, _ bool) {
-		s.fview.Load().each(func(fe *fentry) {
-			out = append(out, fe.snapshot())
-		})
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ExpiresAt != out[j].ExpiresAt {
-			return out[i].ExpiresAt < out[j].ExpiresAt
-		}
-		return out[i].Label.String() < out[j].Label.String()
-	})
-	return out
-}
+func (e *Engine) FilterEntries() []filter.Entry { return e.filters.list() }
 
 // ── Shadow-cache control plane ───────────────────────────────────────
 
@@ -594,155 +371,64 @@ func (e *Engine) FilterEntries() []filter.Entry {
 // label first reclaims records already dead at now; it returns false,
 // counting a rejection, when the log is still full or has capacity 0.
 func (e *Engine) LogShadow(label flow.Label, victim flow.Addr, now, exp filter.Time) bool {
-	return e.insertShadow(filter.ShadowEntry{Label: label, LoggedAt: now, ExpiresAt: exp, Victim: victim}, true)
+	return e.shadows.insert(fromShadow(filter.ShadowEntry{Label: label, LoggedAt: now, ExpiresAt: exp, Victim: victim}), true)
 }
 
 // AdoptShadow re-logs a snapshotted shadow entry with its logged time,
 // deadline, victim and reappearance count: the restore path after a
 // gateway crash. It is LogShadow without the reclaim.
-func (e *Engine) AdoptShadow(ent filter.ShadowEntry) bool { return e.insertShadow(ent, false) }
-
-// insertShadow is LogShadow and AdoptShadow: ent's label is refreshed
-// to ent's deadline and victim when present, and otherwise logged as
-// ent, after reclaiming the records dead at ent.LoggedAt when reclaim
-// is set.
-func (e *Engine) insertShadow(ent filter.ShadowEntry, reclaim bool) bool {
-	label, exp := ent.Label.Key(), ent.ExpiresAt
-	seg, isWild := e.segFor(label)
-
-	seg.mu.Lock()
-	if se := seg.sview.Load().get(label); se != nil {
-		if exp > se.expires() {
-			se.exp.Store(int64(exp))
-		}
-		se.victim.Store(uint32(ent.Victim))
-		seg.mu.Unlock()
-		return true
-	}
-	seg.mu.Unlock()
-
-	if reclaim {
-		e.ExpireShadows(ent.LoggedAt)
-	}
-
-	cap64 := int64(e.cfg.ShadowCapacity)
-	for {
-		used := e.sUsed.Load()
-		if used >= cap64 {
-			e.sRejected.Add(1)
-			return false
-		}
-		if e.sUsed.CompareAndSwap(used, used+1) {
-			break
-		}
-	}
-
-	seg.mu.Lock()
-	if se := seg.sview.Load().get(label); se != nil {
-		if exp > se.expires() {
-			se.exp.Store(int64(exp))
-		}
-		se.victim.Store(uint32(ent.Victim))
-		seg.mu.Unlock()
-		e.sUsed.Add(-1)
-		return true
-	}
-	se := &sentry{label: label, loggedAt: ent.LoggedAt}
-	se.exp.Store(int64(exp))
-	se.victim.Store(uint32(ent.Victim))
-	se.reapp.Store(uint64(ent.Reappearances))
-	seg.scount++
-	seg.sview.Store(seg.sview.Load().withInsert(seg.scount, se))
-	if seg.scount == 1 || exp < seg.sNext {
-		seg.sNext = exp
-	}
-	if isWild {
-		e.wildShadows.Add(1)
-	}
-	seg.mu.Unlock()
-	e.sLogged.Add(1)
-	atomicMax(&e.sPeak, e.sUsed.Load())
-	return true
+func (e *Engine) AdoptShadow(ent filter.ShadowEntry) bool {
+	return e.shadows.insert(fromShadow(ent), false)
 }
 
 // ShadowGet returns a snapshot of the live shadow record for the exact
 // label, if any. Lock-free, like classification.
 func (e *Engine) ShadowGet(label flow.Label, now filter.Time) (filter.ShadowEntry, bool) {
-	label = label.Key()
-	seg, _ := e.segFor(label)
-	se := seg.sview.Load().get(label)
-	if se == nil || se.expires() <= now {
+	r, _ := e.shadows.get(label.Key())
+	if r == nil || r.expires() <= now {
 		return filter.ShadowEntry{}, false
 	}
-	return se.snapshot(), true
+	return toShadow(r.entry()), true
 }
 
 // ShadowHit records a reappearance of the flow logged under label
 // (e.g. one reported by the victim rather than observed in-line),
 // returning the updated snapshot.
 func (e *Engine) ShadowHit(label flow.Label) (filter.ShadowEntry, bool) {
-	label = label.Key()
-	seg, _ := e.segFor(label)
-	se := seg.sview.Load().get(label)
-	if se == nil {
+	r, s := e.shadows.get(label.Key())
+	if r == nil {
 		return filter.ShadowEntry{}, false
 	}
-	se.reapp.Add(1)
-	seg.shadowHits.Add(1)
-	return se.snapshot(), true
+	return s.reappear(r).Shadow, true
 }
 
 // ExpireShadows garbage-collects shadow records past their deadline.
-func (e *Engine) ExpireShadows(now filter.Time) int {
-	n := 0
-	e.allSegs(func(s *shard, wild bool) {
-		s.mu.Lock()
-		k := s.expireShadows(now)
-		s.mu.Unlock()
-		if wild && k > 0 {
-			e.wildShadows.Add(int64(-k))
-		}
-		n += k
-	})
-	if n > 0 {
-		e.sUsed.Add(int64(-n))
-		e.sExpired.Add(uint64(n))
-	}
-	return n
-}
+func (e *Engine) ExpireShadows(now filter.Time) int { return e.shadows.expire(now) }
 
 // ShadowLen returns the number of logged shadow records.
-func (e *Engine) ShadowLen() int { return int(e.sUsed.Load()) }
+func (e *Engine) ShadowLen() int { return int(e.shadows.used.Load()) }
 
 // ShadowCapacity returns the global shadow-cache budget.
 func (e *Engine) ShadowCapacity() int { return e.cfg.ShadowCapacity }
 
 // ShadowStats aggregates counters across shards.
 func (e *Engine) ShadowStats() filter.ShadowStats {
-	var hits uint64
-	e.allSegs(func(s *shard, _ bool) { hits += s.shadowHits.Load() })
+	hits, _ := e.shadows.sums()
 	return filter.ShadowStats{
-		Logged:   e.sLogged.Load(),
+		Logged:   e.shadows.added.Load(),
 		Hits:     hits,
-		Expired:  e.sExpired.Load(),
-		Rejected: e.sRejected.Load(),
-		PeakSize: int(e.sPeak.Load()),
+		Expired:  e.shadows.expired.Load(),
+		Rejected: e.shadows.rejected.Load(),
+		PeakSize: int(e.shadows.peak.Load()),
 	}
 }
 
 // ShadowEntries returns a merged snapshot sorted by expiry.
 func (e *Engine) ShadowEntries() []filter.ShadowEntry {
-	out := make([]filter.ShadowEntry, 0, e.ShadowLen())
-	e.allSegs(func(s *shard, _ bool) {
-		s.sview.Load().each(func(se *sentry) {
-			out = append(out, se.snapshot())
-		})
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ExpiresAt != out[j].ExpiresAt {
-			return out[i].ExpiresAt < out[j].ExpiresAt
-		}
-		return out[i].Label.String() < out[j].Label.String()
-	})
+	ents := e.shadows.list()
+	out := make([]filter.ShadowEntry, len(ents))
+	for i, en := range ents {
+		out[i] = toShadow(en)
+	}
 	return out
 }

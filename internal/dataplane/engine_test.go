@@ -45,7 +45,7 @@ func TestShardRounding(t *testing.T) {
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {8, 8}, {9, 16},
 	} {
 		e, _ := newEngine(t, tc.in, 16, 16, filter.RejectNew)
-		if got := len(e.shards); got != tc.want {
+		if got := len(e.filters.shards); got != tc.want {
 			t.Errorf("Shards(%d) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
@@ -225,9 +225,9 @@ func TestBatchMatchesSingle(t *testing.T) {
 		e.Install(flow.SrcPrefixLabel(pfxSrc, 24, addr(600)), 0, time.Minute)
 		e.Install(fromSource(fromSrc), 0, time.Minute)
 		e.LogShadow(flow.ToDestination(wildDst), wildDst, 0, time.Minute)
-		if e.wildFilters.Load() != 2 || e.wildShadows.Load() != 1 {
+		if e.filters.wildLen.Load() != 2 || e.shadows.wildLen.Load() != 1 {
 			t.Fatalf("wild segment holds %d filters, %d shadows; want 2, 1",
-				e.wildFilters.Load(), e.wildShadows.Load())
+				e.filters.wildLen.Load(), e.shadows.wildLen.Load())
 		}
 		ck.set(time.Second)
 		return e
@@ -294,7 +294,7 @@ func TestCapacityAccounting(t *testing.T) {
 				t.Fatalf("accepted %d installs, want exactly %d", accepted, capacity)
 			}
 			sum := 0
-			for i := 0; i < len(e.shards); i++ {
+			for i := 0; i < len(e.filters.shards); i++ {
 				sum += e.ShardLen(i)
 			}
 			if sum != capacity || e.Len() != capacity {
@@ -476,7 +476,7 @@ func TestConcurrentInstallExpireClassify(t *testing.T) {
 	}
 	// Accounting still sums: Len equals per-shard sum.
 	sum := 0
-	for i := 0; i < len(e.shards); i++ {
+	for i := 0; i < len(e.filters.shards); i++ {
 		sum += e.ShardLen(i)
 	}
 	if sum != e.Len() {
@@ -513,7 +513,7 @@ func TestNewClampsShards(t *testing.T) {
 	for _, c := range []struct{ in, want int }{
 		{-1, 1}, {0, 1}, {3, 4}, {MaxShards, MaxShards}, {MaxShards + 1, MaxShards}, {math.MaxInt, MaxShards},
 	} {
-		if got := len(New(Config{Shards: c.in, Clock: clk}).shards); got != c.want {
+		if got := len(New(Config{Shards: c.in, Clock: clk}).filters.shards); got != c.want {
 			t.Errorf("Shards %d built %d shards, want %d", c.in, got, c.want)
 		}
 	}

@@ -383,7 +383,7 @@ func TestSnapshotChurnConservation(t *testing.T) {
 	}
 	// Occupancy accounting still sums after the dust settles.
 	sum := 0
-	for i := 0; i < len(e.shards); i++ {
+	for i := 0; i < len(e.filters.shards); i++ {
 		sum += e.ShardLen(i)
 	}
 	if sum != e.Len() {
@@ -581,7 +581,7 @@ func TestPrefixChurnConservation(t *testing.T) {
 		t.Fatal("no drops observed; churn workload is mis-tuned")
 	}
 	sum := 0
-	for i := 0; i < len(e.shards); i++ {
+	for i := 0; i < len(e.filters.shards); i++ {
 		sum += e.ShardLen(i)
 	}
 	// The wild segment holds the prefix filters; Len covers all segments.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"aitf/internal/filter"
 	"aitf/internal/flow"
@@ -126,17 +127,20 @@ func TestNestedPrefixChargeOrder(t *testing.T) {
 	}
 }
 
-// TestHeapBytesPerFilter bounds the live heap an installed filter costs
-// the engine, on the fwd_attack table in a 2-shard engine: the
-// "bounded amount of router resources" the filter bank is sized by.
-// It reads HeapInuse, as the benchmark's mem_mb does, so the spans that
-// churned buckets leave part-filled count against the table; two
-// collections settle the heap before each reading.
+// TestHeapBytesPerFilter bounds the live heap a record costs the
+// engine, on the fwd_attack table in a 2-shard engine: the "bounded
+// amount of router resources" the filter bank and the shadow log are
+// sized by. Both tables hold the same record, so each gets the same
+// 64k labels and the same budget: Install for the filter bank, and
+// LogShadow for the shadow log. It reads HeapInuse, as the benchmark's
+// mem_mb does, so the spans that churned buckets leave part-filled
+// count against the table; two collections settle the heap before each
+// reading.
 func TestHeapBytesPerFilter(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory distorts heap readings")
 	}
-	const budget = 120 // bytes of live heap per installed filter
+	const budget = 120 // bytes of live heap per record
 	labels := fwdAttackLabels()
 	live := func() uint64 {
 		runtime.GC()
@@ -145,20 +149,41 @@ func TestHeapBytesPerFilter(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapInuse
 	}
-	before := live()
-	e := New(Config{Shards: 2, FilterCapacity: len(labels), Evict: filter.RejectNew, Clock: steadyClock{}})
-	for _, l := range labels {
-		if err := e.Install(l, 0, time.Hour); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		write func(*Engine, flow.Label) bool
+	}{
+		{"filters", func(e *Engine, l flow.Label) bool { return e.Install(l, 0, time.Hour) == nil }},
+		{"shadows", func(e *Engine, l flow.Label) bool { return e.LogShadow(l, l.Dst, 0, time.Hour) }},
+	} {
+		before := live()
+		e := New(Config{Shards: 2, FilterCapacity: len(labels), ShadowCapacity: len(labels),
+			Evict: filter.RejectNew, Clock: steadyClock{}})
+		for _, l := range labels {
+			if !tc.write(e, l) {
+				t.Fatalf("%s: %v rejected", tc.name, l)
+			}
+		}
+		after := live()
+		runtime.KeepAlive(e)
+		runtime.KeepAlive(labels) // live at both readings, so outside the delta
+		per := float64(int64(after)-int64(before)) / float64(len(labels))
+		t.Logf("%d %s: %.1f B of live heap per record (budget %d)", len(labels), tc.name, per, budget)
+		if per > budget {
+			t.Errorf("%s: %.1f B of live heap per record, budget %d", tc.name, per, budget)
 		}
 	}
-	after := live()
-	runtime.KeepAlive(e)
-	runtime.KeepAlive(labels) // live at both readings, so outside the delta
-	per := float64(int64(after)-int64(before)) / float64(len(labels))
-	t.Logf("%d filters: %.1f B of live heap per filter (budget %d)", len(labels), per, budget)
-	if per > budget {
-		t.Fatalf("%.1f B of live heap per installed filter, budget %d", per, budget)
+}
+
+// TestRecordSize pins the record both tables hold to the 48-byte size
+// class: one more field would move every filter and shadow record into
+// the 64-byte class.
+func TestRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned for a 64-bit word")
+	}
+	if n := unsafe.Sizeof(record{}); n != 48 {
+		t.Fatalf("record is %d bytes, want 48", n)
 	}
 }
 
@@ -179,19 +204,19 @@ func TestBucketPublishRace(t *testing.T) {
 			flow.Label{Src: src, Dst: dst, Proto: flow.ProtoUDP, Wildcards: flow.WildSrcPort | flow.WildDstPort}.Canonical(),
 			flow.SrcPrefixLabel(flow.MakeAddr(240, byte(i>>8), byte(i), 0), uint8(16+i%13), dst))
 	}
-	scan := func(d directory[*fentry], key func(flow.Label) uint32) {
+	scan := func(d directory, key func(flow.Label) uint32) {
 		for i := range d {
 			b := d[i].Load()
 			if b == nil {
 				continue
 			}
 			for _, sl := range b.s[:b.n.Load()] {
-				if sl.e == nil {
-					t.Error("published slot holds no entry")
+				if sl.r == nil {
+					t.Error("published slot holds no record")
 					return
 				}
-				if k := key(sl.e.key()); sl.tag != k || int(k&uint32(len(d)-1)) != i {
-					t.Errorf("slot tag %#x in bucket %d, label %v keys to %#x", sl.tag, i, sl.e.key(), k)
+				if k := key(sl.r.label); sl.tag != k || int(k&uint32(len(d)-1)) != i {
+					t.Errorf("slot tag %#x in bucket %d, label %v keys to %#x", sl.tag, i, sl.r.label, k)
 					return
 				}
 			}
@@ -209,12 +234,12 @@ func TestBucketPublishRace(t *testing.T) {
 					return
 				default:
 				}
-				for _, s := range append(e.shards[:len(e.shards):len(e.shards)], e.wild) {
-					v := s.fview.Load()
+				e.filters.each(func(s *seg, _ bool) {
+					v := s.view.Load()
 					scan(v.main, labelHash)
 					scan(v.dst, func(l flow.Label) uint32 { return addrHash(uint32(l.Dst)) })
 					scan(v.pfx, func(l flow.Label) uint32 { return pfxHash(uint32(l.Src), l.SrcPrefixLen) })
-				}
+				})
 			}
 		}()
 	}
@@ -236,9 +261,9 @@ func TestBucketPublishRace(t *testing.T) {
 // recount derives from a view's entries what its probe gates must say:
 // the exact- and pair-shaped counts and the mask of source-prefix
 // lengths present.
-func recount[P entry](v *view[P]) (exact, pair int32, plens uint32) {
-	v.each(func(e P) {
-		switch l := e.key(); labelShape(l) {
+func recount(v *view) (exact, pair int32, plens uint32) {
+	v.each(func(r *record) {
+		switch l := r.label; labelShape(l) {
 		case shapeExact:
 			exact++
 		case shapePair:
@@ -262,21 +287,20 @@ func TestProbeCountsMatchRecount(t *testing.T) {
 		e, ck := newEngine(t, 4, 1<<20, 1<<20, filter.RejectNew)
 		check := func(op int) {
 			t.Helper()
-			for i, s := range append(e.shards[:len(e.shards):len(e.shards)], e.wild) {
-				wild := s == e.wild
-				fv, sv := s.fview.Load(), s.sview.Load()
-				ex, pr, pl := recount(fv)
-				if fv.exact.Load() != ex || fv.pair.Load() != pr || fv.plens.Load() != pl {
-					t.Fatalf("seed %d op %d seg %d filters: gates exact=%d pair=%d plens=%#x, recount %d %d %#x",
-						seed, op, i, fv.exact.Load(), fv.pair.Load(), fv.plens.Load(), ex, pr, pl)
-				}
-				if ex, pr, pl = recount(sv); sv.exact.Load() != ex || sv.pair.Load() != pr || sv.plens.Load() != pl {
-					t.Fatalf("seed %d op %d seg %d shadows: gates exact=%d pair=%d plens=%#x, recount %d %d %#x",
-						seed, op, i, sv.exact.Load(), sv.pair.Load(), sv.plens.Load(), ex, pr, pl)
-				}
-				if wild && fv.exact.Load()+fv.pair.Load()+sv.exact.Load()+sv.pair.Load() != 0 {
-					t.Fatalf("seed %d op %d: wild segment holds exact or pair labels", seed, op)
-				}
+			for name, tb := range map[string]*table{"filters": &e.filters, "shadows": &e.shadows} {
+				i := 0
+				tb.each(func(s *seg, wild bool) {
+					v := s.view.Load()
+					ex, pr, pl := recount(v)
+					if v.exact.Load() != ex || v.pair.Load() != pr || v.plens.Load() != pl {
+						t.Fatalf("seed %d op %d seg %d %s: gates exact=%d pair=%d plens=%#x, recount %d %d %#x",
+							seed, op, i, name, v.exact.Load(), v.pair.Load(), v.plens.Load(), ex, pr, pl)
+					}
+					if wild && v.exact.Load()+v.pair.Load() != 0 {
+						t.Fatalf("seed %d op %d: wild segment holds exact or pair %s", seed, op, name)
+					}
+					i++
+				})
 			}
 		}
 		for op := 0; op < 2000; op++ {

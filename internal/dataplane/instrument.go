@@ -29,16 +29,16 @@ func (e *Engine) Instrument(r *obs.Registry) {
 		func() uint64 { return e.FilterStats().DroppedBytes })
 	r.CounterFunc("aitf_dataplane_filters_installed_total",
 		"Filters installed (excluding aggregates).",
-		func() uint64 { return e.installed.Load() })
+		func() uint64 { return e.filters.added.Load() })
 	r.CounterFunc("aitf_dataplane_filters_rejected_total",
 		"Filter installs rejected by the capacity budget.",
-		func() uint64 { return e.rejected.Load() })
+		func() uint64 { return e.filters.rejected.Load() })
 	r.CounterFunc("aitf_dataplane_filters_evicted_total",
 		"Filters displaced by the eviction policy.",
-		func() uint64 { return e.evicted.Load() })
+		func() uint64 { return e.filters.evicted.Load() })
 	r.CounterFunc("aitf_dataplane_filters_expired_total",
 		"Filters garbage-collected at their deadline.",
-		func() uint64 { return e.expired.Load() })
+		func() uint64 { return e.filters.expired.Load() })
 	r.CounterFunc("aitf_dataplane_filters_removed_total",
 		"Filters removed explicitly (handshake failures, slot recovery).",
 		func() uint64 { return e.removed.Load() })
@@ -50,28 +50,28 @@ func (e *Engine) Instrument(r *obs.Registry) {
 		func() uint64 { return e.aggregated.Load() })
 	r.GaugeFunc("aitf_dataplane_filters",
 		"Live wire-speed filter-table occupancy.",
-		func() float64 { return float64(e.fUsed.Load()) })
+		func() float64 { return float64(e.filters.used.Load()) })
 	r.GaugeFunc("aitf_dataplane_filters_peak",
 		"Peak wire-speed filter-table occupancy.",
-		func() float64 { return float64(e.fPeak.Load()) })
+		func() float64 { return float64(e.filters.peak.Load()) })
 	r.GaugeFunc("aitf_dataplane_filter_capacity",
 		"Configured wire-speed filter budget.",
 		func() float64 { return float64(e.cfg.FilterCapacity) })
 	r.CounterFunc("aitf_dataplane_shadow_logged_total",
 		"Filtering requests logged in the shadow cache.",
-		func() uint64 { return e.sLogged.Load() })
+		func() uint64 { return e.shadows.added.Load() })
 	r.CounterFunc("aitf_dataplane_shadow_hits_total",
 		"On-off flow reappearances caught by the shadow cache.",
 		func() uint64 { return e.ShadowStats().Hits })
 	r.CounterFunc("aitf_dataplane_shadow_expired_total",
 		"Shadow records garbage-collected at their deadline.",
-		func() uint64 { return e.sExpired.Load() })
+		func() uint64 { return e.shadows.expired.Load() })
 	r.CounterFunc("aitf_dataplane_shadow_rejected_total",
 		"Shadow logs rejected by the capacity budget.",
-		func() uint64 { return e.sRejected.Load() })
+		func() uint64 { return e.shadows.rejected.Load() })
 	r.GaugeFunc("aitf_dataplane_shadow_entries",
 		"Live shadow-cache occupancy.",
-		func() float64 { return float64(e.sUsed.Load()) })
+		func() float64 { return float64(e.shadows.used.Load()) })
 	r.GaugeFunc("aitf_dataplane_shadow_capacity",
 		"Configured shadow-cache budget.",
 		func() float64 { return float64(e.cfg.ShadowCapacity) })

@@ -4,8 +4,9 @@
 // filter — the gateway falls back to coarser labels, coalescing sibling
 // filters into one covering source-prefix filter. This file holds the
 // pure grouping policy; dataplane.Engine.Aggregate performs the
-// budget-conserving replacement, and core.Gateway decides
-// when pressure warrants it and when relief warrants splitting back.
+// budget-conserving replacement, and alloc.Aggregator, the one
+// lifecycle both runtimes run, decides when pressure warrants it and
+// when relief warrants splitting back.
 package filter
 
 import (

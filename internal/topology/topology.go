@@ -73,7 +73,6 @@ type Topology struct {
 	Links []LinkSpec
 
 	byAddr map[flow.Addr]NodeID
-	byName map[string]NodeID
 	adj    [][]NodeID // indexed by NodeID, in the order links were added
 	// back[u][j] is u's index in the neighbor list of adj[u][j], so a
 	// search crossing that link learns the port back to u without a scan.
@@ -82,28 +81,22 @@ type Topology struct {
 
 // New returns an empty topology.
 func New() *Topology {
-	return &Topology{
-		byAddr: make(map[flow.Addr]NodeID),
-		byName: make(map[string]NodeID),
-	}
+	return &Topology{byAddr: make(map[flow.Addr]NodeID)}
 }
 
 // AddNode adds a node and returns its ID. Names and addresses must be
-// unique; AddNode panics on duplicates (topologies are built by code,
-// not parsed from untrusted input).
+// unique. AddNode panics on a duplicate address (topologies are built
+// by code, not parsed from untrusted input); Validate reports a
+// duplicate name.
 func (t *Topology) AddNode(name string, addr flow.Addr, kind Kind, as int) NodeID {
 	if _, dup := t.byAddr[addr]; dup {
 		panic(fmt.Sprintf("topology: duplicate address %v", addr))
-	}
-	if _, dup := t.byName[name]; dup {
-		panic(fmt.Sprintf("topology: duplicate name %q", name))
 	}
 	id := NodeID(len(t.Nodes))
 	t.Nodes = append(t.Nodes, Node{ID: id, Addr: addr, Name: name, Kind: kind, AS: as})
 	t.adj = append(t.adj, nil)
 	t.back = append(t.back, nil)
 	t.byAddr[addr] = id
-	t.byName[name] = id
 	return id
 }
 
@@ -372,11 +365,19 @@ func (t *Topology) bfs(root NodeID, port []int32, queue []NodeID) []NodeID {
 	return queue
 }
 
-// Validate checks that the graph is connected, so every node has at
-// least one link and a route to every other.
+// Validate checks that node names are unique and that the graph is
+// connected, so every node has at least one link and a route to every
+// other.
 func (t *Topology) Validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("topology: empty")
+	}
+	names := make(map[string]struct{}, len(t.Nodes))
+	for _, n := range t.Nodes {
+		if _, dup := names[n.Name]; dup {
+			return fmt.Errorf("topology: duplicate name %q", n.Name)
+		}
+		names[n.Name] = struct{}{}
 	}
 	// The links are undirected: if the first node reaches every node,
 	// every node reaches every other through it.

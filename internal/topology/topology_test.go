@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -177,14 +178,11 @@ func TestAddNodeDuplicatePanics(t *testing.T) {
 		}()
 		topo.AddNode("b", flow.MakeAddr(1, 1, 1, 1), KindHost, 1)
 	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("duplicate name did not panic")
-			}
-		}()
-		topo.AddNode("a", flow.MakeAddr(2, 2, 2, 2), KindHost, 1)
-	}()
+	// A duplicate name is Validate's to report.
+	topo.AddNode("a", flow.MakeAddr(2, 2, 2, 2), KindHost, 1)
+	if err := topo.Validate(); err == nil || !strings.Contains(err.Error(), `duplicate name "a"`) {
+		t.Errorf("Validate with a duplicate name = %v", err)
+	}
 }
 
 func TestSelfLinkPanics(t *testing.T) {
