@@ -194,7 +194,8 @@ func start(cfgPath string, logger *slog.Logger) (*daemon, error) {
 		g.RegisterMetrics(d.registry)
 		g.Run()
 		d.gw = g
-		logger.Info("gateway listening", "node", cfg.Name, "addr", cfg.Addr, "udp", g.Node().UDPAddr().String())
+		logger.Info("gateway listening", "node", cfg.Name, "addr", cfg.Addr, "udp", g.Node().UDPAddr().String(),
+			"filter_capacity", g.DataPlane().FilterCapacity(), "shadow_capacity", g.DataPlane().ShadowCapacity())
 	default: // "host"; ParseFileConfig rejects anything else
 		hcfg, err := cfg.HostConfig(trace)
 		if err != nil {

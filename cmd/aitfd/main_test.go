@@ -59,6 +59,40 @@ func TestStartGatewayFromJSON(t *testing.T) {
 	}
 }
 
+// TestDefaultGatewayProvisioned: a gateway config with no capacity keys
+// is provisioned by the paper's rule at the default contracts and timers,
+// 6,120 filters and 6,000 shadows, and both the boot log line and
+// /healthz say so.
+func TestDefaultGatewayProvisioned(t *testing.T) {
+	path := writeCfg(t, "gw.json", `{
+	  "role": "gateway", "addr": "10.0.0.1", "name": "g",
+	  "listen": "127.0.0.1:0", "admin": "127.0.0.1:0",
+	  "gateway": {"clients": ["10.0.0.2"], "secret": "s"}
+	}`)
+	var logBuf bytes.Buffer
+	node, err := start(path, slog.New(slog.NewTextHandler(&logBuf, nil)))
+	if err != nil {
+		t.Fatalf("start gateway: %v", err)
+	}
+	defer node.Close()
+	if want := "filter_capacity=6120 shadow_capacity=6000"; !bytes.Contains(logBuf.Bytes(), []byte(want)) {
+		t.Errorf("boot log lacks %q:\n%s", want, logBuf.String())
+	}
+	code, body := httpGet(t, "http://"+node.AdminAddr()+"/healthz")
+	var h struct {
+		Details struct {
+			FilterCapacity int `json:"filter_capacity"`
+			ShadowCapacity int `json:"shadow_capacity"`
+		} `json:"details"`
+	}
+	if err := json.Unmarshal([]byte(body), &h); code != http.StatusOK || err != nil {
+		t.Fatalf("/healthz = %d %q: %v", code, body, err)
+	}
+	if h.Details.FilterCapacity != 6120 || h.Details.ShadowCapacity != 6000 {
+		t.Fatalf("/healthz capacities = %d filters, %d shadows; want 6120 and 6000", h.Details.FilterCapacity, h.Details.ShadowCapacity)
+	}
+}
+
 func TestStartHostFromJSON(t *testing.T) {
 	path := writeCfg(t, "host.json", `{
 	  "role":   "host",

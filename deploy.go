@@ -5,6 +5,7 @@ import (
 
 	"aitf/internal/alloc"
 	"aitf/internal/attack"
+	"aitf/internal/border"
 	"aitf/internal/cluster"
 	"aitf/internal/contract"
 	"aitf/internal/core"
@@ -32,15 +33,16 @@ type Options struct {
 	ClientContract Contract
 	// PeerContract governs gateway↔gateway request rates.
 	PeerContract Contract
-	// FilterCapacity bounds every gateway's filter table; 0 derives the
-	// paper's provisioning (nv + na) from the contracts and timers.
+	// FilterCapacity bounds every gateway's filter table; 0 derives it by
+	// the paper's rule, contract.GatewayCapacity: nv(client) + na(peer) +
+	// na(client), 6,120 filters at the defaults.
 	FilterCapacity int
 	// ShadowCapacity bounds every gateway's shadow cache; 0 derives
-	// mv = R1·T.
+	// mv(client) = R1·T by the same rule, 6,000 shadows at the defaults.
 	ShadowCapacity int
 	// Evict selects the filter tables' full-table policy.
 	Evict filter.EvictPolicy
-	// HandshakeTimeout bounds the 3-way handshake.
+	// HandshakeTimeout bounds the 3-way handshake; 0 means a second.
 	HandshakeTimeout time.Duration
 	// Detector builds the classifier installed on each victim host;
 	// nil victims never complain. Called once per host.
@@ -93,13 +95,12 @@ type Options struct {
 // tail circuit, and a rate detector that flags floods within ~1 s.
 func DefaultOptions() Options {
 	return Options{
-		Seed:             1,
-		Params:           topology.DefaultParams(),
-		Timers:           contract.DefaultTimers(),
-		ShadowMode:       VictimDriven,
-		ClientContract:   contract.DefaultEndHost(),
-		PeerContract:     contract.DefaultPeer(),
-		HandshakeTimeout: time.Second,
+		Seed:           1,
+		Params:         topology.DefaultParams(),
+		Timers:         contract.DefaultTimers(),
+		ShadowMode:     VictimDriven,
+		ClientContract: contract.DefaultEndHost(),
+		PeerContract:   contract.DefaultPeer(),
 		Detector: func() core.Detector {
 			return attack.NewRateDetector(25_000, 500*time.Millisecond)
 		},
@@ -107,27 +108,11 @@ func DefaultOptions() Options {
 	}
 }
 
-func (o Options) filterCapacity() int {
-	if o.FilterCapacity > 0 {
-		return o.FilterCapacity
-	}
-	return contract.VictimGatewayFilters(o.ClientContract.R1, o.Timers.Ttmp) +
-		contract.AttackerGatewayFilters(o.PeerContract.R2, o.Timers.T) +
-		contract.AttackerGatewayFilters(o.ClientContract.R2, o.Timers.T)
-}
-
-func (o Options) shadowCapacity() int {
-	if o.ShadowCapacity > 0 {
-		return o.ShadowCapacity
-	}
-	return contract.VictimGatewayShadows(o.ClientContract.R1, o.Timers.T)
-}
-
 func (o Options) gatewayConfig() core.GatewayConfig {
-	cfg := core.DefaultGatewayConfig()
+	cfg := border.DefaultConfig()
 	cfg.Timers = o.Timers
-	cfg.FilterCapacity = o.filterCapacity()
-	cfg.ShadowCapacity = o.shadowCapacity()
+	cfg.FilterCapacity, cfg.ShadowCapacity = contract.GatewayCapacity(o.FilterCapacity, o.ShadowCapacity,
+		o.ClientContract, o.PeerContract, o.Timers)
 	cfg.Evict = o.Evict
 	cfg.ShadowMode = o.ShadowMode
 	cfg.HandshakeTimeout = o.HandshakeTimeout

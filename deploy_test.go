@@ -38,15 +38,16 @@ func TestOptionsDerivedCapacities(t *testing.T) {
 	opt := DefaultOptions()
 	// Derived per the paper: nv (60) + na toward the peer contract
 	// (R2=100/s × 60 s = 6000) + na toward one client (60).
-	if got := opt.filterCapacity(); got != 60+6000+60 {
-		t.Fatalf("derived filter capacity = %d, want 6120", got)
+	cfg := opt.gatewayConfig()
+	if cfg.FilterCapacity != 60+6000+60 {
+		t.Fatalf("derived filter capacity = %d, want 6120", cfg.FilterCapacity)
 	}
-	if got := opt.shadowCapacity(); got != 6000 {
-		t.Fatalf("derived shadow capacity = %d, want 6000", got)
+	if cfg.ShadowCapacity != 6000 {
+		t.Fatalf("derived shadow capacity = %d, want 6000", cfg.ShadowCapacity)
 	}
 	opt.FilterCapacity = 7
 	opt.ShadowCapacity = 9
-	if opt.filterCapacity() != 7 || opt.shadowCapacity() != 9 {
+	if cfg := opt.gatewayConfig(); cfg.FilterCapacity != 7 || cfg.ShadowCapacity != 9 {
 		t.Fatal("explicit capacities not honoured")
 	}
 }

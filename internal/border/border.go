@@ -165,6 +165,18 @@ func (c *Config) client(a flow.Addr) (contract.Contract, bool) {
 	return c.Clients[i].Contract, true
 }
 
+// Contract is the filtering contract of neighbor: its contract as a
+// client, else as a peer, else Default.
+func (c *Config) Contract(neighbor flow.Addr) contract.Contract {
+	if ct, ok := c.client(neighbor); ok {
+		return ct
+	}
+	if ct, ok := c.Peers[neighbor]; ok {
+		return ct
+	}
+	return c.Default
+}
+
 // Detection configures gateway-side detection on behalf of legacy
 // (non-AITF) hosts behind this gateway.
 type Detection struct {
@@ -175,21 +187,18 @@ type Detection struct {
 }
 
 // DefaultConfig returns a cooperative gateway provisioned per the
-// paper's worked examples. Its Clients and Peers are nil: assign them
-// before adding contracts.
+// paper's worked examples, its tables by contract.GatewayCapacity. Its
+// Clients and Peers are nil: assign them before adding contracts.
 func DefaultConfig() Config {
-	tm := contract.DefaultTimers()
-	eh := contract.DefaultEndHost()
-	return Config{
-		Timers:           tm,
-		FilterCapacity:   contract.VictimGatewayFilters(eh.R1, tm.Ttmp) + contract.AttackerGatewayFilters(eh.R2, tm.T),
-		ShadowCapacity:   contract.VictimGatewayShadows(eh.R1, tm.T),
-		Evict:            filter.RejectNew,
-		ShadowMode:       VictimDriven,
-		Cooperative:      true,
-		HandshakeTimeout: time.Second,
-		Default:          contract.DefaultPeer(),
+	cfg := Config{
+		Timers:      contract.DefaultTimers(),
+		Evict:       filter.RejectNew,
+		ShadowMode:  VictimDriven,
+		Cooperative: true,
+		Default:     contract.DefaultPeer(),
 	}
+	cfg.FilterCapacity, cfg.ShadowCapacity = contract.GatewayCapacity(0, 0, contract.DefaultEndHost(), cfg.Default, cfg.Timers)
+	return cfg
 }
 
 // Stats aggregates protocol counters for experiments.
@@ -318,28 +327,20 @@ type Engine struct {
 	rec *traceback.Recorder
 
 	// The control half: nil until build, which makes all of it at once.
-	//
-	// dp is the sharded classification engine: the wire-speed filter
-	// bank plus the DRAM shadow cache, behind one concurrent fast path.
-	dp       *dataplane.Engine
-	policers map[policerKey]*filter.Policer
+	// dp, ladder, hs, agg and plane are the parts Build makes; seenTxids
+	// dedups retransmitted control messages by (src, txid) so a
+	// duplicate delivery never re-runs side effects.
+	dp        *dataplane.Engine
+	ladder    *ctrl.Ladder
+	hs        *ctrl.Ledger
+	agg       *alloc.Aggregator
+	plane     *cluster.Plane
+	seenTxids filter.Dedup
+	policers  map[policerKey]*filter.Policer
 
 	watches      map[flow.Label]*watch
 	compliance   map[flow.Label]*compliance
 	disconnected map[flow.Addr]time.Duration // neighbor -> blocked until
-
-	// agg runs the §IV fallback on victim-side installs: covering
-	// aggregates, allocation under pressure, split-back and refinement.
-	agg   *alloc.Aggregator
-	plane *cluster.Plane // the detection plane: engine or cluster
-
-	// ladder retransmits protocol sends (single-shot when Control is
-	// off); hs holds the attacker-side handshakes; seenTxids dedups
-	// retransmitted control messages by (src, txid) so a duplicate
-	// delivery never re-runs side effects.
-	ladder    *ctrl.Ladder
-	hs        *ctrl.Ledger
-	seenTxids filter.Dedup
 
 	// built is set once build has run. One rule reads the unbuilt
 	// state: every read of the control half from outside the data path
@@ -392,32 +393,50 @@ func (e *Engine) build() {
 	e.watches = make(map[flow.Label]*watch)
 	e.compliance = make(map[flow.Label]*compliance)
 	e.disconnected = make(map[flow.Addr]time.Duration)
+	p := Build(cfg, env.Clock, env.Rand.Float64, env.Send, env.Trace, e.traced)
+	e.dp, e.ladder, e.hs, e.agg, e.plane = p.DP, p.Ladder, p.Ledger, p.Agg, p.Plane
+	e.merge, e.expire = e.mergeRound, e.expireFilters
+	e.built.Store(true)
+}
+
+// Build makes a gateway's tables and control machinery from cfg, for
+// both runtimes, on clk: the retransmission ladder (jittered by jitter,
+// sending through send), the attacker-side handshake ledger (a
+// HandshakeTimeout of 0 means a second), the dataplane's filter bank and
+// shadow log, the detection plane and the §IV aggregator. Each part
+// reports to event, which must be non-nil; unless traced, the ladder and
+// the ledger report nothing and format no detail. Build arms no timer
+// and draws nothing from jitter.
+func Build(cfg *Config, clk ctrl.Clock, jitter func() float64, send func(*packet.Packet), event ctrl.Trace, traced bool) durable.Parts {
 	hsTimeout := cfg.HandshakeTimeout
 	if hsTimeout <= 0 {
 		hsTimeout = time.Second
 	}
 	var trace ctrl.Trace // nil unless traced, so ctrl formats nothing
-	if e.traced {
-		trace = env.Trace
+	if traced {
+		trace = event
 	}
-	e.ladder = ctrl.NewLadder(cfg.Control, env.Clock, env.Rand.Float64, env.Send, trace)
-	e.hs = ctrl.NewLedger(e.ladder, env.Clock, hsTimeout, trace)
-	e.dp = dataplane.New(dataplane.Config{
+	ladder := ctrl.NewLadder(cfg.Control, clk, jitter, send, trace)
+	dp := dataplane.New(dataplane.Config{
 		Shards:         cfg.DataplaneShards,
 		FilterCapacity: cfg.FilterCapacity,
 		ShadowCapacity: cfg.ShadowCapacity,
 		Evict:          cfg.Evict,
 		ShadowLookup:   cfg.ShadowMode != ShadowOff,
-		Clock:          env.Clock,
+		Clock:          clk,
 	})
 	d := cfg.Detection
 	if d == nil {
 		d = &Detection{}
 	}
-	e.plane = cluster.NewPlane(d.Config, d.Protected, cfg.Cluster, env.Trace)
-	e.agg = alloc.NewAggregator(e.dp, cfg.Allocation, e.plane, env.Trace, env.Clock, cfg.Timers.Ttmp)
-	e.merge, e.expire = e.mergeRound, e.expireFilters
-	e.built.Store(true)
+	plane := cluster.NewPlane(d.Config, d.Protected, cfg.Cluster, event)
+	return durable.Parts{
+		DP:     dp,
+		Ladder: ladder,
+		Ledger: ctrl.NewLedger(ladder, clk, hsTimeout, trace),
+		Agg:    alloc.NewAggregator(dp, cfg.Allocation, plane, event, clk, cfg.Timers.Ttmp),
+		Plane:  plane,
+	}
 }
 
 // Config returns the configuration the engine was built with.
@@ -623,12 +642,7 @@ func (e *Engine) policer(neighbor flow.Addr, out bool) *filter.Policer {
 	k := policerKey{neighbor, out}
 	p, ok := e.policers[k]
 	if !ok {
-		c, ok := e.cfg.client(neighbor)
-		if !ok {
-			if c, ok = e.cfg.Peers[neighbor]; !ok {
-				c = e.cfg.Default
-			}
-		}
+		c := e.cfg.Contract(neighbor)
 		if out {
 			p = filter.NewPolicer(c.R2, c.R2Burst)
 		} else {

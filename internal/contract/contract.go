@@ -91,9 +91,9 @@ func ProtectedFlows(r1 float64, t time.Duration) int {
 	return int(r1 * t.Seconds())
 }
 
-// VictimGatewayFilters is nv = R1·Ttmp: wire-speed filters the provider
+// victimGatewayFilters is nv = R1·Ttmp: wire-speed filters the provider
 // needs to serve one client's worst-case request stream (§IV-B).
-func VictimGatewayFilters(r1 float64, ttmp time.Duration) int {
+func victimGatewayFilters(r1 float64, ttmp time.Duration) int {
 	n := r1 * ttmp.Seconds()
 	// Partial filters do not exist; a provider provisions the ceiling.
 	if n != float64(int(n)) {
@@ -102,16 +102,16 @@ func VictimGatewayFilters(r1 float64, ttmp time.Duration) int {
 	return int(n)
 }
 
-// VictimGatewayShadows is mv = R1·T: DRAM shadow entries the provider
+// victimGatewayShadows is mv = R1·T: DRAM shadow entries the provider
 // needs for the same client (§IV-B).
-func VictimGatewayShadows(r1 float64, t time.Duration) int {
+func victimGatewayShadows(r1 float64, t time.Duration) int {
 	return int(r1 * t.Seconds())
 }
 
-// AttackerGatewayFilters is na = R2·T: filters the attacker's provider
+// attackerGatewayFilters is na = R2·T: filters the attacker's provider
 // (and, symmetrically, the attacker itself) needs to honour all
 // requests sent at rate R2 (§IV-C, §IV-D).
-func AttackerGatewayFilters(r2 float64, t time.Duration) int {
+func attackerGatewayFilters(r2 float64, t time.Duration) int {
 	return int(r2 * t.Seconds())
 }
 
@@ -152,11 +152,30 @@ type Provisioning struct {
 func Provision(c Contract, tm Timers) Provisioning {
 	return Provisioning{
 		ProtectedFlows:         ProtectedFlows(c.R1, tm.T),
-		VictimGatewayFilters:   VictimGatewayFilters(c.R1, tm.Ttmp),
-		VictimGatewayShadows:   VictimGatewayShadows(c.R1, tm.T),
-		AttackerGatewayFilters: AttackerGatewayFilters(c.R2, tm.T),
-		AttackerFilters:        AttackerGatewayFilters(c.R2, tm.T),
+		VictimGatewayFilters:   victimGatewayFilters(c.R1, tm.Ttmp),
+		VictimGatewayShadows:   victimGatewayShadows(c.R1, tm.T),
+		AttackerGatewayFilters: attackerGatewayFilters(c.R2, tm.T),
+		AttackerFilters:        attackerGatewayFilters(c.R2, tm.T),
 	}
+}
+
+// GatewayCapacity is the one provisioning rule for a border router's
+// filters and shadows (§IV). A router serving clients on contract client
+// and peers on contract peer holds filters = nv(client) + na(peer) +
+// na(client), a victim's gateway's temporary filters (§IV-B) and an
+// attacker's gateway's filters at the peers' and clients' R2 (§IV-C),
+// and logs shadows = mv(client). A positive filters or shadows is an
+// explicit budget and is kept. At DefaultEndHost, DefaultPeer and
+// DefaultTimers the rule reads 6,120 filters and 6,000 shadows.
+func GatewayCapacity(filters, shadows int, client, peer Contract, tm Timers) (int, int) {
+	c, p := Provision(client, tm), Provision(peer, tm)
+	if filters <= 0 {
+		filters = c.VictimGatewayFilters + p.AttackerGatewayFilters + c.AttackerGatewayFilters
+	}
+	if shadows <= 0 {
+		shadows = c.VictimGatewayShadows
+	}
+	return filters, shadows
 }
 
 func (p Provisioning) String() string {

@@ -15,15 +15,15 @@ func TestPaperWorkedExamples(t *testing.T) {
 		t.Errorf("Nv = %d, want 6000", got)
 	}
 	// §IV-B: R1 = 100/s, Ttmp = 600 ms → nv = 60 filters.
-	if got := VictimGatewayFilters(100, 600*time.Millisecond); got != 60 {
+	if got := victimGatewayFilters(100, 600*time.Millisecond); got != 60 {
 		t.Errorf("nv = %d, want 60", got)
 	}
 	// §IV-B: mv = R1·T = 6000 shadow entries.
-	if got := VictimGatewayShadows(100, time.Minute); got != 6000 {
+	if got := victimGatewayShadows(100, time.Minute); got != 6000 {
 		t.Errorf("mv = %d, want 6000", got)
 	}
 	// §IV-C: R2 = 1/s, T = 1 min → na = 60 filters.
-	if got := AttackerGatewayFilters(1, time.Minute); got != 60 {
+	if got := attackerGatewayFilters(1, time.Minute); got != 60 {
 		t.Errorf("na = %d, want 60", got)
 	}
 	// §IV-A.1: n=1, Td+Tr = 50 ms, T = 1 min → r ≈ 0.00083.
@@ -40,13 +40,13 @@ func TestProvisionMatchesIndividualFormulas(t *testing.T) {
 	if p.ProtectedFlows != ProtectedFlows(c.R1, tm.T) {
 		t.Error("ProtectedFlows mismatch")
 	}
-	if p.VictimGatewayFilters != VictimGatewayFilters(c.R1, tm.Ttmp) {
+	if p.VictimGatewayFilters != victimGatewayFilters(c.R1, tm.Ttmp) {
 		t.Error("VictimGatewayFilters mismatch")
 	}
-	if p.VictimGatewayShadows != VictimGatewayShadows(c.R1, tm.T) {
+	if p.VictimGatewayShadows != victimGatewayShadows(c.R1, tm.T) {
 		t.Error("VictimGatewayShadows mismatch")
 	}
-	if p.AttackerGatewayFilters != AttackerGatewayFilters(c.R2, tm.T) {
+	if p.AttackerGatewayFilters != attackerGatewayFilters(c.R2, tm.T) {
 		t.Error("AttackerGatewayFilters mismatch")
 	}
 	if p.AttackerFilters != p.AttackerGatewayFilters {
@@ -59,10 +59,10 @@ func TestProvisionMatchesIndividualFormulas(t *testing.T) {
 
 func TestVictimGatewayFiltersCeil(t *testing.T) {
 	// 3 req/s × 500 ms = 1.5 → a provider must provision 2 filters.
-	if got := VictimGatewayFilters(3, 500*time.Millisecond); got != 2 {
+	if got := victimGatewayFilters(3, 500*time.Millisecond); got != 2 {
 		t.Errorf("ceil(1.5) = %d, want 2", got)
 	}
-	if got := VictimGatewayFilters(2, 500*time.Millisecond); got != 1 {
+	if got := victimGatewayFilters(2, 500*time.Millisecond); got != 1 {
 		t.Errorf("exact 1.0 = %d, want 1", got)
 	}
 }
@@ -125,7 +125,7 @@ func TestPropertyLinearScaling(t *testing.T) {
 		mult := float64(k%10) + 1
 		T := time.Minute
 		return ProtectedFlows(r*mult, T) == int(mult)*ProtectedFlows(r, T) &&
-			AttackerGatewayFilters(r*mult, T) == int(mult)*AttackerGatewayFilters(r, T)
+			attackerGatewayFilters(r*mult, T) == int(mult)*attackerGatewayFilters(r, T)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -32,10 +32,6 @@ const (
 	ShadowOff    = border.ShadowOff
 )
 
-// DefaultGatewayConfig returns a cooperative gateway provisioned per
-// the paper's worked examples.
-func DefaultGatewayConfig() GatewayConfig { return border.DefaultConfig() }
-
 // Gateway is an AITF border router on a netsim node: the border
 // engine's control plane, fed from the node, plus the data half — it
 // refuses disconnected neighbors, filters spoofed ingress, classifies,

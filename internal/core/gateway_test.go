@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"aitf/internal/border"
 	"aitf/internal/dataplane"
 	"aitf/internal/flow"
 	"aitf/internal/netsim"
@@ -25,7 +26,7 @@ func TestIdleGatewayForwardsUnbuilt(t *testing.T) {
 	topo.AddLink(gw, dst, time.Millisecond, 0, 0)
 	eng := sim.NewEngine(1)
 	net := netsim.MustBuild(eng, topo)
-	g := NewGateway(net.Node(gw), DefaultGatewayConfig(), nil)
+	g := NewGateway(net.Node(gw), border.DefaultConfig(), nil)
 
 	for i := 0; i < 10; i++ {
 		net.Node(src).Originate(packet.NewData(srcAddr, dstAddr, flow.ProtoUDP, 1, 2, 100))

@@ -128,12 +128,8 @@ func E4VictimGatewayResources() Result {
 
 		fstats := dep.VictimGW.Filters().Stats()
 		sstats := dep.VictimGW.Shadows().Stats()
-		tbl.AddRow(ttmp,
-			contract.VictimGatewayFilters(r1, ttmp),
-			fstats.PeakOccupancy,
-			contract.VictimGatewayShadows(r1, T),
-			sstats.PeakSize,
-		)
+		p := contract.Provision(opt.ClientContract, opt.Timers)
+		tbl.AddRow(ttmp, p.VictimGatewayFilters, fstats.PeakOccupancy, p.VictimGatewayShadows, sstats.PeakSize)
 	}
 	tbl.AddNote("peak filters tracks R1·Ttmp (plus the policer burst), two orders of magnitude below the flow count")
 	tbl.AddNote("a Ttmp below the handshake+grace time (first row) misfires the takeover check and falls back to long-lived local filters — the misprovisioning ablation in EXPERIMENTS.md")
@@ -141,9 +137,8 @@ func E4VictimGatewayResources() Result {
 
 	paper := NewTable("paper-scale analytic values (§IV-B example)",
 		"R1 (req/s)", "Ttmp", "T", "nv filters", "mv shadows")
-	paper.AddRow(100.0, 600*time.Millisecond, time.Minute,
-		contract.VictimGatewayFilters(100, 600*time.Millisecond),
-		contract.VictimGatewayShadows(100, time.Minute))
+	p := contract.Provision(contract.Contract{R1: 100}, contract.Timers{T: time.Minute, Ttmp: 600 * time.Millisecond})
+	paper.AddRow(100.0, 600*time.Millisecond, time.Minute, p.VictimGatewayFilters, p.VictimGatewayShadows)
 	res.Tables = append(res.Tables, paper)
 	res.Notes = append(res.Notes,
 		"Paper example: 60 filters + 6000 DRAM shadows protect a client against 6000 flows.")
@@ -196,7 +191,7 @@ func E5AttackerGatewayResources() Result {
 
 	paper := NewTable("paper-scale analytic values (§IV-C example)",
 		"R2 (req/s)", "T", "na filters")
-	paper.AddRow(1.0, time.Minute, contract.AttackerGatewayFilters(1, time.Minute))
+	paper.AddRow(1.0, time.Minute, contract.Provision(contract.Contract{R2: 1}, contract.Timers{T: time.Minute}).AttackerGatewayFilters)
 	res.Tables = append(res.Tables, paper)
 	res.Notes = append(res.Notes,
 		"Paper example: R2=1/s, T=1min needs only na=60 filters at the provider and 60 at the client.",

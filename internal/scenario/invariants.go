@@ -257,7 +257,7 @@ func (w *world) checkBudgets(r *Result) {
 	// Client-side budget (§IV-D): active stop orders are bounded by
 	// na = R2·T plus the policer burst.
 	cc := contract.DefaultEndHost()
-	na := contract.AttackerGatewayFilters(cc.R2, timerT) + int(cc.R2Burst)
+	na := contract.Provision(cc, contract.Timers{T: timerT}).AttackerGatewayFilters + int(cc.R2Burst)
 	for id, h := range w.dep.Hosts {
 		if n := h.ActiveStopOrders(); n > na {
 			w.violate(r, "budget", w.topo.Nodes[id].Name,

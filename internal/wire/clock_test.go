@@ -155,6 +155,7 @@ func TestClockOneDriverPerGateway(t *testing.T) {
 	for i := range gws {
 		g, err := NewGateway(GatewayConfig{
 			Node:   NodeConfig{Addr: flow.MakeAddr(10, 0, 0, byte(i+1))},
+			Timers: testTimers(),
 			Secret: []byte("s"),
 		})
 		if err != nil {

@@ -251,6 +251,7 @@ func TestWireClusterMetricsSchema(t *testing.T) {
 	// An unclustered gateway must not leak the cluster namespace.
 	plain, err := NewGateway(GatewayConfig{
 		Node:   NodeConfig{Addr: flow.MakeAddr(10, 0, 0, 9)},
+		Timers: testTimers(),
 		Secret: []byte("s"),
 	})
 	if err != nil {
@@ -278,6 +279,7 @@ func TestWireClusterSnapshotRestore(t *testing.T) {
 	mk := func() *Gateway {
 		g, err := NewGateway(GatewayConfig{
 			Node:         NodeConfig{Addr: flow.MakeAddr(10, 0, 0, 1), Name: "g"},
+			Timers:       testTimers(),
 			Secret:       []byte("s"),
 			SnapshotPath: filepath.Join(dir, "gw.snapshot.json"),
 			Cluster:      cluster.Config{Replicas: 3, Replicate: true},
@@ -295,7 +297,7 @@ func TestWireClusterSnapshotRestore(t *testing.T) {
 	}
 	g.mu.Lock()
 	for _, l := range labels {
-		if err := g.installVictimFilter(l, now, now+5*time.Second); err != nil {
+		if err := g.agg.Install(l, now, now+5*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -347,6 +349,7 @@ func TestWireClusterKillTraced(t *testing.T) {
 	ring := obs.NewRing(16)
 	g, err := NewGateway(GatewayConfig{
 		Node:    NodeConfig{Addr: flow.MakeAddr(10, 0, 0, 1), Name: "g"},
+		Timers:  testTimers(),
 		Secret:  []byte("s"),
 		Cluster: cluster.Config{Replicas: 3},
 		Trace:   obs.NewTrace(ring, slog.New(slog.DiscardHandler)),
@@ -378,6 +381,7 @@ func TestWireClusterKillTraced(t *testing.T) {
 func TestWireClusterMergeTickerStopsOnClose(t *testing.T) {
 	g, err := NewGateway(GatewayConfig{
 		Node:    NodeConfig{Addr: flow.MakeAddr(10, 0, 0, 1)},
+		Timers:  testTimers(),
 		Secret:  []byte("s"),
 		Cluster: cluster.Config{Replicas: 2, MergeEvery: 20 * time.Millisecond},
 	})

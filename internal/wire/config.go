@@ -53,7 +53,9 @@ type GatewayFileConfig struct {
 	TMs int `json:"t_ms"`
 	// TtmpMs is the temporary-filter lifetime in milliseconds.
 	TtmpMs int `json:"ttmp_ms"`
-	// Capacity bounds the filter table (0 = default).
+	// Capacity bounds the filter table; 0 provisions it and the shadow
+	// log by contract.GatewayCapacity, nv + na(peer) + na(client) filters
+	// and mv shadows: 6,120 and 6,000 at the default timers.
 	Capacity int `json:"filter_capacity"`
 	// Shards partitions the data-plane classification engine
 	// (0 = GOMAXPROCS, at most dataplane.MaxShards).
@@ -248,6 +250,9 @@ func (g *GatewayFileConfig) validate() error {
 	if g.DetectBps > 0 && len(g.DetectFor) == 0 {
 		return fmt.Errorf("%w: detect_bps set but detect_for is empty", ErrBadConfig)
 	}
+	if g.DetectBps == 0 && (g.SketchWidth != 0 || g.SketchDepth != 0 || g.DetectTopK != 0 || len(g.DetectFor) > 0) {
+		return fmt.Errorf("%w: detection knobs set without detect_bps", ErrBadConfig)
+	}
 	if g.DetectWindowMs < 0 || g.SketchWidth < 0 || g.SketchDepth < 0 || g.DetectTopK < 0 {
 		return fmt.Errorf("%w: negative detection knob (window %dms, width %d, depth %d, topk %d)",
 			ErrBadConfig, g.DetectWindowMs, g.SketchWidth, g.SketchDepth, g.DetectTopK)
@@ -287,6 +292,9 @@ func (g *GatewayFileConfig) validate() error {
 	}
 	if g.CtrlJitter < 0 || g.CtrlJitter >= 1 {
 		return fmt.Errorf("%w: ctrl_jitter %v outside [0, 1)", ErrBadConfig, g.CtrlJitter)
+	}
+	if g.CtrlMaxAttempts < 2 && (g.CtrlRtoMs != 0 || g.CtrlJitter != 0) {
+		return fmt.Errorf("%w: retransmission knobs set without ctrl_max_attempts >= 2", ErrBadConfig)
 	}
 	// Validate the timers as they will actually be materialised — an
 	// explicit value combined with the other's default must still
@@ -352,10 +360,6 @@ func (c *FileConfig) GatewayConfig(trace *obs.Trace) (GatewayConfig, error) {
 	if c.Gateway == nil {
 		return GatewayConfig{}, fmt.Errorf("%w: missing gateway object", ErrBadConfig)
 	}
-	tm := c.Gateway.timers()
-	if err := tm.Validate(); err != nil {
-		return GatewayConfig{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
 	clients := map[flow.Addr]contract.Contract{}
 	for _, cl := range c.Gateway.Clients {
 		ca, err := flow.ParseAddr(cl)
@@ -366,7 +370,7 @@ func (c *FileConfig) GatewayConfig(trace *obs.Trace) (GatewayConfig, error) {
 	}
 	cfg := GatewayConfig{
 		Node:            node,
-		Timers:          tm,
+		Timers:          c.Gateway.timers(),
 		FilterCapacity:  c.Gateway.Capacity,
 		Clients:         clients,
 		Default:         contract.DefaultPeer(),

@@ -208,6 +208,36 @@ func TestParseGatewayConfig(t *testing.T) {
 	cg.Close()
 }
 
+// TestGatewayProvisionedByRule: a gateway config with no capacity keys
+// is provisioned by contract.GatewayCapacity for its timers and
+// contracts. At t_ms 10000 and ttmp_ms 500 that is nv 50 + na(peer)
+// 1,000 + na(client) 10 = 1,060 filters and mv 1,000 shadows. An
+// explicit filter_capacity still wins.
+func TestGatewayProvisionedByRule(t *testing.T) {
+	for _, tc := range []struct {
+		capacity         string
+		filters, shadows int
+	}{{``, 1060, 1000}, {`,"filter_capacity":77`, 77, 1000}} {
+		fc, err := ParseFileConfig([]byte(`{"role":"gateway","addr":"1.1.1.1","gateway":{"clients":["1.1.1.2"],"t_ms":10000,"ttmp_ms":500` + tc.capacity + `}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc, err := fc.GatewayConfig(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := NewGateway(gc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, s := g.DataPlane().FilterCapacity(), g.DataPlane().ShadowCapacity()
+		g.Close()
+		if f != tc.filters || s != tc.shadows {
+			t.Fatalf("capacity %q: %d filters, %d shadows; want %d and %d", tc.capacity, f, s, tc.filters, tc.shadows)
+		}
+	}
+}
+
 func TestParseHostConfig(t *testing.T) {
 	cfg, err := ParseFileConfig([]byte(hostJSON))
 	if err != nil {
@@ -274,6 +304,12 @@ func TestParseConfigErrors(t *testing.T) {
 		"repl no peers":    `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_replication":true}}`,
 		"sketch budget":    `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"sketch_width":1048576,"sketch_depth":16,"cluster_peers":64}}`,
 		"budget 2 peers":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"sketch_width":1048576,"sketch_depth":16,"cluster_peers":2}}`,
+		"rto no attempts":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"ctrl_rto_ms":100}}`,
+		"jitter one shot":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"ctrl_max_attempts":1,"ctrl_jitter":0.2}}`,
+		"width no detect":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"sketch_width":512}}`,
+		"depth no detect":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"sketch_depth":2}}`,
+		"topk no detect":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_topk":16}}`,
+		"for no detect":    `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_for":["1.1.1.2"]}}`,
 	}
 	for name, raw := range cases {
 		if _, err := ParseFileConfig([]byte(raw)); err == nil {
@@ -283,10 +319,12 @@ func TestParseConfigErrors(t *testing.T) {
 		}
 	}
 	// The sketch budget admits the default geometry on the largest
-	// cluster and the largest geometry on one engine.
+	// cluster and the largest geometry on one engine. A detection window
+	// alone sets the cluster's merge default, so it needs no detect_bps.
 	for name, raw := range map[string]string{
 		"default sketches": `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"cluster_peers":64}}`,
 		"largest sketch":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"sketch_width":1048576,"sketch_depth":16}}`,
+		"window alone":     `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_peers":2,"detect_window_ms":500}}`,
 	} {
 		if _, err := ParseFileConfig([]byte(raw)); err != nil {
 			t.Errorf("%s: rejected: %v", name, err)

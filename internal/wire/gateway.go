@@ -4,12 +4,15 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"aitf/internal/alloc"
+	"aitf/internal/border"
 	"aitf/internal/cluster"
 	"aitf/internal/contract"
 	"aitf/internal/ctrl"
@@ -41,21 +44,25 @@ func randNonce() uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// GatewayConfig configures a wire-mode AITF border router.
+// GatewayConfig configures a wire-mode AITF border router. NewGateway
+// turns it into one border.Config, a cooperative, victim-driven router
+// that rejects installs into a full table; border.Config documents each
+// field but Node, Trace and SnapshotPath, which are the wire runtime's
+// own.
 type GatewayConfig struct {
 	Node NodeConfig
-	// Timers are the protocol constants; wire demos use sub-second
-	// values so a round completes quickly.
+	// Timers must pass Timers.Validate; wire demos use sub-second values
+	// so a round completes quickly.
 	Timers contract.Timers
-	// FilterCapacity and ShadowCapacity bound the two pools.
+	// FilterCapacity and ShadowCapacity bound the two pools; 0 provisions
+	// each by contract.GatewayCapacity for a DefaultEndHost client and a
+	// Default peer (6,120 filters and 6,000 shadows at the defaults).
 	FilterCapacity, ShadowCapacity int
 	// Clients maps directly served client addresses to contracts.
 	Clients map[flow.Addr]contract.Contract
 	// Default is the contract for requests from unlisted peers.
-	Default contract.Contract
-	// Secret keys the route-record authenticator.
-	Secret []byte
-	// HandshakeTimeout bounds the verification handshake.
+	Default          contract.Contract
+	Secret           []byte
 	HandshakeTimeout time.Duration
 	// Trace receives structured protocol events: milestones (temp
 	// filter installs, handshakes, stop orders) are recorded into its
@@ -66,36 +73,16 @@ type GatewayConfig struct {
 	// DataplaneShards partitions the classification engine; 0 picks
 	// GOMAXPROCS (rounded up to a power of two by the engine).
 	DataplaneShards int
-	// Allocation enables the §IV filter-table-pressure fallback, the
-	// simulator's alloc.Aggregator: a victim-side install a live
-	// aggregate covers refreshes it; one rejected for capacity installs
-	// the cheapest cover (priced by the detection sketch or cluster when
-	// armed) and retries; every Ttmp aggregates split back or refine as
-	// the pressure eases. A fixed /24 fallback is the one-rung policy
-	// {PrefixLens: [24]}. nil disables aggregation.
-	Allocation *alloc.Policy
-	// Detect configures the gateway-side sketch detection engine
-	// (internal/detect); armed only when ThresholdBps > 0 and
-	// DetectFor is non-empty.
-	Detect detect.Config
-	// DetectFor lists the legacy (non-AITF) client destinations this
-	// gateway defends: traffic addressed to them is observed, and on a
+	Allocation      *alloc.Policy
+	// Detect and DetectFor are the border.Config's Detection: the sketch
+	// engine, armed when Detect.ThresholdBps > 0 and DetectFor is not
+	// empty, and the legacy client destinations it defends. On a
 	// detection the gateway files the filtering request itself, naming
 	// itself as the victim so it can answer the §II-E handshake.
+	Detect    detect.Config
 	DetectFor []flow.Addr
-	// Cluster, when enabled (Replicas >= 2), runs this gateway as k
-	// logical replicas behind its detection plane (cluster.Plane):
-	// sharded detection, merge rounds and a replicated filter log. The
-	// zero value keeps the single-engine gateway.
-	Cluster cluster.Config
-	// Control configures the shared reliable control plane (ctrl.Config),
-	// the simulator's rules on real timers. The zero value sends every
-	// control message exactly once; with MaxAttempts > 1 each logical
-	// send carries a txid and is retransmitted on an exponential-backoff
-	// ladder, jittered by ±Jitter, until cancelled (a handshake reply) or
-	// the attempts run out, and receivers drop txid duplicates without
-	// re-running side effects.
-	Control ctrl.Config
+	Cluster   cluster.Config
+	Control   ctrl.Config
 	// SnapshotPath, when non-empty, names the file the gateway writes
 	// its durable state to on Close (snapshot-on-drain) and restores
 	// from on boot via RestoreFromDisk (restore-on-boot), so a daemon
@@ -107,14 +94,23 @@ type GatewayConfig struct {
 // transit data, polices filtering requests, verifies them with the
 // 3-way handshake, filters, and orders attackers to stop (§II-C).
 type Gateway struct {
-	mu   sync.Mutex
-	cfg  GatewayConfig
-	node *Node
-	rec  *traceback.Recorder
+	mu sync.Mutex
+	// cfg is the gateway's one border.Config, whence every §II parameter
+	// is read; trace and snapshotPath are the wire runtime's own.
+	cfg          border.Config
+	trace        *obs.Trace
+	snapshotPath string
+	node         *Node
+	rec          *traceback.Recorder
 
-	// dp is the sharded classification engine (wire-speed filter bank +
-	// shadow cache).
-	dp *dataplane.Engine
+	// The parts border.Build makes, as the simulator's gateway has them.
+	// dp and plane lock themselves, so the receive goroutine uses them
+	// without g.mu; agg, ladder and hs are under mu.
+	dp     *dataplane.Engine
+	plane  *cluster.Plane
+	agg    *alloc.Aggregator
+	ladder *ctrl.Ladder
+	hs     *ctrl.Ledger
 
 	policers map[flow.Addr]*filter.Policer
 
@@ -123,24 +119,12 @@ type Gateway struct {
 	clock *clock
 	merge func()
 
-	// plane is the detection plane; it locks itself, so the receive
-	// goroutine feeds it without g.mu.
-	plane *cluster.Plane
-
-	// agg runs the §IV fallback on victim-side installs, the same
-	// lifecycle as the simulator's, review timer included. Under mu.
-	agg *alloc.Aggregator
-
-	// The reliable control plane, all under mu: ladder retransmits
-	// protocol sends, hs holds the attacker-side handshakes, and dedup
-	// remembers recently seen (source, txid) pairs. tx is the read
-	// batch the packet being handled came in, for the span of that
-	// handling, so that the ladder's sends join the batch's flush; it
-	// is nil otherwise, and a send from a timer leaves at once.
-	ladder *ctrl.Ladder
-	hs     *ctrl.Ledger
-	dedup  filter.Dedup
-	tx     *sockBatch
+	// Under mu, dedup remembers recently seen (source, txid) pairs. tx
+	// is the read batch the packet being handled came in, for the span
+	// of that handling, so that the ladder's sends join the batch's
+	// flush; it is nil otherwise, and a send from a timer leaves at once.
+	dedup filter.Dedup
+	tx    *sockBatch
 
 	// stats holds the control-plane counters, mutated under mu. Its
 	// data-plane fields are the two atomics below: the receive goroutine
@@ -158,55 +142,82 @@ type Gateway struct {
 // forged key: the bound hands an attacker nothing new.
 const maxPolicers = 4096
 
+// borderConfig is the one border.Config the gateway runs, its tables
+// provisioned by contract.GatewayCapacity.
+func (cfg *GatewayConfig) borderConfig() (border.Config, error) {
+	if err := cfg.Timers.Validate(); err != nil {
+		return border.Config{}, fmt.Errorf("wire: %w", err)
+	}
+	bc := border.Config{
+		Timers:           cfg.Timers,
+		Evict:            filter.RejectNew,
+		ShadowMode:       border.VictimDriven,
+		Cooperative:      true,
+		Secret:           cfg.Secret,
+		HandshakeTimeout: cfg.HandshakeTimeout,
+		Default:          cfg.Default,
+		DataplaneShards:  cfg.DataplaneShards,
+		Allocation:       cfg.Allocation,
+		Control:          cfg.Control,
+		Cluster:          cfg.Cluster,
+		Detection:        &border.Detection{Config: cfg.Detect, Protected: cfg.DetectFor},
+	}
+	bc.FilterCapacity, bc.ShadowCapacity = contract.GatewayCapacity(cfg.FilterCapacity, cfg.ShadowCapacity,
+		contract.DefaultEndHost(), cfg.Default, cfg.Timers)
+	if bc.DataplaneShards <= 0 {
+		bc.DataplaneShards = runtime.GOMAXPROCS(0)
+	}
+	for _, a := range slices.Sorted(maps.Keys(cfg.Clients)) {
+		bc.Clients = append(bc.Clients, border.Client{Addr: a, Contract: cfg.Clients[a]})
+	}
+	return bc, nil
+}
+
 // NewGateway binds the gateway's socket.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = time.Second
-	}
-	if cfg.FilterCapacity <= 0 {
-		cfg.FilterCapacity = 1024
-	}
-	if cfg.ShadowCapacity <= 0 {
-		cfg.ShadowCapacity = 65536
-	}
-	if cfg.DataplaneShards <= 0 {
-		cfg.DataplaneShards = runtime.GOMAXPROCS(0)
+	bc, err := cfg.borderConfig()
+	if err != nil {
+		return nil, err
 	}
 	n, err := NewNode(cfg.Node)
 	if err != nil {
 		return nil, err
 	}
 	g := &Gateway{
-		cfg:      cfg,
-		node:     n,
-		rec:      traceback.NewRecorder(cfg.Node.Addr, cfg.Secret),
-		policers: make(map[flow.Addr]*filter.Policer),
+		cfg:          bc,
+		trace:        cfg.Trace,
+		snapshotPath: cfg.SnapshotPath,
+		node:         n,
+		rec:          traceback.NewRecorder(cfg.Node.Addr, bc.Secret),
+		policers:     make(map[flow.Addr]*filter.Policer),
 	}
 	g.clock = newClock(&g.mu)
 	g.merge = g.mergeRound
-	var trace ctrl.Trace // nil without a trace: ctrl formats no detail
-	if g.tracing() {
-		trace = g.event
-	}
 	// A private seeded source jitters the backoff only; protocol nonces
-	// still come from crypto/rand (randNonce).
-	g.ladder = ctrl.NewLadder(cfg.Control, g.clock, mrand.New(mrand.NewSource(int64(randNonce()))).Float64, g.transmit, trace)
-	g.hs = ctrl.NewLedger(g.ladder, g.clock, cfg.HandshakeTimeout, trace)
-	g.dp = dataplane.New(dataplane.Config{
-		Shards:         cfg.DataplaneShards,
-		FilterCapacity: cfg.FilterCapacity,
-		ShadowCapacity: cfg.ShadowCapacity,
-		Evict:          filter.RejectNew,
-		ShadowLookup:   true,
-		Clock:          dataplane.WallClock(epoch),
-	})
-	g.plane = cluster.NewPlane(cfg.Detect, cfg.DetectFor, cfg.Cluster, g.event)
-	g.agg = alloc.NewAggregator(g.dp, cfg.Allocation, g.plane, g.event, g.clock, cfg.Timers.Ttmp)
+	// still come from crypto/rand (randNonce). The clock's Now is
+	// wallNow, the dataplane's time too.
+	jitter := mrand.New(mrand.NewSource(int64(randNonce()))).Float64
+	p := border.Build(&g.cfg, g.clock, jitter, g.transmit, g.event, g.tracing())
+	g.dp, g.ladder, g.hs, g.agg, g.plane = p.DP, p.Ladder, p.Ledger, p.Agg, p.Plane
 	n.SetHandler(g)
 	g.mu.Lock()
 	g.armClusterMerge()
 	g.mu.Unlock()
 	return g, nil
+}
+
+// armClusterMerge starts the recurring merge round on the gateway's
+// clock; the cluster overlay itself lives in the detection plane. Each
+// firing re-arms the next, until Close stops the clock. Called under mu.
+func (g *Gateway) armClusterMerge() {
+	if every := g.plane.MergeEvery(); every > 0 {
+		g.clock.Arm(time.Duration(every), g.merge)
+	}
+}
+
+func (g *Gateway) mergeRound() {
+	g.plane.MergeRound(wallNow())
+	g.armClusterMerge()
 }
 
 // transmit originates one control packet, queued on g.tx while a read
@@ -236,7 +247,7 @@ func (g *Gateway) Run() { g.node.Run() }
 func (g *Gateway) Close() error {
 	g.clock.Close()
 	err := g.node.Close()
-	if g.cfg.SnapshotPath != "" {
+	if g.snapshotPath != "" {
 		if serr := g.SaveToDisk(); err == nil {
 			err = serr
 		}
@@ -254,7 +265,7 @@ func (g *Gateway) Filters() dataplane.TableView { return g.dp.Table() }
 // enabled check keeps the Sprintf off every call when debug logging is
 // off (the default).
 func (g *Gateway) logf(format string, args ...any) {
-	if l := g.cfg.Trace.Logger(); l.Enabled(context.Background(), slog.LevelDebug) {
+	if l := g.trace.Logger(); l.Enabled(context.Background(), slog.LevelDebug) {
 		l.Debug(fmt.Sprintf(format, args...), "node", g.node.Name())
 	}
 }
@@ -263,24 +274,21 @@ func (g *Gateway) logf(format string, args ...any) {
 // sites that format an event's detail check it first: with no trace
 // configured the strings would be built, on every control message, for
 // nobody.
-func (g *Gateway) tracing() bool { return g.cfg.Trace != nil }
+func (g *Gateway) tracing() bool { return g.trace != nil }
 
 // event records a protocol milestone: into the trace ring always, and
 // as an Info-level structured log line when enabled. It is a no-op
 // without a trace.
 func (g *Gateway) event(kind obs.EventKind, label flow.Label, detail string) {
 	if g.tracing() {
-		g.cfg.Trace.Info(obs.Record{At: wallNow(), Node: g.node.Name(), Kind: kind, Flow: label, Detail: detail})
+		g.trace.Info(obs.Record{At: wallNow(), Node: g.node.Name(), Kind: kind, Flow: label, Detail: detail})
 	}
 }
 
 func (g *Gateway) policer(peer flow.Addr) *filter.Policer {
 	p, ok := g.policers[peer]
 	if !ok {
-		c, isClient := g.cfg.Clients[peer]
-		if !isClient {
-			c = g.cfg.Default
-		}
+		c := g.cfg.Contract(peer)
 		p = filter.NewPolicer(c.R1, c.R1Burst)
 		if len(g.policers) >= maxPolicers {
 			for k := range g.policers {
@@ -455,7 +463,7 @@ func (g *Gateway) selfDetect(d detect.Detection, path []packet.RREntry, tx *sock
 	if g.tracing() {
 		g.event(obs.EvAttackDetected, label, fmt.Sprintf("est %dB for protected client %v", d.EstBytes, d.Dst))
 	}
-	if err := g.installVictimFilter(label, now, now+sim.Time(g.cfg.Timers.Ttmp)); err != nil {
+	if err := g.agg.Install(label, now, now+sim.Time(g.cfg.Timers.Ttmp)); err != nil {
 		// The wire-speed table is full even after aggregation: the
 		// temporary filter is lost, but the shadow log and the
 		// attacker-side request below must still go out (as in the
@@ -530,7 +538,7 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 		// A full table loses only the temporary filter: the shadow and
 		// the relay still go out, as in selfDetect and the simulator
 		// gateway, so the attacker's gateway can take over the block.
-		ierr := g.installVictimFilter(label, now, now+sim.Time(g.cfg.Timers.Ttmp))
+		ierr := g.agg.Install(label, now, now+sim.Time(g.cfg.Timers.Ttmp))
 		if ierr != nil {
 			g.logf("temp filter: %v", ierr)
 		}
@@ -563,12 +571,6 @@ func (g *Gateway) handleFilterReq(p *packet.Packet, m *packet.FilterReq, from fl
 		}
 		g.hs.Start(label, m, randNonce())
 	}
-}
-
-// installVictimFilter installs a victim-side filter through the §IV
-// aggregator, which keeps its review armed. Called under mu.
-func (g *Gateway) installVictimFilter(label flow.Label, now, exp sim.Time) error {
-	return g.agg.Install(label, now, exp)
 }
 
 func (g *Gateway) handleVerifyReply(m *packet.VerifyReply) {

@@ -231,7 +231,7 @@ func TestSnapshotRestoreCountsEveryBoot(t *testing.T) {
 	for boot := uint64(1); boot <= 2; boot++ {
 		g = snapGateway(t, dir)
 		ring := obs.NewRing(16)
-		g.cfg.Trace = obs.NewTrace(ring, slog.New(slog.DiscardHandler))
+		g.trace = obs.NewTrace(ring, slog.New(slog.DiscardHandler))
 		if _, err := g.RestoreFromDisk(); err != nil {
 			t.Fatal(err)
 		}
@@ -386,6 +386,7 @@ func TestPolicersBoundedUnderFlood(t *testing.T) {
 	c := contract.Contract{R1: 1, R1Burst: 10, R2: 1, R2Burst: 5}
 	g, err := NewGateway(GatewayConfig{
 		Node:    NodeConfig{Addr: flow.MakeAddr(10, 0, 0, 1), Name: "gw"},
+		Timers:  testTimers(),
 		Clients: map[flow.Addr]contract.Contract{client: c},
 		Default: contract.DefaultPeer(),
 		Secret:  []byte("secret"),

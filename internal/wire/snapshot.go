@@ -109,7 +109,7 @@ func (g *Gateway) Restore(snap *DiskSnapshot) error {
 // reader who has one can forge the reply that completes a §II-E
 // handshake. On any error the temp file is removed.
 func (g *Gateway) SaveToDisk() error {
-	path := g.cfg.SnapshotPath
+	path := g.snapshotPath
 	if path == "" {
 		return nil
 	}
@@ -159,7 +159,7 @@ func writeSynced(path string, data []byte) (err error) {
 // SnapshotPath if the file exists, reporting the loaded snapshot (nil
 // when there was none). Call before Run.
 func (g *Gateway) RestoreFromDisk() (*DiskSnapshot, error) {
-	path := g.cfg.SnapshotPath
+	path := g.snapshotPath
 	if path == "" {
 		return nil, nil
 	}

@@ -29,7 +29,7 @@ func TestSnapshotFileIsOwnerOnly(t *testing.T) {
 	if err := g.SaveToDisk(); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(g.cfg.SnapshotPath)
+	fi, err := os.Stat(g.snapshotPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSnapshotFileIsOwnerOnly(t *testing.T) {
 func TestSaveToDiskFailureLeavesNoTempFile(t *testing.T) {
 	dir := t.TempDir()
 	g := snapGateway(t, dir)
-	if err := os.Mkdir(g.cfg.SnapshotPath, 0o700); err != nil {
+	if err := os.Mkdir(g.snapshotPath, 0o700); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.SaveToDisk(); err == nil {
@@ -60,7 +60,7 @@ func TestSaveToDiskFailureLeavesNoTempFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 1 || ents[0].Name() != filepath.Base(g.cfg.SnapshotPath) {
+	if len(ents) != 1 || ents[0].Name() != filepath.Base(g.snapshotPath) {
 		t.Fatalf("directory holds %v, want only the snapshot path", ents)
 	}
 }
@@ -76,7 +76,7 @@ func TestV1SnapshotRefused(t *testing.T) {
 	dir := t.TempDir()
 	g := snapGateway(t, dir)
 	defer g.Close()
-	if err := os.WriteFile(g.cfg.SnapshotPath, raw, 0o600); err != nil {
+	if err := os.WriteFile(g.snapshotPath, raw, 0o600); err != nil {
 		t.Fatal(err)
 	}
 	_, err = g.RestoreFromDisk()

@@ -794,7 +794,7 @@ func TestInstallWithAggregationAllocator(t *testing.T) {
 			g.Detector().ObserveTuple(now, flow.Tuple{Src: legit, Dst: victim, Proto: flow.ProtoUDP, SrcPort: 4000, DstPort: 80}, 1000)
 			fresh := flow.PairLabel(flow.MakeAddr(30, 0, 0, 1), victim)
 			g.mu.Lock()
-			err = g.installVictimFilter(fresh, now, exp)
+			err = g.agg.Install(fresh, now, exp)
 			g.mu.Unlock()
 			if err != nil {
 				t.Fatalf("allocator did not free a slot: %v", err)
@@ -865,11 +865,11 @@ func aggregatedGateway(t *testing.T, victim flow.Addr, exp sim.Time, snapshotPat
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, l := range append(append([]flow.Label{}, siblings...), others...) {
-		if err := g.installVictimFilter(l, now, exp); err != nil {
+		if err := g.agg.Install(l, now, exp); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := g.installVictimFilter(flow.PairLabel(flow.MakeAddr(40, 0, 0, 1), victim), now, exp); err != nil {
+	if err := g.agg.Install(flow.PairLabel(flow.MakeAddr(40, 0, 0, 1), victim), now, exp); err != nil {
 		t.Fatalf("allocator did not free a slot: %v", err)
 	}
 	if st := g.statsLocked(); st.Aggregations != 1 {
@@ -960,7 +960,7 @@ func TestWireCoveredInstallRefreshesAggregate(t *testing.T) {
 	now := wallNow()
 	later := exp + 5*time.Second
 	fourth := flow.PairLabel(flow.MakeAddr(20, 0, 0, 4), victim)
-	if err := g.installVictimFilter(fourth, now, later); err != nil {
+	if err := g.agg.Install(fourth, now, later); err != nil {
 		t.Fatal(err)
 	}
 	if n := g.dp.Len(); n != before {
