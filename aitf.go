@@ -40,17 +40,18 @@ package aitf
 
 import (
 	"aitf/internal/alloc"
-	"aitf/internal/cluster"
 	"aitf/internal/contract"
 	"aitf/internal/core"
-	"aitf/internal/ctrl"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
-	"aitf/internal/topology"
 )
 
-// Re-exported substrate types, so library users need only this package.
+// Re-exported substrate types that the module's programs name. The
+// module path "aitf" has no dot, so no other module can require this
+// package without a replace directive: the programs in cmd/, examples/,
+// benchmark/ and internal/ are its only users, and a re-export none of
+// them names is not kept.
 type (
 	// Addr is a 32-bit network address (dotted-quad formatted).
 	Addr = flow.Addr
@@ -73,20 +74,9 @@ type (
 	Log = obs.Log
 	// ShadowMode selects on-off reappearance handling at gateways.
 	ShadowMode = core.ShadowMode
-	// Params tunes link delays/bandwidths of the standard topologies.
-	Params = topology.Params
 	// AllocationPolicy configures the collateral-aware filter
 	// allocator (internal/alloc) on gateways.
 	AllocationPolicy = alloc.Policy
-	// ControlConfig tunes the reliable control plane (bounded
-	// retransmission with backoff, internal/ctrl) on gateways.
-	ControlConfig = ctrl.Config
-	// ClusterConfig runs gateways as clusters of sketch-merging
-	// logical replicas with a replicated filter log (internal/cluster).
-	ClusterConfig = cluster.Config
-	// GatewaySnapshot is a gateway's serialized durable state, the
-	// crash/restore currency of CrashGateway/RestoreGateway.
-	GatewaySnapshot = core.GatewaySnapshot
 )
 
 // Shadow-mode values (see core.ShadowMode).
@@ -127,9 +117,6 @@ const (
 	EvClusterMerge        = obs.EvClusterMerge
 	EvReplicaKilled       = obs.EvReplicaKilled
 )
-
-// MakeAddr assembles an address from four octets.
-func MakeAddr(a, b, c, d byte) Addr { return flow.MakeAddr(a, b, c, d) }
 
 // PairLabel is the canonical AITF flow label: all traffic from src to
 // dst.

@@ -5,8 +5,10 @@ import (
 	"time"
 
 	"aitf/internal/attack"
+	"aitf/internal/flow"
 	"aitf/internal/packet"
 	"aitf/internal/sim"
+	"aitf/internal/topology"
 )
 
 // attackRate saturates the default 10 Mbit/s tail circuit.
@@ -368,22 +370,35 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestIngressFilteringDropsSpoofs: with §III-A ingress filtering on,
-// spoofed packets die at the attacker's own gateway.
+// TestIngressFilteringDropsSpoofs: with §III-A ingress filtering on
+// the attacker's gateway (GatewaySpec.IngressHosts), spoofed packets
+// die there.
 func TestIngressFilteringDropsSpoofs(t *testing.T) {
 	opt := DefaultOptions()
-	opt.IngressFiltering = true
-	dep := DeployManyToOne(ManyToOneOptions{Options: opt, Attackers: 1, Legit: 0})
-	fl := dep.Flood(dep.Attackers[0], dep.Victim, 100_000)
-	fl.SpoofSrc = MakeAddr(99, 0, 0, 1)
+	topo, ids := topology.ManyToOne(1, 0, opt.Params)
+	attacker, attackGW := ids.Attackers[0], ids.AttackGWs[0]
+	dep := DeployTopology(opt, TopologySpec{
+		Topo: topo,
+		Gateways: []GatewaySpec{
+			{Node: ids.VictimGW, Provider: NoProvider, Clients: []topology.NodeID{ids.Victim}},
+			{Node: attackGW, Provider: NoProvider, Clients: []topology.NodeID{attacker}, IngressHosts: []topology.NodeID{attacker}},
+		},
+		Hosts: []HostSpec{
+			{Node: ids.Victim, Gateway: ids.VictimGW, Victim: true},
+			{Node: attacker, Gateway: attackGW, NonCompliant: true},
+		},
+	})
+	victim := dep.Host(ids.Victim)
+	fl := dep.Flood(dep.Host(attacker), victim, 100_000)
+	fl.SpoofSrc = flow.MakeAddr(99, 0, 0, 1)
 	fl.SpoofPerPacket = 50
 	fl.Launch()
 	dep.Run(3 * time.Second)
 
-	if dep.Victim.Meter.Bytes != 0 {
+	if victim.Meter.Bytes != 0 {
 		t.Fatal("spoofed traffic reached the victim despite ingress filtering")
 	}
-	if dep.AttackGWs[0].Stats().SpoofDrops == 0 {
+	if dep.Gateway(attackGW).Stats().SpoofDrops == 0 {
 		t.Fatal("attacker gateway recorded no spoof drops")
 	}
 }

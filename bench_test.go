@@ -19,7 +19,6 @@ import (
 	"aitf/internal/attack"
 	"aitf/internal/core"
 	"aitf/internal/experiments"
-	"aitf/internal/filter"
 	"aitf/internal/sim"
 )
 
@@ -255,42 +254,6 @@ func BenchmarkTtmpSweep(b *testing.B) {
 				escalations = dep.Log.Count(aitf.EvEscalated)
 			}
 			b.ReportMetric(float64(escalations), "escalations")
-		})
-	}
-}
-
-// BenchmarkEvictionPolicy ablates the filter table's full-table policy
-// (EXPERIMENTS.md ablation 4) under table pressure.
-func BenchmarkEvictionPolicy(b *testing.B) {
-	for _, evict := range []bool{false, true} {
-		name := "reject-new"
-		if evict {
-			name = "evict-soonest"
-		}
-		b.Run(name, func(b *testing.B) {
-			var rejected uint64
-			for i := 0; i < b.N; i++ {
-				opt := aitf.DefaultOptions()
-				opt.FilterCapacity = 4 // pressure: fewer filters than flows
-				if evict {
-					opt.Evict = filter.EvictSoonest
-				}
-				dep := aitf.DeployManyToOne(aitf.ManyToOneOptions{
-					Options:            opt,
-					Attackers:          12,
-					AttackersCompliant: true,
-				})
-				army := &attack.Army{
-					Zombies:       dep.Attackers,
-					Dst:           dep.Victim.Node().Addr(),
-					RatePerZombie: 100_000,
-					PacketSize:    1000,
-				}
-				army.Launch()
-				dep.Run(3 * time.Second)
-				rejected = dep.VictimGW.Filters().Stats().Rejected
-			}
-			b.ReportMetric(float64(rejected), "rejected")
 		})
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"aitf/internal/core"
 	"aitf/internal/ctrl"
 	"aitf/internal/detect"
-	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/netsim"
 	"aitf/internal/sim"
@@ -35,21 +34,14 @@ type Options struct {
 	PeerContract Contract
 	// FilterCapacity bounds every gateway's filter table; 0 derives it by
 	// the paper's rule, contract.GatewayCapacity: nv(client) + na(peer) +
-	// na(client), 6,120 filters at the defaults.
+	// na(client), 6,120 filters at the defaults. The shadow cache is
+	// always derived, mv(client) = R1·T: 6,000 shadows at the defaults.
 	FilterCapacity int
-	// ShadowCapacity bounds every gateway's shadow cache; 0 derives
-	// mv(client) = R1·T by the same rule, 6,000 shadows at the defaults.
-	ShadowCapacity int
-	// Evict selects the filter tables' full-table policy.
-	Evict filter.EvictPolicy
 	// HandshakeTimeout bounds the 3-way handshake; 0 means a second.
 	HandshakeTimeout time.Duration
 	// Detector builds the classifier installed on each victim host;
 	// nil victims never complain. Called once per host.
 	Detector func() core.Detector
-	// IngressFiltering enables spoofed-source dropping at gateways for
-	// directly attached hosts (§III-A).
-	IngressFiltering bool
 	// ReRequestGap bounds how often a victim re-reports a reappearing
 	// flow; 0 keeps the host default.
 	ReRequestGap time.Duration
@@ -111,9 +103,8 @@ func DefaultOptions() Options {
 func (o Options) gatewayConfig() core.GatewayConfig {
 	cfg := border.DefaultConfig()
 	cfg.Timers = o.Timers
-	cfg.FilterCapacity, cfg.ShadowCapacity = contract.GatewayCapacity(o.FilterCapacity, o.ShadowCapacity,
+	cfg.FilterCapacity, cfg.ShadowCapacity = contract.GatewayCapacity(o.FilterCapacity, 0,
 		o.ClientContract, o.PeerContract, o.Timers)
-	cfg.Evict = o.Evict
 	cfg.ShadowMode = o.ShadowMode
 	cfg.HandshakeTimeout = o.HandshakeTimeout
 	cfg.Default = o.PeerContract

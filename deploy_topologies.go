@@ -52,9 +52,6 @@ func DeployChain(opt ChainOptions) *ChainDeployment {
 			gs := GatewaySpec{Node: gws[i], Provider: NoProvider}
 			if i == 0 {
 				gs.Clients = []topology.NodeID{host}
-				if opt.IngressFiltering {
-					gs.IngressHosts = []topology.NodeID{host}
-				}
 				if opt.GatewayDefendsVictim && host == ids.Victim {
 					gs.DetectFor = []topology.NodeID{host}
 				}
@@ -142,9 +139,6 @@ func DeployManyToOne(opt ManyToOneOptions) *ManyToOneDeployment {
 	spec := TopologySpec{Topo: topo, Gateways: make([]GatewaySpec, 0, sites), Hosts: make([]HostSpec, 0, sites)}
 	site := func(host, gw topology.NodeID, nonCompliant, victim bool) {
 		gs := GatewaySpec{Node: gw, Provider: NoProvider, Clients: []topology.NodeID{host}}
-		if opt.IngressFiltering && gw != ids.VictimGW {
-			gs.IngressHosts = []topology.NodeID{host}
-		}
 		if victim && opt.GatewayDefendsVictim {
 			gs.DetectFor = []topology.NodeID{host}
 		}
@@ -192,9 +186,6 @@ type SharedGatewayDeployment struct {
 	AttackGW  *Gateway
 	Attackers []*Host
 }
-
-// Victim returns the first victim host.
-func (s *SharedGatewayDeployment) Victim() *Host { return s.Victims[0] }
 
 // SharedGatewayOptions extends Options for the shared-gateway topology.
 type SharedGatewayOptions struct {

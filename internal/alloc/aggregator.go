@@ -322,7 +322,7 @@ func (a *Aggregator) refine(k flow.Label, agg *Aggregate, live []filter.Entry, n
 	// The replacement set may occupy this aggregate's slot plus the
 	// spare room: len(live) − freed ≤ 1 + room.
 	requiredFreed := max(len(live)-1-room, 1)
-	plan := Choose(live, requiredFreed, a.config(Policy{PrefixLens: lens, MinChildren: a.policy.MinChildren}))
+	plan := Choose(live, requiredFreed, a.config(Policy{PrefixLens: lens}))
 	if plan.Freed < requiredFreed || len(plan.Picks) == 0 {
 		return false
 	}

@@ -36,7 +36,6 @@ func newAggHarness(capacity int, policy *Policy) *aggHarness {
 	h := &aggHarness{}
 	h.dp = dataplane.New(dataplane.Config{
 		FilterCapacity: capacity,
-		Evict:          filter.RejectNew,
 		Clock:          dataplane.ClockFunc(func() filter.Time { return h.now }),
 	})
 	plane := cluster.NewPlane(detect.Config{}, nil, cluster.Config{}, nil)

@@ -36,9 +36,6 @@ type Policy struct {
 	// for every destination under pressure. Empty means
 	// DefaultPrefixLens. Values outside [1, 31] are ignored.
 	PrefixLens []uint8
-	// MinChildren is the minimum sibling count that justifies an
-	// aggregate (below 2 is raised to 2, as in filter.SiblingGroups).
-	MinChildren int
 }
 
 // Lens returns the policy's candidate lengths, normalised: defaults
@@ -183,7 +180,7 @@ func Choose(entries []filter.Entry, need int, cfg Config) Plan {
 	}
 	var cands []Candidate
 	for _, bits := range cfg.Lens() {
-		for _, g := range filter.SiblingGroups(entries, bits, cfg.MinChildren) {
+		for _, g := range filter.SiblingGroups(entries, bits) {
 			cands = append(cands, Assess(g, cfg))
 		}
 	}
@@ -226,11 +223,7 @@ func Choose(entries []filter.Entry, need int, cfg Config) Plan {
 			if c.Aggregate.Covers(pick.Aggregate) {
 				kept = append(kept, filter.Entry{Label: pick.Aggregate, ExpiresAt: pick.MaxExpiry})
 			}
-			min := cfg.MinChildren
-			if min < 2 {
-				min = 2
-			}
-			if len(kept) < min {
+			if len(kept) < 2 {
 				continue
 			}
 			if len(kept) != len(c.Children) {

@@ -96,7 +96,7 @@ func TestChooseAvoidsMeasuredLegitSender(t *testing.T) {
 
 	// The same entries under the fixed /24 grouping price the legit
 	// sender's bytes as collateral — Assess makes that visible.
-	g24 := filter.SiblingGroups(entries, 24, 2)[0]
+	g24 := filter.SiblingGroups(entries, 24)[0]
 	c24 := Assess(g24, cfg)
 	if !c24.Measured || c24.LegitBytes != 500_000 {
 		t.Fatalf("/24 assessment %+v, want 500000 measured collateral bytes", c24)
@@ -286,7 +286,7 @@ func TestChooseCoveredAddrsSaturates(t *testing.T) {
 // a fixed /N fallback just a one-rung Policy: with no traffic view
 // every candidate at one length prices alike, so over random tables
 // Choose(entries, 1, ·) must pick exactly filter.SiblingGroups(entries,
-// p, m)[0] — the same aggregate, the same children in the same order,
+// p)[0] — the same aggregate, the same children in the same order,
 // the same deadline — and nothing when there is no group.
 func TestOneRungChooseIsLargestSiblingGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -311,28 +311,27 @@ func TestOneRungChooseIsLargestSiblingGroup(t *testing.T) {
 			entries = append(entries, filter.Entry{Label: l, ExpiresAt: exp})
 		}
 		p := uint8(1 + rng.Intn(31))
-		m := rng.Intn(5)
-		groups := filter.SiblingGroups(entries, p, m)
-		plan := Choose(entries, 1, Config{Policy: Policy{PrefixLens: []uint8{p}, MinChildren: m}})
+		groups := filter.SiblingGroups(entries, p)
+		plan := Choose(entries, 1, Config{Policy: Policy{PrefixLens: []uint8{p}}})
 		if len(groups) == 0 {
 			if len(plan.Picks) != 0 {
-				t.Fatalf("iter %d (/%d, min %d): no sibling group, but Choose picked %+v", iter, p, m, plan.Picks)
+				t.Fatalf("iter %d (/%d): no sibling group, but Choose picked %+v", iter, p, plan.Picks)
 			}
 			continue
 		}
 		grouped++
 		if len(plan.Picks) != 1 {
-			t.Fatalf("iter %d (/%d, min %d): %d picks, want 1", iter, p, m, len(plan.Picks))
+			t.Fatalf("iter %d (/%d): %d picks, want 1", iter, p, len(plan.Picks))
 		}
 		got, want := plan.Picks[0].SiblingGroup, groups[0]
 		if got.Aggregate != want.Aggregate || got.MaxExpiry != want.MaxExpiry || len(got.Children) != len(want.Children) {
-			t.Fatalf("iter %d (/%d, min %d): picked %v (%d children, until %v), want %v (%d children, until %v)",
-				iter, p, m, got.Aggregate, len(got.Children), got.MaxExpiry,
+			t.Fatalf("iter %d (/%d): picked %v (%d children, until %v), want %v (%d children, until %v)",
+				iter, p, got.Aggregate, len(got.Children), got.MaxExpiry,
 				want.Aggregate, len(want.Children), want.MaxExpiry)
 		}
 		for i := range want.Children {
 			if got.Children[i] != want.Children[i] {
-				t.Fatalf("iter %d (/%d, min %d): child %d is %+v, want %+v", iter, p, m, i, got.Children[i], want.Children[i])
+				t.Fatalf("iter %d (/%d): child %d is %+v, want %+v", iter, p, i, got.Children[i], want.Children[i])
 			}
 		}
 	}

@@ -6,4 +6,10 @@ import "surface/internal/lib"
 func main() {
 	var n lib.Namer = lib.Used()
 	println(n.Name())
+
+	c := &lib.Config{Set: 1}
+	c.Copied = c.Unwritten
+	c.Unwritten = c.Unwritten
+	c.Count.Add(1)
+	println(c.Sum())
 }

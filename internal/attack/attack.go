@@ -147,9 +147,8 @@ type Army struct {
 	// RatePerZombie is each zombie's attack bandwidth (bytes/s).
 	RatePerZombie float64
 	PacketSize    int
-	Start         sim.Time
 	// Stagger spaces the zombies' start times evenly over the given
-	// window, modelling a worm-driven ramp-up.
+	// window from time 0, modelling a worm-driven ramp-up.
 	Stagger sim.Time
 
 	Floods []*Flood
@@ -158,9 +157,9 @@ type Army struct {
 // Launch schedules every zombie's flood.
 func (a *Army) Launch() {
 	for i, z := range a.Zombies {
-		start := a.Start
+		var start sim.Time
 		if a.Stagger > 0 && len(a.Zombies) > 1 {
-			start += a.Stagger * sim.Time(i) / sim.Time(len(a.Zombies))
+			start = a.Stagger * sim.Time(i) / sim.Time(len(a.Zombies))
 		}
 		fl := &Flood{
 			From: z, Dst: a.Dst, Rate: a.RatePerZombie,

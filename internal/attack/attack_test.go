@@ -191,18 +191,6 @@ func TestRateDetectorIgnoresSlowFlow(t *testing.T) {
 	}
 }
 
-func TestRateDetectorWhitelist(t *testing.T) {
-	d := NewRateDetector(1, time.Second) // flag basically anything
-	src := flow.MakeAddr(9, 9, 9, 9)
-	d.Whitelist[src] = true
-	p := packet.NewData(src, flow.MakeAddr(1, 1, 1, 1), flow.ProtoUDP, 1, 2, 60000)
-	for i := 0; i < 10; i++ {
-		if _, bad := d.Observe(time.Duration(i)*time.Millisecond, p); bad {
-			t.Fatal("whitelisted source flagged")
-		}
-	}
-}
-
 func TestRateDetectorFlagsOncePerEpisode(t *testing.T) {
 	d := NewRateDetector(1000, 100*time.Millisecond)
 	src := flow.MakeAddr(9, 9, 9, 9)
@@ -240,9 +228,10 @@ func TestDelayDetectorTiming(t *testing.T) {
 	}
 }
 
-func TestDelayDetectorQuietReset(t *testing.T) {
+// TestDelayDetectorRearmsAfterSilence: a source that goes quiet for
+// the 2 s reset is flagged again Td after it resumes.
+func TestDelayDetectorRearmsAfterSilence(t *testing.T) {
 	d := NewDelayDetector(50 * time.Millisecond)
-	d.QuietReset = time.Second
 	src := flow.MakeAddr(9, 9, 9, 9)
 	p := packet.NewData(src, flow.MakeAddr(1, 1, 1, 1), flow.ProtoUDP, 1, 2, 1000)
 	d.Observe(0, p)
@@ -253,20 +242,6 @@ func TestDelayDetectorQuietReset(t *testing.T) {
 	}
 	if _, bad := d.Observe(2150*time.Millisecond, p); !bad {
 		t.Fatal("not re-flagged Td after resume")
-	}
-}
-
-func TestDelayDetectorOneShotWhenDisabled(t *testing.T) {
-	d := NewDelayDetector(10 * time.Millisecond)
-	d.QuietReset = 0
-	src := flow.MakeAddr(9, 9, 9, 9)
-	p := packet.NewData(src, flow.MakeAddr(1, 1, 1, 1), flow.ProtoUDP, 1, 2, 1000)
-	d.Observe(0, p)
-	if _, bad := d.Observe(10*time.Millisecond, p); !bad {
-		t.Fatal("never flagged")
-	}
-	if _, bad := d.Observe(time.Hour, p); bad {
-		t.Fatal("re-flagged with QuietReset disabled")
 	}
 }
 

@@ -27,9 +27,6 @@ type RateDetector struct {
 	Threshold float64
 	// Window is the measurement window.
 	Window sim.Time
-	// Whitelist sources are never flagged (the victim's known-good
-	// peers), regardless of rate.
-	Whitelist map[flow.Addr]bool
 
 	flows map[flow.Addr]*rateState
 }
@@ -45,7 +42,6 @@ func NewRateDetector(thresholdBps float64, window sim.Time) *RateDetector {
 	return &RateDetector{
 		Threshold: thresholdBps,
 		Window:    window,
-		Whitelist: make(map[flow.Addr]bool),
 		flows:     make(map[flow.Addr]*rateState),
 	}
 }
@@ -56,9 +52,6 @@ func NewRateDetector(thresholdBps float64, window sim.Time) *RateDetector {
 // full window (so re-detections of on-off flows also work when the
 // victim's wanted-set has expired).
 func (d *RateDetector) Observe(now sim.Time, p *packet.Packet) (flow.Label, bool) {
-	if d.Whitelist[p.Src] {
-		return flow.Label{}, false
-	}
 	st := d.flows[p.Src]
 	if st == nil {
 		st = &rateState{windowStart: now}
@@ -83,19 +76,14 @@ func (d *RateDetector) Observe(now sim.Time, p *packet.Packet) (flow.Label, bool
 	return flow.Label{}, false
 }
 
-// DelayDetector flags every non-whitelisted source exactly Td after its
-// first packet arrives — the deterministic "detection takes Td" model
-// used to validate the §IV-A.1 formula, where Td is a parameter. A
-// source that goes quiet for QuietReset re-arms and will be flagged
-// again Td after it resumes.
+// DelayDetector flags every source exactly Td after its first packet
+// arrives — the deterministic "detection takes Td" model used to
+// validate the §IV-A.1 formula, where Td is a parameter. A source that
+// goes quiet for rearmAfter re-arms and will be flagged again Td
+// after it resumes.
 type DelayDetector struct {
 	// Td is the detection delay.
 	Td sim.Time
-	// QuietReset re-arms the detector for a source after this much
-	// silence; 0 disables re-arming (one-shot).
-	QuietReset sim.Time
-	// Whitelist sources are never flagged.
-	Whitelist map[flow.Addr]bool
 
 	flows map[flow.Addr]*delayState
 }
@@ -106,28 +94,26 @@ type delayState struct {
 	done  bool
 }
 
-// NewDelayDetector builds a detector with a fixed detection delay and a
-// 2-second quiet reset.
+// rearmAfter is the silence after which a DelayDetector re-arms
+// for a source.
+const rearmAfter = 2 * time.Second
+
+// NewDelayDetector builds a detector with a fixed detection delay.
 func NewDelayDetector(td sim.Time) *DelayDetector {
 	return &DelayDetector{
-		Td:         td,
-		QuietReset: 2 * time.Second,
-		Whitelist:  make(map[flow.Addr]bool),
-		flows:      make(map[flow.Addr]*delayState),
+		Td:    td,
+		flows: make(map[flow.Addr]*delayState),
 	}
 }
 
 // Observe implements core.Detector.
 func (d *DelayDetector) Observe(now sim.Time, p *packet.Packet) (flow.Label, bool) {
-	if d.Whitelist[p.Src] {
-		return flow.Label{}, false
-	}
 	st := d.flows[p.Src]
 	if st == nil {
 		st = &delayState{first: now, last: now}
 		d.flows[p.Src] = st
 	}
-	if d.QuietReset > 0 && now-st.last >= d.QuietReset {
+	if now-st.last >= rearmAfter {
 		st.first = now
 		st.done = false
 	}

@@ -88,8 +88,6 @@ type Config struct {
 	FilterCapacity int
 	// ShadowCapacity bounds the DRAM request log.
 	ShadowCapacity int
-	// Evict selects the filter table's full-table policy.
-	Evict filter.EvictPolicy
 	// ShadowMode selects on-off reappearance handling.
 	ShadowMode ShadowMode
 	// Cooperative is false for a gateway that ignores filtering
@@ -192,7 +190,6 @@ type Detection struct {
 func DefaultConfig() Config {
 	cfg := Config{
 		Timers:      contract.DefaultTimers(),
-		Evict:       filter.RejectNew,
 		ShadowMode:  VictimDriven,
 		Cooperative: true,
 		Default:     contract.DefaultPeer(),
@@ -421,7 +418,6 @@ func Build(cfg *Config, clk ctrl.Clock, jitter func() float64, send func(*packet
 		Shards:         cfg.DataplaneShards,
 		FilterCapacity: cfg.FilterCapacity,
 		ShadowCapacity: cfg.ShadowCapacity,
-		Evict:          cfg.Evict,
 		ShadowLookup:   cfg.ShadowMode != ShadowOff,
 		Clock:          clk,
 	})

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"aitf"
+	"aitf/internal/ctrl"
 	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/netsim"
@@ -20,7 +21,7 @@ import (
 // shape: four attempts at RTO 120 ms, ±25% jitter.
 func reliableOpts() aitf.Options {
 	opt := aitf.DefaultOptions()
-	opt.Control = aitf.ControlConfig{MaxAttempts: 4, RTO: 120 * time.Millisecond, Jitter: 0.25}
+	opt.Control = ctrl.Config{MaxAttempts: 4, RTO: 120 * time.Millisecond, Jitter: 0.25}
 	return opt
 }
 

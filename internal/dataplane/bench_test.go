@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"aitf/internal/filter"
 	"aitf/internal/flow"
 	"aitf/internal/obs"
 )
@@ -212,7 +211,7 @@ func BenchmarkDataplaneInstallChurn(b *testing.B) {
 func BenchmarkDataplaneInstall(b *testing.B) {
 	labels := fwdAttackLabels()
 	fresh := func() *Engine {
-		return New(Config{Shards: 2, FilterCapacity: len(labels), Evict: filter.RejectNew, Clock: steadyClock{}})
+		return New(Config{Shards: 2, FilterCapacity: len(labels), Clock: steadyClock{}})
 	}
 	e := fresh()
 	b.ReportAllocs()

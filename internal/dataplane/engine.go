@@ -69,7 +69,9 @@ type Config struct {
 	FilterCapacity int
 	// ShadowCapacity bounds the DRAM shadow cache, likewise global.
 	ShadowCapacity int
-	// Evict selects what Install does when the filter bank is full.
+	// Evict is what Install does when the filter bank is full. It is
+	// always filter.RejectNew, the policy's one value; the field stays
+	// because the benchmark harness names it.
 	Evict filter.EvictPolicy
 	// ShadowLookup makes classification consult the shadow segment on
 	// filter misses, reporting "on-off" flow reappearances (§II-B).
@@ -133,8 +135,8 @@ func New(cfg Config) *Engine {
 	cfg.FilterCapacity = max(cfg.FilterCapacity, 0)
 	cfg.ShadowCapacity = max(cfg.ShadowCapacity, 0)
 	e := &Engine{cfg: cfg, clock: cfg.Clock}
-	e.filters.init(n, cfg.FilterCapacity, cfg.Evict != filter.RejectNew && cfg.FilterCapacity > 0, false)
-	e.shadows.init(n, cfg.ShadowCapacity, false, true)
+	e.filters.init(n, cfg.FilterCapacity, false)
+	e.shadows.init(n, cfg.ShadowCapacity, true)
 	return e
 }
 
@@ -240,9 +242,9 @@ func atomicMax(a *atomic.Int64, v int64) {
 // expiry (and keeping counters) when the label is already present: a
 // refresh never shortens a deadline, consumes no capacity and always
 // succeeds. A new label first reclaims entries already dead at now;
-// if the global budget is still spent, RejectNew returns
-// filter.ErrTableFull and EvictSoonest displaces the engine-wide entry
-// nearest to expiry. A zero-capacity engine rejects under either policy.
+// if the global budget is still spent, Install returns
+// filter.ErrTableFull and the table keeps every entry it holds. A
+// zero-capacity engine rejects every new label.
 func (e *Engine) Install(label flow.Label, now, exp filter.Time) error {
 	return e.full(e.filters.insert(filter.Entry{Label: label, InstalledAt: now, ExpiresAt: exp}, true))
 }
@@ -349,7 +351,6 @@ func (e *Engine) FilterStats() filter.Stats {
 	return filter.Stats{
 		Installed:     e.filters.added.Load(),
 		Rejected:      e.filters.rejected.Load(),
-		Evicted:       e.filters.evicted.Load(),
 		Expired:       e.filters.expired.Load(),
 		Removed:       e.removed.Load(),
 		Aggregates:    e.aggregates.Load(),

@@ -20,14 +20,13 @@ type testClock struct{ now atomic.Int64 }
 func (c *testClock) Now() filter.Time        { return filter.Time(c.now.Load()) }
 func (c *testClock) advance(d time.Duration) { c.now.Add(int64(d)) }
 func (c *testClock) set(t filter.Time)       { c.now.Store(int64(t)) }
-func newEngine(t *testing.T, shards, fcap, scap int, evict filter.EvictPolicy) (*Engine, *testClock) {
+func newEngine(t *testing.T, shards, fcap, scap int) (*Engine, *testClock) {
 	t.Helper()
 	ck := &testClock{}
 	e := New(Config{
 		Shards:         shards,
 		FilterCapacity: fcap,
 		ShadowCapacity: scap,
-		Evict:          evict,
 		ShadowLookup:   true,
 		Clock:          ck,
 	})
@@ -44,7 +43,7 @@ func TestShardRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {8, 8}, {9, 16},
 	} {
-		e, _ := newEngine(t, tc.in, 16, 16, filter.RejectNew)
+		e, _ := newEngine(t, tc.in, 16, 16)
 		if got := len(e.filters.shards); got != tc.want {
 			t.Errorf("Shards(%d) = %d, want %d", tc.in, got, tc.want)
 		}
@@ -52,7 +51,7 @@ func TestShardRounding(t *testing.T) {
 }
 
 func TestClassifyPairAndExact(t *testing.T) {
-	e, ck := newEngine(t, 4, 64, 64, filter.RejectNew)
+	e, ck := newEngine(t, 4, 64, 64)
 	src, dst := addr(1), addr(2)
 
 	// Pair label covers all protocols/ports between the pair.
@@ -96,7 +95,7 @@ func TestClassifyPairAndExact(t *testing.T) {
 func TestScanLabelSameShardAsPair(t *testing.T) {
 	// A label with concrete src/dst but a non-pair wildcard shape must
 	// land in the same shard the tuple's lookup consults.
-	e, _ := newEngine(t, 8, 64, 64, filter.RejectNew)
+	e, _ := newEngine(t, 8, 64, 64)
 	src, dst := addr(7), addr(8)
 	l := flow.Label{Src: src, Dst: dst, Proto: flow.ProtoUDP,
 		Wildcards: flow.WildSrcPort | flow.WildDstPort}
@@ -112,7 +111,7 @@ func TestScanLabelSameShardAsPair(t *testing.T) {
 }
 
 func TestWildSegment(t *testing.T) {
-	e, _ := newEngine(t, 8, 64, 64, filter.RejectNew)
+	e, _ := newEngine(t, 8, 64, 64)
 	// Block everything from one source, any destination.
 	if err := e.Install(fromSource(addr(9)), 0, time.Minute); err != nil {
 		t.Fatal(err)
@@ -137,7 +136,7 @@ func TestWildSegment(t *testing.T) {
 }
 
 func TestShadowHitSemantics(t *testing.T) {
-	e, ck := newEngine(t, 4, 64, 64, filter.RejectNew)
+	e, ck := newEngine(t, 4, 64, 64)
 	src, dst, victim := addr(1), addr(2), addr(2)
 	label := flow.PairLabel(src, dst)
 	if !e.LogShadow(label, victim, 0, time.Minute) {
@@ -177,7 +176,7 @@ func TestShadowHitSemantics(t *testing.T) {
 func TestShardInvariance(t *testing.T) {
 	const flows = 256
 	mk := func(shards int) []Verdict {
-		e, ck := newEngine(t, shards, flows*2, flows*2, filter.RejectNew)
+		e, ck := newEngine(t, shards, flows*2, flows*2)
 		for i := 0; i < flows; i += 2 { // block every even pair
 			if err := e.Install(flow.PairLabel(addr(i), addr(i+1000)), 0, time.Minute); err != nil {
 				t.Fatal(err)
@@ -215,7 +214,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 	build := func(shadowLookup bool) *Engine {
 		ck := &testClock{}
 		e := New(Config{Shards: 4, FilterCapacity: 1024, ShadowCapacity: 1024,
-			Evict: filter.RejectNew, ShadowLookup: shadowLookup, Clock: ck})
+			ShadowLookup: shadowLookup, Clock: ck})
 		for i := 0; i < 64; i += 2 {
 			e.Install(flow.PairLabel(addr(i), addr(i+500)), 0, time.Minute)
 		}
@@ -283,7 +282,7 @@ func TestCapacityAccounting(t *testing.T) {
 	const capacity = 32
 	for _, shards := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			e, _ := newEngine(t, shards, capacity, capacity, filter.RejectNew)
+			e, _ := newEngine(t, shards, capacity, capacity)
 			accepted := 0
 			for i := 0; i < capacity*2; i++ {
 				if err := e.Install(flow.PairLabel(addr(i), addr(i+500)), 0, time.Minute); err == nil {
@@ -315,33 +314,8 @@ func TestCapacityAccounting(t *testing.T) {
 	}
 }
 
-func TestEvictSoonest(t *testing.T) {
-	e, _ := newEngine(t, 4, 4, 4, filter.EvictSoonest)
-	// Fill with staggered expiries; entry 0 expires soonest.
-	for i := 0; i < 4; i++ {
-		if err := e.Install(flow.PairLabel(addr(i), addr(i+500)), 0, time.Duration(i+1)*time.Minute); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Install(flow.PairLabel(addr(9), addr(509)), 0, time.Hour); err != nil {
-		t.Fatalf("evicting install failed: %v", err)
-	}
-	if e.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", e.Len())
-	}
-	if v := e.ClassifyTuple(flow.TupleOf(addr(0), addr(500), flow.ProtoUDP, 1, 2), 1); v.Drop {
-		t.Fatal("soonest-expiring entry was not the one evicted")
-	}
-	if v := e.ClassifyTuple(flow.TupleOf(addr(9), addr(509), flow.ProtoUDP, 1, 2), 1); !v.Drop {
-		t.Fatal("new entry missing after eviction")
-	}
-	if st := e.FilterStats(); st.Evicted != 1 {
-		t.Fatalf("Evicted = %d, want 1", st.Evicted)
-	}
-}
-
 func TestExpireAndViews(t *testing.T) {
-	e, ck := newEngine(t, 2, 16, 16, filter.RejectNew)
+	e, ck := newEngine(t, 2, 16, 16)
 	e.Install(flow.PairLabel(addr(1), addr(2)), 0, time.Second)
 	e.Install(flow.PairLabel(addr(3), addr(4)), 0, time.Minute)
 	e.LogShadow(flow.PairLabel(addr(1), addr(2)), addr(2), 0, time.Second)
@@ -375,7 +349,7 @@ func TestExpireAndViews(t *testing.T) {
 // TestZeroViews: the zero views read as an empty table and log, the
 // zeros a fresh engine's views report.
 func TestZeroViews(t *testing.T) {
-	fresh, _ := newEngine(t, 1, 16, 16, filter.RejectNew)
+	fresh, _ := newEngine(t, 1, 16, 16)
 	views := []struct {
 		tv TableView
 		sv ShadowView
@@ -391,7 +365,7 @@ func TestZeroViews(t *testing.T) {
 // TestConcurrentInstallExpireClassify is the -race workout: installs,
 // removals, expiry, shadow logs, and classification all run at once.
 func TestConcurrentInstallExpireClassify(t *testing.T) {
-	e, ck := newEngine(t, 8, 512, 512, filter.RejectNew)
+	e, ck := newEngine(t, 8, 512, 512)
 	ck.set(time.Millisecond)
 	const flows = 128
 	var wg sync.WaitGroup
@@ -483,14 +457,14 @@ func TestConcurrentInstallExpireClassify(t *testing.T) {
 		t.Fatalf("Len %d != shard sum %d", e.Len(), sum)
 	}
 	st := e.FilterStats()
-	total := int64(st.Installed) - int64(st.Expired) - int64(st.Removed) - int64(st.Evicted)
+	total := int64(st.Installed) - int64(st.Expired) - int64(st.Removed)
 	if int64(e.Len()) != total {
 		t.Fatalf("Len %d inconsistent with stats %+v (want %d)", e.Len(), st, total)
 	}
 }
 
 func TestShadowCapacityRejects(t *testing.T) {
-	e, _ := newEngine(t, 2, 16, 4, filter.RejectNew)
+	e, _ := newEngine(t, 2, 16, 4)
 	ok := 0
 	for i := 0; i < 8; i++ {
 		if e.LogShadow(flow.PairLabel(addr(i), addr(i+500)), addr(i+500), 0, time.Minute) {

@@ -20,14 +20,23 @@ import (
 // non-exact matching done by scanning every entry against
 // flow.Label.Matches. The equivalence tests drive the indexed lock-free
 // engine and this scan-everything oracle with the same operation stream
-// and demand identical verdicts and conserved drop accounting — neither
-// the snapshot swap discipline nor the dst/prefix-directory match hierarchy
-// may lose, duplicate, or reorder a decision the naive design would
-// have made.
+// and demand identical verdicts, admissions and conserved drop
+// accounting — neither the snapshot swap discipline nor the
+// dst/prefix-directory match hierarchy nor the global budget may lose,
+// duplicate, or reorder a decision the naive design would have made.
 type lockedOracle struct {
 	mu      sync.RWMutex
-	filters map[flow.Label]*oracleEntry
-	shadows map[flow.Label]*oracleEntry
+	filters oracleTable
+	shadows oracleTable
+}
+
+// oracleTable is one bounded pool: a new label first reclaims every
+// entry dead at its write time, then is rejected while the pool is at
+// capacity.
+type oracleTable struct {
+	entries  map[flow.Label]*oracleEntry
+	capacity int
+	rejected uint64
 }
 
 type oracleEntry struct {
@@ -38,64 +47,69 @@ type oracleEntry struct {
 	reapp int
 }
 
-func newLockedOracle() *lockedOracle {
+func newLockedOracle(filters, shadows int) *lockedOracle {
 	return &lockedOracle{
-		filters: make(map[flow.Label]*oracleEntry),
-		shadows: make(map[flow.Label]*oracleEntry),
+		filters: oracleTable{entries: make(map[flow.Label]*oracleEntry), capacity: filters},
+		shadows: oracleTable{entries: make(map[flow.Label]*oracleEntry), capacity: shadows},
 	}
 }
 
-func (o *lockedOracle) install(label flow.Label, exp filter.Time) {
+// insert refreshes a present label's deadline (never shortening it) or
+// admits a new one within the budget, reporting whether the label is in
+// the pool afterwards.
+func (t *oracleTable) insert(label flow.Label, now, exp filter.Time) bool {
 	label = label.Key()
+	if e, ok := t.entries[label]; ok {
+		if exp > e.exp {
+			e.exp = exp
+		}
+		return true
+	}
+	t.expire(now)
+	if len(t.entries) >= t.capacity {
+		t.rejected++
+		return false
+	}
+	t.entries[label] = &oracleEntry{label: label, exp: exp}
+	return true
+}
+
+func (t *oracleTable) expire(now filter.Time) {
+	for l, e := range t.entries {
+		if e.exp <= now {
+			delete(t.entries, l)
+		}
+	}
+}
+
+func (o *lockedOracle) install(label flow.Label, now, exp filter.Time) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if fe, ok := o.filters[label]; ok {
-		if exp > fe.exp {
-			fe.exp = exp
-		}
-		return
-	}
-	o.filters[label] = &oracleEntry{label: label, exp: exp}
+	return o.filters.insert(label, now, exp)
 }
 
 func (o *lockedOracle) remove(label flow.Label) {
-	label = label.Key()
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	delete(o.filters, label)
+	delete(o.filters.entries, label.Key())
 }
 
-func (o *lockedOracle) logShadow(label flow.Label, exp filter.Time) {
-	label = label.Key()
+func (o *lockedOracle) logShadow(label flow.Label, now, exp filter.Time) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if se, ok := o.shadows[label]; ok {
-		if exp > se.exp {
-			se.exp = exp
-		}
-		return
-	}
-	o.shadows[label] = &oracleEntry{label: label, exp: exp}
+	return o.shadows.insert(label, now, exp)
 }
 
 func (o *lockedOracle) expire(now filter.Time) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for l, fe := range o.filters {
-		if fe.exp <= now {
-			delete(o.filters, l)
-		}
-	}
+	o.filters.expire(now)
 }
 
 func (o *lockedOracle) expireShadows(now filter.Time) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for l, se := range o.shadows {
-		if se.exp <= now {
-			delete(o.shadows, l)
-		}
-	}
+	o.shadows.expire(now)
 }
 
 // matchOracle is the naive reference matcher: keyed probes for the two
@@ -122,12 +136,12 @@ func (o *lockedOracle) classify(tup flow.Tuple, payload int, now filter.Time) (d
 	pair := flow.PairLabel(tup.Src, tup.Dst)
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	if fe := matchOracle(o.filters, exact, pair, tup, now); fe != nil {
+	if fe := matchOracle(o.filters.entries, exact, pair, tup, now); fe != nil {
 		fe.drops++
 		fe.bytes += uint64(payload)
 		return true, false
 	}
-	if se := matchOracle(o.shadows, exact, pair, tup, now); se != nil {
+	if se := matchOracle(o.shadows.entries, exact, pair, tup, now); se != nil {
 		se.reapp++
 		return false, true
 	}
@@ -137,11 +151,11 @@ func (o *lockedOracle) classify(tup flow.Tuple, payload int, now filter.Time) (d
 func (o *lockedOracle) totals() (drops, bytes, hits uint64) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	for _, fe := range o.filters {
+	for _, fe := range o.filters.entries {
 		drops += fe.drops
 		bytes += fe.bytes
 	}
-	for _, se := range o.shadows {
+	for _, se := range o.shadows.entries {
 		hits += uint64(se.reapp)
 	}
 	return
@@ -188,20 +202,35 @@ func randomTuple(rng *rand.Rand, universe int) flow.Tuple {
 // TestSnapshotMatchesLockedSequential drives the snapshot engine (at
 // several shard counts) and the locked oracle through an identical
 // randomized Install/Remove/LogShadow/Expire/advance stream and
-// asserts the verdict streams are identical packet by packet, and that
-// drop/byte/hit accounting agrees exactly at the end.
+// asserts the verdict streams are identical packet by packet, every
+// Install and LogShadow is admitted or rejected alike, and that
+// drop/byte/hit and rejection accounting agrees exactly at the end.
+// The stream never fills a 1<<20 budget; it keeps 8 filters and 8
+// shadows full, so there a new label's admission hangs on reclaiming
+// the entries already dead at its write time.
 func TestSnapshotMatchesLockedSequential(t *testing.T) {
 	const (
 		universe = 64
 		ops      = 20000
 		payload  = 100
 	)
+	type run struct {
+		name             string
+		shards, capacity int
+	}
+	var runs []run
 	for _, shards := range []int{1, 4, 8} {
+		runs = append(runs, run{fmt.Sprintf("shards=%d", shards), shards, 1 << 20})
+	}
+	for _, shards := range []int{1, 4} {
+		runs = append(runs, run{fmt.Sprintf("full/shards=%d", shards), shards, 8})
+	}
+	for _, r := range runs {
 		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/seed=%d", r.name, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				e, ck := newEngine(t, shards, 1<<20, 1<<20, filter.RejectNew)
-				o := newLockedOracle()
+				e, ck := newEngine(t, r.shards, r.capacity, r.capacity)
+				o := newLockedOracle(r.capacity, r.capacity)
 				var verdicts, oVerdicts uint64
 				for i := 0; i < ops; i++ {
 					now := ck.Now()
@@ -209,17 +238,16 @@ func TestSnapshotMatchesLockedSequential(t *testing.T) {
 					case 0:
 						l := randomLabel(rng, universe)
 						exp := now + filter.Time(rng.Intn(50)+1)*time.Millisecond
-						if err := e.Install(l, now, exp); err != nil {
-							t.Fatalf("install: %v", err)
+						err := e.Install(l, now, exp)
+						if ok := o.install(l, now, exp); ok != (err == nil) {
+							t.Fatalf("op %d: install %v: engine err %v, oracle admitted %v", i, l, err, ok)
 						}
-						o.install(l, exp)
 					case 1:
 						l := randomLabel(rng, universe)
 						exp := now + filter.Time(rng.Intn(200)+1)*time.Millisecond
-						if !e.LogShadow(l, l.Dst, now, exp) {
-							t.Fatal("logShadow rejected below capacity")
+						if ok, oOK := e.LogShadow(l, l.Dst, now, exp), o.logShadow(l, now, exp); ok != oOK {
+							t.Fatalf("op %d: logShadow %v: engine admitted %v, oracle %v", i, l, ok, oOK)
 						}
-						o.logShadow(l, exp)
 					case 2:
 						l := randomLabel(rng, universe)
 						e.Remove(l)
@@ -248,6 +276,13 @@ func TestSnapshotMatchesLockedSequential(t *testing.T) {
 					}
 				}
 				st := e.FilterStats()
+				if st.Rejected != o.filters.rejected || e.ShadowStats().Rejected != o.shadows.rejected {
+					t.Fatalf("rejections: engine %d filters, %d shadows; oracle %d, %d",
+						st.Rejected, e.ShadowStats().Rejected, o.filters.rejected, o.shadows.rejected)
+				}
+				if r.capacity < ops && st.Rejected == 0 {
+					t.Fatal("the stream never filled the filter bank")
+				}
 				oDrops, oBytes, oHits := o.totals()
 				// The oracle retains removed entries' counters only while
 				// installed, so compare against the engine's cumulative
@@ -277,7 +312,7 @@ func TestSnapshotMatchesLockedSequential(t *testing.T) {
 // the readers observed in their verdicts — a swap that dropped or
 // double-counted a verdict's accounting would break the equality.
 func TestSnapshotChurnConservation(t *testing.T) {
-	e, ck := newEngine(t, 8, 512, 512, filter.RejectNew)
+	e, ck := newEngine(t, 8, 512, 512)
 	ck.set(time.Millisecond)
 	const flows = 128
 	const payload = 64
@@ -398,7 +433,7 @@ func TestSnapshotChurnConservation(t *testing.T) {
 // removals to Aggregated (not Removed), preserves coverage time, and
 // leaves the freed slots reusable.
 func TestEngineAggregateConservesBudget(t *testing.T) {
-	e, ck := newEngine(t, 4, 8, 8, filter.RejectNew)
+	e, ck := newEngine(t, 4, 8, 8)
 	dst := addr(2000)
 	for i := 0; i < 8; i++ {
 		label := flow.PairLabel(flow.MakeAddr(240, 1, 2, byte(i)), dst)
@@ -409,7 +444,7 @@ func TestEngineAggregateConservesBudget(t *testing.T) {
 	if err := e.Install(flow.PairLabel(addr(1), dst), 0, time.Minute); err == nil {
 		t.Fatal("engine should be at capacity")
 	}
-	groups := filter.SiblingGroups(e.FilterEntries(), 24, 2)
+	groups := filter.SiblingGroups(e.FilterEntries(), 24)
 	if len(groups) != 1 || len(groups[0].Children) != 8 {
 		t.Fatalf("groups: %+v", groups)
 	}
@@ -426,7 +461,7 @@ func TestEngineAggregateConservesBudget(t *testing.T) {
 		t.Fatalf("aggregation stats: %+v", st)
 	}
 	live := int64(st.Installed) + int64(st.Aggregates) - int64(st.Removed) -
-		int64(st.Aggregated) - int64(st.Expired) - int64(st.Evicted)
+		int64(st.Aggregated) - int64(st.Expired)
 	if live != int64(e.Len()) {
 		t.Fatalf("stats arithmetic %d != occupancy %d (%+v)", live, e.Len(), st)
 	}
@@ -462,7 +497,7 @@ func TestEngineAggregateConservesBudget(t *testing.T) {
 // must equal exactly what the readers observed — a bucket append or
 // swap that dropped or double-counted a verdict would break equality.
 func TestPrefixChurnConservation(t *testing.T) {
-	e, ck := newEngine(t, 4, 4096, 512, filter.RejectNew)
+	e, ck := newEngine(t, 4, 4096, 512)
 	ck.set(time.Millisecond)
 	const groups = 16 // /24 sibling groups, each toward its own victim
 	const payload = 64

@@ -76,7 +76,7 @@ func TestNestedPrefixChargeOrder(t *testing.T) {
 	}
 	for _, sd := range sides {
 		t.Run(sd.name, func(t *testing.T) {
-			e, ck := newEngine(t, 4, 1024, 1024, filter.RejectNew)
+			e, ck := newEngine(t, 4, 1024, 1024)
 			// Longest first, so install order and length order disagree.
 			sd.add(e, l28, longLife)
 			sd.add(e, l24, longLife)
@@ -158,7 +158,7 @@ func TestHeapBytesPerFilter(t *testing.T) {
 	} {
 		before := live()
 		e := New(Config{Shards: 2, FilterCapacity: len(labels), ShadowCapacity: len(labels),
-			Evict: filter.RejectNew, Clock: steadyClock{}})
+			Clock: steadyClock{}})
 		for _, l := range labels {
 			if !tc.write(e, l) {
 				t.Fatalf("%s: %v rejected", tc.name, l)
@@ -195,7 +195,7 @@ func TestRecordSize(t *testing.T) {
 // tag is the key its directory hashes that entry's label to, in the
 // bucket that key selects.
 func TestBucketPublishRace(t *testing.T) {
-	e, _ := newEngine(t, 2, 1<<16, 1, filter.RejectNew)
+	e, _ := newEngine(t, 2, 1<<16, 1)
 	labels := make([]flow.Label, 0, 1536)
 	for i := 0; i < 512; i++ {
 		src, dst := addr(i), addr(4000+i%16)
@@ -284,7 +284,7 @@ func recount(v *view) (exact, pair int32, plens uint32) {
 func TestProbeCountsMatchRecount(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		e, ck := newEngine(t, 4, 1<<20, 1<<20, filter.RejectNew)
+		e, ck := newEngine(t, 4, 1<<20, 1<<20)
 		check := func(op int) {
 			t.Helper()
 			for name, tb := range map[string]*table{"filters": &e.filters, "shadows": &e.shadows} {
@@ -313,7 +313,7 @@ func TestProbeCountsMatchRecount(t *testing.T) {
 			case 3:
 				e.Remove(l)
 			case 4: // aggregate whatever /24 siblings are installed
-				if groups := filter.SiblingGroups(e.FilterEntries(), 24, 2); len(groups) > 0 {
+				if groups := filter.SiblingGroups(e.FilterEntries(), 24); len(groups) > 0 {
 					g := groups[rng.Intn(len(groups))]
 					e.Aggregate(g.Aggregate, g.ChildLabels(), now, now+10*time.Millisecond)
 				}

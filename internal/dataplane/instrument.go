@@ -33,9 +33,6 @@ func (e *Engine) Instrument(r *obs.Registry) {
 	r.CounterFunc("aitf_dataplane_filters_rejected_total",
 		"Filter installs rejected by the capacity budget.",
 		func() uint64 { return e.filters.rejected.Load() })
-	r.CounterFunc("aitf_dataplane_filters_evicted_total",
-		"Filters displaced by the eviction policy.",
-		func() uint64 { return e.filters.evicted.Load() })
 	r.CounterFunc("aitf_dataplane_filters_expired_total",
 		"Filters garbage-collected at their deadline.",
 		func() uint64 { return e.filters.expired.Load() })

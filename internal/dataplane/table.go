@@ -625,27 +625,26 @@ type table struct {
 	wild   seg
 
 	capacity int64
-	// evict makes a full table displace its record nearest to expiry
-	// (the filter bank under filter.EvictSoonest); refreshWord makes a
-	// refresh store the written word too (the shadow log's victim).
-	evict, refreshWord bool
+	// refreshWord makes a refresh store the written word too (the
+	// shadow log's victim).
+	refreshWord bool
 
 	// used is the occupancy the budget is enforced on and peak its
 	// maximum; wildLen counts the wild segment's records, so
 	// classification skips the segment while it is empty.
-	used, peak, wildLen               atomic.Int64  // aitf:atomic
-	added, rejected, expired, evicted atomic.Uint64 // aitf:atomic
+	used, peak, wildLen      atomic.Int64  // aitf:atomic
+	added, rejected, expired atomic.Uint64 // aitf:atomic
 }
 
-// init gives t its shards, every segment the empty view, and its
-// budget and policies.
-func (t *table) init(shards, capacity int, evict, refreshWord bool) {
+// init gives t its shards, every segment the empty view, its budget
+// and its refresh rule.
+func (t *table) init(shards, capacity int, refreshWord bool) {
 	t.shards = make([]seg, shards)
 	for i := range t.shards {
 		t.shards[i].view.Store(empty)
 	}
 	t.wild.view.Store(empty)
-	t.capacity, t.evict, t.refreshWord = int64(capacity), evict, refreshWord
+	t.capacity, t.refreshWord = int64(capacity), refreshWord
 }
 
 // segFor returns the segment that owns a canonical label: the wild
@@ -697,9 +696,9 @@ func (t *table) refresh(r *record, ent filter.Entry) {
 // is refreshed; that consumes no capacity, needs no republish and
 // always succeeds. A new label first reclaims the records dead at
 // ent.InstalledAt when reclaim is set, then reserves a slot of the
-// global budget (evicting when the table evicts) and is published with
-// ent's write time, deadline and counters. It reports whether the
-// label is in the table afterwards.
+// global budget, or is rejected when the budget is spent, and is
+// published with ent's write time, deadline and counters. It reports
+// whether the label is in the table afterwards.
 func (t *table) insert(ent filter.Entry, reclaim bool) bool {
 	label, exp := ent.Label.Key(), ent.ExpiresAt
 	s, wild := t.segFor(label)
@@ -715,19 +714,16 @@ func (t *table) insert(ent filter.Entry, reclaim bool) bool {
 	if reclaim {
 		t.expire(ent.InstalledAt)
 	}
-	for attempt := 0; ; attempt++ {
+	for {
 		used := t.used.Load()
-		if used < t.capacity {
-			if !t.used.CompareAndSwap(used, used+1) {
-				continue // raced with another insert or removal; retry
-			}
-			break // slot reserved
-		}
-		if !t.evict || attempt >= 8 || !t.evictSoonest() {
+		if used >= t.capacity {
 			t.rejected.Add(1)
 			return false
 		}
-		// The eviction freed a slot; loop to claim it.
+		if t.used.CompareAndSwap(used, used+1) {
+			break // slot reserved
+		}
+		// Raced with another insert or removal; retry.
 	}
 
 	s.mu.Lock()
@@ -753,27 +749,6 @@ func (t *table) insert(ent filter.Entry, reclaim bool) bool {
 	s.mu.Unlock()
 	t.added.Add(1)
 	atomicMax(&t.peak, t.used.Load())
-	return true
-}
-
-// evictSoonest removes the table-wide record closest to expiry,
-// reporting whether anything was evicted.
-func (t *table) evictSoonest() bool {
-	var victim *record
-	t.each(func(s *seg, _ bool) {
-		s.view.Load().each(func(r *record) {
-			if victim == nil || r.expires() < victim.expires() {
-				victim = r
-			}
-		})
-	})
-	if victim == nil {
-		return false
-	}
-	if _, ok := t.remove(victim.label); !ok {
-		return false // raced with expiry/removal; caller retries
-	}
-	t.evicted.Add(1)
 	return true
 }
 

@@ -34,7 +34,6 @@ func workloadEngine(shards, filters int) *Engine {
 		Shards:         shards,
 		FilterCapacity: filters + 16,
 		ShadowCapacity: 1024,
-		Evict:          filter.RejectNew,
 		ShadowLookup:   true,
 		Clock:          steadyClock{},
 	})
@@ -114,7 +113,6 @@ func wildcardWorkloadEngine(shards, pairs, nonExact int) *Engine {
 		Shards:         shards,
 		FilterCapacity: pairs + nonExact + 16,
 		ShadowCapacity: 1024,
-		Evict:          filter.RejectNew,
 		ShadowLookup:   true,
 		Clock:          steadyClock{},
 	})

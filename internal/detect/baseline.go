@@ -2,6 +2,14 @@ package detect
 
 import "aitf/internal/flow"
 
+const (
+	// baselineAlpha is the EWMA smoothing factor.
+	baselineAlpha = 0.25
+	// baselineCapacity is the table's size in destinations, a power of
+	// two.
+	baselineCapacity = 256
+)
+
 // baselines tracks an exponentially weighted moving average of the
 // aggregate bytes/second arriving at each destination, over the same
 // windows the sketch rotates on. The table is a fixed-capacity
@@ -15,23 +23,18 @@ type baselines struct {
 	ewma  []float64 // smoothed bytes/second
 	mask  uint32
 	seed  uint64
-	alpha float64
 	count int
 }
 
-func newBaselines(capacity int, alpha float64, seed uint64) *baselines {
-	w := uint32(8)
-	for int(w) < capacity {
-		w <<= 1
-	}
+func newBaselines(seed uint64) *baselines {
+	const w = baselineCapacity
 	return &baselines{
-		keys:  make([]flow.Addr, w),
-		used:  make([]bool, w),
-		win:   make([]float64, w),
-		ewma:  make([]float64, w),
-		mask:  w - 1,
-		seed:  splitmix64(seed ^ 0x5bd1e9955bd1e995),
-		alpha: alpha,
+		keys: make([]flow.Addr, w),
+		used: make([]bool, w),
+		win:  make([]float64, w),
+		ewma: make([]float64, w),
+		mask: w - 1,
+		seed: splitmix64(seed ^ 0x5bd1e9955bd1e995),
 	}
 }
 
@@ -113,14 +116,14 @@ func (b *baselines) rotate(elapsed int, windowSeconds float64) {
 	}
 	decay := 1.0
 	for i := 1; i < elapsed && decay > 1e-12; i++ {
-		decay *= 1 - b.alpha
+		decay *= 1 - baselineAlpha
 	}
 	for s := range b.keys {
 		if !b.used[s] {
 			continue
 		}
 		rate := b.win[s] / windowSeconds
-		b.ewma[s] = (b.alpha*rate + (1-b.alpha)*b.ewma[s]) * decay
+		b.ewma[s] = (baselineAlpha*rate + (1-baselineAlpha)*b.ewma[s]) * decay
 		b.win[s] = 0
 	}
 }

@@ -66,11 +66,6 @@ type Config struct {
 	// one window exceeds this many bytes/second. <= 0 disables the
 	// engine entirely.
 	ThresholdBps float64
-	// BaselineAlpha is the EWMA smoothing factor (default 0.25).
-	BaselineAlpha float64
-	// BaselineCapacity bounds the per-destination baseline table
-	// (default 256 destinations).
-	BaselineCapacity int
 	// QuietWindows is how many silent windows re-arm a flagged key so
 	// an on-off flow is re-detected when it resumes. 0 picks the
 	// default of 2 (matching the oracle RateDetector's reset); a
@@ -120,12 +115,6 @@ func (c Config) withDefaults() Config {
 	c.Width, c.Depth, c.TopK = min(c.Width, MaxWidth), min(c.Depth, MaxDepth), min(c.TopK, MaxTopK)
 	if c.Window <= 0 {
 		c.Window = 250 * time.Millisecond
-	}
-	if c.BaselineAlpha <= 0 || c.BaselineAlpha > 1 {
-		c.BaselineAlpha = 0.25
-	}
-	if c.BaselineCapacity <= 0 {
-		c.BaselineCapacity = 256
 	}
 	if c.QuietWindows == 0 {
 		c.QuietWindows = 2
@@ -274,7 +263,7 @@ func (e *Engine) observeOne(now sim.Time, tup flow.Tuple, payload int) (Detectio
 	est := e.cms.add(key, uint64(payload))
 	ent := e.hh.touch(key, uint64(payload), now, e.quiet)
 	if e.base == nil {
-		e.base = newBaselines(e.cfg.BaselineCapacity, e.cfg.BaselineAlpha, splitmix64(e.cfg.Seed+2))
+		e.base = newBaselines(splitmix64(e.cfg.Seed + 2))
 	}
 	e.base.add(tup.Dst, payload)
 

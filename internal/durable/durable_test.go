@@ -32,7 +32,7 @@ func (c *fakeClock) Stop(sim.Timer)                      {}
 func freshParts(clk *fakeClock) Parts {
 	trace := func(obs.EventKind, flow.Label, string) {}
 	dp := dataplane.New(dataplane.Config{
-		Shards: 2, FilterCapacity: 256, ShadowCapacity: 256, Evict: filter.RejectNew,
+		Shards: 2, FilterCapacity: 256, ShadowCapacity: 256,
 		ShadowLookup: true, Clock: dataplane.ClockFunc(func() filter.Time { return clk.now }),
 	})
 	ladder := ctrl.NewLadder(ctrl.Config{}, clk, func() float64 { return 0 }, func(p *packet.Packet) { p.Release() }, trace)

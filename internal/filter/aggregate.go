@@ -67,17 +67,14 @@ func (g SiblingGroup) ChildLabels() []flow.Label {
 // SiblingGroups scans installed filters and groups the aggregatable
 // ones — labels with concrete host source and destination addresses
 // (exact, pair, or port/proto wildcards) — by (dst, src/prefixLen).
-// Groups smaller than minChildren are dropped; the rest are returned
+// Groups of one are dropped, since replacing one filter with a broader
+// one frees nothing and only adds collateral; the rest are returned
 // most-members-first (ties broken by label order) so the caller can
 // coalesce the group that frees the most slots first. prefixLen must be
-// in [1, 31]; minChildren below 2 is raised to 2, since replacing one
-// filter with a broader one frees nothing and only adds collateral.
-func SiblingGroups(entries []Entry, prefixLen uint8, minChildren int) []SiblingGroup {
+// in [1, 31].
+func SiblingGroups(entries []Entry, prefixLen uint8) []SiblingGroup {
 	if prefixLen < 1 || prefixLen > 31 {
 		return nil
-	}
-	if minChildren < 2 {
-		minChildren = 2
 	}
 	type gkey struct {
 		src flow.Addr
@@ -95,7 +92,7 @@ func SiblingGroups(entries []Entry, prefixLen uint8, minChildren int) []SiblingG
 	}
 	out := make([]SiblingGroup, 0, len(groups))
 	for k, members := range groups {
-		if len(members) < minChildren {
+		if len(members) < 2 {
 			continue
 		}
 		sort.Slice(members, func(i, j int) bool {

@@ -31,7 +31,7 @@ func TestSiblingGroups(t *testing.T) {
 		Entry{Label: flow.SrcPrefixLabel(flow.MakeAddr(240, 1, 2, 0), 24, dst)}, // already coarse
 	)
 
-	groups := SiblingGroups(entries, 24, 2)
+	groups := SiblingGroups(entries, 24)
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2: %+v", len(groups), groups)
 	}
@@ -54,18 +54,15 @@ func TestSiblingGroups(t *testing.T) {
 			t.Fatalf("aggregate %v does not cover child %v", g.Aggregate, c.Label)
 		}
 	}
-	// Below min size, or with a degenerate prefix length: nothing.
-	if got := SiblingGroups(entries, 24, 6); len(got) != 0 {
-		t.Fatalf("minChildren ignored: %+v", got)
-	}
+	// With a degenerate prefix length: nothing.
 	for _, bad := range []uint8{0, 32, 200} {
-		if got := SiblingGroups(entries, bad, 2); got != nil {
+		if got := SiblingGroups(entries, bad); got != nil {
 			t.Fatalf("prefixLen %d accepted", bad)
 		}
 	}
-	// minChildren below 2 is raised: singleton groups never form.
+	// Singleton groups never form.
 	lone := []Entry{{Label: aggChild(0, dst), ExpiresAt: time.Second}}
-	if got := SiblingGroups(lone, 24, 0); len(got) != 0 {
+	if got := SiblingGroups(lone, 24); len(got) != 0 {
 		t.Fatalf("singleton aggregated: %+v", got)
 	}
 }
@@ -171,7 +168,7 @@ func BenchmarkSiblingGroups(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := SiblingGroups(entries, 24, 2); len(got) == 0 {
+		if got := SiblingGroups(entries, 24); len(got) == 0 {
 			b.Fatal("no groups")
 		}
 	}

@@ -38,13 +38,12 @@ type bank struct {
 	now filter.Time
 }
 
-func newBank(shards, filters, shadows int, policy filter.EvictPolicy) *bank {
+func newBank(shards, filters, shadows int) *bank {
 	b := &bank{}
 	b.Engine = dataplane.New(dataplane.Config{
 		Shards:         shards,
 		FilterCapacity: filters,
 		ShadowCapacity: shadows,
-		Evict:          policy,
 		ShadowLookup:   true,
 		Clock:          dataplane.ClockFunc(func() filter.Time { return b.now }),
 	})
@@ -61,7 +60,7 @@ func (b *bank) classify(tup flow.Tuple, payloadBytes int, now filter.Time) datap
 // that left the bank is counted under exactly one reason.
 func live(st filter.Stats) int64 {
 	return int64(st.Installed) + int64(st.Aggregates) - int64(st.Removed) -
-		int64(st.Aggregated) - int64(st.Expired) - int64(st.Evicted)
+		int64(st.Aggregated) - int64(st.Expired)
 }
 
 func eachShardCount(t *testing.T, fn func(t *testing.T, shards int)) {
@@ -72,7 +71,7 @@ func eachShardCount(t *testing.T, fn func(t *testing.T, shards int)) {
 
 func TestInstallAndMatch(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		tb := newBank(shards, 4, 0, filter.RejectNew)
+		tb := newBank(shards, 4, 0)
 		l := flow.PairLabel(a1, v1)
 		if err := tb.Install(l, 0, time.Minute); err != nil {
 			t.Fatal(err)
@@ -102,7 +101,7 @@ func TestInstallAndMatch(t *testing.T) {
 
 func TestMatchExpired(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		tb := newBank(shards, 4, 0, filter.RejectNew)
+		tb := newBank(shards, 4, 0)
 		tb.Install(flow.PairLabel(a1, v1), 0, time.Second)
 		tup := flow.TupleOf(a1, v1, flow.ProtoUDP, 5, 80)
 		if tb.classify(tup, 10, 2*time.Second).Drop {
@@ -116,7 +115,7 @@ func TestMatchExpired(t *testing.T) {
 
 func TestCapacityRejectNew(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		tb := newBank(shards, 2, 0, filter.RejectNew)
+		tb := newBank(shards, 2, 0)
 		if err := tb.Install(pair(1), 0, time.Minute); err != nil {
 			t.Fatal(err)
 		}
@@ -137,29 +136,9 @@ func TestCapacityRejectNew(t *testing.T) {
 	})
 }
 
-func TestCapacityEvictSoonest(t *testing.T) {
-	eachShardCount(t, func(t *testing.T, shards int) {
-		tb := newBank(shards, 2, 0, filter.EvictSoonest)
-		tb.Install(pair(1), 0, 10*time.Second) // soonest expiry
-		tb.Install(pair(2), 0, time.Minute)
-		if err := tb.Install(pair(3), 0, 30*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if tb.Len() != 2 {
-			t.Fatalf("Len = %d", tb.Len())
-		}
-		if _, ok := tb.Get(pair(1), time.Second); ok {
-			t.Fatal("soonest-expiring entry not evicted")
-		}
-		if tb.FilterStats().Evicted != 1 {
-			t.Fatalf("Evicted = %d", tb.FilterStats().Evicted)
-		}
-	})
-}
-
 func TestInstallMakesRoomByExpiring(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		tb := newBank(shards, 1, 0, filter.RejectNew)
+		tb := newBank(shards, 1, 0)
 		tb.Install(pair(1), 0, time.Second)
 		// At t=2s the first filter is dead; Install must GC and succeed.
 		if err := tb.Install(pair(2), 2*time.Second, time.Minute); err != nil {
@@ -170,7 +149,7 @@ func TestInstallMakesRoomByExpiring(t *testing.T) {
 
 func TestRefreshExtendsOnly(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		tb := newBank(shards, 2, 0, filter.RejectNew)
+		tb := newBank(shards, 2, 0)
 		tb.Install(pair(1), 0, time.Minute)
 		tb.Install(pair(1), 0, 30*time.Second) // shorter: must not shrink
 		e, ok := tb.Get(pair(1), 0)
@@ -185,7 +164,7 @@ func TestRefreshExtendsOnly(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		tb := newBank(shards, 2, 0, filter.RejectNew)
+		tb := newBank(shards, 2, 0)
 		tb.Install(pair(1), 0, time.Minute)
 		if !tb.Remove(pair(1)) {
 			t.Fatal("Remove returned false")
@@ -201,7 +180,7 @@ func TestRemove(t *testing.T) {
 
 func TestExpireAndNextExpiry(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		tb := newBank(shards, 8, 0, filter.RejectNew)
+		tb := newBank(shards, 8, 0)
 		tb.Install(pair(1), 0, 10*time.Second)
 		tb.Install(pair(2), 0, 20*time.Second)
 		tb.Install(pair(3), 0, 30*time.Second)
@@ -224,7 +203,7 @@ func TestExpireAndNextExpiry(t *testing.T) {
 
 func TestPeakOccupancy(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		tb := newBank(shards, 10, 0, filter.RejectNew)
+		tb := newBank(shards, 10, 0)
 		for i := byte(0); i < 7; i++ {
 			tb.Install(pair(i), 0, time.Minute)
 		}
@@ -238,7 +217,7 @@ func TestPeakOccupancy(t *testing.T) {
 
 func TestEntriesSorted(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		tb := newBank(shards, 8, 0, filter.RejectNew)
+		tb := newBank(shards, 8, 0)
 		tb.Install(pair(3), 0, 30*time.Second)
 		tb.Install(pair(1), 0, 10*time.Second)
 		tb.Install(pair(2), 0, 20*time.Second)
@@ -256,11 +235,11 @@ func TestEntriesSorted(t *testing.T) {
 
 func TestZeroCapacityTable(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		tb := newBank(shards, 0, 0, filter.EvictSoonest)
+		tb := newBank(shards, 0, 0)
 		if err := tb.Install(pair(1), 0, time.Minute); !errors.Is(err, filter.ErrTableFull) {
 			t.Fatalf("zero-capacity Install err = %v", err)
 		}
-		tb2 := newBank(shards, -5, 0, filter.RejectNew)
+		tb2 := newBank(shards, -5, 0)
 		if tb2.FilterCapacity() != 0 {
 			t.Fatalf("negative capacity clamped to %d", tb2.FilterCapacity())
 		}
@@ -269,7 +248,7 @@ func TestZeroCapacityTable(t *testing.T) {
 
 func TestWildcardScanMatch(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		tb := newBank(shards, 4, 0, filter.RejectNew)
+		tb := newBank(shards, 4, 0)
 		// A source-only label is neither exact nor pair shaped, and names
 		// no destination: no keyed probe finds it.
 		tb.Install(flow.Label{Src: a1, Wildcards: flow.WildDst | flow.WildProto | flow.WildSrcPort | flow.WildDstPort}, 0, time.Minute)
@@ -288,11 +267,7 @@ func TestPropertyOccupancyBounded(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
 		f := func(ops []byte, capRaw uint8) bool {
 			capacity := int(capRaw%16) + 1
-			policy := filter.RejectNew
-			if capRaw%2 == 0 {
-				policy = filter.EvictSoonest
-			}
-			tb := newBank(shards, capacity, 0, policy)
+			tb := newBank(shards, capacity, 0)
 			now := filter.Time(0)
 			for _, op := range ops {
 				now += filter.Time(op) * time.Millisecond
@@ -325,7 +300,7 @@ func TestTableAggregateConservesBudget(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
 		const capacity = 8
 		dst := flow.MakeAddr(10, 0, 0, 9)
-		tb := newBank(shards, capacity, 0, filter.RejectNew)
+		tb := newBank(shards, capacity, 0)
 		for i := 0; i < capacity; i++ {
 			if err := tb.Install(aggChild(i, dst), 0, filter.Time(i+1)*time.Second); err != nil {
 				t.Fatal(err)
@@ -335,7 +310,7 @@ func TestTableAggregateConservesBudget(t *testing.T) {
 			t.Fatal("bank should be full")
 		}
 
-		groups := filter.SiblingGroups(tb.FilterEntries(), 24, 2)
+		groups := filter.SiblingGroups(tb.FilterEntries(), 24)
 		if len(groups) != 1 {
 			t.Fatalf("groups: %+v", groups)
 		}
@@ -396,13 +371,13 @@ func TestTableAggregateConservesBudget(t *testing.T) {
 		// No leak across many cycles: install k children, aggregate, expire.
 		now := filter.Time(0)
 		for cycle := 0; cycle < 20; cycle++ {
-			tb2 := newBank(shards, capacity, 0, filter.RejectNew)
+			tb2 := newBank(shards, capacity, 0)
 			for i := 0; i < capacity; i++ {
 				if err := tb2.Install(aggChild(i, dst), now, now+time.Second); err != nil {
 					t.Fatal(err)
 				}
 			}
-			gs := filter.SiblingGroups(tb2.FilterEntries(), 24, 2)
+			gs := filter.SiblingGroups(tb2.FilterEntries(), 24)
 			if _, err := tb2.Aggregate(gs[0].Aggregate, gs[0].ChildLabels(), now, now+time.Second); err != nil {
 				t.Fatal(err)
 			}
@@ -423,14 +398,14 @@ func TestTableAggregateConservesBudget(t *testing.T) {
 // actually present (counted once in Aggregated, never in Removed),
 // installs no second aggregate entry, and keeps the occupancy identity
 //
-//	Installed + Aggregates − Removed − Aggregated − Expired − Evicted == Len
+//	Installed + Aggregates − Removed − Aggregated − Expired == Len
 //
 // exact, while the aggregate's deadline only ever ratchets upward.
 func TestTableAggregateRefreshConservesStats(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
 		const capacity = 8
 		dst := flow.MakeAddr(10, 0, 0, 9)
-		tb := newBank(shards, capacity, 0, filter.RejectNew)
+		tb := newBank(shards, capacity, 0)
 		agg := flow.SrcPrefixLabel(flow.MakeAddr(240, 1, 2, 0), 24, dst)
 
 		conserved := func(when string) {
@@ -520,7 +495,7 @@ func TestTableAggregateRefreshConservesStats(t *testing.T) {
 
 func TestShadowLogLookupHit(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		c := newBank(shards, 0, 10, filter.RejectNew)
+		c := newBank(shards, 0, 10)
 		l := flow.PairLabel(a1, v1)
 		if !c.LogShadow(l, v1, 0, time.Minute) {
 			t.Fatal("LogShadow failed")
@@ -550,7 +525,7 @@ func TestShadowLogLookupHit(t *testing.T) {
 
 func TestShadowExpiry(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		c := newBank(shards, 0, 10, filter.RejectNew)
+		c := newBank(shards, 0, 10)
 		c.LogShadow(flow.PairLabel(a1, v1), v1, 0, time.Second)
 		if c.classify(flow.TupleOf(a1, v1, flow.ProtoUDP, 1, 2), 0, 2*time.Second).ShadowHit {
 			t.Fatal("expired shadow entry returned")
@@ -563,7 +538,7 @@ func TestShadowExpiry(t *testing.T) {
 
 func TestShadowCapacity(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		c := newBank(shards, 0, 2, filter.RejectNew)
+		c := newBank(shards, 0, 2)
 		c.LogShadow(pair(1), v1, 0, time.Minute)
 		c.LogShadow(pair(2), v1, 0, time.Minute)
 		if c.LogShadow(pair(3), v1, 0, time.Minute) {
@@ -585,7 +560,7 @@ func TestShadowCapacity(t *testing.T) {
 
 func TestShadowDisabled(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		c := newBank(shards, 0, 0, filter.RejectNew)
+		c := newBank(shards, 0, 0)
 		if c.LogShadow(pair(1), v1, 0, time.Minute) {
 			t.Fatal("disabled cache accepted entry")
 		}
@@ -597,7 +572,7 @@ func TestShadowDisabled(t *testing.T) {
 
 func TestShadowRemoveAndEntries(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		c := newBank(shards, 0, 4, filter.RejectNew)
+		c := newBank(shards, 0, 4)
 		c.LogShadow(pair(1), v1, 0, 30*time.Second)
 		c.LogShadow(pair(2), v1, 0, 10*time.Second)
 		es := c.ShadowEntries()
@@ -616,7 +591,7 @@ func TestShadowRemoveAndEntries(t *testing.T) {
 
 func TestShadowPeakSize(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, shards int) {
-		c := newBank(shards, 0, 100, filter.RejectNew)
+		c := newBank(shards, 0, 100)
 		for i := byte(0); i < 50; i++ {
 			c.LogShadow(pair(i), v1, 0, time.Minute)
 		}

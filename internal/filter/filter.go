@@ -26,30 +26,16 @@ import (
 type Time = time.Duration
 
 // ErrTableFull is returned by Install when the filter bank is at
-// capacity and the eviction policy declines to make room.
+// capacity: a full bank refuses the new filter, as a fixed wire-speed
+// table in hardware does (§II-B), and keeps every installed one.
 var ErrTableFull = errors.New("filter: table full")
 
 // EvictPolicy says what Install does when the filter bank is full.
+// RejectNew is its one value; dataplane.Config still names it.
 type EvictPolicy uint8
 
-const (
-	// RejectNew refuses new filters when full (hardware-faithful).
-	RejectNew EvictPolicy = iota
-	// EvictSoonest replaces the entry closest to expiry with the new
-	// one. Ablated in the bench suite.
-	EvictSoonest
-)
-
-func (p EvictPolicy) String() string {
-	switch p {
-	case RejectNew:
-		return "reject-new"
-	case EvictSoonest:
-		return "evict-soonest"
-	default:
-		return "policy?"
-	}
-}
+// RejectNew refuses new filters when full (hardware-faithful).
+const RejectNew EvictPolicy = 0
 
 // Entry is one installed filter.
 type Entry struct {
@@ -68,12 +54,17 @@ type Entry struct {
 // covering aggregate counts once under Aggregated (not also under
 // Removed), and the aggregate's installation counts once under
 // Aggregates (not also under Installed), so occupancy arithmetic
-// (Installed + Aggregates − Removed − Aggregated − Expired − Evicted =
-// live entries) balances with no double-count.
+// (Installed + Aggregates − Removed − Aggregated − Expired = live
+// entries) balances with no double-count.
+//
+// Evicted always reads 0: a full bank rejects (ErrTableFull) and
+// displaces nothing. It stays because the scenario harness's trace
+// fingerprint renders a Stats with %+v, so dropping it would change
+// every golden fingerprint.
 type Stats struct {
 	Installed     uint64 // successful Install calls
 	Rejected      uint64 // Install calls that returned ErrTableFull
-	Evicted       uint64 // entries displaced by EvictSoonest
+	Evicted       uint64 // always 0 (see above)
 	Expired       uint64 // entries removed because their TTL passed
 	Removed       uint64 // entries removed explicitly
 	Aggregates    uint64 // covering prefix filters installed by Aggregate

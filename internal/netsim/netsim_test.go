@@ -18,7 +18,7 @@ func lineTopo(p topology.Params) (*topology.Topology, [3]topology.NodeID) {
 	a := t.AddNode("A", flow.MakeAddr(10, 0, 0, 1), topology.KindHost, 1)
 	r := t.AddNode("R", flow.MakeAddr(10, 0, 0, 2), topology.KindInternalRouter, 0)
 	b := t.AddNode("B", flow.MakeAddr(10, 0, 0, 3), topology.KindHost, 2)
-	t.AddLink(a, r, p.AccessDelay, p.CoreBandwidth, p.QueueLen)
+	t.AddLink(a, r, p.AccessDelay, 0, p.QueueLen)
 	t.AddLink(r, b, p.AccessDelay, p.TailBandwidth, p.QueueLen)
 	return t, [3]topology.NodeID{a, r, b}
 }

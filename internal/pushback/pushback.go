@@ -103,10 +103,6 @@ type Router struct {
 	node  *netsim.Node
 	aggs  map[flow.Addr]*aggState
 	stats Stats
-
-	// OnInstall, if set, is called when a rate limit is installed
-	// (used by the experiment harness to count involved routers).
-	OnInstall func(node string, agg flow.Label, depth int)
 }
 
 // NewRouter builds a pushback router handler.
@@ -229,9 +225,6 @@ func (r *Router) installLimit(a *aggState, limitBps float64, depth int) {
 	a.limiter = filter.NewPolicer(limitBps, limitBps*sim.Time(r.cfg.Window).Seconds())
 	a.depth = depth
 	r.stats.LimitsInstalled++
-	if r.OnInstall != nil {
-		r.OnInstall(r.node.Name(), flow.ToDestination(a.dst), depth)
-	}
 }
 
 // propagate sends pushback requests to every ingress neighbor carrying

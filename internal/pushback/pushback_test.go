@@ -112,23 +112,26 @@ func TestPushbackIsSlowerThanOneRound(t *testing.T) {
 	eng, net, ids, routers := deploy(t, 3, cfg)
 	net.Node(ids.Victim).SetHandler(&meterHandler{})
 
-	var firstRemote sim.Time
-	for i, r := range routers {
-		i := i
-		r.OnInstall = func(string, flow.Label, int) {
-			if i > 0 && firstRemote == 0 {
-				firstRemote = eng.Now()
+	victim := net.Node(ids.Victim).Addr()
+	remoteLimited := func() bool {
+		for _, r := range routers[1:] {
+			if r.Limited(victim) {
+				return true
 			}
 		}
+		return false
 	}
-	flood(eng, net.Node(ids.Attacker), net.Node(ids.Victim).Addr(), 4*tailBps, 1000, sim.Time(30*time.Second))
+	flood(eng, net.Node(ids.Attacker), victim, 4*tailBps, 1000, sim.Time(30*time.Second))
+	eng.RunUntil(sim.Time(cfg.PropagateAfter) - 1)
+	if !routers[0].Limited(victim) {
+		t.Fatal("the victim-side router never limited the aggregate locally")
+	}
+	if remoteLimited() {
+		t.Fatalf("a remote router limited the aggregate before PropagateAfter %v", cfg.PropagateAfter)
+	}
 	eng.RunUntil(sim.Time(30 * time.Second))
-
-	if firstRemote == 0 {
+	if !remoteLimited() {
 		t.Fatal("pushback never reached a second router")
-	}
-	if firstRemote < sim.Time(cfg.PropagateAfter) {
-		t.Fatalf("remote limit at %v, before PropagateAfter %v", firstRemote, cfg.PropagateAfter)
 	}
 }
 
@@ -185,22 +188,15 @@ func TestPushbackMaxDepthBounded(t *testing.T) {
 	eng, net, ids, routers := deploy(t, 6, cfg)
 	net.Node(ids.Victim).SetHandler(&meterHandler{})
 
-	maxDepth := 0
-	for _, r := range routers {
-		r.OnInstall = func(_ string, _ flow.Label, depth int) {
-			if depth > maxDepth {
-				maxDepth = depth
-			}
-		}
-	}
 	flood(eng, net.Node(ids.Attacker), net.Node(ids.Victim).Addr(), 4*tailBps, 1000, sim.Time(40*time.Second))
 	eng.RunUntil(sim.Time(40 * time.Second))
 
-	limited := 0
+	limited, maxDepth := 0, -1
 	for _, r := range routers {
 		if r.Limited(net.Node(ids.Victim).Addr()) {
 			limited++
 		}
+		maxDepth = max(maxDepth, r.Depth(net.Node(ids.Victim).Addr()))
 	}
 	if limited < 2 {
 		t.Fatalf("pushback recruited only %d routers; propagation never engaged", limited)

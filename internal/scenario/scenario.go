@@ -519,7 +519,6 @@ func build(s Spec) *world {
 			AccessDelay:   accessDelay,
 			BackboneDelay: backboneDelay,
 			TailBandwidth: tailBandwidth,
-			CoreBandwidth: 0,
 			QueueLen:      64,
 		},
 	}, rng)

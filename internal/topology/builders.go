@@ -17,8 +17,6 @@ type Params struct {
 	// TailBandwidth is the bandwidth (bytes/s) of the victim's access
 	// link — the "tail circuit" a DoS attack congests. 0 = unlimited.
 	TailBandwidth float64
-	// CoreBandwidth is the bandwidth of all non-tail links.
-	CoreBandwidth float64
 	// QueueLen is the output queue capacity in packets (0 = default).
 	QueueLen int
 }
@@ -32,10 +30,13 @@ func DefaultParams() Params {
 		AccessDelay:   50 * time.Millisecond,
 		BackboneDelay: 10 * time.Millisecond,
 		TailBandwidth: 1.25e6,
-		CoreBandwidth: 0,
 		QueueLen:      64,
 	}
 }
+
+// coreBandwidth is the bandwidth of every non-tail link: 0, an
+// unlimited (uncongested) core.
+const coreBandwidth = 0
 
 // ChainNodes names the nodes of a generalized Figure-1 chain.
 type ChainNodes struct {
@@ -74,13 +75,13 @@ func Chain(depth int, p Params) (*Topology, ChainNodes) {
 
 	t.AddLink(n.Victim, n.VictimGW[0], p.AccessDelay, p.TailBandwidth, p.QueueLen)
 	for i := 0; i+1 < depth; i++ {
-		t.AddLink(n.VictimGW[i], n.VictimGW[i+1], p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
+		t.AddLink(n.VictimGW[i], n.VictimGW[i+1], p.BackboneDelay, coreBandwidth, p.QueueLen)
 	}
-	t.AddLink(n.VictimGW[depth-1], n.AttackGW[depth-1], p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
+	t.AddLink(n.VictimGW[depth-1], n.AttackGW[depth-1], p.BackboneDelay, coreBandwidth, p.QueueLen)
 	for i := 0; i+1 < depth; i++ {
-		t.AddLink(n.AttackGW[i], n.AttackGW[i+1], p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
+		t.AddLink(n.AttackGW[i], n.AttackGW[i+1], p.BackboneDelay, coreBandwidth, p.QueueLen)
 	}
-	t.AddLink(n.AttackGW[0], n.Attacker, p.AccessDelay, p.CoreBandwidth, p.QueueLen)
+	t.AddLink(n.AttackGW[0], n.Attacker, p.AccessDelay, coreBandwidth, p.QueueLen)
 	return t, n
 }
 
@@ -118,7 +119,7 @@ func ManyToOne(nAttackers, nLegit int, p Params) (*Topology, ManyToOneNodes) {
 	n.VictimGW = t.AddNode("v_gw", flow.MakeAddr(10, 0, 0, 1), KindBorderRouter, 1)
 	n.Core = t.AddNode("core", flow.MakeAddr(10, 0, 0, 3), KindInternalRouter, 0)
 	t.AddLink(n.Victim, n.VictimGW, p.AccessDelay, p.TailBandwidth, p.QueueLen)
-	t.AddLink(n.VictimGW, n.Core, p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
+	t.AddLink(n.VictimGW, n.Core, p.BackboneDelay, coreBandwidth, p.QueueLen)
 
 	addSite := func(i int, prefix byte, name string, as int) (host, gw NodeID) {
 		hi, lo := byte(i/250), byte(i%250)
@@ -126,8 +127,8 @@ func ManyToOne(nAttackers, nLegit int, p Params) (*Topology, ManyToOneNodes) {
 			flow.MakeAddr(prefix, 1, hi, lo+1), KindBorderRouter, as)
 		host = t.AddNode(fmt.Sprintf("%s%d", name, i),
 			flow.MakeAddr(prefix, 101, hi, lo+1), KindHost, as)
-		t.AddLink(host, gw, p.AccessDelay, p.CoreBandwidth, p.QueueLen)
-		t.AddLink(gw, n.Core, p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
+		t.AddLink(host, gw, p.AccessDelay, coreBandwidth, p.QueueLen)
+		t.AddLink(gw, n.Core, p.BackboneDelay, coreBandwidth, p.QueueLen)
 		return host, gw
 	}
 	for i := 0; i < nAttackers; i++ {
@@ -167,7 +168,7 @@ func SharedGateway(nAttackers, nVictims int, p Params) (*Topology, SharedGateway
 	var n SharedGatewayNodes
 	n.VictimGW = t.AddNode("v_gw", flow.MakeAddr(10, 0, 0, 1), KindBorderRouter, 1)
 	n.AttackGW = t.AddNode("a_gw", flow.MakeAddr(10, 9, 0, 1), KindBorderRouter, 9)
-	t.AddLink(n.VictimGW, n.AttackGW, p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
+	t.AddLink(n.VictimGW, n.AttackGW, p.BackboneDelay, coreBandwidth, p.QueueLen)
 	for i := 0; i < nVictims; i++ {
 		hi, lo := byte(i/250), byte(i%250)
 		name := "victim"
@@ -182,7 +183,7 @@ func SharedGateway(nAttackers, nVictims int, p Params) (*Topology, SharedGateway
 		hi, lo := byte(i/250), byte(i%250)
 		h := t.AddNode(fmt.Sprintf("atk%d", i),
 			flow.MakeAddr(10, 9, hi+1, lo+1), KindHost, 9)
-		t.AddLink(h, n.AttackGW, p.AccessDelay, p.CoreBandwidth, p.QueueLen)
+		t.AddLink(h, n.AttackGW, p.AccessDelay, coreBandwidth, p.QueueLen)
 		n.Attackers = append(n.Attackers, h)
 	}
 	return t, n

@@ -28,12 +28,12 @@ func Figure1(p Params) (*Topology, Fig1Nodes) {
 	n.BHost = t.AddNode("B_host", flow.MakeAddr(10, 4, 0, 2), KindHost, 4)
 
 	t.AddLink(n.GHost, n.GGw1, p.AccessDelay, p.TailBandwidth, p.QueueLen)
-	t.AddLink(n.GGw1, n.GGw2, p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
-	t.AddLink(n.GGw2, n.GGw3, p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
-	t.AddLink(n.GGw3, n.BGw3, p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
-	t.AddLink(n.BGw3, n.BGw2, p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
-	t.AddLink(n.BGw2, n.BGw1, p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
-	t.AddLink(n.BGw1, n.BHost, p.AccessDelay, p.CoreBandwidth, p.QueueLen)
+	t.AddLink(n.GGw1, n.GGw2, p.BackboneDelay, coreBandwidth, p.QueueLen)
+	t.AddLink(n.GGw2, n.GGw3, p.BackboneDelay, coreBandwidth, p.QueueLen)
+	t.AddLink(n.GGw3, n.BGw3, p.BackboneDelay, coreBandwidth, p.QueueLen)
+	t.AddLink(n.BGw3, n.BGw2, p.BackboneDelay, coreBandwidth, p.QueueLen)
+	t.AddLink(n.BGw2, n.BGw1, p.BackboneDelay, coreBandwidth, p.QueueLen)
+	t.AddLink(n.BGw1, n.BHost, p.AccessDelay, coreBandwidth, p.QueueLen)
 	return t, n
 }
 

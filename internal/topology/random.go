@@ -28,7 +28,7 @@ type RandomSpec struct {
 	// router directly.
 	InternalRouterProb float64
 	// Params tunes link delays, bandwidths and queues. Host access
-	// links use TailBandwidth; backbone links use CoreBandwidth.
+	// links use TailBandwidth; backbone links are unlimited.
 	Params Params
 }
 
@@ -162,7 +162,7 @@ func Random(spec RandomSpec, rng *rand.Rand) (*Topology, RandomNodes) {
 		if rng.Float64() < spec.InternalRouterProb {
 			n.Internal[i] = t.AddNode(fmt.Sprintf("r%d", asNum),
 				addr(i, 2), KindInternalRouter, asNum)
-			t.AddLink(n.Border[i], n.Internal[i], p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
+			t.AddLink(n.Border[i], n.Internal[i], p.BackboneDelay, coreBandwidth, p.QueueLen)
 		}
 		nh := 1 + rng.Intn(spec.MaxHostsPerAS)
 		attach := n.Border[i]
@@ -178,11 +178,11 @@ func Random(spec RandomSpec, rng *rand.Rand) (*Topology, RandomNodes) {
 		if i < tier1 {
 			n.Parent[i] = -1
 			for j := 0; j < i; j++ {
-				t.AddLink(n.Border[i], n.Border[j], p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
+				t.AddLink(n.Border[i], n.Border[j], p.BackboneDelay, coreBandwidth, p.QueueLen)
 			}
 		} else {
 			n.Parent[i] = rng.Intn(i)
-			t.AddLink(n.Border[i], n.Border[n.Parent[i]], p.BackboneDelay, p.CoreBandwidth, p.QueueLen)
+			t.AddLink(n.Border[i], n.Border[n.Parent[i]], p.BackboneDelay, coreBandwidth, p.QueueLen)
 		}
 	}
 	return t, n

@@ -80,7 +80,9 @@ type GatewayFileConfig struct {
 	// (non-empty) when DetectBps > 0.
 	DetectFor []string `json:"detect_for"`
 	// DetectWindowMs is the detection measurement window in
-	// milliseconds (0 = the engine default, 250).
+	// milliseconds (0 = the engine default, 250). It also sets a
+	// cluster's default merge interval, so it needs DetectBps or
+	// ClusterPeers.
 	DetectWindowMs int `json:"detect_window_ms"`
 	// SketchWidth / SketchDepth set the count-min geometry and
 	// DetectTopK the heavy-hitter budget (0 = engine defaults:
@@ -252,6 +254,11 @@ func (g *GatewayFileConfig) validate() error {
 	}
 	if g.DetectBps == 0 && (g.SketchWidth != 0 || g.SketchDepth != 0 || g.DetectTopK != 0 || len(g.DetectFor) > 0) {
 		return fmt.Errorf("%w: detection knobs set without detect_bps", ErrBadConfig)
+	}
+	// The window sizes detection and a cluster's default merge
+	// interval; with neither it would be dropped.
+	if g.DetectWindowMs != 0 && g.DetectBps == 0 && g.ClusterPeers == 0 {
+		return fmt.Errorf("%w: detect_window_ms set without detect_bps or cluster_peers", ErrBadConfig)
 	}
 	if g.DetectWindowMs < 0 || g.SketchWidth < 0 || g.SketchDepth < 0 || g.DetectTopK < 0 {
 		return fmt.Errorf("%w: negative detection knob (window %dms, width %d, depth %d, topk %d)",

@@ -302,6 +302,7 @@ func TestParseConfigErrors(t *testing.T) {
 		"merge just under": `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_peers":2,"cluster_merge_ms":499,"detect_bps":1000,"detect_for":["1.1.1.2"],"detect_window_ms":500}}`,
 		"knobs no peers":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_merge_ms":500}}`,
 		"repl no peers":    `{"role":"gateway","addr":"1.1.1.1","gateway":{"cluster_replication":true}}`,
+		"window no user":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_window_ms":100}}`,
 		"sketch budget":    `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"sketch_width":1048576,"sketch_depth":16,"cluster_peers":64}}`,
 		"budget 2 peers":   `{"role":"gateway","addr":"1.1.1.1","gateway":{"detect_bps":1000,"detect_for":["1.1.1.2"],"sketch_width":1048576,"sketch_depth":16,"cluster_peers":2}}`,
 		"rto no attempts":  `{"role":"gateway","addr":"1.1.1.1","gateway":{"ctrl_rto_ms":100}}`,

@@ -150,7 +150,6 @@ func (cfg *GatewayConfig) borderConfig() (border.Config, error) {
 	}
 	bc := border.Config{
 		Timers:           cfg.Timers,
-		Evict:            filter.RejectNew,
 		ShadowMode:       border.VictimDriven,
 		Cooperative:      true,
 		Secret:           cfg.Secret,
